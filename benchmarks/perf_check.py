@@ -19,6 +19,12 @@ configuration (phi-accrual detection + paced retry policies) against
 the fixed-deadline service -- pauses only fire on actual re-sends, so
 a fault-free run must stay under ``--max-resilience-tax`` percent.
 
+The *EXACT event budget* is a work count, not a timing: one binomial
+96-cache-line EXACT broadcast on 48 cores finds every MPB port idle, so
+whole-transfer coalescing must keep it at a few events per put/get
+(1,834 today; 55,414 with one run per cache line) -- exact, noise-free,
+and it trips the moment the multi-leg run stops engaging.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/perf_check.py
@@ -75,6 +81,31 @@ def resilience_tax_pct() -> float:
     fixed = campaign.latency_once(adaptive=False)
     adaptive = campaign.latency_once(adaptive=True)
     return (adaptive / fixed - 1.0) * 100.0
+
+
+#: Ceiling on kernel events for the uncontended EXACT broadcast below.
+MAX_EXACT_BINOMIAL_EVENTS = 5_000
+
+
+def exact_binomial_events() -> int:
+    """``Simulator.events_scheduled`` of one binomial 96-cache-line EXACT
+    broadcast on the 48-core chip.  Deterministic."""
+    from repro.bench import BcastSpec
+    from repro.rcce import Comm
+    from repro.scc import ContentionMode, SccChip, SccConfig, run_spmd
+    from repro.scc.config import CACHE_LINE
+
+    nbytes = 96 * CACHE_LINE
+    chip = SccChip(SccConfig(contention_mode=ContentionMode.EXACT))
+    comm = Comm(chip)
+    bcast = BcastSpec("binomial").build(comm)
+
+    def program(core):
+        cc = comm.attach(core)
+        yield from bcast(cc, 0, cc.alloc(nbytes), nbytes)
+
+    run_spmd(chip, program)
+    return chip.sim.events_scheduled
 
 
 def main(argv=None) -> int:
@@ -154,6 +185,14 @@ def main(argv=None) -> int:
           f"{'ok' if res_ok else 'REGRESSED'}")
     if not res_ok:
         failed.append("resilience_tax")
+
+    events = exact_binomial_events()
+    events_ok = events <= MAX_EXACT_BINOMIAL_EVENTS
+    print(f"{'exact binomial events':<{width}}  {events:>12d}  vs "
+          f"{MAX_EXACT_BINOMIAL_EVENTS:>12d}  "
+          f"{'ok' if events_ok else 'REGRESSED'}")
+    if not events_ok:
+        failed.append("exact_binomial_events")
 
     # Structural guard: the whole point of ANALYTIC mode is integer-factor
     # campaign speedups, so the adaptive fault-free path must stay >= 20x

@@ -89,8 +89,11 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan | None = None) -> None:
         self.plan = plan if plan is not None else FaultPlan()
         self.chip: "SccChip | None" = None
-        #: Occurrence counts: global per category, and per (category, core).
-        self.counts: dict[str, int] = {}
+        # Occurrence counts: per category, and per category and core.
+        # Integer-keyed because every hook bumps them; the string-keyed
+        # view campaigns sample from is built on read (see `counts`).
+        self._global: dict[str, int] = {}
+        self._per_core: dict[str, dict[int, int]] = {}
         self.injected: list[InjectionRecord] = []
         self.recoveries: list[RecoveryRecord] = []
         self._dead: set[int] = set()
@@ -129,20 +132,35 @@ class FaultInjector:
 
     def _bump(self, category: str, core: int | None) -> tuple[int, int]:
         """Advance the global and per-core counters; returns both counts."""
-        g = self.counts.get(category, 0) + 1
-        self.counts[category] = g
+        g = self._global.get(category, 0) + 1
+        self._global[category] = g
         if core is None:
             return g, 0
-        key = f"{category}@core{core}"
-        c = self.counts.get(key, 0) + 1
-        self.counts[key] = c
+        per_core = self._per_core.get(category)
+        if per_core is None:
+            per_core = self._per_core[category] = {}
+        c = per_core.get(core, 0) + 1
+        per_core[core] = c
         return g, c
+
+    @property
+    def counts(self) -> dict[str, int]:
+        """Occurrence counts so far: ``counts[category]`` chip-wide and
+        ``counts[f"{category}@core{n}"]`` per core (a fresh dict)."""
+        out = dict(self._global)
+        for category, per_core in self._per_core.items():
+            for core, c in per_core.items():
+                out[f"{category}@core{core}"] = c
+        return out
 
     def _match(
         self, category: str, core: int | None, n_global: int, n_core: int
     ) -> FaultSpec | None:
         """The first unfired plan spec matching this occurrence, if any."""
-        for armed in self._armed.get(category, ()):
+        candidates = self._armed.get(category)
+        if candidates is None:
+            return None
+        for armed in candidates:
             if armed.fired:
                 continue
             spec = armed.spec
@@ -335,8 +353,8 @@ class FaultInjector:
         return len(self.recoveries)
 
     def profile(self) -> dict[str, int]:
-        """A copy of the occurrence counters (for campaign site sampling)."""
-        return dict(self.counts)
+        """The occurrence counters (for campaign site sampling)."""
+        return self.counts
 
     def timeline_text(self, limit: int = 12) -> str:
         """The fault timeline as indented text, for appending to detector

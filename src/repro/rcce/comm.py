@@ -324,7 +324,8 @@ class CoreComm:
         tf = self.comm.transport_faults
         if tf is not None:
             tf.on_trace(self.rank, kind, detail)
-        self.chip.trace(f"rank{self.rank}", kind, **detail)
+        if self.chip.tracer.enabled:
+            self.chip.trace(f"rank{self.rank}", kind, **detail)
 
     def metric_inc(self, name: str, n: int = 1) -> None:
         if self.chip.metrics is not None:

@@ -581,8 +581,9 @@ def flag_write(
     landed = chip.mpbs[owner_core].write_bytes(
         flag.offset, value.encode(), source=core.id, op="flag"
     )
-    chip.trace(f"core{core.id}", "flag_write", flag=flag.name, owner=owner_core,
-               off=flag.offset, tag=value.tag, seq=value.seq, landed=landed)
+    if chip.tracer.enabled:
+        chip.trace(f"core{core.id}", "flag_write", flag=flag.name, owner=owner_core,
+                   off=flag.offset, tag=value.tag, seq=value.seq, landed=landed)
     if chip.metrics is not None:
         chip.metrics.inc("flags.writes")
         if landed != "ok":

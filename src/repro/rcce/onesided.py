@@ -16,7 +16,10 @@ into the core's own private memory.
 In ``EXACT`` contention mode the read and write of each cache line are
 interleaved (as the hardware does), so a contended MPB port sees the true
 inter-arrival gaps; in ``BATCH``/``IDEAL`` modes the read and write phases
-are aggregated -- same total duration, far fewer events.
+are aggregated -- same total duration, far fewer events.  An EXACT
+transfer between an MPB and private memory that finds the port idle is
+charged as one coalesced run (:meth:`repro.scc.core.Core.transfer_run`),
+bit-identical to the per-line loop it falls back to.
 """
 
 from __future__ import annotations
@@ -58,10 +61,25 @@ def put(
             raise ValueError(f"put of {nbytes} bytes from a {src.nbytes}-byte buffer")
         yield core.compute(cfg.o_put_mem)
         if exact:
-            for i in range(m):
-                span = min(CACHE_LINE, nbytes - i * CACHE_LINE)
-                yield from core.mem_read(src.sub(i * CACHE_LINE, span))
+            # read line 0, then per line: write it, read the next one --
+            # the read/write interleaving of the hardware, rotated so a
+            # coalesced run (which ends after a read) can hand back to it.
+            run = core.coalesces_transfers(src)
+            yield from core.mem_read(src.sub(0, min(CACHE_LINE, nbytes)))
+            i = 0
+            while i < m:
+                if run:
+                    done = yield from core.transfer_run(
+                        dst_core, src, i, m, write=True
+                    )
+                    if done:
+                        i += done
+                        continue
                 yield from core.mpb_access(dst_core, 1, write=True)
+                i += 1
+                if i < m:
+                    span = min(CACHE_LINE, nbytes - i * CACHE_LINE)
+                    yield from core.mem_read(src.sub(i * CACHE_LINE, span))
         else:
             yield from core.mem_read(src.sub(0, nbytes))
             yield from core.mpb_access(dst_core, m, write=True)
@@ -81,10 +99,11 @@ def put(
     landed = core.chip.mpbs[dst_core].write_bytes(
         dst_offset, payload, source=core.id, op="data"
     )
-    core.chip.trace(
-        f"core{core.id}", "put",
-        dst=dst_core, off=dst_offset, n=nbytes, landed=landed,
-    )
+    if core.chip.tracer.enabled:
+        core.chip.trace(
+            f"core{core.id}", "put",
+            dst=dst_core, off=dst_offset, n=nbytes, landed=landed,
+        )
     if core.chip.metrics is not None:
         core.chip.metrics.inc("rcce.puts")
         core.chip.metrics.inc("rcce.put_bytes", nbytes)
@@ -285,10 +304,20 @@ def get(
             raise ValueError(f"get of {nbytes} bytes into a {dst.nbytes}-byte buffer")
         yield core.compute(cfg.o_get_mem)
         if exact:
-            for i in range(m):
+            run = core.coalesces_transfers(dst)
+            i = 0
+            while i < m:
+                if run:
+                    done = yield from core.transfer_run(
+                        src_core, dst, i, m, write=False
+                    )
+                    if done:
+                        i += done
+                        continue
                 span = min(CACHE_LINE, nbytes - i * CACHE_LINE)
                 yield from core.mpb_access(src_core, 1)
                 yield from core.mem_write(dst.sub(i * CACHE_LINE, span))
+                i += 1
         else:
             yield from core.mpb_access(src_core, m)
             yield from core.mem_write(dst.sub(0, nbytes))
@@ -308,10 +337,11 @@ def get(
         payload = core.chip.mpbs[src_core].read_bytes(src_offset, nbytes)
         landed = core.mpb.write_bytes(dst_off, payload, source=core.id, op="data")
 
-    core.chip.trace(
-        f"core{core.id}", "get",
-        src=src_core, off=src_offset, n=nbytes, landed=landed,
-    )
+    if core.chip.tracer.enabled:
+        core.chip.trace(
+            f"core{core.id}", "get",
+            src=src_core, off=src_offset, n=nbytes, landed=landed,
+        )
     if core.chip.metrics is not None:
         core.chip.metrics.inc("rcce.gets")
         core.chip.metrics.inc("rcce.get_bytes", nbytes)

@@ -158,7 +158,8 @@ class SccConfig:
     #: Model the per-core L1 over private memory (Formula 14's cache term).
     model_l1: bool = True
     #: EXACT mode only: coalesce uncontended runs of cache-line port cycles
-    #: into one scheduled wake-up instead of per-line generator churn.
+    #: -- up to a whole put/get between an MPB and private memory -- into
+    #: one scheduled wake-up instead of per-line generator churn.
     #: Bit-identical to the per-line loop (falls back the moment another
     #: requester appears); off exists for A/B determinism checks.  Has no
     #: effect in BATCH/IDEAL modes or with ``model_links`` on.

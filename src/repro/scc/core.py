@@ -19,7 +19,8 @@ the core layer deals in durations and arbitration only.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator
+from itertools import islice
+from typing import TYPE_CHECKING, Generator, Sequence
 
 import numpy as np
 
@@ -97,6 +98,15 @@ class Core:
         (Formulas 2/3: read and write-completion are both o_mpb + 2d*Lhop)."""
         return self.config.o_mpb + 2 * d * self.config.l_hop
 
+    def _distance_and_line_cost(self, target_core: int) -> tuple[int, float]:
+        """Hop distance to ``target_core``'s MPB and the uncontended cost
+        of one cache-line access there (cached per target)."""
+        cached = self._line_cost_to.get(target_core)
+        if cached is None:
+            d = self.chip.mesh.core_distance(self.id, target_core)
+            cached = self._line_cost_to[target_core] = (d, self.mpb_line_cost(d))
+        return cached
+
     def mem_read_line_cost(self) -> float:
         """Off-chip read of one line, L1 miss (Formula 6)."""
         return self._mem_read_cost
@@ -159,11 +169,7 @@ class Core:
         )
         if stall > 0.0:
             yield sim.timeout(stall)
-        cached = self._line_cost_to.get(target_core)
-        if cached is None:
-            d = self.chip.mesh.core_distance(self.id, target_core)
-            cached = self._line_cost_to[target_core] = (d, self.mpb_line_cost(d))
-        d, line_cost = cached
+        d, line_cost = self._distance_and_line_cost(target_core)
         per_line = self.jittered(line_cost + extra_per_line)
         service = cfg.t_mpb_port_write if write else cfg.t_mpb_port
         mode = cfg.contention_mode
@@ -233,6 +239,104 @@ class Core:
                 yield sim.timeout(rest)
             i += 1
         stats.mpb_time += sim.now - t0
+
+    def coalesces_transfers(self, ref: MemRef) -> bool:
+        """Whether :meth:`transfer_run` may charge an EXACT transfer
+        between an MPB and ``ref``.  On top of per-line coalescing's own
+        conditions, the per-line hooks a whole-transfer run skips must be
+        inert: no jitter draw, no fault injector counting or stalling
+        operations, and one L1 line per 32-byte step of ``ref``."""
+        cfg = self.config
+        return (
+            cfg.exact_coalescing
+            and not cfg.model_links
+            and cfg.jitter == 0.0
+            and self.chip.faults is None
+            and ref.offset % CACHE_LINE == 0
+        )
+
+    def transfer_run(
+        self,
+        target_core: int,
+        ref: MemRef,
+        first: int,
+        m: int,
+        *,
+        write: bool,
+    ) -> Generator[Event, object, int]:
+        """Charge lines ``first..m-1`` of an EXACT transfer between
+        ``target_core``'s MPB and the private buffer ``ref`` as one
+        coalesced run on the target port (requires
+        :meth:`coalesces_transfers`).
+
+        A get (``write=False``) cycles through [port read | rest of the
+        line transaction, mem_write of the line]; a put (``write=True``)
+        through [port write | rest, mem_read of the *next* line] -- the
+        caller has already read line ``first``, and the last line has no
+        memory leg.  Returns the number of lines completed: 0 when the
+        port is not idle, fewer than ``m - first`` when another requester
+        aborted the run; the caller carries on per line either way.
+        :class:`CoreStats` and the L1 end up exactly as the per-line loop
+        would have left them after that many lines (same float additions,
+        same access order) -- see docs/PERFORMANCE.md.
+        """
+        port = self.chip.mpbs[target_core].port
+        if not port.idle:
+            return 0
+        cfg = self.config
+        _, line_cost = self._distance_and_line_cost(target_core)
+        service = cfg.t_mpb_port_write if write else cfg.t_mpb_port
+        rest = max(0.0, line_cost - service)
+        n = m - first
+        line0 = ref.offset // CACHE_LINE + first
+        l1 = self.l1
+        cycles: Sequence[tuple[float, ...]]
+        if not write:
+            cycles = ((rest, self._mem_write_cost),) * n
+        else:
+            # Each memory leg's length is the L1 outcome of that read, so
+            # the reads are performed on the L1 up front and rolled back
+            # to the completed prefix if the run aborts.
+            miss = (rest, self._mem_read_cost)
+            if l1 is None:
+                reads = [miss] * (n - 1)
+            else:
+                snap = l1.snapshot()
+                hit = (rest, cfg.t_l1_hit)
+                access = l1.access
+                reads = [
+                    hit if access(line) else miss
+                    for line in range(line0 + 1, line0 + n)
+                ]
+            cycles = (*reads, (rest,))
+        t = self.sim.now
+        run_ev = port.try_begin_cycles(service, cycles)
+        done = (yield run_ev) if run_ev is not None else 0
+
+        mem_legs = done if not write else min(done, n - 1)
+        if l1 is not None:
+            if not write:  # write-allocate, as mem_write does
+                for line in range(line0, line0 + done):
+                    l1.access(line)
+            elif done < n:
+                l1.restore(snap)
+                for line in range(line0 + 1, line0 + 1 + mem_legs):
+                    l1.access(line)
+        stats = self.stats
+        stats.mpb_lines += done
+        stats.mem_lines += mem_legs
+        mpb_time = stats.mpb_time
+        mem_time = stats.mem_time
+        for legs in islice(cycles, done):
+            rest_end = (t + service) + rest
+            mpb_time += rest_end - t
+            t = rest_end
+            if len(legs) == 2:
+                mem_time += legs[1]
+                t = t + legs[1]
+        stats.mpb_time = mpb_time
+        stats.mem_time = mem_time
+        return done
 
     def mem_read(self, ref: MemRef) -> Generator[Event, object, None]:
         """Read ``ref`` from private off-chip memory (through the L1)."""

@@ -41,6 +41,9 @@ class Mpb:
         self.port = Resource(sim, capacity=1, name=f"mpb{owner}.port")
         # offset (line-aligned) -> list of pending wake events
         self._watchers: dict[int, list[Event]] = {}
+        # line offset -> watch event name, formatted once per line (flag
+        # waits re-watch the same few lines for the whole run)
+        self._watch_names: dict[int, str] = {}
         #: Set by FaultInjector.attach; consulted on protocol writes.
         self.injector: "FaultInjector | None" = None
 
@@ -100,7 +103,10 @@ class Mpb:
         """An event that fires at the next write touching the cache line
         containing ``offset``."""
         line = (offset // CACHE_LINE) * CACHE_LINE
-        ev = Event(self.sim, f"mpb{self.owner}.watch@{line}")
+        name = self._watch_names.get(line)
+        if name is None:
+            name = self._watch_names[line] = f"mpb{self.owner}.watch@{line}"
+        ev = Event(self.sim, name)
         self._watchers.setdefault(line, []).append(ev)
         return ev
 

@@ -15,16 +15,19 @@ sub-generator::
     yield from port.serve(hold=0.0126)
 
 For tight per-item loops (EXACT-mode cache-line arbitration) there is a
-third form: :meth:`Resource.try_begin_run` coalesces an *uncontended* run
-of ``n`` identical serve(service)+gap cycles into a single scheduled
-wake-up.  The run is optimistic: the moment any other requester calls
-:meth:`acquire`, the resource reconstructs the exact per-cycle state the
-per-item loop would have produced at that instant (who holds the slot,
-until when, with what queue wait) and wakes the runner at the next cycle
-boundary to fall back to per-item arbitration.  The reconstruction uses
-the same iterative float arithmetic as the per-item timeouts, so traces
-and latencies are bit-identical either way -- see docs/PERFORMANCE.md for
-the determinism contract.
+third form: :meth:`Resource.try_begin_cycles` coalesces an *uncontended*
+run of serve(service)+gap cycles into a single scheduled wake-up, where
+each cycle's gap is a tuple of *legs* that may differ per cycle (the rest
+of the line transaction, then an off-chip memory access);
+:meth:`Resource.try_begin_run` is its one-leg, all-cycles-equal case.  The
+run is optimistic: the moment any other requester calls :meth:`acquire`,
+the resource reconstructs the exact per-cycle state the per-item loop
+would have produced at that instant (who holds the slot, until when, with
+what queue wait) and wakes the runner at the next cycle boundary to fall
+back to per-item arbitration.  The reconstruction uses the same iterative
+float arithmetic as the per-item timeouts, so traces and latencies are
+bit-identical either way -- see docs/PERFORMANCE.md for the determinism
+contract.
 
 The resource keeps utilisation statistics so benches can report port
 occupancy directly.
@@ -33,7 +36,7 @@ occupancy directly.
 from __future__ import annotations
 
 import heapq
-from typing import Generator
+from typing import Generator, Sequence
 
 from .errors import SimError
 from .kernel import Event, Simulator
@@ -42,47 +45,40 @@ from .kernel import Event, Simulator
 class _CoalescedRun:
     """Bookkeeping of one optimistic uncontended run on a Resource.
 
+    A run is ``len(cycles)`` consecutive cycles; each cycle occupies the
+    slot for ``service`` and is followed by that cycle's *gap legs* -- a
+    tuple of strictly positive durations during which the owner is busy
+    elsewhere (the rest of a cache-line transaction, an off-chip memory
+    access) and the slot is free.  Legs may differ from cycle to cycle;
+    the plain serve(service)+gap loop is the case of one leg per cycle.
+
     The run owner sleeps on :attr:`event`; it fires with the number of
-    completed cycles -- ``n`` at the natural end, fewer if an intruder
-    forced an abort at a cycle boundary.
+    completed cycles -- ``len(cycles)`` at the natural end, fewer if an
+    intruder forced an abort at a cycle boundary.
     """
 
-    __slots__ = (
-        "resource", "start", "n", "service", "gap", "event", "closed",
-    )
+    __slots__ = ("resource", "start", "service", "cycles", "event", "closed")
 
     def __init__(
         self,
         resource: "Resource",
         start: float,
-        n: int,
         service: float,
-        gap: float,
+        cycles: Sequence[tuple[float, ...]],
         event: Event,
     ) -> None:
         self.resource = resource
         self.start = start
-        self.n = n
         self.service = service
-        self.gap = gap
+        self.cycles = cycles
         self.event = event
         self.closed = False
 
     # Exact-arithmetic contract: cycle windows are generated with the same
     # sequence of float additions the per-item loop performs
-    # (t += service at the grant, t += gap after the release), never with
-    # a multiplication, so every reconstructed timestamp is bit-equal to
-    # the one the per-item loop would have scheduled.
-
-    def final_service_end(self) -> float:
-        """When the last cycle's service window closes (the run's port
-        occupancy ends; the final gap follows)."""
-        t = self.start
-        service, gap = self.service, self.gap
-        for _ in range(self.n - 1):
-            t = t + service
-            t = t + gap
-        return t + service
+    # (t += service at the grant, t += leg after each resumption), never
+    # with a multiplication, so every reconstructed timestamp is bit-equal
+    # to the one the per-item loop would have scheduled.
 
     def _finalize(self, acquisitions: int, busy_cycles: int) -> None:
         """Fold the run's virtual slot usage into the stats and detach
@@ -99,14 +95,16 @@ class _CoalescedRun:
             res.wait_hist.observe_zeros(acquisitions)  # type: ignore[attr-defined]
 
     def _pre_complete(self, _arg: object) -> None:
-        """Fires at :meth:`final_service_end` (scheduled at begin time).
+        """Fires when the last cycle's service window closes (scheduled at
+        begin time).
 
         The per-item loop frees the slot inside the owner's process
         resumption -- a now-queue callback that runs *after* every heap
         event of the instant.  Mirror that event shape: this heap marker
         (whose seq, assigned at begin time, stands in for the last service
         timer's) only enqueues :meth:`_finish`; the actual detach and the
-        owner's end-of-gap wake-up happen there, in now-queue position.
+        walk through the last cycle's legs happen there, in now-queue
+        position.
         """
         if self.closed:
             return
@@ -118,9 +116,9 @@ class _CoalescedRun:
             # A same-instant intruder (with an older seq) got here first
             # and already detached the run.
             return
-        self._finalize(self.n, self.n)
-        sim = self.resource.sim
-        sim._schedule_at(sim.now + self.gap, _succeed_with, (self.event, self.n))
+        n = len(self.cycles)
+        self._finalize(n, n)
+        _start_leg((self.resource.sim, self.event, n, self.cycles[-1], 0))
 
     def _intrude(self) -> None:
         """Another requester arrived mid-run: materialise the exact
@@ -130,56 +128,92 @@ class _CoalescedRun:
         res = self.resource
         sim = res.sim
         now = sim.now
-        service, gap = self.service, self.gap
-        # Locate the cycle containing `now` (exact float walk).  `now` is
-        # at most final_service_end(): past that, _pre_complete has
-        # already detached the run.
+        service = self.service
+        # Locate the cycle (and the part of it) containing `now` by the
+        # exact float walk.  `now` is at most the last service window's
+        # end: past that, _pre_complete has already detached the run.
         t = self.start
-        w_start = w_end = boundary = t
-        i = 0
-        for i in range(self.n):
-            w_start = t
+        done = 0
+        for legs in self.cycles:
+            done += 1  # this cycle's service completes before the owner yields
             w_end = t + service
-            boundary = w_end + gap
-            if now <= boundary:
-                break
-            t = boundary
+            if now < w_end:
+                # Inside the service window: the owner virtually holds the
+                # slot until w_end; the intruder queues and is granted by
+                # a materialised release, exactly as the per-item loop
+                # would.  The release is two-hop (heap marker at w_end,
+                # real release and the owner's first leg in now-queue
+                # position) because that is where the per-item loop's
+                # process resumption runs it -- same-instant events of
+                # other processes must interleave with it identically.
+                self._finalize(done, done - 1)  # this window's busy time
+                res._in_use = 1                 # accrues at the release
+                res._busy_since = t
+                sim._schedule_at(
+                    w_end, _hop_release, (res, self.event, done, legs)
+                )
+                return
+            t = w_end
+            for k, leg in enumerate(legs):
+                t = t + leg
+                if now < t:
+                    # In a gap leg (a leg boundary counts as the start of
+                    # the next leg): slot free, intruder granted
+                    # immediately; the owner is woken at this leg's end
+                    # and hops through the cycle's remaining legs.
+                    self._finalize(done, done)
+                    _schedule_leg_end(sim, t, self.event, done, legs, k)
+                    return
+            if now == t:
+                # Exactly at the cycle boundary: the intruder's triggering
+                # event outran the owner's (virtual) last-leg timer, which
+                # in the per-item world was scheduled at that leg's start
+                # -- an event firing at this exact timestamp almost surely
+                # carries an older seq (it was scheduled earlier; landing
+                # exactly on the boundary from within the leg would need
+                # an unrelated float coincidence).  So the intruder wins
+                # the instant: slot free, owner's wake-up queued behind
+                # the current event.
+                self._finalize(done, done)
+                sim._schedule_at(now, _succeed_with, (self.event, done))
+                return
+        raise SimError(  # pragma: no cover - _pre_complete detaches first
+            f"{res.name}: coalesced run outlived its last service window"
+        )
 
-        done = i + 1  # cycle i's service completes before the owner yields
-        if now < w_end:
-            # Inside cycle i's service window: the owner virtually holds
-            # the slot until w_end; the intruder queues and is granted by
-            # a materialised release, exactly as the per-item loop would.
-            # The release is two-hop (heap marker at w_end, real release
-            # and owner wake-up in now-queue position) because that is
-            # where the per-item loop's process resumption runs it --
-            # same-instant events of other processes must interleave with
-            # it identically.
-            self._finalize(done, done - 1)  # window i's busy time accrues
-            res._in_use = 1                 # at the materialised release
-            res._busy_since = w_start
-            sim._schedule_at(
-                w_end, _hop_release, (res, self.event, boundary, done)
-            )
-        elif now < boundary:
-            # In the gap after cycle i: slot free, intruder granted
-            # immediately; the owner falls back at the cycle boundary.
-            self._finalize(done, done)
-            sim._schedule_at(boundary, _succeed_with, (self.event, done))
-        else:
-            # Exactly at cycle i's boundary: the intruder's triggering
-            # event outran the owner's (virtual) boundary timer, which in
-            # the per-item world was scheduled at w_end -- an event firing
-            # at this exact timestamp almost surely carries an older seq
-            # (it was scheduled before w_end; landing exactly on the
-            # boundary from within the gap would need an unrelated float
-            # coincidence).  So the intruder wins the instant: slot free,
-            # owner's wake-up queued behind the current event.
-            self._finalize(done, done)
-            sim._schedule_at(now, _succeed_with, (self.event, done))
+
+def _schedule_leg_end(
+    sim: Simulator,
+    t_end: float,
+    event: Event,
+    done: int,
+    legs: tuple[float, ...],
+    k: int,
+) -> None:
+    """Schedule the end of gap leg ``k`` at ``t_end``: the owner's wake-up
+    (carrying ``done``) if it is the cycle's last leg, else a heap marker
+    that hops to the next leg."""
+    if k + 1 == len(legs):
+        sim._schedule_at(t_end, _succeed_with, (event, done))
+    else:
+        sim._schedule_at(t_end, _hop_leg, (sim, event, done, legs, k + 1))
 
 
-def _hop_release(arg: tuple["Resource", Event, float, int]) -> None:
+def _hop_leg(arg: tuple[Simulator, Event, int, tuple[float, ...], int]) -> None:
+    """Heap marker at a leg boundary: the per-item loop's timer fires here
+    and resumes the owner from the now-queue, where it starts the next
+    timer -- so the next leg is scheduled from that position too."""
+    sim = arg[0]
+    sim._schedule_at(sim.now, _start_leg, arg)
+
+
+def _start_leg(arg: tuple[Simulator, Event, int, tuple[float, ...], int]) -> None:
+    """Start gap leg ``k`` at the current instant (now-queue position)."""
+    sim, event, done, legs, k = arg
+    _schedule_leg_end(sim, sim.now + legs[k], event, done, legs, k)
+
+
+def _hop_release(arg: tuple["Resource", Event, int, tuple[float, ...]]) -> None:
     """Heap marker at a materialised service window's end: defer the real
     release to a now-queue callback (the per-item loop releases inside the
     owner's process resumption, which runs in that position)."""
@@ -187,13 +221,13 @@ def _hop_release(arg: tuple["Resource", Event, float, int]) -> None:
     sim._schedule_at(sim.now, _finish_release, arg)
 
 
-def _finish_release(arg: tuple["Resource", Event, float, int]) -> None:
+def _finish_release(arg: tuple["Resource", Event, int, tuple[float, ...]]) -> None:
     """Release the materialised hold (granting the best waiter), then
-    schedule the run owner's fall-back wake-up -- in that order, matching
-    the per-item loop's release-then-rest-timer sequence."""
-    res, event, boundary, done = arg
+    start the owner's first gap leg -- in that order, matching the
+    per-item loop's release-then-rest-timer sequence."""
+    res, event, done, legs = arg
     res.release()
-    res.sim._schedule_at(boundary, _succeed_with, (event, done))
+    _start_leg((res.sim, event, done, legs, 0))
 
 
 def _succeed_with(pair: tuple[Event, int]) -> None:
@@ -212,7 +246,8 @@ class Resource:
     """
 
     __slots__ = (
-        "sim", "capacity", "name", "_in_use", "_waiters", "_seq", "_run",
+        "sim", "capacity", "name", "_acquire_name", "_run_name",
+        "_in_use", "_waiters", "_seq", "_run",
         "total_acquisitions", "total_wait_time", "busy_time", "_busy_since",
         "max_queue", "queue_time", "_q_mark",
         "coalesced_runs", "coalesced_cycles", "wait_hist",
@@ -224,6 +259,9 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self.name = name
+        # Event names, formatted once: acquire() runs per cache line.
+        self._acquire_name = f"{name}.acquire"
+        self._run_name = f"{name}.run"
         self._in_use = 0
         # Heap of (priority, seq, requested_at, event).
         self._waiters: list[tuple[float, int, float, Event]] = []
@@ -255,7 +293,7 @@ class Resource:
         if self._run is not None:
             self._run._intrude()
         self.total_acquisitions += 1
-        ev = Event(self.sim, f"{self.name}.acquire")
+        ev = Event(self.sim, self._acquire_name)
         if self._in_use < self.capacity and not self._waiters:
             self._grant(ev, waited=0.0)
         else:
@@ -310,32 +348,44 @@ class Resource:
         return float(waited)  # type: ignore[arg-type]
 
     def try_begin_run(self, n: int, service: float, gap: float) -> Event | None:
-        """Begin a coalesced run of ``n`` serve(``service``)+``gap`` cycles.
+        """Begin a coalesced run of ``n`` serve(``service``)+``gap`` cycles:
+        the one-leg case of :meth:`try_begin_cycles`."""
+        return self.try_begin_cycles(service, ((gap,),) * n)
+
+    def try_begin_cycles(
+        self, service: float, cycles: Sequence[tuple[float, ...]]
+    ) -> Event | None:
+        """Begin a coalesced run of ``len(cycles)`` cycles, each a
+        serve(``service``) followed by that cycle's gap legs (see
+        :class:`_CoalescedRun`).
 
         Only possible on an idle single-slot resource (free, no waiters, no
-        active run) with strictly positive ``service`` and ``gap`` -- the
-        regime where the coalesced schedule provably reproduces the
-        per-item loop's arbitration.  Returns an event whose value is the
-        number of cycles completed: ``n`` when the run finished untouched,
-        fewer when an intruder aborted it at a cycle boundary (the caller
-        then falls back to per-item serving for the remainder).  Returns
-        ``None`` when coalescing cannot engage.
+        active run) with strictly positive ``service`` and legs, at least
+        one leg per cycle -- the regime where the coalesced schedule
+        provably reproduces the per-item loop's arbitration.  Returns an
+        event whose value is the number of cycles completed: all of them
+        when the run finished untouched, fewer when an intruder aborted it
+        at a cycle boundary (the caller then falls back to per-item serving
+        for the remainder).  Returns ``None`` when coalescing cannot engage.
         """
-        if (
-            n < 1
-            or self.capacity != 1
-            or self._in_use
-            or self._waiters
-            or self._run is not None
-            or service <= 0.0
-            or gap <= 0.0
-        ):
+        if not cycles or self.capacity != 1 or not self.idle or service <= 0.0:
             return None
         sim = self.sim
-        ev = Event(sim, f"{self.name}.run")
-        run = _CoalescedRun(self, sim.now, n, service, gap, ev)
+        # One exact float walk both validates the legs and finds where the
+        # last cycle's service window closes.
+        t = last_service_end = sim.now
+        for legs in cycles:
+            if not legs:
+                return None
+            t = last_service_end = t + service
+            for leg in legs:
+                if leg <= 0.0:
+                    return None
+                t = t + leg
+        ev = Event(sim, self._run_name)
+        run = _CoalescedRun(self, sim.now, service, cycles, ev)
         self._run = run
-        sim._schedule_at(run.final_service_end(), run._pre_complete, None)
+        sim._schedule_at(last_service_end, run._pre_complete, None)
         return ev
 
     # -- introspection --------------------------------------------------------
@@ -347,6 +397,11 @@ class Resource:
     @property
     def queue_length(self) -> int:
         return len(self._waiters)
+
+    @property
+    def idle(self) -> bool:
+        """Free, nobody queued and no coalesced run in flight."""
+        return not self._in_use and not self._waiters and self._run is None
 
     def utilisation(self, elapsed: float | None = None) -> float:
         """Fraction of time at least one slot was busy.

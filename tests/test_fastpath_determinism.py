@@ -24,9 +24,10 @@ from repro.bench import (
 from repro.bench.parallel import parallel_map
 from repro.faults import FaultKind
 from repro.rcce import Comm
+from repro.rcce.onesided import get, put
 from repro.scc import ContentionMode, SccChip, SccConfig, run_spmd
 from repro.scc.config import CACHE_LINE
-from repro.sim import Simulator, Tracer
+from repro.sim import Resource, Simulator, Tracer
 
 
 def _exact_config(coalesce: bool, **overrides) -> SccConfig:
@@ -145,23 +146,238 @@ def _random_ab_cases(n=50, seed=0x5CC2012):
     return cases
 
 
-class TestRandomizedAbSweep:
-    """Satellite of the bit-identity contract: 50 seeded random
-    configurations, each run with ``exact_coalescing`` on and off, must
-    produce byte-equal latencies.  The targeted tests above pick known
-    hard spots; this sweep guards the configuration space between them."""
+def _extended_ab_cases(n=24, seed=0x5CC2013):
+    """Cases aimed at whole-transfer coalescing: no jitter (so the
+    multi-leg run engages), the send/recv-based algorithms as often as
+    OC-Bcast, sizes that are no multiple of the chunk (nor, mostly, of a
+    cache line), and every third buffer off the cache-line grid (which
+    must fall back to the per-line loop)."""
+    rng = random.Random(seed)
+    cases = []
+    for i in range(n):
+        cols = rng.randint(1, 3)
+        rows = rng.randint(2, 4)
+        algo = ["oc", "binomial", "scatter_allgather"][i % 3]
+        chunk_lines = rng.choice([8, 16, 32])
+        spec = BcastSpec(
+            algo,
+            k=rng.choice([2, 3, 7]),
+            chunk_lines=chunk_lines,
+            leaf_direct_to_memory=rng.random() < 0.25,
+        )
+        nbytes = (
+            rng.randint(1, 4) * chunk_lines * CACHE_LINE
+            + rng.randint(1, chunk_lines * CACHE_LINE - 1)
+        )
+        misalign = 8 if i % 3 == 2 - i // 3 % 3 else 0
+        cases.append(pytest.param(
+            spec, nbytes, cols, rows, 0.0, misalign,
+            id=f"ext{i:02d}-{algo}-{2 * cols * rows}cores-off{misalign}",
+        ))
+    return cases
 
-    @pytest.mark.parametrize("spec,nbytes,cols,rows,jitter", _random_ab_cases())
-    def test_latencies_identical(self, spec, nbytes, cols, rows, jitter):
-        def latencies(coalesce):
+
+def _ab_state(cfg: SccConfig, spec: BcastSpec, nbytes: int, misalign: int = 0):
+    """Two back-to-back traced broadcasts of one buffer (the second finds
+    it L1-resident); returns ``(exact, busy)``: everything that must be
+    bit-equal with coalescing on or off, and the per-port busy times,
+    whose float sum is re-associated by a coalesced run."""
+    tracer = Tracer(enabled=True)
+    chip = SccChip(cfg, tracer=tracer)
+    comm = Comm(chip)
+    bcast = spec.build(comm)
+    payload = bytes(i * 7 % 256 for i in range(nbytes))
+
+    def program(core) -> Generator:
+        cc = comm.attach(core)
+        buf = cc.alloc(nbytes + CACHE_LINE).sub(misalign, nbytes)
+        if cc.rank == 0:
+            buf.write(payload)
+        for _ in range(2):
+            yield from bcast(cc, 0, buf, nbytes)
+        assert buf.read() == payload
+        return None
+
+    res = run_spmd(chip, program)
+    return _chip_state(chip, res, tracer), [m.port.busy_time for m in chip.mpbs]
+
+
+def _chip_state(chip, res, tracer=None):
+    return {
+        "trace": tuple(tracer.records) if tracer is not None else (),
+        "finish": res.finish_times,
+        "stats": [c.stats.as_dict() for c in chip.cores],
+        "l1": [(c.l1.hits, c.l1.misses, tuple(c.l1._lines)) for c in chip.cores],
+        "ports": [
+            (m.port.total_acquisitions, m.port.total_wait_time)
+            for m in chip.mpbs
+        ],
+    }
+
+
+def _assert_ab_equal(on, off):
+    (exact_on, busy_on), (exact_off, busy_off) = on, off
+    for key in exact_off:
+        assert exact_on[key] == exact_off[key], key
+    assert busy_on == pytest.approx(busy_off, rel=1e-9, abs=0.0)
+
+
+class TestRandomizedAbSweep:
+    """Satellite of the bit-identity contract: seeded random
+    configurations, each run with ``exact_coalescing`` on and off, must
+    produce byte-equal traces, finish times, ``CoreStats``, L1 contents
+    and port arbitration counters.  The targeted tests around it pick
+    known hard spots; this sweep guards the configuration space between
+    them."""
+
+    @pytest.mark.parametrize(
+        "spec,nbytes,cols,rows,jitter,misalign",
+        [pytest.param(*c.values, 0, id=c.id) for c in _random_ab_cases()]
+        + _extended_ab_cases(),
+    )
+    def test_latencies_identical(self, spec, nbytes, cols, rows, jitter, misalign):
+        def state(coalesce):
             cfg = _exact_config(
                 coalesce, mesh_cols=cols, mesh_rows=rows, jitter=jitter
             )
-            return run_broadcast(
-                spec, nbytes, config=cfg, iters=1, warmup=0
-            ).latencies
+            return _ab_state(cfg, spec, nbytes, misalign)
 
-        assert latencies(True) == latencies(False)
+        _assert_ab_equal(state(True), state(False))
+
+
+def _transfer_world(coalesce, op, *, lines, t_intrude=None, port=None, **overrides):
+    """Core 0 moves ``lines`` cache lines between core 2's MPB and its
+    private memory (a few of them already L1-resident) while, optionally,
+    core 5 makes one 1-line access to the same MPB at ``t_intrude``."""
+    chip = SccChip(_exact_config(coalesce, mesh_cols=2, mesh_rows=2, **overrides))
+    if port is not None:
+        chip.mpbs[2].port = port(chip.sim, name="mpb2.port")
+    nbytes = lines * CACHE_LINE
+
+    def program(core) -> Generator:
+        if core.id == 5:
+            yield core.sim.timeout(t_intrude)
+            yield from core.mpb_access(2, 1)
+            return None
+        buf = core.mem.alloc(nbytes)
+        if lines > 6:
+            yield from core.mem_read(buf.sub(3 * CACHE_LINE, 3 * CACHE_LINE))
+        if op == "get":
+            yield from get(core, 2, 0, buf, nbytes)
+        else:
+            yield from put(core, 2, 0, buf, nbytes)
+        return None
+
+    res = run_spmd(chip, program, core_ids=[0] if t_intrude is None else [0, 5])
+    return chip, res
+
+
+class _RecordingPort(Resource):
+    """Logs when the per-line loop takes and frees the port."""
+
+    __slots__ = ("taken", "freed")
+
+    def __init__(self, sim, name):
+        super().__init__(sim, name=name)
+        self.taken: list[float] = []
+        self.freed: list[float] = []
+
+    def acquire(self, priority=0.0):
+        self.taken.append(self.sim.now)
+        return super().acquire(priority)
+
+    def release(self):
+        self.freed.append(self.sim.now)
+        super().release()
+
+
+#: A small L1 so the put's up-front reads evict (the rollback must undo
+#: evictions too), and a cycle in the middle of the 12-line transfer.
+_INTRUSION = dict(lines=12, l1_lines=8)
+_CYCLE = 5
+
+
+def _intrusion_instants(op):
+    """Where cycle ``_CYCLE`` of the undisturbed per-line transfer has its
+    service window, rest leg and memory leg -- taken from the simulation
+    itself, so the boundary instants are the exact floats."""
+    chip, _ = _transfer_world(False, op, port=_RecordingPort, **_INTRUSION)
+    port = chip.mpbs[2].port
+    core = chip.cores[0]
+    service = chip.config.t_mpb_port_write if op == "put" else chip.config.t_mpb_port
+    taken, freed = port.taken[_CYCLE], port.freed[_CYCLE]
+    rest_end = freed + (core.mpb_line_cost(chip.mesh.core_distance(0, 2)) - service)
+    cycle_end = port.taken[_CYCLE + 1]
+    assert taken < freed < rest_end < cycle_end
+    return {
+        "service-window": (taken + freed) / 2,
+        "rest-leg": (freed + rest_end) / 2,
+        "memory-leg": (rest_end + cycle_end) / 2,
+        "service-rest-boundary": freed,
+        "rest-memory-boundary": rest_end,
+        "cycle-boundary": cycle_end,
+    }
+
+
+class TestMultiLegRun:
+    """Whole-transfer coalescing: an EXACT put/get between an MPB and
+    private memory is one run of [port | rest, memory] cycles, and an
+    intruder anywhere in a cycle leaves every observable as the per-line
+    loop would."""
+
+    @pytest.mark.parametrize("op", ["get", "put"])
+    @pytest.mark.parametrize("where", [
+        "service-window", "rest-leg", "memory-leg",
+        "service-rest-boundary", "rest-memory-boundary", "cycle-boundary",
+    ])
+    def test_intrusion_identical(self, op, where):
+        t_intrude = _intrusion_instants(op)[where]
+
+        def state(coalesce):
+            chip, res = _transfer_world(
+                coalesce, op, t_intrude=t_intrude, **_INTRUSION
+            )
+            port = chip.mpbs[2].port
+            if coalesce:  # the run engaged, was aborted, and re-engaged
+                assert port.coalesced_runs >= 2
+                assert port.coalesced_cycles > _CYCLE
+            return _chip_state(chip, res), [port.busy_time]
+
+        _assert_ab_equal(state(True), state(False))
+
+    @pytest.mark.parametrize("op", ["get", "put"])
+    def test_uncontended_transfer_is_one_run(self, op):
+        """``coalesced_runs`` counts runs, so cycles / runs is the mean
+        run length -- 1.00 when every cache line is its own run."""
+        chip, res = _transfer_world(True, op, lines=96)
+        port = chip.mpbs[2].port
+        assert (port.coalesced_runs, port.coalesced_cycles) == (1, 96)
+        assert port.total_acquisitions == 96
+        ref_chip, ref = _transfer_world(False, op, lines=96)
+        assert _chip_state(chip, res) == _chip_state(ref_chip, ref)
+
+    @pytest.mark.parametrize("op", ["get", "put"])
+    @pytest.mark.parametrize("overrides", [
+        dict(jitter=0.02), dict(model_links=True),
+    ], ids=["jitter", "links"])
+    def test_ineligible_configs_fall_back(self, op, overrides):
+        """Where a per-line hook is live (jitter draw, link walk) no run
+        longer than one cycle may engage."""
+        chip, res = _transfer_world(True, op, lines=12, **overrides)
+        port = chip.mpbs[2].port
+        assert port.coalesced_cycles == port.coalesced_runs
+        ref_chip, ref = _transfer_world(False, op, lines=12, **overrides)
+        assert _chip_state(chip, res) == _chip_state(ref_chip, ref)
+
+    def test_empty_leg_refuses_the_run(self):
+        """A free L1 hit would be a zero-length memory leg, which the
+        per-line loop does not yield for: the put stays per line until
+        only misses remain."""
+        chip, res = _transfer_world(True, "put", lines=12, t_l1_hit=0.0)
+        port = chip.mpbs[2].port
+        assert (port.coalesced_runs, port.coalesced_cycles) == (6, 12)
+        ref_chip, ref = _transfer_world(False, "put", lines=12, t_l1_hit=0.0)
+        assert _chip_state(chip, res) == _chip_state(ref_chip, ref)
 
 
 class TestRunUntilDrain:

@@ -151,6 +151,36 @@ class TestPassivity:
         assert (_latencies(cfg, nbytes, instrumented=False)
                 == _latencies(cfg, nbytes, instrumented=True))
 
+    def test_disabled_tracer_is_never_called_on_ft_broadcast(self):
+        """Zero cost when off: the protocol's trace sites test
+        ``tracer.enabled`` themselves, so a disabled tracer's ``emit`` is
+        not even called (no source string, no detail dict built)."""
+
+        class CountingTracer(Tracer):
+            calls = 0
+
+            def emit(self, *args, **detail):
+                self.calls += 1
+                super().emit(*args, **detail)
+
+        def emits(enabled):
+            tracer = CountingTracer(enabled=enabled)
+            chip = SccChip(SccConfig(mesh_cols=2, mesh_rows=2), tracer=tracer)
+            comm = Comm(chip)
+            oc = OcBcast(comm, OcBcastConfig(k=3, ft=True))
+            nbytes = 8 * CACHE_LINE
+
+            def program(core):
+                cc = comm.attach(core)
+                buf = cc.alloc(nbytes)
+                yield from oc.bcast(cc, 0, buf, nbytes)
+
+            run_spmd(chip, program)
+            return tracer.calls
+
+        assert emits(True) > 0
+        assert emits(False) == 0
+
 
 # ---------------------------------------------------------------------------
 # Chip harvest sanity

@@ -200,3 +200,66 @@ def test_serve_releases_even_if_interrupted_mid_hold():
         sim.run()  # the interrupt surfaces as a crash of the victim
     sim.run()
     assert a.value == 0.0  # slot was released by serve()'s finally
+
+
+# -- coalesced runs -----------------------------------------------------------
+
+
+def _per_item(sim, res, service, cycles):
+    """The loop a coalesced run stands in for."""
+    for legs in cycles:
+        yield from res.serve(service)
+        for leg in legs:
+            yield sim.timeout(leg)
+
+
+def test_coalesced_cycles_end_where_the_per_item_loop_ends():
+    cycles = [(0.1, 0.4), (0.1, 0.005), (0.1,)]
+
+    def coalesced(sim, res):
+        done = yield res.try_begin_cycles(0.016, cycles)
+        assert done == len(cycles)
+
+    ends = []
+    for body in (coalesced, lambda sim, res: _per_item(sim, res, 0.016, cycles)):
+        sim = Simulator()
+        res = Resource(sim)
+        sim.process(body(sim, res))
+        ends.append((sim.run(), res.total_acquisitions, res.total_wait_time))
+    assert ends[0] == ends[1]
+
+
+def test_try_begin_run_is_the_one_leg_case():
+    def end(begin):
+        sim = Simulator()
+        res = Resource(sim)
+
+        def prog():
+            assert (yield begin(res)) == 5
+
+        sim.process(prog())
+        return sim.run(), res.coalesced_runs, res.coalesced_cycles
+
+    assert end(lambda r: r.try_begin_run(5, 0.0126, 0.1)) == end(
+        lambda r: r.try_begin_cycles(0.0126, [(0.1,)] * 5)
+    ) == (pytest.approx(5 * 0.1126), 1, 5)
+
+
+@pytest.mark.parametrize("service,cycles", [
+    (0.01, []),                  # no cycles
+    (0.01, [(0.1,), ()]),        # a cycle without a gap
+    (0.01, [(0.1, 0.0)]),        # an empty leg: the loop would not yield
+    (0.0, [(0.1,)]),             # no service window
+])
+def test_coalesced_run_refused(service, cycles):
+    res = Resource(Simulator())
+    assert res.try_begin_cycles(service, cycles) is None
+    assert res.idle
+
+
+def test_coalesced_run_needs_an_idle_resource():
+    sim = Simulator()
+    res = Resource(sim)
+    assert res.try_begin_run(2, 0.01, 0.1) is not None
+    assert not res.idle
+    assert res.try_begin_run(2, 0.01, 0.1) is None
