@@ -44,7 +44,6 @@ from .microbench import PutGetSample, sweep_putget
 from .parallel import (
     default_jobs,
     parallel_map,
-    run_campaign_parallel,
     sweep_broadcast_parallel,
 )
 from .contention import ContentionResult, concurrent_access, mesh_link_probe
@@ -68,7 +67,6 @@ __all__ = [
     "concurrent_access",
     "default_jobs",
     "parallel_map",
-    "run_campaign_parallel",
     "sweep_broadcast_parallel",
     "flag_traffic",
     "mpb_port_utilisation",

@@ -24,7 +24,6 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 from ..scc import SccConfig
 from ..scc.config import CACHE_LINE, ContentionMode
-from .faultcampaign import CampaignResult, FaultCampaign
 from .harness import BcastResult, BcastSpec, run_broadcast, sweep_broadcast
 
 _T = TypeVar("_T")
@@ -106,20 +105,3 @@ def sweep_broadcast_parallel(
     return {
         spec.label: flat[i * n:(i + 1) * n] for i, spec in enumerate(specs)
     }
-
-
-# -- fault campaigns ----------------------------------------------------------
-
-
-def run_campaign_parallel(
-    campaign: FaultCampaign, *, jobs: int = 1
-) -> CampaignResult:
-    """Parallel equivalent of :meth:`FaultCampaign.run`.
-
-    A thin alias of :meth:`FaultCampaign.run_trials` -- the one
-    scheduler behind serial, parallel and adaptive-fidelity campaigns
-    (the profile and fault-free reference runs stay in-process; trials
-    fan out and merge in trial order, so the returned
-    :class:`CampaignResult` is equal for any ``jobs``).
-    """
-    return campaign.run_trials(jobs=jobs)

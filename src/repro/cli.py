@@ -36,7 +36,6 @@ from .bench import (
     format_table,
     default_jobs,
     run_broadcast,
-    run_campaign_parallel,
     sweep_broadcast_parallel,
     sweep_putget,
 )
@@ -309,7 +308,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"ERROR: {exc}", file=sys.stderr)
         return 2
-    result = run_campaign_parallel(campaign, jobs=args.jobs or default_jobs())
+    result = campaign.run_trials(jobs=args.jobs or default_jobs())
     print(result.summary())
     if args.timeline:
         print()

@@ -45,8 +45,8 @@ alive; one lost flag write deadlocks the whole SPMD program.  FT mode
 (see ``docs/FAULTS.md``) hardens every mechanism:
 
 - all flag writes are *acked* (readback-verified, bounded re-send --
-  :func:`repro.rcce.flags.flag_write_acked`), so dropped or corrupted
-  notifications are re-sent by the writer;
+  :meth:`repro.rcce.endpoint.Endpoint.flag_set_acked`), so dropped or
+  corrupted notifications are re-sent by the writer;
 - all doneFlag waits carry a poll budget (``ft_flag_timeout``); on
   expiry the parent re-notifies the lagging children directly, and after
   ``ft_max_retries`` budgets it declares them crashed and *routes around

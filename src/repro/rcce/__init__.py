@@ -4,8 +4,10 @@ Mirrors the layering of Intel's RCCE / iRCCE libraries that the paper's
 baselines use:
 
 - :mod:`repro.rcce.layout` -- symmetric MPB space allocation,
-- :mod:`repro.rcce.flags` -- cache-line synchronization flags,
+- :mod:`repro.rcce.flags` -- cache-line synchronization flag layouts,
 - :mod:`repro.rcce.onesided` -- one-sided ``put``/``get`` (Formulas 7-12),
+- :mod:`repro.rcce.endpoint` -- the backend-independent per-rank
+  :class:`Endpoint`: every flag/slot/vote write, wait and acked transfer,
 - :mod:`repro.rcce.twosided` -- blocking ``send``/``recv`` built on top,
 - :mod:`repro.rcce.ircce` -- iRCCE-style double-buffered point-to-point,
 - :mod:`repro.rcce.comm` -- the :class:`Comm` world object gluing it all
@@ -16,22 +18,20 @@ all operations with ``yield from``.
 """
 
 from .comm import Comm, CoreComm
-from .flags import DigestSlotArray, Flag, FlagSlotArray, FlagValue, flag_write_acked
+from .endpoint import Endpoint
+from .flags import DigestSlotArray, Flag, FlagSlotArray, FlagValue
 from .ircce import IrcceState, pipelined_recv, pipelined_send
 from .nonblocking import Request, irecv, isend, wait_all
 from .layout import MpbLayout, MpbRegion
-from .onesided import get_acked, put_acked
 
 __all__ = [
     "Comm",
     "CoreComm",
+    "Endpoint",
     "Flag",
     "DigestSlotArray",
     "FlagSlotArray",
     "FlagValue",
-    "flag_write_acked",
-    "get_acked",
-    "put_acked",
     "IrcceState",
     "MpbLayout",
     "MpbRegion",

@@ -14,18 +14,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Generator, Sequence
 
 from ..scc.chip import SccChip
+from ..scc.core import lines_of
 from ..scc.memory import MemRef
-from ..resilience.policy import RetryPolicy
-from .flags import (
-    DigestSlotArray,
-    Flag,
-    FlagSlotArray,
-    FlagValue,
-    flag_put,
-    flag_read_local,
-    wait_local_flags,
-)
-from .layout import MpbLayout, MpbRegion
+from ..sim import any_of
+from .endpoint import Endpoint
+from .flags import Flag
+from .layout import MpbLayout
 from . import onesided
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -102,36 +96,68 @@ class Comm:
             mpb.write_bytes(0, bytes(mpb.size))
 
 
-class CoreComm:
-    """The view of a :class:`Comm` from one core's program."""
+class CoreComm(Endpoint):
+    """The view of a :class:`Comm` from one core's program: the SCC
+    backend of :class:`~repro.rcce.endpoint.Endpoint`.  Each primitive
+    is the chip/core call chain the calibrated timing model charges
+    (paper Formulas 1-12); everything protocols call beyond these is
+    inherited."""
 
     def __init__(self, comm: Comm, core: "Core") -> None:
         self.comm = comm
         self.core = core
         self.chip = comm.chip
         self.rank = comm.rank_of(core.id)
+        self.tracer = self.chip.tracer
+        self.metrics = self.chip.metrics
+
+    # -- identity, clock, fault injector ------------------------------------
 
     @property
-    def size(self) -> int:
-        return self.comm.size
+    def core_id(self) -> int:
+        """The physical identity of this endpoint (the chip core id)."""
+        return self.core.id
 
-    # -- memory -----------------------------------------------------------
+    @property
+    def now(self) -> float:
+        """Current virtual time (microseconds)."""
+        return self.core.sim.now
+
+    @property
+    def t_poll(self) -> float:
+        """Cost of one flag poll on this endpoint (microseconds)."""
+        return self.core.config.t_poll
+
+    @property
+    def faults(self):
+        return self.chip.faults
+
+    # -- memory and compute ----------------------------------------------------
 
     def alloc(self, nbytes: int) -> MemRef:
         """Allocate private off-chip memory on this core."""
         return self.core.mem.alloc(nbytes)
 
-    def local_copy(self, dst: MemRef, src: MemRef, nbytes: int) -> Generator:
-        """Timed private-memory-to-private-memory copy on this core."""
-        if src.owner != self.core.id or dst.owner != self.core.id:
-            raise ValueError("local_copy operates on this core's memory only")
-        if nbytes < 0 or nbytes > src.nbytes or nbytes > dst.nbytes:
-            raise ValueError(f"bad local_copy length {nbytes}")
-        if nbytes == 0:
-            return
-        yield from self.core.mem_read(src.sub(0, nbytes))
-        yield from self.core.mem_write(dst.sub(0, nbytes))
-        dst.sub(0, nbytes).write(src.sub(0, nbytes).read())
+    def compute(self, duration: float) -> Generator:
+        """Local compute for ``duration`` microseconds."""
+        yield self.core.compute(duration)
+
+    def mem_read(self, ref: MemRef) -> Generator:
+        """Timed private-memory read of ``ref`` (own memory only)."""
+        yield from self.core.mem_read(ref)
+
+    def mem_write(self, ref: MemRef) -> Generator:
+        """Timed private-memory write of ``ref`` (own memory only)."""
+        yield from self.core.mem_write(ref)
+
+    def mpb_charge_local(self, lines: int, *, write: bool = False) -> Generator:
+        """The timed cost of touching ``lines`` of the own MPB."""
+        yield from self.core.mpb_access(self.core.id, lines, write=write)
+
+    def read_local(self, offset: int, nbytes: int) -> bytes:
+        """Untimed read of this endpoint's own MPB bytes (timed callers
+        charge the access themselves)."""
+        return self.core.mpb.read_bytes(offset, nbytes)
 
     # -- one-sided ----------------------------------------------------------
 
@@ -151,351 +177,104 @@ class CoreComm:
             self.core, self.comm.core_of(src_rank), src_offset, dst, nbytes
         )
 
-    def put_acked(
-        self,
-        dst_rank: int,
-        dst_offset: int,
-        src: "MemRef | int",
-        nbytes: int,
-        *,
-        max_retries: int = 3,
-        policy: "RetryPolicy | None" = None,
-    ) -> Generator:
-        """Acked, bounded-retry put: re-sends un-acked cache lines (see
-        :func:`repro.rcce.onesided.put_acked`)."""
-        yield from onesided.put_acked(
-            self.core,
-            self.comm.core_of(dst_rank),
-            dst_offset,
-            src,
-            nbytes,
-            max_retries=max_retries,
-            policy=policy,
-        )
-
-    def get_acked(
-        self,
-        src_rank: int,
-        src_offset: int,
-        dst: "MemRef | int",
-        nbytes: int,
-        *,
-        max_retries: int = 3,
-        policy: "RetryPolicy | None" = None,
-    ) -> Generator:
-        """Verified, bounded-retry get: re-fetches until the destination
-        matches the source (see :func:`repro.rcce.onesided.get_acked`)."""
-        yield from onesided.get_acked(
-            self.core,
-            self.comm.core_of(src_rank),
-            src_offset,
-            dst,
-            nbytes,
-            max_retries=max_retries,
-            policy=policy,
-        )
-
-    def put_bytes(
-        self, dst_rank: int, dst_offset: int, payload: bytes
+    def _store(
+        self, owner: int, off: int, payload: bytes, op: str, site: str
     ) -> Generator[object, object, str]:
-        """Small register-sourced protocol write (chunk headers,
-        membership bitmaps); returns the landed status."""
-        return (
-            yield from onesided.put_bytes(
-                self.core, self.comm.core_of(dst_rank), dst_offset, payload
-            )
+        """A register-sourced write: the put call overhead plus one MPB
+        write per line (no source read)."""
+        core = self.core
+        yield core.compute(core.config.o_put_mpb)
+        yield from core.mpb_access(owner, lines_of(len(payload)), write=True)
+        return self.chip.mpbs[owner].write_bytes(
+            off, payload, source=core.id, op=op
         )
 
-    def get_bytes(
-        self, src_rank: int, src_offset: int, nbytes: int
+    def _load(
+        self, owner: int, off: int, nbytes: int, site: str
     ) -> Generator[object, object, bytes]:
-        """Small register-destined read of ``src_rank``'s MPB lines."""
-        return (
-            yield from onesided.get_bytes(
-                self.core, self.comm.core_of(src_rank), src_offset, nbytes
-            )
-        )
+        """A register-destined read: the get call overhead plus one MPB
+        read per line (nothing is deposited)."""
+        yield self.core.compute(self.core.config.o_get_mpb)
+        return (yield from self._readback(owner, off, nbytes, site))
 
-    # -- flags ---------------------------------------------------------------
+    def _readback(
+        self, owner: int, off: int, nbytes: int, site: str
+    ) -> Generator[object, object, bytes]:
+        yield from self.core.mpb_access(owner, lines_of(nbytes))
+        return self.chip.mpbs[owner].read_bytes(off, nbytes)
 
-    def flag_set(self, owner_rank: int, flag: Flag, value: FlagValue) -> Generator:
-        """Write ``value`` into ``flag`` in ``owner_rank``'s MPB."""
-        yield from flag_put(
-            self.core, self.comm.core_of(owner_rank), flag, value, acked=False
-        )
+    def _verify_get(
+        self, src: int, src_offset: int, dst: "MemRef | int", nbytes: int, site: str
+    ) -> Generator[object, object, bool]:
+        """The vulnerable leg of a get is the deposit, so the check is a
+        cheap local re-read of it (one memory read for a private-memory
+        destination) against the source lines."""
+        core = self.core
+        want = self.chip.mpbs[src].read_bytes(src_offset, nbytes)
+        if isinstance(dst, MemRef):
+            yield from core.mem_read(dst.sub(0, nbytes))
+        else:
+            yield from core.mpb_access(core.id, lines_of(nbytes))
+        return self._local_bytes(dst, nbytes) == want
 
-    def flag_set_acked(
+    # -- polling ------------------------------------------------------------
+
+    def _charge_poll(self, duration: float):
+        """A poll-shaped compute event: same timing as ``core.compute``
+        but also accrued into the core's poll counters (nominal,
+        pre-jitter time)."""
+        core = self.core
+        core.stats.polls += 1
+        core.stats.poll_time += duration
+        return core.compute(duration)
+
+    def _poll(self, duration: float, site: str) -> Generator:
+        yield self._charge_poll(duration)
+
+    def _wait(
         self,
-        owner_rank: int,
-        flag: Flag,
-        value: FlagValue,
-        *,
-        max_retries: int = 3,
-        policy: "RetryPolicy | None" = None,
-    ) -> Generator[object, object, FlagValue]:
-        """Acknowledged flag write: verify by readback, re-send until it
-        lands (see :func:`repro.rcce.flags.flag_write_acked`)."""
-        return (
-            yield from flag_put(
-                self.core,
-                self.comm.core_of(owner_rank),
-                flag,
-                value,
-                acked=True,
-                max_retries=max_retries,
-                policy=policy,
-            )
-        )
-
-    def flag_poll(self, flag: Flag) -> Generator[object, object, FlagValue]:
-        """One timed poll of this core's own copy of ``flag``."""
-        return (yield from flag_read_local(self.core, flag))
-
-    def wait_flags(
-        self,
-        flags: Sequence[Flag],
-        predicate: Callable[[Sequence[FlagValue]], bool],
-        *,
-        sweep_flags: int | None = None,
-        timeout: float | None = None,
-        site: str = "",
-    ) -> Generator[object, object, list[FlagValue]]:
-        """Block until ``predicate`` holds over own copies of ``flags``.
-        With ``timeout``, raise :class:`repro.sim.TimeoutError` when the
-        poll budget expires instead of spinning forever."""
-        return (
-            yield from wait_local_flags(
-                self.core,
-                flags,
-                predicate,
-                sweep_flags=sweep_flags,
-                timeout=timeout,
-                site=site,
-            )
-        )
-
-    def wait_flag_equals(self, flag: Flag, value: FlagValue) -> Generator:
-        """Block until own copy of ``flag`` equals ``value`` exactly."""
-        yield from wait_local_flags(self.core, [flag], lambda v: v[0] == value)
-
-    def wait_flag_at_least(self, flag: Flag, tag: int, seq: int) -> Generator:
-        """Block until own ``flag`` has ``tag`` and ``seq >= seq``."""
-        yield from wait_local_flags(
-            self.core, [flag], lambda v: v[0].tag == tag and v[0].seq >= seq
-        )
-
-    # -- transport interface: identity, timing and observability hooks -------
-    #
-    # Everything below (together with the one-sided/flag/slot primitives
-    # above) forms the narrow ``Transport`` surface protocols are written
-    # against (see :mod:`repro.transport.api`).  Each method delegates to
-    # exactly the chip/core call chain the protocol call sites used
-    # before the extraction, so the SCC paths stay bit-identical.
-
-    @property
-    def core_id(self) -> int:
-        """The physical identity of this endpoint (chip core id here;
-        the rank itself on backends without a core/rank distinction)."""
-        return self.core.id
-
-    @property
-    def now(self) -> float:
-        """Current virtual time (microseconds)."""
-        return self.core.sim.now
-
-    @property
-    def t_poll(self) -> float:
-        """Cost of one flag poll on this endpoint (microseconds)."""
-        return self.core.config.t_poll
-
-    @property
-    def tracer_enabled(self) -> bool:
-        return self.chip.tracer.enabled
-
-    @property
-    def has_faults(self) -> bool:
-        """Whether a fault injector is attached to this backend."""
-        return self.chip.faults is not None
-
-    def trace(self, kind: str, **detail: object) -> None:
-        """Emit one protocol trace record as ``rank{rank}``.  The
-        transport fault layer (differential crash coordinates) hooks
-        here; it may raise :class:`repro.sim.FaultInjected`."""
-        tf = self.comm.transport_faults
-        if tf is not None:
-            tf.on_trace(self.rank, kind, detail)
-        if self.chip.tracer.enabled:
-            self.chip.trace(f"rank{self.rank}", kind, **detail)
-
-    def metric_inc(self, name: str, n: int = 1) -> None:
-        if self.chip.metrics is not None:
-            self.chip.metrics.inc(name, n)
-
-    def metric_set(self, name: str, value: float) -> None:
-        if self.chip.metrics is not None:
-            self.chip.metrics.set(name, value)
-
-    def observe_histogram(self, name: str, bounds, value: float) -> None:
-        if self.chip.metrics is not None:
-            self.chip.metrics.histogram(name, bounds).observe(value)
-
-    def compute(self, duration: float) -> Generator:
-        """Local compute for ``duration`` microseconds."""
-        yield self.core.compute(duration)
-
-    def read_local(self, offset: int, nbytes: int) -> bytes:
-        """Untimed read of this endpoint's own MPB bytes (timed callers
-        charge the access themselves)."""
-        return self.chip.mpbs[self.core.id].read_bytes(offset, nbytes)
-
-    def mpb_charge_local(self, lines: int, *, write: bool = False) -> Generator:
-        """The timed cost of touching ``lines`` of the own MPB."""
-        yield from self.core.mpb_access(self.core.id, lines, write=write)
-
-    def mem_read(self, ref: MemRef) -> Generator:
-        """Timed private-memory read of ``ref`` (own memory only)."""
-        yield from self.core.mem_read(ref)
-
-    def mem_write(self, ref: MemRef) -> Generator:
-        """Timed private-memory write of ``ref`` (own memory only)."""
-        yield from self.core.mem_write(ref)
-
-    def flag_peek(self, flag: Flag) -> FlagValue:
-        """Untimed read of this endpoint's own copy of ``flag``."""
-        return flag.peek(self.chip, self.core.id)
-
-    # -- transport interface: fault/adversary hooks --------------------------
-
-    def adversary_stage(self):
-        """The Byzantine staging hook (EQUIVOCATE window), or ``None``."""
-        faults = self.chip.faults
-        return None if faults is None else faults.adversary_stage(self.core.id)
-
-    def quorum_vote(self):
-        """The Byzantine vote hook (FORGE/LIE specs), or ``None``."""
-        faults = self.chip.faults
-        return None if faults is None else faults.quorum_vote(self.core.id)
-
-    def note_recovery(self, site: str, note: str = "") -> None:
-        if self.chip.faults is not None:
-            self.chip.faults.note_recovery(site, note=note)
-
-    def first_fault_time(self) -> float | None:
-        """Time of the first injected fault, or ``None`` (repair
-        telemetry baselines)."""
-        faults = self.chip.faults
-        if faults is not None and faults.injected:
-            return faults.injected[0].time
-        return None
-
-    # -- transport interface: slot arrays (heartbeats, claims, ring) ---------
-
-    def slot_write(
-        self, array: FlagSlotArray, owner_rank: int, slot: int, value: int
+        check: Callable[[], object],
+        offsets: Sequence[int],
+        detect_cost: float,
+        timeout: float | None,
+        site: str,
     ) -> Generator:
-        yield from array.write(
-            self.core, self.comm.core_of(owner_rank), slot, value
-        )
-
-    def slot_write_acked(
-        self,
-        array: FlagSlotArray,
-        owner_rank: int,
-        slot: int,
-        value: int,
-        *,
-        max_retries: int = 3,
-        policy: "RetryPolicy | None" = None,
-    ) -> Generator:
-        yield from array.write_acked(
-            self.core,
-            self.comm.core_of(owner_rank),
-            slot,
-            value,
-            max_retries=max_retries,
-            policy=policy,
-        )
-
-    def slot_peek(self, array: FlagSlotArray, slot: int) -> int:
-        """Untimed read of the own copy of one slot."""
-        return array.peek(self.chip, self.core.id, slot)
-
-    def slot_wait_at_least(
-        self,
-        array: FlagSlotArray,
-        slot: int,
-        value: int,
-        *,
-        timeout: float | None = None,
-    ) -> Generator[object, object, int]:
-        return (
-            yield from array.wait_at_least(self.core, slot, value, timeout=timeout)
-        )
-
-    def slot_wait_any_at_least(
-        self,
-        array: FlagSlotArray,
-        slots: Sequence[int],
-        value: int,
-        *,
-        timeout: float,
-        site: str = "",
-    ) -> Generator[object, object, int]:
-        return (
-            yield from array.wait_any_at_least(
-                self.core, slots, value, timeout=timeout, site=site
-            )
-        )
-
-    # -- transport interface: digest vote slots (RBC) -------------------------
-
-    def vote_write(
-        self, array: DigestSlotArray, owner_rank: int, slot: int, seq: int,
-        digest: int,
-    ) -> Generator:
-        yield from array.write(
-            self.core, self.comm.core_of(owner_rank), slot, seq, digest
-        )
-
-    def vote_write_acked(
-        self,
-        array: DigestSlotArray,
-        owner_rank: int,
-        slot: int,
-        seq: int,
-        digest: int,
-        *,
-        max_retries: int = 3,
-        policy: "RetryPolicy | None" = None,
-    ) -> Generator:
-        yield from array.write_acked(
-            self.core,
-            self.comm.core_of(owner_rank),
-            slot,
-            seq,
-            digest,
-            max_retries=max_retries,
-            policy=policy,
-        )
-
-    def vote_peek(self, array: DigestSlotArray, slot: int) -> tuple[int, int]:
-        """Untimed read of the own copy of one vote slot."""
-        return array.peek(self.chip, self.core.id, slot)
-
-    def vote_wait_quorum(
-        self,
-        array: DigestSlotArray,
-        seq: int,
-        need: int,
-        *,
-        timeout: float,
-        site: str = "",
-    ) -> Generator[object, object, int]:
-        return (
-            yield from array.wait_quorum(
-                self.core, seq, need, timeout=timeout, site=site
-            )
-        )
+        """The one event-driven wait: sleep on MPB write-watchers of
+        ``offsets``' lines; see the polling cost model in
+        :mod:`repro.rcce.endpoint`."""
+        core = self.core
+        mpb = core.mpb
+        sim = core.sim
+        deadline = None if timeout is None else sim.now + timeout
+        # Entry check costs one sweep position; full sweeps while blocked
+        # are concurrent with the wait and charged only as the detection
+        # delay.
+        yield self._charge_poll(core.config.t_poll)
+        while True:
+            got = check()
+            if got is not None:
+                return got
+            watchers = [mpb.watch(off) for off in offsets]
+            got = check()
+            if got is not None:  # value changed while registering: no sleep
+                return got
+            if deadline is None:
+                yield (
+                    watchers[0] if len(watchers) == 1
+                    else any_of(sim, watchers, name=f"core{core.id}.wait")
+                )
+            else:
+                remaining = deadline - sim.now
+                if remaining <= 0:
+                    raise self._poll_budget_exhausted(site, timeout)
+                timer = sim.timeout(remaining, name=f"core{core.id}.poll_budget")
+                yield any_of(sim, [*watchers, timer], name=f"core{core.id}.wait")
+                if check() is None and sim.now >= deadline:
+                    raise self._poll_budget_exhausted(site, timeout)
+            got = check()
+            if got is not None:
+                yield self._charge_poll(detect_cost)
+                return got
 
     # -- two-sided -------------------------------------------------------------
 

@@ -87,8 +87,6 @@ def pipelined_send(
         raise ValueError("nbytes must be >= 0")
     if dst_rank == cc.rank:
         raise ValueError("pipelined send to self is not supported")
-    core = cc.core
-    dst_core = cc.comm.core_of(dst_rank)
     n = _nchunks(nbytes, st.half_bytes)
     base = st.take_send_base(cc.rank, dst_rank, n)
     for i in range(n):
@@ -97,13 +95,13 @@ def pipelined_send(
         buf = st.buffers[i % 2]
         if i >= 2:
             # Recycle: the receiver must have drained chunk i-2.
-            yield from st.drained.wait_at_least(core, dst_rank, base + i - 1)
+            yield from cc.slot_wait_at_least(st.drained, dst_rank, base + i - 1)
         yield from cc.put(cc.rank, buf.offset, src.sub(off, span), span)
-        yield from st.staged.write(core, dst_core, cc.rank, base + i + 1)
+        yield from cc.slot_write(st.staged, dst_rank, cc.rank, base + i + 1)
     # Return only when the whole message is consumed (buffer safety for
     # the next transfer on this pair or any other receiver).
     if n:
-        yield from st.drained.wait_at_least(core, dst_rank, base + n)
+        yield from cc.slot_wait_at_least(st.drained, dst_rank, base + n)
 
 
 def pipelined_recv(
@@ -114,14 +112,12 @@ def pipelined_recv(
         raise ValueError("nbytes must be >= 0")
     if src_rank == cc.rank:
         raise ValueError("pipelined recv from self is not supported")
-    core = cc.core
-    src_core = cc.comm.core_of(src_rank)
     n = _nchunks(nbytes, st.half_bytes)
     base = st.take_recv_base(src_rank, cc.rank, n)
     for i in range(n):
         off = i * st.half_bytes
         span = min(st.half_bytes, nbytes - off)
         buf = st.buffers[i % 2]
-        yield from st.staged.wait_at_least(core, src_rank, base + i + 1)
+        yield from cc.slot_wait_at_least(st.staged, src_rank, base + i + 1)
         yield from cc.get(src_rank, buf.offset, dst.sub(off, span), span)
-        yield from st.drained.write(core, src_core, cc.rank, base + i + 1)
+        yield from cc.slot_write(st.drained, src_rank, cc.rank, base + i + 1)

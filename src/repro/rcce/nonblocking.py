@@ -74,10 +74,10 @@ class Request:
     # -- gates (untimed peeks; the caller charges the test-loop cost) ------
 
     def _peek_ready(self) -> int:
-        return self.st.ready.peek(self.cc.chip, self.cc.core.id, self.peer)
+        return self.cc.slot_peek(self.st.ready, self.peer)
 
     def _peek_sent(self) -> int:
-        return self.st.sent.peek(self.cc.chip, self.cc.core.id, self.peer)
+        return self.cc.slot_peek(self.st.sent, self.peer)
 
     def refresh(self) -> None:
         """Update ``done`` from flag state (no work to run)."""
@@ -120,7 +120,6 @@ class Request:
         """Run one chunk's timed work (call only when ``gate_open()``)."""
         cc = self.cc
         st = self.st
-        core = cc.core
         chunk = st.payload_bytes
         if self.is_send:
             i = self._staged
@@ -129,9 +128,7 @@ class Request:
             span = min(chunk, self.nbytes - off) if self.nbytes else 0
             if span:
                 yield from cc.put(cc.rank, st.payload.offset, self.buf.sub(off, span), span)
-            yield from st.sent.write(
-                core, cc.comm.core_of(self.peer), cc.rank, seq
-            )
+            yield from cc.slot_write(st.sent, self.peer, cc.rank, seq)
             self._staged += 1
             self._next += 1
             self.refresh()
@@ -142,9 +139,7 @@ class Request:
             span = min(chunk, self.nbytes - off) if self.nbytes else 0
             if span:
                 yield from cc.get(self.peer, st.payload.offset, self.buf.sub(off, span), span)
-            yield from st.ready.write(
-                core, cc.comm.core_of(self.peer), cc.rank, seq
-            )
+            yield from cc.slot_write(st.ready, self.peer, cc.rank, seq)
             self._next += 1
             if self._next == self.nchunks:
                 self.done = True

@@ -20,6 +20,11 @@ are aggregated -- same total duration, far fewer events.  An EXACT
 transfer between an MPB and private memory that finds the port idle is
 charged as one coalesced run (:meth:`repro.scc.core.Core.transfer_run`),
 bit-identical to the per-line loop it falls back to.
+
+These two bulk transfers are the SCC backend's ``put``/``get``
+primitives; the acked/verified variants and the small register-sourced
+``put_bytes``/``get_bytes`` are backend-independent and live in
+:class:`repro.rcce.endpoint.Endpoint`.
 """
 
 from __future__ import annotations
@@ -29,9 +34,6 @@ from typing import TYPE_CHECKING, Generator
 from ..scc.config import CACHE_LINE, ContentionMode
 from ..scc.core import lines_of
 from ..scc.memory import MemRef
-from ..sim.errors import TimeoutError as SimTimeoutError
-from ..resilience.policy import RetryPolicy, plan_delays
-from .flags import _ack_recovered, _backoff_pause, _timeline_suffix
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..scc.core import Core
@@ -107,177 +109,6 @@ def put(
     if core.chip.metrics is not None:
         core.chip.metrics.inc("rcce.puts")
         core.chip.metrics.inc("rcce.put_bytes", nbytes)
-
-
-def put_acked(
-    core: "Core",
-    dst_core: int,
-    dst_offset: int,
-    src: "MemRef | int",
-    nbytes: int,
-    *,
-    max_retries: int = 3,
-    policy: "RetryPolicy | None" = None,
-) -> Generator:
-    """A :func:`put` with an acknowledgment: after writing, the calling
-    core reads the destination lines back and re-sends the whole transfer
-    until the readback matches (at most ``max_retries`` re-sends, or the
-    ``policy``'s paced schedule when one is given).
-
-    MPB writes on the SCC are unacknowledged, so a put can silently lose
-    cache lines; the verification read doubles the MPB traffic of the
-    put -- the data-path robustness tax, paid only when a protocol opts
-    in.  Raises :class:`repro.sim.TimeoutError` once retries are
-    exhausted (the destination is presumed unreachable).
-    """
-    if nbytes < 0:
-        raise ValueError("nbytes must be >= 0")
-    if nbytes == 0:
-        return
-    chip = core.chip
-    m = lines_of(nbytes)
-    site = f"mpb{dst_core}@{dst_offset}"
-    delays = plan_delays(policy, core.id, site, max_retries)
-    for attempt in range(len(delays) + 1):
-        if attempt and delays[attempt - 1] > 0.0:
-            yield from _backoff_pause(core, site, delays[attempt - 1])
-        yield from put(core, dst_core, dst_offset, src, nbytes)
-        # The ack: read the destination region back over the mesh.
-        yield from core.mpb_access(dst_core, m)
-        expected = (
-            src.sub(0, nbytes).read()
-            if isinstance(src, MemRef)
-            else core.mpb.read_bytes(int(src), nbytes)
-        )
-        got = chip.mpbs[dst_core].read_bytes(dst_offset, nbytes)
-        if got == expected:
-            if attempt > 0:
-                _ack_recovered(
-                    core, "put_retry_ok", f"put->core{dst_core}@{dst_offset}",
-                    f"{nbytes}B re-sent x{attempt}", attempt + 1,
-                    dst=dst_core, off=dst_offset,
-                )
-            return
-    raise SimTimeoutError(
-        f"core {core.id}: put of {nbytes} B to core {dst_core}@{dst_offset} "
-        f"un-acked after {len(delays) + 1} attempts at t={core.sim.now:.4f}"
-        f"{_timeline_suffix(chip)}",
-        process=f"core{core.id}",
-        sim_time=core.sim.now,
-        site=site,
-    )
-
-
-def get_acked(
-    core: "Core",
-    src_core: int,
-    src_offset: int,
-    dst: "MemRef | int",
-    nbytes: int,
-    *,
-    max_retries: int = 3,
-    policy: "RetryPolicy | None" = None,
-) -> Generator:
-    """A :func:`get` with verification: the destination is read back and
-    the transfer re-fetched until it matches the source lines (at most
-    ``max_retries`` re-fetches, or the ``policy``'s paced schedule).
-
-    The vulnerable leg of a get is the deposit into the caller's *own*
-    MPB -- an unacknowledged write like any other -- so the readback is
-    a cheap local access; a private-memory destination pays one memory
-    read.  Raises :class:`repro.sim.TimeoutError` once retries are
-    exhausted.
-    """
-    if nbytes < 0:
-        raise ValueError("nbytes must be >= 0")
-    if nbytes == 0:
-        return
-    chip = core.chip
-    m = lines_of(nbytes)
-    site = f"mpb{src_core}@{src_offset}"
-    delays = plan_delays(policy, core.id, site, max_retries)
-    for attempt in range(len(delays) + 1):
-        if attempt and delays[attempt - 1] > 0.0:
-            yield from _backoff_pause(core, site, delays[attempt - 1])
-        yield from get(core, src_core, src_offset, dst, nbytes)
-        expected = chip.mpbs[src_core].read_bytes(src_offset, nbytes)
-        if isinstance(dst, MemRef):
-            yield from core.mem_read(dst.sub(0, nbytes))
-            got = dst.sub(0, nbytes).read()
-        else:
-            yield from core.mpb_access(core.id, m)
-            got = core.mpb.read_bytes(int(dst), nbytes)
-        if got == expected:
-            if attempt > 0:
-                _ack_recovered(
-                    core, "get_retry_ok", f"get<-core{src_core}@{src_offset}",
-                    f"{nbytes}B re-fetched x{attempt}", attempt + 1,
-                    src=src_core, off=src_offset,
-                )
-            return
-    raise SimTimeoutError(
-        f"core {core.id}: get of {nbytes} B from core {src_core}@{src_offset} "
-        f"unverified after {len(delays) + 1} attempts at t={core.sim.now:.4f}"
-        f"{_timeline_suffix(chip)}",
-        process=f"core{core.id}",
-        sim_time=core.sim.now,
-        site=site,
-    )
-
-
-def put_bytes(
-    core: "Core",
-    dst_core: int,
-    dst_offset: int,
-    payload: bytes,
-) -> Generator[object, object, str]:
-    """A small register-sourced protocol write (at most a few cache
-    lines): the payload comes from the calling core's registers rather
-    than its MPB or memory, so only the destination write is charged.
-
-    Used for protocol metadata that is *computed* rather than staged --
-    chunk-header checksums, membership bitmaps.  Costs the put call
-    overhead plus one MPB write per line; the write is a protocol
-    (``op="data"``) write, so it is subject to fault injection like any
-    other payload line.  Returns the landed status.
-    """
-    nbytes = len(payload)
-    if nbytes == 0:
-        return "ok"
-    m = lines_of(nbytes)
-    yield core.compute(core.config.o_put_mpb)
-    yield from core.mpb_access(dst_core, m, write=True)
-    landed = core.chip.mpbs[dst_core].write_bytes(
-        dst_offset, payload, source=core.id, op="data"
-    )
-    core.chip.trace(
-        f"core{core.id}", "put_bytes",
-        dst=dst_core, off=dst_offset, n=nbytes, landed=landed,
-    )
-    return landed
-
-
-def get_bytes(
-    core: "Core",
-    src_core: int,
-    src_offset: int,
-    nbytes: int,
-) -> Generator[object, object, bytes]:
-    """A small register-destined read (at most a few cache lines) from
-    ``src_core``'s MPB: the lines land in the calling core's registers,
-    so only the remote read is charged and no MPB deposit happens --
-    which also means the *read leg cannot be faulted into a silent
-    corruption* (there is no protocol write to intercept).
-
-    Used to pull protocol metadata: remote chunk headers, membership
-    bitmaps on a view change.
-    """
-    if nbytes <= 0:
-        raise ValueError("get_bytes needs nbytes > 0")
-    m = lines_of(nbytes)
-    yield core.compute(core.config.o_get_mpb)
-    yield from core.mpb_access(src_core, m)
-    return core.chip.mpbs[src_core].read_bytes(src_offset, nbytes)
 
 
 def get(

@@ -111,20 +111,18 @@ def send(
         raise ValueError("send to self is not supported (RCCE semantics)")
     cc.comm.core_of(dst_rank)  # validates the rank
     st = st if st is not None else cc.comm.twosided
-    core = cc.core
-    dst_core = cc.comm.core_of(dst_rank)
     if nbytes == 0:
         # Zero-byte messages still synchronise (flag handshake only).
         seq = st.next_send_seq(cc.rank, dst_rank)
-        yield from st.sent.write(core, dst_core, cc.rank, seq)
-        yield from st.ready.wait_at_least(core, dst_rank, seq)
+        yield from cc.slot_write(st.sent, dst_rank, cc.rank, seq)
+        yield from cc.slot_wait_at_least(st.ready, dst_rank, seq)
         return
     for off, span in _chunks(nbytes, st.payload_bytes):
         seq = st.next_send_seq(cc.rank, dst_rank)
         yield from cc.put(cc.rank, st.payload.offset, src.sub(off, span), span)
-        yield from st.sent.write(core, dst_core, cc.rank, seq)
+        yield from cc.slot_write(st.sent, dst_rank, cc.rank, seq)
         # Stop-and-wait: the payload buffer may not be reused until acked.
-        yield from st.ready.wait_at_least(core, dst_rank, seq)
+        yield from cc.slot_wait_at_least(st.ready, dst_rank, seq)
 
 
 def recv(
@@ -140,15 +138,13 @@ def recv(
     if src_rank == cc.rank:
         raise ValueError("recv from self is not supported (RCCE semantics)")
     st = st if st is not None else cc.comm.twosided
-    core = cc.core
-    src_core = cc.comm.core_of(src_rank)
     if nbytes == 0:
         seq = st.next_recv_seq(src_rank, cc.rank)
-        yield from st.sent.wait_at_least(core, src_rank, seq)
-        yield from st.ready.write(core, src_core, cc.rank, seq)
+        yield from cc.slot_wait_at_least(st.sent, src_rank, seq)
+        yield from cc.slot_write(st.ready, src_rank, cc.rank, seq)
         return
     for off, span in _chunks(nbytes, st.payload_bytes):
         seq = st.next_recv_seq(src_rank, cc.rank)
-        yield from st.sent.wait_at_least(core, src_rank, seq)
+        yield from cc.slot_wait_at_least(st.sent, src_rank, seq)
         yield from cc.get(src_rank, st.payload.offset, dst.sub(off, span), span)
-        yield from st.ready.write(core, src_core, cc.rank, seq)
+        yield from cc.slot_write(st.ready, src_rank, cc.rank, seq)

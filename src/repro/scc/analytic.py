@@ -15,7 +15,7 @@ The replay reproduces the IDEAL-mode simulator **bit-exactly** (the test
 suite asserts float equality): every ``yield timeout(d)`` of the
 simulated protocol corresponds to one addition to the rank's clock lane,
 performed in the same order with the same operands, including the
-polling cost model of :func:`repro.rcce.flags.wait_local_flags` --
+polling cost model of :meth:`repro.rcce.endpoint.Endpoint.wait_flags` --
 
 - a waiter entering at ``T`` pays one ``t_poll`` entry charge and
   returns at ``T + t_poll`` when the awaited write already landed;
@@ -239,7 +239,7 @@ class AnalyticEngine:
                 "children": children,
                 "own_targets": own_targets,
                 "relay_targets": relay_targets,
-                # Detection charge of wait_local_flags, precomputed with
+                # Detection charge of Endpoint.wait_flags, precomputed with
                 # the simulator's exact expression.
                 "done_detect": 0.5 * len(children) * t_poll + t_poll,
                 "notify_detect": (

@@ -7,8 +7,8 @@ cache-line access at a time, each occupying it for ``t_mpb_port``.
 
 The MPB also supports *write watchers*: a core polling a flag registers a
 watcher on the flag's cache line and is woken when any write touches it.
-The polling sweep cost itself is charged by the flag layer
-(:mod:`repro.rcce.flags`); the watcher mechanism only keeps the event
+The polling sweep cost itself is charged by the wait primitive
+(:meth:`repro.rcce.comm.CoreComm._wait`); the watcher mechanism only keeps the event
 count low (no busy-poll events while nothing changes).
 
 Fault injection: *protocol* writes (those carrying ``source``/``op``
@@ -30,32 +30,28 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..faults.injector import FaultInjector
 
 
-class Mpb:
-    """One core's message-passing buffer."""
+class ByteStore:
+    """Byte-accurate storage with the protocol-write classification every
+    transport backend shares (the asyncio rank stores are bare instances
+    of this; :class:`Mpb` adds the access port and the write watchers).
 
-    def __init__(self, sim: Simulator, config: SccConfig, owner: int) -> None:
-        self.sim = sim
-        self.config = config
+    *Protocol* writes carry ``source`` (writing core id) and ``op``
+    (``"flag"`` / ``"data"``) and pass through the attached
+    :class:`repro.faults.FaultInjector`; the default ``op="raw"`` marks
+    untimed initialisation writes, which are never faulted.
+    """
+
+    _LABEL = "store"  # names the store in range errors
+
+    def __init__(self, owner: int, size: int) -> None:
         self.owner = owner
-        self.data = bytearray(config.mpb_bytes)
-        self.port = Resource(sim, capacity=1, name=f"mpb{owner}.port")
-        # offset (line-aligned) -> list of pending wake events
-        self._watchers: dict[int, list[Event]] = {}
-        # line offset -> watch event name, formatted once per line (flag
-        # waits re-watch the same few lines for the whole run)
-        self._watch_names: dict[int, str] = {}
+        self.data = bytearray(size)
         #: Set by FaultInjector.attach; consulted on protocol writes.
         self.injector: "FaultInjector | None" = None
 
     @property
     def size(self) -> int:
         return len(self.data)
-
-    @property
-    def lines(self) -> int:
-        return len(self.data) // CACHE_LINE
-
-    # -- storage --------------------------------------------------------------
 
     def read_bytes(self, offset: int, nbytes: int) -> bytes:
         self._check_range(offset, nbytes)
@@ -71,17 +67,14 @@ class Mpb:
     ) -> str:
         """Store ``payload`` at ``offset``.
 
-        ``source`` (writing core id) and ``op`` (``"flag"`` / ``"data"``)
-        classify protocol writes for fault injection; the default
-        ``op="raw"`` marks untimed initialisation writes, which are never
-        faulted.
-
-        Returns the write's fate -- ``"ok"``, ``"dropped"`` or
-        ``"corrupted"`` -- so callers can annotate trace records (the
-        invariant checker keys off this to flag lost notifications).
+        Returns the write's fate -- ``"ok"``, ``"dropped"`` (no byte
+        changes) or ``"corrupted"`` (lands bit-flipped) -- so callers can
+        annotate trace records (the invariant checker keys off this to
+        flag lost notifications).
         """
         nbytes = len(payload)
         self._check_range(offset, nbytes)
+        landed = "ok"
         if self.injector is not None and source is not None and op != "raw":
             action = self.injector.filter_mpb_write(
                 owner=self.owner, offset=offset, nbytes=nbytes, source=source, op=op
@@ -90,12 +83,42 @@ class Mpb:
                 return "dropped"
             if action == "corrupt":
                 payload = bytes(b ^ 0xFF for b in bytes(payload))
-                self.data[offset : offset + nbytes] = payload
-                self._wake_watchers(offset, nbytes)
-                return "corrupted"
+                landed = "corrupted"
         self.data[offset : offset + nbytes] = payload
         self._wake_watchers(offset, nbytes)
-        return "ok"
+        return landed
+
+    def _wake_watchers(self, offset: int, nbytes: int) -> None:
+        """Hook: a write landed on ``[offset, offset + nbytes)`` (a
+        dropped write wakes nobody -- a lost notification)."""
+
+    def _check_range(self, offset: int, nbytes: int) -> None:
+        if offset < 0 or nbytes < 0 or offset + nbytes > len(self.data):
+            raise IndexError(
+                f"{self._LABEL} {self.owner}: access [{offset}, {offset + nbytes}) "
+                f"outside 0..{len(self.data)}"
+            )
+
+
+class Mpb(ByteStore):
+    """One core's message-passing buffer."""
+
+    _LABEL = "MPB"
+
+    def __init__(self, sim: Simulator, config: SccConfig, owner: int) -> None:
+        super().__init__(owner, config.mpb_bytes)
+        self.sim = sim
+        self.config = config
+        self.port = Resource(sim, capacity=1, name=f"mpb{owner}.port")
+        # offset (line-aligned) -> list of pending wake events
+        self._watchers: dict[int, list[Event]] = {}
+        # line offset -> watch event name, formatted once per line (flag
+        # waits re-watch the same few lines for the whole run)
+        self._watch_names: dict[int, str] = {}
+
+    @property
+    def lines(self) -> int:
+        return len(self.data) // CACHE_LINE
 
     # -- watchers ----------------------------------------------------------------
 
@@ -121,12 +144,3 @@ class Mpb:
                 for ev in waiters:
                     if not ev.triggered:
                         ev.succeed(line)
-
-    # -- validation -----------------------------------------------------------
-
-    def _check_range(self, offset: int, nbytes: int) -> None:
-        if offset < 0 or nbytes < 0 or offset + nbytes > len(self.data):
-            raise IndexError(
-                f"MPB {self.owner}: access [{offset}, {offset + nbytes}) "
-                f"outside 0..{len(self.data)}"
-            )

@@ -1,68 +1,20 @@
 """The transport contract the protocol layer is written against.
 
-Every protocol in this repo (OC-Bcast, the membership/election/RBC
-services, the OC collectives) is a generator coroutine that talks to one
-object: a *per-rank transport endpoint*.  On the SCC backend that object
-is :class:`repro.rcce.comm.CoreComm`; on the asyncio backend it is
-:class:`repro.transport.asyncio_backend.AsyncioTransport`.  Neither
-inherits from the other -- the contract is structural (duck-typed), and
-:class:`Transport` below documents it so a third backend knows exactly
-what to provide.
-
-A transport method is invoked as ``yield from cc.method(...)``; what the
-generator yields underneath is backend-private (simulator events on the
-SCC, awaitables on asyncio).  Protocol code must never assume anything
-about the yielded items, only about arguments, return values and raised
-exceptions (:class:`~repro.sim.errors.TimeoutError` carrying ``site``,
-:class:`~repro.sim.errors.FaultInjected`, ``ValueError`` on misuse).
+The contract *is* a class: :class:`repro.rcce.endpoint.Endpoint`,
+re-exported here as :class:`Transport`.  It implements everything
+protocols call, once, over the backend primitives named in
+``Transport.PRIMITIVES``; :class:`repro.rcce.comm.CoreComm` (SCC chip
+model) and :class:`repro.transport.asyncio_backend.AsyncioTransport`
+subclass it and supply only those.  A third backend does the same --
+``docs/TRANSPORT.md`` lists both halves.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, Protocol, Sequence, runtime_checkable
-
+from ..rcce.endpoint import Endpoint as Transport
 from ..sim.errors import FaultInjected
 
-
-@runtime_checkable
-class Transport(Protocol):
-    """Structural interface of a per-rank transport endpoint.
-
-    Attributes: ``rank``, ``size``, ``core_id``, ``now`` (virtual us),
-    ``comm`` (the world object: ``flag(name)``, ``layout``, ``core_ids``,
-    ``transport_faults``), ``tracer_enabled``, ``has_faults``.
-
-    Groups of generator methods (all driven with ``yield from``):
-
-    - local memory/compute: ``alloc``, ``compute``, ``mem_read``,
-      ``mem_write``, ``local_copy``, ``read_local``, ``mpb_charge_local``
-    - one-sided RMA: ``put``, ``get``, ``put_acked``, ``get_acked``,
-      ``put_bytes``, ``get_bytes``
-    - flags: ``flag_set``, ``flag_set_acked``, ``flag_poll``,
-      ``flag_peek``, ``wait_flags``, ``wait_flag_equals``,
-      ``wait_flag_at_least``
-    - sequence-number slot arrays: ``slot_write``, ``slot_write_acked``,
-      ``slot_peek``, ``slot_wait_at_least``, ``slot_wait_any_at_least``
-    - digest vote arrays: ``vote_write``, ``vote_write_acked``,
-      ``vote_peek``, ``vote_wait_quorum``
-    - instrumentation/fault hooks: ``trace``, ``metric_inc``,
-      ``metric_set``, ``observe_histogram``, ``note_recovery``,
-      ``first_fault_time``, ``adversary_stage``, ``quorum_vote``
-
-    Timing may differ arbitrarily between backends; *decisions* (the
-    trace kinds listed in :mod:`repro.transport.decisions`) must not.
-    """
-
-    rank: int
-    size: int
-
-    def trace(self, kind: str, **detail: Any) -> None: ...
-
-    def compute(self, duration: float) -> Generator: ...
-
-    def wait_flags(
-        self, flags: Sequence[Any], predicate: Any, **kw: Any
-    ) -> Generator: ...
+__all__ = ["CrashOnEvent", "Transport"]
 
 
 class CrashOnEvent:

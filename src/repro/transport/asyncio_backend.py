@@ -1,8 +1,8 @@
 """An asyncio event-loop transport backend for the protocol layer.
 
-The protocols in this repo are generator coroutines written against the
-narrow transport surface documented in :mod:`repro.transport.api`.  This
-module provides that surface without the SCC chip model: each rank's
+The protocols in this repo are generator coroutines written against
+:class:`repro.rcce.endpoint.Endpoint`.  This module supplies that
+class's backend primitives without the SCC chip model: each rank's
 program runs as an asyncio task, each rank owns a :class:`RankStore`
 (the stand-in for its message-passing buffer), and all timing comes from
 a pluggable, seeded :class:`~repro.transport.models.DelayModel` instead
@@ -22,15 +22,6 @@ property the differential harness depends on.  If the heap runs dry (or
 holds only entries beyond ``time_limit``) while ranks are still
 blocked, every blocked rank is failed with a
 :class:`~repro.sim.errors.DeadlockError` naming the stuck sites.
-
-Decision fidelity
------------------
-Write/ack/wait primitives clone the SCC semantics *exactly* -- the same
-ack predicates, retry bounds, timeout ordering (predicate satisfied at
-the deadline still wins), timeout ``site`` strings, and fault-injector
-consultation (``repro.faults`` plans attach to the rank stores just as
-they attach to MPBs) -- so the two backends may disagree on every
-latency but never on a protocol decision.
 """
 
 from __future__ import annotations
@@ -43,68 +34,26 @@ from typing import Any, Callable, Generator, Sequence
 
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
-from ..rcce.flags import _VOTE, DigestSlotArray, Flag, FlagSlotArray, FlagValue
+from ..rcce.endpoint import Endpoint, timeline_suffix
+from ..rcce.flags import Flag
 from ..rcce.layout import MpbLayout
-from ..resilience.policy import RetryPolicy, plan_delays
-from ..scc.config import CACHE_LINE, MPB_BYTES, MPB_LINES
+from ..scc.config import MPB_BYTES, MPB_LINES
 from ..scc.memory import MemRef, PrivateMemory
-from ..sim.errors import DeadlockError, TimeoutError as SimTimeoutError
+from ..scc.mpb import ByteStore
+from ..sim.errors import DeadlockError
 from ..sim.trace import Tracer
 from .models import DelayModel, NoDelay
 
 _PRIVATE_MEM_BYTES = 16 * 1024 * 1024
 
 
-class RankStore:
-    """One rank's shared message store (the asyncio stand-in for an MPB).
-
-    Mirrors :class:`repro.scc.mpb.Mpb`'s write-classification contract so
-    a :class:`FaultInjector` attaches unchanged: protocol writes carry
-    ``source`` and ``op`` (``"flag"``/``"data"``), ``op="raw"`` marks
-    initialisation writes that are never faulted, and the returned landed
-    status is ``"ok"`` / ``"dropped"`` / ``"corrupted"``.
-    """
+class RankStore(ByteStore):
+    """One rank's shared message store (the asyncio stand-in for an MPB):
+    the :class:`~repro.scc.mpb.ByteStore` write-classification contract
+    with no access port, so a :class:`FaultInjector` attaches unchanged."""
 
     def __init__(self, owner: int, size: int = MPB_BYTES) -> None:
-        self.owner = owner
-        self.size = size
-        self.data = bytearray(size)
-        self.injector: FaultInjector | None = None
-
-    def _check_range(self, offset: int, nbytes: int) -> None:
-        if offset < 0 or nbytes < 0 or offset + nbytes > self.size:
-            raise IndexError(
-                f"store {self.owner}: access [{offset}, {offset + nbytes}) "
-                f"outside 0..{self.size}"
-            )
-
-    def read_bytes(self, offset: int, nbytes: int) -> bytes:
-        self._check_range(offset, nbytes)
-        return bytes(self.data[offset : offset + nbytes])
-
-    def write_bytes(
-        self,
-        offset: int,
-        payload: bytes | bytearray | memoryview,
-        *,
-        source: int | None = None,
-        op: str = "raw",
-    ) -> str:
-        payload = bytes(payload)
-        nbytes = len(payload)
-        self._check_range(offset, nbytes)
-        if self.injector is not None and source is not None and op != "raw":
-            action = self.injector.filter_mpb_write(
-                owner=self.owner, offset=offset, nbytes=nbytes, source=source, op=op
-            )
-            if action == "drop":
-                return "dropped"
-            if action == "corrupt":
-                payload = bytes(b ^ 0xFF for b in payload)
-                self.data[offset : offset + nbytes] = payload
-                return "corrupted"
-        self.data[offset : offset + nbytes] = payload
-        return "ok"
+        super().__init__(owner, size)
 
 
 class _SimShim:
@@ -121,7 +70,7 @@ class _SimShim:
 
 class _ChipShim:
     """Just enough ``SccChip`` surface for :meth:`FaultInjector.attach`
-    and the flag helpers' untimed ``peek``/``tally`` (which only touch
+    and the flag layouts' untimed ``peek``/``tally`` (which only touch
     ``chip.mpbs``)."""
 
     def __init__(self, net: "AsyncioNetwork") -> None:
@@ -270,7 +219,7 @@ class AsyncioNetwork:
             if capped
             else "no pending event"
         )
-        suffix = self._timeline_suffix()
+        suffix = timeline_suffix(self.faults)
         err = DeadlockError(
             f"asyncio transport wedged at t={self.now:.4f}: "
             f"{len(stuck)} rank(s) blocked with {cause} ({names}){suffix}",
@@ -307,7 +256,7 @@ class AsyncioNetwork:
         deadline = None if timeout is None else self.now + timeout
         while True:
             if deadline is not None and self.now >= deadline:
-                self._raise_timeout(rank, site, timeout)
+                raise self.transport(rank)._poll_budget_exhausted(site, timeout)
             fut = self._loop.create_future()
             self._watchers[rank].append(fut)
             if deadline is not None:
@@ -332,21 +281,6 @@ class AsyncioNetwork:
         self._watchers[rank] = []
         for fut in watchers:
             self._fire(fut)
-
-    def _timeline_suffix(self) -> str:
-        if self.faults is None:
-            return ""
-        text = self.faults.timeline_text()
-        return f"\n{text}" if text else ""
-
-    def _raise_timeout(self, rank: int, site: str, timeout: float | None) -> None:
-        raise SimTimeoutError(
-            f"rank {rank} exhausted its {timeout}-us poll budget waiting on "
-            f"{site!r} at t={self.now:.4f}{self._timeline_suffix()}",
-            process=f"rank{rank}",
-            sim_time=self.now,
-            site=site,
-        )
 
     # -- the wire: delayed/filtered store access ---------------------------
 
@@ -382,242 +316,6 @@ class AsyncioNetwork:
             delay += self.faults.link_stall(src, dst)
         await self.sleep(src, delay, site=site)
         return self.stores[dst].read_bytes(offset, nbytes)
-
-    # -- flags (exact SCC ack/timeout semantics) ---------------------------
-
-    async def flag_write(
-        self, rank: int, owner: int, flag: Flag, value: FlagValue
-    ) -> str:
-        landed = await self._write(
-            rank, owner, flag.offset, value.encode(), op="flag",
-            site=f"{flag.name}@core{owner}",
-        )
-        self.emit(
-            f"core{rank}", "flag_write", flag=flag.name, owner=owner,
-            off=flag.offset, tag=value.tag, seq=value.seq, landed=landed,
-        )
-        return landed
-
-    async def _backoff_pause(self, rank: int, site: str, delay: float) -> None:
-        """One policy-paced pause before a re-send; mirrors the SCC
-        backend's ``_backoff_pause`` (same trace kind/fields) so paced
-        recovery stays decision-comparable across backends."""
-        self.emit(f"core{rank}", "retry_backoff", site=site, delay=delay)
-        await self.sleep(rank, delay, site=site)
-
-    def _ack_recovered(
-        self, rank: int, kind: str, site: str, note: str, attempts: int, **detail
-    ) -> None:
-        """Shared trace emission for an acked write that needed
-        re-sending (the asyncio twin of ``repro.rcce.flags._ack_recovered``;
-        metrics are SCC-side only)."""
-        self.emit(f"core{rank}", kind, attempts=attempts, **detail)
-        if self.faults is not None:
-            self.faults.note_recovery(site, note=note)
-
-    async def flag_write_acked(
-        self, rank: int, owner: int, flag: Flag, value: FlagValue,
-        *, max_retries: int = 3, policy: "RetryPolicy | None" = None,
-    ) -> FlagValue:
-        site = f"{flag.name}@core{owner}"
-        delays = plan_delays(policy, rank, site, max_retries)
-        for attempt in range(len(delays) + 1):
-            if attempt and delays[attempt - 1] > 0.0:
-                await self._backoff_pause(rank, site, delays[attempt - 1])
-            await self.flag_write(rank, owner, flag, value)
-            raw = await self._read(rank, owner, flag.offset, CACHE_LINE, site=site)
-            got = FlagValue.decode(raw)
-            if got.tag == value.tag and got.seq >= value.seq:
-                if attempt > 0:
-                    self._ack_recovered(
-                        rank, "flag_write_retry_ok", site,
-                        f"flag re-sent x{attempt}", attempt + 1,
-                        flag=flag.name, owner=owner,
-                    )
-                return got
-        raise SimTimeoutError(
-            f"rank {rank}: flag write {flag.name!r} to rank {owner} un-acked "
-            f"after {len(delays) + 1} attempts at t={self.now:.4f}"
-            f"{self._timeline_suffix()}",
-            process=f"rank{rank}",
-            sim_time=self.now,
-            site=site,
-        )
-
-    async def wait_flags(
-        self,
-        rank: int,
-        flags: Sequence[Flag],
-        predicate: Callable[[Sequence[FlagValue]], bool],
-        *,
-        timeout: float | None = None,
-        site: str = "",
-    ) -> list[FlagValue]:
-        if not flags:
-            return []
-        store = self.stores[rank]
-        where = site or "+".join(f.name for f in flags)
-
-        def check() -> list[FlagValue] | None:
-            vals = [
-                FlagValue.decode(store.read_bytes(f.offset, CACHE_LINE))
-                for f in flags
-            ]
-            return vals if predicate(vals) else None
-
-        return await self.wait_until(rank, check, timeout=timeout, site=where)
-
-    # -- sequence-number slot arrays ---------------------------------------
-
-    async def slot_write(
-        self, rank: int, owner: int, array: FlagSlotArray, slot: int, value: int
-    ) -> str:
-        if not 0 <= value <= array.MAX_SEQ:
-            raise ValueError(
-                f"slot value {value} exceeds 16-bit sequence space; "
-                f"reinitialise the communicator for longer runs"
-            )
-        landed = await self._write(
-            rank, owner, array.slot_offset(slot),
-            value.to_bytes(array.SLOT_BYTES, "little"), op="flag",
-            site=f"{array.name}[{slot}]@core{owner}",
-        )
-        self.emit(
-            f"core{rank}", "slot_write", array=array.name, owner=owner,
-            slot=slot, value=value, landed=landed,
-        )
-        return landed
-
-    async def slot_write_acked(
-        self, rank: int, owner: int, array: FlagSlotArray, slot: int, value: int,
-        *, max_retries: int = 3, policy: "RetryPolicy | None" = None,
-    ) -> None:
-        site = f"{array.name}[{slot}]@core{owner}"
-        off = array.slot_offset(slot)
-        delays = plan_delays(policy, rank, site, max_retries)
-        for attempt in range(len(delays) + 1):
-            if attempt and delays[attempt - 1] > 0.0:
-                await self._backoff_pause(rank, site, delays[attempt - 1])
-            await self.slot_write(rank, owner, array, slot, value)
-            raw = await self._read(rank, owner, off, array.SLOT_BYTES, site=site)
-            if int.from_bytes(raw, "little") >= value:
-                if attempt:
-                    self._ack_recovered(
-                        rank, "slot_write_retry_ok", site,
-                        f"slot re-sent x{attempt}", attempt + 1,
-                        array=array.name, owner=owner, slot=slot,
-                    )
-                return
-        raise SimTimeoutError(
-            f"rank {rank}: slot write {array.name}[{slot}] to rank {owner} "
-            f"un-acked after {len(delays) + 1} attempts at t={self.now:.4f}"
-            f"{self._timeline_suffix()}",
-            process=f"rank{rank}",
-            sim_time=self.now,
-            site=site,
-        )
-
-    async def slot_wait_at_least(
-        self, rank: int, array: FlagSlotArray, slot: int, value: int,
-        *, timeout: float | None = None,
-    ) -> int:
-        store = self.stores[rank]
-        off = array.slot_offset(slot)
-
-        def check() -> int | None:
-            current = int.from_bytes(
-                store.read_bytes(off, array.SLOT_BYTES), "little"
-            )
-            return current if current >= value else None
-
-        return await self.wait_until(
-            rank, check, timeout=timeout, site=f"{array.name}[{slot}]"
-        )
-
-    async def slot_wait_any_at_least(
-        self, rank: int, array: FlagSlotArray, slots: Sequence[int], value: int,
-        *, timeout: float, site: str = "",
-    ) -> int:
-        if not slots:
-            raise ValueError("wait_any_at_least needs at least one slot")
-        store = self.stores[rank]
-        where = site or f"{array.name}[any]"
-
-        def check() -> int | None:
-            for s in sorted(slots):
-                raw = store.read_bytes(array.slot_offset(s), array.SLOT_BYTES)
-                if int.from_bytes(raw, "little") >= value:
-                    return s
-            return None
-
-        return await self.wait_until(rank, check, timeout=timeout, site=where)
-
-    # -- digest vote slots (RBC) -------------------------------------------
-
-    async def vote_write(
-        self, rank: int, owner: int, array: DigestSlotArray, slot: int,
-        seq: int, digest: int,
-    ) -> str:
-        if not 0 <= seq <= array.MAX_SEQ:
-            raise ValueError(f"vote seq {seq} exceeds 32-bit sequence space")
-        if not 0 <= digest <= 0xFFFFFFFF:
-            raise ValueError(f"digest {digest:#x} is not a 32-bit value")
-        landed = await self._write(
-            rank, owner, array.slot_offset(slot), _VOTE.pack(seq, digest),
-            op="flag", site=f"{array.name}[{slot}]@core{owner}",
-        )
-        self.emit(
-            f"core{rank}", "vote_write", array=array.name, owner=owner,
-            slot=slot, seq=seq, digest=digest, landed=landed,
-        )
-        return landed
-
-    async def vote_write_acked(
-        self, rank: int, owner: int, array: DigestSlotArray, slot: int,
-        seq: int, digest: int, *, max_retries: int = 3,
-        policy: "RetryPolicy | None" = None,
-    ) -> None:
-        site = f"{array.name}[{slot}]@core{owner}"
-        off = array.slot_offset(slot)
-        delays = plan_delays(policy, rank, site, max_retries)
-        for attempt in range(len(delays) + 1):
-            if attempt and delays[attempt - 1] > 0.0:
-                await self._backoff_pause(rank, site, delays[attempt - 1])
-            await self.vote_write(rank, owner, array, slot, seq, digest)
-            raw = await self._read(rank, owner, off, array.SLOT_BYTES, site=site)
-            got_seq, got_digest = _VOTE.unpack(raw)
-            if got_seq > seq or (got_seq == seq and got_digest == digest):
-                if attempt:
-                    self._ack_recovered(
-                        rank, "vote_write_retry_ok", site,
-                        f"vote re-sent x{attempt}", attempt + 1,
-                        array=array.name, owner=owner, slot=slot,
-                    )
-                return
-        raise SimTimeoutError(
-            f"rank {rank}: vote write {array.name}[{slot}] to rank {owner} "
-            f"un-acked after {len(delays) + 1} attempts at t={self.now:.4f}"
-            f"{self._timeline_suffix()}",
-            process=f"rank{rank}",
-            sim_time=self.now,
-            site=site,
-        )
-
-    async def vote_wait_quorum(
-        self, rank: int, array: DigestSlotArray, seq: int, need: int,
-        *, timeout: float, site: str = "",
-    ) -> int:
-        where = site or f"{array.name}.quorum(seq={seq})"
-
-        def check() -> int | None:
-            counts = array.tally(self.chip, rank, seq)
-            best = None
-            for digest, votes in sorted(counts.items()):
-                if votes >= need and (best is None or votes > counts[best]):
-                    best = digest
-            return best
-
-        return await self.wait_until(rank, check, timeout=timeout, site=where)
 
     # -- running programs ---------------------------------------------------
 
@@ -680,30 +378,29 @@ class AsyncioNetwork:
                 exc = caught
 
 
-class AsyncioTransport:
-    """Per-rank endpoint over :class:`AsyncioNetwork` (duck-types
-    :class:`repro.rcce.comm.CoreComm`).
+class AsyncioTransport(Endpoint):
+    """Per-rank endpoint over :class:`AsyncioNetwork`: the asyncio
+    backend of :class:`~repro.rcce.endpoint.Endpoint`.
 
-    Every generator method yields coroutines for the driving trampoline
-    to await; protocol code cannot tell the difference from the SCC's
-    simulator events.  The two-sided RCCE surface (``send``/``recv`` and
-    the non-blocking variants) is SCC-only and raises
-    ``NotImplementedError`` here.
+    Every primitive yields coroutines for the driving trampoline to
+    await, one wire operation each; protocol code cannot tell the
+    difference from the SCC's simulator events.  There is no chip model:
+    local memory and own-store accesses cost a zero-delay scheduling
+    checkpoint, polls cost nothing but their duration, and ``_wait``
+    ignores ``detect_cost`` (the SCC's sweep-shaped detection delay).
     """
 
     def __init__(self, net: AsyncioNetwork, rank: int) -> None:
         self.comm = net
         self.net = net
         self.rank = rank
+        self.tracer = net.tracer
+        self.metrics = None  # no registry on this backend: metric calls no-op
         self._mem = PrivateMemory(
             SimpleNamespace(private_mem_bytes=_PRIVATE_MEM_BYTES), rank
         )
 
-    # -- identity / timing --------------------------------------------------
-
-    @property
-    def size(self) -> int:
-        return self.net.size
+    # -- identity, clock, fault injector ------------------------------------
 
     @property
     def core_id(self) -> int:
@@ -718,49 +415,8 @@ class AsyncioTransport:
         return 0.25
 
     @property
-    def tracer_enabled(self) -> bool:
-        return self.net.tracer.enabled
-
-    @property
-    def has_faults(self) -> bool:
-        return self.net.faults is not None
-
-    # -- observability ------------------------------------------------------
-
-    def trace(self, kind: str, **detail: object) -> None:
-        tf = self.net.transport_faults
-        if tf is not None:
-            tf.on_trace(self.rank, kind, detail)
-        self.net.emit(f"rank{self.rank}", kind, **detail)
-
-    def metric_inc(self, name: str, n: int = 1) -> None:
-        pass
-
-    def metric_set(self, name: str, value: float) -> None:
-        pass
-
-    def observe_histogram(self, name: str, bounds, value: float) -> None:
-        pass
-
-    # -- fault/adversary hooks ----------------------------------------------
-
-    def adversary_stage(self):
-        faults = self.net.faults
-        return None if faults is None else faults.adversary_stage(self.rank)
-
-    def quorum_vote(self):
-        faults = self.net.faults
-        return None if faults is None else faults.quorum_vote(self.rank)
-
-    def note_recovery(self, site: str, note: str = "") -> None:
-        if self.net.faults is not None:
-            self.net.faults.note_recovery(site, note=note)
-
-    def first_fault_time(self) -> float | None:
-        faults = self.net.faults
-        if faults is not None and faults.injected:
-            return faults.injected[0].time
-        return None
+    def faults(self) -> FaultInjector | None:
+        return self.net.faults
 
     # -- memory / compute ---------------------------------------------------
 
@@ -778,22 +434,11 @@ class AsyncioTransport:
         self._own(ref, "mem_write")
         yield self.net.sleep(self.rank, 0.0, site="mem_write")
 
-    def local_copy(self, dst: MemRef, src: MemRef, nbytes: int) -> Generator:
-        if src.owner != self.rank or dst.owner != self.rank:
-            raise ValueError("local_copy operates on this rank's memory only")
-        if nbytes < 0 or nbytes > src.nbytes or nbytes > dst.nbytes:
-            raise ValueError(f"bad local_copy length {nbytes}")
-        if nbytes == 0:
-            return
-        yield from self.mem_read(src.sub(0, nbytes))
-        yield from self.mem_write(dst.sub(0, nbytes))
-        dst.sub(0, nbytes).write(src.sub(0, nbytes).read())
+    def mpb_charge_local(self, lines: int, *, write: bool = False) -> Generator:
+        yield self.net.sleep(self.rank, 0.0, site="mpb_local")
 
     def read_local(self, offset: int, nbytes: int) -> bytes:
         return self.net.stores[self.rank].read_bytes(offset, nbytes)
-
-    def mpb_charge_local(self, lines: int, *, write: bool = False) -> Generator:
-        yield self.net.sleep(self.rank, 0.0, site="mpb_local")
 
     def _own(self, ref: MemRef, what: str) -> None:
         if ref.owner != self.rank:
@@ -801,30 +446,23 @@ class AsyncioTransport:
 
     # -- one-sided RMA ------------------------------------------------------
 
-    def _payload_of(self, src: "MemRef | int", nbytes: int) -> bytes:
-        """Source bytes for a put: a private-memory buffer (must be this
-        rank's) or an offset into this rank's own store (store-to-store
+    def put(
+        self, dst_rank: int, dst_offset: int, src: "MemRef | int", nbytes: int
+    ) -> Generator:
+        """Source bytes are a private-memory buffer (must be this rank's)
+        or an offset into this rank's own store (store-to-store
         forwarding, as in the one-sided ring)."""
+        dst = self.net.core_of(dst_rank)
         if isinstance(src, MemRef):
             self._own(src, "put")
             if nbytes > src.nbytes:
                 raise ValueError(f"put of {nbytes} bytes from {src.nbytes}-byte buffer")
-            return src.sub(0, nbytes).read()
-        return self.net.stores[self.rank].read_bytes(src, nbytes)
-
-    def put(
-        self, dst_rank: int, dst_offset: int, src: "MemRef | int", nbytes: int
-    ) -> Generator:
-        dst = self.net.core_of(dst_rank)
-        payload = self._payload_of(src, nbytes)
+        payload = self._local_bytes(src, nbytes)
         landed = yield self.net._write(
             self.rank, dst, dst_offset, payload, op="data",
             site=f"mpb{dst}@{dst_offset}",
         )
-        self.net.emit(
-            f"core{self.rank}", "put", dst=dst, off=dst_offset, n=nbytes,
-            landed=landed,
-        )
+        self._emit("put", dst=dst, off=dst_offset, n=nbytes, landed=landed)
 
     def get(
         self, src_rank: int, src_offset: int, dst: "MemRef | int", nbytes: int
@@ -847,234 +485,49 @@ class AsyncioTransport:
             )
             if landed != "dropped":
                 self.net._wake(self.rank)
-        self.net.emit(
-            f"core{self.rank}", "get", src=src, off=src_offset, n=nbytes,
-            landed=landed,
-        )
+        self._emit("get", src=src, off=src_offset, n=nbytes, landed=landed)
 
-    def put_acked(
-        self, dst_rank: int, dst_offset: int, src: "MemRef | int", nbytes: int,
-        *, max_retries: int = 3, policy: "RetryPolicy | None" = None,
-    ) -> Generator:
-        dst = self.net.core_of(dst_rank)
-        site = f"mpb{dst}@{dst_offset}"
-        payload = self._payload_of(src, nbytes)
-        delays = plan_delays(policy, self.rank, site, max_retries)
-        for attempt in range(len(delays) + 1):
-            if attempt and delays[attempt - 1] > 0.0:
-                yield self.net._backoff_pause(self.rank, site, delays[attempt - 1])
-            yield from self.put(dst_rank, dst_offset, src, nbytes)
-            got = yield self.net._read(self.rank, dst, dst_offset, nbytes, site=site)
-            if got == payload:
-                if attempt:
-                    self.net._ack_recovered(
-                        self.rank, "put_retry_ok", site,
-                        f"{nbytes}B re-sent x{attempt}", attempt + 1,
-                        dst=dst, off=dst_offset,
-                    )
-                return
-        raise SimTimeoutError(
-            f"rank {self.rank}: put of {nbytes} bytes to rank {dst} un-acked "
-            f"after {len(delays) + 1} attempts at t={self.now:.4f}"
-            f"{self.net._timeline_suffix()}",
-            process=f"rank{self.rank}",
-            sim_time=self.now,
-            site=site,
-        )
-
-    def get_acked(
-        self, src_rank: int, src_offset: int, dst: "MemRef | int", nbytes: int,
-        *, max_retries: int = 3, policy: "RetryPolicy | None" = None,
-    ) -> Generator:
-        src = self.net.core_of(src_rank)
-        site = f"mpb{src}@{src_offset}"
-        delays = plan_delays(policy, self.rank, site, max_retries)
-        for attempt in range(len(delays) + 1):
-            if attempt and delays[attempt - 1] > 0.0:
-                yield self.net._backoff_pause(self.rank, site, delays[attempt - 1])
-            yield from self.get(src_rank, src_offset, dst, nbytes)
-            want = yield self.net._read(self.rank, src, src_offset, nbytes, site=site)
-            if isinstance(dst, MemRef):
-                have = dst.sub(0, nbytes).read()
-            else:
-                have = self.net.stores[self.rank].read_bytes(dst, nbytes)
-            if have == want:
-                if attempt:
-                    self.net._ack_recovered(
-                        self.rank, "get_retry_ok", site,
-                        f"{nbytes}B re-fetched x{attempt}", attempt + 1,
-                        src=src, off=src_offset,
-                    )
-                return
-        raise SimTimeoutError(
-            f"rank {self.rank}: get of {nbytes} bytes from rank {src} "
-            f"unverified after {len(delays) + 1} attempts at t={self.now:.4f}"
-            f"{self.net._timeline_suffix()}",
-            process=f"rank{self.rank}",
-            sim_time=self.now,
-            site=site,
-        )
-
-    def put_bytes(
-        self, dst_rank: int, dst_offset: int, payload: bytes
+    def _store(
+        self, owner: int, off: int, payload: bytes, op: str, site: str
     ) -> Generator[object, object, str]:
-        if not payload:
-            return "ok"
-        dst = self.net.core_of(dst_rank)
         landed = yield self.net._write(
-            self.rank, dst, dst_offset, bytes(payload), op="data",
-            site=f"mpb{dst}@{dst_offset}",
-        )
-        self.net.emit(
-            f"core{self.rank}", "put_bytes", dst=dst, off=dst_offset,
-            n=len(payload), landed=landed,
+            self.rank, owner, off, payload, op=op, site=site
         )
         return landed
 
-    def get_bytes(
-        self, src_rank: int, src_offset: int, nbytes: int
+    def _load(
+        self, owner: int, off: int, nbytes: int, site: str
     ) -> Generator[object, object, bytes]:
-        if nbytes <= 0:
-            raise ValueError("get_bytes needs nbytes > 0")
-        src = self.net.core_of(src_rank)
-        payload = yield self.net._read(
-            self.rank, src, src_offset, nbytes, site=f"mpb{src}@{src_offset}"
-        )
-        return payload
+        raw = yield self.net._read(self.rank, owner, off, nbytes, site=site)
+        return raw
 
-    # -- flags --------------------------------------------------------------
+    _readback = _load  # no call overhead to leave out
 
-    def flag_set(self, owner_rank: int, flag: Flag, value: FlagValue) -> Generator:
-        yield self.net.flag_write(self.rank, self.net.core_of(owner_rank), flag, value)
+    def _verify_get(
+        self, src: int, src_offset: int, dst: "MemRef | int", nbytes: int, site: str
+    ) -> Generator[object, object, bool]:
+        """Re-read the source lines over the wire and compare them with
+        the (untimed) local deposit."""
+        want = yield self.net._read(self.rank, src, src_offset, nbytes, site=site)
+        return self._local_bytes(dst, nbytes) == want
 
-    def flag_set_acked(
-        self, owner_rank: int, flag: Flag, value: FlagValue,
-        *, max_retries: int = 3, policy: "RetryPolicy | None" = None,
-    ) -> Generator[object, object, FlagValue]:
-        got = yield self.net.flag_write_acked(
-            self.rank, self.net.core_of(owner_rank), flag, value,
-            max_retries=max_retries, policy=policy,
-        )
-        return got
+    # -- polling ------------------------------------------------------------
 
-    def flag_poll(self, flag: Flag) -> Generator[object, object, FlagValue]:
-        yield self.net.sleep(self.rank, self.t_poll, site=flag.name)
-        raw = self.net.stores[self.rank].read_bytes(flag.offset, CACHE_LINE)
-        return FlagValue.decode(raw)
+    def _poll(self, duration: float, site: str) -> Generator:
+        yield self.net.sleep(self.rank, duration, site=site)
 
-    def flag_peek(self, flag: Flag) -> FlagValue:
-        return flag.peek(self.net.chip, self.rank)
-
-    def wait_flags(
+    def _wait(
         self,
-        flags: Sequence[Flag],
-        predicate: Callable[[Sequence[FlagValue]], bool],
-        *,
-        sweep_flags: int | None = None,
-        timeout: float | None = None,
-        site: str = "",
-    ) -> Generator[object, object, list[FlagValue]]:
-        # sweep_flags shapes only the SCC's detection-delay charge.
-        vals = yield self.net.wait_flags(
-            self.rank, flags, predicate, timeout=timeout, site=site
-        )
-        return vals
-
-    def wait_flag_equals(self, flag: Flag, value: FlagValue) -> Generator:
-        yield from self.wait_flags([flag], lambda v: v[0] == value)
-
-    def wait_flag_at_least(self, flag: Flag, tag: int, seq: int) -> Generator:
-        yield from self.wait_flags(
-            [flag], lambda v: v[0].tag == tag and v[0].seq >= seq
-        )
-
-    # -- slot arrays ---------------------------------------------------------
-
-    def slot_write(
-        self, array: FlagSlotArray, owner_rank: int, slot: int, value: int
+        check: Callable[[], Any],
+        offsets: Sequence[int],
+        detect_cost: float,
+        timeout: float | None,
+        site: str,
     ) -> Generator:
-        yield self.net.slot_write(
-            self.rank, self.net.core_of(owner_rank), array, slot, value
-        )
-
-    def slot_write_acked(
-        self, array: FlagSlotArray, owner_rank: int, slot: int, value: int,
-        *, max_retries: int = 3, policy: "RetryPolicy | None" = None,
-    ) -> Generator:
-        yield self.net.slot_write_acked(
-            self.rank, self.net.core_of(owner_rank), array, slot, value,
-            max_retries=max_retries, policy=policy,
-        )
-
-    def slot_peek(self, array: FlagSlotArray, slot: int) -> int:
-        return array.peek(self.net.chip, self.rank, slot)
-
-    def slot_wait_at_least(
-        self, array: FlagSlotArray, slot: int, value: int,
-        *, timeout: float | None = None,
-    ) -> Generator[object, object, int]:
-        got = yield self.net.slot_wait_at_least(
-            self.rank, array, slot, value, timeout=timeout
-        )
+        # Every write into the own store wakes the waiter, whatever its
+        # line; spurious wake-ups only re-run ``check``.
+        got = yield self.net.wait_until(self.rank, check, timeout=timeout, site=site)
         return got
-
-    def slot_wait_any_at_least(
-        self, array: FlagSlotArray, slots: Sequence[int], value: int,
-        *, timeout: float, site: str = "",
-    ) -> Generator[object, object, int]:
-        got = yield self.net.slot_wait_any_at_least(
-            self.rank, array, slots, value, timeout=timeout, site=site
-        )
-        return got
-
-    # -- digest vote slots ----------------------------------------------------
-
-    def vote_write(
-        self, array: DigestSlotArray, owner_rank: int, slot: int, seq: int,
-        digest: int,
-    ) -> Generator:
-        yield self.net.vote_write(
-            self.rank, self.net.core_of(owner_rank), array, slot, seq, digest
-        )
-
-    def vote_write_acked(
-        self, array: DigestSlotArray, owner_rank: int, slot: int, seq: int,
-        digest: int, *, max_retries: int = 3,
-        policy: "RetryPolicy | None" = None,
-    ) -> Generator:
-        yield self.net.vote_write_acked(
-            self.rank, self.net.core_of(owner_rank), array, slot, seq, digest,
-            max_retries=max_retries, policy=policy,
-        )
-
-    def vote_peek(self, array: DigestSlotArray, slot: int) -> tuple[int, int]:
-        return array.peek(self.net.chip, self.rank, slot)
-
-    def vote_wait_quorum(
-        self, array: DigestSlotArray, seq: int, need: int,
-        *, timeout: float, site: str = "",
-    ) -> Generator[object, object, int]:
-        got = yield self.net.vote_wait_quorum(
-            self.rank, array, seq, need, timeout=timeout, site=site
-        )
-        return got
-
-    # -- two-sided (SCC-only) --------------------------------------------------
-
-    def send(self, dst_rank: int, src: MemRef, nbytes: int) -> Generator:
-        raise NotImplementedError("two-sided send/recv is SCC-backend-only")
-
-    def recv(self, src_rank: int, dst: MemRef, nbytes: int) -> Generator:
-        raise NotImplementedError("two-sided send/recv is SCC-backend-only")
-
-    def isend(self, dst_rank: int, src: MemRef, nbytes: int):
-        raise NotImplementedError("non-blocking send is SCC-backend-only")
-
-    def irecv(self, src_rank: int, dst: MemRef, nbytes: int):
-        raise NotImplementedError("non-blocking recv is SCC-backend-only")
-
-    def wait_all(self, requests) -> Generator:
-        raise NotImplementedError("non-blocking progress is SCC-backend-only")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<AsyncioTransport rank={self.rank}>"

@@ -10,17 +10,24 @@ Two levels:
 - *protocol-level*: the ``drop_flag`` scenario (one dropped doneFlag
   write, masked by the acked re-send) must change no decision on either
   backend, while both injectors report exactly one injection and at
-  least one recovery.
+  least one recovery;
+- *acked-write errors*: an acked flag / slot / vote / put whose every
+  attempt is dropped raises the same structured ``TimeoutError`` (site,
+  process, message) on both backends, and a recovered acked put records
+  its recovery under the site it would have timed out under.
 """
+
+import re
 
 import pytest
 
 from repro.faults import FaultKind, FaultPlan, FaultSpec
-from repro.transport import AsyncioNetwork
+from repro.rcce.flags import DigestSlotArray, FlagSlotArray, FlagValue
+from repro.transport import AsyncioNetwork, make_scc_world
 from repro.transport.scenarios import SCENARIOS, cached_decisions, run_scc
-from repro.scc import SccChip, SccConfig
+from repro.scc import SccChip, SccConfig, run_spmd
 from repro.faults.injector import FaultInjector
-from repro.sim import Tracer
+from repro.sim import TimeoutError as SimTimeoutError, Tracer
 
 pytestmark = pytest.mark.differential
 
@@ -153,3 +160,94 @@ def test_scc_classification_unchanged_by_refactor():
     assert record.spec.kind is FaultKind.DROP_FLAG_WRITE
     assert record.site.startswith("mpb3@")
     assert res.faults.counts["flag_write@core3"] >= 1
+
+
+# -- acked-write error parity ----------------------------------------------
+
+
+#: The write fault each acked write kind is vulnerable to.
+_DROPS = {
+    "flag": FaultKind.DROP_FLAG_WRITE,
+    "slot": FaultKind.DROP_FLAG_WRITE,
+    "vote": FaultKind.DROP_FLAG_WRITE,
+    "put": FaultKind.DROP_DATA_WRITE,
+}
+
+
+def _acked_write(kind, world):
+    """One acked write from the calling rank to peer 1, allocated
+    against ``world``'s layout: a callable ``op(cc)``."""
+    layout = world.layout
+    if kind == "flag":
+        flag = world.flag("parity")
+        return lambda cc: cc.flag_set_acked(1, flag, FlagValue(7, 1))
+    if kind == "slot":
+        slots = FlagSlotArray(layout.alloc_lines(1), 8, name="ps")
+        return lambda cc: cc.slot_write_acked(slots, 1, 0, 5)
+    if kind == "vote":
+        votes = DigestSlotArray(layout.alloc_lines(2), 8, name="pv")
+        return lambda cc: cc.vote_write_acked(votes, 1, 0, 3, 0xBEEF)
+    region = layout.alloc_lines(2)
+
+    def put(cc):
+        src = cc.alloc(64)
+        src.write(b"\x5a" * 64)
+        return cc.put_acked(1, region.offset, src, 64)
+
+    return put
+
+
+def _run_acked(backend, kind, drops):
+    """Rank 0 issues the acked write with its first ``drops`` attempts
+    into peer 1 dropped; returns (the caught TimeoutError or None, the
+    injector)."""
+    plan = FaultPlan(
+        tuple(FaultSpec(_DROPS[kind], core=1, nth=n + 1) for n in range(drops)),
+        label=f"parity-{kind}",
+    )
+    caught = []
+
+    def body(cc, op):
+        if cc.rank == 0:
+            try:
+                yield from op(cc)
+            except SimTimeoutError as exc:
+                caught.append(exc)
+        yield from cc.compute(0.0)
+
+    if backend == "scc":
+        chip, comm = make_scc_world(8, plan=plan, tracer_enabled=False)
+        op = _acked_write(kind, comm)
+        run_spmd(chip, lambda core: body(comm.attach(core), op))
+        faults = chip.faults
+    else:
+        net = AsyncioNetwork(8, plan=plan)
+        op = _acked_write(kind, net)
+        net.run(lambda cc: body(cc, op))
+        faults = net.faults
+    return (caught[0] if caught else None), faults
+
+
+@pytest.mark.parametrize("kind", ["flag", "slot", "vote", "put"])
+def test_exhausted_acked_write_raises_identically(kind):
+    """All four attempts (default ``max_retries=3``) into the peer are
+    dropped: both backends raise the same structured error."""
+    shapes = {}
+    for backend in ("scc", "asyncio"):
+        exc, _ = _run_acked(backend, kind, drops=4)
+        assert exc is not None, f"{backend}: exhausted {kind} write did not raise"
+        first_line = re.sub(r"t=[0-9.]+", "t=T", str(exc).splitlines()[0])
+        shapes[backend] = (type(exc).__name__, exc.site, exc.process, first_line)
+    assert shapes["scc"] == shapes["asyncio"]
+    assert shapes["scc"][2] == "core0"
+    assert "after 4 attempts at t=T" in shapes["scc"][3]
+
+
+@pytest.mark.parametrize("backend", ["scc", "asyncio"])
+def test_acked_put_recovers_under_its_timeout_site(backend):
+    """One dropped attempt is recovered; the recovery record carries the
+    very site string the exhausted put times out under."""
+    exc, _ = _run_acked(backend, "put", drops=4)
+    none, faults = _run_acked(backend, "put", drops=1)
+    assert none is None
+    assert [r.site for r in faults.recoveries] == [exc.site]

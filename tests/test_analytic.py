@@ -24,7 +24,6 @@ import pytest
 
 from repro.bench import BcastSpec, FaultCampaign, run_broadcast
 from repro.bench.harness import analytic_engine_for, sweep_broadcast
-from repro.bench.parallel import run_campaign_parallel
 from repro.model import TABLE_1, broadcast as model_bcast
 from repro.obs import MetricsRegistry
 from repro.scc import (
@@ -183,7 +182,7 @@ class TestAdaptiveFidelity:
 
     def test_parallel_adaptive_identical(self):
         exact = _campaign("exact").run()
-        adaptive = run_campaign_parallel(_campaign("adaptive"), jobs=2)
+        adaptive = _campaign("adaptive").run_trials(jobs=2)
         self.assert_identical(exact, adaptive)
 
     def test_byz_campaign_degrades_to_kernel(self):

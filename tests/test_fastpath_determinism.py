@@ -17,7 +17,6 @@ from repro.bench import (
     FaultCampaign,
     concurrent_access,
     run_broadcast,
-    run_campaign_parallel,
     sweep_broadcast,
     sweep_broadcast_parallel,
 )
@@ -426,7 +425,7 @@ class TestParallelRunner:
     def test_campaign_matches_serial(self):
         campaign = FaultCampaign(trials=4, seed=5, compare_baseline=False)
         serial = campaign.run()
-        fanned = run_campaign_parallel(campaign, jobs=2)
+        fanned = campaign.run_trials(jobs=2)
         assert serial == fanned
         assert fanned.timeline  # first injected trial's timeline survived
 

@@ -262,7 +262,7 @@ class TestByzantineAcceptanceCampaign:
     guard."""
 
     def test_hundred_trial_f15_mixed_campaign(self):
-        from repro.bench import FaultCampaign, default_jobs, run_campaign_parallel
+        from repro.bench import FaultCampaign, default_jobs
 
         campaign = FaultCampaign(
             trials=100,
@@ -273,7 +273,7 @@ class TestByzantineAcceptanceCampaign:
             compare_baseline=False,
             watchdog_interval=100_000.0,
         )
-        result = run_campaign_parallel(campaign, jobs=default_jobs())
+        result = campaign.run_trials(jobs=default_jobs())
         counts = result.byz_counts
         assert counts["agreed"] + counts["detected"] == 100
         assert counts["disagreement"] == 0
@@ -291,7 +291,7 @@ class TestByzantineAcceptanceCampaign:
     def test_beyond_f_adversaries_refuse_not_diverge(self):
         # f+1 = 16 adversaries exceed what the quorums tolerate: the
         # protocol must degrade to detection, never to divergence.
-        from repro.bench import FaultCampaign, default_jobs, run_campaign_parallel
+        from repro.bench import FaultCampaign, default_jobs
 
         campaign = FaultCampaign(
             trials=10,
@@ -302,7 +302,7 @@ class TestByzantineAcceptanceCampaign:
             compare_baseline=False,
             watchdog_interval=100_000.0,
         )
-        result = run_campaign_parallel(campaign, jobs=default_jobs())
+        result = campaign.run_trials(jobs=default_jobs())
         counts = result.byz_counts
         assert counts["disagreement"] == 0
         assert counts["partial"] == 0

@@ -48,7 +48,7 @@ class TestReadWrite:
         chip, comm, arr = make_array()
 
         def program(core):
-            yield from arr.write(core, owner_core=7, slot=3, value=99)
+            yield from comm.attach(core).slot_write(arr, 7, slot=3, value=99)
 
         run_spmd(chip, program, core_ids=[0])
         assert arr.peek(chip, 7, 3) == 99
@@ -59,10 +59,11 @@ class TestReadWrite:
         chip, comm, arr = make_array()
 
         def program(core):
-            yield from arr.write(core, 1, 0, 0x10000)
+            yield from comm.attach(core).slot_write(arr, 1, 0, 0x10000)
 
-        with pytest.raises(Exception):
+        with pytest.raises(Exception) as err:
             run_spmd(chip, program, core_ids=[0])
+        assert "16-bit sequence space" in str(err.value.__cause__)
 
     def test_neighbouring_writers_do_not_clobber(self):
         """Slots sharing one cache line keep independent values -- the
@@ -71,7 +72,7 @@ class TestReadWrite:
 
         def program(core):
             # Each writer core w writes slot w of core 40's array.
-            yield from arr.write(core, 40, core.id, core.id + 1)
+            yield from comm.attach(core).slot_write(arr, 40, core.id, core.id + 1)
 
         run_spmd(chip, program, core_ids=list(range(16)))  # slots share line 0
         for w in range(16):
@@ -82,15 +83,15 @@ class TestReadWrite:
         woke = {}
 
         def waiter(core):
-            got = yield from arr.wait_at_least(core, slot=5, value=3)
+            got = yield from comm.attach(core).slot_wait_at_least(arr, slot=5, value=3)
             woke["value"] = got
             woke["time"] = chip.now
 
         def setter(core):
             yield core.compute(4.0)
-            yield from arr.write(core, 0, 5, 2)  # not enough
+            yield from comm.attach(core).slot_write(arr, 0, 5, 2)  # not enough
             yield core.compute(4.0)
-            yield from arr.write(core, 0, 5, 3)  # satisfies
+            yield from comm.attach(core).slot_write(arr, 0, 5, 3)  # satisfies
 
         run_spmd(
             chip,
@@ -107,14 +108,14 @@ class TestReadWrite:
         woke = {}
 
         def waiter(core):
-            yield from arr.wait_at_least(core, slot=0, value=1)
+            yield from comm.attach(core).slot_wait_at_least(arr, slot=0, value=1)
             woke["time"] = chip.now
 
         def setter(core):
             yield core.compute(2.0)
-            yield from arr.write(core, 0, 1, 7)  # same line, wrong slot
+            yield from comm.attach(core).slot_write(arr, 0, 1, 7)  # same line, wrong slot
             yield core.compute(6.0)
-            yield from arr.write(core, 0, 0, 1)
+            yield from comm.attach(core).slot_write(arr, 0, 0, 1)
 
         run_spmd(
             chip,
@@ -137,7 +138,7 @@ def test_property_slots_hold_last_write(writes):
 
     def program(core):
         for slot, value in writes:
-            yield from arr.write(core, 1, slot, value)
+            yield from comm.attach(core).slot_write(arr, 1, slot, value)
 
     run_spmd(chip, program, core_ids=[0])
     expected = {}

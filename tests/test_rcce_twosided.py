@@ -164,10 +164,11 @@ class TestConcurrentPartners:
         st = comm.twosided
 
         def program(core):
-            yield from st.sent.write(core, 1, 0, 70000)
+            yield from comm.attach(core).slot_write(st.sent, 1, 0, 70000)
 
-        with pytest.raises(Exception):
+        with pytest.raises(Exception) as err:
             run_spmd(chip, program, core_ids=[0])
+        assert "16-bit sequence space" in str(err.value.__cause__)
 
 
 class TestValidation:
