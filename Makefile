@@ -58,7 +58,9 @@ bench:
 perf:
 	$(PYTHON) benchmarks/perf_report.py --label current
 
-## Compare a fresh (quick) measurement against the committed baseline.
+## Compare a fresh (quick) measurement against the committed baseline,
+## then print the count-based structural guards (EXACT event budget, L1
+## runs per core after a streamed broadcast, fragmented-L1 ops/access).
 perf-check:
 	$(PYTHON) benchmarks/perf_check.py
 

@@ -25,6 +25,13 @@ whole-transfer coalescing must keep it at a few events per put/get
 (1,834 today; 55,414 with one run per cache line) -- exact, noise-free,
 and it trips the moment the multi-leg run stops engaging.
 
+Two more counts guard the run-length L1 (``repro.scc.memory``): a
+streamed 1,024-cache-line BATCH OC-Bcast must leave every core's L1 as
+at most two address runs (one per buffer it streamed), and on an L1
+fragmented into ``l1_lines`` single-line runs a point access must cost a
+bounded number of interpreter steps -- the run lookup is a bisection,
+never a scan of the runs.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/perf_check.py
@@ -35,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from perf_report import RESULTS_PATH, measure
@@ -83,6 +91,27 @@ def resilience_tax_pct() -> float:
     return (adaptive / fixed - 1.0) * 100.0
 
 
+def _broadcast_once(algo: str, cache_lines: int, mode_name: str):
+    """One broadcast of a fresh ``cache_lines``-line buffer from core 0 on
+    the 48-core chip (OC-Bcast with k=7); returns the chip afterwards."""
+    from repro.bench import BcastSpec
+    from repro.rcce import Comm
+    from repro.scc import ContentionMode, SccChip, SccConfig, run_spmd
+    from repro.scc.config import CACHE_LINE
+
+    nbytes = cache_lines * CACHE_LINE
+    chip = SccChip(SccConfig(contention_mode=ContentionMode[mode_name]))
+    comm = Comm(chip)
+    bcast = BcastSpec(algo, k=7).build(comm)
+
+    def program(core):
+        cc = comm.attach(core)
+        yield from bcast(cc, 0, cc.alloc(nbytes), nbytes)
+
+    run_spmd(chip, program)
+    return chip
+
+
 #: Ceiling on kernel events for the uncontended EXACT broadcast below.
 MAX_EXACT_BINOMIAL_EVENTS = 5_000
 
@@ -90,22 +119,59 @@ MAX_EXACT_BINOMIAL_EVENTS = 5_000
 def exact_binomial_events() -> int:
     """``Simulator.events_scheduled`` of one binomial 96-cache-line EXACT
     broadcast on the 48-core chip.  Deterministic."""
-    from repro.bench import BcastSpec
-    from repro.rcce import Comm
-    from repro.scc import ContentionMode, SccChip, SccConfig, run_spmd
-    from repro.scc.config import CACHE_LINE
+    return _broadcast_once("binomial", 96, "EXACT").sim.events_scheduled
 
-    nbytes = 96 * CACHE_LINE
-    chip = SccChip(SccConfig(contention_mode=ContentionMode.EXACT))
-    comm = Comm(chip)
-    bcast = BcastSpec("binomial").build(comm)
 
-    def program(core):
-        cc = comm.attach(core)
-        yield from bcast(cc, 0, cc.alloc(nbytes), nbytes)
+#: Ceiling on resident runs per core after the streamed broadcast below.
+MAX_STREAM_L1_RUNS = 2
 
-    run_spmd(chip, program)
-    return chip.sim.events_scheduled
+
+def stream_l1_runs() -> int:
+    """The most runs any core's L1 holds after one 1,024-cache-line BATCH
+    OC-Bcast (k=7) on the 48-core chip.  Deterministic."""
+    chip = _broadcast_once("oc", 1024, "BATCH")
+    return max(len(core.l1.resident_runs()) for core in chip.cores)
+
+
+#: Bytecode instructions allowed per point access, per doubling of the
+#: run count (an access costs ~300 whatever the fragmentation; scanning
+#: the runs in Python would cost several per run).
+L1_OPS_PER_LOG2_RUNS = 64
+
+
+def fragmented_l1_ops_per_access() -> tuple[int, float]:
+    """Fragment a default-sized L1 into single-line runs with a stride-2
+    sweep over ``2 * l1_lines`` addresses, then count the bytecode
+    instructions of a second sweep that misses (each access evicts one
+    run and inserts another) and a third that hits (each access moves a
+    run to the MRU end).  Returns ``(runs, instructions per access)``.
+    Deterministic for one interpreter version."""
+    from repro.scc import L1Cache, SccConfig
+
+    cap = SccConfig().l1_lines
+    l1 = L1Cache(cap)
+
+    def sweep(first: int) -> None:
+        for line in range(first, first + 2 * cap, 2):
+            l1.access(line)
+
+    ops = 0
+
+    def count(frame, event, arg):
+        nonlocal ops
+        frame.f_trace_opcodes = True
+        if event == "opcode":
+            ops += 1
+        return count
+
+    sweep(0)
+    sys.settrace(count)
+    try:
+        sweep(2 * cap)
+        sweep(2 * cap)
+    finally:
+        sys.settrace(None)
+    return len(l1.resident_runs()), ops / (2 * cap)
 
 
 def main(argv=None) -> int:
@@ -193,6 +259,23 @@ def main(argv=None) -> int:
           f"{'ok' if events_ok else 'REGRESSED'}")
     if not events_ok:
         failed.append("exact_binomial_events")
+
+    runs = stream_l1_runs()
+    runs_ok = runs <= MAX_STREAM_L1_RUNS
+    print(f"{'stream l1 runs per core':<{width}}  {runs:>12d}  vs "
+          f"{MAX_STREAM_L1_RUNS:>12d}  "
+          f"{'ok' if runs_ok else 'REGRESSED'}")
+    if not runs_ok:
+        failed.append("stream_l1_runs")
+
+    frag_runs, frag_ops = fragmented_l1_ops_per_access()
+    frag_budget = L1_OPS_PER_LOG2_RUNS * math.log2(frag_runs)
+    frag_ok = frag_ops <= frag_budget
+    print(f"{'fragmented l1 ops/access':<{width}}  {frag_ops:>12.1f}  vs "
+          f"{frag_budget:>12.1f}  "
+          f"{'ok' if frag_ok else 'REGRESSED'}  ({frag_runs} runs)")
+    if not frag_ok:
+        failed.append("fragmented_l1_ops")
 
     # Structural guard: the whole point of ANALYTIC mode is integer-factor
     # campaign speedups, so the adaptive fault-free path must stay >= 20x

@@ -303,11 +303,9 @@ class Core:
             else:
                 snap = l1.snapshot()
                 hit = (rest, cfg.t_l1_hit)
-                access = l1.access
-                reads = [
-                    hit if access(line) else miss
-                    for line in range(line0 + 1, line0 + n)
-                ]
+                reads = []
+                for was_hit, count in l1.touch(range(line0 + 1, line0 + n)):
+                    reads += (hit if was_hit else miss,) * count
             cycles = (*reads, (rest,))
         t = self.sim.now
         run_ev = port.try_begin_cycles(service, cycles)
@@ -316,12 +314,10 @@ class Core:
         mem_legs = done if not write else min(done, n - 1)
         if l1 is not None:
             if not write:  # write-allocate, as mem_write does
-                for line in range(line0, line0 + done):
-                    l1.access(line)
+                l1.touch(range(line0, line0 + done))
             elif done < n:
                 l1.restore(snap)
-                for line in range(line0 + 1, line0 + 1 + mem_legs):
-                    l1.access(line)
+                l1.touch(range(line0 + 1, line0 + 1 + mem_legs))
         stats = self.stats
         stats.mpb_lines += done
         stats.mem_lines += mem_legs
@@ -349,9 +345,12 @@ class Core:
         if self.l1 is not None:
             hit_cost = self.config.t_l1_hit
             miss_cost = self._mem_read_cost
-            access = self.l1.access
-            for line in lines:
-                total += hit_cost if access(line) else miss_cost
+            # One float addition per line, in line order: the sum is not
+            # ``count * cost`` to the last bit.
+            for was_hit, count in self.l1.touch(lines):
+                cost = hit_cost if was_hit else miss_cost
+                for _ in range(count):
+                    total += cost
         else:
             total += len(lines) * self._mem_read_cost
         total = self.jittered(total)
@@ -368,9 +367,7 @@ class Core:
             )
         lines = ref.line_addrs()  # computed once, reused below
         if self.l1 is not None:
-            access = self.l1.access
-            for line in lines:
-                access(line)
+            self.l1.touch(lines)
         total = self.jittered(len(lines) * self._mem_write_cost + self._fault_overhead())
         self.stats.mem_lines += len(lines)
         self.stats.mem_time += total

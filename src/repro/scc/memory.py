@@ -11,55 +11,179 @@ with zero cost").
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from bisect import bisect_left, bisect_right
 
 from .config import CACHE_LINE, SccConfig
 
 
+class _Run:
+    """Resident lines ``[start, stop)`` whose recency order is their
+    address order (``start`` least recent), one link of the LRU ring."""
+
+    __slots__ = ("start", "stop", "prev", "next")
+
+    def __init__(
+        self, start: int, stop: int, prev: "_Run | None", next: "_Run | None"
+    ) -> None:
+        self.start = start
+        self.stop = stop
+        self.prev = prev or self
+        self.next = next or self
+
+
+#: Resident ``[start, stop)`` line runs, least recently used first.
+Spans = tuple[tuple[int, int], ...]
+
+
 class L1Cache:
-    """Presence-only LRU cache model at cache-line granularity.
+    """Presence-only LRU cache model at cache-line granularity, held as
+    runs of consecutive lines.
 
     We track only which line addresses are resident; data always lives in
     the backing :class:`PrivateMemory` (conceptually write-through, which
     matches the model's choice to keep ``o_mem_w`` on every write).
+
+    Transfers stream contiguous buffers, so the resident set is a handful
+    of address runs, not hundreds of unrelated lines.  It is kept as a
+    ring of :class:`_Run` in recency order (a run's own lines are in
+    address order) plus the runs sorted by start address, and
+    :meth:`touch` moves a whole range through it in O(runs touched)
+    steps of O(log runs) each.  Hits, misses, evictions and the LRU
+    order are exactly those of touching the lines one by one.
     """
 
     def __init__(self, capacity_lines: int) -> None:
         if capacity_lines < 1:
             raise ValueError("L1 capacity must be >= 1 line")
         self.capacity = capacity_lines
-        self._lines: OrderedDict[int, None] = OrderedDict()
         self.hits = 0
         self.misses = 0
+        self._size = 0
+        #: Ring sentinel: ``_root.next`` is the LRU run, ``_root.prev``
+        #: the MRU run, the sentinel itself (empty) when nothing is resident.
+        self._root = _Run(0, 0, None, None)
+        #: The runs by ascending start address, and those starts.
+        self._runs: list[_Run] = []
+        self._starts: list[int] = []
 
     def access(self, line_addr: int) -> bool:
         """Touch one line; returns True on hit.  Misses allocate (LRU)."""
-        if line_addr in self._lines:
-            self._lines.move_to_end(line_addr)
-            self.hits += 1
-            return True
-        self.misses += 1
-        self._lines[line_addr] = None
-        if len(self._lines) > self.capacity:
-            self._lines.popitem(last=False)
-        return False
+        return self.touch(range(line_addr, line_addr + 1))[0][0]
+
+    def touch(self, lines: range) -> list[tuple[bool, int]]:
+        """Touch ``lines`` (consecutive addresses) in order, as
+        :meth:`access` on each would; returns the outcome as ordered
+        ``(hit, count)`` segments covering the range."""
+        if lines.step != 1:
+            raise ValueError(f"L1 ranges must be consecutive lines, got {lines!r}")
+        p, stop = lines.start, lines.stop
+        root, runs, starts = self._root, self._runs, self._starts
+        segments: list[tuple[bool, int]] = []
+        while p < stop:
+            i = bisect_right(starts, p)  # runs[:i] start at or before p
+            hit = i > 0 and p < runs[i - 1].stop
+            if hit:
+                run = runs[i - 1]
+                end = run.stop if run.stop < stop else stop
+                # The tail of the MRU run is already where it belongs.
+                if run is not root.prev or end != run.stop:
+                    self._append(self._remove(i - 1, run, p, end), p, end)
+                self.hits += end - p
+            else:
+                # Misses up to the next resident line, and no further than
+                # the LRU run can pay for in evictions: what they evict may
+                # lie ahead in ``lines``, so the next step looks again.
+                end = starts[i] if i < len(starts) and starts[i] < stop else stop
+                over = self._size + end - p - self.capacity
+                if over > 0:
+                    lru = root.next
+                    evictable = lru.stop - lru.start
+                    if over > evictable:
+                        end -= over - evictable
+                        over = evictable
+                self._append(i, p, end)
+                if over > 0:
+                    self._remove(
+                        bisect_left(starts, lru.start), lru, lru.start, lru.start + over
+                    )
+                self.misses += end - p
+            if segments and segments[-1][0] == hit:
+                segments[-1] = (hit, segments[-1][1] + end - p)
+            else:
+                segments.append((hit, end - p))
+            p = end
+        return segments
+
+    def _append(self, i: int, start: int, stop: int) -> None:
+        """Make the non-resident lines ``[start, stop)`` the most recent;
+        ``i`` is where a run starting at ``start`` sorts among the runs."""
+        self._size += stop - start
+        root = self._root
+        mru = root.prev
+        if mru.stop == start and mru is not root:
+            mru.stop = stop
+            return
+        mru.next = root.prev = run = _Run(start, stop, mru, root)
+        self._starts.insert(i, start)
+        self._runs.insert(i, run)
+
+    def _remove(self, i: int, run: _Run, start: int, stop: int) -> int:
+        """Drop ``[start, stop)``, part of ``run == self._runs[i]``; what
+        is left of the run keeps its place in the recency order.  Returns
+        where a run starting at ``start`` now sorts among the runs."""
+        self._size -= stop - start
+        if start == run.start:
+            if stop == run.stop:
+                run.prev.next, run.next.prev = run.next, run.prev
+                del self._starts[i]
+                del self._runs[i]
+            else:
+                run.start = self._starts[i] = stop
+            return i
+        if stop < run.stop:
+            run.next.prev = run.next = upper = _Run(stop, run.stop, run, run.next)
+            self._starts.insert(i + 1, stop)
+            self._runs.insert(i + 1, upper)
+        run.stop = start
+        return i + 1
 
     def contains(self, line_addr: int) -> bool:
-        return line_addr in self._lines
+        i = bisect_right(self._starts, line_addr) - 1
+        return i >= 0 and line_addr < self._runs[i].stop
 
     def invalidate(self) -> None:
-        self._lines.clear()
+        self._size = 0
+        self._root.prev = self._root.next = self._root
+        self._runs.clear()
+        self._starts.clear()
 
-    def snapshot(self) -> tuple[OrderedDict[int, None], int, int]:
-        """The full state (resident lines in LRU order, counters), for
-        :meth:`restore` to roll speculative accesses back."""
-        return self._lines.copy(), self.hits, self.misses
+    def resident_runs(self) -> Spans:
+        """The resident ``[start, stop)`` runs, LRU first."""
+        spans = []
+        run = self._root.next
+        while run is not self._root:
+            spans.append((run.start, run.stop))
+            run = run.next
+        return tuple(spans)
 
-    def restore(self, snap: tuple[OrderedDict[int, None], int, int]) -> None:
-        self._lines, self.hits, self.misses = snap
+    def resident_lines(self) -> list[int]:
+        """Every resident line address, LRU first."""
+        return [line for span in self.resident_runs() for line in range(*span)]
+
+    def snapshot(self) -> tuple[Spans, int, int]:
+        """The full state (resident runs in LRU order, counters), for
+        :meth:`restore` to roll speculative accesses back.  Immutable, so
+        one snapshot can be restored any number of times."""
+        return self.resident_runs(), self.hits, self.misses
+
+    def restore(self, snap: tuple[Spans, int, int]) -> None:
+        spans, self.hits, self.misses = snap
+        self.invalidate()
+        for start, stop in spans:
+            self._append(bisect_left(self._starts, start), start, stop)
 
     def __len__(self) -> int:
-        return len(self._lines)
+        return self._size
 
 
 class MemRef:

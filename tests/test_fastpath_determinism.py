@@ -206,7 +206,7 @@ def _chip_state(chip, res, tracer=None):
         "trace": tuple(tracer.records) if tracer is not None else (),
         "finish": res.finish_times,
         "stats": [c.stats.as_dict() for c in chip.cores],
-        "l1": [(c.l1.hits, c.l1.misses, tuple(c.l1._lines)) for c in chip.cores],
+        "l1": [(c.l1.hits, c.l1.misses, tuple(c.l1.resident_lines())) for c in chip.cores],
         "ports": [
             (m.port.total_acquisitions, m.port.total_wait_time)
             for m in chip.mpbs

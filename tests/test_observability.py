@@ -207,6 +207,36 @@ class TestChipHarvest:
         # Wait histogram observed one sample per port grant.
         assert flat["mpb.port.wait_us.count"] == flat["mpb.port.acquisitions.total"]
 
+    def test_l1_hits_and_misses_are_harvested(self):
+        """Formula 14's "L1 ~ 0" term as a number: streaming a fresh
+        buffer never hits; re-sending one the L1 still holds does."""
+
+        def harvest(algo, sends):
+            chip = SccChip(SccConfig(mesh_cols=2, mesh_rows=2))
+            comm = Comm(chip)
+            bcast = BcastSpec(algo, k=3).build(comm)
+            nbytes = 8 * CACHE_LINE
+
+            def program(core):
+                cc = comm.attach(core)
+                buf = cc.alloc(nbytes)
+                for _ in range(sends):
+                    yield from bcast(cc, 0, buf, nbytes)
+
+            run_spmd(chip, program)
+            flat = collect_chip_metrics(chip).flat()
+            assert flat["l1.hits.total"] == sum(
+                flat[f"l1.{c.id}.hits"] for c in chip.cores)
+            return flat
+
+        fresh = harvest("oc", sends=1)
+        assert fresh["l1.hits.total"] == 0.0
+        assert fresh["l1.misses.total"] == fresh["core.mem_lines.total"] > 0
+        resent = harvest("binomial", sends=2)
+        assert resent["l1.hits.total"] > 0
+        assert (resent["l1.hits.total"] + resent["l1.misses.total"]
+                == resent["core.mem_lines.total"])
+
     def test_collect_into_external_registry(self):
         chip = SccChip(SccConfig())
         reg = MetricsRegistry()
