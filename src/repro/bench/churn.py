@@ -43,16 +43,16 @@ from typing import Generator
 import numpy as np
 
 from ..core import OcBcastConfig
-from ..faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
+from ..faults import FaultKind, FaultPlan, FaultSpec
 from ..member.heartbeat import MembershipConfig
-from ..member.service import DEFAULT_SERVICE_OC, OcBcastService
+from ..member.service import OcBcastService
 from ..obs import InvariantChecker, MetricsRegistry
 from ..rcce import Comm
 from ..resilience import DetectorConfig, OverloadError, RetryPolicy
-from ..scc import SccChip, SccConfig, run_spmd
+from ..scc import SccConfig
 from ..scc.config import CACHE_LINE
-from ..sim import DeadlockError, FaultInjected, SimError, Tracer, WatchdogError
-from ..sim.errors import TimeoutError as SimTimeoutError
+from ..sim import FaultInjected
+from ..transport.world import WorldRun, mode_config, run_world, scc_world
 
 #: Trial classifications, in reporting order.  ``survived`` and
 #: ``refused`` are the clean terminations; ``false_evict`` terminated
@@ -264,10 +264,8 @@ class ChurnCampaign:
         return MembershipConfig()
 
     def _oc_config(self, adaptive: bool) -> OcBcastConfig:
-        base = replace(
-            DEFAULT_SERVICE_OC,
-            k=self.k,
-            chunk_lines=self.chunk_lines,
+        base = mode_config(
+            "service", k=self.k, chunk_lines=self.chunk_lines,
             num_buffers=self.num_buffers,
         )
         if adaptive:
@@ -289,10 +287,8 @@ class ChurnCampaign:
 
     def profile_sites(self) -> dict[str, int]:
         """Candidate-site counts from one fault-free adaptive run."""
-        injector = FaultInjector(FaultPlan())
-        chip = SccChip(self.config, faults=injector)
-        self._drive(chip, adaptive=True)
-        return injector.profile()
+        run = self._drive(self._world(plan=FaultPlan()), adaptive=True)
+        return run.check().faults.profile()
 
     def trial_plans(self) -> list[FaultPlan]:
         """Per-trial plans -- a pure function of the seed and the
@@ -334,14 +330,18 @@ class ChurnCampaign:
         resilience-tax probe: both legs replay the same seeded
         payloads, so the ratio isolates the detector + policy
         bookkeeping.  Deterministic."""
-        chip = SccChip(self.config)
-        return self._drive(chip, adaptive=adaptive).end_time
+        return self._drive(self._world(), adaptive=adaptive).check().latency
 
-    def _drive(self, chip: SccChip, *, adaptive: bool):
-        """Run ``broadcasts`` consecutive service broadcasts; returns
-        the SPMD result (per-rank ``(status, completed)`` values plus
-        the end time)."""
-        comm = Comm(chip)
+    def _world(self, **arming) -> Comm:
+        """A fresh watchdog-guarded chip (``arming``: the ``plan`` /
+        ``trace`` / ``metrics`` of :func:`repro.transport.world.scc_world`)."""
+        return scc_world(
+            self.config, watchdog_us=self.watchdog_interval, **arming
+        )
+
+    def _drive(self, comm: Comm, *, adaptive: bool) -> WorldRun:
+        """Run ``broadcasts`` consecutive service broadcasts; the
+        per-rank values are ``(status, completed)`` pairs."""
         svc = OcBcastService(
             comm,
             root=self.root,
@@ -354,8 +354,7 @@ class ChurnCampaign:
         payloads = self._payloads()
         nbytes, root, broadcasts = self.nbytes, self.root, self.broadcasts
 
-        def program(core) -> Generator:
-            cc = comm.attach(core)
+        def body(cc) -> Generator:
             buf = cc.alloc(nbytes)
             done = 0
             for b in range(broadcasts):
@@ -376,23 +375,19 @@ class ChurnCampaign:
                 done += 1
             return ("ok", done)
 
-        chip.sim.start_watchdog(self.watchdog_interval)
-        return run_spmd(chip, program)
+        return run_world(comm, body)
 
     def run_one(self, plan: FaultPlan, *, adaptive: bool) -> ChurnTrial:
         """Run one trial plan against one configuration and classify."""
-        injector = FaultInjector(plan)
-        metrics = MetricsRegistry()
+        check_i8 = adaptive and self.check_i8
+        comm = self._world(
+            plan=plan, metrics=MetricsRegistry(), trace=check_i8
+        )
         checker = None
-        tracer = None
-        if adaptive and self.check_i8:
-            tracer = Tracer(enabled=True)
-        chip = SccChip(self.config, faults=injector, metrics=metrics,
-                       tracer=tracer)
-        if tracer is not None:
+        if check_i8:
             # Faults are armed on purpose: only the membership promise
             # (I8) and the protocol invariants are on trial, not I1.
-            checker = InvariantChecker(lossless=False).attach(chip)
+            checker = InvariantChecker(lossless=False).attach(comm.chip)
         crashed_by_plan = {
             s.core for s in plan.specs if s.kind in _CRASH_KINDS
         }
@@ -405,20 +400,16 @@ class ChurnCampaign:
                 if v.invariant == "no-false-eviction"
             )
 
-        try:
-            vals = self._drive(chip, adaptive=adaptive).values
-        except SimError as exc:
-            cause = exc if exc.__cause__ is None else exc.__cause__
-            if isinstance(cause, (WatchdogError, DeadlockError,
-                                  SimTimeoutError)):
-                return ChurnTrial(
-                    outcome="stalled", completed=0,
-                    n_injected=injector.n_injected,
-                    n_false_evicted=0, n_refused=0,
-                    n_i8_violations=i8_count(),
-                    detail=f"{type(cause).__name__}: {cause}",
-                )
-            raise
+        run = self._drive(comm, adaptive=adaptive)
+        if run.status in ("deadlock", "timeout"):
+            return ChurnTrial(
+                outcome="stalled", completed=0,
+                n_injected=run.faults.n_injected,
+                n_false_evicted=0, n_refused=0,
+                n_i8_violations=i8_count(),
+                detail=f"{type(run.error).__name__}: {run.error}",
+            )
+        vals = run.check().values
         statuses = [v[0] for v in vals]
         refused = [r for r, s in enumerate(statuses) if s == "refused"]
         false_evicted = [
@@ -443,7 +434,7 @@ class ChurnCampaign:
         return ChurnTrial(
             outcome=outcome,
             completed=completed,
-            n_injected=injector.n_injected,
+            n_injected=run.faults.n_injected,
             n_false_evicted=len(false_evicted),
             n_refused=len(refused),
             n_i8_violations=i8_count(),

@@ -33,25 +33,24 @@ from __future__ import annotations
 import random
 import zlib
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from typing import Generator, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
-import numpy as np
-
-from ..core import OcBcast, OcBcastConfig, PropagationTree
+from ..core import OcBcastConfig, PropagationTree
 from ..faults import (
-    ADVERSARY_KINDS, CRASH_SITES, FaultInjector, FaultKind, FaultPlan,
-    FaultSpec,
+    ADVERSARY_KINDS, CRASH_SITES, FaultKind, FaultPlan, FaultSpec,
 )
-from ..member.service import DEFAULT_SERVICE_OC, OcBcastService
+from ..faults.plan import CATEGORY_OF
 from ..obs import MetricsRegistry
-from ..rcce import Comm
-from ..scc import SccChip, SccConfig, run_spmd
+from ..scc import SccConfig
 from ..scc.analytic import AnalyticEngine, AnalyticUnsupported
 from ..scc.config import CACHE_LINE
-from ..sim import DeadlockError, FaultInjected, SimError, Tracer, WatchdogError
-from ..sim.errors import TimeoutError as SimTimeoutError
+from ..sim import WatchdogError
 from ..sim.trace import TraceRecord
+from ..transport.world import (
+    WorldRun, bcast_body, mode_config, run_world, scc_world, seeded_payload,
+)
 
 #: Trial classifications, in reporting order.  ``aborted`` is a
 #: service-only outcome: the source died with no surviving payload
@@ -123,10 +122,6 @@ class TrialRun:
     #: acked -- both previously invisible outside the trace.
     n_self_evict: int = 0
     n_report_failed: int = 0
-
-    @property
-    def finished(self) -> bool:
-        return self.outcome in ("delivered", "recovered", "corrupt")
 
 
 @dataclass(frozen=True)
@@ -282,13 +277,7 @@ class CampaignResult:
                 f"{100.0 * self.byz_agreement_rate:.1f}% "
                 f"(disagreements: {self.byz_counts.get('disagreement', 0)})",
             ]
-            ttd = self.byz_ttd_summary()
-            if ttd["count"]:
-                lines.append(
-                    f"time-to-detect:  n={ttd['count']:.0f} "
-                    f"mean={ttd['mean']:.0f} us "
-                    f"[{ttd['min']:.0f}, {ttd['max']:.0f}]"
-                )
+            lines += _time_line("time-to-detect: ", self.byz_ttd_summary())
             return "\n".join(lines)
 
         headers = ["outcome", "FT"]
@@ -335,26 +324,9 @@ class CampaignResult:
                 "service survival rate: "
                 f"{100.0 * self.service_survival_rate:.1f}%"
             )
-            ttd, ttr = self.ttd_summary(), self.ttr_summary()
-            if ttd["count"]:
-                lines.append(
-                    f"time-to-detect:  n={ttd['count']:.0f} "
-                    f"mean={ttd['mean']:.0f} us "
-                    f"[{ttd['min']:.0f}, {ttd['max']:.0f}]"
-                )
-            if ttr["count"]:
-                lines.append(
-                    f"time-to-repair:  n={ttr['count']:.0f} "
-                    f"mean={ttr['mean']:.0f} us "
-                    f"[{ttr['min']:.0f}, {ttr['max']:.0f}]"
-                )
-            tte = self.tte_summary()
-            if tte["count"]:
-                lines.append(
-                    f"time-to-elect:   n={tte['count']:.0f} "
-                    f"mean={tte['mean']:.0f} us "
-                    f"[{tte['min']:.0f}, {tte['max']:.0f}]"
-                )
+            lines += _time_line("time-to-detect: ", self.ttd_summary())
+            lines += _time_line("time-to-repair: ", self.ttr_summary())
+            lines += _time_line("time-to-elect:  ", self.tte_summary())
             n_self_evict = sum(
                 t.service.n_self_evict for t in self.trials
                 if t.service is not None
@@ -380,6 +352,79 @@ def _describe(xs: list[float]) -> dict[str, float]:
         "min": min(xs),
         "max": max(xs),
     }
+
+
+def _time_line(label: str, stats: dict[str, float]) -> list[str]:
+    """The summary line of one time-to-X statistic (none without samples)."""
+    if not stats["count"]:
+        return []
+    return [
+        f"{label} n={stats['count']:.0f} mean={stats['mean']:.0f} us "
+        f"[{stats['min']:.0f}, {stats['max']:.0f}]"
+    ]
+
+
+def _mean(metrics: MetricsRegistry, name: str) -> float | None:
+    h = metrics.histograms.get(name)
+    return h.mean if h is not None and h.count else None
+
+
+def _count(metrics: MetricsRegistry, name: str) -> int:
+    c = metrics.counters.get(name)
+    return int(c.value) if c is not None else 0
+
+
+def _classify(values: tuple, src_crc: int, n_injected: int) -> tuple[str, str]:
+    """(outcome, detail) of a finished FT / baseline / service run from
+    its per-rank values (:func:`repro.transport.world.bcast_body`)."""
+    n_ok = values.count(("ok", src_crc))
+    n_bad = sum(1 for v in values if isinstance(v, tuple)) - n_ok
+    n_aborted = values.count("aborted")
+    if n_bad:
+        return "corrupt", f"{n_bad} core(s) hold wrong bytes"
+    if n_aborted:
+        if n_ok:
+            # Uniform agreement broken: deliverers and aborters
+            # coexist -- as bad as wrong bytes.
+            return "corrupt", (
+                f"non-uniform outcome: {n_ok} delivered, {n_aborted} aborted"
+            )
+        return "aborted", f"uniform abort by {n_aborted} live member(s)"
+    if not n_injected:
+        return "delivered", ""
+    parts = [
+        f"{n} {what}"
+        for what in ("crashed", "evicted") if (n := values.count(what))
+    ]
+    return "recovered", (
+        ", ".join(parts) + ", survivors delivered" if parts else ""
+    )
+
+
+def _classify_byz(
+    plan: FaultPlan, values: tuple, src_crc: int
+) -> tuple[str, str]:
+    """(outcome, detail) of a finished Byzantine run, over *honest*
+    members only."""
+    adversary = {s.core for s in plan.specs if s.kind in ADVERSARY_KINDS}
+    honest = [v for r, v in enumerate(values) if r not in adversary]
+    ok_crcs = {v[1] for v in honest if isinstance(v, tuple)}
+    n_ok = sum(1 for v in honest if isinstance(v, tuple))
+    n_det = honest.count("detected")
+    if len(ok_crcs) > 1:
+        return "disagreement", (
+            f"honest members delivered {len(ok_crcs)} distinct payloads"
+        )
+    if n_ok == len(honest):
+        return "agreed", (
+            "source value" if ok_crcs == {src_crc} else "attacker variant"
+        )
+    if n_ok == 0 and n_det == len(honest):
+        return "detected", f"uniform refusal by {n_det} honest member(s)"
+    return "partial", (
+        f"{n_ok} delivered, {n_det} refused, "
+        f"{len(honest) - n_ok - n_det} other"
+    )
 
 
 @dataclass(frozen=True)
@@ -515,35 +560,64 @@ class FaultCampaign:
                     f"a Byzantine campaign needs 1 <= adversaries < "
                     f"{size} cores, got {self.adversaries}"
                 )
+        elif stray := [k.value for k in self.kinds if k in ADVERSARY_KINDS]:
+            raise ValueError(
+                f"{stray[0]} needs byz=True: only the Byzantine-tolerant "
+                f"service consults adversary hooks, so it would never fire"
+            )
 
     # -- building blocks -----------------------------------------------------
 
-    def _oc_config(self, ft: bool) -> OcBcastConfig:
-        return OcBcastConfig(
+    @property
+    def _legs(self) -> tuple[str, ...]:
+        """The protocol modes every trial runs, first the one whose
+        injections make the campaign's fault timeline."""
+        if self.byz:
+            return ("byz",)
+        return (
+            ("ft",)
+            + (("baseline",) if self.compare_baseline else ())
+            + (("service",) if self.service else ())
+        )
+
+    def _oc_config(self, mode: str) -> OcBcastConfig:
+        return mode_config(
+            mode,
             k=self.k,
             chunk_lines=self.chunk_lines,
             num_buffers=self.num_buffers,
-            ft=ft,
             ft_max_retries=self.ft_max_retries,
             # Acked data puts only pay off when data writes can be faulted.
             ft_ack_data=FaultKind.DROP_DATA_WRITE in self.kinds,
         )
 
-    def _service_oc_config(self) -> OcBcastConfig:
-        return replace(
-            DEFAULT_SERVICE_OC,
-            k=self.k,
-            chunk_lines=self.chunk_lines,
-            num_buffers=self.num_buffers,
-            ft_max_retries=self.ft_max_retries,
-        )
-
-    def _byz_oc_config(self) -> OcBcastConfig:
-        return replace(self._service_oc_config(), byz=True)
+    @cached_property
+    def _source(self) -> tuple[bytes, int]:
+        """The payload and its CRC-32: pure in ``(seed, nbytes)``, so
+        drawn once per campaign rather than once per trial."""
+        payload = seeded_payload(self.seed, self.nbytes)
+        return payload, zlib.crc32(payload)
 
     def _payload(self) -> bytes:
-        rng = np.random.default_rng(self.seed)
-        return rng.integers(0, 256, size=self.nbytes, dtype=np.uint8).tobytes()
+        return self._source[0]
+
+    def _run_mode(self, mode: str, plan: FaultPlan | None, **arming) -> WorldRun:
+        """One broadcast in ``mode`` on a fresh chip under ``plan``
+        (``arming``: ``trace`` / ``metrics`` / ``watchdog_us``)."""
+        comm = scc_world(self.config, plan=plan, **arming)
+        body = bcast_body(
+            comm, self._oc_config(mode), self._payload(), root=self.root
+        )
+        return run_world(comm, body)
+
+    def _fault_free(self, mode: str, plan: FaultPlan | None = None) -> WorldRun:
+        """A reference run that must deliver: no watchdog and, unless a
+        (site-counting, empty) ``plan`` is given, no injector either --
+        an attached injector switches transfer coalescing off."""
+        run = self._run_mode(mode, plan).check()
+        if set(run.values) != {("ok", self._source[1])}:
+            raise AssertionError(f"fault-free {mode} run did not deliver")
+        return run
 
     def run_one(
         self,
@@ -565,200 +639,55 @@ class FaultCampaign:
         results are worthless by definition.  Returns the classified run
         plus (when ``trace``) the fault-relevant trace records.
         """
-        tracer = Tracer(enabled=trace)
-        injector = FaultInjector(plan)
-        metrics = MetricsRegistry() if (service or byz) else None
-        chip = SccChip(
-            self.config, tracer=tracer, faults=injector, metrics=metrics
+        mode = "byz" if byz else "service" if service else \
+            "ft" if ft else "baseline"
+        return self._run_leg(mode, plan, trace=trace)
+
+    def _run_leg(
+        self, mode: str, plan: FaultPlan, *, trace: bool = False
+    ) -> tuple[TrialRun, tuple[TraceRecord, ...]]:
+        """:meth:`run_one` by leg name (one of :attr:`_legs`' modes)."""
+        byz = mode == "byz"
+        metrics = MetricsRegistry() if mode in ("service", "byz") else None
+        run = self._run_mode(
+            mode, plan, trace=trace, metrics=metrics,
+            watchdog_us=self.watchdog_interval,
         )
-        comm = Comm(chip)
-        payload = self._payload()
-        nbytes = self.nbytes
-        root = self.root
-
-        if byz:
-            svc = OcBcastService(
-                comm, root=root, oc_config=self._byz_oc_config()
-            )
-
-            def program(core) -> Generator:
-                cc = comm.attach(core)
-                buf = cc.alloc(nbytes)
-                if cc.rank == root:
-                    buf.write(payload)
-                try:
-                    status = yield from svc.bcast(cc, buf, nbytes)
-                except FaultInjected:
-                    return "crashed"
-                if status != "ok":
-                    return status
-                return ("ok", zlib.crc32(buf.read()))
-        elif service:
-            svc = OcBcastService(
-                comm, root=root, oc_config=self._service_oc_config()
-            )
-
-            def program(core) -> Generator:
-                cc = comm.attach(core)
-                buf = cc.alloc(nbytes)
-                if cc.rank == root:
-                    buf.write(payload)
-                try:
-                    status = yield from svc.bcast(cc, buf, nbytes)
-                except FaultInjected:
-                    return "crashed"
-                if status in ("evicted", "aborted"):
-                    return status
-                return buf.read() == payload
-        else:
-            oc = OcBcast(comm, self._oc_config(ft))
-
-            def program(core) -> Generator:
-                cc = comm.attach(core)
-                buf = cc.alloc(nbytes)
-                if cc.rank == root:
-                    buf.write(payload)
-                try:
-                    yield from oc.bcast(cc, root, buf, nbytes)
-                except FaultInjected:
-                    return "crashed"
-                return buf.read() == payload
-
-        chip.sim.start_watchdog(self.watchdog_interval)
-        start = chip.now
-        outcome, latency, detail = "", 0.0, ""
-        n_evicted = 0
-        try:
-            res = run_spmd(chip, program)
-        except SimError as exc:
-            # The kernel wraps an exception escaping a process in
-            # SimError(...) from exc; classify by the original cause.
-            cause = exc if exc.__cause__ is None else exc.__cause__
-            if isinstance(cause, WatchdogError):
-                outcome, detail = "deadlock", f"watchdog: {cause}"
-            elif isinstance(cause, DeadlockError):
-                outcome, detail = "deadlock", str(cause)
-            elif isinstance(cause, SimTimeoutError):
-                outcome, detail = "timeout", str(cause)
-            elif isinstance(cause, FaultInjected):
-                outcome, detail = "crashed", str(cause)
-            else:
-                raise
-        else:
-            latency = res.end_time - start
+        injector = run.faults
+        outcome, detail, n_evicted = run.status, run.detail, 0
+        if isinstance(run.error, WatchdogError):
+            detail = f"watchdog: {detail}"
+        if not run.status:
+            src_crc = self._source[1]
             if byz:
-                adversary = {
-                    s.core for s in plan.specs if s.kind in ADVERSARY_KINDS
-                }
-                honest = [
-                    v for r, v in enumerate(res.values) if r not in adversary
-                ]
-                ok_crcs = {v[1] for v in honest if isinstance(v, tuple)}
-                n_ok = sum(1 for v in honest if isinstance(v, tuple))
-                n_det = sum(1 for v in honest if v == "detected")
-                src_crc = zlib.crc32(payload)
-                if len(ok_crcs) > 1:
-                    outcome = "disagreement"
-                    detail = (
-                        f"honest members delivered {len(ok_crcs)} distinct "
-                        f"payloads"
-                    )
-                elif n_ok == len(honest):
-                    outcome = "agreed"
-                    detail = (
-                        "source value" if ok_crcs == {src_crc}
-                        else "attacker variant"
-                    )
-                elif n_ok == 0 and n_det == len(honest):
-                    outcome = "detected"
-                    detail = f"uniform refusal by {n_det} honest member(s)"
-                else:
-                    outcome = "partial"
-                    detail = (
-                        f"{n_ok} delivered, {n_det} refused, "
-                        f"{len(honest) - n_ok - n_det} other"
-                    )
-                records = tuple(
-                    r for r in tracer.records if r.kind in TIMELINE_KINDS
-                )
-                ttd = None
-                if metrics is not None:
-                    h = metrics.histograms.get("rbc.ttd_us")
-                    ttd = h.mean if h is not None and h.count else None
-                return (
-                    TrialRun(
-                        outcome=outcome,
-                        latency=latency,
-                        n_injected=injector.n_injected,
-                        n_recovered=injector.n_recovered,
-                        detail=detail,
-                        ttd=ttd,
-                    ),
-                    records,
-                )
-            vals = list(res.values)
-            n_bad = sum(1 for v in vals if v is False)
-            n_crashed = sum(1 for v in vals if v == "crashed")
-            n_evicted = sum(1 for v in vals if v == "evicted")
-            n_aborted = sum(1 for v in vals if v == "aborted")
-            n_ok = sum(1 for v in vals if v is True)
-            if n_bad:
-                outcome = "corrupt"
-                detail = f"{n_bad} core(s) hold wrong bytes"
-            elif n_aborted:
-                if n_ok:
-                    # Uniform agreement broken: deliverers and aborters
-                    # coexist -- as bad as wrong bytes.
-                    outcome = "corrupt"
-                    detail = (
-                        f"non-uniform outcome: {n_ok} delivered, "
-                        f"{n_aborted} aborted"
-                    )
-                else:
-                    outcome = "aborted"
-                    detail = f"uniform abort by {n_aborted} live member(s)"
-            elif injector.n_injected:
-                outcome = "recovered"
-                parts = []
-                if n_crashed:
-                    parts.append(f"{n_crashed} crashed")
-                if n_evicted:
-                    parts.append(f"{n_evicted} evicted")
-                if parts:
-                    detail = ", ".join(parts) + ", survivors delivered"
+                outcome, detail = _classify_byz(plan, run.values, src_crc)
             else:
-                outcome = "delivered"
-        records = tuple(
-            r for r in tracer.records if r.kind in TIMELINE_KINDS
-        )
-        ttd = ttr = tte = None
-        n_self_evict = n_report_failed = 0
-        if metrics is not None:
-            h = metrics.histograms.get("member.ttd_us")
-            ttd = h.mean if h is not None and h.count else None
-            h = metrics.histograms.get("member.ttr_us")
-            ttr = h.mean if h is not None and h.count else None
-            h = metrics.histograms.get("member.tte_us")
-            tte = h.mean if h is not None and h.count else None
-            c = metrics.counters.get("svc.self_evict")
-            n_self_evict = int(c.value) if c is not None else 0
-            c = metrics.counters.get("svc.report_failed")
-            n_report_failed = int(c.value) if c is not None else 0
+                n_evicted = run.values.count("evicted")
+                outcome, detail = _classify(
+                    run.values, src_crc, injector.n_injected
+                )
+        harvest = {}
+        if byz and not run.status:
+            harvest["ttd"] = _mean(metrics, "rbc.ttd_us")
+        elif metrics is not None:
+            harvest = dict(
+                ttd=_mean(metrics, "member.ttd_us"),
+                ttr=_mean(metrics, "member.ttr_us"),
+                tte=_mean(metrics, "member.tte_us"),
+                n_self_evict=_count(metrics, "svc.self_evict"),
+                n_report_failed=_count(metrics, "svc.report_failed"),
+            )
         return (
             TrialRun(
                 outcome=outcome,
-                latency=latency,
+                latency=run.latency,
                 n_injected=injector.n_injected,
                 n_recovered=injector.n_recovered,
                 detail=detail,
                 n_evicted=n_evicted,
-                ttd=ttd,
-                ttr=ttr,
-                tte=tte,
-                n_self_evict=n_self_evict,
-                n_report_failed=n_report_failed,
+                **harvest,
             ),
-            records,
+            tuple(r for r in run.records if r.kind in TIMELINE_KINDS),
         )
 
     def _draw_nth(self, rng: random.Random, n: int) -> int:
@@ -779,9 +708,9 @@ class FaultCampaign:
         claim the same ``(category, core, nth)`` site (which
         :class:`~repro.faults.FaultPlan` rejects).
         """
-        if self.byz:
-            return self._byz_trial_plans()
         profile = self.profile_sites()
+        if self.byz:
+            return self._byz_trial_plans(profile)
         rng = random.Random(self.seed)
         size = (self.config or SccConfig()).num_cores
         tree = PropagationTree(size, self.k, self.root)
@@ -801,80 +730,44 @@ class FaultCampaign:
         }[self.crash_site]
         non_root = [r for r in range(size) if r != self.root]
 
+        # kind -> (victim pool, FaultSpec knobs).  No pool: nth counts the
+        # category's occurrences chip-wide; with one, a victim core is
+        # drawn first and nth counts its own.  The crash pool follows
+        # ``crash_site``: a crashed leaf is routable by the FT layer
+        # alone, a crashed interior node orphans its subtree and takes
+        # the service to survive.  Adversary kinds have no row: a
+        # non-byz campaign rejects them (``__post_init__``).
+        table: dict[FaultKind, tuple[list[int] | None, dict]] = {
+            FaultKind.DROP_FLAG_WRITE: (None, {}),
+            FaultKind.CORRUPT_FLAG_WRITE: (None, {}),
+            FaultKind.DROP_DATA_WRITE: (None, {}),
+            FaultKind.CORRUPT_DATA_WRITE: (None, {}),
+            FaultKind.LINK_STALL: (None, {"duration": self.stall_duration}),
+            FaultKind.CONGESTION_STORM: (None, {
+                "duration": self.storm_duration, "period": self.storm_stall,
+            }),
+            FaultKind.LINK_DOWN: (
+                non_root, {"duration": self.link_down_duration},
+            ),
+            FaultKind.FLAPPING_LINK: (non_root, {
+                "duration": self.flap_duration, "period": self.flap_period,
+                "duty": self.flap_duty,
+            }),
+            FaultKind.CORE_PAUSE: (
+                non_root, {"duration": self.pause_duration},
+            ),
+            FaultKind.CORE_CRASH: (crash_pool, {}),
+            FaultKind.REPEATED_CRASH: (crash_pool, {
+                "period": self.churn_gap, "cycles": self.churn_cycles,
+            }),
+        }
+
         def draw(kind: FaultKind) -> FaultSpec:
-            if kind in (FaultKind.DROP_FLAG_WRITE, FaultKind.CORRUPT_FLAG_WRITE):
-                return FaultSpec(
-                    kind, nth=self._draw_nth(rng, profile.get("flag_write", 0))
-                )
-            if kind in (FaultKind.DROP_DATA_WRITE, FaultKind.CORRUPT_DATA_WRITE):
-                return FaultSpec(
-                    kind, nth=self._draw_nth(rng, profile.get("data_write", 0))
-                )
-            if kind is FaultKind.LINK_STALL:
-                return FaultSpec(
-                    kind,
-                    nth=self._draw_nth(rng, profile.get("mpb_access", 0)),
-                    duration=self.stall_duration,
-                )
-            if kind is FaultKind.LINK_DOWN:
-                core = rng.choice(non_root)
-                return FaultSpec(
-                    kind,
-                    core=core,
-                    nth=self._draw_nth(
-                        rng, profile.get(f"mpb_access@core{core}", 0)
-                    ),
-                    duration=self.link_down_duration,
-                )
-            if kind is FaultKind.FLAPPING_LINK:
-                core = rng.choice(non_root)
-                return FaultSpec(
-                    kind,
-                    core=core,
-                    nth=self._draw_nth(
-                        rng, profile.get(f"mpb_access@core{core}", 0)
-                    ),
-                    duration=self.flap_duration,
-                    period=self.flap_period,
-                    duty=self.flap_duty,
-                )
-            if kind is FaultKind.REPEATED_CRASH:
-                core = rng.choice(crash_pool)
-                return FaultSpec(
-                    kind,
-                    core=core,
-                    nth=self._draw_nth(
-                        rng, profile.get(f"core_op@core{core}", 0)
-                    ),
-                    period=self.churn_gap,
-                    cycles=self.churn_cycles,
-                )
-            if kind is FaultKind.CONGESTION_STORM:
-                return FaultSpec(
-                    kind,
-                    nth=self._draw_nth(rng, profile.get("mpb_access", 0)),
-                    duration=self.storm_duration,
-                    period=self.storm_stall,
-                )
-            if kind is FaultKind.CORE_PAUSE:
-                core = rng.choice(non_root)
-                return FaultSpec(
-                    kind,
-                    core=core,
-                    nth=self._draw_nth(
-                        rng, profile.get(f"core_op@core{core}", 0)
-                    ),
-                    duration=self.pause_duration,
-                )
-            # CORE_CRASH: site chosen by ``crash_site`` -- a crashed leaf
-            # is routable by the FT layer alone, a crashed interior node
-            # orphans its subtree and takes the service to survive.
-            core = rng.choice(crash_pool)
-            return FaultSpec(
-                kind,
-                core=core,
-                nth=self._draw_nth(rng, profile.get(f"core_op@core{core}", 0)),
-            )
+            pool, knobs = table[kind]
+            core = None if pool is None else rng.choice(pool)
+            site = CATEGORY_OF[kind] + ("" if core is None else f"@core{core}")
+            nth = self._draw_nth(rng, profile.get(site, 0))
+            return FaultSpec(kind, nth=nth, core=core, **knobs)
 
         plans: list[FaultPlan] = []
         for i in range(self.trials):
@@ -901,14 +794,13 @@ class FaultCampaign:
             plans.append(FaultPlan(tuple(specs), label=f"trial{i}:{label}"))
         return plans
 
-    def _byz_trial_plans(self) -> list[FaultPlan]:
+    def _byz_trial_plans(self, profile: dict[str, int]) -> list[FaultPlan]:
         """Per-trial adversary sets: ``adversaries`` compromised cores
         drawn from the seeded RNG.  The kind cycle uses whatever
         adversary kinds ``kinds`` carries (all three when it carries
         none); EQUIVOCATE is forced onto the root -- only the source can
         serve two variants -- and at most one spec targets each core, so
         the adversary count is exact."""
-        profile = self.byz_profile_sites()
         rng = random.Random(self.seed)
         size = (self.config or SccConfig()).num_cores
         kinds = tuple(k for k in self.kinds if k in ADVERSARY_KINDS) or (
@@ -955,72 +847,22 @@ class FaultCampaign:
         return plans
 
     def profile_sites(self) -> dict[str, int]:
-        """Count candidate fault sites with a fault-free baseline run."""
-        injector = FaultInjector(FaultPlan())
-        chip = SccChip(self.config, faults=injector)
-        self._bcast_once(chip, ft=False)
-        return injector.profile()
-
-    def byz_profile_sites(self) -> dict[str, int]:
-        """Count adversary fault sites (``adv_stage`` / ``quorum_vote``)
-        with a fault-free Byzantine-service run -- those sites only
-        exist when the RBC layer is active."""
-        injector = FaultInjector(FaultPlan())
-        chip = SccChip(self.config, faults=injector)
-        self._service_once(chip, self._byz_oc_config())
-        return injector.profile()
-
-    def _bcast_once(self, chip: SccChip, *, ft: bool) -> float:
-        comm = Comm(chip)
-        oc = OcBcast(comm, self._oc_config(ft))
-        payload = self._payload()
-        nbytes, root = self.nbytes, self.root
-
-        def program(core) -> Generator:
-            cc = comm.attach(core)
-            buf = cc.alloc(nbytes)
-            if cc.rank == root:
-                buf.write(payload)
-            yield from oc.bcast(cc, root, buf, nbytes)
-            if cc.rank != root and buf.read() != payload:
-                raise AssertionError(f"rank {cc.rank}: fault-free run corrupt")
-            return None
-
-        start = chip.now
-        res = run_spmd(chip, program)
-        return res.end_time - start
+        """Count candidate fault sites with a fault-free run: the
+        baseline broadcast, or -- for a ``byz`` campaign -- the
+        Byzantine service, whose ``adv_stage`` / ``quorum_vote`` sites
+        only exist when the RBC layer is active."""
+        mode = "byz" if self.byz else "baseline"
+        return self._fault_free(mode, FaultPlan()).faults.profile()
 
     # -- the campaign --------------------------------------------------------
 
     def service_latency_once(self) -> float:
         """Fault-free service-mode makespan (the service tax numerator)."""
-        return self._service_once(
-            SccChip(self.config), self._service_oc_config()
-        )
+        return self._fault_free("service").latency
 
     def byz_latency_once(self) -> float:
         """Fault-free Byzantine-mode makespan (the rbc tax numerator)."""
-        return self._service_once(SccChip(self.config), self._byz_oc_config())
-
-    def _service_once(self, chip: SccChip, oc_config: OcBcastConfig) -> float:
-        comm = Comm(chip)
-        svc = OcBcastService(comm, root=self.root, oc_config=oc_config)
-        payload = self._payload()
-        nbytes, root = self.nbytes, self.root
-
-        def program(core) -> Generator:
-            cc = comm.attach(core)
-            buf = cc.alloc(nbytes)
-            if cc.rank == root:
-                buf.write(payload)
-            status = yield from svc.bcast(cc, buf, nbytes)
-            if status != "ok" or (cc.rank != root and buf.read() != payload):
-                raise AssertionError(f"rank {cc.rank}: fault-free service run bad")
-            return None
-
-        start = chip.now
-        res = run_spmd(chip, program)
-        return res.end_time - start
+        return self._fault_free("byz").latency
 
     def run(self) -> CampaignResult:
         """Profile, then run every trial (FT first, then baseline and the
@@ -1042,106 +884,52 @@ class FaultCampaign:
         (a prediction outside ``analytic_tolerance`` degrades the whole
         campaign back to all-kernel execution).
         """
-        if self.byz:
-            return self._run_byz(jobs=jobs)
         profile = self.profile_sites()
-        base_latency = self._bcast_once(SccChip(self.config), ft=False)
-        ft_latency = self._bcast_once(SccChip(self.config), ft=True)
-        service_latency = self.service_latency_once() if self.service else 0.0
-
+        legs = self._legs
+        # The fault-free makespans behind the robustness / service / rbc
+        # taxes; a Byzantine campaign compares against the crash-only
+        # service, so it measures that one too.
+        latency = {
+            mode: self._fault_free(mode).latency
+            for mode in dict.fromkeys(
+                ("baseline", *legs, *(("service",) if self.byz else ()))
+            )
+        }
         plans = self.trial_plans()
-        fidelity_info = self._check_fidelity(plans, base_latency, ft_latency)
+        fidelity_info = self._check_fidelity(
+            plans, latency["baseline"], latency.get("ft", 0.0)
+        )
         reference = None
         if fidelity_info is not None and not fidelity_info["degraded"] \
                 and fidelity_info["n_analytic"]:
-            ref_ft, _ = self.run_one(FaultPlan(), ft=True)
-            ref_base = None
-            if self.compare_baseline:
-                ref_base, _ = self.run_one(FaultPlan(), ft=False)
-            ref_service = None
-            if self.service:
-                ref_service, _ = self.run_one(FaultPlan(), ft=True, service=True)
+            ref = {leg: self._run_leg(leg, FaultPlan())[0] for leg in legs}
 
             def reference(i: int, plan: FaultPlan) -> TrialResult:
-                return TrialResult(
-                    index=i, plan=plan, ft=ref_ft,
-                    baseline=ref_base, service=ref_service,
-                )
+                return TrialResult(index=i, plan=plan, **ref)
 
-        merged = self._dispatch(plans, reference, _trial_worker, jobs)
-
-        ft_counts: Counter = Counter()
-        baseline_counts: Counter | None = (
-            Counter() if self.compare_baseline else None
-        )
-        service_counts: Counter | None = Counter() if self.service else None
+        counts: dict[str, Counter] = {leg: Counter() for leg in legs}
         timeline: tuple[TraceRecord, ...] = ()
         trials: list[TrialResult] = []
-        for trial, records in merged:
-            ft_counts[trial.ft.outcome] += 1
-            if baseline_counts is not None and trial.baseline is not None:
-                baseline_counts[trial.baseline.outcome] += 1
-            if service_counts is not None and trial.service is not None:
-                service_counts[trial.service.outcome] += 1
-            if not timeline and trial.ft.n_injected:
+        for trial, records in self._dispatch(plans, reference, jobs):
+            for leg in legs:
+                counts[leg][getattr(trial, leg).outcome] += 1
+            if not timeline and getattr(trial, legs[0]).n_injected:
                 timeline = records
             trials.append(trial)
         return CampaignResult(
             trials=tuple(trials),
-            ft_counts=ft_counts,
-            baseline_counts=baseline_counts,
-            base_latency=base_latency,
-            ft_latency=ft_latency,
+            ft_counts=counts.get("ft", Counter()),
+            baseline_counts=counts.get("baseline"),
+            base_latency=latency["baseline"],
+            ft_latency=latency.get("ft", 0.0),
             profile=profile,
             nbytes=self.nbytes,
             seed=self.seed,
             timeline=timeline,
-            service_counts=service_counts,
-            service_latency=service_latency,
-            fidelity=fidelity_info,
-        )
-
-    def _run_byz(self, *, jobs: int = 1) -> CampaignResult:
-        """The Byzantine campaign: profile adversary sites, measure the
-        fault-free rbc tax, then classify every adversary trial.  The
-        RBC rounds have no closed-form replay, so adaptive fidelity
-        degrades to all-kernel execution here (recorded in the result)."""
-        profile = self.byz_profile_sites()
-        base_latency = self._bcast_once(SccChip(self.config), ft=False)
-        service_latency = self.service_latency_once()
-        byz_latency = self.byz_latency_once()
-
-        fidelity_info = None
-        if self.fidelity == "adaptive":
-            fidelity_info = {
-                "mode": "adaptive", "n_analytic": 0, "n_replayed": self.trials,
-                "degraded": True,
-                "reason": "Byzantine echo/ready rounds are not analytically "
-                          "modelled; every trial runs on the event kernel",
-            }
-        plans = self.trial_plans()
-        merged = self._dispatch(plans, None, _byz_trial_worker, jobs)
-        byz_counts: Counter = Counter()
-        timeline: tuple[TraceRecord, ...] = ()
-        trials: list[TrialResult] = []
-        for trial, records in merged:
-            byz_counts[trial.byz.outcome] += 1
-            if not timeline and trial.byz.n_injected:
-                timeline = records
-            trials.append(trial)
-        return CampaignResult(
-            trials=tuple(trials),
-            ft_counts=Counter(),
-            baseline_counts=None,
-            base_latency=base_latency,
-            ft_latency=0.0,
-            profile=profile,
-            nbytes=self.nbytes,
-            seed=self.seed,
-            timeline=timeline,
-            service_latency=service_latency,
-            byz_counts=byz_counts,
-            byz_latency=byz_latency,
+            service_counts=counts.get("service"),
+            service_latency=latency.get("service", 0.0),
+            byz_counts=counts.get("byz"),
+            byz_latency=latency.get("byz", 0.0),
             fidelity=fidelity_info,
         )
 
@@ -1162,6 +950,13 @@ class FaultCampaign:
         """
         if self.fidelity != "adaptive":
             return None
+        if self.byz:
+            return {
+                "mode": "adaptive", "n_analytic": 0, "n_replayed": self.trials,
+                "degraded": True,
+                "reason": "Byzantine echo/ready rounds are not analytically "
+                          "modelled; every trial runs on the event kernel",
+            }
         from ..scc.config import ContentionMode
 
         cfg = self.config or SccConfig()
@@ -1203,7 +998,7 @@ class FaultCampaign:
                 self.nbytes
             ).latencies[0]
             pred_ft = AnalyticEngine(
-                cfg, ft=True, ft_ack_data=self._oc_config(True).ft_ack_data,
+                cfg, ft=True, ft_ack_data=self._oc_config("ft").ft_ack_data,
                 **kw,
             ).evaluate(self.nbytes).latencies[0]
             info["predicted_base"] = pred_base
@@ -1230,12 +1025,11 @@ class FaultCampaign:
         self,
         plans: Sequence[FaultPlan],
         reference,
-        worker,
         jobs: int,
     ) -> list[tuple[TrialResult, tuple[TraceRecord, ...]]]:
         """Execute the trial list: fault-free trials come from
         ``reference`` when the adaptive fast path armed it, everything
-        else goes through ``worker`` -- in-process for ``jobs <= 1``
+        else goes through :func:`_trial_worker` -- in-process for ``jobs <= 1``
         (tracing lazily, exactly as the classic serial loop did) or
         fanned across a process pool, merged back in trial order."""
         pending = [
@@ -1248,16 +1042,15 @@ class FaultCampaign:
             # only ever comes from the first injected trial.
             found = False
             for i in pending:
-                out = worker((self, i, plans[i], not found))
-                run = out[0].byz if self.byz else out[0].ft
-                if not found and run.n_injected:
+                out = _trial_worker((self, i, plans[i], not found))
+                if getattr(out[0], self._legs[0]).n_injected:
                     found = True
                 ran[i] = out
         else:
             from .parallel import parallel_map
 
             outs = parallel_map(
-                worker, [(self, i, plans[i], True) for i in pending],
+                _trial_worker, [(self, i, plans[i], True) for i in pending],
                 jobs=jobs,
             )
             ran = dict(zip(pending, outs))
@@ -1270,33 +1063,16 @@ class FaultCampaign:
 def _trial_worker(
     arg: "tuple[FaultCampaign, int, FaultPlan, bool]",
 ) -> tuple[TrialResult, tuple[TraceRecord, ...]]:
-    """One seeded trial: the FT run plus the optional baseline/service
-    legs.  Module-level (picklable) so the same function serves the
-    in-process loop and the process pool."""
+    """One seeded trial: every leg of the campaign under one plan, the
+    first leg traced.  Module-level (picklable) so the same function
+    serves the in-process loop and the process pool."""
     campaign, index, plan, trace = arg
-    ft_run, records = campaign.run_one(plan, ft=True, trace=trace)
-    base_run = None
-    if campaign.compare_baseline:
-        base_run, _ = campaign.run_one(plan, ft=False)
-    service_run = None
-    if campaign.service:
-        service_run, _ = campaign.run_one(plan, ft=True, service=True)
-    return (
-        TrialResult(
-            index=index, plan=plan, ft=ft_run,
-            baseline=base_run, service=service_run,
-        ),
-        records,
-    )
-
-
-def _byz_trial_worker(
-    arg: "tuple[FaultCampaign, int, FaultPlan, bool]",
-) -> tuple[TrialResult, tuple[TraceRecord, ...]]:
-    """One Byzantine trial (the RBC-hardened service only)."""
-    campaign, index, plan, trace = arg
-    byz_run, records = campaign.run_one(plan, ft=True, byz=True, trace=trace)
-    return TrialResult(index=index, plan=plan, byz=byz_run), records
+    first, *rest = campaign._legs
+    run, records = campaign._run_leg(first, plan, trace=trace)
+    runs = {first: run}
+    for leg in rest:
+        runs[leg], _ = campaign._run_leg(leg, plan)
+    return TrialResult(index=index, plan=plan, **runs), records
 
 
 def parse_kinds(names: Sequence[str]) -> tuple[FaultKind, ...]:

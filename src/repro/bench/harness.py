@@ -28,6 +28,7 @@ from ..rcce import Comm, CoreComm
 from ..scc import MemRef, SccChip, SccConfig, run_spmd
 from ..scc.analytic import AnalyticEngine, AnalyticResult, AnalyticUnsupported
 from ..scc.config import CACHE_LINE, ContentionMode
+from ..transport.world import seeded_payload
 
 #: Algorithm names accepted by :class:`BcastSpec`.
 ALGORITHMS = ("oc", "binomial", "scatter_allgather", "osag")
@@ -129,11 +130,6 @@ class BcastResult:
         return -(-self.nbytes // CACHE_LINE)
 
 
-def _payload(nbytes: int, seed: int) -> bytes:
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, 256, size=nbytes, dtype=np.uint8).tobytes()
-
-
 def analytic_engine_for(
     spec: BcastSpec, config: SccConfig | None = None, *, root: int = 0
 ) -> AnalyticEngine:
@@ -214,7 +210,7 @@ def run_broadcast(
     comm = Comm(chip)
     bcast = spec.build(comm)
     total_iters = warmup + iters
-    payloads = [_payload(nbytes, seed + i) for i in range(total_iters)]
+    payloads = [seeded_payload(seed + i, nbytes) for i in range(total_iters)]
 
     enters: list[dict[int, float]] = [{} for _ in range(total_iters)]
     exits: list[dict[int, float]] = [{} for _ in range(total_iters)]

@@ -1,10 +1,11 @@
 """Execute one chaos schedule and classify the outcome.
 
 :func:`run_schedule` builds a fresh world for the schedule's backend
-(SCC chip model or asyncio event loop), arms the injector plan, crash
-hook and network model, attaches the online invariant checker
-(:class:`repro.obs.InvariantChecker`, ``lossless=False`` -- faults are
-armed on purpose) and runs the schedule's protocol mode to completion.
+(:mod:`repro.transport.world`: SCC chip model or asyncio event loop,
+armed with the injector plan, crash hook and network model), attaches
+the online invariant checker (:class:`repro.obs.InvariantChecker`,
+``lossless=False`` -- faults are armed on purpose) and runs the
+schedule's protocol mode to its end.
 The result is a :class:`ChaosOutcome` carrying a fine-grained status
 (the campaign vocabulary: delivered / recovered / aborted / detected /
 deadlock / timeout / corrupt / disagreement / partial / crashed) and the
@@ -31,27 +32,17 @@ the schedule, which is what the repro bundles pin and replay.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Generator
 
-import numpy as np
-
-from ..core import OcBcast, OcBcastConfig
-from ..faults.injector import FaultInjector
 from ..faults.plan import ADVERSARY_KINDS, FaultPlan
-from ..member.service import DEFAULT_SERVICE_OC, OcBcastService
 from ..obs.invariants import InvariantChecker
-from ..rcce.comm import Comm
-from ..scc.chip import SccChip, run_spmd
 from ..scc.config import SccConfig
-from ..sim.errors import (
-    DeadlockError, FaultInjected, SimError, WatchdogError,
-    TimeoutError as SimTimeoutError,
-)
-from ..sim.trace import Tracer
-from ..transport.asyncio_backend import AsyncioNetwork
 from ..transport.decisions import decision_digest
+from ..transport.world import (
+    WorldRun, asyncio_world, bcast_body, mode_config, run_world, scc_world,
+    seeded_payload, world_tracer,
+)
 from .schedule import ChaosSchedule
 
 #: The three-way chaos classifications, in reporting order.
@@ -61,11 +52,6 @@ CLASSIFICATIONS = ("tolerated", "refused", "violation")
 #: add "deadlock"/"crashed"/"invariant" on top of the value-based ones).
 TOLERATED_STATUSES = frozenset({"delivered", "recovered"})
 REFUSED_STATUSES = frozenset({"aborted", "detected", "timeout"})
-
-#: Virtual-time horizon for the asyncio backend (the analogue of the SCC
-#: kernel watchdog): a blocked rank with no event before this wall is a
-#: wedge, reported as DeadlockError.
-ASYNCIO_TIME_LIMIT = 1_000_000.0
 
 
 @dataclass(frozen=True)
@@ -100,70 +86,39 @@ class ChaosOutcome:
 def chaos_payload(schedule: ChaosSchedule) -> bytes:
     """The schedule's seeded broadcast payload (identical on both
     backends, and to :meth:`FaultCampaign._payload` for equal seeds)."""
-    rng = np.random.default_rng(schedule.seed)
-    return rng.integers(
-        0, 256, size=schedule.nbytes, dtype=np.uint8
-    ).tobytes()
+    return seeded_payload(schedule.seed, schedule.nbytes)
 
 
-def _oc_config(schedule: ChaosSchedule) -> OcBcastConfig:
-    mode = schedule.mode
-    if mode in ("service", "byz"):
-        return dc_replace(
-            DEFAULT_SERVICE_OC,
-            k=schedule.k,
-            chunk_lines=schedule.chunk_lines,
-            num_buffers=schedule.num_buffers,
-            ft_max_retries=schedule.ft_max_retries,
-            byz=(mode == "byz"),
+def _world(schedule: ChaosSchedule, plan: FaultPlan, *, trace: bool):
+    """The schedule's fresh world under ``plan``.  ``trace`` only
+    matters on the SCC backend; an asyncio world always traces."""
+    if schedule.backend == "scc":
+        cols, rows = schedule.mesh
+        return scc_world(
+            SccConfig(mesh_cols=cols, mesh_rows=rows),
+            plan=plan, trace=trace, crash_hook=schedule.crash_hook(),
+            watchdog_us=schedule.watchdog_us,
         )
-    return OcBcastConfig(
-        k=schedule.k,
-        chunk_lines=schedule.chunk_lines,
-        num_buffers=schedule.num_buffers,
-        ft=(mode == "ft"),
-        ft_max_retries=schedule.ft_max_retries,
-        ft_ack_data=schedule.ft_ack_data,
+    model = schedule.model.build() if schedule.model is not None else None
+    return asyncio_world(
+        schedule.nranks, plan=plan, model=model, seed=schedule.seed,
+        crash_hook=schedule.crash_hook(),
     )
 
 
-def _program(schedule: ChaosSchedule, world, payload: bytes):
-    """The per-rank protocol body for the schedule's mode.  ``world`` is
-    the Comm (SCC) or AsyncioNetwork -- both carry the transport
-    surface the protocols run on."""
-    nbytes = schedule.nbytes
-    if schedule.mode in ("service", "byz"):
-        svc = OcBcastService(world, root=0, oc_config=_oc_config(schedule))
-
-        def body(cc) -> Generator:
-            buf = cc.alloc(nbytes)
-            if cc.rank == 0:
-                buf.write(payload)
-            try:
-                status = yield from svc.bcast(cc, buf, nbytes)
-            except FaultInjected:
-                return "crashed"
-            if status != "ok":
-                return status
-            return ("ok", zlib.crc32(buf.read()))
-    else:
-        oc = OcBcast(world, _oc_config(schedule))
-
-        def body(cc) -> Generator:
-            buf = cc.alloc(nbytes)
-            if cc.rank == 0:
-                buf.write(payload)
-            try:
-                yield from oc.bcast(cc, 0, buf, nbytes)
-            except FaultInjected:
-                return "crashed"
-            return ("ok", zlib.crc32(buf.read()))
-
-    return body
+def _run(schedule: ChaosSchedule, world, payload: bytes) -> WorldRun:
+    """Run the schedule's protocol mode (root 0) on ``world``."""
+    oc_config = mode_config(
+        schedule.mode, k=schedule.k, chunk_lines=schedule.chunk_lines,
+        num_buffers=schedule.num_buffers,
+        ft_max_retries=schedule.ft_max_retries,
+        ft_ack_data=schedule.ft_ack_data,
+    )
+    return run_world(world, bcast_body(world, oc_config, payload))
 
 
 def _classify_values(
-    schedule: ChaosSchedule, values: list, payload: bytes, injected: int
+    schedule: ChaosSchedule, values: tuple, payload: bytes, injected: int
 ) -> tuple[str, str]:
     """Map per-rank return values to (status, detail).  Byzantine
     adversary ranks are excluded -- their claims are worthless by
@@ -237,109 +192,18 @@ def _classify(status: str, invariants: tuple[str, ...]) -> str:
     return "violation"
 
 
-def _run_scc(schedule: ChaosSchedule, payload: bytes):
-    cols, rows = schedule.mesh
-    config = SccConfig(mesh_cols=cols, mesh_rows=rows)
-    chip = SccChip(
-        config,
-        tracer=Tracer(enabled=True),
-        faults=FaultInjector(schedule.plan()),
-    )
-    checker = InvariantChecker(lossless=False)
-    chip.tracer.add_listener(checker.feed)
-    comm = Comm(chip)
-    comm.transport_faults = schedule.crash_hook()
-    body = _program(schedule, comm, payload)
-
-    def prog(core):
-        return body(comm.attach(core))
-
-    chip.sim.start_watchdog(schedule.watchdog_us)
-    start = chip.now
-    status = detail = ""
-    values: list = []
-    latency = 0.0
-    try:
-        res = run_spmd(chip, prog)
-    except SimError as exc:
-        cause = exc if exc.__cause__ is None else exc.__cause__
-        if isinstance(cause, (WatchdogError, DeadlockError)):
-            status, detail = "deadlock", str(cause)
-        elif isinstance(cause, SimTimeoutError):
-            status, detail = "timeout", str(cause)
-        elif isinstance(cause, FaultInjected):
-            status, detail = "crashed", str(cause)
-        else:
-            raise
-    else:
-        latency = res.end_time - start
-        values = list(res.values)
-    return values, status, detail, latency, chip.faults, \
-        list(chip.tracer.records), checker
-
-
-def _run_asyncio(schedule: ChaosSchedule, payload: bytes):
-    model = (
-        schedule.model.build() if schedule.model is not None else None
-    )
-    net = AsyncioNetwork(
-        schedule.nranks,
-        model=model,
-        seed=schedule.seed,
-        plan=schedule.plan(),
-        time_limit=ASYNCIO_TIME_LIMIT,
-    )
-    checker = InvariantChecker(lossless=False)
-    net.tracer.add_listener(checker.feed)
-    net.transport_faults = schedule.crash_hook()
-    body = _program(schedule, net, payload)
-    start = net.now
-    results = net.run(body, return_exceptions=True)
-    latency = net.now - start
-
-    status = detail = ""
-    values: list = []
-    # Exception precedence mirrors the SCC path: a wedge (termination
-    # oracle) dominates an exhausted retry budget dominates a stray
-    # crash escape; any other exception is a harness bug and re-raises.
-    deadlocks = [r for r in results if isinstance(r, DeadlockError)]
-    timeouts = [r for r in results if isinstance(r, SimTimeoutError)]
-    others = [
-        r for r in results
-        if isinstance(r, BaseException)
-        and not isinstance(r, (DeadlockError, SimTimeoutError, FaultInjected))
-    ]
-    if others:
-        raise others[0]
-    if deadlocks:
-        status, detail = "deadlock", str(deadlocks[0])
-    elif timeouts:
-        status, detail = "timeout", str(timeouts[0])
-    else:
-        values = [
-            "crashed" if isinstance(r, FaultInjected) else r
-            for r in results
-        ]
-    return values, status, detail, latency, net.faults, \
-        list(net.tracer.records), checker
-
-
 def run_schedule(schedule: ChaosSchedule) -> ChaosOutcome:
     """Run one (validated) chaos schedule to completion and classify."""
-    schedule.validate()
+    world = _world(schedule, schedule.validate(), trace=True)
+    checker = InvariantChecker(lossless=False)
+    world_tracer(world).add_listener(checker.feed)
     payload = chaos_payload(schedule)
-    if schedule.backend == "scc":
-        values, status, detail, latency, faults, records, checker = \
-            _run_scc(schedule, payload)
-    else:
-        values, status, detail, latency, faults, records, checker = \
-            _run_asyncio(schedule, payload)
-
-    injected = 0 if faults is None else faults.n_injected
-    recovered = 0 if faults is None else faults.n_recovered
+    run = _run(schedule, world, payload)
+    injected = run.faults.n_injected
+    status, detail = run.status, run.detail
     if not status:
         status, detail = _classify_values(
-            schedule, values, payload, injected
+            schedule, run.values, payload, injected
         )
     invariants = tuple(
         sorted({v.invariant for v in checker.violations})
@@ -349,10 +213,10 @@ def run_schedule(schedule: ChaosSchedule) -> ChaosOutcome:
         classification=_classify(status, invariants),
         status=status,
         detail=detail,
-        digest=decision_digest(records),
+        digest=decision_digest(run.records),
         n_injected=injected,
-        n_recovered=recovered,
-        latency=latency,
+        n_recovered=run.faults.n_recovered,
+        latency=run.latency,
         invariants=invariants,
     )
 
@@ -376,21 +240,6 @@ def profile_counts(
         backend=backend, mesh=mesh, chunks=chunks, mode=mode, seed=0,
         k=k, chunk_lines=chunk_lines, num_buffers=num_buffers,
     )
-    payload = chaos_payload(base)
-    if backend == "scc":
-        cols, rows = mesh
-        chip = SccChip(
-            SccConfig(mesh_cols=cols, mesh_rows=rows),
-            faults=FaultInjector(FaultPlan()),
-        )
-        comm = Comm(chip)
-        body = _program(base, comm, payload)
-        chip.sim.start_watchdog(base.watchdog_us)
-        run_spmd(chip, lambda core: body(comm.attach(core)))
-        return dict(chip.faults.profile())
-    net = AsyncioNetwork(
-        base.nranks, seed=0, plan=FaultPlan(),
-        time_limit=ASYNCIO_TIME_LIMIT,
-    )
-    net.run(_program(base, net, payload))
-    return dict(net.faults.profile())
+    world = _world(base, FaultPlan(), trace=False)
+    run = _run(base, world, chaos_payload(base)).check()
+    return dict(run.faults.profile())

@@ -14,11 +14,12 @@ collectives) is written against a narrow per-rank transport surface
 Same seed, two backends, same decisions -- that is the invariant the
 differential harness (``tests/differential/``) checks, using the
 canonical decision traces of :mod:`repro.transport.decisions` over the
-shared scenarios of :mod:`repro.transport.scenarios`.
+shared scenarios of :mod:`repro.transport.scenarios`.  Every harness
+builds its worlds and runs its per-rank body through
+:mod:`repro.transport.world`.
 """
 
 from .api import CrashOnEvent, Transport
-from .asyncio_backend import AsyncioNetwork, AsyncioTransport, RankStore
 from .decisions import (
     DECISION_KINDS,
     canonical_decisions,
@@ -47,3 +48,13 @@ __all__ = [
     "decision_streams",
     "make_scc_world",
 ]
+
+
+def __getattr__(name: str):
+    # The asyncio backend loads on first use, so SCC-only consumers of
+    # this package (repro.bench) never import the asyncio machinery.
+    if name in ("AsyncioNetwork", "AsyncioTransport", "RankStore"):
+        from . import asyncio_backend
+
+        return getattr(asyncio_backend, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

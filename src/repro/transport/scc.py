@@ -1,23 +1,19 @@
 """The SCC chip-model backend, under its transport name.
 
 The chip simulator *is* the reference transport: :class:`Comm` is the
-world object and :class:`CoreComm` the per-rank endpoint, exactly as
-they were before the transport extraction -- re-exported here so code
-written against the transport layer can name both backends symmetrically
-(``transport.scc.SccTransport`` vs
-``transport.asyncio_backend.AsyncioTransport``).  Default SCC paths are
-bit-identical to the pre-refactor tree; the golden trace digests pin
-this.
+world object and :class:`CoreComm` the per-rank endpoint -- re-exported
+here so code written against the transport layer can name both backends
+symmetrically (``transport.scc.SccTransport`` vs
+``transport.asyncio_backend.AsyncioTransport``).
 """
 
 from __future__ import annotations
 
-from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
 from ..rcce.comm import Comm as SccNetwork, CoreComm as SccTransport
 from ..scc.chip import SccChip, run_spmd
 from ..scc.config import SccConfig
-from ..sim.trace import Tracer
+from .world import scc_world
 
 __all__ = [
     "SccNetwork",
@@ -35,9 +31,9 @@ def make_scc_world(
     tracer_enabled: bool = True,
     watchdog: float | None = 100_000.0,
 ) -> tuple[SccChip, SccNetwork]:
-    """Convenience builder mirroring ``AsyncioNetwork(...)``: a chip of
-    ``nranks`` cores (``mesh`` as (cols, rows); inferred for square-ish
-    meshes when omitted) with an attached injector and tracer."""
+    """:func:`repro.transport.world.scc_world` by rank count, mirroring
+    ``AsyncioNetwork(nranks, ...)``: ``mesh`` as (cols, rows), inferred
+    for square-ish meshes when omitted."""
     if mesh is None:
         cols = 1
         while 2 * cols * cols < nranks:
@@ -50,11 +46,7 @@ def make_scc_world(
         raise ValueError(
             f"mesh {mesh} gives {config.num_cores} cores, wanted {nranks}"
         )
-    chip = SccChip(
-        config,
-        tracer=Tracer(enabled=tracer_enabled),
-        faults=FaultInjector(plan) if plan is not None else None,
+    comm = scc_world(
+        config, plan=plan, trace=tracer_enabled, watchdog_us=watchdog
     )
-    if watchdog is not None:
-        chip.sim.start_watchdog(watchdog)
-    return chip, SccNetwork(chip)
+    return comm.chip, comm

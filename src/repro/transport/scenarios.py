@@ -1,9 +1,9 @@
 """Shared differential scenarios: one protocol program, two backends.
 
 Each scenario is a seeded, deterministic run of the fault-tolerant
-broadcast service -- the *same* generator program handed to the SCC
-simulator (``run_spmd`` over a chip) and to the asyncio backend
-(``AsyncioNetwork.run``).  The differential harness replays a scenario
+broadcast service -- the *same* generator program
+(:func:`repro.transport.world.bcast_body`) run on an SCC world and on
+an asyncio world.  The differential harness replays a scenario
 with the same seed on both backends and asserts that the canonical
 decision traces (:mod:`repro.transport.decisions`) are identical while
 latencies diverge freely.
@@ -23,22 +23,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Generator
 
+from ..core.ocbcast import OcBcastConfig
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultKind, FaultPlan, FaultSpec
 from ..member.heartbeat import MembershipConfig
-from ..member.service import DEFAULT_SERVICE_OC, OcBcastService
-from ..rcce.comm import Comm
 from ..resilience import DetectorConfig, RetryPolicy
-from ..scc.chip import SccChip, run_spmd
 from ..scc.config import CACHE_LINE, SccConfig
-from ..sim.errors import FaultInjected
-from ..sim.trace import TraceRecord, Tracer
+from ..sim.trace import TraceRecord
 from .api import CrashOnEvent
-from .asyncio_backend import AsyncioNetwork
 from .decisions import canonical_decisions, decision_digest
 from .models import DelayModel, UniformDelay
+from .world import asyncio_world, bcast_body, mode_config, run_world, scc_world
 
 CHUNK_BYTES = 96 * CACHE_LINE  # the service's default chunk
 
@@ -139,48 +135,24 @@ _ADAPTIVE_POLICY = RetryPolicy.backoff(
 )
 
 
-def _service_for(transport, sc: Scenario) -> OcBcastService:
-    """The scenario's service, identical on both backends."""
-    oc_config = replace(DEFAULT_SERVICE_OC, byz=True) if sc.byz \
-        else DEFAULT_SERVICE_OC
-    member_config = None
-    if sc.adaptive:
-        oc_config = replace(oc_config, ft_retry=_ADAPTIVE_POLICY)
-        member_config = MembershipConfig(
-            hb_retry=_ADAPTIVE_POLICY,
-            view_retry=_ADAPTIVE_POLICY,
-            detector=DetectorConfig(
-                threshold=8.0, window=32, min_std=50.0,
-                min_samples=4, floor=4_000.0,
-            ),
-        )
-    return OcBcastService(
-        transport, oc_config=oc_config, member_config=member_config
+def _configs(sc: Scenario) -> tuple[OcBcastConfig, MembershipConfig | None]:
+    """The scenario's service configuration, identical on both backends."""
+    oc_config = mode_config("byz" if sc.byz else "service")
+    if not sc.adaptive:
+        return oc_config, None
+    return replace(oc_config, ft_retry=_ADAPTIVE_POLICY), MembershipConfig(
+        hb_retry=_ADAPTIVE_POLICY,
+        view_retry=_ADAPTIVE_POLICY,
+        detector=DetectorConfig(
+            threshold=8.0, window=32, min_std=50.0,
+            min_samples=4, floor=4_000.0,
+        ),
     )
 
 
 def payload_for(scenario: Scenario, seed: int) -> bytes:
     """The seeded broadcast payload (identical on both backends)."""
     return random.Random(seed * 9176 + 11).randbytes(scenario.nbytes)
-
-
-def _program(
-    svc: OcBcastService, payload: bytes, nbytes: int
-) -> Callable[[object], Generator]:
-    """The per-rank protocol program, shared verbatim by both backends:
-    it sees only the transport surface."""
-
-    def body(cc) -> Generator:
-        buf = cc.alloc(nbytes)
-        if cc.rank == 0:
-            buf.write(payload)
-        try:
-            status = yield from svc.bcast(cc, buf, nbytes)
-        except FaultInjected:
-            return "crashed"
-        return status
-
-    return body
 
 
 @dataclass
@@ -201,6 +173,18 @@ class RunResult:
         return decision_digest(self.records)
 
 
+def _run(world, backend: str, sc: Scenario, seed: int) -> RunResult:
+    """The shared half: one program, whichever world it was handed.  A
+    run that does not finish is a failure here, so its error raises."""
+    oc_config, member_config = _configs(sc)
+    body = bcast_body(
+        world, oc_config, payload_for(sc, seed), member_config=member_config
+    )
+    run = run_world(world, body).check()
+    outcomes = tuple("ok" if isinstance(v, tuple) else v for v in run.values)
+    return RunResult(backend, run.records, outcomes, run.faults)
+
+
 def run_scc(
     scenario: Scenario | str, seed: int, *, with_plan: bool = True
 ) -> RunResult:
@@ -211,23 +195,11 @@ def run_scc(
     if config.num_cores != sc.nranks:
         raise ValueError(f"mesh {sc.mesh} gives {config.num_cores} cores, "
                          f"scenario wants {sc.nranks}")
-    plan = sc.plan() if with_plan else None
-    chip = SccChip(
-        config,
-        tracer=Tracer(enabled=True),
-        faults=FaultInjector(plan) if plan is not None else None,
+    world = scc_world(
+        config, plan=sc.plan() if with_plan else None, trace=True,
+        crash_hook=sc.crash_hook(), watchdog_us=100_000.0,
     )
-    comm = Comm(chip)
-    comm.transport_faults = sc.crash_hook()
-    svc = _service_for(comm, sc)
-    body = _program(svc, payload_for(sc, seed), sc.nbytes)
-
-    def prog(core):
-        return body(comm.attach(core))
-
-    chip.sim.start_watchdog(100_000.0)
-    result = run_spmd(chip, prog)
-    return RunResult("scc", list(chip.tracer.records), result.values, chip.faults)
+    return _run(world, "scc", sc, seed)
 
 
 def run_asyncio(
@@ -241,18 +213,12 @@ def run_asyncio(
     model draws per-operation latencies uniformly from [0.05, 5] us --
     nothing like the SCC's calibrated timings, which is the point."""
     sc = SCENARIOS[scenario] if isinstance(scenario, str) else scenario
-    net = AsyncioNetwork(
-        sc.nranks,
+    world = asyncio_world(
+        sc.nranks, plan=sc.plan() if with_plan else None,
         model=model if model is not None else UniformDelay(0.05, 5.0),
-        seed=seed,
-        plan=sc.plan() if with_plan else None,
-        time_limit=1_000_000.0,
+        seed=seed, crash_hook=sc.crash_hook(),
     )
-    net.transport_faults = sc.crash_hook()
-    svc = _service_for(net, sc)
-    body = _program(svc, payload_for(sc, seed), sc.nbytes)
-    outcomes = tuple(net.run(body))
-    return RunResult("asyncio", list(net.tracer.records), outcomes, net.faults)
+    return _run(world, "asyncio", sc, seed)
 
 
 def run_backend(

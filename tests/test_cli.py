@@ -91,6 +91,11 @@ class TestCommands:
                    "--no-baseline", "--mesh-cols", "3", "--mesh-rows", "2"])
         assert rc == 2
 
+    def test_faults_rejects_adversary_kind_without_byz(self, capsys):
+        rc = main(["faults", "--trials", "1", "--kinds", "lie_quorum"])
+        assert rc == 2
+        assert "ERROR: lie_in_quorum needs byz=True" in capsys.readouterr().err
+
     def test_model_table2(self, capsys):
         assert main(["model", "--what", "table2"]) == 0
         out = capsys.readouterr().out

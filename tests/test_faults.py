@@ -730,6 +730,22 @@ class TestCampaignKnobs:
         with pytest.raises(ValueError):
             FaultCampaign(trials=1, storm_stall=0.0)
 
+    @pytest.mark.parametrize("kind", [
+        FaultKind.LIE_IN_QUORUM, FaultKind.FORGE_FLAG_VALUE,
+        FaultKind.EQUIVOCATE,
+    ])
+    def test_adversary_kinds_need_a_byz_campaign(self, kind):
+        """Outside byz mode no hook counts adversary sites, so the fault
+        could never fire: the campaign must refuse it, not report a
+        100 % survival rate over zero injections."""
+        from repro.bench import FaultCampaign
+
+        with pytest.raises(ValueError, match="needs byz=True"):
+            FaultCampaign(trials=1, kinds=(kind,))
+        with pytest.raises(ValueError, match="needs byz=True"):
+            FaultCampaign(trials=1, kinds=(FaultKind.CORE_CRASH, kind))
+        FaultCampaign(trials=1, kinds=(kind,), byz=True)  # fine in byz mode
+
     def test_sustained_kind_trial_plans(self):
         from repro.bench import FaultCampaign
         from repro.bench.faultcampaign import parse_kinds
