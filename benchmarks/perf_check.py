@@ -29,6 +29,13 @@ fragmented into ``l1_lines`` single-line runs a point access must cost a
 bounded number of interpreter steps -- the run lookup is a bisection,
 never a scan of the runs.
 
+The *analytic replay steps* count guards ``repro.scc.analytic``: the
+engine steps the OC-Bcast recurrence once per dependency-level group,
+so a chunk costs a number of data-parallel steps that follows the
+tree's critical path (8 / 12 / 8 for k = 2 / 7 / 47 on the 48-core
+chip, 34 for k = 7 on a 1,024-core 32x16 mesh), never the core count --
+the count returns to P the moment the replay walks ranks again.
+
 Last, the *analytic fast path*: a 1,024-trial all-fault-free
 ``fidelity="adaptive"`` campaign must serve every trial from the
 memoised reference (``n_analytic == 1024``, nothing replayed through
@@ -173,6 +180,25 @@ def fragmented_l1_ops_per_access() -> tuple[int, float]:
     return len(l1.resident_runs()), ops / (2 * cap)
 
 
+#: Ceilings on ``AnalyticEngine.replay_steps``: the 48-core chip (any
+#: fan-out) and the 1,024-core 32x16 mesh at k=7.
+MAX_REPLAY_STEPS_48 = 16
+MAX_REPLAY_STEPS_1024 = 48
+
+
+def analytic_replay_steps() -> tuple[int, int]:
+    """Data-parallel steps per chunk of the analytic replay: the most
+    over k in {2, 7, 47} on the 48-core chip, and k=7 on the 32x16
+    mesh.  Fixed by the tree alone.  Deterministic."""
+    from repro.scc import AnalyticEngine, SccConfig
+
+    manycore = SccConfig(mesh_cols=32, mesh_rows=16)
+    return (
+        max(AnalyticEngine(k=k).replay_steps for k in (2, 7, 47)),
+        AnalyticEngine(manycore, k=7).replay_steps,
+    )
+
+
 #: Trials of the all-fault-free adaptive campaign below.
 ANALYTIC_TRIALS = 1024
 
@@ -210,6 +236,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     frag_runs, frag_ops = fragmented_l1_ops_per_access()
+    steps_48, steps_1024 = analytic_replay_steps()
     # (name, measured, ceiling, unit)
     ceilings = [
         ("service tax", service_tax_pct(), args.max_service_tax, "%"),
@@ -220,6 +247,10 @@ def main(argv=None) -> int:
         ("stream l1 runs per core", stream_l1_runs(), MAX_STREAM_L1_RUNS, ""),
         (f"fragmented l1 ops/access ({frag_runs} runs)", frag_ops,
          L1_OPS_PER_LOG2_RUNS * math.log2(frag_runs), ""),
+        ("analytic replay steps (48 cores)", steps_48,
+         MAX_REPLAY_STEPS_48, ""),
+        ("analytic replay steps (1024 cores)", steps_1024,
+         MAX_REPLAY_STEPS_1024, ""),
     ]
     width = max(len(name) for name, *_ in ceilings)
     failed = []

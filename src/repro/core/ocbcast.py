@@ -364,7 +364,10 @@ class OcBcast:
         self._base[cc.rank] += nchunks + (1 if cfg.service else 0)
 
         if tree is None:
-            tree = PropagationTree(size, cfg.k, root, tuple(order) if order else ())
+            tree = PropagationTree(
+                size, cfg.k, root,
+                tuple(order) if order is not None and len(order) else (),
+            )
         children = tree.children_of(cc.rank)
         if tree.parent_of(cc.rank) is None:
             cc.metric_inc("oc.bcasts")

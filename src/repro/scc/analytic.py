@@ -7,9 +7,14 @@ protocol's schedule is a deterministic dependency graph over them.  This
 module evaluates that graph directly: an :class:`AnalyticEngine` caches
 the chip geometry (hop-distance matrix, per-line MPB/memory costs) and
 the OC-Bcast tree schedule once, then *replays* the protocol as a
-per-rank clock recurrence -- chunk by chunk, tree level by tree level --
-entirely in numpy, vectorised over a whole batch of message sizes at
-once.  No simulator processes, no event queue, no byte movement.
+per-rank clock recurrence entirely in numpy -- chunk by chunk, and
+within a chunk one data-parallel step per *dependency level*: a rank
+waits only for the one rank that notifies it, so all ranks equally far
+down the notification chains advance together, as one (ranks, lanes)
+block, vectorised over a whole batch of message sizes at once.  The
+steps per chunk follow the critical path of Formula 13 (8-12 on the
+48-core chip, 34 on a 1,024-core mesh), not the core count.  No
+simulator processes, no event queue, no byte movement.
 
 The replay reproduces the IDEAL-mode simulator **bit-exactly** (the test
 suite asserts float equality): every ``yield timeout(d)`` of the
@@ -43,7 +48,7 @@ contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -102,6 +107,8 @@ class AnalyticResult:
 
     @property
     def mean_latency(self) -> float:
+        if len(self.latencies) == 1:  # the mean of one float is that float
+            return self.latencies[0]
         return float(np.mean(self.latencies))
 
     @property
@@ -121,6 +128,22 @@ class AnalyticResult:
     @property
     def cache_lines(self) -> int:
         return -(-self.nbytes // CACHE_LINE)
+
+
+class _Group(NamedTuple):
+    """The tree positions of one dependency level that run the same
+    straight-line code, as index and cost arrays (see
+    ``AnalyticEngine.__init__``)."""
+
+    ranks: np.ndarray  # (n,)
+    children: np.ndarray | None  # (n, n_children); None for leaves
+    #: One ``(targets (n,), line_cost[ranks, targets] (n, 1))`` per write.
+    relay: tuple[tuple[np.ndarray, np.ndarray], ...]
+    own: tuple[tuple[np.ndarray, np.ndarray], ...]
+    line_parent: np.ndarray  # (n, 1)
+    line_self: np.ndarray  # (n, 1)
+    mem_write: np.ndarray  # (n, 1)
+    done_detect: float
 
 
 class AnalyticEngine:
@@ -177,7 +200,8 @@ class AnalyticEngine:
         P = cfg.num_cores
         self.size = P
         self.tree = PropagationTree(
-            P, k, root, tuple(order) if order else ()
+            P, k, root,
+            tuple(order) if order is not None and len(order) else (),
         )
 
         # -- cached geometry (Formulas 2/3/5/6 as arrays) -------------------
@@ -200,38 +224,43 @@ class AnalyticEngine:
         # Cold-miss read totals, accumulated line by line exactly as
         # Core.mem_read's loop does (repeated float addition is not the
         # same float as multiplication; bit-exactness needs the loop).
+        # cumsum is add.accumulate -- strictly sequential, acc[m] =
+        # acc[m - 1] + per starting from per == 0.0 + per -- so it *is*
+        # that loop.
         if cfg.model_l1:
-            loop = np.empty((P, chunk_lines + 1))
-            for r in range(P):
-                acc, per = 0.0, float(self.mem_read_line[r])
-                loop[r, 0] = 0.0
-                for m in range(1, chunk_lines + 1):
-                    acc += per
-                    loop[r, m] = acc
+            loop = np.zeros((P, chunk_lines + 1))
+            np.cumsum(
+                np.broadcast_to(self.mem_read_line[:, None], (P, chunk_lines)),
+                axis=1, out=loop[:, 1:],
+            )
             self._mem_read_loop: np.ndarray | None = loop
         else:
             self._mem_read_loop = None
 
         # -- cached schedule ------------------------------------------------
         # Per tree position: who I notify, who relays to me, my waits.
-        # Positions are processed in index order each chunk, which is a
-        # topological order of every intra-chunk dependency (parents and
-        # notifier slots always have lower positions).
         t_poll = cfg.t_poll
+        families: dict[int, NotificationTree] = {}
+
+        def family(n: int) -> NotificationTree:
+            if n not in families:
+                families[n] = NotificationTree(n, notify_degree)
+            return families[n]
+
+        kids = {r: self.tree.children_of(r) for r in self.tree.order}
         self._sched: list[dict] = []
-        for pos in range(self.tree.size):
-            r = self.tree.rank_at(pos)
+        for r in self.tree.order:  # position order, root first
             parent = self.tree.parent_of(r)
-            children = self.tree.children_of(r)
-            fam = NotificationTree(len(children), notify_degree)
+            children = kids[r]
+            fam = family(len(children))
             own_targets = [children[t - 1] for t in fam.notify_targets(0)]
             relay_targets: list[int] = []
             if parent is not None:
-                siblings = self.tree.children_of(parent)
+                siblings = kids[parent]
                 my_slot = self.tree.child_index(r) + 1
-                pfam = NotificationTree(len(siblings), notify_degree)
                 relay_targets = [
-                    siblings[t - 1] for t in pfam.notify_targets(my_slot)
+                    siblings[t - 1]
+                    for t in family(len(siblings)).notify_targets(my_slot)
                 ]
             self._sched.append({
                 "rank": r,
@@ -247,8 +276,91 @@ class AnalyticEngine:
                 ),
                 "is_leaf": not children,
             })
+        self._root_ent = self._sched[0]
+        self._notify_detect = self._root_ent["notify_detect"]
+        self._n_leaves = sum(1 for ent in self._sched if ent["is_leaf"])
+        # FT poll budgets a fault-free wait must respect (see _wait).
+        self._flag_budget = ft_flag_timeout if ft else None
+        self._notify_budget = ft_notify_timeout if ft else None
+
+        # -- dependency levels ----------------------------------------------
+        # Within one chunk a position depends on exactly one other: the
+        # rank whose notify write it waits for (its parent for the first
+        # ``notify_degree`` children, a sibling for the rest).  Recycle
+        # waits read the doneFlags of chunk ``idx - num_buffers``, and
+        # this chunk's doneFlags are read by later chunks and the final
+        # drain.  So level(root) = 0, level(r) = level(notifier(r)) + 1,
+        # and all positions of one level can be stepped at once.
+        # Notifiers sit at lower positions, so index order resolves it.
+        level = {self.root: 0}
+        for ent in self._sched:
+            for t in ent["relay_targets"] + ent["own_targets"]:
+                level[t] = level[ent["rank"]] + 1
+        # Positions of one level that run the same straight-line code --
+        # same number of relay writes, own writes and children (so the
+        # children table is rectangular) -- form one group: one
+        # data-parallel step over a (positions, lanes) block.
+        keyed: dict[tuple[int, int, int, int], list[dict]] = {}
+        for ent in self._sched[1:]:
+            key = (
+                level[ent["rank"]], len(ent["relay_targets"]),
+                len(ent["own_targets"]), len(ent["children"]),
+            )
+            keyed.setdefault(key, []).append(ent)
+        self._groups = [self._group(keyed[key]) for key in sorted(keyed)]
+        # The final drain wait has no dependencies at all: one step per
+        # distinct family size, root included.
+        by_family: dict[int, list[dict]] = {}
+        for ent in self._sched:
+            if ent["children"]:
+                by_family.setdefault(len(ent["children"]), []).append(ent)
+        self._drains = [
+            (
+                np.array([ent["rank"] for ent in ents]),
+                np.array([ent["children"] for ent in ents]),
+                ents[0]["done_detect"],
+            )
+            for ents in by_family.values()
+        ]
+
+    def _group(self, ents: list[dict]) -> "_Group":
+        """Index and cost arrays of one level group (see ``__init__``).
+        Per-rank costs are ``(n, 1)`` columns, so they broadcast against
+        the group's ``(n, lanes)`` clock block."""
+        line = self.line_cost
+        R = np.array([ent["rank"] for ent in ents])
+        parent = np.array([ent["parent"] for ent in ents])
+
+        def writes(field: str) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+            targets = np.array([ent[field] for ent in ents]).reshape(len(ents), -1)
+            return tuple((T, line[R, T][:, None]) for T in targets.T)
+
+        children = ents[0]["children"]
+        return _Group(
+            ranks=R,
+            children=(
+                np.array([ent["children"] for ent in ents]) if children else None
+            ),
+            relay=writes("relay_targets"),
+            own=writes("own_targets"),
+            line_parent=line[R, parent][:, None],
+            line_self=line[R, R][:, None],
+            mem_write=self.mem_write_line[R][:, None],
+            done_detect=ents[0]["done_detect"],
+        )
+
+    @property
+    def replay_steps(self) -> int:
+        """Data-parallel steps per chunk: the root plus one per level
+        group.  Fixed at construction; the critical path of Formula 13
+        bounds the number of levels, not the number of cores."""
+        return 1 + len(self._groups)
 
     # -- building blocks ----------------------------------------------------
+    #
+    # Clocks live in (P, lanes) arrays -- one row per rank, one column per
+    # batch lane -- so a group's block ``clk[R]`` gathers whole rows.
+    # Fancy indexing copies: every step ends by writing its block back.
 
     def _mem_read_total(self, rank: int, m: np.ndarray) -> np.ndarray:
         """Cold read of ``m`` lines from private memory (Formula 6 with
@@ -262,7 +374,6 @@ class AnalyticEngine:
         clk: np.ndarray,
         landed: np.ndarray,
         detect: float,
-        active: np.ndarray,
         budget: float | None,
     ) -> np.ndarray:
         """Return time of a flag wait entered at ``clk`` whose satisfying
@@ -271,11 +382,10 @@ class AnalyticEngine:
         fault-free wait must respect -- overrunning it would trigger
         re-notification in the simulator, which the replay refuses to
         model rather than mismodel."""
-        t_poll = self.config.t_poll
-        entry = clk + t_poll
+        entry = clk + self.config.t_poll
         if budget is not None:
-            late = active & (landed > entry) & (landed > clk + budget)
-            if bool(np.any(late)):
+            late = (landed > entry) & (landed > clk + budget)
+            if late.any():
                 raise AnalyticUnsupported(
                     f"a fault-free wait exceeds its {budget}-us FT poll "
                     f"budget at this scale; use the event kernel"
@@ -283,24 +393,97 @@ class AnalyticEngine:
         return np.where(landed <= entry, entry, landed + detect)
 
     def _flag_write(
-        self,
-        clk: np.ndarray,
-        cost: float,
-        land_col: np.ndarray,
-        active: np.ndarray,
-    ) -> np.ndarray:
-        """One notify/done flag write at per-line cost ``cost``: the value
-        lands after ``o_put_mpb + cost``; FT mode pays the readback ack
-        (one more remote line) before the writer continues."""
-        cfg = self.config
-        clk = clk + cfg.o_put_mpb
-        clk = clk + cost
-        land_col[...] = np.where(active, clk, land_col)
+        self, c: np.ndarray, cost, targets, *lands: np.ndarray
+    ) -> None:
+        """One notify/done flag write at per-line cost ``cost``, advancing
+        the clock block ``c`` in place: the value lands (in every array
+        of ``lands``, rows ``targets``) after ``o_put_mpb + cost``; FT
+        mode pays the readback ack (one more remote line) before the
+        writer continues.  Every flag has exactly one writer, so the
+        scatter never collides."""
+        c += self.config.o_put_mpb
+        c += cost
+        for land in lands:
+            land[targets] = c
         if self.ft:
-            clk = clk + cost
-        return clk
+            c += cost
 
     # -- the replay ---------------------------------------------------------
+
+    def _chunk(
+        self,
+        m: np.ndarray,
+        root_read: np.ndarray,
+        recycle: np.ndarray | None,
+        clk: np.ndarray,
+        notify_land: np.ndarray,
+        slot: np.ndarray,
+        last_done: np.ndarray,
+    ) -> None:
+        """One chunk of one broadcast for lanes that all carry it: the
+        root, then every level group.  ``m`` is the chunk's line count
+        per lane (as floats), ``root_read`` the root's cold read of it,
+        ``recycle`` the doneFlag landings of the chunk whose buffer this
+        one reuses; the four state arrays are updated in place."""
+        cfg = self.config
+        line = self.line_cost
+        ft_budget = self._flag_budget
+        acked = self.ft and self.ft_ack_data
+
+        # -- root: (recycle) -> stage -> notify ----------------------------
+        ent = self._root_ent
+        r = self.root
+        c = clk[r]
+        if recycle is not None:
+            c = self._wait(
+                c, recycle[ent["children"]].max(axis=0),
+                ent["done_detect"], ft_budget,
+            )
+        staged = m * line[r, r]
+        c = c + cfg.o_put_mem
+        c += root_read
+        c += staged
+        if acked:
+            c += staged  # put_acked: readback of the staged lines
+        for t in ent["own_targets"]:
+            self._flag_write(c, line[r, t], t, notify_land)
+        clk[r] = c
+
+        # -- nodes, level by level: wait -> relay -> (recycle) -> fetch ->
+        #    done -> notify -> copy out -------------------------------------
+        for g in self._groups:
+            R = g.ranks
+            c = self._wait(
+                clk[R], notify_land[R], self._notify_detect, self._notify_budget
+            )
+            if self.interrupt_notify:
+                c += self.irq_handler
+            for T, cost in g.relay:
+                self._flag_write(c, cost, T, notify_land)
+            if g.children is not None and recycle is not None:
+                c = self._wait(
+                    c, recycle[g.children].max(axis=1), g.done_detect, ft_budget
+                )
+            if self.leaf_direct and g.children is None:
+                # Section 5.4: straight to off-chip memory.
+                c += cfg.o_get_mem
+                c += m * g.line_parent
+                c += m * g.mem_write
+                self._flag_write(c, g.line_parent, R, slot, last_done)
+            else:
+                own_mpb = m * g.line_self  # m lines to / from my own MPB
+                c += cfg.o_get_mpb
+                c += m * g.line_parent
+                c += own_mpb
+                if acked:
+                    c += own_mpb  # get_acked readback
+                self._flag_write(c, g.line_parent, R, slot, last_done)
+                for T, cost in g.own:
+                    self._flag_write(c, cost, T, notify_land)
+                c += cfg.o_get_mem
+                c += own_mpb
+                c += m * g.mem_write
+            clk[R] = c
 
     def _replay(
         self, sizes: np.ndarray, total_iters: int
@@ -308,123 +491,60 @@ class AnalyticEngine:
         """Replay ``total_iters`` back-to-back broadcasts for every batch
         lane; returns ``(enters, exits)`` of shapes ``(iters, B)`` (the
         root's entry per iteration) and ``(iters, B, P)``."""
-        cfg = self.config
         P = self.size
         B = len(sizes)
         root = self.root
         nb = self.num_buffers
         enters = np.zeros((total_iters, B))
-        exits = np.zeros((total_iters, B, P))
+        exits = np.zeros((total_iters, P, B))
         if P == 1:
-            return enters, exits  # bcast() returns immediately
+            return enters, exits.transpose(0, 2, 1)  # bcast() returns immediately
 
+        # Which lanes carry chunk ``idx`` and how many lines of it: the
+        # same every iteration.  Lanes are independent and a lane that
+        # ran out of chunks stays out, so a chunk only some lanes carry
+        # runs on those lanes' columns alone (``act``) and scatters them
+        # back -- the others keep their values without a mask anywhere.
         nchunks = -(-sizes // self.chunk_bytes)
-        max_chunks = int(nchunks.max())
-        clk = np.zeros((B, P))
-        notify_land = np.zeros((B, P))
-        ring = [np.zeros((B, P)) for _ in range(nb + 1)]
-        last_done = np.zeros((B, P))
-        line = self.line_cost
-        ft_budget = self.ft_flag_timeout if self.ft else None
-        notify_budget = self.ft_notify_timeout if self.ft else None
+        plan = []
+        for idx in range(int(nchunks.max())):
+            act = np.flatnonzero(idx < nchunks)
+            span = np.minimum(sizes[act] - idx * self.chunk_bytes, self.chunk_bytes)
+            m = -(-span // CACHE_LINE)
+            plan.append((
+                None if len(act) == B else act,
+                m.astype(np.float64), self._mem_read_total(root, m),
+            ))
+
+        clk = np.zeros((P, B))
+        notify_land = np.zeros((P, B))
+        ring = [np.zeros((P, B)) for _ in range(nb + 1)]
+        last_done = np.zeros((P, B))
 
         for it in range(total_iters):
-            enters[it] = clk[:, root]
-            for idx in range(max_chunks):
-                active = idx < nchunks
-                if not bool(np.any(active)):
-                    break
-                span = np.clip(sizes - idx * self.chunk_bytes, 0, self.chunk_bytes)
-                m = -(-span // CACHE_LINE)
+            enters[it] = clk[root]
+            for idx, (act, m, root_read) in enumerate(plan):
                 slot = ring[idx % (nb + 1)]
                 recycle = ring[(idx - nb) % (nb + 1)] if idx >= nb else None
-                for ent in self._sched:
-                    r = ent["rank"]
-                    parent = ent["parent"]
-                    children = ent["children"]
-                    c = clk[:, r]
-                    if parent is None:
-                        # -- root: (recycle) -> stage -> notify ------------
-                        if children and recycle is not None:
-                            W = recycle[:, children].max(axis=1)
-                            c = self._wait(
-                                c, W, ent["done_detect"], active, ft_budget
-                            )
-                        c = c + cfg.o_put_mem
-                        if self.ft and self.ft_ack_data:
-                            # put_acked: put + readback of the staged lines.
-                            c = c + self._mem_read_total(r, m)
-                            c = c + m * line[r, r]
-                            c = c + m * line[r, r]
-                        else:
-                            c = c + self._mem_read_total(r, m)
-                            c = c + m * line[r, r]
-                        for t in ent["own_targets"]:
-                            c = self._flag_write(
-                                c, line[r, t], notify_land[:, t], active
-                            )
-                    else:
-                        # -- node: wait -> relay -> (recycle) -> fetch ->
-                        #    done -> notify -> copy out ---------------------
-                        c = self._wait(
-                            c, notify_land[:, r], ent["notify_detect"],
-                            active, notify_budget,
-                        )
-                        if self.interrupt_notify:
-                            c = c + self.irq_handler
-                        for t in ent["relay_targets"]:
-                            c = self._flag_write(
-                                c, line[r, t], notify_land[:, t], active
-                            )
-                        if children and recycle is not None:
-                            W = recycle[:, children].max(axis=1)
-                            c = self._wait(
-                                c, W, ent["done_detect"], active, ft_budget
-                            )
-                        if self.leaf_direct and ent["is_leaf"]:
-                            # Section 5.4: straight to off-chip memory.
-                            c = c + cfg.o_get_mem
-                            c = c + m * line[r, parent]
-                            c = c + m * float(self.mem_write_line[r])
-                            c = self._flag_write(
-                                c, line[r, parent], slot[:, r], active
-                            )
-                            last_done[:, r] = np.where(
-                                active, slot[:, r], last_done[:, r]
-                            )
-                        else:
-                            c = c + cfg.o_get_mpb
-                            c = c + m * line[r, parent]
-                            c = c + m * line[r, r]
-                            if self.ft and self.ft_ack_data:
-                                c = c + m * line[r, r]  # get_acked readback
-                            c = self._flag_write(
-                                c, line[r, parent], slot[:, r], active
-                            )
-                            last_done[:, r] = np.where(
-                                active, slot[:, r], last_done[:, r]
-                            )
-                            for t in ent["own_targets"]:
-                                c = self._flag_write(
-                                    c, line[r, t], notify_land[:, t], active
-                                )
-                            c = c + cfg.o_get_mem
-                            c = c + m * line[r, r]
-                            c = c + m * float(self.mem_write_line[r])
-                    clk[:, r] = np.where(active, c, clk[:, r])
+                state = (clk, notify_land, slot, last_done)
+                if act is None:
+                    self._chunk(m, root_read, recycle, *state)
+                    continue
+                if recycle is not None:
+                    recycle = recycle[:, act]
+                sub = [a[:, act] for a in state]
+                self._chunk(m, root_read, recycle, *sub)
+                for a, part in zip(state, sub):
+                    a[:, act] = part
             # Final buffer-drain wait: every rank with children waits for
             # their final-chunk doneFlags (all lanes had >= 1 chunk).
-            every = np.ones(B, dtype=bool)
-            for ent in self._sched:
-                if not ent["children"]:
-                    continue
-                r = ent["rank"]
-                W = last_done[:, ent["children"]].max(axis=1)
-                clk[:, r] = self._wait(
-                    clk[:, r], W, ent["done_detect"], every, ft_budget
+            for R, children, detect in self._drains:
+                clk[R] = self._wait(
+                    clk[R], last_done[children].max(axis=1), detect,
+                    self._flag_budget,
                 )
             exits[it] = clk
-        return enters, exits
+        return enters, exits.transpose(0, 2, 1)
 
     # -- public API ---------------------------------------------------------
 
@@ -452,55 +572,65 @@ class AnalyticEngine:
         """
         if iters < 1 or warmup < 0:
             raise ValueError("need iters >= 1 and warmup >= 0")
-        sizes_arr = np.asarray(list(sizes), dtype=np.int64)
-        if sizes_arr.ndim != 1 or len(sizes_arr) == 0:
+        raw = np.asarray(list(sizes))
+        if raw.ndim != 1 or len(raw) == 0:
             raise ValueError("sizes must be a non-empty 1-D sequence")
+        # astype(int64) would truncate 100.7 to 100 and simulate that.
+        integral = raw.dtype.kind in "iu" or (
+            raw.dtype.kind == "f"
+            and bool(np.all(np.isfinite(raw) & (raw == np.floor(raw))))
+        )
+        if not integral:
+            raise ValueError("every message size must be a whole number of bytes")
+        sizes_arr = raw.astype(np.int64)
         if bool(np.any(sizes_arr <= 0)):
             raise ValueError("every message size must be > 0")
         total = warmup + iters
         enters, exits = self._replay(sizes_arr, total)
-        out: list[AnalyticResult] = []
-        for b, nbytes in enumerate(sizes_arr.tolist()):
-            lat = tuple(
-                float(exits[i, b].max() - enters[i, b])
-                for i in range(warmup, total)
+        last = exits.max(axis=2)
+        first_enter = enters[warmup]
+        sizes_list = sizes_arr.tolist()
+        return [
+            AnalyticResult(
+                nbytes=nbytes, latencies=tuple(lat),
+                completion_times=tuple(done), enter_time=entered,
+                measured_span=span, metrics=metrics,
             )
-            out.append(AnalyticResult(
-                nbytes=nbytes,
-                latencies=lat,
-                completion_times=tuple(exits[total - 1, b].tolist()),
-                enter_time=float(enters[warmup, b]),
-                measured_span=float(exits[total - 1, b].max() - enters[warmup, b]),
-                metrics=self._metrics(nbytes, total),
-            ))
-        return out
+            for nbytes, lat, done, entered, span, metrics in zip(
+                sizes_list,
+                (last[warmup:] - enters[warmup:]).T.tolist(),
+                exits[total - 1].tolist(),
+                first_enter.tolist(),
+                (last[total - 1] - first_enter).tolist(),
+                self._metrics(sizes_list, total),
+            )
+        ]
 
-    def _metrics(self, nbytes: int, iters: int) -> dict[str, float]:
-        """The counters an IDEAL simulation of ``iters`` broadcasts would
-        accumulate -- warm-ups included, as the kernel counts every
-        protocol operation (validated against the simulator's
+    def _metrics(self, sizes: list[int], iters: int) -> list[dict[str, float]]:
+        """Per message size, the counters an IDEAL simulation of ``iters``
+        broadcasts would accumulate -- warm-ups included, as the kernel
+        counts every protocol operation (validated against the simulator's
         :class:`~repro.obs.MetricsRegistry` in the test suite)."""
         P = self.size
         if P == 1:
-            return {}
-        nchunks = -(-nbytes // self.chunk_bytes)
-        n_leaves = sum(1 for ent in self._sched if ent["is_leaf"])
+            return [{} for _ in sizes]
         non_root = P - 1
-        if self.leaf_direct:
-            # Leaves fetch straight to memory: one get per chunk, payload
-            # bytes only once.
-            gets = (2 * (non_root - n_leaves) + n_leaves) * nchunks
-            get_bytes = (2 * (non_root - n_leaves) + n_leaves) * nbytes
-        else:
-            gets = 2 * non_root * nchunks
-            get_bytes = 2 * non_root * nbytes
-        return {
-            "oc.bcasts": float(iters),
-            "oc.chunks": float(iters * nchunks),
-            "oc.bytes": float(iters * nbytes),
-            "flags.writes": float(iters * 2 * non_root * nchunks),
-            "rcce.puts": float(iters * nchunks),
-            "rcce.put_bytes": float(iters * nbytes),
-            "rcce.gets": float(iters * gets),
-            "rcce.get_bytes": float(iters * get_bytes),
-        }
+        # Per chunk (count) and per payload byte (volume): two gets per
+        # node -- except leaves that fetch straight to memory, one get
+        # and the payload bytes only once.
+        gets = 2 * non_root - (self._n_leaves if self.leaf_direct else 0)
+        chunk_bytes = self.chunk_bytes
+        out = []
+        for nbytes in sizes:
+            nchunks = -(-nbytes // chunk_bytes)
+            out.append({
+                "oc.bcasts": float(iters),
+                "oc.chunks": float(iters * nchunks),
+                "oc.bytes": float(iters * nbytes),
+                "flags.writes": float(iters * 2 * non_root * nchunks),
+                "rcce.puts": float(iters * nchunks),
+                "rcce.put_bytes": float(iters * nbytes),
+                "rcce.gets": float(iters * gets * nchunks),
+                "rcce.get_bytes": float(iters * gets * nbytes),
+            })
+        return out

@@ -1,5 +1,6 @@
 """Tests for OC-Bcast: correctness, protocol ordering, configurations."""
 
+import numpy as np
 import pytest
 
 from repro.core import NotifyMode, OcBcast, OcBcastConfig, topology_aware_order
@@ -157,6 +158,10 @@ class TestConfigurations:
         order = topology_aware_order(48, 7, 0, chip.mesh.core_distance)
         sent, got = oc_roundtrip(48, 400, order=order)
         assert all(got[0][r] == sent[0] for r in range(48))
+
+    def test_order_accepts_an_array(self):
+        sent, got = oc_roundtrip(12, 400, root=11, order=np.arange(12)[::-1])
+        assert all(got[0][r] == sent[0] for r in range(12))
 
     def test_double_buffering_improves_throughput(self):
         """The paper's 2n-delta vs n-delta argument (Section 4.2).  The
