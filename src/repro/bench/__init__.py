@@ -41,11 +41,7 @@ from .faultcampaign import (
 )
 from .harness import BcastResult, BcastSpec, run_broadcast, sweep_broadcast
 from .microbench import PutGetSample, sweep_putget
-from .parallel import (
-    default_jobs,
-    parallel_map,
-    sweep_broadcast_parallel,
-)
+from .parallel import default_jobs, parallel_map
 from .contention import ContentionResult, concurrent_access, mesh_link_probe
 from .reporting import format_fault_timeline, format_series, format_table, write_csv
 
@@ -67,7 +63,6 @@ __all__ = [
     "concurrent_access",
     "default_jobs",
     "parallel_map",
-    "sweep_broadcast_parallel",
     "flag_traffic",
     "mpb_port_utilisation",
     "pipeline_depth",

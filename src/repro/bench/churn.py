@@ -17,8 +17,7 @@ configurations:
   budget that converts pathological overload into a deterministic
   :class:`repro.resilience.OverloadError` refusal;
 - **fixed** -- the legacy compiled-in constants: shared ``hb_timeout``
-  deadline, immediate re-sends, unbounded attempts up to
-  ``max_attempts``.
+  deadline, immediate re-sends, no refusal budget.
 
 The point of the comparison: under a flapping link, an *immediate*
 retry burst lands entirely inside one down phase (the heartbeat never
@@ -38,7 +37,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Generator
+from typing import ClassVar, Generator
 
 import numpy as np
 
@@ -175,12 +174,7 @@ class ChurnCampaign:
     trials: int = 100
     seed: int = 1
     broadcasts: int = 10
-    nbytes: int = 96 * CACHE_LINE
     config: SccConfig | None = None
-    root: int = 0
-    k: int = 7
-    chunk_lines: int = 96
-    num_buffers: int = 2
     #: Also run every plan against the fixed-deadline configuration.
     compare_fixed: bool = True
     #: Flap regime: cycle length, down fraction.
@@ -188,22 +182,24 @@ class ChurnCampaign:
     flap_duty: float = 0.4
     #: One mid-stream CORE_CRASH per trial (off = flapping only).
     crash: bool = True
-    #: Kernel watchdog period (us); must exceed every legitimate idle
-    #: wait of the *fixed* configuration too.
-    watchdog_interval: float = 120_000.0
     #: Attach the streaming :class:`repro.obs.InvariantChecker` to every
     #: adaptive-leg trial and count I8 (``no-false-eviction``) violations
     #: online.  The fixed leg is exempt by design -- false-evicting under
     #: flap is exactly the failure it demonstrates.
     check_i8: bool = True
 
+    #: Every broadcast is one chunk from rank 0.
+    nbytes: ClassVar[int] = 96 * CACHE_LINE
+    root: ClassVar[int] = 0
+    #: Kernel watchdog period (us); must exceed every legitimate idle
+    #: wait of the *fixed* configuration too.
+    watchdog_interval: ClassVar[float] = 120_000.0
+
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.broadcasts < 1:
             raise ValueError("need at least one broadcast per trial")
-        if self.nbytes <= 0:
-            raise ValueError("nbytes must be > 0")
         if self.flap_period <= 0.0:
             raise ValueError("flap_period must be > 0")
         if not 0.0 < self.flap_duty < 1.0:
@@ -264,10 +260,7 @@ class ChurnCampaign:
         return MembershipConfig()
 
     def _oc_config(self, adaptive: bool) -> OcBcastConfig:
-        base = mode_config(
-            "service", k=self.k, chunk_lines=self.chunk_lines,
-            num_buffers=self.num_buffers,
-        )
+        base = mode_config("service")
         if adaptive:
             base = replace(
                 base,

@@ -70,6 +70,8 @@ def concurrent_access(
         raise ValueError("op must be 'get' or 'put'")
     if n_cores < 1:
         raise ValueError("n_cores must be >= 1")
+    if lines < 1:
+        raise ValueError("lines must be >= 1")
     cfg = _contention_config(config)
     chip = SccChip(cfg)
     if n_cores >= chip.num_cores:

@@ -89,6 +89,28 @@ ANALYTIC_REFERENCE_KINDS = frozenset({
     FaultKind.CORE_CRASH,
 })
 
+#: The envelope (``FaultSpec`` knobs, us) of every fault kind that
+#: carries one; LINK_DOWN's burst window is the campaign's
+#: ``link_down_duration``.
+FAULT_ENVELOPES: dict[FaultKind, dict] = {
+    FaultKind.LINK_STALL: {"duration": 500.0},
+    FaultKind.CORE_PAUSE: {"duration": 1_000.0},
+    # Total flap window, down/up cycle period and the fraction of each
+    # cycle spent down: a victim's MPB port flaps for several heartbeat
+    # rounds -- long enough to false-evict a fixed-deadline membership
+    # config, short enough that a phi-accrual detector keeps the member
+    # (docs/FAULTS.md section 10).
+    FaultKind.FLAPPING_LINK: {
+        "duration": 8_000.0, "period": 1_000.0, "duty": 0.4,
+    },
+    # Quiet gap between successive crashes, and how many cores the churn
+    # process takes down in total.
+    FaultKind.REPEATED_CRASH: {"period": 2_000.0, "cycles": 2},
+    # Storm window, and the extra per-access stall (``period``) every
+    # MPB transaction pays while it lasts.
+    FaultKind.CONGESTION_STORM: {"duration": 2_000.0, "period": 40.0},
+}
+
 #: Trace kinds that make up a fault timeline.
 TIMELINE_KINDS = (
     "fault.injected",
@@ -443,15 +465,9 @@ class FaultCampaign:
     nbytes: int = 96 * CACHE_LINE
     config: SccConfig | None = None
     root: int = 0
-    k: int = 7
-    chunk_lines: int = 96
-    num_buffers: int = 2
     compare_baseline: bool = True
     #: Kernel watchdog period (us); must exceed every legitimate idle wait.
     watchdog_interval: float = 50_000.0
-    stall_duration: float = 500.0
-    pause_duration: float = 1_000.0
-    ft_max_retries: int = 3
     #: Also run every trial against the crash-surviving broadcast
     #: service (:class:`repro.member.OcBcastService`).
     service: bool = False
@@ -470,22 +486,6 @@ class FaultCampaign:
     mid_stream: bool = False
     #: LINK_DOWN burst window (us of silently dropped protocol writes).
     link_down_duration: float = 400.0
-    #: FLAPPING_LINK envelope: total flap window, down/up cycle period
-    #: and the fraction of each cycle spent down.  The defaults flap a
-    #: victim's MPB port for several heartbeat rounds -- long enough to
-    #: false-evict a fixed-deadline membership config, short enough that
-    #: a phi-accrual detector keeps the member (docs/FAULTS.md section 10).
-    flap_duration: float = 8_000.0
-    flap_period: float = 1_000.0
-    flap_duty: float = 0.4
-    #: REPEATED_CRASH churn: quiet gap between successive crashes and
-    #: how many cores the churn process takes down in total.
-    churn_gap: float = 2_000.0
-    churn_cycles: int = 2
-    #: CONGESTION_STORM window and the extra per-access stall every MPB
-    #: transaction pays while the storm lasts.
-    storm_duration: float = 2_000.0
-    storm_stall: float = 40.0
     #: Byzantine campaign: every trial runs the RBC-hardened service
     #: (``OcBcastConfig(byz=True)``) against ``adversaries`` compromised
     #: cores (the crash-oriented FT/baseline/service legs are skipped --
@@ -508,18 +508,12 @@ class FaultCampaign:
     #: memoised fault-free reference runs -- sound because the simulator
     #: is deterministic, so a fault-free trial IS the reference run --
     #: with the analytic engine cross-checking the reference latencies
-    #: (prediction off by more than ``analytic_tolerance`` means the
-    #: config is outside the engine's validated envelope, and the whole
-    #: campaign degrades to all-kernel execution).  Classifications are
-    #: byte-identical to ``"exact"`` either way; see docs/PERFORMANCE.md.
+    #: (a prediction off by more than the contention mode's tolerance,
+    #: see :meth:`_check_fidelity`, means the config is outside the
+    #: engine's validated envelope, and the whole campaign degrades to
+    #: all-kernel execution).  Classifications are byte-identical to
+    #: ``"exact"`` either way; see docs/PERFORMANCE.md.
     fidelity: str = "exact"
-    #: Max relative error allowed between the analytic prediction and
-    #: the kernel-measured fault-free reference latencies.  ``None``
-    #: resolves per contention mode: 2% against EXACT/IDEAL/ANALYTIC
-    #: kernels (the engine's validated envelope), 10% against BATCH --
-    #: itself an approximation, whose whole-transfer port holds sit up
-    #: to ~7% above the uncontended model around the one-chunk knee.
-    analytic_tolerance: float | None = None
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -532,8 +526,6 @@ class FaultCampaign:
             raise ValueError(
                 f"fidelity must be 'exact' or 'adaptive', got {self.fidelity!r}"
             )
-        if self.analytic_tolerance is not None and self.analytic_tolerance <= 0.0:
-            raise ValueError("analytic_tolerance must be > 0")
         if self.nbytes <= 0:
             raise ValueError("nbytes must be > 0")
         if self.faults_per_trial < 1:
@@ -545,14 +537,6 @@ class FaultCampaign:
             )
         if self.link_down_duration <= 0:
             raise ValueError("link_down_duration must be > 0")
-        if self.flap_duration <= 0 or self.flap_period <= 0:
-            raise ValueError("flap_duration and flap_period must be > 0")
-        if not 0.0 < self.flap_duty < 1.0:
-            raise ValueError("flap_duty must be strictly between 0 and 1")
-        if self.churn_gap <= 0 or self.churn_cycles < 1:
-            raise ValueError("churn_gap must be > 0 and churn_cycles >= 1")
-        if self.storm_duration <= 0 or self.storm_stall <= 0:
-            raise ValueError("storm_duration and storm_stall must be > 0")
         if self.byz:
             size = (self.config or SccConfig()).num_cores
             if not 1 <= self.adversaries < size:
@@ -581,14 +565,9 @@ class FaultCampaign:
         )
 
     def _oc_config(self, mode: str) -> OcBcastConfig:
+        # Acked data puts only pay off when data writes can be faulted.
         return mode_config(
-            mode,
-            k=self.k,
-            chunk_lines=self.chunk_lines,
-            num_buffers=self.num_buffers,
-            ft_max_retries=self.ft_max_retries,
-            # Acked data puts only pay off when data writes can be faulted.
-            ft_ack_data=FaultKind.DROP_DATA_WRITE in self.kinds,
+            mode, ft_ack_data=FaultKind.DROP_DATA_WRITE in self.kinds
         )
 
     @cached_property
@@ -713,7 +692,7 @@ class FaultCampaign:
             return self._byz_trial_plans(profile)
         rng = random.Random(self.seed)
         size = (self.config or SccConfig()).num_cores
-        tree = PropagationTree(size, self.k, self.root)
+        tree = PropagationTree(size, self._oc_config("baseline").k, self.root)
         leaves = [
             r for r in range(size)
             if r != self.root and not tree.children_of(r)
@@ -730,44 +709,37 @@ class FaultCampaign:
         }[self.crash_site]
         non_root = [r for r in range(size) if r != self.root]
 
-        # kind -> (victim pool, FaultSpec knobs).  No pool: nth counts the
-        # category's occurrences chip-wide; with one, a victim core is
-        # drawn first and nth counts its own.  The crash pool follows
-        # ``crash_site``: a crashed leaf is routable by the FT layer
-        # alone, a crashed interior node orphans its subtree and takes
-        # the service to survive.  Adversary kinds have no row: a
-        # non-byz campaign rejects them (``__post_init__``).
-        table: dict[FaultKind, tuple[list[int] | None, dict]] = {
-            FaultKind.DROP_FLAG_WRITE: (None, {}),
-            FaultKind.CORRUPT_FLAG_WRITE: (None, {}),
-            FaultKind.DROP_DATA_WRITE: (None, {}),
-            FaultKind.CORRUPT_DATA_WRITE: (None, {}),
-            FaultKind.LINK_STALL: (None, {"duration": self.stall_duration}),
-            FaultKind.CONGESTION_STORM: (None, {
-                "duration": self.storm_duration, "period": self.storm_stall,
-            }),
-            FaultKind.LINK_DOWN: (
-                non_root, {"duration": self.link_down_duration},
-            ),
-            FaultKind.FLAPPING_LINK: (non_root, {
-                "duration": self.flap_duration, "period": self.flap_period,
-                "duty": self.flap_duty,
-            }),
-            FaultKind.CORE_PAUSE: (
-                non_root, {"duration": self.pause_duration},
-            ),
-            FaultKind.CORE_CRASH: (crash_pool, {}),
-            FaultKind.REPEATED_CRASH: (crash_pool, {
-                "period": self.churn_gap, "cycles": self.churn_cycles,
-            }),
+        # kind -> victim pool.  No pool: nth counts the category's
+        # occurrences chip-wide; with one, a victim core is drawn first
+        # and nth counts its own.  The crash pool follows ``crash_site``:
+        # a crashed leaf is routable by the FT layer alone, a crashed
+        # interior node orphans its subtree and takes the service to
+        # survive.  Adversary kinds have no row: a non-byz campaign
+        # rejects them (``__post_init__``).
+        pools: dict[FaultKind, list[int] | None] = {
+            FaultKind.DROP_FLAG_WRITE: None,
+            FaultKind.CORRUPT_FLAG_WRITE: None,
+            FaultKind.DROP_DATA_WRITE: None,
+            FaultKind.CORRUPT_DATA_WRITE: None,
+            FaultKind.LINK_STALL: None,
+            FaultKind.CONGESTION_STORM: None,
+            FaultKind.LINK_DOWN: non_root,
+            FaultKind.FLAPPING_LINK: non_root,
+            FaultKind.CORE_PAUSE: non_root,
+            FaultKind.CORE_CRASH: crash_pool,
+            FaultKind.REPEATED_CRASH: crash_pool,
+        }
+        envelopes = {
+            **FAULT_ENVELOPES,
+            FaultKind.LINK_DOWN: {"duration": self.link_down_duration},
         }
 
         def draw(kind: FaultKind) -> FaultSpec:
-            pool, knobs = table[kind]
+            pool = pools[kind]
             core = None if pool is None else rng.choice(pool)
             site = CATEGORY_OF[kind] + ("" if core is None else f"@core{core}")
             nth = self._draw_nth(rng, profile.get(site, 0))
-            return FaultSpec(kind, nth=nth, core=core, **knobs)
+            return FaultSpec(kind, nth=nth, core=core, **envelopes.get(kind, {}))
 
         plans: list[FaultPlan] = []
         for i in range(self.trials):
@@ -881,8 +853,8 @@ class FaultCampaign:
         :class:`TrialRun` is served from the memoised reference --
         byte-identical to what the kernel would have produced -- after
         the analytic engine has cross-checked the reference latencies
-        (a prediction outside ``analytic_tolerance`` degrades the whole
-        campaign back to all-kernel execution).
+        (an out-of-tolerance prediction degrades the whole campaign
+        back to all-kernel execution).
         """
         profile = self.profile_sites()
         legs = self._legs
@@ -943,7 +915,11 @@ class FaultCampaign:
 
         The guard: :class:`~repro.scc.analytic.AnalyticEngine` predicts
         the fault-free baseline and FT latencies; both must agree with
-        the kernel-measured references within ``analytic_tolerance``.
+        the kernel-measured references within 2% against
+        EXACT/IDEAL/ANALYTIC kernels (the engine's validated envelope)
+        or 10% against BATCH -- itself an approximation, whose
+        whole-transfer port holds sit up to ~7% above the uncontended
+        model around the one-chunk knee.
         An out-of-tolerance prediction (or a config the engine refuses
         to model) means this campaign sits outside the engine's
         validated envelope, so every trial keeps its kernel run.
@@ -960,11 +936,9 @@ class FaultCampaign:
         from ..scc.config import ContentionMode
 
         cfg = self.config or SccConfig()
-        tolerance = self.analytic_tolerance
-        if tolerance is None:
-            tolerance = (
-                0.10 if cfg.contention_mode is ContentionMode.BATCH else 0.02
-            )
+        tolerance = (
+            0.10 if cfg.contention_mode is ContentionMode.BATCH else 0.02
+        )
         n_free = sum(1 for p in plans if not p.specs)
         info: dict = {
             "mode": "adaptive",
@@ -990,16 +964,12 @@ class FaultCampaign:
             info["n_replayed"] = len(plans)
             return info
         try:
-            kw = dict(
-                k=self.k, chunk_lines=self.chunk_lines,
-                num_buffers=self.num_buffers, root=self.root,
-            )
-            pred_base = AnalyticEngine(cfg, **kw).evaluate(
+            pred_base = AnalyticEngine(cfg, root=self.root).evaluate(
                 self.nbytes
             ).latencies[0]
             pred_ft = AnalyticEngine(
-                cfg, ft=True, ft_ack_data=self._oc_config("ft").ft_ack_data,
-                **kw,
+                cfg, root=self.root, ft=True,
+                ft_ack_data=self._oc_config("ft").ft_ack_data,
             ).evaluate(self.nbytes).latencies[0]
             info["predicted_base"] = pred_base
             info["predicted_ft"] = pred_ft

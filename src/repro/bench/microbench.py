@@ -150,6 +150,8 @@ def sweep_putget(
     Defaults cover every reachable distance on the configured mesh
     (1..9 for MPBs and 1..4 for memory on the real SCC).
     """
+    if iters < 1:
+        raise ValueError("iters must be >= 1")
     config = config or SccConfig()
     probe = SccChip(config)
     if mpb_distances is None:

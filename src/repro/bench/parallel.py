@@ -7,8 +7,8 @@ spec carries the algorithm, the config carries the jitter seed, the
 campaign derives per-trial plans from its seed), so the grid can be fanned
 out across worker processes and merged back **in submission order**
 without changing a single output bit -- ``jobs=1`` and ``jobs=N`` produce
-identical results, and both match the serial loops in
-:mod:`repro.bench.harness` / :mod:`repro.bench.faultcampaign`.
+identical results (:func:`repro.bench.sweep_broadcast`,
+:meth:`repro.bench.FaultCampaign.run_trials`).
 
 The workers are plain module-level functions over picklable dataclasses,
 so the pool works with any start method.  ``jobs <= 1`` short-circuits to
@@ -20,11 +20,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
-
-from ..scc import SccConfig
-from ..scc.config import CACHE_LINE, ContentionMode
-from .harness import BcastResult, BcastSpec, run_broadcast, sweep_broadcast
+from typing import Callable, Iterable, TypeVar
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -51,57 +47,3 @@ def parallel_map(
         return [fn(item) for item in work]
     with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
         return list(pool.map(fn, work))
-
-
-# -- broadcast sweeps ---------------------------------------------------------
-
-
-def _bcast_point(
-    point: tuple[BcastSpec, int, SccConfig | None, int, int, bool, int],
-) -> BcastResult:
-    """Worker: one ``(spec, size)`` grid point on a fresh chip."""
-    spec, nbytes, config, iters, warmup, verify, seed = point
-    return run_broadcast(
-        spec, nbytes, config=config,
-        iters=iters, warmup=warmup, verify=verify, seed=seed,
-    )
-
-
-def sweep_broadcast_parallel(
-    specs: Sequence[BcastSpec],
-    sizes_cache_lines: Sequence[int],
-    *,
-    config: SccConfig | None = None,
-    iters: int = 3,
-    warmup: int = 1,
-    verify: bool = True,
-    seed: int = 1,
-    jobs: int = 1,
-) -> dict[str, list[BcastResult]]:
-    """Parallel equivalent of :func:`repro.bench.sweep_broadcast`.
-
-    The full ``specs x sizes`` grid is fanned across ``jobs`` workers;
-    every point carries the same explicit ``seed`` the serial sweep uses,
-    and the merge is by grid position -- the returned mapping is equal to
-    the serial one for any ``jobs``.
-
-    Under :attr:`ContentionMode.ANALYTIC` the grid is handed straight to
-    the serial sweep: one vectorised engine batch per spec beats fanning
-    per-point engine builds across processes, and the seed never matters
-    analytically (no payload bytes move).
-    """
-    if config is not None and config.contention_mode is ContentionMode.ANALYTIC:
-        return sweep_broadcast(
-            specs, sizes_cache_lines, config=config,
-            iters=iters, warmup=warmup, verify=verify,
-        )
-    points = [
-        (spec, ncl * CACHE_LINE, config, iters, warmup, verify, seed)
-        for spec in specs
-        for ncl in sizes_cache_lines
-    ]
-    flat = parallel_map(_bcast_point, points, jobs=jobs)
-    n = len(sizes_cache_lines)
-    return {
-        spec.label: flat[i * n:(i + 1) * n] for i, spec in enumerate(specs)
-    }

@@ -2,9 +2,9 @@
 
 A :class:`ReproBundle` pins everything needed to reproduce one chaos
 run bit-for-bit: the full :class:`~repro.chaos.schedule.ChaosSchedule`
-(backend, geometry, mode, seed, fault events, network model, protocol
-knobs) plus the *expected* result -- classification, fine-grained
-status, decision digest and injection count.  ``python -m repro chaos
+(backend, geometry, mode, seed, fault events, network model) plus the
+*expected* result -- classification, fine-grained status, decision
+digest and injection count.  ``python -m repro chaos
 --replay bundle.json`` re-runs the schedule and diffs the outcome
 against the expectation; the pinned bundles under
 ``tests/chaos_bundles/`` do the same as tier-1 pytest parameters.
@@ -12,8 +12,8 @@ against the expectation; the pinned bundles under
 Campaign bridge (the self-reproducing-failure path): a lost
 :class:`~repro.bench.faultcampaign.FaultCampaign` trial converts 1:1
 into a chaos schedule -- same seed (hence the same
-``np.random.default_rng`` payload), same fault plan, same OC-Bcast
-knobs -- so ``repro faults`` failures emit a one-line replay command
+``np.random.default_rng`` payload), same fault plan -- so ``repro
+faults`` failures emit a one-line replay command
 instead of just bumping a counter.  Written bundles are
 *self-validating*: the expectation recorded is the chaos runner's own
 result for the converted schedule (re-run at write time), with the
@@ -28,15 +28,19 @@ import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
+from ..core.ocbcast import DEFAULT_CHUNK_LINES
 from ..faults.plan import FaultKind
 from ..scc.config import CACHE_LINE, SccConfig
 from .runner import ChaosOutcome, run_schedule
-from .schedule import ChaosSchedule
+from .schedule import ChaosSchedule, reject_unknown_keys
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..bench.faultcampaign import CampaignResult, FaultCampaign
 
 BUNDLE_VERSION = 1
+
+#: What a bundle can pin about its outcome (:class:`ChaosOutcome` fields).
+EXPECTED_KEYS = ("classification", "status", "digest", "n_injected")
 
 #: Per-leg outcomes that count as *lost* (not recovered, not an expected
 #: refusal) and deserve a repro bundle.  The baseline leg is absent on
@@ -58,11 +62,19 @@ class ReproBundle:
     """One replayable chaos failure (or pinned regression case)."""
 
     schedule: ChaosSchedule
-    #: Expected result: classification, status, decision digest,
-    #: injection count.  Replay fails on any mismatch.
+    #: Expected result: any of :data:`EXPECTED_KEYS`, at least one.
+    #: Replay fails on any mismatch.
     expected: dict
     note: str = ""
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        reject_unknown_keys("bundle expectation", self.expected, EXPECTED_KEYS)
+        if not self.expected:
+            raise ValueError(
+                f"a bundle must expect at least one of {', '.join(EXPECTED_KEYS)}"
+                f" -- replaying it would compare nothing"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -81,6 +93,9 @@ class ReproBundle:
                 f"unsupported bundle version {version!r} "
                 f"(this build reads version {BUNDLE_VERSION})"
             )
+        reject_unknown_keys(
+            "bundle", d, ("version", "note", "schedule", "expected", "meta")
+        )
         return cls(
             schedule=ChaosSchedule.from_dict(d["schedule"]),
             expected=dict(d.get("expected", {})),
@@ -105,13 +120,8 @@ class ReproBundle:
         against the recorded expectation (empty list = faithful repro)."""
         outcome = run_schedule(self.schedule)
         mismatches = []
-        for key, got in (
-            ("classification", outcome.classification),
-            ("status", outcome.status),
-            ("digest", outcome.digest),
-            ("n_injected", outcome.n_injected),
-        ):
-            want = self.expected.get(key)
+        for key in EXPECTED_KEYS:
+            want, got = self.expected.get(key), getattr(outcome, key)
             if want is not None and want != got:
                 mismatches.append(f"{key}: expected {want!r}, got {got!r}")
         return outcome, mismatches
@@ -123,12 +133,7 @@ def make_bundle(
     """Bundle an outcome the runner just produced."""
     return ReproBundle(
         schedule=outcome.schedule,
-        expected={
-            "classification": outcome.classification,
-            "status": outcome.status,
-            "digest": outcome.digest,
-            "n_injected": outcome.n_injected,
-        },
+        expected={key: getattr(outcome, key) for key in EXPECTED_KEYS},
         note=note or outcome.describe(),
         meta=dict(meta or {}),
     )
@@ -169,12 +174,11 @@ def schedule_for_trial(
     config) into a replayable chaos schedule.
 
     The conversion is exact for the default campaign geometry: same
-    seed (hence the same payload bytes), same specs, same OC-Bcast
-    knobs.  A campaign message length that is not a whole number of
-    chunks rounds *up* (the schedule replays the enclosing-chunk
-    neighborhood; the original ``nbytes`` is kept in the caller's
-    ``meta``).  Only root-0 campaigns convert -- the chaos runner pins
-    the root.
+    seed (hence the same payload bytes), same specs.  A campaign
+    message length that is not a whole number of chunks rounds *up*
+    (the schedule replays the enclosing-chunk neighborhood; the
+    original ``nbytes`` is kept in the caller's ``meta``).  Only root-0
+    campaigns convert -- the chaos runner pins the root.
     """
     if leg not in ("ft", "baseline", "service", "byz"):
         raise ValueError(f"unknown campaign leg {leg!r}")
@@ -184,7 +188,7 @@ def schedule_for_trial(
             f"(campaign root is {campaign.root})"
         )
     cfg = campaign.config or SccConfig()
-    chunk_bytes = campaign.chunk_lines * CACHE_LINE
+    chunk_bytes = DEFAULT_CHUNK_LINES * CACHE_LINE
     return ChaosSchedule(
         backend="scc",
         mesh=(cfg.mesh_cols, cfg.mesh_rows),
@@ -194,10 +198,6 @@ def schedule_for_trial(
         specs=tuple(plan.specs),
         label=plan.label or f"campaign-seed{campaign.seed}",
         watchdog_us=campaign.watchdog_interval,
-        k=campaign.k,
-        chunk_lines=campaign.chunk_lines,
-        num_buffers=campaign.num_buffers,
-        ft_max_retries=campaign.ft_max_retries,
         ft_ack_data=FaultKind.DROP_DATA_WRITE in campaign.kinds,
     )
 

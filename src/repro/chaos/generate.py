@@ -118,6 +118,13 @@ _CHURN_CYCLES = 2
 _STORM_DURATION_RANGE = (400.0, _SUSPICION_BOUND)
 _STORM_STALL_RANGE = (5.0, 50.0)
 
+#: Probability that an event of a service schedule is a CrashOnEvent /
+#: core crash (at most one crash per schedule either way).
+_CRASH_PROB = 0.25
+#: Probability that an asyncio service schedule carries a lossy model
+#: (linkdrop or partition) instead of pure delay.
+_LOSSY_MODEL_PROB = 0.3
+
 #: Trace kinds a CrashOnEvent can target: every rank stages/enters
 #: chunks (``oc.chunk.begin``), non-root ranks also fetch
 #: (``oc.fetch``).
@@ -137,12 +144,6 @@ class ScheduleGenerator:
     modes: tuple[str, ...] = ("service", "service", "service", "byz", "ft")
     max_events: int = 3
     max_chunks: int = 3
-    #: Probability of adding a CrashOnEvent / core-crash event (at most
-    #: one crash per schedule either way).
-    crash_prob: float = 0.25
-    #: Probability that an asyncio schedule carries a lossy model
-    #: (linkdrop or partition) instead of pure delay.
-    lossy_model_prob: float = 0.3
     #: Admit the deliberately fragile baseline (``ft=False``) mode.
     fragile: bool = False
     _rng: random.Random = field(init=False, repr=False)
@@ -209,7 +210,7 @@ class ScheduleGenerator:
                     specs.append(spec)
                 continue
             if mode == "service" and crash_budget \
-                    and roll >= 1.0 - self.crash_prob:
+                    and roll >= 1.0 - _CRASH_PROB:
                 # Crashes only under the membership service: bare FT has
                 # no eviction path (an interior crash wedges it) and a
                 # crashed honest rank muddies the Byzantine quorum
@@ -376,7 +377,7 @@ class ScheduleGenerator:
             # per-write delays can land one honest member past the
             # quorum deadline its peers met, splitting the outcome.
             return ModelSpec(name="none")
-        if rng.random() < self.lossy_model_prob and mode == "service":
+        if rng.random() < _LOSSY_MODEL_PROB and mode == "service":
             if rng.random() < 0.5:
                 return ModelSpec(
                     name="linkdrop",

@@ -108,12 +108,7 @@ def _world(schedule: ChaosSchedule, plan: FaultPlan, *, trace: bool):
 
 def _run(schedule: ChaosSchedule, world, payload: bytes) -> WorldRun:
     """Run the schedule's protocol mode (root 0) on ``world``."""
-    oc_config = mode_config(
-        schedule.mode, k=schedule.k, chunk_lines=schedule.chunk_lines,
-        num_buffers=schedule.num_buffers,
-        ft_max_retries=schedule.ft_max_retries,
-        ft_ack_data=schedule.ft_ack_data,
-    )
+    oc_config = mode_config(schedule.mode, ft_ack_data=schedule.ft_ack_data)
     return run_world(world, bcast_body(world, oc_config, payload))
 
 
@@ -227,9 +222,6 @@ def profile_counts(
     mesh: tuple[int, int],
     chunks: int,
     mode: str,
-    k: int = 7,
-    chunk_lines: int = 96,
-    num_buffers: int = 2,
 ) -> dict:
     """Candidate fault-site counts for one (backend, geometry, mode)
     coordinate, from a fault-free run with an empty-plan injector
@@ -237,8 +229,7 @@ def profile_counts(
     Memoised: the generator calls this once per coordinate, then draws
     thousands of schedules against it."""
     base = ChaosSchedule(
-        backend=backend, mesh=mesh, chunks=chunks, mode=mode, seed=0,
-        k=k, chunk_lines=chunk_lines, num_buffers=num_buffers,
+        backend=backend, mesh=mesh, chunks=chunks, mode=mode, seed=0
     )
     world = _world(base, FaultPlan(), trace=False)
     run = _run(base, world, chaos_payload(base)).check()

@@ -8,7 +8,8 @@ an optional backend-agnostic crash coordinate
 backend -- an optional network model (delay / probabilistic drop /
 partition, :mod:`repro.transport.models`).  Everything that influences
 the run is in the schedule: backend, mesh geometry, message size,
-protocol mode, OC-Bcast knobs and the payload/model seed.  A schedule is
+protocol mode and the payload/model seed (the OC-Bcast underneath runs
+at the paper's fan-out, chunk and buffer count).  A schedule is
 therefore a *deterministic coordinate*: running it twice produces
 byte-identical classifications and decision digests, which is what makes
 chaos failures replayable from a JSON bundle
@@ -29,8 +30,9 @@ property test suite pins that across seeds and backends.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
+from ..core.ocbcast import DEFAULT_CHUNK_LINES, RENOTIFY_BUDGETS, OcBcastConfig
 from ..faults.plan import ADVERSARY_KINDS, FaultKind, FaultPlan, FaultSpec
 from ..scc.config import CACHE_LINE
 from ..transport.api import CrashOnEvent
@@ -67,6 +69,27 @@ SCC_ONLY_KINDS = frozenset({
 
 #: Bundle / schedule serialisation format version.
 SCHEDULE_VERSION = 1
+
+#: OC-Bcast knobs that version-1 schedules serialised although nothing
+#: ever set them.  They are constants now: still read, so every bundle
+#: written so far loads, but only at the value the runner uses.
+_PAPER_OC = OcBcastConfig()
+_RETIRED_KEYS = {
+    "k": _PAPER_OC.k,
+    "chunk_lines": _PAPER_OC.chunk_lines,
+    "num_buffers": _PAPER_OC.num_buffers,
+    "ft_max_retries": RENOTIFY_BUDGETS,
+}
+
+
+def reject_unknown_keys(what: str, d: dict, known) -> None:
+    """A typo'd key must not be silently ignored: the run it was meant
+    to change would replay as something else and still print ``[OK]``."""
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise ValueError(
+            f"{what}: unknown key(s) {', '.join(map(repr, unknown))}"
+        )
 
 
 @dataclass(frozen=True)
@@ -127,12 +150,8 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
-        return cls(
-            name=d.get("name", "none"), lo=d.get("lo", 0.0),
-            hi=d.get("hi", 0.0), p=d.get("p", 0.0),
-            groups=tuple(tuple(g) for g in d.get("groups", ())),
-            heal_at=d.get("heal_at", 0.0),
-        )
+        reject_unknown_keys("network model", d, [f.name for f in fields(cls)])
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -143,7 +162,7 @@ class ChaosSchedule:
     #: Mesh geometry ``(cols, rows)``; the communicator has
     #: ``2 * cols * rows`` ranks on both backends.
     mesh: tuple[int, int] = (2, 2)
-    #: Message length in chunks of ``chunk_lines`` cache lines.
+    #: Message length in chunks of 96 cache lines.
     chunks: int = 1
     mode: str = "service"
     #: Seeds the payload bytes and the asyncio model streams.
@@ -157,12 +176,8 @@ class ChaosSchedule:
     label: str = ""
     #: Kernel watchdog period / asyncio wedge horizon knobs.
     watchdog_us: float = 50_000.0
-    # OC-Bcast knobs (mirroring FaultCampaign so campaign trials convert
-    # 1:1 into replayable schedules).
-    k: int = 7
-    chunk_lines: int = 96
-    num_buffers: int = 2
-    ft_max_retries: int = 3
+    #: Ack the data path too (campaigns that fault data writes do, so
+    #: their trials convert 1:1 into replayable schedules).
     ft_ack_data: bool = False
 
     def __post_init__(self) -> None:
@@ -180,7 +195,7 @@ class ChaosSchedule:
 
     @property
     def nbytes(self) -> int:
-        return self.chunks * self.chunk_lines * CACHE_LINE
+        return self.chunks * DEFAULT_CHUNK_LINES * CACHE_LINE
 
     @property
     def n_events(self) -> int:
@@ -296,10 +311,6 @@ class ChaosSchedule:
             "seed": self.seed,
             "label": self.label,
             "watchdog_us": self.watchdog_us,
-            "k": self.k,
-            "chunk_lines": self.chunk_lines,
-            "num_buffers": self.num_buffers,
-            "ft_max_retries": self.ft_max_retries,
             "ft_ack_data": self.ft_ack_data,
             "specs": [
                 {
@@ -321,34 +332,25 @@ class ChaosSchedule:
                 f"unsupported schedule version {version!r} "
                 f"(this build reads version {SCHEDULE_VERSION})"
             )
-        specs = tuple(
-            FaultSpec(
-                kind=FaultKind(s["kind"]), nth=s.get("nth", 1),
-                core=s.get("core"), duration=s.get("duration", 0.0),
-                period=s.get("period", 0.0), duty=s.get("duty", 0.0),
-                cycles=s.get("cycles", 0),
-            )
-            for s in d.get("specs", ())
-        )
-        crash = d.get("crash")
-        model = d.get("model")
-        return cls(
-            backend=d.get("backend", "scc"),
-            mesh=tuple(d.get("mesh", (2, 2))),
-            chunks=d.get("chunks", 1),
-            mode=d.get("mode", "service"),
-            seed=d.get("seed", 1),
-            specs=specs,
-            crash=tuple(crash) if crash is not None else None,
-            model=ModelSpec.from_dict(model) if model is not None else None,
-            label=d.get("label", ""),
-            watchdog_us=d.get("watchdog_us", 50_000.0),
-            k=d.get("k", 7),
-            chunk_lines=d.get("chunk_lines", 96),
-            num_buffers=d.get("num_buffers", 2),
-            ft_max_retries=d.get("ft_max_retries", 3),
-            ft_ack_data=d.get("ft_ack_data", False),
-        )
+        known = [f.name for f in fields(cls)]
+        reject_unknown_keys("schedule", d, ("version", *known, *_RETIRED_KEYS))
+        for key, value in _RETIRED_KEYS.items():
+            if d.get(key, value) != value:
+                raise ValueError(
+                    f"schedule: {key!r} is the constant {value} "
+                    f"(got {d[key]!r})"
+                )
+        # Absent keys take the constructor's defaults.
+        given = {key: d[key] for key in known if key in d}
+        spec_keys = [f.name for f in fields(FaultSpec)]
+        specs = []
+        for spec in given.get("specs", ()):
+            reject_unknown_keys("fault spec", spec, spec_keys)
+            specs.append(FaultSpec(**{**spec, "kind": FaultKind(spec["kind"])}))
+        given["specs"] = specs
+        if given.get("model") is not None:
+            given["model"] = ModelSpec.from_dict(given["model"])
+        return cls(**given)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

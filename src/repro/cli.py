@@ -19,7 +19,9 @@ Examples::
     python -m repro model --what fig6 --mode analytic
 
 Every command builds a fresh simulated chip, runs on it, and prints
-tables (optionally ASCII charts) to stdout.
+tables (optionally ASCII charts) to stdout.  Bad input -- whichever
+layer rejects it -- ends as ``ERROR: <message>`` on stderr and exit
+status 2 (:func:`main`), never as a traceback.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .bench import (
     format_table,
     default_jobs,
     run_broadcast,
-    sweep_broadcast_parallel,
+    sweep_broadcast,
     sweep_putget,
 )
 from .bench.faultcampaign import parse_kinds
@@ -152,19 +154,15 @@ def cmd_bcast(args: argparse.Namespace) -> int:
         from .obs import MetricsRegistry
 
         metrics = MetricsRegistry()
-    try:
-        res = run_broadcast(
-            spec,
-            args.cache_lines * CACHE_LINE,
-            config=_config(args),
-            root=args.root,
-            iters=args.iters,
-            warmup=args.warmup,
-            metrics=metrics,
-        )
-    except AnalyticUnsupported as exc:
-        print(f"ERROR: {exc}", file=sys.stderr)
-        return 2
+    res = run_broadcast(
+        spec,
+        args.cache_lines * CACHE_LINE,
+        config=_config(args),
+        root=args.root,
+        iters=args.iters,
+        warmup=args.warmup,
+        metrics=metrics,
+    )
     if not res.verified:
         print("ERROR: payload verification failed", file=sys.stderr)
         return 1
@@ -234,14 +232,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     specs = [_parse_spec(a) for a in args.algos]
-    try:
-        out = sweep_broadcast_parallel(
-            specs, args.sizes, config=_config(args), iters=args.iters,
-            warmup=args.warmup, jobs=args.jobs or default_jobs(),
-        )
-    except AnalyticUnsupported as exc:
-        print(f"ERROR: {exc}", file=sys.stderr)
-        return 2
+    out = sweep_broadcast(
+        specs, args.sizes, config=_config(args), iters=args.iters,
+        warmup=args.warmup, jobs=args.jobs or default_jobs(),
+    )
     if args.throughput:
         series = {
             label: [r.steady_throughput_mb_s for r in rows]
@@ -284,30 +278,26 @@ def cmd_contention(args: argparse.Namespace) -> int:
 
 
 def cmd_faults(args: argparse.Namespace) -> int:
-    try:
-        names = list(args.kinds)
-        if args.burst and "link_down" not in names:
-            names.append("link_down")
-        campaign = FaultCampaign(
-            trials=args.trials,
-            seed=args.seed,
-            kinds=parse_kinds(names),
-            nbytes=args.cache_lines * CACHE_LINE,
-            config=_config(args),
-            compare_baseline=not args.no_baseline,
-            service=args.service,
-            faults_per_trial=args.faults_per_trial,
-            crash_site=args.crash_site,
-            mid_stream=args.mid_stream,
-            link_down_duration=args.burst_duration,
-            byz=args.byz,
-            adversaries=args.adversaries,
-            fault_rate=args.fault_rate,
-            fidelity=args.fidelity,
-        )
-    except ValueError as exc:
-        print(f"ERROR: {exc}", file=sys.stderr)
-        return 2
+    names = list(args.kinds)
+    if args.burst and "link_down" not in names:
+        names.append("link_down")
+    campaign = FaultCampaign(
+        trials=args.trials,
+        seed=args.seed,
+        kinds=parse_kinds(names),
+        nbytes=args.cache_lines * CACHE_LINE,
+        config=_config(args),
+        compare_baseline=not args.no_baseline,
+        service=args.service,
+        faults_per_trial=args.faults_per_trial,
+        crash_site=args.crash_site,
+        mid_stream=args.mid_stream,
+        link_down_duration=args.burst_duration,
+        byz=args.byz,
+        adversaries=args.adversaries,
+        fault_rate=args.fault_rate,
+        fidelity=args.fidelity,
+    )
     result = campaign.run_trials(jobs=args.jobs or default_jobs())
     print(result.summary())
     if args.timeline:
@@ -347,20 +337,16 @@ def cmd_faults(args: argparse.Namespace) -> int:
 def cmd_churn(args: argparse.Namespace) -> int:
     from .bench import ChurnCampaign
 
-    try:
-        campaign = ChurnCampaign(
-            trials=args.trials,
-            seed=args.seed,
-            broadcasts=args.broadcasts,
-            flap_period=args.flap_period,
-            flap_duty=args.flap_duty,
-            crash=not args.no_crash,
-            compare_fixed=not args.no_fixed,
-            check_i8=not args.no_i8,
-        )
-    except ValueError as exc:
-        print(f"ERROR: {exc}", file=sys.stderr)
-        return 2
+    campaign = ChurnCampaign(
+        trials=args.trials,
+        seed=args.seed,
+        broadcasts=args.broadcasts,
+        flap_period=args.flap_period,
+        flap_duty=args.flap_duty,
+        crash=not args.no_crash,
+        compare_fixed=not args.no_fixed,
+        check_i8=not args.no_i8,
+    )
     result = campaign.run()
     print(result.summary())
     # The campaign's promise is the ISSUE-10 acceptance bar: every
@@ -407,24 +393,18 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         return 1 if failed else 0
 
     if args.trials is not None and args.trials < 1:
-        print("ERROR: need at least one trial", file=sys.stderr)
-        return 2
+        raise ValueError("need at least one trial")
     if args.budget is not None and args.budget <= 0:
-        print("ERROR: budget must be positive", file=sys.stderr)
-        return 2
-    try:
-        generator = ScheduleGenerator(
-            seed=args.seed,
-            backends=tuple(args.backends),
-            meshes=tuple(args.meshes),
-            modes=tuple(args.modes),
-            max_events=args.max_events,
-            max_chunks=args.max_chunks,
-            fragile=args.fragile,
-        )
-    except ValueError as exc:
-        print(f"ERROR: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("budget must be positive")
+    generator = ScheduleGenerator(
+        seed=args.seed,
+        backends=tuple(args.backends),
+        meshes=tuple(args.meshes),
+        modes=tuple(args.modes),
+        max_events=args.max_events,
+        max_chunks=args.max_chunks,
+        fragile=args.fragile,
+    )
     metrics = None
     if args.metrics_out:
         from .obs import MetricsRegistry
@@ -479,11 +459,7 @@ def _model_mesh(cores: int) -> SccConfig:
 def cmd_model(args: argparse.Namespace) -> int:
     analytic = resolve_contention_mode(args.mode) is ContentionMode.ANALYTIC
     if analytic:
-        try:
-            cfg = _model_mesh(args.cores)
-        except ValueError as exc:
-            print(f"ERROR: {exc}", file=sys.stderr)
-            return 2
+        cfg = _model_mesh(args.cores)
     if args.what == "table2":
         if analytic:
             # Steady-state pipeline throughput from the engine's protocol
@@ -760,7 +736,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, MemoryError, AnalyticUnsupported) as exc:
+        print(f"ERROR: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -49,8 +49,8 @@ alive; one lost flag write deadlocks the whole SPMD program.  FT mode
   corrupted notifications are re-sent by the writer;
 - all doneFlag waits carry a poll budget (``ft_flag_timeout``); on
   expiry the parent re-notifies the lagging children directly, and after
-  ``ft_max_retries`` budgets it declares them crashed and *routes around
-  them* (their doneFlags are dropped from every later wait, and
+  :data:`RENOTIFY_BUDGETS` budgets it declares them crashed and *routes
+  around them* (their doneFlags are dropped from every later wait, and
   notification falls back from the relay tree to direct parent fan-out,
   which does not depend on dead siblings relaying);
 - a child's notify wait carries a generous ``ft_notify_timeout`` so a
@@ -74,7 +74,7 @@ prepends one header line to every MPB buffer carrying ``(seq, crc32,
 span)`` of the staged chunk.  Every fetch copies header plus payload and
 verifies the checksum against its own deposit (the CRC is accumulated
 while the lines stream through the fetching core's registers, so it
-costs ``integrity_crc_us_per_line`` per line, not a second pass over the
+costs :data:`CRC_US_PER_LINE` per line, not a second pass over the
 mesh); a mismatch -- corrupted or dropped deposit, stale or torn header
 -- triggers a bounded re-fetch (the NACK path).  A corruption upstream
 of the fetch (the staged copy itself is bad) re-fetches the same bad
@@ -119,7 +119,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, Sequence
 
 from ..rcce.flags import Flag, FlagValue
-from ..resilience.policy import RetryPolicy
+from ..resilience.policy import IMMEDIATE, RetryPolicy
 from ..scc.config import CACHE_LINE
 from ..scc.memory import MemRef
 from ..sim.errors import TimeoutError as SimTimeoutError
@@ -130,6 +130,28 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: The paper's chunk size: 96 cache lines (leaves room for flags with any k).
 DEFAULT_CHUNK_LINES = 96
+
+#: Interrupt-handler cost (us) a waiter pays per notification under
+#: ``NotifyMode.INTERRUPT``.
+IRQ_HANDLER = 0.1
+
+#: Poll budget (us) of a child's FT notify wait unless the config sets
+#: one (generous: firing means the parent itself is gone, which FT mode
+#: does not mask).
+FT_NOTIFY_TIMEOUT = 10_000.0
+
+#: doneFlag poll budgets a parent spends re-notifying a lagging child
+#: before declaring it crashed.  Deliberately not ``ft_retry``'s re-send
+#: count: the adaptive configurations pace 5-6 re-sends per acked write
+#: yet give up on a silent child after the same three budgets.
+RENOTIFY_BUDGETS = 3
+
+#: Re-fetches on an integrity-checksum mismatch before escalating.
+INTEGRITY_RETRIES = 3
+
+#: CRC cost (us) per cache line -- cheap: it accumulates in registers
+#: while the lines are already streaming through the core.
+CRC_US_PER_LINE = 0.01
 
 #: Chunk header: (seq, crc32, span) in 16 of the header line's 32 bytes.
 _HEADER = struct.Struct("<qII")
@@ -166,18 +188,13 @@ class OcBcastConfig:
     notify_degree: int = 2
     leaf_direct_to_memory: bool = False
     notify_mode: NotifyMode = NotifyMode.FLAGS
-    #: Interrupt-handler cost (microseconds) in INTERRUPT mode.
-    irq_handler: float = 0.1
     #: Fault-tolerant mode: acked flag writes, poll budgets, re-notify
     #: retries and crashed-leaf routing (see the module docstring).
     ft: bool = False
     #: Poll budget (us) for doneFlag waits before suspecting a child.
     ft_flag_timeout: float = 300.0
-    #: Poll budget (us) for a child's notify wait (generous: firing means
-    #: the parent itself is gone, which FT mode does not mask).
-    ft_notify_timeout: float = 10_000.0
-    #: Re-send / re-notify attempts before declaring a peer crashed.
-    ft_max_retries: int = 3
+    #: Poll budget (us) for a child's notify wait.
+    ft_notify_timeout: float = FT_NOTIFY_TIMEOUT
     #: Also ack the root's chunk-staging puts (re-send un-acked cache
     #: lines).  Off by default: it doubles staging MPB traffic.
     ft_ack_data: bool = False
@@ -185,11 +202,6 @@ class OcBcastConfig:
     #: (seq, crc32, span); every fetch verifies and re-fetches on
     #: mismatch (see the module docstring).
     integrity: bool = False
-    #: Bounded re-fetches on a checksum mismatch before escalating.
-    integrity_retries: int = 3
-    #: CRC cost per cache line (accumulated in-registers during the
-    #: copy, so it is cheap -- the lines are already passing through).
-    integrity_crc_us_per_line: float = 0.01
     #: Service mode: NACK done-chain + commit notification (requires ft;
     #: used by :class:`repro.member.OcBcastService`).
     service: bool = False
@@ -199,20 +211,9 @@ class OcBcastConfig:
     #: Requires service mode (the RBC rounds ride on its commit round and
     #: integrity headers).
     byz: bool = False
-    #: Poll budget (us) for the ECHO quorum wait.
-    byz_echo_timeout: float = 3_000.0
-    #: Poll budget (us) for the READY amplification wait (f+1) after a
-    #: split ECHO round, and for the final READY delivery gate (2f+1).
-    byz_ready_timeout: float = 3_000.0
-    #: Bounded re-fetch candidates when the local payload's CRC
-    #: mismatches the agreed digest.
-    byz_refetch_retries: int = 3
-    #: Pacing for the FT path's acked writes (doneFlag/notify re-sends,
-    #: acked staging puts and fetches).  ``None`` keeps the legacy
-    #: immediate re-send schedule -- the bit-identical default.
-    ft_retry: RetryPolicy | None = None
-    #: Pacing for acked RBC vote re-casts (see :mod:`repro.member.rbc`).
-    vote_retry: RetryPolicy | None = None
+    #: Re-send schedule of the FT path's acked writes (doneFlag/notify
+    #: re-sends, acked staging puts and fetches).
+    ft_retry: RetryPolicy = IMMEDIATE
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -223,16 +224,8 @@ class OcBcastConfig:
             raise ValueError("num_buffers must be >= 1")
         if self.notify_degree < 1:
             raise ValueError("notify_degree must be >= 1")
-        if self.irq_handler < 0:
-            raise ValueError("irq_handler must be >= 0")
         if self.ft_flag_timeout <= 0 or self.ft_notify_timeout <= 0:
             raise ValueError("FT timeouts must be > 0")
-        if self.ft_max_retries < 0:
-            raise ValueError("ft_max_retries must be >= 0")
-        if self.integrity_retries < 0:
-            raise ValueError("integrity_retries must be >= 0")
-        if self.integrity_crc_us_per_line < 0:
-            raise ValueError("integrity_crc_us_per_line must be >= 0")
         if self.service and not self.ft:
             raise ValueError("service mode requires ft=True")
         if self.byz and not (self.service and self.integrity):
@@ -240,10 +233,6 @@ class OcBcastConfig:
                 "byz mode requires service=True and integrity=True (the RBC "
                 "rounds ride on the commit round and the integrity headers)"
             )
-        if self.byz and (self.byz_echo_timeout <= 0 or self.byz_ready_timeout <= 0):
-            raise ValueError("byz poll budgets must be > 0")
-        if self.byz_refetch_retries < 0:
-            raise ValueError("byz_refetch_retries must be >= 0")
 
     @property
     def chunk_bytes(self) -> int:
@@ -607,9 +596,7 @@ class OcBcast:
         (readback-verified, bounded re-send) in FT mode."""
         if self.config.ft:
             yield from cc.flag_set_acked(
-                owner_rank, flag, value,
-                max_retries=self.config.ft_max_retries,
-                policy=self.config.ft_retry,
+                owner_rank, flag, value, retry=self.config.ft_retry
             )
         else:
             yield from cc.flag_set(owner_rank, flag, value)
@@ -630,8 +617,7 @@ class OcBcast:
         offset = self._payload_off(b)
         if cfg.ft and cfg.ft_ack_data:
             yield from cc.put_acked(
-                cc.rank, offset, src, span,
-                max_retries=cfg.ft_max_retries, policy=cfg.ft_retry,
+                cc.rank, offset, src, span, retry=cfg.ft_retry
             )
         else:
             yield from cc.put(cc.rank, offset, src, span)
@@ -704,9 +690,7 @@ class OcBcast:
         """The CRC's compute cost: accumulated per line while the data is
         already in the core's registers during the copy."""
         lines = -(-span // CACHE_LINE)
-        cost = self.config.integrity_crc_us_per_line * lines
-        if cost > 0:
-            yield from cc.compute(cost)
+        yield from cc.compute(CRC_US_PER_LINE * lines)
 
     def _fetch(
         self, cc: "CoreComm", parent: int, b: int, span: int, seq: int
@@ -718,7 +702,7 @@ class OcBcast:
         In integrity mode the fetch copies header + payload and verifies
         the checksum over its *own deposit*; a mismatch (corrupted or
         dropped deposit, stale header) re-fetches up to
-        ``integrity_retries`` times, then escalates as a timeout -- the
+        :data:`INTEGRITY_RETRIES` times, then escalates as a timeout -- the
         NACK path.  Corruption upstream (the parent's copy itself) is
         detected but not repairable here; the service layer re-broadcasts.
         """
@@ -727,14 +711,13 @@ class OcBcast:
         if not cfg.integrity:
             if cfg.ft and cfg.ft_ack_data:
                 yield from cc.get_acked(
-                    parent, reg.offset, reg.offset, span,
-                    max_retries=cfg.ft_max_retries, policy=cfg.ft_retry,
+                    parent, reg.offset, reg.offset, span, retry=cfg.ft_retry
                 )
             else:
                 yield from cc.get(parent, reg.offset, reg.offset, span)
             return
         total = CACHE_LINE + span
-        for attempt in range(cfg.integrity_retries + 1):
+        for attempt in range(INTEGRITY_RETRIES + 1):
             yield from cc.get(parent, reg.offset, reg.offset, total)
             yield from self._crc_charge(cc, span)
             raw = cc.read_local(reg.offset, total)
@@ -756,7 +739,7 @@ class OcBcast:
             cc.metric_inc("oc.integrity.mismatches")
         raise SimTimeoutError(
             f"core {cc.core_id}: chunk seq={seq} failed checksum after "
-            f"{cfg.integrity_retries + 1} fetches from rank {parent} at "
+            f"{INTEGRITY_RETRIES + 1} fetches from rank {parent} at "
             f"t={cc.now:.4f} (corruption upstream of this fetch)",
             process=f"core{cc.core_id}",
             sim_time=cc.now,
@@ -774,7 +757,7 @@ class OcBcast:
             yield from cc.get(parent, self.buffers[b].offset, dst, span)
             return
         src_off = self._payload_off(b)
-        for attempt in range(cfg.integrity_retries + 1):
+        for attempt in range(INTEGRITY_RETRIES + 1):
             yield from cc.get(parent, src_off, dst, span)
             header = yield from cc.get_bytes(
                 parent, self.buffers[b].offset, CACHE_LINE
@@ -794,7 +777,7 @@ class OcBcast:
             cc.metric_inc("oc.integrity.mismatches")
         raise SimTimeoutError(
             f"core {cc.core_id}: direct chunk seq={seq} failed checksum after "
-            f"{cfg.integrity_retries + 1} fetches from rank {parent} at "
+            f"{INTEGRITY_RETRIES + 1} fetches from rank {parent} at "
             f"t={cc.now:.4f}",
             process=f"core{cc.core_id}",
             sim_time=cc.now,
@@ -826,8 +809,8 @@ class OcBcast:
         re-notifies the lagging children directly (with ``last_seq``, the
         highest notification already issued -- flags are monotonic, so
         this can never advance a child prematurely) and, once
-        ``ft_max_retries`` budgets have expired, declares the remaining
-        laggards crashed and stops waiting on them for good.
+        :data:`RENOTIFY_BUDGETS` budgets have expired, declares the
+        remaining laggards crashed and stops waiting on them for good.
         """
         cfg = self.config
         if not cfg.ft:
@@ -856,7 +839,7 @@ class OcBcast:
                     i for i in live
                     if cc.flag_peek(done[i]).seq < floor
                 ]
-                if retries >= cfg.ft_max_retries:
+                if retries >= RENOTIFY_BUDGETS:
                     for i in lag:
                         dead.add(children[i])
                         cc.trace(
@@ -874,7 +857,7 @@ class OcBcast:
                     cc.metric_inc("oc.ft.renotifies")
                     yield from cc.flag_set_acked(
                         children[i], self.notify, FlagValue(0, last_seq),
-                        max_retries=cfg.ft_max_retries, policy=cfg.ft_retry,
+                        retry=cfg.ft_retry,
                     )
 
     # -- notification helpers -----------------------------------------------
@@ -927,7 +910,7 @@ class OcBcast:
                 [self.notify], lambda v: v[0].seq >= seq, sweep_flags=0,
                 timeout=timeout, site="oc.notify",
             )
-            yield from cc.compute(self.config.irq_handler)
+            yield from cc.compute(IRQ_HANDLER)
         else:
             vals = yield from cc.wait_flags(
                 [self.notify], lambda v, s=seq: v[0].seq >= s,

@@ -16,7 +16,7 @@
   from a fully-delivered survivor, or a group-wide abort.
 """
 
-from .election import ElectionConfig, ElectionService
+from .election import ElectionService
 from .heartbeat import (
     CompletionDirective,
     MembershipConfig,
@@ -33,7 +33,6 @@ __all__ = [
     "ready_amplify",
     "ready_quorum",
     "CompletionDirective",
-    "ElectionConfig",
     "ElectionService",
     "MembershipConfig",
     "MembershipService",

@@ -23,15 +23,15 @@ Mechanics:
   ignored.
 - Candidates (view members minus the caller's suspects) are ordered by
   rank.  Candidate ``i`` grants the ``i`` lower-ranked candidates a
-  head start of ``claim_step * i`` microseconds (plus a small seeded,
+  head start of ``CLAIM_STEP * i`` microseconds (plus a small seeded,
   deterministic jitter) before claiming itself; a claim from a lower
   candidate observed within the budget makes it a *follower*.
 - Because members enter the election at slightly different simulated
   times (their broadcast attempts fail at different tree depths), a
   raw "first claim wins" would livelock or split.  Two counter-skew
   measures: a claimant re-checks the lower slots once after a
-  ``settle`` window and yields to any lower claim that raced it; a
-  follower also waits out ``settle`` after the first claim it sees and
+  ``SETTLE`` window and yields to any lower claim that raced it; a
+  follower also waits out ``SETTLE`` after the first claim it sees and
   then follows the *lowest* claimant, not the first.
 
 The winner returns from :meth:`elect` believing itself coordinator; it
@@ -43,11 +43,9 @@ before installing (a lower-ranked late entrant may still be ahead).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, Iterable
 
 from ..rcce.flags import FlagSlotArray
-from ..resilience.policy import RetryPolicy
 from ..sim.errors import TimeoutError as SimTimeoutError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -55,39 +53,19 @@ if TYPE_CHECKING:  # pragma: no cover
     from .heartbeat import MembershipService
 
 
-@dataclass(frozen=True)
-class ElectionConfig:
-    """Tuning knobs of the ranked-succession election."""
-
-    #: Head start (us) each lower-ranked candidate is granted before
-    #: this one claims.  Must exceed the worst-case skew between two
-    #: members' entries into the same election (bounded by the spread
-    #: of their broadcast-attempt failure times).
-    claim_step: float = 2500.0
-    #: Settle window (us) after seeing or stamping a claim, absorbing
-    #: in-flight claims from racing candidates before committing to a
-    #: leader.
-    settle: float = 1000.0
-    #: Upper bound (us) of the seeded per-candidate jitter added to the
-    #: claim budget, de-synchronising same-index retries.
-    jitter_max: float = 200.0
-    #: Re-send bound for acked claim writes.
-    max_retries: int = 3
-    #: Pacing for acked claim re-casts (``None`` = immediate re-send).
-    claim_retry: RetryPolicy | None = None
-
-    def __post_init__(self) -> None:
-        if self.claim_step <= 0 or self.settle <= 0:
-            raise ValueError("election budgets must be > 0")
-        if self.jitter_max < 0:
-            raise ValueError("jitter_max must be >= 0")
-        if self.jitter_max >= self.claim_step:
-            raise ValueError(
-                "jitter_max must stay below claim_step (the rank order "
-                "of the budgets is the protocol's tie-breaker)"
-            )
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+#: Head start (us) each lower-ranked candidate is granted before the
+#: next one claims.  Must exceed the worst-case skew between two
+#: members' entries into the same election (bounded by the spread of
+#: their broadcast-attempt failure times).
+CLAIM_STEP = 2500.0
+#: Settle window (us) after seeing or stamping a claim, absorbing
+#: in-flight claims from racing candidates before committing to a leader.
+SETTLE = 1000.0
+#: Upper bound (us) of the seeded per-candidate jitter added to the
+#: claim budget, de-synchronising same-index retries.
+JITTER_MAX = 200.0
+# The rank order of the claim budgets is the protocol's tie-breaker.
+assert JITTER_MAX < CLAIM_STEP
 
 
 class ElectionService:
@@ -100,15 +78,9 @@ class ElectionService:
     so all members run the election over the same roster.
     """
 
-    def __init__(
-        self,
-        comm: "Comm",
-        member: "MembershipService",
-        config: ElectionConfig | None = None,
-    ) -> None:
+    def __init__(self, comm: "Comm", member: "MembershipService") -> None:
         self.comm = comm
         self.member = member
-        self.config = config or ElectionConfig()
         self.claims = FlagSlotArray(
             comm.layout.alloc_lines(FlagSlotArray.lines_needed(comm.size)),
             comm.size,
@@ -121,7 +93,7 @@ class ElectionService:
         """Deterministic per-(round, rank) jitter -- seeded, no wall
         clock, so traces stay replayable."""
         rng = random.Random(round_no * 1009 + cc.rank)
-        return rng.uniform(0.0, self.config.jitter_max)
+        return rng.uniform(0.0, JITTER_MAX)
 
     def _read_claim(self, cc: "CoreComm", rank: int) -> int:
         """Untimed read of this core's own copy of ``rank``'s claim
@@ -146,12 +118,7 @@ class ElectionService:
         for m in sorted(members):
             try:
                 yield from cc.slot_write_acked(
-                    self.claims,
-                    m,
-                    cc.rank,
-                    round_no,
-                    max_retries=self.config.max_retries,
-                    policy=self.config.claim_retry,
+                    self.claims, m, cc.rank, round_no
                 )
             except SimTimeoutError:
                 cc.trace("member.claim_unreachable", member=m)
@@ -192,7 +159,6 @@ class ElectionService:
         what keeps a *dead winner's* stale claim from being followed
         forever on re-election within the same round.
         """
-        cfg = self.config
         view = self.member.views[cc.rank]
         gone = set(suspects)
         candidates = [m for m in view.members if m not in gone]
@@ -209,7 +175,7 @@ class ElectionService:
         )
         lower = candidates[:index]
         if lower:
-            budget = cfg.claim_step * index + self._jitter(cc, round_no)
+            budget = CLAIM_STEP * index + self._jitter(cc, round_no)
             try:
                 yield from cc.slot_wait_any_at_least(
                     self.claims, lower, round_no,
@@ -217,7 +183,7 @@ class ElectionService:
                 )
                 # A lower candidate claimed: absorb racing claims, then
                 # follow the lowest claimant standing.
-                yield from cc.compute(cfg.settle)
+                yield from cc.compute(SETTLE)
                 winner = self._lowest_claimant(cc, lower, round_no)
                 assert winner is not None  # claims are monotonic
                 cc.trace(
@@ -228,7 +194,7 @@ class ElectionService:
             except SimTimeoutError:
                 pass  # budget spent: the lower candidates are gone too
         yield from self._stamp(cc, round_no, view.members)
-        yield from cc.compute(cfg.settle)
+        yield from cc.compute(SETTLE)
         rival = self._lowest_claimant(cc, lower, round_no)
         if rival is not None:
             # A lower-ranked candidate raced us inside the settle

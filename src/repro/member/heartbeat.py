@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, Generator, Iterable
 
 from ..rcce.flags import FlagSlotArray, FlagValue
 from ..resilience.detector import DetectorConfig, PhiAccrualDetector
-from ..resilience.policy import RetryPolicy, plan_delays
+from ..resilience.policy import IMMEDIATE, RetryPolicy
 from ..scc.config import CACHE_LINE
 from ..sim.errors import TimeoutError as SimTimeoutError
 
@@ -122,28 +122,17 @@ class MembershipConfig:
     #: Must exceed ``hb_timeout`` -- the root only installs the view
     #: after its collect finishes.
     view_timeout: float = 9000.0
-    #: Re-send bound for acked heartbeat / view-flag writes.
-    hb_max_retries: int = 3
-    #: Service-level bound on re-broadcast attempts per message.
-    max_attempts: int = 5
-    #: Expected spacing (us) between successive heartbeat solicitations
-    #: (recovery rounds).  Only used by the timing-coherence check:
-    #: the suspicion window must exceed one period plus the worst-case
-    #: heartbeat ack retry time, or a member pacing its re-sends can be
-    #: suspected while still inside its own legal retry schedule.
-    #: ``0.0`` (the default) models purely event-driven rounds.
-    hb_period: float = 0.0
     #: Adaptive phi-accrual suspicion (``None`` keeps the fixed shared
     #: ``hb_timeout`` deadline -- the bit-identical legacy behaviour).
     detector: DetectorConfig | None = None
-    #: Pacing for acked heartbeat slot writes (``None`` = immediate).
-    hb_retry: RetryPolicy | None = None
-    #: Pacing for view-install flag writes and bitmap staging.
-    view_retry: RetryPolicy | None = None
+    #: Re-send schedule of acked heartbeat slot writes.
+    hb_retry: RetryPolicy = IMMEDIATE
+    #: Re-send schedule of view-install flag writes and bitmap staging.
+    view_retry: RetryPolicy = IMMEDIATE
     #: Per-message recovery budget for the broadcast service: after
     #: this many failed attempts the service REFUSES deterministically
     #: (raises :class:`repro.resilience.OverloadError`) instead of
-    #: burning the remaining ``max_attempts``.  ``0`` disables.
+    #: burning its remaining attempts.  ``0`` disables.
     retry_budget: int = 0
 
     def __post_init__(self) -> None:
@@ -154,24 +143,17 @@ class MembershipConfig:
                 "view_timeout must exceed hb_timeout (the view is only "
                 "installed after the root's collect finishes)"
             )
-        if self.hb_max_retries < 0:
-            raise ValueError("hb_max_retries must be >= 0")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.hb_period < 0:
-            raise ValueError("hb_period must be >= 0")
         if self.retry_budget < 0:
             raise ValueError("retry_budget must be >= 0")
         # Timing coherence: a member re-sending its heartbeat under the
         # declared retry policy is *not* silent -- the suspicion window
         # must be long enough to see the last legal re-send, or every
         # paced retry schedule turns into a false eviction.
-        ack_worst = self.hb_retry.max_total_pause() if self.hb_retry else 0.0
-        if self.hb_timeout <= self.hb_period + ack_worst:
+        ack_worst = self.hb_retry.max_total_pause()
+        if self.hb_timeout <= ack_worst:
             raise ValueError(
                 f"incoherent membership timing: the suspicion window "
-                f"(hb_timeout={self.hb_timeout:g} us) must exceed one "
-                f"heartbeat period ({self.hb_period:g} us) plus the "
+                f"(hb_timeout={self.hb_timeout:g} us) must exceed the "
                 f"worst-case heartbeat ack retry time ({ack_worst:g} us "
                 f"from hb_retry); raise hb_timeout or trim hb_retry's "
                 f"backoff schedule"
@@ -309,12 +291,7 @@ class MembershipService:
         value = 2 * round_no + (1 if ok else 0)
         cc.trace("member.hb", round=round_no, ok=ok, to=target)
         yield from cc.slot_write_acked(
-            self.hb,
-            target,
-            cc.rank,
-            value,
-            max_retries=self.config.hb_max_retries,
-            policy=self.config.hb_retry,
+            self.hb, target, cc.rank, value, retry=self.config.hb_retry
         )
 
     def await_view(self, cc: "CoreComm", round_no: int) -> Generator[
@@ -517,8 +494,7 @@ class MembershipService:
                     m,
                     self.view_flag,
                     FlagValue(tag=view.epoch * _TAG_BASE + cc.rank, seq=round_no),
-                    max_retries=cfg.hb_max_retries,
-                    policy=cfg.view_retry,
+                    retry=cfg.view_retry,
                 )
             except SimTimeoutError:
                 unreachable.append(m)
@@ -529,10 +505,7 @@ class MembershipService:
         """Write the bitmap into the root's own MPB and verify the local
         deposit (even local protocol writes can be faulted)."""
         off = self.bitmap_region.offset
-        delays = plan_delays(
-            self.config.view_retry, cc.rank, "member.bitmap",
-            self.config.hb_max_retries,
-        )
+        delays = self.config.view_retry.delays(cc.rank, "member.bitmap")
         for attempt in range(len(delays) + 1):
             if attempt and delays[attempt - 1] > 0.0:
                 yield from cc.compute(delays[attempt - 1])

@@ -60,6 +60,7 @@ import random
 import zlib
 from typing import TYPE_CHECKING, Generator
 
+from ..core.ocbcast import CRC_US_PER_LINE
 from ..faults.plan import FaultKind
 from ..rcce.flags import DigestSlotArray
 from ..scc.config import CACHE_LINE
@@ -74,6 +75,15 @@ if TYPE_CHECKING:  # pragma: no cover
 #: XOR mask a LIE_IN_QUORUM adversary applies to the true digest: a
 #: well-formed, consistent, wrong vote.
 _LIE_MASK = 0x5A5A5A5A
+
+#: Poll budget (us) for the ECHO quorum wait.
+ECHO_TIMEOUT = 3_000.0
+#: Poll budget (us) for the READY amplification wait (f+1) after a split
+#: ECHO round; the final READY delivery gate (2f+1) gets both budgets.
+READY_TIMEOUT = 3_000.0
+#: Bounded re-fetch candidates when the local payload's CRC mismatches
+#: the agreed digest.
+REFETCH_RETRIES = 3
 
 
 def max_faulty(n: int) -> int:
@@ -202,11 +212,7 @@ class RbcService:
         for member in range(cc.size):
             vote = self._vote_digest(spec, member, v, digest)
             if acked:
-                yield from cc.vote_write_acked(
-                    array, member, cc.rank, v, vote,
-                    max_retries=self.config.ft_max_retries,
-                    policy=self.config.vote_retry,
-                )
+                yield from cc.vote_write_acked(array, member, cc.rank, v, vote)
             else:
                 yield from cc.vote_write(array, member, cc.rank, v, vote)
 
@@ -247,19 +253,18 @@ class RbcService:
     ) -> Generator[object, object, bool]:
         """The message's quorum rounds; returns True when a digest is
         agreed and the local copy matches it."""
-        cfg = self.config
         # Echo quorum (the echoes themselves went out pre-commit).
         try:
             agreed = yield from cc.vote_wait_quorum(
                 self.echo, v, self.n_echo,
-                timeout=cfg.byz_echo_timeout, site="rbc.echo.quorum",
+                timeout=ECHO_TIMEOUT, site="rbc.echo.quorum",
             )
         except SimTimeoutError:
             # Split echo round: amplify from f+1 READY votes instead.
             try:
                 agreed = yield from cc.vote_wait_quorum(
                     self.ready, v, self.n_amplify,
-                    timeout=cfg.byz_ready_timeout, site="rbc.ready.amplify",
+                    timeout=READY_TIMEOUT, site="rbc.ready.amplify",
                 )
                 cc.trace("rbc.amplify", v=v, digest=agreed)
             except SimTimeoutError:
@@ -277,7 +282,7 @@ class RbcService:
             try:
                 final = yield from cc.vote_wait_quorum(
                     self.ready, v, self.n_ready,
-                    timeout=cfg.byz_echo_timeout + cfg.byz_ready_timeout,
+                    timeout=ECHO_TIMEOUT + READY_TIMEOUT,
                     site="rbc.ready.gate",
                 )
                 break
@@ -324,7 +329,7 @@ class RbcService:
             and cc.vote_peek(self.echo, m) == (v, agreed)
         ]
         first_staged = max(0, nchunks - cfg.num_buffers)
-        for holder in candidates[: cfg.byz_refetch_retries + 1]:
+        for holder in candidates[: REFETCH_RETRIES + 1]:
             for idx in range(first_staged, nchunks):
                 b = idx % cfg.num_buffers
                 off = idx * cfg.chunk_bytes
@@ -333,7 +338,7 @@ class RbcService:
                     holder, self.oc._payload_off(b), buf.sub(off, span), span
                 )
                 yield from cc.compute(
-                    cfg.integrity_crc_us_per_line * -(-span // CACHE_LINE)
+                    CRC_US_PER_LINE * -(-span // CACHE_LINE)
                 )
             if self._message_digest(buf, nbytes) == agreed:
                 cc.trace("rbc.refetch", v=v, holder=holder)

@@ -70,7 +70,7 @@ from ..core.trees import MemberTree
 from ..resilience.policy import OverloadError
 from ..scc.memory import MemRef
 from ..sim.errors import TimeoutError as SimTimeoutError
-from .election import ElectionConfig, ElectionService
+from .election import ElectionService
 from .rbc import RbcService
 from .heartbeat import (
     DIRECTIVE_ABORT,
@@ -96,6 +96,10 @@ DEFAULT_SERVICE_OC = OcBcastConfig(
     ft_notify_timeout=2500.0,
 )
 
+#: Broadcast attempts (one initial, the rest after recovery rounds) the
+#: service spends on one message before giving up with a timeout.
+MAX_ATTEMPTS = 5
+
 #: Sentinel for the self-eviction exit of a recovery round.
 _SELF_EVICT = object()
 
@@ -114,7 +118,6 @@ class OcBcastService:
         root: int = 0,
         oc_config: OcBcastConfig | None = None,
         member_config: MembershipConfig | None = None,
-        election_config: ElectionConfig | None = None,
     ) -> None:
         base = oc_config or DEFAULT_SERVICE_OC
         # The service's correctness needs all three modes regardless of
@@ -124,7 +127,7 @@ class OcBcastService:
         self.root = root
         self.oc = OcBcast(comm, self.config)
         self.member = MembershipService(comm, root=root, config=member_config)
-        self.election = ElectionService(comm, self.member, config=election_config)
+        self.election = ElectionService(comm, self.member)
         #: Byzantine mode: the Bracha echo/ready layer (None otherwise).
         self.rbc: RbcService | None = None
         if self.config.byz:
@@ -172,15 +175,15 @@ class OcBcastService:
 
         ``source`` picks the broadcasting rank (default: the static
         root while it lives, else the current coordinator).  Raises
-        :class:`repro.sim.TimeoutError` when ``max_attempts`` recovery
-        rounds cannot produce a committed broadcast.
+        :class:`repro.sim.TimeoutError` when :data:`MAX_ATTEMPTS`
+        attempts cannot produce a committed broadcast.
 
         Graceful degradation: with ``member_config.retry_budget`` set,
         the service accounts each *failed* attempt (one recovery round)
         against the message's budget and, once spent, REFUSES
         deterministically -- a traced ``svc.refused`` decision and a
         structured :class:`repro.resilience.OverloadError` -- instead
-        of burning the remaining ``max_attempts`` against a mesh that
+        of burning its remaining attempts against a mesh that
         is demonstrably not recovering.  The refusing rank has still
         participated in the budgeted recovery rounds, so survivors see
         its heartbeats up to the refusal point and evict it cleanly.
@@ -191,7 +194,7 @@ class OcBcastService:
         tries = 0
         spent = 0  # failed attempts charged against retry_budget
         override: int | None = None  # directive-designated re-broadcast source
-        for _ in range(mcfg.max_attempts):
+        for _ in range(MAX_ATTEMPTS):
             tries += 1
             view = self.member.views[cc.rank]
             if cc.rank not in view:
@@ -283,7 +286,7 @@ class OcBcastService:
                 )
         raise SimTimeoutError(
             f"core {cc.core_id}: service broadcast not committed after "
-            f"{mcfg.max_attempts} attempts at t={cc.now:.4f}",
+            f"{MAX_ATTEMPTS} attempts at t={cc.now:.4f}",
             process=f"core{cc.core_id}",
             sim_time=cc.now,
             site="svc.attempts",

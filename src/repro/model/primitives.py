@@ -8,6 +8,7 @@ returns at the caller).  Local MPB accesses use ``d = 1``.
 
 from __future__ import annotations
 
+from ..scc import costs
 from .params import ModelParams
 
 
@@ -29,14 +30,14 @@ def l_mpb_write(p: ModelParams, d: int) -> float:
 def c_mpb_write(p: ModelParams, d: int) -> float:
     """(2) Completion of the same write (waits for the acknowledgment)."""
     _check(d=d)
-    return p.o_mpb + 2 * d * p.l_hop
+    return costs.mpb_line(p, d)
 
 
 def c_mpb_read(p: ModelParams, d: int) -> float:
     """(3) Latency = completion of reading one cache line from an MPB
     (request out, cache line back)."""
     _check(d=d)
-    return p.o_mpb + 2 * d * p.l_hop
+    return costs.mpb_line(p, d)
 
 
 l_mpb_read = c_mpb_read
@@ -53,13 +54,13 @@ def l_mem_write(p: ModelParams, d: int) -> float:
 def c_mem_write(p: ModelParams, d: int) -> float:
     """(5) Completion of the same write."""
     _check(d=d)
-    return p.o_mem_w + 2 * d * p.l_hop
+    return costs.mem_write_line(p, d)
 
 
 def c_mem_read(p: ModelParams, d: int) -> float:
     """(6) Latency = completion of reading one cache line from memory."""
     _check(d=d)
-    return p.o_mem_r + 2 * d * p.l_hop
+    return costs.mem_read_line(p, d)
 
 
 l_mem_read = c_mem_read

@@ -24,7 +24,7 @@ A core waiting on flags continuously sweeps them, each flag read costing
 ``_wait`` primitive is event-driven -- it sleeps until a write touches a
 watched line -- and charges the *detection delay* a sweep would add: on
 the wake-up that satisfies the predicate the waiter pays ``detect_cost``,
-half a sweep plus one flag read (``0.5 * nflags * t_poll + t_poll``).
+half a sweep plus one flag read (:func:`repro.scc.costs.poll_detect`).
 This reproduces the paper's observation that large ``k`` makes the root
 slow to notice its 47 doneFlags, while keeping waits O(#writes) in
 events.  (A backend without a polling model may ignore ``detect_cost``.)
@@ -40,7 +40,7 @@ a whole-program deadlock.  Two escape hatches, both opt-in:
   :class:`repro.sim.TimeoutError` naming the waiting core, the site and
   the time, instead of spinning silently;
 - the ``*_acked`` writes read the written lines back and re-send until
-  they verify (bounded retries, optionally paced by a
+  they verify (bounded and paced by their ``retry``
   :class:`~repro.resilience.policy.RetryPolicy`), converting the
   fire-and-forget store into an acknowledged one at the cost of one
   remote read per attempt -- the per-write robustness tax of the FT
@@ -51,8 +51,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, Sequence
 
-from ..resilience.policy import RetryPolicy, plan_delays
+from ..resilience.policy import IMMEDIATE, RetryPolicy
 from ..scc.config import CACHE_LINE
+from ..scc.costs import poll_detect
 from ..scc.memory import MemRef
 from ..sim.errors import TimeoutError as SimTimeoutError
 from .flags import DigestSlotArray, Flag, FlagSlotArray, FlagValue
@@ -221,20 +222,18 @@ class Endpoint:
         kind: str,
         what: Callable[[], str],
         note: str,
-        max_retries: int,
-        policy: "RetryPolicy | None",
+        retry: RetryPolicy,
         **detail: object,
     ) -> Generator:
         """Run ``send()`` then the timed ack leg ``readback()`` until
-        ``accept`` judges what it read true
-        (that value is returned), at most ``max_retries`` re-sends or the
-        ``policy``'s paced schedule (``None`` keeps the legacy immediate
-        re-sends, inserting no events).  A success after re-sending
-        emits ``kind`` and records a recovery under ``site``; exhaustion
-        raises :class:`repro.sim.TimeoutError` ("``what()`` after N
+        ``accept`` judges what it read true (that value is returned),
+        re-sending on ``retry``'s schedule (a zero pause inserts no
+        event).  A success after re-sending emits ``kind`` and records a
+        recovery under ``site``; exhaustion raises
+        :class:`repro.sim.TimeoutError` ("``what()`` after N
         attempts"; formatted only then -- acked writes are hot) -- the
         peer is presumed unreachable."""
-        delays = plan_delays(policy, self.core_id, site, max_retries)
+        delays = retry.delays(self.core_id, site)
         for attempt in range(len(delays) + 1):
             if attempt and delays[attempt - 1] > 0.0:
                 delay = delays[attempt - 1]
@@ -282,8 +281,7 @@ class Endpoint:
         src: "MemRef | int",
         nbytes: int,
         *,
-        max_retries: int = 3,
-        policy: "RetryPolicy | None" = None,
+        retry: RetryPolicy = IMMEDIATE,
     ) -> Generator:
         """A :meth:`put` with an acknowledgment: read the destination
         lines back and re-send the whole transfer until they match.  The
@@ -302,7 +300,7 @@ class Endpoint:
             lambda raw: raw == self._local_bytes(src, nbytes),
             "put_retry_ok",
             lambda: f"put of {nbytes} B to core {dst}@{dst_offset} un-acked",
-            f"{nbytes}B re-sent", max_retries, policy,
+            f"{nbytes}B re-sent", retry,
             dst=dst, off=dst_offset,
         )
 
@@ -313,8 +311,7 @@ class Endpoint:
         dst: "MemRef | int",
         nbytes: int,
         *,
-        max_retries: int = 3,
-        policy: "RetryPolicy | None" = None,
+        retry: RetryPolicy = IMMEDIATE,
     ) -> Generator:
         """A :meth:`get` with verification: re-fetch until the backend's
         ``_verify_get`` finds the destination matching the source lines
@@ -333,7 +330,7 @@ class Endpoint:
             bool,
             "get_retry_ok",
             lambda: f"get of {nbytes} B from core {src}@{src_offset} unverified",
-            f"{nbytes}B re-fetched", max_retries, policy,
+            f"{nbytes}B re-fetched", retry,
             src=src, off=src_offset,
         )
 
@@ -395,8 +392,7 @@ class Endpoint:
         flag: Flag,
         value: FlagValue,
         *,
-        max_retries: int = 3,
-        policy: "RetryPolicy | None" = None,
+        retry: RetryPolicy = IMMEDIATE,
     ) -> Generator[object, object, FlagValue]:
         """Acknowledged flag write; returns the verified line.  Any state
         at least as new as ``value`` acks (another writer may
@@ -415,7 +411,7 @@ class Endpoint:
             accept,
             "flag_write_retry_ok",
             lambda: f"flag write {flag.name!r} to core {owner} un-acked",
-            "flag re-sent", max_retries, policy,
+            "flag re-sent", retry,
             flag=flag.name, owner=owner,
         ))
 
@@ -458,7 +454,7 @@ class Endpoint:
 
         nscan = sweep_flags if sweep_flags is not None else len(flags)
         yield from self._wait(
-            check, offsets, 0.5 * nscan * self.t_poll + self.t_poll,
+            check, offsets, poll_detect(self.t_poll, nscan),
             timeout, site or "+".join(f.name for f in flags),
         )
         # As of now, not of the wake-up: the detection delay has passed.
@@ -498,8 +494,7 @@ class Endpoint:
         slot: int,
         value: int,
         *,
-        max_retries: int = 3,
-        policy: "RetryPolicy | None" = None,
+        retry: RetryPolicy = IMMEDIATE,
     ) -> Generator:
         """Acknowledged slot write (slot values are monotonic per writer,
         so a readback >= value also acks).  The membership heartbeats
@@ -516,7 +511,7 @@ class Endpoint:
             lambda raw: array.decode(raw) >= value,
             "slot_write_retry_ok",
             lambda: f"slot write {array.name}[{slot}] to core {owner} un-acked",
-            "slot re-sent", max_retries, policy,
+            "slot re-sent", retry,
             array=array.name, owner=owner, slot=slot,
         )
 
@@ -609,8 +604,7 @@ class Endpoint:
         seq: int,
         digest: int,
         *,
-        max_retries: int = 3,
-        policy: "RetryPolicy | None" = None,
+        retry: RetryPolicy = IMMEDIATE,
     ) -> Generator:
         """Acknowledged vote write.  Digests are not monotonic, so unlike
         a slot write the ack demands an *exact* digest match at this seq
@@ -632,7 +626,7 @@ class Endpoint:
             accept,
             "vote_write_retry_ok",
             lambda: f"vote write {array.name}[{slot}] to core {owner} un-acked",
-            "vote re-sent", max_retries, policy,
+            "vote re-sent", retry,
             array=array.name, owner=owner, slot=slot,
         )
 
@@ -664,7 +658,7 @@ class Endpoint:
 
         return (yield from self._wait(
             check, [base + i * CACHE_LINE for i in range(nlines)],
-            0.5 * nlines * self.t_poll + self.t_poll,
+            poll_detect(self.t_poll, nlines),
             timeout, site or f"{array.name}.quorum(seq={seq})",
         ))
 

@@ -13,8 +13,8 @@ makes the time constants adaptive:
   through every bounded-retry site of :mod:`repro.rcce` and
   :mod:`repro.member`.  Deterministic: delays come from a per
   ``(rank, site)`` seeded stream, never from wall clock, so faulted
-  runs stay byte-identical and the default (no policy) paths are
-  bit-identical to the pre-policy traces.
+  runs stay byte-identical and the default (:data:`IMMEDIATE`) paths
+  are bit-identical to the pre-policy traces.
 - :class:`PhiAccrualDetector` -- a phi-accrual failure detector
   [Hayashibara 04] adapted to the round-solicited heartbeats of
   :class:`repro.member.heartbeat.MembershipService`: per-member
@@ -28,12 +28,7 @@ makes the time constants adaptive:
 """
 
 from .detector import DetectorConfig, PhiAccrualDetector
-from .policy import (
-    IMMEDIATE,
-    OverloadError,
-    RetryPolicy,
-    plan_delays,
-)
+from .policy import IMMEDIATE, OverloadError, RetryPolicy
 
 __all__ = [
     "DetectorConfig",
@@ -41,5 +36,4 @@ __all__ = [
     "OverloadError",
     "PhiAccrualDetector",
     "RetryPolicy",
-    "plan_delays",
 ]

@@ -17,13 +17,12 @@ each re-send at one call site.  Determinism contract:
   ``random.Random`` seeded from ``(policy.seed, rank, site)``, so the
   same run replays the same delays and two sites on the same rank get
   independent streams;
-- ``policy=None`` at a call site means "no policy": the site executes
-  the exact pre-policy code path (immediate re-sends, no extra
-  simulator events), keeping default traces bit-identical;
+- every site takes a policy -- there is no "no policy": the default,
+  :data:`IMMEDIATE`, is three immediate re-sends, the schedule every
+  site hard-coded before this module existed;
 - a zero delay inserts *no* simulator event at all -- only strictly
-  positive pauses are yielded by the call sites -- so
-  ``RetryPolicy.immediate()`` is also trace-identical to ``None``
-  apart from the site honouring its ``max_retries``.
+  positive pauses are yielded by the call sites -- so an immediate
+  policy leaves default traces bit-identical to the pre-policy ones.
 """
 
 from __future__ import annotations
@@ -31,9 +30,9 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from random import Random
-from typing import Optional, Tuple
+from typing import Tuple
 
-__all__ = ["IMMEDIATE", "OverloadError", "RetryPolicy", "plan_delays"]
+__all__ = ["IMMEDIATE", "OverloadError", "RetryPolicy"]
 
 
 class OverloadError(RuntimeError):
@@ -67,8 +66,7 @@ class RetryPolicy:
     """Declarative pacing for one bounded-retry site.
 
     ``max_retries``
-        Re-send attempts after the first send (mirrors the legacy
-        ``max_retries`` arguments).
+        Re-send attempts after the first send.
     ``base``
         Pause before the first re-send, in microseconds.  ``0.0``
         means immediate re-send (no pause events at all).
@@ -113,10 +111,16 @@ class RetryPolicy:
             raise ValueError("jitter must be in [0, 1)")
         if self.budget < 0.0:
             raise ValueError("budget must be >= 0")
+        # A jitter-free schedule is the same at every (rank, site), and
+        # acked writes ask for it on every call: expand it once.  Not a
+        # field, so ==, hash and repr see the declared values only.
+        object.__setattr__(
+            self, "_fixed", None if self.jitter > 0.0 else self._expand(None)
+        )
 
     @classmethod
     def immediate(cls, max_retries: int = 3) -> "RetryPolicy":
-        """Legacy behaviour: bounded immediate re-sends, no pauses."""
+        """Bounded immediate re-sends, no pauses."""
         return cls(max_retries=max_retries)
 
     @classmethod
@@ -150,16 +154,8 @@ class RetryPolicy:
             d = min(d, self.cap)
         return d
 
-    def delays(self, rank: int, site: str) -> Tuple[float, ...]:
-        """Concrete pause schedule for one call site.
-
-        Returns one pause (us, possibly 0.0) per allowed re-send, in
-        order.  The length is at most ``max_retries``; a budget may
-        truncate it.  Deterministic in ``(self, rank, site)``.
-        """
-        if self.max_retries == 0:
-            return ()
-        rng = Random(_stream_seed(self.seed, rank, site)) if self.jitter > 0.0 else None
+    def _expand(self, rng: "Random | None") -> Tuple[float, ...]:
+        """The schedule, jittered from ``rng`` when one is given."""
         out = []
         spent = 0.0
         for attempt in range(1, self.max_retries + 1):
@@ -172,12 +168,23 @@ class RetryPolicy:
             out.append(d)
         return tuple(out)
 
+    def delays(self, rank: int, site: str) -> Tuple[float, ...]:
+        """Concrete pause schedule for one call site.
+
+        Returns one pause (us, possibly 0.0) per allowed re-send, in
+        order.  The length is at most ``max_retries``; a budget may
+        truncate it.  Deterministic in ``(self, rank, site)``.
+        """
+        if self._fixed is not None:
+            return self._fixed
+        return self._expand(Random(_stream_seed(self.seed, rank, site)))
+
     def max_total_pause(self) -> float:
         """Worst-case cumulative pause across the schedule (any rank/site).
 
         Used by config coherence checks (e.g. the membership suspicion
-        window must exceed one heartbeat period plus this bound plus
-        the per-attempt operation cost).
+        window must exceed this bound, or a member pacing its re-sends
+        is suspected inside its own legal schedule).
         """
         total = 0.0
         for attempt in range(1, self.max_retries + 1):
@@ -188,22 +195,5 @@ class RetryPolicy:
         return total
 
 
+#: The default of every bounded-retry site: three immediate re-sends.
 IMMEDIATE = RetryPolicy.immediate()
-
-
-def plan_delays(
-    policy: Optional[RetryPolicy],
-    rank: int,
-    site: str,
-    default_retries: int,
-) -> Tuple[float, ...]:
-    """Expand an optional policy at a call site.
-
-    ``None`` reproduces the legacy contract: ``default_retries``
-    immediate re-sends (all-zero pauses), so sites that thread a
-    ``policy=None`` default stay bit-identical to their pre-policy
-    behaviour.
-    """
-    if policy is None:
-        return (0.0,) * default_retries
-    return policy.delays(rank, site)

@@ -52,7 +52,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from ..core.ocbcast import FT_NOTIFY_TIMEOUT, IRQ_HANDLER
 from ..core.trees import NotificationTree, PropagationTree
+from . import costs
 from .config import CACHE_LINE, SccConfig
 from .mesh import Mesh
 
@@ -170,11 +172,9 @@ class AnalyticEngine:
         order: Sequence[int] | None = None,
         leaf_direct_to_memory: bool = False,
         interrupt_notify: bool = False,
-        irq_handler: float = 0.1,
         ft: bool = False,
         ft_ack_data: bool = False,
         ft_flag_timeout: float = 300.0,
-        ft_notify_timeout: float = 10_000.0,
     ) -> None:
         cfg = config or SccConfig()
         reason = analytic_supported(cfg)
@@ -191,11 +191,11 @@ class AnalyticEngine:
         self.root = root
         self.leaf_direct = leaf_direct_to_memory
         self.interrupt_notify = interrupt_notify
-        self.irq_handler = irq_handler
+        self.irq_handler = IRQ_HANDLER
         self.ft = ft
         self.ft_ack_data = ft_ack_data
         self.ft_flag_timeout = ft_flag_timeout
-        self.ft_notify_timeout = ft_notify_timeout
+        self.ft_notify_timeout = FT_NOTIFY_TIMEOUT
 
         P = cfg.num_cores
         self.size = P
@@ -217,10 +217,10 @@ class AnalyticEngine:
             + 1
         )
         #: (P, P) uncontended cost of one cache-line MPB access i -> j.
-        self.line_cost = cfg.o_mpb + 2.0 * hops * cfg.l_hop
+        self.line_cost = costs.mpb_line(cfg, hops)
         mem_dist = np.array([mesh.mem_distance(c) for c in range(P)])
-        self.mem_read_line = cfg.o_mem_r + 2.0 * mem_dist * cfg.l_hop
-        self.mem_write_line = cfg.o_mem_w + 2.0 * mem_dist * cfg.l_hop
+        self.mem_read_line = costs.mem_read_line(cfg, mem_dist)
+        self.mem_write_line = costs.mem_write_line(cfg, mem_dist)
         # Cold-miss read totals, accumulated line by line exactly as
         # Core.mem_read's loop does (repeated float addition is not the
         # same float as multiplication; bit-exactness needs the loop).
@@ -247,6 +247,8 @@ class AnalyticEngine:
                 families[n] = NotificationTree(n, notify_degree)
             return families[n]
 
+        # One notify flag per waiter; an interrupt wait sweeps none.
+        notify_detect = costs.poll_detect(t_poll, 0 if interrupt_notify else 1)
         kids = {r: self.tree.children_of(r) for r in self.tree.order}
         self._sched: list[dict] = []
         for r in self.tree.order:  # position order, root first
@@ -268,12 +270,9 @@ class AnalyticEngine:
                 "children": children,
                 "own_targets": own_targets,
                 "relay_targets": relay_targets,
-                # Detection charge of Endpoint.wait_flags, precomputed with
-                # the simulator's exact expression.
-                "done_detect": 0.5 * len(children) * t_poll + t_poll,
-                "notify_detect": (
-                    t_poll if interrupt_notify else 0.5 * 1 * t_poll + t_poll
-                ),
+                # Detection charges of Endpoint.wait_flags.
+                "done_detect": costs.poll_detect(t_poll, len(children)),
+                "notify_detect": notify_detect,
                 "is_leaf": not children,
             })
         self._root_ent = self._sched[0]
@@ -281,7 +280,7 @@ class AnalyticEngine:
         self._n_leaves = sum(1 for ent in self._sched if ent["is_leaf"])
         # FT poll budgets a fault-free wait must respect (see _wait).
         self._flag_budget = ft_flag_timeout if ft else None
-        self._notify_budget = ft_notify_timeout if ft else None
+        self._notify_budget = self.ft_notify_timeout if ft else None
 
         # -- dependency levels ----------------------------------------------
         # Within one chunk a position depends on exactly one other: the

@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Generator, Sequence
 import numpy as np
 
 from ..sim import Event
+from . import costs
 from .config import CACHE_LINE, ContentionMode, SccConfig
 from .memory import L1Cache, MemRef, PrivateMemory
 
@@ -83,8 +84,8 @@ class Core:
         # Constant per-core costs, precomputed once (Formulas 5/6 depend
         # only on the core's memory-controller distance, fixed at build).
         cfg = chip.config
-        self._mem_read_cost = cfg.o_mem_r + 2 * self.mem_dist * cfg.l_hop
-        self._mem_write_cost = cfg.o_mem_w + 2 * self.mem_dist * cfg.l_hop
+        self._mem_read_cost = costs.mem_read_line(cfg, self.mem_dist)
+        self._mem_write_cost = costs.mem_write_line(cfg, self.mem_dist)
         #: Lazy per-target cache of (hop distance, uncontended MPB line
         #: cost) pairs (Formulas 2/3); fixed after construction.
         self._line_cost_to: dict[int, tuple[int, float]] = {}
@@ -96,7 +97,7 @@ class Core:
     def mpb_line_cost(self, d: int) -> float:
         """Round-trip cost of one cache-line MPB access at distance ``d``
         (Formulas 2/3: read and write-completion are both o_mpb + 2d*Lhop)."""
-        return self.config.o_mpb + 2 * d * self.config.l_hop
+        return costs.mpb_line(self.config, d)
 
     def _distance_and_line_cost(self, target_core: int) -> tuple[int, float]:
         """Hop distance to ``target_core``'s MPB and the uncontended cost

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from ..core.ocbcast import OcBcastConfig
+from ..core.ocbcast import DEFAULT_CHUNK_LINES, OcBcastConfig
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultKind, FaultPlan, FaultSpec
 from ..member.heartbeat import MembershipConfig
@@ -36,7 +36,7 @@ from .decisions import canonical_decisions, decision_digest
 from .models import DelayModel, UniformDelay
 from .world import asyncio_world, bcast_body, mode_config, run_world, scc_world
 
-CHUNK_BYTES = 96 * CACHE_LINE  # the service's default chunk
+CHUNK_BYTES = DEFAULT_CHUNK_LINES * CACHE_LINE
 
 
 @dataclass(frozen=True)

@@ -49,33 +49,26 @@ ASYNCIO_TIME_LIMIT = 1_000_000.0
 
 
 def seeded_payload(seed: int, nbytes: int) -> bytes:
-    """The broadcast payload every harness derives from a seed."""
+    """The broadcast payload the fault campaigns, the chaos runner and
+    the sweep harness derive from a seed.  *Not* the payload of
+    :func:`repro.transport.scenarios.payload_for` or of
+    ``ChurnCampaign._payloads``: those draw differently and their bytes
+    feed pinned digests, so they stay as they are rather than unify."""
     rng = np.random.default_rng(seed)
     return rng.integers(0, 256, size=nbytes, dtype=np.uint8).tobytes()
 
 
-def mode_config(
-    mode: str,
-    *,
-    k: int = 7,
-    chunk_lines: int = 96,
-    num_buffers: int = 2,
-    ft_max_retries: int = 3,
-    ft_ack_data: bool = False,
-) -> OcBcastConfig:
+def mode_config(mode: str, *, ft_ack_data: bool = False) -> OcBcastConfig:
     """The OC-Bcast configuration of one protocol mode: ``baseline``
     (plain), ``ft``, ``service`` (crash-surviving) or ``byz``
-    (RBC-hardened service).  ``ft_ack_data`` only applies to the two
-    bare modes -- the service's integrity layer covers data writes."""
-    knobs = dict(
-        k=k, chunk_lines=chunk_lines, num_buffers=num_buffers,
-        ft_max_retries=ft_max_retries,
-    )
+    (RBC-hardened service), at the paper's fan-out, chunk and buffer
+    count.  ``ft_ack_data`` only applies to the two bare modes -- the
+    service's integrity layer covers data writes."""
     if mode in ("service", "byz"):
-        return replace(DEFAULT_SERVICE_OC, byz=(mode == "byz"), **knobs)
+        return replace(DEFAULT_SERVICE_OC, byz=(mode == "byz"))
     if mode not in ("baseline", "ft"):
         raise ValueError(f"unknown mode {mode!r}")
-    return OcBcastConfig(ft=(mode == "ft"), ft_ack_data=ft_ack_data, **knobs)
+    return OcBcastConfig(ft=(mode == "ft"), ft_ack_data=ft_ack_data)
 
 
 # -- (1) arming a fresh world -------------------------------------------------

@@ -109,6 +109,30 @@ class TestScheduleValidity:
         with pytest.raises(ValueError, match="version"):
             ChaosSchedule.from_dict(d)
 
+    @pytest.mark.parametrize("extra, match", [
+        ({"chunk": 3}, "schedule: unknown key.*'chunk'"),
+        ({"k": 0}, "'k' is the constant 7"),
+        ({"chunk_lines": -5}, "'chunk_lines' is the constant 96"),
+        ({"num_buffers": 9}, "'num_buffers' is the constant 2"),
+        ({"model": {"name": "uniform", "high": 2.0}},
+         "network model: unknown key.*'high'"),
+        ({"specs": [{"kind": "drop_flag_write", "nht": 2}]},
+         "fault spec: unknown key.*'nht'"),
+    ], ids=["typo", "k", "chunk_lines", "num_buffers", "model-key", "spec-key"])
+    def test_codec_rejects_what_it_does_not_understand(self, extra, match):
+        """A typo'd or out-of-range key used to be ignored or to
+        mis-simulate (nbytes == -160, a raw MemoryError)."""
+        with pytest.raises(ValueError, match=match):
+            ChaosSchedule.from_dict({**ChaosSchedule().to_dict(), **extra})
+
+    def test_retired_keys_load_at_their_constant_and_are_not_written(self):
+        s = ChaosSchedule(seed=4, specs=(_drop_flag(2),))
+        d = s.to_dict()
+        retired = {"k": 7, "chunk_lines": 96, "num_buffers": 2,
+                   "ft_max_retries": 3}
+        assert not retired.keys() & d.keys()
+        assert ChaosSchedule.from_dict({**d, **retired}) == s
+
     def test_without_event_order(self):
         s = ChaosSchedule(
             backend="asyncio",
@@ -280,6 +304,22 @@ class TestBundles:
             ReproBundle.from_dict(d)
 
 
+    @pytest.mark.parametrize("expected", [
+        {}, {"clasification": "tolerated"},
+    ], ids=["empty", "misspelt"])
+    def test_expectation_that_compares_nothing_is_rejected(self, expected):
+        """Such a bundle used to replay as ``[OK]`` whatever happened."""
+        d = {"schedule": ChaosSchedule().to_dict(), "expected": expected}
+        with pytest.raises(ValueError, match="expect"):
+            ReproBundle.from_dict(d)
+
+    def test_unknown_bundle_key_rejected(self):
+        d = {"schedule": ChaosSchedule().to_dict(),
+             "expected": {"status": "delivered"}, "expects": {}}
+        with pytest.raises(ValueError, match="bundle: unknown key.*'expects'"):
+            ReproBundle.from_dict(d)
+
+
 # -- campaign bridge (self-reproducing failures) -----------------------------
 
 
@@ -310,8 +350,6 @@ class TestCampaignBridge:
         plan = campaign.trial_plans()[0]
         s = schedule_for_trial(campaign, plan, "ft")
         assert s.specs == tuple(plan.specs)
-        assert (s.k, s.chunk_lines, s.num_buffers) \
-            == (campaign.k, campaign.chunk_lines, campaign.num_buffers)
         assert chaos_payload(s) == campaign._payload()
 
     def test_non_root_campaign_rejected(self):

@@ -10,6 +10,7 @@ import pytest
 from repro.bench import ChurnCampaign, ChurnResult, ChurnTrial
 from repro.bench.churn import CHURN_OUTCOMES
 from repro.faults import FaultKind, FaultPlan
+from repro.resilience import IMMEDIATE
 
 
 class TestChurnPlans:
@@ -75,7 +76,7 @@ class TestChurnConfigCoherence:
         campaign = ChurnCampaign(trials=1)
         cfg = campaign.fixed_member_config()
         assert cfg.detector is None
-        assert cfg.hb_retry is None and cfg.view_retry is None
+        assert cfg.hb_retry == IMMEDIATE and cfg.view_retry == IMMEDIATE
 
 
 class TestChurnSmoke:

@@ -96,6 +96,28 @@ class TestCommands:
         assert rc == 2
         assert "ERROR: lie_in_quorum needs byz=True" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["bcast", "--cache-lines", "0"],
+        ["bcast", "--k", "0"],
+        ["bcast", "--k", "300"],  # MemoryError: the flags outgrow the MPB
+        ["bcast", "--mesh-cols", "0"],
+        ["bcast", "--root", "99"],
+        ["sweep", "--sizes", "0"],
+        ["sweep", "--algos", "foo"],
+        ["trace", "--cache-lines", "0"],
+        ["model", "--cores", "0"],
+        ["contention", "--lines", "0"],  # used to print inf
+        ["fit", "--iters", "0"],  # used to print nan
+    ], ids=" ".join)
+    def test_bad_input_is_one_error_line_and_exit_2(self, argv, capsys):
+        """Whichever layer rejects the input, the CLI ends the same way:
+        no traceback, no table of inf/nan."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ERROR: ")
+        assert len(captured.err.splitlines()) == 1
+
     def test_model_table2(self, capsys):
         assert main(["model", "--what", "table2"]) == 0
         out = capsys.readouterr().out

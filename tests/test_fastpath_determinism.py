@@ -18,7 +18,6 @@ from repro.bench import (
     concurrent_access,
     run_broadcast,
     sweep_broadcast,
-    sweep_broadcast_parallel,
 )
 from repro.bench.parallel import parallel_map
 from repro.faults import FaultKind
@@ -419,7 +418,7 @@ class TestParallelRunner:
         specs = [BcastSpec("oc", k=7), BcastSpec("binomial")]
         sizes = [1, 16]
         serial = sweep_broadcast(specs, sizes, iters=1, warmup=0)
-        fanned = sweep_broadcast_parallel(specs, sizes, iters=1, warmup=0, jobs=2)
+        fanned = sweep_broadcast(specs, sizes, iters=1, warmup=0, jobs=2)
         assert serial == fanned
 
     def test_campaign_matches_serial(self):

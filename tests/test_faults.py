@@ -723,12 +723,6 @@ class TestCampaignKnobs:
             FaultCampaign(trials=1, crash_site="edge")
         with pytest.raises(ValueError):
             FaultCampaign(trials=1, link_down_duration=0.0)
-        with pytest.raises(ValueError):
-            FaultCampaign(trials=1, flap_duty=0.0)
-        with pytest.raises(ValueError):
-            FaultCampaign(trials=1, churn_cycles=0)
-        with pytest.raises(ValueError):
-            FaultCampaign(trials=1, storm_stall=0.0)
 
     @pytest.mark.parametrize("kind", [
         FaultKind.LIE_IN_QUORUM, FaultKind.FORGE_FLAG_VALUE,
@@ -748,7 +742,7 @@ class TestCampaignKnobs:
 
     def test_sustained_kind_trial_plans(self):
         from repro.bench import FaultCampaign
-        from repro.bench.faultcampaign import parse_kinds
+        from repro.bench.faultcampaign import FAULT_ENVELOPES, parse_kinds
 
         campaign = FaultCampaign(
             trials=3,
@@ -761,16 +755,19 @@ class TestCampaignKnobs:
         flap, churn, storm = (p.specs[0] for p in plans)
         assert flap.kind is FaultKind.FLAPPING_LINK
         assert flap.core is not None and flap.core != campaign.root
-        assert flap.duration == campaign.flap_duration
-        assert flap.period == campaign.flap_period
-        assert flap.duty == campaign.flap_duty
+        envelope = FAULT_ENVELOPES[FaultKind.FLAPPING_LINK]
+        assert flap.duration == envelope["duration"]
+        assert flap.period == envelope["period"]
+        assert flap.duty == envelope["duty"]
         assert churn.kind is FaultKind.REPEATED_CRASH
-        assert churn.period == campaign.churn_gap
-        assert churn.cycles == campaign.churn_cycles
+        envelope = FAULT_ENVELOPES[FaultKind.REPEATED_CRASH]
+        assert churn.period == envelope["period"]
+        assert churn.cycles == envelope["cycles"]
         assert storm.kind is FaultKind.CONGESTION_STORM
         assert storm.core is None  # chip-wide, keyed to an access number
-        assert storm.duration == campaign.storm_duration
-        assert storm.period == campaign.storm_stall
+        envelope = FAULT_ENVELOPES[FaultKind.CONGESTION_STORM]
+        assert storm.duration == envelope["duration"]
+        assert storm.period == envelope["period"]
 
     def test_crash_site_choices_cover_the_root(self):
         from repro.bench import FaultCampaign

@@ -12,7 +12,6 @@ from repro.core import MemberTree, OcBcast, OcBcastConfig, PropagationTree
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.member import (
     CompletionDirective,
-    ElectionConfig,
     ElectionService,
     MembershipConfig,
     MembershipService,
@@ -170,10 +169,6 @@ class TestMembershipConfig:
             MembershipConfig(hb_timeout=0)
         with pytest.raises(ValueError):
             MembershipConfig(hb_timeout=100, view_timeout=100)
-        with pytest.raises(ValueError):
-            MembershipConfig(hb_max_retries=-1)
-        with pytest.raises(ValueError):
-            MembershipConfig(max_attempts=0)
 
     def test_service_requires_ft(self):
         with pytest.raises(ValueError):
@@ -479,18 +474,6 @@ class TestCompletionDirective:
 
 
 class TestElection:
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ElectionConfig(claim_step=0.0)
-        with pytest.raises(ValueError):
-            ElectionConfig(settle=0.0)
-        with pytest.raises(ValueError):
-            ElectionConfig(jitter_max=-1.0)
-        with pytest.raises(ValueError):
-            ElectionConfig(claim_step=100.0, jitter_max=100.0)
-        with pytest.raises(ValueError):
-            ElectionConfig(max_retries=-1)
-
     def _elect(self, suspects):
         """All non-suspect ranks run one election round; suspects stay
         silent (playing dead)."""

@@ -92,3 +92,39 @@ def test_property_model_within_2x_of_simulation(P, k, m):
     model = broadcast.ocbcast_latency_complete(48, m, k, PARAMS)
     assert model < 2.0 * res.mean_latency
     assert res.mean_latency < 2.0 * model
+
+
+class TestPerLineCostsAgreeByConstruction:
+    def test_kernel_engine_and_formulas_charge_a_line_identically(self):
+        """Formulas 2/3, 5 and 6 have one definition
+        (:mod:`repro.scc.costs`); the event kernel, the analytic engine
+        and the LogP primitives must return the *same float* for every
+        hop distance of the stock chip -- equality, not a tolerance."""
+        from repro.model import primitives
+        from repro.scc import AnalyticEngine, SccChip
+
+        chip = SccChip(SccConfig())
+        engine = AnalyticEngine()
+        core0 = chip.cores[0]
+        seen_mpb, seen_mem = set(), set()
+        for core in chip.cores:
+            d = chip.mesh.core_distance(0, core.id)
+            seen_mpb.add(d)
+            assert (
+                core0.mpb_line_cost(d)
+                == engine.line_cost[0, core.id]
+                == primitives.c_mpb_read(TABLE_1, d)
+                == primitives.c_mpb_write(TABLE_1, d)
+            )
+            seen_mem.add(core.mem_dist)
+            assert (
+                core.mem_read_line_cost()
+                == engine.mem_read_line[core.id]
+                == primitives.c_mem_read(TABLE_1, core.mem_dist)
+            )
+            assert (
+                core.mem_write_line_cost()
+                == engine.mem_write_line[core.id]
+                == primitives.c_mem_write(TABLE_1, core.mem_dist)
+            )
+        assert seen_mpb == set(range(1, 10)) and seen_mem == {1, 2, 3, 4}

@@ -204,8 +204,6 @@ class TestConfigurations:
             OcBcastConfig(num_buffers=0)
         with pytest.raises(ValueError):
             OcBcastConfig(notify_degree=0)
-        with pytest.raises(ValueError):
-            OcBcastConfig(irq_handler=-1.0)
 
     def test_bcast_argument_validation(self):
         chip, comm = make_world(8)

@@ -13,7 +13,7 @@ Pinned here:
   ``budget`` bounds, jitter stays inside the declared fraction,
   streams are deterministic per ``(policy, rank, site)`` and
   independent across ranks and sites, and ``max_total_pause`` is a
-  true upper bound on any concrete schedule.  ``plan_delays(None)``
+  true upper bound on any concrete schedule.  ``RetryPolicy.immediate(n)``
   reproduces the legacy immediate-re-send contract bit-for-bit.
 - **End to end** (asyncio backend, UniformDelay): the adaptive service
   configuration on a fault-free run never suspects anyone -- the
@@ -29,7 +29,7 @@ import pytest
 
 from repro.resilience import (
     IMMEDIATE, DetectorConfig, OverloadError, PhiAccrualDetector,
-    RetryPolicy, plan_delays,
+    RetryPolicy,
 )
 from repro.transport.models import UniformDelay
 from repro.transport.scenarios import SCENARIOS, run_asyncio
@@ -196,8 +196,8 @@ class TestRetryPolicyProperties:
 
     def test_immediate_and_none_reproduce_legacy(self):
         assert IMMEDIATE.delays(0, "s") == (0.0, 0.0, 0.0)
-        assert plan_delays(None, 0, "s", 3) == (0.0, 0.0, 0.0)
-        assert plan_delays(None, 5, "other", 0) == ()
+        assert RetryPolicy.immediate(3).delays(0, "s") == (0.0, 0.0, 0.0)
+        assert RetryPolicy.immediate(0).delays(5, "other") == ()
         assert RetryPolicy(max_retries=0).delays(0, "s") == ()
 
     @pytest.mark.parametrize("kwargs", [
