@@ -82,8 +82,11 @@ trace:
 	$(PYTHON) -m repro trace --algo oc --k 7 --cache-lines 96 -o trace.json
 
 ## Seconds, before the tier-1 matrix: everything compiles, no option
-## has regrown without a caller (tests/test_option_census.py), and no
-## bad CLI input ends in a traceback (tests/test_cli.py).
+## has regrown without a caller (tests/test_option_census.py), no
+## protocol module without something that runs it
+## (tests/test_module_census.py), and no bad CLI input ends in a
+## traceback (tests/test_cli.py).
 lint:
 	$(PYTHON) -m compileall -q src tests benchmarks
-	$(PYTHON) -m pytest -q tests/test_option_census.py tests/test_cli.py
+	$(PYTHON) -m pytest -q tests/test_option_census.py \
+		tests/test_module_census.py tests/test_cli.py

@@ -36,11 +36,8 @@ from .collectives import (
     BarrierState,
     ReduceOp,
     binomial_bcast,
-    binomial_gather,
     binomial_reduce,
-    binomial_scatter,
     dissemination_barrier,
-    ring_allgather,
     scatter_allgather_bcast,
 )
 from .core import (
@@ -60,7 +57,6 @@ from .member import (
     OcBcastService,
 )
 from .model import TABLE_1, ModelParams
-from .mpi import Mpi, MpiRank
 from .rcce import Comm, CoreComm
 from .scc import ContentionMode, MemRef, SccChip, SccConfig, SpmdResult, run_spmd
 
@@ -77,8 +73,6 @@ __all__ = [
     "MembershipView",
     "ModelParams",
     "OcBcastService",
-    "Mpi",
-    "MpiRank",
     "NotifyMode",
     "OcBarrier",
     "OcBcast",
@@ -92,11 +86,8 @@ __all__ = [
     "SpmdResult",
     "TABLE_1",
     "binomial_bcast",
-    "binomial_gather",
     "binomial_reduce",
-    "binomial_scatter",
     "dissemination_barrier",
-    "ring_allgather",
     "run_spmd",
     "scatter_allgather_bcast",
     "topology_aware_order",

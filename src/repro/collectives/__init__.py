@@ -2,22 +2,17 @@
 
 These are the paper's baselines (Section 5): the binomial-tree broadcast
 used for small messages and the scatter-allgather broadcast used for
-large ones, plus the surrounding collective set (barrier, reduce, gather,
-scatter, allgather) that a real application library ships and that the
-extension study (Section 7) compares against.
+large ones, plus the two-sided barrier and reduce that the extension
+study (Section 7) compares OC-Barrier and OC-Reduce against.
 
 Every collective is a plain generator function taking the calling core's
 :class:`~repro.rcce.comm.CoreComm` first -- SPMD style: all ranks call
 the same function with matching arguments.
 """
 
-from .allgather import ring_allgather
-from .alltoall import pairwise_alltoall
 from .barrier import BarrierState, dissemination_barrier
 from .binomial import binomial_bcast, binomial_children, binomial_parent
-from .gather import binomial_gather
 from .reduce import ReduceOp, binomial_reduce
-from .scatter import binomial_scatter
 from .scatter_allgather import scatter_allgather_bcast
 
 __all__ = [
@@ -25,12 +20,8 @@ __all__ = [
     "ReduceOp",
     "binomial_bcast",
     "binomial_children",
-    "binomial_gather",
     "binomial_parent",
     "binomial_reduce",
-    "binomial_scatter",
     "dissemination_barrier",
-    "pairwise_alltoall",
-    "ring_allgather",
     "scatter_allgather_bcast",
 ]

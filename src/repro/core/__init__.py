@@ -13,7 +13,6 @@
 
 from .ocbcast import NotifyMode, OcBcast, OcBcastConfig
 from .occollectives import OcBarrier, OcReduce
-from .mpmd import Mailbox, MpmdBcast
 from .osag import OsagBcast
 from .trees import (
     MemberTree,
@@ -26,9 +25,7 @@ from .trees import (
 )
 
 __all__ = [
-    "Mailbox",
     "MemberTree",
-    "MpmdBcast",
     "NotificationTree",
     "NotifyMode",
     "OcBarrier",

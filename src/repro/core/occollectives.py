@@ -33,6 +33,8 @@ class OcBarrier:
     def __init__(self, comm: "Comm", k: int = 7, notify_degree: int = 2) -> None:
         if k < 1:
             raise ValueError("k must be >= 1")
+        if notify_degree < 1:
+            raise ValueError("notify_degree must be >= 1")
         self.comm = comm
         self.k = k
         self.notify_degree = notify_degree
@@ -140,6 +142,8 @@ class OcReduce:
             )
         if recvbuf.nbytes < nbytes:
             raise ValueError("recvbuf must hold nbytes on every rank")
+        if sendbuf.nbytes < nbytes:
+            raise ValueError("sendbuf must hold nbytes on every rank")
         if nbytes == 0:
             return
         nchunks = -(-nbytes // self.chunk_bytes)

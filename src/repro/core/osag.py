@@ -50,7 +50,6 @@ class OsagBcast:
         comm: "Comm",
         slice_lines: int = 48,
         scatter_payload_lines: int = 96,
-        enable_scatter: bool = True,
     ) -> None:
         if slice_lines < 1:
             raise ValueError("slice_lines must be >= 1")
@@ -58,19 +57,13 @@ class OsagBcast:
         self.slice_lines = slice_lines
         size = comm.size
         flag_lines = FlagSlotArray.lines_needed(size)
-        need = 2 * slice_lines + 2 * flag_lines
-        if enable_scatter:
-            need += scatter_payload_lines + 2 * flag_lines
+        need = 2 * slice_lines + scatter_payload_lines + 4 * flag_lines
         if need > comm.layout.free_lines:
             raise MemoryError(
                 f"one-sided scatter-allgather needs {need} MPB lines, "
                 f"{comm.layout.free_lines} free"
             )
-        self.scatter_state = (
-            TwoSidedState(comm, payload_lines=scatter_payload_lines)
-            if enable_scatter
-            else None
-        )
+        self.scatter_state = TwoSidedState(comm, payload_lines=scatter_payload_lines)
         #: staged[s] in core i's MPB: ring slices its upstream s has made
         #: available; drained[r] in core i's MPB: slices downstream r has
         #: consumed from core i's buffers.
@@ -106,8 +99,6 @@ class OsagBcast:
             raise ValueError(f"buffer of {buf.nbytes} bytes for {nbytes}-byte bcast")
         if nbytes == 0 or size == 1:
             return
-        if self.scatter_state is None:
-            raise ValueError("this engine was built with enable_scatter=False")
         if size == 2:
             # Degenerate ring: one pipelined pair transfer via the
             # scatter machinery.
@@ -162,7 +153,7 @@ class OsagBcast:
         # ---- allgather: one-sided MPB-to-MPB ring ----
         yield from self._ring(cc, root, lambda i: self._slice(nbytes, i), buf)
 
-    # -- the one-sided ring (shared by bcast and allgather) ----------------
+    # -- the one-sided ring ---------------------------------------------
 
     def _ring(self, cc: "CoreComm", root: int, slice_of, buf: MemRef) -> Generator:
         """P-1 rounds of MPB-to-MPB slice forwarding.
@@ -207,35 +198,3 @@ class OsagBcast:
                     yield from cc.get(cc.rank, rbuf.offset, buf.sub(in_off, in_len), in_len)
         # Buffers must be clean for the next segment/broadcast.
         yield from cc.slot_wait_at_least(self.drained, down_rank, base + size - 1)
-
-    # -- standalone one-sided allgather (Section 7 "other collectives") -----
-
-    def allgather(
-        self, cc: "CoreComm", src: MemRef, dst: MemRef, block_bytes: int
-    ) -> Generator:
-        """One-sided ring allgather: every rank contributes ``block_bytes``
-        from ``src``; ``dst`` (rank-major, ``P * block_bytes``) is
-        assembled on all ranks via MPB-to-MPB forwarding.  Large blocks
-        run in sub-block passes of the ring-buffer capacity."""
-        size = cc.size
-        if block_bytes < 0:
-            raise ValueError("block_bytes must be >= 0")
-        if dst.nbytes < block_bytes * size:
-            raise ValueError("dst must hold size * block_bytes")
-        if block_bytes == 0:
-            return
-        yield from cc.local_copy(
-            dst.sub(cc.rank * block_bytes, block_bytes), src, block_bytes
-        )
-        if size == 1:
-            return
-        cap = self.slice_bytes
-        off = 0
-        while off < block_bytes:
-            span = min(cap, block_bytes - off)
-
-            def slice_of(i: int, off=off, span=span) -> tuple[int, int]:
-                return (i * block_bytes + off, span)
-
-            yield from self._ring(cc, 0, slice_of, dst)
-            off += cap

@@ -11,7 +11,7 @@
   loop of Figure 3.
 - :mod:`repro.model.design` -- design-space analysis: notification-tree
   degree optimality (Section 4.1's claim), the k selection rule, and
-  models for the Section 5.4/7 extensions.
+  a model for the Section 5.4 one-sided scatter-allgather.
 """
 
 from .params import TABLE_1, ModelParams

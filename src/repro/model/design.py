@@ -24,7 +24,7 @@ from ..core.trees import NotificationTree, kary_depth
 from ..scc.config import CACHE_LINE
 from .broadcast import detect_cost, flag_write_cost
 from .params import ModelParams
-from .primitives import c_get_mem, c_get_mpb, c_mem_read, c_mem_write, c_put_mem
+from .primitives import c_get_mem, c_get_mpb, c_mem_read
 
 
 def notification_latency(
@@ -119,13 +119,3 @@ def osag_throughput(
     )
     total = scatter + (P - 1) * ring_round
     return (P * m * CACHE_LINE) / total
-
-
-def mpmd_overhead_per_chunk(p: ModelParams, *, t_ipi_send: float = 0.3,
-                            t_ipi_handler: float = 1.0) -> float:
-    """Extra notification cost per chunk of the interrupt-driven MPMD
-    broadcast relative to flag polling (Section 7 extension): IPI entry
-    replaces the detection sweep on every hop of the notification path."""
-    return (t_ipi_send + t_ipi_handler) - (
-        flag_write_cost(p, 1) + detect_cost(p, 1)
-    )

@@ -1,6 +1,6 @@
 """RCCE-style communication library on the simulated chip.
 
-Mirrors the layering of Intel's RCCE / iRCCE libraries that the paper's
+Mirrors the layering of Intel's RCCE library that the paper's
 baselines use:
 
 - :mod:`repro.rcce.layout` -- symmetric MPB space allocation,
@@ -9,7 +9,6 @@ baselines use:
 - :mod:`repro.rcce.endpoint` -- the backend-independent per-rank
   :class:`Endpoint`: every flag/slot/vote write, wait and acked transfer,
 - :mod:`repro.rcce.twosided` -- blocking ``send``/``recv`` built on top,
-- :mod:`repro.rcce.ircce` -- iRCCE-style double-buffered point-to-point,
 - :mod:`repro.rcce.comm` -- the :class:`Comm` world object gluing it all
   to a chip and to per-core :class:`CoreComm` handles.
 
@@ -20,8 +19,6 @@ all operations with ``yield from``.
 from .comm import Comm, CoreComm
 from .endpoint import Endpoint
 from .flags import DigestSlotArray, Flag, FlagSlotArray, FlagValue
-from .ircce import IrcceState, pipelined_recv, pipelined_send
-from .nonblocking import Request, irecv, isend, wait_all
 from .layout import MpbLayout, MpbRegion
 
 __all__ = [
@@ -32,13 +29,6 @@ __all__ = [
     "DigestSlotArray",
     "FlagSlotArray",
     "FlagValue",
-    "IrcceState",
     "MpbLayout",
     "MpbRegion",
-    "Request",
-    "irecv",
-    "isend",
-    "pipelined_recv",
-    "pipelined_send",
-    "wait_all",
 ]

@@ -51,9 +51,6 @@ class Comm:
         #: default) adds one attribute check per protocol trace.
         self.transport_faults = None
         self._twosided: "TwoSidedState | None" = None
-        # Per-core tail of the outstanding non-blocking send chain (the
-        # payload staging buffer is shared, so sends gate on each other).
-        self._send_tails: dict[int, object] = {}
 
     @property
     def size(self) -> int:
@@ -289,26 +286,6 @@ class CoreComm(Endpoint):
         from .twosided import recv
 
         yield from recv(self, src_rank, dst, nbytes)
-
-    # -- non-blocking (explicit progress, iRCCE-style) ----------------------
-
-    def isend(self, dst_rank: int, src: MemRef, nbytes: int):
-        """Post a non-blocking send; progress with :meth:`wait_all`."""
-        from .nonblocking import isend
-
-        return isend(self, dst_rank, src, nbytes)
-
-    def irecv(self, src_rank: int, dst: MemRef, nbytes: int):
-        """Post a non-blocking receive; progress with :meth:`wait_all`."""
-        from .nonblocking import irecv
-
-        return irecv(self, src_rank, dst, nbytes)
-
-    def wait_all(self, requests) -> Generator:
-        """Progress and complete the given non-blocking requests."""
-        from .nonblocking import wait_all
-
-        yield from wait_all(self, requests)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<CoreComm rank={self.rank} core={self.core.id}>"

@@ -670,11 +670,3 @@ class Endpoint:
     def recv(self, src_rank: int, dst: MemRef, nbytes: int) -> Generator:
         raise NotImplementedError(_SCC_ONLY)
 
-    def isend(self, dst_rank: int, src: MemRef, nbytes: int):
-        raise NotImplementedError(_SCC_ONLY)
-
-    def irecv(self, src_rank: int, dst: MemRef, nbytes: int):
-        raise NotImplementedError(_SCC_ONLY)
-
-    def wait_all(self, requests) -> Generator:
-        raise NotImplementedError(_SCC_ONLY)

@@ -17,7 +17,6 @@ Timing constants default to the values the paper measured on real silicon
 
 from .config import ContentionMode, SccConfig, resolve_contention_mode
 from .chip import SccChip, SpmdResult, run_spmd
-from .irq import IrqController
 from .core import Core
 from .memory import L1Cache, MemRef, PrivateMemory
 from .mesh import Mesh
@@ -30,7 +29,6 @@ __all__ = [
     "AnalyticUnsupported",
     "ContentionMode",
     "Core",
-    "IrqController",
     "L1Cache",
     "MemRef",
     "Mesh",

@@ -14,7 +14,6 @@ from typing import Any, Callable, Generator, Sequence
 from ..sim import Simulator, Tracer
 from .config import SccConfig
 from .core import Core
-from .irq import IrqController
 from .mesh import Mesh
 from .mpb import Mpb
 
@@ -54,7 +53,6 @@ class SccChip:
             Mpb(self.sim, self.config, owner=i) for i in range(self.config.num_cores)
         ]
         self.cores = [Core(self, i) for i in range(self.config.num_cores)]
-        self.irq = IrqController(self)
         if faults is not None:
             faults.attach(self)
         if metrics is not None:

@@ -136,12 +136,6 @@ class SccConfig:
     #: L1 hit cost per cache line for private-memory reads (approximately
     #: zero in the paper's Formula 14 cache refinement).
     t_l1_hit: float = 0.005
-    #: Cost of raising an inter-processor interrupt (remote config-register
-    #: write issued by the sender).
-    t_ipi_send: float = 0.3
-    #: Interrupt-entry cost at the receiving core (P54C exception entry is
-    #: expensive -- why the paper's SPMD design polls flags instead).
-    t_ipi_handler: float = 1.0
     #: L1 capacity in cache lines (16 KB data cache on the P54C).
     l1_lines: int = 512
     #: Uniform jitter (+/- fraction) applied to per-transfer core overheads
@@ -176,7 +170,6 @@ class SccConfig:
             "l_hop", "o_mpb", "o_mem_w", "o_mem_r", "o_put_mpb",
             "o_get_mpb", "o_put_mem", "o_get_mem", "t_mpb_port",
             "t_mpb_port_write", "t_retry_per_hop", "t_link", "t_poll", "t_l1_hit",
-            "t_ipi_send", "t_ipi_handler",
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")

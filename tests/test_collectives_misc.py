@@ -1,4 +1,4 @@
-"""Tests for barrier, reduce, gather, scatter, allgather."""
+"""Tests for the two-sided barrier and reduce."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,8 @@ import pytest
 from repro.collectives import (
     BarrierState,
     ReduceOp,
-    binomial_gather,
     binomial_reduce,
-    binomial_scatter,
     dissemination_barrier,
-    ring_allgather,
 )
 from repro.rcce import Comm
 from repro.scc import SccChip, SccConfig, run_spmd
@@ -152,153 +149,3 @@ class TestReduce:
         assert np.frombuffer(ReduceOp.prod().combine(a, b), "<i8").tolist() == [4, 10]
         assert np.frombuffer(ReduceOp.max().combine(a, b), "<i8").tolist() == [4, 5]
         assert np.frombuffer(ReduceOp.min().combine(a, b), "<i8").tolist() == [1, 2]
-
-
-class TestGather:
-    @pytest.mark.parametrize("P,root", [(4, 0), (7, 2), (16, 15)])
-    def test_gather_blocks_by_relative_rank(self, P, root):
-        chip, comm = make_world(P)
-        block = 64
-        result = {}
-
-        def program(core):
-            cc = comm.attach(core)
-            src = cc.alloc(block)
-            src.write(bytes([cc.rank + 1]) * block)
-            dst = cc.alloc(block * P)
-            yield from binomial_gather(cc, root, src, dst, block)
-            if cc.rank == root:
-                result["img"] = dst.read()
-
-        run_spmd(chip, program, core_ids=list(range(P)))
-        img = result["img"]
-        for rel in range(P):
-            rank = (root + rel) % P
-            assert img[rel * block : (rel + 1) * block] == bytes([rank + 1]) * block
-
-
-class TestScatter:
-    @pytest.mark.parametrize("P,root", [(4, 0), (8, 3)])
-    def test_each_rank_gets_its_slice(self, P, root):
-        chip, comm = make_world(P)
-        nbytes = P * 50
-        payload = bytes(i % 256 for i in range(nbytes))
-        result = {}
-
-        def program(core):
-            cc = comm.attach(core)
-            buf = cc.alloc(nbytes)
-            if cc.rank == root:
-                buf.write(payload)
-            off, ln = yield from binomial_scatter(cc, root, buf, nbytes)
-            result[cc.rank] = buf.read()[off : off + ln]
-
-        run_spmd(chip, program, core_ids=list(range(P)))
-        s = -(-nbytes // P)
-        for rank, data in result.items():
-            rel = (rank - root) % P
-            assert data == payload[rel * s : rel * s + len(data)]
-
-
-class TestAllgather:
-    @pytest.mark.parametrize("P", [2, 3, 8])
-    def test_everyone_gets_all_blocks(self, P):
-        chip, comm = make_world(P)
-        block = 96
-        result = {}
-
-        def program(core):
-            cc = comm.attach(core)
-            src = cc.alloc(block)
-            src.write(bytes([cc.rank * 2 + 1]) * block)
-            dst = cc.alloc(block * P)
-            yield from ring_allgather(cc, src, dst, block)
-            result[cc.rank] = dst.read()
-
-        run_spmd(chip, program, core_ids=list(range(P)))
-        expected = b"".join(bytes([r * 2 + 1]) * block for r in range(P))
-        assert all(result[r] == expected for r in range(P))
-
-    def test_single_rank(self):
-        chip, comm = make_world(1)
-
-        def program(core):
-            cc = comm.attach(core)
-            src = cc.alloc(32)
-            src.write(b"q" * 32)
-            dst = cc.alloc(32)
-            yield from ring_allgather(cc, src, dst, 32)
-            return dst.read()
-
-        res = run_spmd(chip, program, core_ids=[0])
-        assert res.values[0] == b"q" * 32
-
-
-class TestAlltoall:
-    from repro.collectives import pairwise_alltoall  # noqa: F401 - import check
-
-    def _run(self, P, block):
-        from repro.collectives import pairwise_alltoall
-
-        chip, comm = make_world(P)
-        out = {}
-
-        def prog(core):
-            cc = comm.attach(core)
-            src = cc.alloc(block * P)
-            src.write(
-                b"".join(bytes([(cc.rank * 7 + j * 3) % 256]) * block for j in range(P))
-            )
-            dst = cc.alloc(block * P)
-            yield from pairwise_alltoall(cc, src, dst, block)
-            out[cc.rank] = dst.read()
-
-        run_spmd(chip, prog, core_ids=list(range(P)))
-        return out
-
-    @pytest.mark.parametrize("P", [2, 3, 4, 5, 8, 16])
-    def test_transpose_property(self, P):
-        block = 40
-        out = self._run(P, block)
-        for r in range(P):
-            for i in range(P):
-                expected = bytes([(i * 7 + r * 3) % 256]) * block
-                assert out[r][i * block : (i + 1) * block] == expected
-
-    def test_full_chip(self):
-        out = self._run(48, 32)
-        # Spot-check the transpose at a few positions.
-        for r, i in ((0, 47), (13, 26), (47, 0)):
-            expected = bytes([(i * 7 + r * 3) % 256]) * 32
-            assert out[r][i * 32 : (i + 1) * 32] == expected
-
-    def test_single_rank(self):
-        out = self._run(1, 64)
-        assert out[0] == bytes([0]) * 64
-
-    def test_zero_block_noop(self):
-        from repro.collectives import pairwise_alltoall
-
-        chip, comm = make_world(4)
-
-        def prog(core):
-            cc = comm.attach(core)
-            src = cc.alloc(0)
-            dst = cc.alloc(0)
-            yield from pairwise_alltoall(cc, src, dst, 0)
-
-        assert run_spmd(chip, prog, core_ids=list(range(4))).makespan == 0.0
-
-    def test_undersized_buffers_rejected(self):
-        from repro.collectives import pairwise_alltoall
-
-        chip, comm = make_world(4)
-
-        def prog(core):
-            cc = comm.attach(core)
-            src = cc.alloc(10)
-            dst = cc.alloc(10)
-            yield from pairwise_alltoall(cc, src, dst, 16)
-
-        with pytest.raises(Exception):
-            run_spmd(chip, prog, core_ids=[0])

@@ -143,102 +143,3 @@ class TestPerformance:
 
         with pytest.raises(Exception):
             run_spmd(chip, bad_root, core_ids=[0])
-
-
-class TestOneSidedAllgather:
-    def _run(self, P, block, enable_scatter=False):
-        chip = SccChip(SccConfig())
-        comm = Comm(chip, ranks=list(range(P)))
-        engine = OsagBcast(comm, enable_scatter=enable_scatter)
-        out = {}
-
-        def prog(core):
-            cc = comm.attach(core)
-            src = cc.alloc(block)
-            src.write(bytes([cc.rank + 1]) * block)
-            dst = cc.alloc(block * P)
-            yield from engine.allgather(cc, src, dst, block)
-            out[cc.rank] = dst.read()
-
-        res = run_spmd(chip, prog, core_ids=list(range(P)))
-        expected = b"".join(bytes([r + 1]) * block for r in range(P))
-        return out, expected, res
-
-    @pytest.mark.parametrize("P,block", [(2, 64), (4, 64), (8, 48 * 32), (3, 5)])
-    def test_blocks_assembled_everywhere(self, P, block):
-        out, expected, _ = self._run(P, block)
-        assert all(out[r] == expected for r in range(P))
-
-    def test_block_larger_than_ring_buffer_multi_pass(self):
-        out, expected, _ = self._run(8, 48 * 32 * 2 + 32)
-        assert all(out[r] == expected for r in range(8))
-
-    def test_repeated_allgathers(self):
-        chip = SccChip(SccConfig())
-        comm = Comm(chip, ranks=list(range(6)))
-        engine = OsagBcast(comm, enable_scatter=False)
-        sums = []
-
-        def prog(core):
-            cc = comm.attach(core)
-            for rep in range(3):
-                src = cc.alloc(32)
-                src.write(bytes([cc.rank + rep]) * 32)
-                dst = cc.alloc(32 * 6)
-                yield from engine.allgather(cc, src, dst, 32)
-                if cc.rank == 0:
-                    sums.append(sum(dst.read()[::32]))
-
-        run_spmd(chip, prog, core_ids=list(range(6)))
-        assert sums == [sum(r + rep for r in range(6)) for rep in range(3)]
-
-    def test_faster_than_two_sided_ring_allgather(self):
-        """MPB forwarding beats the off-chip bouncing two-sided ring."""
-        from repro.collectives import ring_allgather
-
-        P, block = 16, 48 * 32
-
-        def measure(one_sided):
-            chip = SccChip(SccConfig())
-            comm = Comm(chip, ranks=list(range(P)))
-            engine = OsagBcast(comm, enable_scatter=False) if one_sided else None
-
-            def prog(core):
-                cc = comm.attach(core)
-                src = cc.alloc(block)
-                src.write(bytes([cc.rank]) * block)
-                dst = cc.alloc(block * P)
-                if one_sided:
-                    yield from engine.allgather(cc, src, dst, block)
-                else:
-                    yield from ring_allgather(cc, src, dst, block)
-
-            return run_spmd(chip, prog, core_ids=list(range(P))).makespan
-
-        assert measure(True) < measure(False)
-
-    def test_scatter_disabled_engine_rejects_bcast(self):
-        chip = SccChip(SccConfig())
-        comm = Comm(chip, ranks=list(range(4)))
-        engine = OsagBcast(comm, enable_scatter=False)
-
-        def prog(core):
-            cc = comm.attach(core)
-            buf = cc.alloc(128)
-            yield from engine.bcast(cc, 0, buf, 128)
-
-        with pytest.raises(Exception):
-            run_spmd(chip, prog, core_ids=[0])
-
-    def test_zero_block_noop(self):
-        chip = SccChip(SccConfig())
-        comm = Comm(chip, ranks=list(range(4)))
-        engine = OsagBcast(comm, enable_scatter=False)
-
-        def prog(core):
-            cc = comm.attach(core)
-            src = cc.alloc(0)
-            dst = cc.alloc(0)
-            yield from engine.allgather(cc, src, dst, 0)
-
-        assert run_spmd(chip, prog, core_ids=list(range(4))).makespan == 0.0

@@ -133,7 +133,7 @@ SCENARIOS = {
     "election_root_crash_12core": _election_trace,
     # Byzantine broadcast: seeded source equivocation on 12 cores,
     # Bracha echo/ready quorums + losing-side repair (FAULTS.md
-    # adversary model, PROTOCOLS.md section 11).
+    # adversary model, PROTOCOLS.md section 9).
     "rbc_equivocate_12core": _rbc_equivocate_trace,
 }
 

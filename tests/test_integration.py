@@ -1,6 +1,5 @@
 """Integration tests spanning several subsystems at once."""
 
-import numpy as np
 import pytest
 
 from repro import (
@@ -9,14 +8,12 @@ from repro import (
     OcBcast,
     OcBcastConfig,
     OsagBcast,
-    ReduceOp,
     SccChip,
     SccConfig,
     binomial_bcast,
     run_spmd,
     scatter_allgather_bcast,
 )
-from repro.mpi import Mpi
 from repro.sim import DeadlockError
 
 
@@ -144,35 +141,6 @@ class TestAlgorithmAgreement:
 
 
 class TestMixedApplications:
-    def test_mpi_app_with_interleaved_collectives(self):
-        chip = SccChip(SccConfig())
-        comm = Comm(chip, ranks=list(range(16)))
-        mpi = Mpi(comm, backend="rma")
-        op = ReduceOp.sum()
-        checks = []
-
-        def program(core):
-            rank = mpi.attach(core)
-            data = rank.alloc(64)
-            scratch = rank.alloc(64)
-            for it in range(3):
-                if rank.rank == it:  # rotating root
-                    data.write(np.full(8, it + 1, dtype="<i8").tobytes())
-                yield from rank.bcast(data, 64, root=it)
-                vals = np.frombuffer(data.read(), "<i8") + rank.rank
-                data.write(vals.tobytes())
-                yield from rank.allreduce(data, scratch, 64, op)
-                total = int(np.frombuffer(scratch.read(), "<i8")[0])
-                expected = 16 * (it + 1) + sum(range(16))
-                checks.append(total == expected)
-                # Restore a clean value for the next round's bcast source.
-                if rank.rank == it + 1:
-                    data.write(np.full(8, it + 2, dtype="<i8").tobytes())
-                yield from rank.barrier()
-
-        run_spmd(chip, program, core_ids=list(range(16)))
-        assert checks and all(checks)
-
     def test_broadcast_storms_from_every_root(self):
         """48 consecutive broadcasts, one per root, on one engine."""
         chip = SccChip(SccConfig())

@@ -101,9 +101,3 @@ class TestOsagModel:
     def test_validation(self):
         with pytest.raises(ValueError):
             design.osag_throughput(1, TABLE_1)
-
-
-class TestMpmdOverhead:
-    def test_positive_and_microsecond_scale(self):
-        ov = design.mpmd_overhead_per_chunk(TABLE_1)
-        assert 0.0 < ov < 2.0

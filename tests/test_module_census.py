@@ -1,0 +1,168 @@
+"""Module census: a protocol module exists only if something runs it.
+
+Every module under ``core/``, ``collectives/`` and ``rcce/`` (and an
+``apps/`` package or ``mpi.py`` facade, should one appear) must be
+imported -- directly or through other modules -- by something besides
+its own unit tests: a ledger workload, ``perf_check.py``, a
+``bench_fig*``/``bench_table*``/``bench_ablation*`` file that
+EXPERIMENTS.md names, a CLI verb, or a harness (``bench/``, ``chaos/``,
+``transport/``, ``tools/``; the goldens pin what those harnesses
+decide).  A module only its tests import is a design no golden, ledger
+workload or soak has ever run, so it is deleted, not kept "for later".
+
+A ``bench_extension_*`` row is a module's own demonstration, not a
+reason: an extension beyond the paper's artefacts that nothing else
+runs states its reason in ``ALLOWED``.  That is the escape hatch, and it
+is deliberately short.
+
+The walk is syntactic (``ast``) and *name-level*: ``from repro.core
+import OcBcast`` follows ``core/__init__.py``'s ``from .ocbcast import
+OcBcast`` to ``core/ocbcast.py`` and reaches nothing else the package
+re-exports, so listing a module in an ``__init__`` does not keep it
+alive.  A reached module's own imports are followed in full.
+
+The other half of the rule -- a protocol module speaks only
+``Endpoint`` -- is ``tests/differential/test_endpoint_conformance.py``.
+"""
+
+import ast
+import functools
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+#: What must be run by something: every module of these packages/files.
+CENSUS = ("core", "collectives", "rcce", "apps", "mpi.py")
+
+#: Who counts as running it (plus the EXPERIMENTS.md bench rows).
+ROOT_GLOBS = (
+    "src/repro/cli.py",
+    "src/repro/bench/*.py", "src/repro/chaos/*.py", "src/repro/transport/*.py",
+    "tools/*.py",
+    "benchmarks/perf_check.py",
+    "benchmarks/ledger/*.py",
+)
+BENCH_ROWS = ("fig", "table", "ablation")
+
+#: module -> why it stays although no root reaches it.
+ALLOWED = {
+    "repro.core.occollectives":
+        "OC-Barrier/OC-Reduce (EXPERIMENTS row A6) speak only Endpoint and "
+        "are pinned on both backends by tests/differential/"
+        "test_occollectives_parity.py",
+    "repro.collectives.reduce":
+        "ReduceOp is OC-Reduce's operator type; binomial_reduce is row "
+        "A6's two-sided comparator",
+    "repro.collectives.barrier":
+        "row A6's two-sided comparator for OC-Barrier",
+}
+MAX_ALLOWED = 6
+
+
+def _roots() -> list[pathlib.Path]:
+    roots = [
+        path for glob in ROOT_GLOBS for path in sorted(ROOT.glob(glob))
+        if not path.name.startswith("test_")
+    ]
+    experiments = (ROOT / "EXPERIMENTS.md").read_text()
+    for path in sorted((ROOT / "benchmarks").glob("bench_*.py")):
+        row = path.stem.removeprefix("bench_")
+        if row.startswith(BENCH_ROWS) and row in experiments:
+            roots.append(path)
+    return roots
+
+
+def _module_of(path: pathlib.Path) -> str | None:
+    """Dotted name of a file under ``src/`` (None for a script)."""
+    if SRC not in path.parents:
+        return None
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _source(module: str) -> pathlib.Path | None:
+    """The file of a ``repro`` module or package (None: not ours)."""
+    base = SRC.joinpath(*module.split("."))
+    for path in (base.with_suffix(".py"), base / "__init__.py"):
+        if path.is_file():
+            return path
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _imports(path: pathlib.Path) -> tuple[tuple[str, str | None, str], ...]:
+    """``(module, name, bound as)`` of every import statement in a file;
+    ``name`` is None for a plain ``import module``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found += [(a.name, None, a.asname or a.name) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            target = node.module or ""
+            if node.level:
+                package = _module_of(path).split(".")
+                if path.name != "__init__.py":
+                    package.pop()
+                package = package[:len(package) - node.level + 1]
+                target = ".".join(package + ([target] if target else []))
+            found += [(target, a.name, a.asname or a.name) for a in node.names]
+    return tuple(found)
+
+
+def _definer(module: str, name: str | None) -> str | None:
+    """The ``repro`` module a ``from module import name`` really loads:
+    the submodule of that name, or the end of the package's re-export
+    chain.  None for a foreign module."""
+    path = _source(module)
+    if path is None:
+        return None
+    if name is None:
+        return module
+    if _source(f"{module}.{name}") is not None:
+        return f"{module}.{name}"
+    if path.name == "__init__.py":
+        for target, original, bound in _imports(path):
+            if bound == name and original is not None:
+                return _definer(target, original)
+    return module
+
+
+def _reached() -> set[str]:
+    todo = _roots()
+    seen: set[str] = set()
+    while todo:
+        for target, name, _ in _imports(todo.pop()):
+            module = _definer(target, name)
+            if module is None or module in seen:
+                continue
+            seen.add(module)
+            path = _source(module)
+            # A package's __init__ only re-exports: being listed there
+            # is not being run.
+            if path.name != "__init__.py":
+                todo.append(path)
+    return seen
+
+
+def _census() -> set[str]:
+    modules = set()
+    for entry in CENSUS:
+        path = SRC / "repro" / entry
+        files = [path] if path.is_file() else path.glob("*.py")
+        modules.update(
+            _module_of(f) for f in files if f.name != "__init__.py"
+        )
+    return modules
+
+
+def test_every_protocol_module_is_run_by_something_besides_its_tests():
+    unreached = _census() - _reached()
+    orphans = sorted(unreached - ALLOWED.keys())
+    assert not orphans, (
+        "modules nothing but their own tests imports (delete them, or "
+        f"give a ledger workload, bench row, CLI verb or harness a use): {orphans}"
+    )
+    stale = sorted(ALLOWED.keys() - unreached)
+    assert not stale, f"allow-listed but reached (or gone): {stale}"
+    assert len(ALLOWED) <= MAX_ALLOWED and all(ALLOWED.values())

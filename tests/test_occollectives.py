@@ -64,6 +64,13 @@ class TestOcBarrier:
         with pytest.raises(ValueError):
             OcBarrier(comm, k=0)
 
+    def test_notify_degree_rejected_at_construction(self):
+        """Rejected up front, not as a crash of rank 0 inside the run."""
+        chip, comm = make_world(4)
+        with pytest.raises(ValueError, match="notify_degree"):
+            OcBarrier(comm, notify_degree=0)
+        assert chip.sim.events_scheduled == 0
+
     def test_faster_than_two_sided_barrier(self):
         """The RMA barrier beats dissemination-over-flags + higher fanout."""
         from repro.collectives import BarrierState, dissemination_barrier
@@ -207,6 +214,17 @@ class TestOcReduce:
 
         with pytest.raises(Exception):
             run_spmd(chip, program, core_ids=[0])
+
+    def test_short_sendbuf_rejected_before_any_event(self):
+        """Rejected next to the recvbuf check, not as an IndexError that
+        crashes rank 0 inside the run."""
+        chip, comm = make_world(4)
+        ocr = OcReduce(comm, k=2, chunk_lines=2)
+        cc = comm.attach(chip.cores[0])
+        with pytest.raises(ValueError, match="sendbuf"):
+            next(ocr.reduce(cc, 0, cc.alloc(64), cc.alloc(800), 800,
+                            ReduceOp.sum()))
+        assert chip.sim.events_scheduled == 0
 
     def test_mpb_exhaustion_rejected(self):
         chip, comm = make_world(4)

@@ -9,7 +9,6 @@ recycle hazard or stale-flag bug shows up as a DeadlockError or a
 payload mismatch.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +22,6 @@ from repro import (
     SccConfig,
     run_spmd,
 )
-from repro.rcce import IrcceState, pipelined_recv, pipelined_send
 
 FAST = SccConfig(contention_mode=ContentionMode.IDEAL)
 
@@ -86,120 +84,39 @@ def test_random_broadcast_sequences_mix_engines(P, ops):
             st.integers(0, 7),   # src (mod P)
             st.integers(0, 7),   # dst offset (1..P-1 added)
             st.integers(0, 900), # nbytes
-            st.booleans(),       # pipelined (iRCCE) or plain send/recv
         ),
         min_size=1,
         max_size=6,
     ),
 )
 def test_random_point_to_point_schedules(P, transfers):
-    """Random sequences of pair transfers (blocking and iRCCE-pipelined)
-    across random pairs, executed in a globally consistent order."""
+    """Random sequences of blocking pair transfers across random pairs,
+    executed in a globally consistent order."""
     chip = SccChip(FAST)
     comm = Comm(chip, ranks=list(range(P)))
-    st_ircce = IrcceState(comm, half_lines=4)
     plan = []
-    for n, (src, doff, nbytes, pipelined) in enumerate(transfers):
+    for n, (src, doff, nbytes) in enumerate(transfers):
         src %= P
         dst = (src + 1 + doff % (P - 1)) % P
         payload = bytes((i * 13 + n) % 256 for i in range(nbytes))
-        plan.append((src, dst, payload, pipelined))
+        plan.append((src, dst, payload))
     got = {}
 
     def program(core):
         cc = comm.attach(core)
-        for n, (src, dst, payload, pipelined) in enumerate(plan):
+        for n, (src, dst, payload) in enumerate(plan):
             if cc.rank == src:
                 buf = cc.alloc(len(payload))
                 buf.write(payload)
-                if pipelined:
-                    yield from pipelined_send(cc, st_ircce, dst, buf, len(payload))
-                else:
-                    yield from cc.send(dst, buf, len(payload))
+                yield from cc.send(dst, buf, len(payload))
             elif cc.rank == dst:
                 buf = cc.alloc(len(payload))
-                if pipelined:
-                    yield from pipelined_recv(cc, st_ircce, src, buf, len(payload))
-                else:
-                    yield from cc.recv(src, buf, len(payload))
+                yield from cc.recv(src, buf, len(payload))
                 got[n] = buf.read()
 
     run_spmd(chip, program, core_ids=list(range(P)))
-    for n, (_, _, payload, _) in enumerate(plan):
+    for n, (_, _, payload) in enumerate(plan):
         if payload:
             assert got[n] == payload, n
         else:
             assert got.get(n, b"") == b""
-
-
-@slow_ok
-@given(
-    P=st.integers(3, 8),
-    n_targets=st.integers(1, 4),
-    nbytes=st.integers(1, 600),
-    stagger=st.lists(st.floats(0.0, 50.0), min_size=8, max_size=8),
-)
-def test_random_nonblocking_fan_in(P, n_targets, nbytes, stagger):
-    """Rank 0 posts irecvs from several peers that send at random times
-    (blocking sends); wait_all must collect them all regardless of
-    arrival order."""
-    n_targets = min(n_targets, P - 1)
-    chip = SccChip(FAST)
-    comm = Comm(chip, ranks=list(range(P)))
-    senders = list(range(1, n_targets + 1))
-    payloads = {s: bytes((i + s * 37) % 256 for i in range(nbytes)) for s in senders}
-    got = {}
-
-    def program(core):
-        cc = comm.attach(core)
-        if cc.rank == 0:
-            bufs = {s: cc.alloc(nbytes) for s in senders}
-            reqs = [cc.irecv(s, bufs[s], nbytes) for s in senders]
-            yield from cc.wait_all(reqs)
-            assert all(r.done for r in reqs)
-            for s in senders:
-                got[s] = bufs[s].read()
-        elif cc.rank in senders:
-            yield core.compute(stagger[cc.rank % len(stagger)])
-            buf = cc.alloc(nbytes)
-            buf.write(payloads[cc.rank])
-            yield from cc.send(0, buf, nbytes)
-
-    run_spmd(chip, program, core_ids=list(range(P)))
-    assert got == payloads
-
-
-@slow_ok
-@given(
-    P=st.integers(2, 8),
-    epochs=st.integers(1, 3),
-    nbytes=st.integers(1, 300),
-)
-def test_random_mpmd_pubsub(P, epochs, nbytes):
-    """MPMD channel under random sizes/world shapes: every subscriber
-    sees every message, in order."""
-    from repro.core import MpmdBcast
-
-    chip = SccChip(FAST)
-    comm = Comm(chip, ranks=list(range(P)))
-    mpmd = MpmdBcast(comm, publisher=0, k=3, chunk_lines=4)
-    mpmd.start_daemons(chip)
-    msgs = [bytes((i + e * 53) % 256 for i in range(nbytes)) for e in range(epochs)]
-    got = {}
-
-    def program(core):
-        cc = comm.attach(core)
-        if cc.rank == 0:
-            for m in msgs:
-                buf = cc.alloc(nbytes)
-                buf.write(m)
-                yield from mpmd.publish(cc, buf, nbytes)
-            yield from mpmd.stop_daemons(cc)
-        else:
-            out = []
-            for _ in msgs:
-                out.append((yield from mpmd.deliver(cc)))
-            got[cc.rank] = out
-
-    run_spmd(chip, program, core_ids=list(range(P)))
-    assert all(got[r] == msgs for r in range(1, P))
