@@ -65,9 +65,10 @@ perf:
 
 ## The deterministic guards: simulated service / rbc / resilience tax,
 ## EXACT event budget, L1 runs per core after a streamed broadcast,
-## fragmented-L1 ops/access, analytic replay steps per chunk, analytic
-## fast path serves every fault-free trial.  Exact on any host -- no
-## tolerance, no committed baseline.
+## fragmented-L1 ops/access, analytic replay steps per chunk, asyncio
+## service calls (function calls of one 48-rank service run on the
+## asyncio backend), analytic fast path serves every fault-free trial.
+## Exact on any host -- no tolerance, no committed baseline.
 perf-check:
 	$(PYTHON) benchmarks/perf_check.py
 

@@ -36,6 +36,19 @@ tree's critical path (8 / 12 / 8 for k = 2 / 7 / 47 on the 48-core
 chip, 34 for k = 7 on a 1,024-core 32x16 mesh), never the core count --
 the count returns to P the moment the replay walks ranks again.
 
+The *asyncio service calls* count guards the asyncio backend's own
+scheduler (``repro.transport.asyncio_backend``): the Python-level
+function calls (``sys.setprofile`` ``call`` events; the C calls are
+printed beside them) of one warmed 48-rank, three-chunk service run.
+A rank that blocks costs one generator step there -- 55,998 calls
+(21,843 C calls) on CPython 3.11, against 79,027 (39,304) when every
+block was a Future on the standard library's event loop -- and the
+ceiling is that achieved value plus 5 %, so a per-step hop sneaking
+back in (each costs ~11k calls) trips it while protocol edits of a few
+hundred calls do not.  Like the L1 opcode count it is exact for one
+interpreter version, whatever the host is doing (the ceiling was set on
+3.11; 3.12 inlines comprehensions and can only read lower).
+
 Last, the *analytic fast path*: a 1,024-trial all-fault-free
 ``fidelity="adaptive"`` campaign must serve every trial from the
 memoised reference (``n_analytic == 1024``, nothing replayed through
@@ -199,6 +212,33 @@ def analytic_replay_steps() -> tuple[int, int]:
     )
 
 
+#: Ceiling on Python-level calls of the asyncio service run below:
+#: 55,998 achieved (CPython 3.11) plus 5 %.
+MAX_ASYNCIO_SERVICE_CALLS = 58_800
+
+
+def asyncio_service_calls() -> tuple[int, int]:
+    """``(Python calls, C calls)`` of one warmed fault-free service
+    broadcast (48 ranks, three chunks, seed 1) on the asyncio backend.
+    Deterministic for one interpreter version."""
+    from repro.transport.scenarios import Scenario, run_asyncio
+
+    scenario = Scenario("guard_plain", 48, (6, 4), chunks=3)
+    run_asyncio(scenario, 1)  # warm: imports, lru caches
+    counts = {"call": 0, "c_call": 0}
+
+    def count(frame, event, arg):
+        if event in counts:
+            counts[event] += 1
+
+    sys.setprofile(count)
+    try:
+        run_asyncio(scenario, 1)
+    finally:
+        sys.setprofile(None)
+    return counts["call"], counts["c_call"]
+
+
 #: Trials of the all-fault-free adaptive campaign below.
 ANALYTIC_TRIALS = 1024
 
@@ -237,6 +277,7 @@ def main(argv=None) -> int:
 
     frag_runs, frag_ops = fragmented_l1_ops_per_access()
     steps_48, steps_1024 = analytic_replay_steps()
+    aio_calls, aio_c_calls = asyncio_service_calls()
     # (name, measured, ceiling, unit)
     ceilings = [
         ("service tax", service_tax_pct(), args.max_service_tax, "%"),
@@ -251,6 +292,8 @@ def main(argv=None) -> int:
          MAX_REPLAY_STEPS_48, ""),
         ("analytic replay steps (1024 cores)", steps_1024,
          MAX_REPLAY_STEPS_1024, ""),
+        (f"asyncio service calls ({aio_c_calls} C calls)", aio_calls,
+         MAX_ASYNCIO_SERVICE_CALLS, ""),
     ]
     width = max(len(name) for name, *_ in ceilings)
     failed = []

@@ -10,7 +10,7 @@ fault/adversary hooks.  A backend (:class:`repro.rcce.comm.CoreComm` on
 the chip simulator, :class:`repro.transport.asyncio_backend.AsyncioTransport`
 on the event loop) subclasses it and supplies only the members named in
 :attr:`Endpoint.PRIMITIVES`.  What the generators yield underneath is
-backend-private (simulator events on the SCC, awaitables on asyncio);
+backend-private (simulator events on the SCC, a bare ``yield`` on asyncio);
 protocol code may rely only on arguments, return values and raised
 exceptions (:class:`~repro.sim.errors.TimeoutError` carrying ``site``,
 :class:`~repro.sim.errors.FaultInjected`, ``ValueError`` on misuse).

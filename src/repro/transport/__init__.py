@@ -7,9 +7,11 @@ collectives) is written against a narrow per-rank transport surface
 - the **SCC backend** (:mod:`repro.transport.scc`): the chip simulator
   with its calibrated timing model -- the reference; default paths are
   bit-identical to the pre-extraction tree;
-- the **asyncio backend** (:mod:`repro.transport.asyncio_backend`): an
-  event-loop execution with seeded pluggable delay/omission models
-  (:mod:`repro.transport.models`) and no chip model at all.
+- the **asyncio backend** (:mod:`repro.transport.asyncio_backend`):
+  cooperative rank tasks on a single-threaded loop in virtual time (the
+  module's own loop -- virtual time needs no selector) with seeded
+  pluggable delay/omission models (:mod:`repro.transport.models`) and no
+  chip model at all.
 
 Same seed, two backends, same decisions -- that is the invariant the
 differential harness (``tests/differential/``) checks, using the
@@ -20,6 +22,7 @@ builds its worlds and runs its per-rank body through
 """
 
 from .api import CrashOnEvent, Transport
+from .asyncio_backend import AsyncioNetwork, AsyncioTransport, RankStore
 from .decisions import (
     DECISION_KINDS,
     canonical_decisions,
@@ -49,12 +52,3 @@ __all__ = [
     "make_scc_world",
 ]
 
-
-def __getattr__(name: str):
-    # The asyncio backend loads on first use, so SCC-only consumers of
-    # this package (repro.bench) never import the asyncio machinery.
-    if name in ("AsyncioNetwork", "AsyncioTransport", "RankStore"):
-        from . import asyncio_backend
-
-        return getattr(asyncio_backend, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -41,6 +41,7 @@ from ..sim.errors import (
     TimeoutError as SimTimeoutError,
 )
 from ..sim.trace import TraceRecord, Tracer
+from .asyncio_backend import AsyncioNetwork
 
 #: Virtual-time horizon of an asyncio world (the analogue of the SCC
 #: kernel watchdog): a blocked rank with no event before this wall is a
@@ -105,11 +106,8 @@ def asyncio_world(
     model: Any | None = None,
     seed: int = 0,
     crash_hook: Any | None = None,
-):
-    """A fresh asyncio network (it always traces).  Imported lazily:
-    SCC-only consumers never load the asyncio machinery."""
-    from .asyncio_backend import AsyncioNetwork
-
+) -> AsyncioNetwork:
+    """A fresh asyncio network (it always traces)."""
     net = AsyncioNetwork(
         nranks, model=model, seed=seed, plan=plan,
         time_limit=ASYNCIO_TIME_LIMIT,

@@ -1,73 +1,36 @@
-"""The asyncio transport backend: cooperative rank tasks in virtual time.
+"""The Task/Future asyncio scheduler, kept as the ordering oracle for the direct one.
 
-The protocols in this repo are generator coroutines written against
-:class:`repro.rcce.endpoint.Endpoint`.  This module supplies that
-class's backend primitives without the SCC chip model: each rank's
-program is a cooperative task on a single-threaded loop, each rank owns
-a :class:`RankStore` (the stand-in for its message-passing buffer), and
-all timing comes from a pluggable, seeded
-:class:`~repro.transport.models.DelayModel` instead of the chip's
-calibrated LogP constants.  The loop is :meth:`AsyncioNetwork.run`
-itself, not the standard library's: virtual time needs no selector, so
-a rank that blocks costs one generator step, not a trip through the
-standard library's event loop.  The name stays -- it is a persisted
-schema (``"backend": "asyncio"`` in chaos bundles, golden file names,
-the CLI, the ledger's workload and metric names).
-
-Virtual time
-------------
-``AsyncioNetwork`` keeps a virtual clock (float microseconds, like the
-SCC simulator) that never touches the wall clock.  A primitive registers
-its block synchronously -- a deadline-heap entry ``(deadline, seq, rank,
-block generation)`` and/or "waiting on the own store" -- and yields a
-bare ``yield``; whatever follows the wake (omission filter, the store
-write, the predicate re-test) runs in the resumed rank.  The ordering
-contract (pinned against the stdlib-loop scheduler this one replaced by
-``tests/differential/test_scheduler_equivalence.py``):
-
-1. all ranks start runnable, in rank order;
-2. released ranks resume FIFO, in release order;
-3. the clock advances only at quiescence (ready queue empty), to the
-   earliest live ``(deadline, seq)`` entry, releasing exactly one rank;
-   stale entries -- their rank was released since, so its block
-   generation moved on -- are discarded without moving the clock;
-4. a landed store write releases the store owner's waiter at that
-   instant, behind the ranks already released;
-5. at a wedge every blocked rank is released in blocking order with the
-   same error, except that the rank whose own block found the wedge
-   continues first;
-6. ``seq`` is drawn at block time for every timed block, zero-delay
-   checkpoints included, so execution order is a deterministic function
-   of rank order and model draws -- the property the differential
-   harness depends on.
-
-If the heap runs dry (or holds only entries beyond ``time_limit``)
-while ranks are still blocked, every blocked rank is failed with a
-:class:`~repro.sim.errors.DeadlockError` naming the stuck sites.  This
-is deliberately not :mod:`repro.sim.kernel`: two independently written
-schedulers agreeing on decisions is what the differential harness is
-for.
+This is ``repro.transport.asyncio_backend`` as it stood before the
+network started stepping the rank generators itself: every rank an
+``asyncio`` Task, every block a ``Future`` on the stdlib event loop, the
+virtual clock advanced from ``_maybe_advance`` when the ``_active`` /
+``_pending`` counters say the world is quiescent.  ``AsyncioNetwork``
+and ``AsyncioTransport`` are that commit's classes verbatim (only the
+imports are absolute), so nothing the oracle schedules goes through the
+code under test -- the stores, models, injector and ``Endpoint`` are
+shared.  ``tests/differential/test_scheduler_equivalence.py`` drives
+both side by side.
 """
 
 from __future__ import annotations
 
+import asyncio
 import itertools
-from collections import deque
 from heapq import heappop, heappush
 from types import SimpleNamespace
 from typing import Any, Callable, Generator, Sequence
 
-from ..faults.injector import FaultInjector
-from ..faults.plan import FaultPlan
-from ..rcce.endpoint import Endpoint, timeline_suffix
-from ..rcce.flags import Flag
-from ..rcce.layout import MpbLayout
-from ..scc.config import MPB_BYTES, MPB_LINES
-from ..scc.memory import MemRef, PrivateMemory
-from ..scc.mpb import ByteStore
-from ..sim.errors import DeadlockError, ScheduleInPastError
-from ..sim.trace import Tracer
-from .models import DelayModel, NoDelay
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
+from repro.rcce.endpoint import Endpoint, timeline_suffix
+from repro.rcce.flags import Flag
+from repro.rcce.layout import MpbLayout
+from repro.scc.config import MPB_BYTES, MPB_LINES
+from repro.scc.memory import MemRef, PrivateMemory
+from repro.scc.mpb import ByteStore
+from repro.sim.errors import DeadlockError
+from repro.sim.trace import Tracer
+from repro.transport.models import DelayModel, NoDelay
 
 _PRIVATE_MEM_BYTES = 16 * 1024 * 1024
 
@@ -147,19 +110,16 @@ class AsyncioNetwork:
             injector.attach(self.chip)
             self.faults = injector
 
-        # -- virtual-time scheduler ---------------------------------------
+        # -- virtual clock ------------------------------------------------
         self.now = 0.0
-        #: ``(deadline, seq, rank, block generation)``.
-        self._heap: list[tuple[float, int, int, int]] = []
+        self._heap: list[tuple[float, int, asyncio.Future]] = []
         self._seq = itertools.count()
-        self._ready: deque[int] = deque()
-        #: Per rank, how often it has been released: names its next block.
-        self._generation = [0] * nranks
-        #: Per rank, the block generation in which it waits on its store.
-        self._waiting = [-1] * nranks
-        #: ``rank -> site`` of every blocked rank, in blocking order.
-        self._blocked: dict[int, str] = {}
-        self._wedge: DeadlockError | None = None
+        self._active = 0
+        self._pending = 0
+        self._blocked: dict[asyncio.Future, tuple[int, str]] = {}
+        self._watchers: list[list[asyncio.Future]] = [[] for _ in range(nranks)]
+        self._wedged = False
+        self._loop: asyncio.AbstractEventLoop | None = None
         self._ran = False
         self._transports: dict[int, AsyncioTransport] = {}
 
@@ -190,70 +150,56 @@ class AsyncioNetwork:
     def emit(self, source: str, kind: str, **detail: Any) -> None:
         self.tracer.emit(self.now, source, kind, **detail)
 
-    # -- virtual-time scheduler ---------------------------------------------
+    # -- virtual clock ------------------------------------------------------
 
-    def _block(
-        self, rank: int, site: str, deadline: float | None, *, wait: bool = False
-    ) -> None:
-        """Register ``rank``'s block -- until ``deadline`` and/or (``wait``)
-        until a write lands in its store; the caller yields next."""
-        if self._wedge is not None:
+    def _fire(self, fut: asyncio.Future, exc: BaseException | None = None) -> None:
+        if fut.done():
+            return
+        self._pending += 1
+        if exc is not None:
+            fut.set_exception(exc)
+        else:
+            fut.set_result(None)
+
+    async def _block(self, fut: asyncio.Future, rank: int, site: str) -> None:
+        if self._wedged and not fut.done():
             raise DeadlockError(
                 f"asyncio transport already wedged at t={self.now:.4f}",
                 sim_time=self.now,
             )
-        generation = self._generation[rank]
-        if deadline is not None:
-            heappush(self._heap, (deadline, next(self._seq), rank, generation))
-        if wait:
-            self._waiting[rank] = generation
-        self._blocked[rank] = site
+        self._blocked[fut] = (rank, site)
+        self._active -= 1
+        self._maybe_advance()
+        try:
+            await fut
+        finally:
+            self._blocked.pop(fut, None)
+            self._pending -= 1
+            self._active += 1
 
-    def _sleep(self, rank: int, duration: float, site: str) -> None:
-        """Block ``rank`` for ``duration`` virtual us (0 is still a
-        deterministic scheduling checkpoint through the heap)."""
-        if not duration >= 0.0:  # negative or NaN: either corrupts the heap
-            raise ScheduleInPastError(
-                f"rank {rank} at {site!r}: duration {duration!r} us is "
-                f"negative or not a number"
-            )
-        self._block(rank, site, self.now + duration)
-
-    def _release(self, rank: int) -> None:
-        del self._blocked[rank]
-        self._generation[rank] += 1
-        self._ready.append(rank)
-
-    def _wake(self, rank: int) -> None:
-        """Release ``rank`` if it waits on its store (spurious wake-ups
-        only cause predicate re-checks, as with the MPB line watchers)."""
-        if self._waiting[rank] == self._generation[rank]:
-            self._release(rank)
-
-    def _advance(self, current: int) -> None:
-        """The world is quiescent: move the clock to the earliest live
-        deadline and release its rank, or declare the wedge.  ``current``
-        is the rank that ran last."""
-        heap, generations = self._heap, self._generation
+    def _maybe_advance(self) -> None:
+        if self._active > 0 or self._pending > 0 or self._wedged:
+            return
         capped = False
-        while heap:
-            deadline, _, rank, generation = heap[0]
-            if generations[rank] != generation:  # released since: stale
-                heappop(heap)
+        while self._heap:
+            deadline, _, fut = self._heap[0]
+            if fut.done():
+                heappop(self._heap)
                 continue
             if deadline > self.time_limit:
                 capped = True
                 break
-            heappop(heap)
+            heappop(self._heap)
             if deadline > self.now:
                 self.now = deadline
-            self._release(rank)
+            self._fire(fut)
             return
         if not self._blocked:
             return  # everyone finished
+        self._wedged = True
         stuck = tuple(
             (f"rank{r}", site or "blocked", self.now)
-            for r, site in self._blocked.items()
+            for r, site in self._blocked.values()
         )
         names = ", ".join(sorted(f"{n}@{s}" for n, s, _ in stuck))
         cause = (
@@ -262,24 +208,78 @@ class AsyncioNetwork:
             else "no pending event"
         )
         suffix = timeline_suffix(self.faults)
-        self._wedge = DeadlockError(
+        err = DeadlockError(
             f"asyncio transport wedged at t={self.now:.4f}: "
             f"{len(stuck)} rank(s) blocked with {cause} ({names}){suffix}",
             stuck=stuck,
             sim_time=self.now,
         )
-        order = list(self._blocked)
-        if order[-1] == current:  # its own block found the wedge: it goes first
-            order.insert(0, order.pop())
-        for rank in order:
-            self._release(rank)
+        for fut in list(self._blocked):
+            self._fire(fut, err)
+
+    async def sleep(self, rank: int, duration: float, site: str = "compute") -> None:
+        """Advance this rank by ``duration`` virtual us (0 still yields a
+        deterministic scheduling checkpoint through the heap)."""
+        assert self._loop is not None
+        fut = self._loop.create_future()
+        heappush(self._heap, (self.now + max(0.0, duration), next(self._seq), fut))
+        await self._block(fut, rank, site)
+
+    async def wait_until(
+        self,
+        rank: int,
+        check: Callable[[], Any],
+        *,
+        timeout: float | None = None,
+        site: str = "",
+    ) -> Any:
+        """Block ``rank`` until ``check()`` returns non-``None``; the SCC
+        wait ordering is preserved: the predicate is evaluated before any
+        deadline test, so a wait satisfied exactly at (or entering with
+        an exhausted) budget still succeeds."""
+        assert self._loop is not None
+        val = check()
+        if val is not None:
+            return val
+        deadline = None if timeout is None else self.now + timeout
+        while True:
+            if deadline is not None and self.now >= deadline:
+                raise self.transport(rank)._poll_budget_exhausted(site, timeout)
+            fut = self._loop.create_future()
+            self._watchers[rank].append(fut)
+            if deadline is not None:
+                heappush(self._heap, (deadline, next(self._seq), fut))
+            try:
+                await self._block(fut, rank, site)
+            finally:
+                try:
+                    self._watchers[rank].remove(fut)
+                except ValueError:
+                    pass
+            val = check()
+            if val is not None:
+                return val
+
+    def _wake(self, rank: int) -> None:
+        """Fire every watcher of ``rank``'s store (spurious wake-ups only
+        cause predicate re-checks, as with the MPB line watchers)."""
+        watchers = self._watchers[rank]
+        if not watchers:
+            return
+        self._watchers[rank] = []
+        for fut in watchers:
+            self._fire(fut)
 
     # -- the wire: delayed/filtered store access ---------------------------
 
-    def _send(self, src: int, dst: int, op: str, nbytes: int, site: str) -> None:
-        """Block ``src`` for the model delay of one operation against
-        ``dst``'s store (``op`` ``"flag"``/``"data"``/``"read"``)."""
-        delay = self.model.delay(src, dst, op=op, nbytes=nbytes)
+    async def _write(
+        self, src: int, dst: int, offset: int, payload: bytes, *, op: str, site: str
+    ) -> str:
+        """One remote store: model delay, then the omission filter (local
+        writes always reach the own store), then the fault injector
+        inside the store -- the same boundary order as the SCC, where the
+        mesh carries the packet and the MPB applies the plan."""
+        delay = self.model.delay(src, dst, op=op, nbytes=len(payload))
         if self.faults is not None:
             # The mesh hook: may arm LINK_DOWN windows / add stalls.  The
             # asyncio backend counts one "mpb_access" per remote operation
@@ -287,20 +287,23 @@ class AsyncioNetwork:
             # mpb_access specs are not portable across backends -- the
             # write-fault categories the differential plans use are.
             delay += self.faults.link_stall(src, dst)
-        self._sleep(src, delay, site)
-
-    def _land(self, src: int, dst: int, offset: int, payload: bytes, op: str) -> str:
-        """The far end of a remote store, run by the resumed sender: the
-        omission filter (local writes always reach the own store), then
-        the fault injector inside the store -- the same boundary order
-        as the SCC, where the mesh carries the packet and the MPB
-        applies the plan."""
+        await self.sleep(src, delay, site=site)
         if src != dst and not self.model.deliver(src, dst, now=self.now):
             return "dropped"
         landed = self.stores[dst].write_bytes(offset, payload, source=src, op=op)
         if landed != "dropped":
             self._wake(dst)
         return landed
+
+    async def _read(
+        self, src: int, dst: int, offset: int, nbytes: int, *, site: str
+    ) -> bytes:
+        """A remote read (RMA pull): delayed, never dropped."""
+        delay = self.model.delay(src, dst, op="read", nbytes=nbytes)
+        if self.faults is not None:
+            delay += self.faults.link_stall(src, dst)
+        await self.sleep(src, delay, site=site)
+        return self.stores[dst].read_bytes(offset, nbytes)
 
     # -- running programs ---------------------------------------------------
 
@@ -310,51 +313,65 @@ class AsyncioNetwork:
         per core) on every rank; returns the per-rank return values.
 
         Single-shot: build a fresh network per run, like a fresh chip.
-        The loop below is the whole scheduler: a rank that returns from
-        ``send`` has registered its block, and the world is quiescent
-        exactly when the ready queue is empty.
         """
         if self._ran:
             raise RuntimeError("an AsyncioNetwork runs exactly once")
         self._ran = True
-        ready, blocked = self._ready, self._blocked
-        tasks: list[Generator | None] = [None] * self.size
-        results: list = [None] * self.size
-        ready.extend(range(self.size))
-        while ready:
-            rank = ready.popleft()
-            try:
-                task = tasks[rank]
-                if task is None:
-                    task = tasks[rank] = program(self.transport(rank))
-                if self._wedge is None:
-                    task.send(None)
-                else:
-                    task.throw(self._wedge)
-            except StopIteration as stop:
-                results[rank] = stop.value
-            except Exception as exc:  # noqa: BLE001 - the rank's result
-                results[rank] = exc
-            else:
-                if rank not in blocked:
-                    raise TypeError(
-                        f"rank {rank} yielded outside a transport primitive"
-                    )
-            if not ready and self._wedge is None:
-                self._advance(rank)
+
+        async def main() -> list:
+            self._loop = asyncio.get_running_loop()
+            self._active = self.size
+            tasks = [
+                self._loop.create_task(
+                    self._runner(rank, program), name=f"rank{rank}"
+                )
+                for rank in range(self.size)
+            ]
+            return await asyncio.gather(*tasks, return_exceptions=True)
+
+        results = asyncio.run(main())
         if not return_exceptions:
             for res in results:
                 if isinstance(res, BaseException):
                     raise res
-        return results
+        return list(results)
+
+    async def _runner(self, rank: int, program) -> Any:
+        try:
+            return await self._drive(program(self.transport(rank)))
+        finally:
+            self._active -= 1
+            self._maybe_advance()
+
+    async def _drive(self, gen: Generator) -> Any:
+        """Trampoline a protocol generator: every yielded item is an
+        awaitable from this network; its result (or exception) is fed
+        back into the generator frame, so protocol-level ``try/except``
+        around ``yield from`` works exactly as on the SCC."""
+        to_send: Any = None
+        exc: BaseException | None = None
+        while True:
+            try:
+                if exc is not None:
+                    pending, exc = exc, None
+                    item = gen.throw(pending)
+                else:
+                    item = gen.send(to_send)
+            except StopIteration as stop:
+                return stop.value
+            to_send = None
+            try:
+                to_send = await item
+            except Exception as caught:  # noqa: BLE001 - re-thrown into gen
+                exc = caught
 
 
 class AsyncioTransport(Endpoint):
     """Per-rank endpoint over :class:`AsyncioNetwork`: the asyncio
     backend of :class:`~repro.rcce.endpoint.Endpoint`.
 
-    Every primitive registers one block with the network and yields
-    once, one wire operation each; protocol code cannot tell the
+    Every primitive yields coroutines for the driving trampoline to
+    await, one wire operation each; protocol code cannot tell the
     difference from the SCC's simulator events.  There is no chip model:
     local memory and own-store accesses cost a zero-delay scheduling
     checkpoint, polls cost nothing but their duration, and ``_wait``
@@ -395,22 +412,18 @@ class AsyncioTransport(Endpoint):
         return self._mem.alloc(nbytes)
 
     def compute(self, duration: float) -> Generator:
-        self.net._sleep(self.rank, duration, "compute")
-        yield
+        yield self.net.sleep(self.rank, duration)
 
     def mem_read(self, ref: MemRef) -> Generator:
         self._own(ref, "mem_read")
-        self.net._sleep(self.rank, 0.0, "mem_read")
-        yield
+        yield self.net.sleep(self.rank, 0.0, site="mem_read")
 
     def mem_write(self, ref: MemRef) -> Generator:
         self._own(ref, "mem_write")
-        self.net._sleep(self.rank, 0.0, "mem_write")
-        yield
+        yield self.net.sleep(self.rank, 0.0, site="mem_write")
 
     def mpb_charge_local(self, lines: int, *, write: bool = False) -> Generator:
-        self.net._sleep(self.rank, 0.0, "mpb_local")
-        yield
+        yield self.net.sleep(self.rank, 0.0, site="mpb_local")
 
     def read_local(self, offset: int, nbytes: int) -> bytes:
         return self.net.stores[self.rank].read_bytes(offset, nbytes)
@@ -433,8 +446,9 @@ class AsyncioTransport(Endpoint):
             if nbytes > src.nbytes:
                 raise ValueError(f"put of {nbytes} bytes from {src.nbytes}-byte buffer")
         payload = self._local_bytes(src, nbytes)
-        landed = yield from self._store(
-            dst, dst_offset, payload, "data", f"mpb{dst}@{dst_offset}"
+        landed = yield self.net._write(
+            self.rank, dst, dst_offset, payload, op="data",
+            site=f"mpb{dst}@{dst_offset}",
         )
         self._emit("put", dst=dst, off=dst_offset, n=nbytes, landed=landed)
 
@@ -442,8 +456,8 @@ class AsyncioTransport(Endpoint):
         self, src_rank: int, src_offset: int, dst: "MemRef | int", nbytes: int
     ) -> Generator:
         src = self.net.core_of(src_rank)
-        payload = yield from self._load(
-            src, src_offset, nbytes, f"mpb{src}@{src_offset}"
+        payload = yield self.net._read(
+            self.rank, src, src_offset, nbytes, site=f"mpb{src}@{src_offset}"
         )
         if isinstance(dst, MemRef):
             self._own(dst, "get")
@@ -464,19 +478,16 @@ class AsyncioTransport(Endpoint):
     def _store(
         self, owner: int, off: int, payload: bytes, op: str, site: str
     ) -> Generator[object, object, str]:
-        net = self.net
-        net._send(self.rank, owner, op, len(payload), site)
-        yield
-        return net._land(self.rank, owner, off, payload, op)
+        landed = yield self.net._write(
+            self.rank, owner, off, payload, op=op, site=site
+        )
+        return landed
 
     def _load(
         self, owner: int, off: int, nbytes: int, site: str
     ) -> Generator[object, object, bytes]:
-        """A remote read (RMA pull): delayed, never dropped."""
-        net = self.net
-        net._send(self.rank, owner, "read", nbytes, site)
-        yield
-        return net.stores[owner].read_bytes(off, nbytes)
+        raw = yield self.net._read(self.rank, owner, off, nbytes, site=site)
+        return raw
 
     _readback = _load  # no call overhead to leave out
 
@@ -485,14 +496,13 @@ class AsyncioTransport(Endpoint):
     ) -> Generator[object, object, bool]:
         """Re-read the source lines over the wire and compare them with
         the (untimed) local deposit."""
-        want = yield from self._load(src, src_offset, nbytes, site)
+        want = yield self.net._read(self.rank, src, src_offset, nbytes, site=site)
         return self._local_bytes(dst, nbytes) == want
 
     # -- polling ------------------------------------------------------------
 
     def _poll(self, duration: float, site: str) -> Generator:
-        self.net._sleep(self.rank, duration, site)
-        yield
+        yield self.net.sleep(self.rank, duration, site=site)
 
     def _wait(
         self,
@@ -502,24 +512,10 @@ class AsyncioTransport(Endpoint):
         timeout: float | None,
         site: str,
     ) -> Generator:
-        """Every write into the own store wakes the waiter, whatever its
-        line; spurious wake-ups only re-run ``check``.  The SCC wait
-        ordering is preserved: the predicate is evaluated before any
-        deadline test, so a wait satisfied exactly at (or entered with
-        an exhausted) budget still succeeds."""
-        val = check()
-        if val is not None:
-            return val
-        net = self.net
-        deadline = None if timeout is None else net.now + timeout
-        while True:
-            if deadline is not None and net.now >= deadline:
-                raise self._poll_budget_exhausted(site, timeout)
-            net._block(self.rank, site, deadline, wait=True)
-            yield
-            val = check()
-            if val is not None:
-                return val
+        # Every write into the own store wakes the waiter, whatever its
+        # line; spurious wake-ups only re-run ``check``.
+        got = yield self.net.wait_until(self.rank, check, timeout=timeout, site=site)
+        return got
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<AsyncioTransport rank={self.rank}>"

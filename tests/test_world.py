@@ -17,7 +17,9 @@ import pytest
 from repro.rcce.flags import FlagValue
 from repro.scc import SccConfig
 from repro.sim import DeadlockError, FaultInjected, SimError, WatchdogError
+from repro.sim.errors import ScheduleInPastError
 from repro.sim.errors import TimeoutError as SimTimeoutError
+from repro.transport.models import NoDelay
 from repro.transport.world import (
     WorldRun, asyncio_world, run_world, scc_world,
 )
@@ -127,6 +129,69 @@ class TestHowARunEnds:
         assert isinstance(cause, ValueError)
 
 
+    @pytest.mark.parametrize("duration", [-1.0, -1e-9])
+    def test_a_negative_duration_is_rejected(self, backend, duration):
+        def body(cc):
+            yield from cc.compute(duration)
+            return "done"
+
+        with pytest.raises(SimError) as ei:
+            run_world(make_world(backend), body)
+        cause = ei.value if backend == "asyncio" else ei.value.__cause__
+        assert isinstance(cause, ScheduleInPastError)
+
+
+def test_asyncio_rejects_a_nan_duration_naming_rank_and_site():
+    def body(cc):
+        yield from cc.compute(float("nan") if cc.rank == 2 else 1.0)
+
+    with pytest.raises(ScheduleInPastError, match="rank 2 at 'compute'.*nan"):
+        run_world(asyncio_world(4), body)
+
+
+def test_a_model_delay_of_nan_raises_instead_of_misordering_the_heap():
+    class Broken(NoDelay):
+        def delay(self, src, dst, *, op, nbytes):
+            return float("nan") if (src, dst) == (1, 0) else 1.0
+
+    world = asyncio_world(3, model=Broken())
+    flag = world.flag("f")
+
+    def body(cc):
+        yield from cc.flag_set((cc.rank + 2) % 3, flag, FlagValue(1, 1))
+        return "sent"
+
+    results = world.run(body, return_exceptions=True)
+    assert results[0] == results[2] == "sent"
+    assert isinstance(results[1], ScheduleInPastError)
+    assert "rank 1" in str(results[1]) and "nan" in str(results[1])
+
+
+def test_asyncio_world_runs_inside_a_running_event_loop():
+    """Virtual time needs no selector, so no loop of ours can collide
+    with the caller's (a notebook, an async test runner)."""
+    import asyncio
+
+    from repro.transport.scenarios import run_asyncio
+
+    async def main():
+        return run_asyncio("ft_broadcast", 1).digest
+
+    assert asyncio.run(main()) == run_asyncio("ft_broadcast", 1).digest
+
+
+def test_asyncio_body_yielding_outside_a_primitive_is_an_error():
+    """Not a silently lost rank: nothing would ever resume it."""
+
+    def body(cc):
+        yield from cc.compute(1.0)
+        if cc.rank == 1:
+            yield "not a primitive"
+
+    with pytest.raises(TypeError, match="rank 1 yielded outside"):
+        run_world(asyncio_world(2), body)
+
+
 def test_asyncio_deadlock_beats_timeout():
     """Both endings in one run: the wedge (termination oracle) wins,
     whichever rank hit which."""
@@ -189,11 +254,15 @@ def test_seeded_payload_is_drawn_in_one_place():
 
 
 def test_bench_does_not_import_asyncio():
-    """The asyncio backend loads lazily: SCC-only consumers of the
-    world runner never pay for (or depend on) the asyncio machinery."""
+    """Nor does anything else: the asyncio backend is its own
+    virtual-time loop, so even *running* a service scenario on it never
+    loads the standard library's event-loop machinery."""
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, repro.bench; print('asyncio' in sys.modules)"],
+         "import sys, repro.bench\n"
+         "from repro.transport.scenarios import run_asyncio\n"
+         "assert run_asyncio('ft_broadcast', 1).outcomes == ('ok',) * 8\n"
+         "print('asyncio' in sys.modules)"],
         capture_output=True, text=True, check=True,
         env={"PYTHONPATH": str(SRC.parent), "PATH": ""},
     )
