@@ -19,8 +19,23 @@ a fault-free run must stay under ``--max-resilience-tax`` percent.
 The *EXACT event budget* is a work count, not a timing: one binomial
 96-cache-line EXACT broadcast on 48 cores finds every MPB port idle, so
 whole-transfer coalescing must keep it at a few events per put/get
-(1,834 today; 55,414 with one run per cache line) -- exact, noise-free,
-and it trips the moment the multi-leg run stops engaging.
+(1,658 today -- 1,834 before the flag writes became leg scripts, whose
+inline hops draw no sequence number; 55,414 with one run per cache
+line) -- exact, noise-free, and it trips the moment the multi-leg run
+stops engaging.  The count may only fall: the ceiling is the 1,834.
+
+The *EXACT OC-Bcast calls* count guards the other EXACT regime, the
+contended one: in one warmed OC-Bcast (k = 7) of 96 cache lines seven
+children fetch each chunk from one MPB and no coalesced run survives a
+cycle, so every line is a real port hold made by a leg script
+(``repro.sim.LegScript``) while its rank sleeps.  Python-level function
+calls (``sys.setprofile`` ``call`` events; C calls and
+``Simulator.events_scheduled`` are printed beside them): 124,954 calls
+(90,397 C calls, 24,302 events) on CPython 3.11, against 365,605
+(188,194; 45,276) when every line was a one-cycle run plus a process
+wake-up.  The ceiling is the achieved value plus 5 %; a per-line
+generator step sneaking back in costs ~9k calls per sibling and trips
+it.  Exact for one interpreter version, like the asyncio guard below.
 
 Two more counts guard the run-length L1 (``repro.scc.memory``): a
 streamed 1,024-cache-line BATCH OC-Bcast must leave every core's L1 as
@@ -40,12 +55,13 @@ The *asyncio service calls* count guards the asyncio backend's own
 scheduler (``repro.transport.asyncio_backend``): the Python-level
 function calls (``sys.setprofile`` ``call`` events; the C calls are
 printed beside them) of one warmed 48-rank, three-chunk service run.
-A rank that blocks costs one generator step there -- 55,998 calls
-(21,843 C calls) on CPython 3.11, against 79,027 (39,304) when every
-block was a Future on the standard library's event loop -- and the
-ceiling is that achieved value plus 5 %, so a per-step hop sneaking
-back in (each costs ~11k calls) trips it while protocol edits of a few
-hundred calls do not.  Like the L1 opcode count it is exact for one
+A rank that blocks costs one generator step there -- 54,382 calls
+(20,227 C calls) on CPython 3.11 (55,998 / 21,843 before ``Tracer.emit``
+stopped building a generator over its empty filter list per record),
+against 79,027 (39,304) when every block was a Future on the standard
+library's event loop -- and the ceiling is that achieved value plus
+5 %, so a per-step hop sneaking back in (each costs ~11k calls) trips it
+while protocol edits of a few hundred calls do not.  Like the L1 opcode count it is exact for one
 interpreter version, whatever the host is doing (the ceiling was set on
 3.11; 3.12 inlines comprehensions and can only read lower).
 
@@ -131,14 +147,45 @@ def _broadcast_once(algo: str, cache_lines: int, mode_name: str):
     return chip
 
 
-#: Ceiling on kernel events for the uncontended EXACT broadcast below.
-MAX_EXACT_BINOMIAL_EVENTS = 5_000
+#: Ceiling on kernel events for the uncontended EXACT broadcast below:
+#: the count before leg scripts (1,658 with them); it may only fall.
+MAX_EXACT_BINOMIAL_EVENTS = 1_834
 
 
 def exact_binomial_events() -> int:
     """``Simulator.events_scheduled`` of one binomial 96-cache-line EXACT
     broadcast on the 48-core chip.  Deterministic."""
     return _broadcast_once("binomial", 96, "EXACT").sim.events_scheduled
+
+
+#: Ceiling on Python-level calls of the contended EXACT broadcast below:
+#: 124,954 achieved (CPython 3.11) plus 5 %.
+MAX_EXACT_OC_CALLS = 131_200
+
+
+def _count_calls(fn, *args) -> tuple[int, int, object]:
+    """``(Python calls, C calls, result)`` of one ``fn(*args)``, by
+    ``sys.setprofile``.  Deterministic for one interpreter version."""
+    counts = {"call": 0, "c_call": 0}
+
+    def count(frame, event, arg):
+        if event in counts:
+            counts[event] += 1
+
+    sys.setprofile(count)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return counts["call"], counts["c_call"], result
+
+
+def exact_oc_calls() -> tuple[int, int, int]:
+    """``(Python calls, C calls, kernel events)`` of one warmed OC-Bcast
+    (k=7) of 96 cache lines in EXACT mode on the 48-core chip."""
+    _broadcast_once("oc", 96, "EXACT")  # warm: imports, lru caches
+    calls, c_calls, chip = _count_calls(_broadcast_once, "oc", 96, "EXACT")
+    return calls, c_calls, chip.sim.events_scheduled
 
 
 #: Ceiling on resident runs per core after the streamed broadcast below.
@@ -213,8 +260,8 @@ def analytic_replay_steps() -> tuple[int, int]:
 
 
 #: Ceiling on Python-level calls of the asyncio service run below:
-#: 55,998 achieved (CPython 3.11) plus 5 %.
-MAX_ASYNCIO_SERVICE_CALLS = 58_800
+#: 54,382 achieved (CPython 3.11) plus 5 %.
+MAX_ASYNCIO_SERVICE_CALLS = 57_100
 
 
 def asyncio_service_calls() -> tuple[int, int]:
@@ -225,18 +272,8 @@ def asyncio_service_calls() -> tuple[int, int]:
 
     scenario = Scenario("guard_plain", 48, (6, 4), chunks=3)
     run_asyncio(scenario, 1)  # warm: imports, lru caches
-    counts = {"call": 0, "c_call": 0}
-
-    def count(frame, event, arg):
-        if event in counts:
-            counts[event] += 1
-
-    sys.setprofile(count)
-    try:
-        run_asyncio(scenario, 1)
-    finally:
-        sys.setprofile(None)
-    return counts["call"], counts["c_call"]
+    calls, c_calls, _ = _count_calls(run_asyncio, scenario, 1)
+    return calls, c_calls
 
 
 #: Trials of the all-fault-free adaptive campaign below.
@@ -278,6 +315,7 @@ def main(argv=None) -> int:
     frag_runs, frag_ops = fragmented_l1_ops_per_access()
     steps_48, steps_1024 = analytic_replay_steps()
     aio_calls, aio_c_calls = asyncio_service_calls()
+    oc_calls, oc_c_calls, oc_events = exact_oc_calls()
     # (name, measured, ceiling, unit)
     ceilings = [
         ("service tax", service_tax_pct(), args.max_service_tax, "%"),
@@ -285,6 +323,8 @@ def main(argv=None) -> int:
         ("resilience tax", resilience_tax_pct(), args.max_resilience_tax, "%"),
         ("exact binomial events", exact_binomial_events(),
          MAX_EXACT_BINOMIAL_EVENTS, ""),
+        (f"exact oc-bcast calls ({oc_c_calls} C calls, {oc_events} events)",
+         oc_calls, MAX_EXACT_OC_CALLS, ""),
         ("stream l1 runs per core", stream_l1_runs(), MAX_STREAM_L1_RUNS, ""),
         (f"fragmented l1 ops/access ({frag_runs} runs)", frag_ops,
          L1_OPS_PER_LOG2_RUNS * math.log2(frag_runs), ""),

@@ -180,8 +180,9 @@ class CoreComm(Endpoint):
         """A register-sourced write: the put call overhead plus one MPB
         write per line (no source read)."""
         core = self.core
-        yield core.compute(core.config.o_put_mpb)
-        yield from core.mpb_access(owner, lines_of(len(payload)), write=True)
+        yield from core.mpb_call(
+            core.config.o_put_mpb, owner, lines_of(len(payload)), write=True
+        )
         return self.chip.mpbs[owner].write_bytes(
             off, payload, source=core.id, op=op
         )
@@ -191,8 +192,9 @@ class CoreComm(Endpoint):
     ) -> Generator[object, object, bytes]:
         """A register-destined read: the get call overhead plus one MPB
         read per line (nothing is deposited)."""
-        yield self.core.compute(self.core.config.o_get_mpb)
-        return (yield from self._readback(owner, off, nbytes, site))
+        core = self.core
+        yield from core.mpb_call(core.config.o_get_mpb, owner, lines_of(nbytes))
+        return self.chip.mpbs[owner].read_bytes(off, nbytes)
 
     def _readback(
         self, owner: int, off: int, nbytes: int, site: str

@@ -19,7 +19,12 @@ inter-arrival gaps; in ``BATCH``/``IDEAL`` modes the read and write phases
 are aggregated -- same total duration, far fewer events.  An EXACT
 transfer between an MPB and private memory that finds the port idle is
 charged as one coalesced run (:meth:`repro.scc.core.Core.transfer_run`),
-bit-identical to the per-line loop it falls back to.
+bit-identical to the per-line loop it falls back to.  Where the per-line
+hooks are inert (:attr:`repro.scc.core.Core.scripts_lines`) that
+fall-back, and the MPB-to-MPB transfer whose two ports alternate per
+line, run as one leg script -- the loop's own port holds and timers made
+by kernel callbacks, one wake-up per transfer -- and the generator
+loops below remain for the regimes whose hooks must run in the process.
 
 These two bulk transfers are the SCC backend's ``put``/``get``
 primitives; the acked/verified variants and the small register-sourced
@@ -67,6 +72,7 @@ def put(
             # the read/write interleaving of the hardware, rotated so a
             # coalesced run (which ends after a read) can hand back to it.
             run = core.coalesces_transfers(src)
+            script = run and core.scripts_lines
             yield from core.mem_read(src.sub(0, min(CACHE_LINE, nbytes)))
             i = 0
             while i < m:
@@ -74,8 +80,13 @@ def put(
                     done = yield from core.transfer_run(
                         dst_core, src, i, m, write=True
                     )
+                    i += done
+                    if script and i < m:
+                        yield from core.transfer_script(
+                            dst_core, src, i, m, write=True
+                        )
+                        break
                     if done:
-                        i += done
                         continue
                 yield from core.mpb_access(dst_core, 1, write=True)
                 i += 1
@@ -88,14 +99,20 @@ def put(
         payload = src.sub(0, nbytes).read()
     else:
         src_off = int(src)
-        yield core.compute(cfg.o_put_mpb)
-        if exact:
-            for _ in range(m):
-                yield from core.mpb_access(core.id, 1)
-                yield from core.mpb_access(dst_core, 1, write=True)
+        if core.scripts_lines:
+            yield from core.scripted(
+                (core.hold_leg(core.id), core.hold_leg(dst_core, True)) * m,
+                cfg.o_put_mpb,
+            )
         else:
-            yield from core.mpb_access(core.id, m)
-            yield from core.mpb_access(dst_core, m, write=True)
+            yield core.compute(cfg.o_put_mpb)
+            if exact:
+                for _ in range(m):
+                    yield from core.mpb_access(core.id, 1)
+                    yield from core.mpb_access(dst_core, 1, write=True)
+            else:
+                yield from core.mpb_access(core.id, m)
+                yield from core.mpb_access(dst_core, m, write=True)
         payload = core.mpb.read_bytes(src_off, nbytes)
 
     landed = core.chip.mpbs[dst_core].write_bytes(
@@ -136,14 +153,20 @@ def get(
         yield core.compute(cfg.o_get_mem)
         if exact:
             run = core.coalesces_transfers(dst)
+            script = run and core.scripts_lines
             i = 0
             while i < m:
                 if run:
                     done = yield from core.transfer_run(
                         src_core, dst, i, m, write=False
                     )
+                    i += done
+                    if script and i < m:
+                        yield from core.transfer_script(
+                            src_core, dst, i, m, write=False
+                        )
+                        break
                     if done:
-                        i += done
                         continue
                 span = min(CACHE_LINE, nbytes - i * CACHE_LINE)
                 yield from core.mpb_access(src_core, 1)
@@ -157,14 +180,20 @@ def get(
         landed = "ok"
     else:
         dst_off = int(dst)
-        yield core.compute(cfg.o_get_mpb)
-        if exact:
-            for _ in range(m):
-                yield from core.mpb_access(src_core, 1)
-                yield from core.mpb_access(core.id, 1, write=True)
+        if core.scripts_lines:
+            yield from core.scripted(
+                (core.hold_leg(src_core), core.hold_leg(core.id, True)) * m,
+                cfg.o_get_mpb,
+            )
         else:
-            yield from core.mpb_access(src_core, m)
-            yield from core.mpb_access(core.id, m, write=True)
+            yield core.compute(cfg.o_get_mpb)
+            if exact:
+                for _ in range(m):
+                    yield from core.mpb_access(src_core, 1)
+                    yield from core.mpb_access(core.id, 1, write=True)
+            else:
+                yield from core.mpb_access(src_core, m)
+                yield from core.mpb_access(core.id, m, write=True)
         payload = core.chip.mpbs[src_core].read_bytes(src_offset, nbytes)
         landed = core.mpb.write_bytes(dst_off, payload, source=core.id, op="data")
 

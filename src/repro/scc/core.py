@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Generator, Sequence
 
 import numpy as np
 
-from ..sim import Event
+from ..sim import Event, LegScript
 from . import costs
 from .config import CACHE_LINE, ContentionMode, SccConfig
 from .memory import L1Cache, MemRef, PrivateMemory
@@ -91,6 +91,28 @@ class Core:
         self._line_cost_to: dict[int, tuple[int, float]] = {}
         #: Virtual-time accounting (always on; see CoreStats).
         self.stats = CoreStats()
+        # The configuration half of the two fast-path predicates (the
+        # other half, "no fault injector", can change after construction).
+        # Coalescing and scripting skip the per-line hooks, so those must
+        # be inert: no link walk, no jitter draw.  A script moreover has
+        # no way to *not* yield for a zero duration, so every per-line
+        # duration must be positive (at distance 0 the rest of a line
+        # transaction is shortest).
+        self._coalescible = (
+            cfg.exact_coalescing and not cfg.model_links and cfg.jitter == 0.0
+        )
+        self._scriptable = (
+            self._coalescible
+            and cfg.contention_mode is ContentionMode.EXACT
+            and cfg.o_mpb > max(cfg.t_mpb_port, cfg.t_mpb_port_write)
+            and min(
+                cfg.t_mpb_port, cfg.t_mpb_port_write,
+                cfg.o_put_mpb, cfg.o_get_mpb, cfg.o_put_mem, cfg.o_get_mem,
+                self._mem_read_cost, self._mem_write_cost, cfg.t_l1_hit,
+            ) > 0.0
+        )
+        #: Lazy per-(target, write) cache of hold legs (see hold_leg).
+        self._hold_legs: dict[tuple[int, bool], tuple] = {}
 
     # -- cost helpers --------------------------------------------------------
 
@@ -149,14 +171,13 @@ class Core:
         n_lines: int,
         *,
         write: bool = False,
-        extra_per_line: float = 0.0,
     ) -> Generator[Event, object, None]:
         """Access ``n_lines`` cache lines of ``target_core``'s MPB.
 
-        Charges ``n * (o_mpb + 2d*Lhop + extra_per_line)`` and arbitrates
-        the target MPB's port according to the contention mode.  Reads and
-        writes have the same *completion cost* in the model (Formulas 2-3)
-        but writes occupy the target port longer; callers move the bytes.
+        Charges ``n * (o_mpb + 2d*Lhop)`` and arbitrates the target MPB's
+        port according to the contention mode.  Reads and writes have the
+        same *completion cost* in the model (Formulas 2-3) but writes
+        occupy the target port longer; callers move the bytes.
         """
         if n_lines <= 0:
             return
@@ -165,13 +186,27 @@ class Core:
         stats = self.stats
         stats.mpb_lines += n_lines
         t0 = sim.now
+        if self.scripts_lines:
+            # EXACT with inert per-line hooks: an idle port takes several
+            # lines as one coalesced run; a single line, or whatever an
+            # intruder left of the run, is a script of real one-line holds.
+            leg = self.hold_leg(target_core, write)
+            done = 0
+            if n_lines > 1:
+                run_ev = leg[0].try_begin_run(n_lines, leg[1], leg[2])
+                if run_ev is not None:
+                    done = yield run_ev
+            if done < n_lines:
+                yield LegScript(sim, (leg,) * (n_lines - done))
+            stats.mpb_time += sim.now - t0
+            return
         stall = self._fault_overhead() + self.chip.mesh.fault_stall(
             self.id, target_core
         )
         if stall > 0.0:
             yield sim.timeout(stall)
         d, line_cost = self._distance_and_line_cost(target_core)
-        per_line = self.jittered(line_cost + extra_per_line)
+        per_line = self.jittered(line_cost)
         service = cfg.t_mpb_port_write if write else cfg.t_mpb_port
         mode = cfg.contention_mode
         if mode is ContentionMode.IDEAL or mode is ContentionMode.ANALYTIC:
@@ -241,17 +276,89 @@ class Core:
             i += 1
         stats.mpb_time += sim.now - t0
 
+    @property
+    def scripts_lines(self) -> bool:
+        """Whether contended EXACT cache-line accesses run as leg scripts
+        (:meth:`scripted`) instead of one generator step per timer: the
+        conditions of per-line coalescing, no fault injector counting or
+        stalling operations, and strictly positive per-line durations."""
+        return self._scriptable and self.chip.faults is None
+
+    def hold_leg(self, target_core: int, write: bool = False) -> tuple:
+        """The :class:`~repro.sim.LegScript` hold leg of one cache-line
+        access to ``target_core``'s MPB: what the EXACT per-line loop of
+        :meth:`mpb_access` does for one line (requires
+        :attr:`scripts_lines`)."""
+        key = (target_core, write)
+        leg = self._hold_legs.get(key)
+        if leg is None:
+            cfg = self.config
+            d, line_cost = self._distance_and_line_cost(target_core)
+            service = cfg.t_mpb_port_write if write else cfg.t_mpb_port
+            leg = self._hold_legs[key] = (
+                self.chip.mpbs[target_core].port,
+                service,
+                line_cost - service,
+                float(d),
+                cfg.t_retry_per_hop * d,
+            )
+        return leg
+
+    def scripted(
+        self, legs: Sequence, overhead: float = 0.0
+    ) -> Generator[Event, object, None]:
+        """Sleep through ``overhead`` of local work (a put/get call
+        overhead; 0.0 for none) and then ``legs`` -- hold legs from
+        :meth:`hold_leg` for MPB lines, bare numbers for one-line private
+        memory accesses of that cost -- as one leg script: one wake-up
+        instead of two or three per line (requires :attr:`scripts_lines`).
+
+        :class:`CoreStats` is replayed on wake from the script's marks
+        with the float additions the per-line primitives make, in their
+        order; the caller replays the L1, as :meth:`transfer_run` does.
+        """
+        stats = self.stats
+        t = self.sim.now
+        if overhead:
+            stats.compute_time += overhead
+            marks = iter((yield LegScript(self.sim, (overhead, *legs))))
+            t = next(marks)
+        else:
+            marks = iter((yield LegScript(self.sim, legs)))
+        mpb_lines = 0
+        mpb_time = stats.mpb_time
+        mem_time = stats.mem_time
+        for leg, end in zip(legs, marks):
+            if type(leg) is tuple:
+                mpb_lines += 1
+                mpb_time += end - t
+            else:
+                mem_time += leg
+            t = end
+        stats.mpb_lines += mpb_lines
+        stats.mem_lines += len(legs) - mpb_lines
+        stats.mpb_time = mpb_time
+        stats.mem_time = mem_time
+
+    def mpb_call(
+        self, overhead: float, target_core: int, n_lines: int, *, write: bool = False
+    ) -> Generator[Event, object, None]:
+        """A register-sourced/-destined MPB access: the put/get call
+        ``overhead``, then :meth:`mpb_access`."""
+        if n_lines == 1 and self.scripts_lines:
+            yield from self.scripted((self.hold_leg(target_core, write),), overhead)
+        else:
+            yield self.compute(overhead)
+            yield from self.mpb_access(target_core, n_lines, write=write)
+
     def coalesces_transfers(self, ref: MemRef) -> bool:
         """Whether :meth:`transfer_run` may charge an EXACT transfer
         between an MPB and ``ref``.  On top of per-line coalescing's own
         conditions, the per-line hooks a whole-transfer run skips must be
         inert: no jitter draw, no fault injector counting or stalling
         operations, and one L1 line per 32-byte step of ``ref``."""
-        cfg = self.config
         return (
-            cfg.exact_coalescing
-            and not cfg.model_links
-            and cfg.jitter == 0.0
+            self._coalescible
             and self.chip.faults is None
             and ref.offset % CACHE_LINE == 0
         )
@@ -275,14 +382,16 @@ class Core:
         through [port write | rest, mem_read of the *next* line] -- the
         caller has already read line ``first``, and the last line has no
         memory leg.  Returns the number of lines completed: 0 when the
-        port is not idle, fewer than ``m - first`` when another requester
-        aborted the run; the caller carries on per line either way.
+        port is not idle (or a single line is left where lines are
+        scripted: a one-cycle run saves nothing over a real hold), fewer
+        than ``m - first`` when another requester aborted the run; the
+        caller carries on per line either way.
         :class:`CoreStats` and the L1 end up exactly as the per-line loop
         would have left them after that many lines (same float additions,
         same access order) -- see docs/PERFORMANCE.md.
         """
         port = self.chip.mpbs[target_core].port
-        if not port.idle:
+        if not port.idle or (m - first == 1 and self.scripts_lines):
             return 0
         cfg = self.config
         _, line_cost = self._distance_and_line_cost(target_core)
@@ -334,6 +443,44 @@ class Core:
         stats.mpb_time = mpb_time
         stats.mem_time = mem_time
         return done
+
+    def transfer_script(
+        self,
+        target_core: int,
+        ref: MemRef,
+        first: int,
+        m: int,
+        *,
+        write: bool,
+    ) -> Generator[Event, object, None]:
+        """Lines ``first..m-1`` of an EXACT transfer between
+        ``target_core``'s MPB and ``ref`` as one leg script: what is left
+        once :meth:`transfer_run` found the port busy or was aborted --
+        under contention a new run would be aborted a cycle later, again
+        and again (requires :meth:`coalesces_transfers` and
+        :attr:`scripts_lines`).  Same cycles as :meth:`transfer_run`:
+        [port | mem_write] per line for a get, [port | mem_read of the
+        next line] for a put."""
+        n = m - first
+        hold = self.hold_leg(target_core, write)
+        line0 = ref.offset // CACHE_LINE + first
+        l1 = self.l1
+        if not write:
+            yield from self.scripted((hold, self._mem_write_cost) * n)
+            if l1 is not None:  # write-allocate, as mem_write does
+                l1.touch(range(line0, line0 + n))
+            return
+        # A read's length is its L1 outcome, and only this core touches
+        # its L1: the reads are performed on it up front.
+        miss = self._mem_read_cost
+        legs: list = [hold]
+        if l1 is None:
+            legs += (miss, hold) * (n - 1)
+        else:
+            hit = self.config.t_l1_hit
+            for was_hit, count in l1.touch(range(line0 + 1, line0 + n)):
+                legs += (hit if was_hit else miss, hold) * count
+        yield from self.scripted(legs)
 
     def mem_read(self, ref: MemRef) -> Generator[Event, object, None]:
         """Read ``ref`` from private off-chip memory (through the L1)."""

@@ -14,6 +14,8 @@ Public surface:
 - :class:`Process` -- a running generator; itself an event that fires when
   the generator returns (its value is the generator's return value).
 - :class:`Resource` -- FIFO server used to model contended hardware ports.
+- :class:`LegScript` -- a list of holds and delays performed for a
+  sleeping process by kernel callbacks, in the process's queue positions.
 - :func:`all_of` / :func:`any_of` -- event combinators.
 """
 
@@ -26,7 +28,7 @@ from .errors import (
     WatchdogError,
 )
 from .kernel import Event, Process, Simulator, all_of, any_of
-from .resources import Resource
+from .resources import LegScript, Resource
 from .trace import TraceRecord, Tracer
 
 __all__ = [
@@ -34,6 +36,7 @@ __all__ = [
     "Event",
     "FaultInjected",
     "Interrupted",
+    "LegScript",
     "Process",
     "Resource",
     "SimError",

@@ -94,6 +94,12 @@ class Event:
         else:
             self._callbacks.append(fn)
 
+    def _abandoned(self) -> None:
+        """The process blocked on this event was thrown into and will not
+        consume it.  A plain event is unaffected (it may still fire for
+        other waiters); an event that exists only for its one waiter --
+        a :class:`repro.sim.resources.LegScript` -- cancels itself."""
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "triggered" if self.triggered else "pending"
         return f"<{type(self).__name__} {self.name!r} {state}>"
@@ -132,7 +138,9 @@ class Process(Event):
         """Throw :class:`Interrupted` into the generator at the current time.
 
         A process blocked on an event is detached from it; the event itself
-        is unaffected and may still fire for other waiters.
+        is unaffected and may still fire for other waiters (a leg script,
+        which has no other waiter, lets go of its resource -- see
+        :meth:`Event._abandoned`).
         """
         if self.triggered:
             return
@@ -178,7 +186,9 @@ class Process(Event):
     def _throw(self, exc: BaseException) -> None:
         if self.triggered:
             return
-        self._waiting_on = None
+        if self._waiting_on is not None:
+            self._waiting_on._abandoned()
+            self._waiting_on = None
         self.last_resume = self.sim.now
         try:
             target = self._gen.throw(exc)

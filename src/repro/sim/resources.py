@@ -29,6 +29,15 @@ float arithmetic as the per-item timeouts, so traces and latencies are
 bit-identical either way -- see docs/PERFORMANCE.md for the determinism
 contract.
 
+A coalesced run costs no event per cycle, but only while nobody else
+touches the resource.  Its complement for the *contended* per-item loop
+is the :class:`LegScript`: the owner hands over a list of legs (hold
+resource R for ``service`` then be busy ``rest``; or just be busy
+``d``) and sleeps once, while bare kernel callbacks make the very
+``acquire``/``release`` and timer calls its generator loop would have
+made, in the same queue positions.  The holds are real, so queueing,
+priorities and every statistic are the resource's own.
+
 The resource keeps utilisation statistics so benches can report port
 occupancy directly.
 """
@@ -36,10 +45,12 @@ occupancy directly.
 from __future__ import annotations
 
 import heapq
-from typing import Generator, Sequence
+from typing import Generator, Sequence, Union
 
 from .errors import SimError
 from .kernel import Event, Simulator
+
+_heappush = heapq.heappush
 
 
 class _CoalescedRun:
@@ -234,6 +245,166 @@ def _succeed_with(pair: tuple[Event, int]) -> None:
     ev, value = pair
     ev.succeed(value)
 
+#: One leg of a :class:`LegScript`: a tuple ``(resource, service, rest,
+#: priority, retry_factor)`` is a hold, a bare number a delay.
+Leg = Union[float, "tuple[Resource, float, float, float, float]"]
+
+
+class LegScript(Event):
+    """A sequence of holds and delays performed for one sleeping owner.
+
+    ``legs`` is what a per-item generator loop would do one wake-up at a
+    time.  A *hold* leg ``(resource, service, rest, priority,
+    retry_factor)`` is the loop body ::
+
+        waited = yield resource.acquire(priority)
+        yield sim.timeout(service)
+        resource.release()
+        if waited > 0.0 and retry_factor > 0.0:
+            yield sim.timeout(waited * retry_factor)
+        yield sim.timeout(rest)
+
+    and a *delay* leg ``d`` is ``yield sim.timeout(d)``.  All durations
+    must be strictly positive (a zero one is a timer the loop would not
+    have yielded for, i.e. a different event shape).  The script *is*
+    the owner's event: the owner yields it right after creating it and is
+    resumed with :attr:`marks`, the instant each leg ended.
+
+    Position rules -- why the schedule is the loop's, event for event:
+
+    1. Every scheduling call the loop makes, the script makes, from the
+       same place in the ``(time, seq)`` order: timers are heap entries
+       pushed where the loop's ``timeout`` would push them, and the code
+       the loop runs in a process resumption (``release``, the next
+       ``acquire``, the next timer) runs in a *hop*.
+    2. A hop is the now-queue entry that ``Event.succeed ->
+       Process._resume`` occupies.  It is taken inline iff the now-queue
+       is empty **and** no heap entry is due at ``now``: then the entry
+       would be the very next callback to run, nothing can happen in
+       between, and only the absolute value of later sequence numbers
+       shifts, never their order.
+    3. A request that has to queue leaves its continuation in the grant
+       event's callbacks, where the process's resumption would sit.
+    4. ``acquire`` passes the leg's priority; a hold that waited pays its
+       NACK timer ``waited * retry_factor`` before the rest.
+    5. The last leg's closing timer fires ``self.succeed`` directly, as
+       the loop's last ``timeout`` would: the owner wakes in the hop
+       after it, not one hop later.
+
+    Throwing into the sleeping owner (:meth:`Process.interrupt`, the
+    watchdog) cancels the script at that instant: a held resource is
+    released, a queued request withdrawn, and no later callback acts.
+    """
+
+    __slots__ = ("legs", "marks", "_next", "_leg", "_grant", "_cancelled")
+
+    def __init__(self, sim: Simulator, legs: Sequence[Leg], name: str = "legs") -> None:
+        if not legs:
+            raise SimError("a leg script needs at least one leg")
+        for leg in legs:
+            if type(leg) is tuple:
+                ok = leg[1] > 0.0 and leg[2] > 0.0 and leg[4] >= 0.0
+            else:
+                ok = leg > 0.0
+            if not ok:
+                raise SimError(f"leg script: non-positive duration in {leg!r}")
+        super().__init__(sim, name)
+        self.legs = legs
+        #: The instant each leg ended (the last one: when the owner wakes).
+        self.marks: list[float] = []
+        self._next = 0
+        self._leg: tuple | None = None   # the hold leg in progress...
+        self._grant: Event | None = None  # ...from its acquire to its release
+        self._cancelled = False
+        self._start_leg(None)
+
+    # Heap callbacks (`_hop`) stand where the loop's timer events fire;
+    # the methods they continue into stand where its process resumptions
+    # run.  `_start_leg`, `_granted`, `_release` and `_rest` each begin
+    # with the cancellation check because any of them may have been
+    # parked in the now-queue when the owner was thrown into.
+
+    def _hop(self, fn) -> None:
+        sim = self.sim
+        heap = sim._heap
+        if sim._now_queue or (heap and heap[0][0] == sim.now):
+            sim._seq += 1
+            sim._now_queue.append((sim._seq, fn, None))
+        else:
+            fn(None)
+
+    def _start_leg(self, _arg: object) -> None:
+        if self._cancelled:
+            return
+        leg = self.legs[self._next]
+        if type(leg) is not tuple:
+            self._end_leg(self.sim.now + leg)
+            return
+        self._leg = leg
+        self._grant = grant = leg[0].acquire(leg[3])
+        if grant.triggered:
+            self._hop(self._granted)
+        else:
+            grant._callbacks.append(self._granted)
+
+    def _granted(self, _arg: object) -> None:
+        if self._cancelled:
+            return
+        sim = self.sim
+        sim._seq += 1
+        _heappush(
+            sim._heap, (sim.now + self._leg[1], sim._seq, self._hop, self._release)
+        )
+
+    def _release(self, _arg: object) -> None:
+        if self._cancelled:
+            return
+        leg = self._leg
+        waited = self._grant._value
+        self._grant = None
+        leg[0].release()
+        if waited > 0.0 and leg[4] > 0.0:
+            sim = self.sim
+            sim._seq += 1
+            _heappush(
+                sim._heap,
+                (sim.now + waited * leg[4], sim._seq, self._hop, self._rest),
+            )
+        else:
+            self._end_leg(self.sim.now + leg[2])
+
+    def _rest(self, _arg: object) -> None:
+        """After the NACK timer: the rest of the transaction."""
+        if self._cancelled:
+            return
+        self._end_leg(self.sim.now + self._leg[2])
+
+    def _end_leg(self, t_end: float) -> None:
+        """Push the current leg's closing timer: a hop into the next
+        leg, or -- last leg -- the owner's own wake-up."""
+        sim = self.sim
+        marks = self.marks
+        marks.append(t_end)
+        self._next = i = self._next + 1
+        sim._seq += 1
+        if i == len(self.legs):
+            _heappush(sim._heap, (t_end, sim._seq, self.succeed, marks))
+        else:
+            _heappush(sim._heap, (t_end, sim._seq, self._hop, self._start_leg))
+
+    def _abandoned(self) -> None:
+        if self._cancelled or self.triggered:
+            return
+        self._cancelled = True
+        grant = self._grant
+        if grant is not None:
+            self._grant = None
+            resource = self._leg[0]
+            if grant.triggered:
+                resource.release()
+            else:
+                resource.withdraw(grant)
+
 
 class Resource:
     """A server with a fixed number of identical slots (default 1).
@@ -295,7 +466,15 @@ class Resource:
         self.total_acquisitions += 1
         ev = Event(self.sim, self._acquire_name)
         if self._in_use < self.capacity and not self._waiters:
-            self._grant(ev, waited=0.0)
+            # Inline of _grant(ev, 0.0) + ev.succeed(0.0): nobody can be
+            # waiting on an event that was never handed out.
+            self._in_use += 1
+            if self._busy_since is None:
+                self._busy_since = self.sim.now
+            if self.wait_hist is not None:
+                self.wait_hist.observe(0.0)  # type: ignore[attr-defined]
+            ev.triggered = True
+            ev._value = 0.0
         else:
             now = self.sim.now
             self.queue_time += len(self._waiters) * (now - self._q_mark)
@@ -320,6 +499,21 @@ class Resource:
             self._q_mark = now
             _, _, requested_at, ev = heapq.heappop(self._waiters)
             self._grant(ev, now - requested_at)
+
+    def withdraw(self, request: Event) -> None:
+        """Take a queued, not yet granted :meth:`acquire` request back
+        out of the queue (its owner gave up waiting)."""
+        waiters = self._waiters
+        for i, entry in enumerate(waiters):
+            if entry[3] is request:
+                break
+        else:
+            raise SimError(f"{self.name}: withdraw() of a request not queued")
+        now = self.sim.now
+        self.queue_time += len(waiters) * (now - self._q_mark)
+        self._q_mark = now
+        del waiters[i]
+        heapq.heapify(waiters)
 
     def _grant(self, ev: Event, waited: float) -> None:
         self._in_use += 1

@@ -51,10 +51,12 @@ class Tracer:
         if not self.enabled:
             return
         rec = TraceRecord(time, source, kind, detail)
-        if all(f(rec) for f in self._filters):
-            self.records.append(rec)
-            for listener in self._listeners:
-                listener(rec)
+        filters = self._filters
+        if filters and not all(f(rec) for f in filters):
+            return
+        self.records.append(rec)
+        for listener in self._listeners:
+            listener(rec)
 
     def add_filter(self, predicate: Callable[[TraceRecord], bool]) -> None:
         """Only keep records for which ``predicate`` is true."""

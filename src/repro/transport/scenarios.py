@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from ..core.ocbcast import DEFAULT_CHUNK_LINES, OcBcastConfig
 from ..faults.injector import FaultInjector
@@ -164,11 +164,14 @@ class RunResult:
     outcomes: tuple
     faults: FaultInjector | None
 
-    @property
+    # Both walk and canonicalise the whole record list, and a service op
+    # reads them more than once; the records are final once the run is.
+
+    @cached_property
     def decisions(self) -> str:
         return canonical_decisions(self.records)
 
-    @property
+    @cached_property
     def digest(self) -> str:
         return decision_digest(self.records)
 

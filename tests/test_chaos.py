@@ -26,6 +26,7 @@ status, counts and digests are the deterministic surface.
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -412,7 +413,7 @@ class TestPinnedBundles:
     determinism regression, not a flake."""
 
     def test_pinned_coordinates_are_all_present(self):
-        assert len(_PINNED) == 4
+        assert len(_PINNED) == 6
 
     @pytest.mark.parametrize(
         "path", _PINNED, ids=[os.path.basename(p) for p in _PINNED]
@@ -427,6 +428,57 @@ class TestPinnedBundles:
         for path in _PINNED:
             got.add(ReproBundle.load(path).expected["classification"])
         assert got == {"tolerated", "refused", "violation"}
+
+
+_FORGED_VOTE = [p for p in _PINNED if "forged-holder-vote" in p]
+
+
+@pytest.mark.chaos
+class TestForgedHolderVote:
+    """ROADMAP item 1's open safety violation as a file: root crash
+    before staging + one corrupted heartbeat flag write, on both
+    backends.  The bundles record what the protocol does today
+    (``violation/corrupt``, replayed bit-for-bit by
+    :class:`TestPinnedBundles`); the strict xfail states what it must
+    do, so the protocol fix flips one marker and re-records two files
+    instead of re-deriving the schedule."""
+
+    def test_recorded_on_both_backends_with_one_digest(self):
+        bundles = [ReproBundle.load(p) for p in _FORGED_VOTE]
+        assert sorted(b.schedule.backend for b in bundles) == ["asyncio", "scc"]
+        assert len({b.expected["digest"] for b in bundles}) == 1
+        assert all(b.schedule.model is None for b in bundles)
+
+    @pytest.mark.parametrize(
+        "path", _FORGED_VOTE, ids=[os.path.basename(p) for p in _FORGED_VOTE]
+    )
+    def test_schedule_is_one_minimal(self, path):
+        """Neither event, chunk, mesh step nor halving can go: without
+        the corrupt write the run is refused, without the crash it is
+        tolerated."""
+        schedule = ReproBundle.load(path).schedule
+        assert schedule.n_events == 2
+        result = shrink(schedule)
+        assert not result.shrunk and result.schedule == schedule
+        no_corrupt = run_schedule(replace(schedule, specs=()))
+        no_crash = run_schedule(replace(schedule, crash=None))
+        assert (no_corrupt.classification, no_crash.classification) == (
+            "refused", "tolerated"
+        )
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1(b): a single forged heartbeat value still "
+               "names a data source; seven survivors commit all-zero bytes",
+    )
+    @pytest.mark.parametrize(
+        "path", _FORGED_VOTE, ids=[os.path.basename(p) for p in _FORGED_VOTE]
+    )
+    def test_forged_holder_vote_is_not_committed(self, path):
+        outcome = run_schedule(ReproBundle.load(path).schedule)
+        assert outcome.classification in ("refused", "tolerated"), (
+            outcome.describe()
+        )
 
 
 # -- CLI ---------------------------------------------------------------------

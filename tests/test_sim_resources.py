@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.sim import Resource, Simulator, SimError
+from repro.sim import (
+    Interrupted, LegScript, Resource, Simulator, SimError, WatchdogError,
+)
 
 
 def test_uncontended_acquire_is_immediate():
@@ -263,3 +265,192 @@ def test_coalesced_run_needs_an_idle_resource():
     assert res.try_begin_run(2, 0.01, 0.1) is not None
     assert not res.idle
     assert res.try_begin_run(2, 0.01, 0.1) is None
+
+
+# -- leg scripts ----------------------------------------------------------------
+
+
+def _leg_loop(sim, legs):
+    """The generator loop a leg script stands in for."""
+    for leg in legs:
+        if type(leg) is not tuple:
+            yield sim.timeout(leg)
+            continue
+        res, service, rest, priority, retry = leg
+        waited = yield from res.serve(service, priority)
+        if waited > 0.0 and retry > 0.0:
+            yield sim.timeout(waited * retry)
+        yield sim.timeout(rest)
+
+
+def test_leg_script_is_the_loop():
+    """Three owners with different priorities and retry factors on one
+    resource, as scripts and as loops: same end times, same marks, same
+    resource statistics."""
+    def world(scripted):
+        sim = Simulator()
+        res = Resource(sim)
+        ends = {}
+
+        def owner(tag, priority, retry):
+            legs = [0.3, *[(res, 0.5, 0.25, priority, retry)] * 4, 0.7]
+            if scripted:
+                marks = yield LegScript(sim, legs)
+                assert marks[-1] == sim.now and len(marks) == len(legs)
+            else:
+                yield from _leg_loop(sim, legs)
+            ends[tag] = sim.now
+
+        for tag, (priority, retry) in enumerate([(2.0, 0.5), (0.0, 0.0), (1.0, 0.25)]):
+            sim.process(owner(tag, priority, retry))
+        sim.run()
+        return ends, res.stats(), res.queue_time
+
+    assert world(True) == world(False)
+
+
+@pytest.mark.parametrize("legs", [
+    [],
+    [0.0],
+    [-1.0],
+    [("res", 0.0, 0.1, 0.0, 0.0)],   # no service window
+    [("res", 0.1, 0.0, 0.0, 0.0)],   # no rest: the loop would not yield
+    [("res", 0.1, 0.1, 0.0, -1.0)],
+])
+def test_leg_script_rejects_durations_the_loop_would_not_yield_for(legs):
+    sim = Simulator()
+    with pytest.raises(SimError):
+        LegScript(sim, legs)
+    assert sim.queued_events == 0
+
+
+def _interrupt_at(sim, victim, t):
+    def prog():
+        yield sim.timeout(t)
+        victim.interrupt("test")
+    sim.process(prog())
+
+
+def _swallow(gen):
+    """Run ``gen``; an Interrupted ends the process quietly."""
+    try:
+        yield from gen
+    except Interrupted:
+        return "interrupted"
+
+
+def test_interrupted_script_releases_mid_service():
+    """The owner is thrown into inside its 10-unit service window: the
+    waiter behind it is granted at the interrupt time, not at the
+    window's end."""
+    sim = Simulator()
+    res = Resource(sim)
+    granted = []
+
+    def owner():
+        yield LegScript(sim, [(res, 10.0, 1.0, 0.0, 0.0)] * 3)
+
+    def waiter():
+        yield sim.timeout(1.0)
+        waited = yield res.acquire()
+        granted.append((sim.now, waited))
+        res.release()
+
+    victim = sim.process(_swallow(owner()))
+    sim.process(waiter())
+    _interrupt_at(sim, victim, 4.0)
+    sim.run()
+    assert victim.value == "interrupted"
+    assert granted == [(4.0, 3.0)]
+    assert res.in_use == 0
+    assert res.total_acquisitions == 2  # the script's later legs never ran
+    assert res.busy_time == 4.0
+
+
+def test_interrupted_script_leaves_the_queue():
+    """The owner is thrown into while its request is queued: the queue
+    skips it -- the next waiter gets the slot and nothing is leaked."""
+    sim = Simulator()
+    res = Resource(sim)
+    granted = []
+
+    def holder():
+        yield from res.serve(10.0)
+
+    def owner():
+        yield sim.timeout(1.0)
+        yield LegScript(sim, [(res, 5.0, 1.0, 0.0, 0.0)])
+
+    def waiter():
+        yield sim.timeout(2.0)
+        waited = yield res.acquire()
+        granted.append((sim.now, waited))
+        res.release()
+
+    sim.process(holder())
+    victim = sim.process(_swallow(owner()))
+    sim.process(waiter())
+    _interrupt_at(sim, victim, 4.0)
+    sim.run()
+    assert victim.value == "interrupted"
+    assert granted == [(10.0, 8.0)]
+    assert res.in_use == 0 and res.queue_length == 0
+    # Queue depth: 1 over [1, 2), 2 over [2, 4), 1 over [4, 10).
+    assert res.queue_time == 1.0 + 2 * 2.0 + 6.0
+    assert res.max_queue == 2
+
+
+def test_interrupt_between_grant_and_service_releases():
+    """Thrown into at the very instant of the grant, before the granted
+    continuation ran: the slot the script was just given is handed back."""
+    sim = Simulator()
+    res = Resource(sim)
+
+    def holder():
+        yield from res.serve(2.0)
+
+    def owner():
+        yield LegScript(sim, [(res, 5.0, 1.0, 0.0, 0.0)])
+
+    sim.process(holder())
+    victim = sim.process(_swallow(owner()))  # queues behind the holder
+    # The holder's release at t=2.0 grants the script.  The interrupter's
+    # timer is older than the holder's, so its resumption runs first and
+    # the throw lands right behind the release: after the grant, before
+    # the script's granted continuation.
+    _interrupt_at(sim, victim, 2.0)
+    sim.run()
+    assert victim.value == "interrupted"
+    assert res.in_use == 0 and res.total_acquisitions == 2
+    assert (sim.now, res.busy_time) == (2.0, 2.0)
+
+
+def test_watchdog_killed_owner_lets_go_of_the_port():
+    """A script stalled in a service window longer than the watchdog
+    interval: the owner gets a WatchdogError, the port is free from that
+    instant and the remaining legs never run."""
+    sim = Simulator()
+    res = Resource(sim, name="port")
+    errors = []
+
+    def owner():
+        try:
+            yield LegScript(sim, [(res, 100.0, 1.0, 0.0, 0.0)] * 3)
+        except WatchdogError as err:
+            errors.append((sim.now, err.site))
+
+    sim.process(owner(), name="owner")
+    sim.start_watchdog(10.0)
+    sim.run()
+    assert errors == [(10.0, "legs")]
+    assert res.in_use == 0
+    assert res.total_acquisitions == 1
+    assert res.busy_time == 10.0
+
+
+def test_withdraw_of_an_unknown_request_is_an_error():
+    sim = Simulator()
+    res = Resource(sim)
+    granted = res.acquire()
+    with pytest.raises(SimError, match="not queued"):
+        res.withdraw(granted)
