@@ -64,7 +64,9 @@ perf:
 	$(PYTHON) benchmarks/ledger/run.py
 
 ## The deterministic guards: simulated service / rbc / resilience tax,
-## EXACT event budget, exact oc-bcast calls (function calls of one
+## exact binomial events and exact scatter-allgather events (kernel
+## events of one uncontended EXACT broadcast each: every put/get a
+## virtual leg-script stretch), exact oc-bcast calls (function calls of one
 ## contended EXACT OC-Bcast: every line a leg-script hold, no per-line
 ## wake-up), L1 runs per core after a streamed broadcast,
 ## fragmented-L1 ops/access, analytic replay steps per chunk, asyncio

@@ -18,19 +18,9 @@ and figures on the simulated chip.
 - :mod:`repro.bench.parallel` -- fan independent grid points / campaign
   trials across worker processes with bit-identical merged results.
 - :mod:`repro.bench.reporting` -- ASCII tables/series and CSV output.
-- :mod:`repro.bench.analysis` -- trace-based pipeline timelines, overlap
-  metrics and MPB-port utilisation.
 - :mod:`repro.bench.ascii_plot` -- terminal line charts for figure data.
 """
 
-from .analysis import (
-    busiest_port,
-    chunk_timeline,
-    flag_traffic,
-    mpb_port_utilisation,
-    pipeline_depth,
-    pipeline_overlap,
-)
 from .ascii_plot import ascii_chart
 from .churn import ChurnCampaign, ChurnResult, ChurnTrial
 from .faultcampaign import (
@@ -58,15 +48,9 @@ __all__ = [
     "TrialRun",
     "PutGetSample",
     "ascii_chart",
-    "busiest_port",
-    "chunk_timeline",
     "concurrent_access",
     "default_jobs",
     "parallel_map",
-    "flag_traffic",
-    "mpb_port_utilisation",
-    "pipeline_depth",
-    "pipeline_overlap",
     "format_fault_timeline",
     "format_series",
     "format_table",

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 from ..faults.plan import CATEGORY_OF, FaultKind, FaultSpec
 from .runner import profile_counts
-from .schedule import BACKENDS, ChaosSchedule, ModelSpec
+from .schedule import BACKENDS, MODES, ChaosSchedule, ModelSpec
 
 #: Injector kinds the hardened stack must mask or repair, per mode.
 #: The bare FT mode has no integrity layer (payload CRC + re-fetch is a
@@ -150,17 +150,26 @@ class ScheduleGenerator:
     _count: int = field(init=False, default=0, repr=False)
 
     def __post_init__(self) -> None:
+        self.backends = tuple(self.backends)
+        self.meshes = tuple(tuple(m) for m in self.meshes)
+        self.modes = tuple(self.modes)
         if self.max_events < 1:
             raise ValueError("max_events must be >= 1")
+        if self.max_chunks < 1:
+            raise ValueError("max_chunks must be >= 1")
+        for name in ("backends", "meshes", "modes"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
+        for name, allowed in (("backends", BACKENDS), ("modes", MODES)):
+            unknown = sorted(set(getattr(self, name)) - set(allowed))
+            if unknown:
+                raise ValueError(f"{name} must be drawn from {allowed}, got {unknown}")
         for mode in self.modes:
             if mode == "baseline" and not self.fragile:
                 raise ValueError(
                     "mode 'baseline' needs fragile=True: it is expected "
                     "to lose and would fail the zero-violation soak"
                 )
-        self.backends = tuple(self.backends)
-        self.meshes = tuple(tuple(m) for m in self.meshes)
-        self.modes = tuple(self.modes)
         self._rng = random.Random(self.seed)
 
     # -- drawing ------------------------------------------------------------

@@ -68,8 +68,8 @@ class Histogram:
     """A fixed-bucket histogram with count/sum/min/max.
 
     ``bounds`` are inclusive upper edges; one overflow bucket is added.
-    ``observe_zeros`` batches the n zero-wait grants of a coalesced
-    resource run in O(1) (see ``Resource``/``_CoalescedRun``).
+    ``observe_zeros`` batches the n zero-wait grants of a leg script's
+    virtual stretch in O(1) (see ``Resource``/``LegScript``).
     """
 
     __slots__ = ("name", "bounds", "buckets", "count", "total", "min", "max")

@@ -16,15 +16,15 @@ into the core's own private memory.
 In ``EXACT`` contention mode the read and write of each cache line are
 interleaved (as the hardware does), so a contended MPB port sees the true
 inter-arrival gaps; in ``BATCH``/``IDEAL`` modes the read and write phases
-are aggregated -- same total duration, far fewer events.  An EXACT
-transfer between an MPB and private memory that finds the port idle is
-charged as one coalesced run (:meth:`repro.scc.core.Core.transfer_run`),
-bit-identical to the per-line loop it falls back to.  Where the per-line
-hooks are inert (:attr:`repro.scc.core.Core.scripts_lines`) that
-fall-back, and the MPB-to-MPB transfer whose two ports alternate per
-line, run as one leg script -- the loop's own port holds and timers made
-by kernel callbacks, one wake-up per transfer -- and the generator
-loops below remain for the regimes whose hooks must run in the process.
+are aggregated -- same total duration, far fewer events.  Where the
+per-line hooks are inert (:attr:`repro.scc.core.Core.scripts_lines`) an
+EXACT transfer is one leg script -- the loop's own port holds and timers
+made by kernel callbacks, one wake-up per transfer, virtual while the
+port it opens on stays idle: :meth:`repro.scc.core.Core.transfer_script`
+between an MPB and line-aligned private memory, and the MPB-to-MPB
+transfer whose two ports alternate per line.  The generator loops below
+remain for the regimes whose hooks must run in the process, and as the
+reference the scripts are tested against.
 
 These two bulk transfers are the SCC backend's ``put``/``get``
 primitives; the acked/verified variants and the small register-sourced
@@ -69,30 +69,16 @@ def put(
         yield core.compute(cfg.o_put_mem)
         if exact:
             # read line 0, then per line: write it, read the next one --
-            # the read/write interleaving of the hardware, rotated so a
-            # coalesced run (which ends after a read) can hand back to it.
-            run = core.coalesces_transfers(src)
-            script = run and core.scripts_lines
+            # the read/write interleaving of the hardware.
             yield from core.mem_read(src.sub(0, min(CACHE_LINE, nbytes)))
-            i = 0
-            while i < m:
-                if run:
-                    done = yield from core.transfer_run(
-                        dst_core, src, i, m, write=True
-                    )
-                    i += done
-                    if script and i < m:
-                        yield from core.transfer_script(
-                            dst_core, src, i, m, write=True
-                        )
-                        break
-                    if done:
-                        continue
-                yield from core.mpb_access(dst_core, 1, write=True)
-                i += 1
-                if i < m:
-                    span = min(CACHE_LINE, nbytes - i * CACHE_LINE)
-                    yield from core.mem_read(src.sub(i * CACHE_LINE, span))
+            if core.scripts_transfer(src):
+                yield from core.transfer_script(dst_core, src, m, write=True)
+            else:
+                for i in range(1, m + 1):
+                    yield from core.mpb_access(dst_core, 1, write=True)
+                    if i < m:
+                        span = min(CACHE_LINE, nbytes - i * CACHE_LINE)
+                        yield from core.mem_read(src.sub(i * CACHE_LINE, span))
         else:
             yield from core.mem_read(src.sub(0, nbytes))
             yield from core.mpb_access(dst_core, m, write=True)
@@ -152,26 +138,13 @@ def get(
             raise ValueError(f"get of {nbytes} bytes into a {dst.nbytes}-byte buffer")
         yield core.compute(cfg.o_get_mem)
         if exact:
-            run = core.coalesces_transfers(dst)
-            script = run and core.scripts_lines
-            i = 0
-            while i < m:
-                if run:
-                    done = yield from core.transfer_run(
-                        src_core, dst, i, m, write=False
-                    )
-                    i += done
-                    if script and i < m:
-                        yield from core.transfer_script(
-                            src_core, dst, i, m, write=False
-                        )
-                        break
-                    if done:
-                        continue
-                span = min(CACHE_LINE, nbytes - i * CACHE_LINE)
-                yield from core.mpb_access(src_core, 1)
-                yield from core.mem_write(dst.sub(i * CACHE_LINE, span))
-                i += 1
+            if core.scripts_transfer(dst):
+                yield from core.transfer_script(src_core, dst, m, write=False)
+            else:
+                for i in range(m):
+                    span = min(CACHE_LINE, nbytes - i * CACHE_LINE)
+                    yield from core.mpb_access(src_core, 1)
+                    yield from core.mem_write(dst.sub(i * CACHE_LINE, span))
         else:
             yield from core.mpb_access(src_core, m)
             yield from core.mem_write(dst.sub(0, nbytes))

@@ -151,12 +151,12 @@ class SccConfig:
     model_links: bool = False
     #: Model the per-core L1 over private memory (Formula 14's cache term).
     model_l1: bool = True
-    #: EXACT mode only: coalesce uncontended runs of cache-line port cycles
-    #: -- up to a whole put/get between an MPB and private memory -- into
-    #: one scheduled wake-up instead of per-line generator churn.
-    #: Bit-identical to the per-line loop (falls back the moment another
-    #: requester appears); off exists for A/B determinism checks.  Has no
-    #: effect in BATCH/IDEAL modes or with ``model_links`` on.
+    #: EXACT mode only: run cache-line accesses -- up to a whole put/get
+    #: between an MPB and private memory -- as leg scripts, one wake-up
+    #: instead of per-line generator churn and no event per line while
+    #: the port stays idle.  Bit-identical to the per-line loop, which
+    #: off selects for A/B determinism checks.  Has no effect in
+    #: BATCH/IDEAL modes or with ``model_links``, jitter or an injector.
     exact_coalescing: bool = True
 
     def __post_init__(self) -> None:

@@ -15,11 +15,21 @@ Primitives:
 
 Byte movement is done by the RCCE layer after/els alongside the timing;
 the core layer deals in durations and arbitration only.
+
+EXACT mode runs its per-line arbitration one of two ways.  Where the
+per-line hooks are inert (:attr:`Core.scripts_lines`: no link walk, no
+jitter draw, no fault injector, every per-line duration positive) an
+access -- or a whole MPB<->private-memory transfer
+(:meth:`Core.transfer_script`) -- is one :class:`repro.sim.LegScript`:
+kernel callbacks make the port holds and timers while the rank sleeps,
+and the script's opening stretch runs virtually while the port is idle.
+Everywhere else the per-line generator loop of :meth:`Core.mpb_access`
+runs; it is also the ``exact_coalescing=False`` reference the script is
+tested against.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import TYPE_CHECKING, Generator, Sequence
 
 import numpy as np
@@ -91,18 +101,16 @@ class Core:
         self._line_cost_to: dict[int, tuple[int, float]] = {}
         #: Virtual-time accounting (always on; see CoreStats).
         self.stats = CoreStats()
-        # The configuration half of the two fast-path predicates (the
-        # other half, "no fault injector", can change after construction).
-        # Coalescing and scripting skip the per-line hooks, so those must
-        # be inert: no link walk, no jitter draw.  A script moreover has
-        # no way to *not* yield for a zero duration, so every per-line
-        # duration must be positive (at distance 0 the rest of a line
-        # transaction is shortest).
-        self._coalescible = (
-            cfg.exact_coalescing and not cfg.model_links and cfg.jitter == 0.0
-        )
+        # The configuration half of the fast-path predicate (the other
+        # half, "no fault injector", can change after construction).  A
+        # script skips the per-line hooks, so those must be inert: no link
+        # walk, no jitter draw.  It has no way to *not* yield for a zero
+        # duration, so every per-line duration must be positive (at
+        # distance 0 the rest of a line transaction is shortest).
         self._scriptable = (
-            self._coalescible
+            cfg.exact_coalescing
+            and not cfg.model_links
+            and cfg.jitter == 0.0
             and cfg.contention_mode is ContentionMode.EXACT
             and cfg.o_mpb > max(cfg.t_mpb_port, cfg.t_mpb_port_write)
             and min(
@@ -187,17 +195,9 @@ class Core:
         stats.mpb_lines += n_lines
         t0 = sim.now
         if self.scripts_lines:
-            # EXACT with inert per-line hooks: an idle port takes several
-            # lines as one coalesced run; a single line, or whatever an
-            # intruder left of the run, is a script of real one-line holds.
-            leg = self.hold_leg(target_core, write)
-            done = 0
-            if n_lines > 1:
-                run_ev = leg[0].try_begin_run(n_lines, leg[1], leg[2])
-                if run_ev is not None:
-                    done = yield run_ev
-            if done < n_lines:
-                yield LegScript(sim, (leg,) * (n_lines - done))
+            # EXACT with inert per-line hooks: one script of one-line
+            # holds, virtual while the port stays idle.
+            yield LegScript(sim, (self.hold_leg(target_core, write),) * n_lines)
             stats.mpb_time += sim.now - t0
             return
         stall = self._fault_overhead() + self.chip.mesh.fault_stall(
@@ -241,20 +241,7 @@ class Core:
         if walk_links:
             src_tile = self.tile
             dst_tile = self.chip.mesh.tile_of_core(target_core)
-        # Contention-aware coalescing: while the target port is idle, an
-        # uncontended run of lines is charged in a single wake-up; any
-        # other requester aborts the run at a line boundary and the loop
-        # falls back to per-line arbitration (bit-identical either way --
-        # see Resource.try_begin_run and docs/PERFORMANCE.md).
-        coalesce = cfg.exact_coalescing and not walk_links
-        i = 0
-        while i < n_lines:
-            if coalesce:
-                run_ev = port.try_begin_run(n_lines - i, service, rest)
-                if run_ev is not None:
-                    lines_done = yield run_ev
-                    i += lines_done
-                    continue
+        for _ in range(n_lines):
             if walk_links:
                 # Occupy links on the data-carrying direction.
                 yield from self.chip.mesh.transfer_packet(src_tile, dst_tile)
@@ -273,15 +260,15 @@ class Core:
                 yield sim.timeout(waited * retry_factor)
             if rest > 0:
                 yield sim.timeout(rest)
-            i += 1
         stats.mpb_time += sim.now - t0
 
     @property
     def scripts_lines(self) -> bool:
-        """Whether contended EXACT cache-line accesses run as leg scripts
-        (:meth:`scripted`) instead of one generator step per timer: the
-        conditions of per-line coalescing, no fault injector counting or
-        stalling operations, and strictly positive per-line durations."""
+        """Whether EXACT cache-line accesses run as leg scripts
+        (:meth:`scripted`) instead of one generator step per timer:
+        ``exact_coalescing``, no link model, no jitter, no fault injector
+        counting or stalling operations, and strictly positive per-line
+        durations."""
         return self._scriptable and self.chip.faults is None
 
     def hold_leg(self, target_core: int, write: bool = False) -> tuple:
@@ -314,8 +301,9 @@ class Core:
         instead of two or three per line (requires :attr:`scripts_lines`).
 
         :class:`CoreStats` is replayed on wake from the script's marks
-        with the float additions the per-line primitives make, in their
-        order; the caller replays the L1, as :meth:`transfer_run` does.
+        (virtual or real, they are the loop's instants) with the float
+        additions the per-line primitives make, in their order; the
+        caller replays the L1, as :meth:`transfer_script` does.
         """
         stats = self.stats
         t = self.sim.now
@@ -351,134 +339,40 @@ class Core:
             yield self.compute(overhead)
             yield from self.mpb_access(target_core, n_lines, write=write)
 
-    def coalesces_transfers(self, ref: MemRef) -> bool:
-        """Whether :meth:`transfer_run` may charge an EXACT transfer
-        between an MPB and ``ref``.  On top of per-line coalescing's own
-        conditions, the per-line hooks a whole-transfer run skips must be
-        inert: no jitter draw, no fault injector counting or stalling
-        operations, and one L1 line per 32-byte step of ``ref``."""
-        return (
-            self._coalescible
-            and self.chip.faults is None
-            and ref.offset % CACHE_LINE == 0
-        )
-
-    def transfer_run(
-        self,
-        target_core: int,
-        ref: MemRef,
-        first: int,
-        m: int,
-        *,
-        write: bool,
-    ) -> Generator[Event, object, int]:
-        """Charge lines ``first..m-1`` of an EXACT transfer between
-        ``target_core``'s MPB and the private buffer ``ref`` as one
-        coalesced run on the target port (requires
-        :meth:`coalesces_transfers`).
-
-        A get (``write=False``) cycles through [port read | rest of the
-        line transaction, mem_write of the line]; a put (``write=True``)
-        through [port write | rest, mem_read of the *next* line] -- the
-        caller has already read line ``first``, and the last line has no
-        memory leg.  Returns the number of lines completed: 0 when the
-        port is not idle (or a single line is left where lines are
-        scripted: a one-cycle run saves nothing over a real hold), fewer
-        than ``m - first`` when another requester aborted the run; the
-        caller carries on per line either way.
-        :class:`CoreStats` and the L1 end up exactly as the per-line loop
-        would have left them after that many lines (same float additions,
-        same access order) -- see docs/PERFORMANCE.md.
-        """
-        port = self.chip.mpbs[target_core].port
-        if not port.idle or (m - first == 1 and self.scripts_lines):
-            return 0
-        cfg = self.config
-        _, line_cost = self._distance_and_line_cost(target_core)
-        service = cfg.t_mpb_port_write if write else cfg.t_mpb_port
-        rest = max(0.0, line_cost - service)
-        n = m - first
-        line0 = ref.offset // CACHE_LINE + first
-        l1 = self.l1
-        cycles: Sequence[tuple[float, ...]]
-        if not write:
-            cycles = ((rest, self._mem_write_cost),) * n
-        else:
-            # Each memory leg's length is the L1 outcome of that read, so
-            # the reads are performed on the L1 up front and rolled back
-            # to the completed prefix if the run aborts.
-            miss = (rest, self._mem_read_cost)
-            if l1 is None:
-                reads = [miss] * (n - 1)
-            else:
-                snap = l1.snapshot()
-                hit = (rest, cfg.t_l1_hit)
-                reads = []
-                for was_hit, count in l1.touch(range(line0 + 1, line0 + n)):
-                    reads += (hit if was_hit else miss,) * count
-            cycles = (*reads, (rest,))
-        t = self.sim.now
-        run_ev = port.try_begin_cycles(service, cycles)
-        done = (yield run_ev) if run_ev is not None else 0
-
-        mem_legs = done if not write else min(done, n - 1)
-        if l1 is not None:
-            if not write:  # write-allocate, as mem_write does
-                l1.touch(range(line0, line0 + done))
-            elif done < n:
-                l1.restore(snap)
-                l1.touch(range(line0 + 1, line0 + 1 + mem_legs))
-        stats = self.stats
-        stats.mpb_lines += done
-        stats.mem_lines += mem_legs
-        mpb_time = stats.mpb_time
-        mem_time = stats.mem_time
-        for legs in islice(cycles, done):
-            rest_end = (t + service) + rest
-            mpb_time += rest_end - t
-            t = rest_end
-            if len(legs) == 2:
-                mem_time += legs[1]
-                t = t + legs[1]
-        stats.mpb_time = mpb_time
-        stats.mem_time = mem_time
-        return done
+    def scripts_transfer(self, ref: MemRef) -> bool:
+        """Whether an EXACT transfer between an MPB and ``ref`` runs as
+        one :meth:`transfer_script`: :attr:`scripts_lines`, and one L1
+        line per 32-byte step of ``ref``."""
+        return self.scripts_lines and ref.offset % CACHE_LINE == 0
 
     def transfer_script(
-        self,
-        target_core: int,
-        ref: MemRef,
-        first: int,
-        m: int,
-        *,
-        write: bool,
+        self, target_core: int, ref: MemRef, m: int, *, write: bool
     ) -> Generator[Event, object, None]:
-        """Lines ``first..m-1`` of an EXACT transfer between
-        ``target_core``'s MPB and ``ref`` as one leg script: what is left
-        once :meth:`transfer_run` found the port busy or was aborted --
-        under contention a new run would be aborted a cycle later, again
-        and again (requires :meth:`coalesces_transfers` and
-        :attr:`scripts_lines`).  Same cycles as :meth:`transfer_run`:
-        [port | mem_write] per line for a get, [port | mem_read of the
-        next line] for a put."""
-        n = m - first
+        """The ``m`` lines of an EXACT transfer between ``target_core``'s
+        MPB and ``ref`` as one leg script (requires
+        :meth:`scripts_transfer`): [port | mem_write] per line for a get,
+        [port | mem_read of the next line] for a put, whose first line
+        the caller has read.  While the port stays idle the script runs
+        as one virtual stretch -- a few events for the whole transfer.
+        The L1 ends up as the per-line loop leaves it (same accesses,
+        same order)."""
         hold = self.hold_leg(target_core, write)
-        line0 = ref.offset // CACHE_LINE + first
+        line0 = ref.offset // CACHE_LINE
         l1 = self.l1
         if not write:
-            yield from self.scripted((hold, self._mem_write_cost) * n)
+            yield from self.scripted((hold, self._mem_write_cost) * m)
             if l1 is not None:  # write-allocate, as mem_write does
-                l1.touch(range(line0, line0 + n))
+                l1.touch(range(line0, line0 + m))
             return
         # A read's length is its L1 outcome, and only this core touches
         # its L1: the reads are performed on it up front.
         miss = self._mem_read_cost
         legs: list = [hold]
         if l1 is None:
-            legs += (miss, hold) * (n - 1)
+            legs += (miss, hold) * (m - 1)
         else:
             hit = self.config.t_l1_hit
-            for was_hit, count in l1.touch(range(line0 + 1, line0 + n)):
+            for was_hit, count in l1.touch(range(line0 + 1, line0 + m)):
                 legs += (hit if was_hit else miss, hold) * count
         yield from self.scripted(legs)
 

@@ -170,18 +170,6 @@ class L1Cache:
         """Every resident line address, LRU first."""
         return [line for span in self.resident_runs() for line in range(*span)]
 
-    def snapshot(self) -> tuple[Spans, int, int]:
-        """The full state (resident runs in LRU order, counters), for
-        :meth:`restore` to roll speculative accesses back.  Immutable, so
-        one snapshot can be restored any number of times."""
-        return self.resident_runs(), self.hits, self.misses
-
-    def restore(self, snap: tuple[Spans, int, int]) -> None:
-        spans, self.hits, self.misses = snap
-        self.invalidate()
-        for start, stop in spans:
-            self._append(bisect_left(self._starts, start), start, stop)
-
     def __len__(self) -> int:
         return self._size
 

@@ -15,28 +15,20 @@ sub-generator::
     yield from port.serve(hold=0.0126)
 
 For tight per-item loops (EXACT-mode cache-line arbitration) there is a
-third form: :meth:`Resource.try_begin_cycles` coalesces an *uncontended*
-run of serve(service)+gap cycles into a single scheduled wake-up, where
-each cycle's gap is a tuple of *legs* that may differ per cycle (the rest
-of the line transaction, then an off-chip memory access);
-:meth:`Resource.try_begin_run` is its one-leg, all-cycles-equal case.  The
-run is optimistic: the moment any other requester calls :meth:`acquire`,
-the resource reconstructs the exact per-cycle state the per-item loop
-would have produced at that instant (who holds the slot, until when, with
-what queue wait) and wakes the runner at the next cycle boundary to fall
-back to per-item arbitration.  The reconstruction uses the same iterative
-float arithmetic as the per-item timeouts, so traces and latencies are
-bit-identical either way -- see docs/PERFORMANCE.md for the determinism
-contract.
-
-A coalesced run costs no event per cycle, but only while nobody else
-touches the resource.  Its complement for the *contended* per-item loop
-is the :class:`LegScript`: the owner hands over a list of legs (hold
-resource R for ``service`` then be busy ``rest``; or just be busy
+third form, the :class:`LegScript`: the owner hands over a list of legs
+(hold resource R for ``service`` then be busy ``rest``; or just be busy
 ``d``) and sleeps once, while bare kernel callbacks make the very
 ``acquire``/``release`` and timer calls its generator loop would have
 made, in the same queue positions.  The holds are real, so queueing,
-priorities and every statistic are the resource's own.
+priorities and every statistic are the resource's own -- except while
+the resource is idle: then the script's opening stretch of holds runs
+*virtually*, one scheduled event for the whole stretch, and the moment
+another requester calls :meth:`Resource.acquire` the script
+reconstructs the exact per-item state at that instant (who holds the
+slot, until when) and carries on as real holds.  The reconstruction
+uses the same iterative float arithmetic as the per-item timeouts, so
+traces and latencies are bit-identical either way -- see
+docs/PERFORMANCE.md for the determinism contract.
 
 The resource keeps utilisation statistics so benches can report port
 occupancy directly.
@@ -51,199 +43,6 @@ from .errors import SimError
 from .kernel import Event, Simulator
 
 _heappush = heapq.heappush
-
-
-class _CoalescedRun:
-    """Bookkeeping of one optimistic uncontended run on a Resource.
-
-    A run is ``len(cycles)`` consecutive cycles; each cycle occupies the
-    slot for ``service`` and is followed by that cycle's *gap legs* -- a
-    tuple of strictly positive durations during which the owner is busy
-    elsewhere (the rest of a cache-line transaction, an off-chip memory
-    access) and the slot is free.  Legs may differ from cycle to cycle;
-    the plain serve(service)+gap loop is the case of one leg per cycle.
-
-    The run owner sleeps on :attr:`event`; it fires with the number of
-    completed cycles -- ``len(cycles)`` at the natural end, fewer if an
-    intruder forced an abort at a cycle boundary.
-    """
-
-    __slots__ = ("resource", "start", "service", "cycles", "event", "closed")
-
-    def __init__(
-        self,
-        resource: "Resource",
-        start: float,
-        service: float,
-        cycles: Sequence[tuple[float, ...]],
-        event: Event,
-    ) -> None:
-        self.resource = resource
-        self.start = start
-        self.service = service
-        self.cycles = cycles
-        self.event = event
-        self.closed = False
-
-    # Exact-arithmetic contract: cycle windows are generated with the same
-    # sequence of float additions the per-item loop performs
-    # (t += service at the grant, t += leg after each resumption), never
-    # with a multiplication, so every reconstructed timestamp is bit-equal
-    # to the one the per-item loop would have scheduled.
-
-    def _finalize(self, acquisitions: int, busy_cycles: int) -> None:
-        """Fold the run's virtual slot usage into the stats and detach
-        from the resource (waits were all zero, so only acquisition count
-        and busy time accrue)."""
-        self.closed = True
-        res = self.resource
-        res._run = None
-        res.total_acquisitions += acquisitions
-        res.busy_time += busy_cycles * self.service
-        res.coalesced_runs += 1
-        res.coalesced_cycles += acquisitions
-        if res.wait_hist is not None:
-            res.wait_hist.observe_zeros(acquisitions)  # type: ignore[attr-defined]
-
-    def _pre_complete(self, _arg: object) -> None:
-        """Fires when the last cycle's service window closes (scheduled at
-        begin time).
-
-        The per-item loop frees the slot inside the owner's process
-        resumption -- a now-queue callback that runs *after* every heap
-        event of the instant.  Mirror that event shape: this heap marker
-        (whose seq, assigned at begin time, stands in for the last service
-        timer's) only enqueues :meth:`_finish`; the actual detach and the
-        walk through the last cycle's legs happen there, in now-queue
-        position.
-        """
-        if self.closed:
-            return
-        sim = self.resource.sim
-        sim._schedule_at(sim.now, self._finish, None)
-
-    def _finish(self, _arg: object) -> None:
-        if self.closed:
-            # A same-instant intruder (with an older seq) got here first
-            # and already detached the run.
-            return
-        n = len(self.cycles)
-        self._finalize(n, n)
-        _start_leg((self.resource.sim, self.event, n, self.cycles[-1], 0))
-
-    def _intrude(self) -> None:
-        """Another requester arrived mid-run: materialise the exact
-        per-cycle state at the current instant and schedule the owner's
-        fall-back wake-up.  Called by :meth:`Resource.acquire` *before*
-        the intruder's request is processed."""
-        res = self.resource
-        sim = res.sim
-        now = sim.now
-        service = self.service
-        # Locate the cycle (and the part of it) containing `now` by the
-        # exact float walk.  `now` is at most the last service window's
-        # end: past that, _pre_complete has already detached the run.
-        t = self.start
-        done = 0
-        for legs in self.cycles:
-            done += 1  # this cycle's service completes before the owner yields
-            w_end = t + service
-            if now < w_end:
-                # Inside the service window: the owner virtually holds the
-                # slot until w_end; the intruder queues and is granted by
-                # a materialised release, exactly as the per-item loop
-                # would.  The release is two-hop (heap marker at w_end,
-                # real release and the owner's first leg in now-queue
-                # position) because that is where the per-item loop's
-                # process resumption runs it -- same-instant events of
-                # other processes must interleave with it identically.
-                self._finalize(done, done - 1)  # this window's busy time
-                res._in_use = 1                 # accrues at the release
-                res._busy_since = t
-                sim._schedule_at(
-                    w_end, _hop_release, (res, self.event, done, legs)
-                )
-                return
-            t = w_end
-            for k, leg in enumerate(legs):
-                t = t + leg
-                if now < t:
-                    # In a gap leg (a leg boundary counts as the start of
-                    # the next leg): slot free, intruder granted
-                    # immediately; the owner is woken at this leg's end
-                    # and hops through the cycle's remaining legs.
-                    self._finalize(done, done)
-                    _schedule_leg_end(sim, t, self.event, done, legs, k)
-                    return
-            if now == t:
-                # Exactly at the cycle boundary: the intruder's triggering
-                # event outran the owner's (virtual) last-leg timer, which
-                # in the per-item world was scheduled at that leg's start
-                # -- an event firing at this exact timestamp almost surely
-                # carries an older seq (it was scheduled earlier; landing
-                # exactly on the boundary from within the leg would need
-                # an unrelated float coincidence).  So the intruder wins
-                # the instant: slot free, owner's wake-up queued behind
-                # the current event.
-                self._finalize(done, done)
-                sim._schedule_at(now, _succeed_with, (self.event, done))
-                return
-        raise SimError(  # pragma: no cover - _pre_complete detaches first
-            f"{res.name}: coalesced run outlived its last service window"
-        )
-
-
-def _schedule_leg_end(
-    sim: Simulator,
-    t_end: float,
-    event: Event,
-    done: int,
-    legs: tuple[float, ...],
-    k: int,
-) -> None:
-    """Schedule the end of gap leg ``k`` at ``t_end``: the owner's wake-up
-    (carrying ``done``) if it is the cycle's last leg, else a heap marker
-    that hops to the next leg."""
-    if k + 1 == len(legs):
-        sim._schedule_at(t_end, _succeed_with, (event, done))
-    else:
-        sim._schedule_at(t_end, _hop_leg, (sim, event, done, legs, k + 1))
-
-
-def _hop_leg(arg: tuple[Simulator, Event, int, tuple[float, ...], int]) -> None:
-    """Heap marker at a leg boundary: the per-item loop's timer fires here
-    and resumes the owner from the now-queue, where it starts the next
-    timer -- so the next leg is scheduled from that position too."""
-    sim = arg[0]
-    sim._schedule_at(sim.now, _start_leg, arg)
-
-
-def _start_leg(arg: tuple[Simulator, Event, int, tuple[float, ...], int]) -> None:
-    """Start gap leg ``k`` at the current instant (now-queue position)."""
-    sim, event, done, legs, k = arg
-    _schedule_leg_end(sim, sim.now + legs[k], event, done, legs, k)
-
-
-def _hop_release(arg: tuple["Resource", Event, int, tuple[float, ...]]) -> None:
-    """Heap marker at a materialised service window's end: defer the real
-    release to a now-queue callback (the per-item loop releases inside the
-    owner's process resumption, which runs in that position)."""
-    sim = arg[0].sim
-    sim._schedule_at(sim.now, _finish_release, arg)
-
-
-def _finish_release(arg: tuple["Resource", Event, int, tuple[float, ...]]) -> None:
-    """Release the materialised hold (granting the best waiter), then
-    start the owner's first gap leg -- in that order, matching the
-    per-item loop's release-then-rest-timer sequence."""
-    res, event, done, legs = arg
-    res.release()
-    _start_leg((res.sim, event, done, legs, 0))
-
-
-def _succeed_with(pair: tuple[Event, int]) -> None:
-    ev, value = pair
-    ev.succeed(value)
 
 #: One leg of a :class:`LegScript`: a tuple ``(resource, service, rest,
 #: priority, retry_factor)`` is a hold, a bare number a delay.
@@ -291,12 +90,30 @@ class LegScript(Event):
        the loop's last ``timeout`` would: the owner wakes in the hop
        after it, not one hop later.
 
+    The virtual stretch.  When the script's first hold finds its
+    single-slot resource :attr:`~Resource.idle` and the legs from there
+    up to the next *other* hold (another resource, or the other
+    direction on this one) contain that hold at least twice, the stretch
+    runs virtually: the script becomes the resource's ``_run`` and
+    pushes one heap marker, :meth:`_pre_complete`, at the end of the
+    stretch's last service window.  An idle slot grants at once, so no
+    hold waits and none pays a NACK; every instant the loop would
+    schedule follows from the stretch's start by the loop's own float
+    walk (``t += service`` at the grant, ``t += leg`` after each
+    resumption, never a multiplication).  The stretch ends in
+    :meth:`_intrude` -- the first other requester's ``acquire`` calls
+    it before its request is processed, and ``_pre_complete`` and a
+    throw into the owner call it too -- which folds the virtual holds
+    into the resource's statistics and turns the loop's state at that
+    instant into the script's own continuations; the rest of the script
+    is real holds (there is no second stretch).
+
     Throwing into the sleeping owner (:meth:`Process.interrupt`, the
     watchdog) cancels the script at that instant: a held resource is
     released, a queued request withdrawn, and no later callback acts.
     """
 
-    __slots__ = ("legs", "marks", "_next", "_leg", "_grant", "_cancelled")
+    __slots__ = ("legs", "marks", "_next", "_leg", "_grant", "_cancelled", "_t0")
 
     def __init__(self, sim: Simulator, legs: Sequence[Leg], name: str = "legs") -> None:
         if not legs:
@@ -316,6 +133,7 @@ class LegScript(Event):
         self._leg: tuple | None = None   # the hold leg in progress...
         self._grant: Event | None = None  # ...from its acquire to its release
         self._cancelled = False
+        self._t0: float | None = None     # start of the virtual stretch in flight
         self._start_leg(None)
 
     # Heap callbacks (`_hop`) stand where the loop's timer events fire;
@@ -340,7 +158,10 @@ class LegScript(Event):
         if type(leg) is not tuple:
             self._end_leg(self.sim.now + leg)
             return
+        first = self._leg is None
         self._leg = leg
+        if first and self._begin_stretch():
+            return
         self._grant = grant = leg[0].acquire(leg[3])
         if grant.triggered:
             self._hop(self._granted)
@@ -392,9 +213,130 @@ class LegScript(Event):
         else:
             _heappush(sim._heap, (t_end, sim._seq, self._hop, self._start_leg))
 
+    # -- the virtual stretch ---------------------------------------------------
+
+    def _begin_stretch(self) -> bool:
+        """Run the stretch that opens at the first hold virtually, if it
+        qualifies (see the class docstring); False leaves it to
+        ``acquire``."""
+        hold = self._leg
+        res = hold[0]
+        # Inline of `not res.idle`: this runs once per script.
+        if res.capacity != 1 or res._in_use or res._waiters or res._run is not None:
+            return False
+        service = hold[1]
+        sim = self.sim
+        holds = 0
+        t = w_end = sim.now
+        for leg in self.legs[self._next:]:
+            if type(leg) is tuple:
+                if leg is not hold:
+                    break
+                holds += 1
+                t = w_end = t + service
+                t = t + leg[2]
+            else:
+                t = t + leg
+        if holds < 2:
+            return False
+        self._t0 = sim.now
+        res._run = self
+        sim._seq += 1
+        _heappush(sim._heap, (w_end, sim._seq, self._pre_complete, None))
+        return True
+
+    def _pre_complete(self, _arg: object) -> None:
+        """The stretch's last service window closes.  This marker's seq,
+        taken when the stretch began, stands in for the loop's last
+        service timer; the loop frees the slot in the resumption after
+        it, so the stretch ends in a hop."""
+        if self._t0 is not None:
+            self._hop(self._finish)
+
+    def _finish(self, _arg: object) -> None:
+        if self._t0 is not None:  # unless a same-instant intruder came first
+            self._intrude()
+
+    def _intrude(self) -> None:
+        """End the virtual stretch at the current instant: locate ``now``
+        by the exact float walk, append the marks of the legs already
+        over and continue in the script's own continuations, exactly
+        where the loop stands."""
+        hold = self._leg
+        res, service = hold[0], hold[1]
+        sim = self.sim
+        now = sim.now
+        legs, marks = self.legs, self.marks
+        t = self._t0
+        self._t0 = None
+        res._run = None
+        i = self._next
+        done = 0
+        # `now` is at most the last service window's end: past that,
+        # _pre_complete has already ended the stretch.
+        while True:
+            leg = legs[i]
+            if type(leg) is tuple:
+                if done and now == t:
+                    # Exactly on the boundary before this hold: the
+                    # intruder's triggering event outran the loop's
+                    # last-leg timer, which was scheduled at that leg's
+                    # start -- an event firing at this exact instant
+                    # almost surely carries an older seq (landing on the
+                    # boundary from within the leg would need an
+                    # unrelated float coincidence).  So the intruder wins
+                    # the instant, and the hold starts in a hop behind it.
+                    self._fold(done, done)
+                    self._next = i
+                    sim._schedule_at(now, self._hop, self._start_leg)
+                    return
+                done += 1
+                w_end = t + service
+                if now < w_end:
+                    # Inside the service window: the script really holds
+                    # the slot until w_end (this window's busy time accrues
+                    # at the release) and the intruder queues behind it.
+                    self._fold(done, done - 1)
+                    res._in_use = 1
+                    res._busy_since = t
+                    self._next = i
+                    self._grant = grant = Event(sim, res._acquire_name)
+                    grant.triggered = True
+                    grant._value = 0.0
+                    sim._seq += 1
+                    _heappush(sim._heap, (w_end, sim._seq, self._hop, self._release))
+                    return
+                t = w_end + leg[2]
+            else:
+                t = t + leg
+            if now < t:
+                # Inside a rest or delay leg (a leg boundary counts as
+                # the start of the next leg): the slot is free, and this
+                # leg's closing timer carries the script on.
+                self._fold(done, done)
+                self._next = i
+                self._end_leg(t)
+                return
+            marks.append(t)
+            i += 1
+
+    def _fold(self, acquisitions: int, busy_cycles: int) -> None:
+        """Fold the stretch's virtual holds into the resource's
+        statistics (every wait was zero, so only acquisitions and busy
+        time accrue)."""
+        res, service = self._leg[0], self._leg[1]
+        res.total_acquisitions += acquisitions
+        res.busy_time += busy_cycles * service
+        res.coalesced_runs += 1
+        res.coalesced_cycles += acquisitions
+        if res.wait_hist is not None:
+            res.wait_hist.observe_zeros(acquisitions)  # type: ignore[attr-defined]
+
     def _abandoned(self) -> None:
         if self._cancelled or self.triggered:
             return
+        if self._t0 is not None:
+            self._intrude()  # the state the loop would be in, then let go
         self._cancelled = True
         grant = self._grant
         if grant is not None:
@@ -417,7 +359,7 @@ class Resource:
     """
 
     __slots__ = (
-        "sim", "capacity", "name", "_acquire_name", "_run_name",
+        "sim", "capacity", "name", "_acquire_name",
         "_in_use", "_waiters", "_seq", "_run",
         "total_acquisitions", "total_wait_time", "busy_time", "_busy_since",
         "max_queue", "queue_time", "_q_mark",
@@ -432,13 +374,12 @@ class Resource:
         self.name = name
         # Event names, formatted once: acquire() runs per cache line.
         self._acquire_name = f"{name}.acquire"
-        self._run_name = f"{name}.run"
         self._in_use = 0
         # Heap of (priority, seq, requested_at, event).
         self._waiters: list[tuple[float, int, float, Event]] = []
         self._seq = 0
-        #: Active coalesced run, if any (see try_begin_run).
-        self._run: _CoalescedRun | None = None
+        #: The leg script whose virtual stretch is in flight, if any.
+        self._run: LegScript | None = None
         # Statistics.  Queue-depth bookkeeping lives entirely on the
         # contended branches, so the uncontended fast path pays nothing;
         # ``wait_hist`` is an optional sink (one `is not None` branch per
@@ -541,46 +482,13 @@ class Resource:
             self.release()
         return float(waited)  # type: ignore[arg-type]
 
-    def try_begin_run(self, n: int, service: float, gap: float) -> Event | None:
-        """Begin a coalesced run of ``n`` serve(``service``)+``gap`` cycles:
-        the one-leg case of :meth:`try_begin_cycles`."""
-        return self.try_begin_cycles(service, ((gap,),) * n)
-
-    def try_begin_cycles(
-        self, service: float, cycles: Sequence[tuple[float, ...]]
-    ) -> Event | None:
-        """Begin a coalesced run of ``len(cycles)`` cycles, each a
-        serve(``service``) followed by that cycle's gap legs (see
-        :class:`_CoalescedRun`).
-
-        Only possible on an idle single-slot resource (free, no waiters, no
-        active run) with strictly positive ``service`` and legs, at least
-        one leg per cycle -- the regime where the coalesced schedule
-        provably reproduces the per-item loop's arbitration.  Returns an
-        event whose value is the number of cycles completed: all of them
-        when the run finished untouched, fewer when an intruder aborted it
-        at a cycle boundary (the caller then falls back to per-item serving
-        for the remainder).  Returns ``None`` when coalescing cannot engage.
-        """
-        if not cycles or self.capacity != 1 or not self.idle or service <= 0.0:
+    def try_begin_run(self, n: int, service: float, gap: float) -> LegScript | None:
+        """A leg script of ``n`` serve(``service``)+``gap`` holds, begun
+        now on this resource, or ``None`` when it is not idle.  Two or
+        more holds are one virtual stretch (see :class:`LegScript`)."""
+        if not self.idle:
             return None
-        sim = self.sim
-        # One exact float walk both validates the legs and finds where the
-        # last cycle's service window closes.
-        t = last_service_end = sim.now
-        for legs in cycles:
-            if not legs:
-                return None
-            t = last_service_end = t + service
-            for leg in legs:
-                if leg <= 0.0:
-                    return None
-                t = t + leg
-        ev = Event(sim, self._run_name)
-        run = _CoalescedRun(self, sim.now, service, cycles, ev)
-        self._run = run
-        sim._schedule_at(last_service_end, run._pre_complete, None)
-        return ev
+        return LegScript(self.sim, ((self, service, gap, 0.0, 0.0),) * n)
 
     # -- introspection --------------------------------------------------------
 
@@ -594,14 +502,15 @@ class Resource:
 
     @property
     def idle(self) -> bool:
-        """Free, nobody queued and no coalesced run in flight."""
+        """Free, nobody queued and no virtual stretch in flight."""
         return not self._in_use and not self._waiters and self._run is None
 
     def utilisation(self, elapsed: float | None = None) -> float:
         """Fraction of time at least one slot was busy.
 
-        Note: virtual occupancy of an in-flight coalesced run is folded in
-        only when the run ends, so sample after the simulation drains.
+        Note: virtual occupancy of an in-flight leg-script stretch is
+        folded in only when the stretch ends, so sample after the
+        simulation drains.
         """
         busy = self.busy_time
         if self._busy_since is not None:

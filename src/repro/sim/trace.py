@@ -9,7 +9,7 @@ leaf finish its off-chip copy"), and tests use them to assert protocol
 ordering properties (a child never gets a chunk before its notify).
 
 Beyond the stored record list, a tracer supports *listeners*: callables
-invoked synchronously with each record as it is emitted (after filters).
+invoked synchronously with each record as it is emitted.
 The observability layer builds on this -- the online
 :class:`repro.obs.InvariantChecker` subscribes as a listener and verifies
 protocol invariants while the simulation runs, without a second pass over
@@ -44,29 +44,21 @@ class Tracer:
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
         self.records: list[TraceRecord] = []
-        self._filters: list[Callable[[TraceRecord], bool]] = []
         self._listeners: list[Callable[[TraceRecord], None]] = []
 
     def emit(self, time: float, source: str, kind: str, **detail: Any) -> None:
         if not self.enabled:
             return
         rec = TraceRecord(time, source, kind, detail)
-        filters = self._filters
-        if filters and not all(f(rec) for f in filters):
-            return
         self.records.append(rec)
         for listener in self._listeners:
             listener(rec)
 
-    def add_filter(self, predicate: Callable[[TraceRecord], bool]) -> None:
-        """Only keep records for which ``predicate`` is true."""
-        self._filters.append(predicate)
-
     def add_listener(self, listener: Callable[[TraceRecord], None]) -> None:
-        """Invoke ``listener`` synchronously with each kept record.
+        """Invoke ``listener`` synchronously with each record.
 
-        Listeners see records in emission order, after filters; they must
-        not mutate simulation state (they run inside model hot paths).
+        Listeners see records in emission order; they must not mutate
+        simulation state (they run inside model hot paths).
         """
         self._listeners.append(listener)
 

@@ -9,7 +9,7 @@ the three decisions that shape shares and nothing else:
 1. **How a fresh world is armed** -- :func:`scc_world` (-> ``Comm``) and
    :func:`asyncio_world` (-> ``AsyncioNetwork``).  ``plan=None`` means
    no injector at all (an attached one, even with an empty plan,
-   switches ``Core.coalesces_transfers`` off); ``FaultPlan()`` attaches
+   switches ``Core.scripts_lines`` off); ``FaultPlan()`` attaches
    one that only counts candidate sites.
 2. **How a run ends** -- :func:`run_world` -> :class:`WorldRun`.
 3. **The per-rank broadcast body** -- :func:`bcast_body`, with the one

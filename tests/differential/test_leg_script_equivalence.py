@@ -3,9 +3,10 @@
 In the regime ``Core.scripts_lines`` states (EXACT, ``exact_coalescing``,
 no link model, no jitter, no injector) the contended cache-line accesses
 -- the MPB<->MPB line loops of ``get``/``put``, the one-line ``_store``
-/ ``_load`` / ``_readback``, what ``transfer_run`` leaves of an
-MPB<->private-memory transfer -- run as a :class:`repro.sim.LegScript`:
-kernel callbacks make the port holds and timers while the rank sleeps.
+/ ``_load`` / ``_readback``, the MPB<->private-memory transfers -- run
+as a :class:`repro.sim.LegScript`: kernel callbacks make the port holds
+and timers while the rank sleeps, and the script's opening stretch is
+virtual while the port is idle.
 With ``exact_coalescing=False`` the same program runs the per-line
 generator loop, one process wake-up per timer.  The two are independent
 schedulers of one program, and everything the simulation records must be
@@ -13,8 +14,8 @@ schedulers of one program, and everything the simulation records must be
 ``CoreStats`` field, the L1 (hits, misses, resident lines) and, per MPB
 port, ``total_acquisitions``, ``total_wait_time``, ``queue_time``,
 ``max_queue`` and the wait histogram.  (``busy_time`` is compared to
-1e-9: a coalesced run adds ``cycles x service`` where the loop adds one
-window at a time.)  The 74-configuration sweep of
+1e-9: a virtual stretch adds ``cycles x service`` where the loop adds
+one window at a time.)  The 74-configuration sweep of
 ``tests/test_fastpath_determinism.py`` compares the same state; this
 file adds the directed cases and a Hypothesis sweep.
 
@@ -170,9 +171,9 @@ class TestSiblings:
         assert order[-1] == f"core{siblings[-1]}"  # the farthest last
 
     def test_parent_drains_its_mpb_while_children_fetch(self):
-        """The step-(v) shape: the parent's own MPB -> memory transfer is
-        a ``transfer_run`` the children's scripts abort, after which it
-        is a script among theirs."""
+        """The step-(v) shape: the parent's own MPB -> memory transfer
+        opens with a virtual stretch the children's holds end, after
+        which its holds are real among theirs."""
         def parent(core) -> Generator:
             buf = core.mem.alloc(24 * CACHE_LINE)
             yield from get(core, core.id, 0, buf, 24 * CACHE_LINE)
@@ -300,14 +301,16 @@ def _starting_transfer_at(transfer, target: int, lines: int, at: float) -> Progr
 
 
 class TestScriptsAndRuns:
-    """A script's holds are real requests, so they intrude on a virtual
-    run and keep one from starting exactly as the loop's do."""
+    """A script's holds are real requests, so they end another script's
+    virtual stretch and keep one from starting exactly as the loop's
+    do."""
 
     @pytest.mark.parametrize("transfer", [_mem_get, _mem_put], ids=["get", "put"])
-    def test_queued_script_aborts_a_transfer_run(self, transfer):
+    def test_queued_script_aborts_a_virtual_stretch(self, transfer):
         """Core 5's one-line script arrives inside a service window of
-        core 0's run on MPB 2: it queues behind the materialised hold,
-        the run aborts, and core 0 finishes as a script."""
+        core 0's virtual stretch on MPB 2: it queues behind the
+        materialised hold, the stretch ends, and core 0's remaining
+        holds are real."""
         recorded, _ = _run(
             False, {0: transfer(2, 12)}, mesh=(2, 2), port_cls=_RecordingPort,
             l1_lines=8,
@@ -322,11 +325,11 @@ class TestScriptsAndRuns:
         assert port.max_queue == 1 and port.total_wait_time > 0.0
 
     @pytest.mark.parametrize("transfer", [_mem_get, _mem_put], ids=["get", "put"])
-    def test_transfer_run_refused_while_a_script_holds_the_port(self, transfer):
+    def test_script_finding_the_port_busy_runs_all_real(self, transfer):
         """Core 5 is mid-way through a scripted 24-line fetch from MPB 2
         and inside one of its service windows when core 0's transfer
-        starts: the port is not idle, no run begins, and the whole
-        transfer is a script."""
+        starts: its first hold finds the port busy, no stretch begins,
+        and every hold of the transfer is real."""
         recorded, _ = _run(
             False, {5: _mpb_get(2, 24)}, mesh=(2, 2), port_cls=_RecordingPort
         )

@@ -45,13 +45,5 @@ class L1Cache:
     def invalidate(self) -> None:
         self._lines.clear()
 
-    def snapshot(self) -> tuple[OrderedDict[int, None], int, int]:
-        """The full state (resident lines in LRU order, counters), for
-        :meth:`restore` to roll speculative accesses back."""
-        return self._lines.copy(), self.hits, self.misses
-
-    def restore(self, snap: tuple[OrderedDict[int, None], int, int]) -> None:
-        self._lines, self.hits, self.misses = snap
-
     def __len__(self) -> int:
         return len(self._lines)

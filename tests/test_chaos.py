@@ -395,6 +395,25 @@ class TestSoak:
         with pytest.raises(ValueError, match="fragile"):
             ScheduleGenerator(modes=("baseline",))
 
+    @pytest.mark.parametrize("kwargs,field", [
+        (dict(max_chunks=0), "max_chunks"),
+        (dict(backends=()), "backends"),
+        (dict(meshes=()), "meshes"),
+        (dict(modes=()), "modes"),
+        (dict(backends=("tcp",)), "backends"),
+        (dict(backends=("scc", "tcp")), "backends"),
+        (dict(modes=("service", "election")), "modes"),
+    ], ids=[
+        "zero-chunks", "no-backends", "no-meshes", "no-modes",
+        "unknown-backend", "one-unknown-backend", "unknown-mode",
+    ])
+    def test_bad_bounds_rejected_at_construction(self, kwargs, field):
+        """Each bound that would only fail mid-draw -- in ``randrange``,
+        ``rng.choice`` or after 64 rejected draws -- names its field when
+        the generator is built."""
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            ScheduleGenerator(**kwargs)
+
 
 # -- pinned bundles ----------------------------------------------------------
 

@@ -118,6 +118,10 @@ class TestCommands:
         assert captured.err.startswith("ERROR: ")
         assert len(captured.err.splitlines()) == 1
 
+    def test_chaos_max_chunks_zero(self, capsys):
+        assert main(["chaos", "--trials", "1", "--max-chunks", "0"]) == 2
+        assert capsys.readouterr().err == "ERROR: max_chunks must be >= 1\n"
+
     def test_model_table2(self, capsys):
         assert main(["model", "--what", "table2"]) == 0
         out = capsys.readouterr().out

@@ -1,6 +1,7 @@
 """Determinism contract of the simulator fast path.
 
-The event-coalescing optimisation (``SccConfig.exact_coalescing``) must be
+The EXACT fast path (``SccConfig.exact_coalescing``: leg scripts whose
+opening stretch runs virtually while the port is idle) must be
 *bit-identical* to the per-line EXACT loop -- same traces, same latencies,
 contended or not, faults armed or not.  These tests run every workload
 twice (coalescing on / off) and compare exactly; see docs/PERFORMANCE.md
@@ -145,8 +146,8 @@ def _random_ab_cases(n=50, seed=0x5CC2012):
 
 
 def _extended_ab_cases(n=24, seed=0x5CC2013):
-    """Cases aimed at whole-transfer coalescing: no jitter (so the
-    multi-leg run engages), the send/recv-based algorithms as often as
+    """Cases aimed at whole-transfer scripts: no jitter (so the virtual
+    stretch engages), the send/recv-based algorithms as often as
     OC-Bcast, sizes that are no multiple of the chunk (nor, mostly, of a
     cache line), and every third buffer off the cache-line grid (which
     must fall back to the per-line loop)."""
@@ -179,7 +180,7 @@ def _ab_state(cfg: SccConfig, spec: BcastSpec, nbytes: int, misalign: int = 0):
     """Two back-to-back traced broadcasts of one buffer (the second finds
     it L1-resident); returns ``(exact, busy)``: everything that must be
     bit-equal with coalescing on or off, and the per-port busy times,
-    whose float sum is re-associated by a coalesced run."""
+    whose float sum is re-associated by a virtual stretch."""
     tracer = Tracer(enabled=True)
     chip = SccChip(cfg, tracer=tracer)
     comm = Comm(chip)
@@ -291,8 +292,8 @@ class _RecordingPort(Resource):
         super().release()
 
 
-#: A small L1 so the put's up-front reads evict (the rollback must undo
-#: evictions too), and a cycle in the middle of the 12-line transfer.
+#: A small L1 so the put's up-front reads evict, and a cycle in the
+#: middle of the 12-line transfer.
 _INTRUSION = dict(lines=12, l1_lines=8)
 _CYCLE = 5
 
@@ -320,10 +321,11 @@ def _intrusion_instants(op):
 
 
 class TestMultiLegRun:
-    """Whole-transfer coalescing: an EXACT put/get between an MPB and
-    private memory is one run of [port | rest, memory] cycles, and an
-    intruder anywhere in a cycle leaves every observable as the per-line
-    loop would."""
+    """Whole-transfer scripts: an EXACT put/get between an MPB and
+    private memory is one leg script of [port | rest, memory] cycles,
+    virtual while the port is idle, and an intruder anywhere in a cycle
+    of that stretch leaves every observable as the per-line loop
+    would."""
 
     @pytest.mark.parametrize("op", ["get", "put"])
     @pytest.mark.parametrize("where", [
@@ -339,16 +341,16 @@ class TestMultiLegRun:
             )
             port = chip.mpbs[2].port
             if coalesce:
-                # The run engaged and was aborted; what it left is one
-                # leg script of real holds (a new run under contention
-                # would be aborted a cycle later), not a second run.
+                # The stretch engaged and the intruder ended it; the rest
+                # of the script is real holds (a new stretch under
+                # contention would end a cycle later), not a second one.
                 assert port.coalesced_runs == 1
                 assert _CYCLE < port.coalesced_cycles < _INTRUSION["lines"]
             state = _chip_state(chip, res)
             if where == "service-rest-boundary":
-                # The documented residual of a *virtual* run: a request
-                # landing exactly on its service window's end is granted
-                # at once, where the loop queues it for zero time.
+                # The documented residual of a *virtual* stretch: a
+                # request landing exactly on its service window's end is
+                # granted at once, where the loop queues it for zero time.
                 del state["max_queue"]
             return state, [port.busy_time]
 
@@ -356,8 +358,8 @@ class TestMultiLegRun:
 
     @pytest.mark.parametrize("op", ["get", "put"])
     def test_uncontended_transfer_is_one_run(self, op):
-        """``coalesced_runs`` counts runs, so cycles / runs is the mean
-        run length -- 1.00 when every cache line is its own run."""
+        """``coalesced_runs`` counts virtual stretches, so cycles / runs
+        is the mean stretch length -- here the whole transfer."""
         chip, res = _transfer_world(True, op, lines=96)
         port = chip.mpbs[2].port
         assert (port.coalesced_runs, port.coalesced_cycles) == (1, 96)
@@ -370,21 +372,22 @@ class TestMultiLegRun:
         dict(jitter=0.02), dict(model_links=True),
     ], ids=["jitter", "links"])
     def test_ineligible_configs_fall_back(self, op, overrides):
-        """Where a per-line hook is live (jitter draw, link walk) no run
-        longer than one cycle may engage."""
+        """Where a per-line hook is live (jitter draw, link walk) the
+        per-line loop runs: no virtual stretch engages."""
         chip, res = _transfer_world(True, op, lines=12, **overrides)
         port = chip.mpbs[2].port
-        assert port.coalesced_cycles == port.coalesced_runs
+        assert (port.coalesced_runs, port.coalesced_cycles) == (0, 0)
         ref_chip, ref = _transfer_world(False, op, lines=12, **overrides)
         assert _chip_state(chip, res) == _chip_state(ref_chip, ref)
 
     def test_empty_leg_refuses_the_run(self):
         """A free L1 hit would be a zero-length memory leg, which the
-        per-line loop does not yield for: the put stays per line until
-        only misses remain."""
+        per-line loop does not yield for and a script cannot express:
+        the put is the per-line loop throughout."""
         chip, res = _transfer_world(True, "put", lines=12, t_l1_hit=0.0)
+        assert not chip.cores[0].scripts_lines
         port = chip.mpbs[2].port
-        assert (port.coalesced_runs, port.coalesced_cycles) == (6, 12)
+        assert (port.coalesced_runs, port.coalesced_cycles) == (0, 0)
         ref_chip, ref = _transfer_world(False, "put", lines=12, t_l1_hit=0.0)
         assert _chip_state(chip, res) == _chip_state(ref_chip, ref)
 

@@ -2,15 +2,13 @@
 ``OrderedDict`` model it replaced (``tests/reference_l1.py``).
 
 The run-length cache is a change of representation, not of model: after
-any interleaving of point accesses, range touches, snapshots, restores
-and invalidations, its counters, size, membership and full LRU order
+any interleaving of point accesses, range touches and invalidations, its counters, size, membership and full LRU order
 must equal the per-line model's.
 """
 
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
-    Bundle,
     RuleBasedStateMachine,
     initialize,
     invariant,
@@ -61,8 +59,6 @@ class _Pair:
 
 
 class L1Differential(RuleBasedStateMachine):
-    snapshots = Bundle("snapshots")
-
     @initialize(capacity=st.integers(1, 64))
     def build(self, capacity):
         self.pair = _Pair(capacity)
@@ -90,20 +86,6 @@ class L1Differential(RuleBasedStateMachine):
         spans = self.pair.new.resident_runs()
         start = spans[-1][1] if spans else 0
         self.pair.touch(range(start, start + length))
-
-    @rule(target=snapshots)
-    def snapshot(self):
-        ref = self.pair.ref
-        return self.pair.new.snapshot(), (tuple(ref._lines), ref.hits, ref.misses)
-
-    @rule(snap=snapshots)
-    def restore(self, snap):
-        new_snap, (order, hits, misses) = snap
-        self.pair.new.restore(new_snap)
-        ref = self.pair.ref
-        ref.invalidate()
-        ref._lines.update(dict.fromkeys(order))
-        ref.hits, ref.misses = hits, misses
 
     @rule()
     def invalidate(self):

@@ -1,14 +1,15 @@
-"""Module census: a protocol module exists only if something runs it.
+"""Module census: a module exists only if something runs it.
 
-Every module under ``core/``, ``collectives/`` and ``rcce/`` (and an
-``apps/`` package or ``mpi.py`` facade, should one appear) must be
-imported -- directly or through other modules -- by something besides
-its own unit tests: a ledger workload, ``perf_check.py``, a
+Every module of every ``repro`` package must be imported -- directly
+or through other modules -- by something besides its own unit tests:
+the CLI, a ``tools/`` script, ``perf_check.py``, the ledger, or a
 ``bench_fig*``/``bench_table*``/``bench_ablation*`` file that
-EXPERIMENTS.md names, a CLI verb, or a harness (``bench/``, ``chaos/``,
-``transport/``, ``tools/``; the goldens pin what those harnesses
-decide).  A module only its tests import is a design no golden, ledger
-workload or soak has ever run, so it is deleted, not kept "for later".
+EXPERIMENTS.md names.  The harness packages (``bench/``, ``chaos/``,
+``transport/``) are censused like any other, not counted as roots: a
+harness module is alive because the CLI, a tool or the ledger runs it,
+not because it exists.  A module only its tests import is a design no
+golden, ledger workload or soak has ever run, so it is deleted, not
+kept "for later".
 
 A ``bench_extension_*`` row is a module's own demonstration, not a
 reason: an extension beyond the paper's artefacts that nothing else
@@ -32,13 +33,9 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-#: What must be run by something: every module of these packages/files.
-CENSUS = ("core", "collectives", "rcce", "apps", "mpi.py")
-
-#: Who counts as running it (plus the EXPERIMENTS.md bench rows).
+#: Who counts as running a module (plus the EXPERIMENTS.md bench rows).
 ROOT_GLOBS = (
-    "src/repro/cli.py",
-    "src/repro/bench/*.py", "src/repro/chaos/*.py", "src/repro/transport/*.py",
+    "src/repro/cli.py", "src/repro/__main__.py",
     "tools/*.py",
     "benchmarks/perf_check.py",
     "benchmarks/ledger/*.py",
@@ -47,6 +44,12 @@ BENCH_ROWS = ("fig", "table", "ablation")
 
 #: module -> why it stays although no root reaches it.
 ALLOWED = {
+    "repro.model.design":
+        "EXPERIMENTS.md row A7 and its 'Design-space checks' report what "
+        "it derives",
+    "repro.obs.goldens":
+        "the golden trace files under tests/ are written in its "
+        "serialization",
     "repro.core.occollectives":
         "OC-Barrier/OC-Reduce (EXPERIMENTS row A6) speak only Endpoint and "
         "are pinned on both backends by tests/differential/"
@@ -146,14 +149,12 @@ def _reached() -> set[str]:
 
 
 def _census() -> set[str]:
-    modules = set()
-    for entry in CENSUS:
-        path = SRC / "repro" / entry
-        files = [path] if path.is_file() else path.glob("*.py")
-        modules.update(
-            _module_of(f) for f in files if f.name != "__init__.py"
-        )
-    return modules
+    """Every module of every ``repro`` package (a package's
+    ``__init__`` only re-exports)."""
+    return {
+        _module_of(f) for f in (SRC / "repro").rglob("*/*.py")
+        if f.name != "__init__.py"
+    }
 
 
 def test_every_protocol_module_is_run_by_something_besides_its_tests():
@@ -161,7 +162,7 @@ def test_every_protocol_module_is_run_by_something_besides_its_tests():
     orphans = sorted(unreached - ALLOWED.keys())
     assert not orphans, (
         "modules nothing but their own tests imports (delete them, or "
-        f"give a ledger workload, bench row, CLI verb or harness a use): {orphans}"
+        f"give a ledger workload, bench row, CLI verb or tool a use): {orphans}"
     )
     stale = sorted(ALLOWED.keys() - unreached)
     assert not stale, f"allow-listed but reached (or gone): {stale}"

@@ -204,46 +204,64 @@ def test_serve_releases_even_if_interrupted_mid_hold():
     assert a.value == 0.0  # slot was released by serve()'s finally
 
 
-# -- coalesced runs -----------------------------------------------------------
+# -- virtual stretches --------------------------------------------------------
 
 
-def _per_item(sim, res, service, cycles):
-    """The loop a coalesced run stands in for."""
-    for legs in cycles:
-        yield from res.serve(service)
-        for leg in legs:
-            yield sim.timeout(leg)
+def _hold(res, service, rest, priority=0.0, retry=0.0):
+    return (res, service, rest, priority, retry)
+
+
+def _scripted_or_loop(scripted, sim, legs):
+    """The owner of ``legs``: one leg script, or the loop it stands in for."""
+    if scripted:
+        marks = yield LegScript(sim, legs)
+        assert marks[-1] == sim.now and len(marks) == len(legs)
+        return marks
+    marks = []
+    for leg in legs:
+        yield from _leg_loop(sim, [leg])
+        marks.append(sim.now)
+    return marks
 
 
 def test_coalesced_cycles_end_where_the_per_item_loop_ends():
-    cycles = [(0.1, 0.4), (0.1, 0.005), (0.1,)]
-
-    def coalesced(sim, res):
-        done = yield res.try_begin_cycles(0.016, cycles)
-        assert done == len(cycles)
-
-    ends = []
-    for body in (coalesced, lambda sim, res: _per_item(sim, res, 0.016, cycles)):
+    """An uncontended script of three holds with delays between them is
+    one virtual stretch: the loop's marks, end and statistics, three
+    acquisitions folded in at once."""
+    def world(scripted):
         sim = Simulator()
         res = Resource(sim)
-        sim.process(body(sim, res))
-        ends.append((sim.run(), res.total_acquisitions, res.total_wait_time))
-    assert ends[0] == ends[1]
+        hold = _hold(res, 0.016, 0.1)
+        owner = sim.process(
+            _scripted_or_loop(scripted, sim, [hold, 0.4, hold, 0.005, hold])
+        )
+        end = sim.run()
+        return (
+            (owner.value, end, res.total_acquisitions, res.total_wait_time),
+            (res.coalesced_runs, res.coalesced_cycles),
+        )
+
+    (script, runs), (loop, no_runs) = world(True), world(False)
+    assert script == loop
+    assert (runs, no_runs) == ((1, 3), (0, 0))
 
 
 def test_try_begin_run_is_the_one_leg_case():
+    """``try_begin_run(n, service, gap)`` is the script of ``n`` equal
+    holds: one virtual stretch of ``n`` cycles."""
     def end(begin):
         sim = Simulator()
         res = Resource(sim)
 
         def prog():
-            assert (yield begin(res)) == 5
+            marks = yield begin(res)
+            assert len(marks) == 5
 
         sim.process(prog())
         return sim.run(), res.coalesced_runs, res.coalesced_cycles
 
     assert end(lambda r: r.try_begin_run(5, 0.0126, 0.1)) == end(
-        lambda r: r.try_begin_cycles(0.0126, [(0.1,)] * 5)
+        lambda r: LegScript(r.sim, [_hold(r, 0.0126, 0.1)] * 5)
     ) == (pytest.approx(5 * 0.1126), 1, 5)
 
 
@@ -254,9 +272,16 @@ def test_try_begin_run_is_the_one_leg_case():
     (0.0, [(0.1,)]),             # no service window
 ])
 def test_coalesced_run_refused(service, cycles):
-    res = Resource(Simulator())
-    assert res.try_begin_cycles(service, cycles) is None
-    assert res.idle
+    """Cycles the loop would not run event for event make no script --
+    rejected before the resource is touched or anything is scheduled."""
+    sim = Simulator()
+    res = Resource(sim)
+    legs = []
+    for gaps in cycles:
+        legs += [_hold(res, service, gaps[0] if gaps else 0.0), *gaps[1:]]
+    with pytest.raises(SimError):
+        LegScript(sim, legs)
+    assert res.idle and sim.queued_events == 0
 
 
 def test_coalesced_run_needs_an_idle_resource():
@@ -265,6 +290,104 @@ def test_coalesced_run_needs_an_idle_resource():
     assert res.try_begin_run(2, 0.01, 0.1) is not None
     assert not res.idle
     assert res.try_begin_run(2, 0.01, 0.1) is None
+
+
+@pytest.mark.parametrize("shape", ["one-hold", "alternation", "busy", "two-slots"])
+def test_script_without_a_stretch_runs_all_real(shape):
+    """No virtual stretch where it would not begin at an idle single
+    slot with the same hold twice in a row: a lone hold, holds that
+    alternate with another resource's (the MPB-to-MPB line loop), a
+    resource already held, a resource of two slots.  The script is the
+    loop, hold for hold."""
+    def world(scripted):
+        sim = Simulator()
+        res = Resource(sim, capacity=2 if shape == "two-slots" else 1)
+        other = Resource(sim)
+        hold = _hold(res, 0.5, 0.25)
+        legs = {
+            "one-hold": [0.3, hold, 0.7],
+            "alternation": [hold, _hold(other, 0.5, 0.25)] * 3,
+        }.get(shape, [hold] * 3)
+        if shape == "busy":
+            sim.process(res.serve(0.2))
+        owner = sim.process(_scripted_or_loop(scripted, sim, legs))
+        sim.run()
+        return owner.value, res.stats(), other.stats()
+
+    script, loop = world(True), world(False)
+    assert script == loop
+    assert script[1]["coalesced_runs"] == 0
+
+
+#: Cycle k of the owner's script [hold(1, 1/2), 1/4] * 3 starts at
+#: 7k/4: a service window of 1, the rest of 1/2, a delay of 1/4 -- every
+#: instant an exact binary fraction, so the intruder's request lands on
+#: the very float the loop schedules.
+_STRETCH_INTRUSIONS = {
+    "service-window": 2.0,
+    "rest-leg": 3.0,
+    "delay-leg": 3.375,
+    "service-rest-boundary": 2.75,
+    "rest-delay-boundary": 3.25,
+    "cycle-boundary": 1.75,
+}
+
+
+@pytest.mark.parametrize("where", list(_STRETCH_INTRUSIONS))
+def test_intrusion_into_a_virtual_stretch_is_the_loop(where):
+    """Another requester's acquire lands anywhere in the owner's second
+    cycle: the stretch ends there, the rest of the script is real holds
+    (no second stretch), and every end time, mark and statistic is the
+    loop's."""
+    at = _STRETCH_INTRUSIONS[where]
+
+    def world(scripted):
+        sim = Simulator()
+        res = Resource(sim)
+        legs = [_hold(res, 1.0, 0.5), 0.25] * 3
+
+        def intruder():
+            yield sim.timeout(at)
+            waited = yield from res.serve(0.125)
+            return sim.now, waited
+
+        owner = sim.process(_scripted_or_loop(scripted, sim, legs))
+        other = sim.process(intruder())
+        sim.run()
+        stats = res.stats()
+        runs = stats.pop("coalesced_runs"), stats.pop("coalesced_cycles")
+        if where == "service-rest-boundary":
+            # The documented residual: a request on a virtual window's
+            # end is granted at once, where the loop queues it for zero
+            # time.
+            stats.pop("max_queue")
+        return (owner.value, other.value, stats, res.queue_time), runs
+
+    (script, runs), (loop, no_runs) = world(True), world(False)
+    assert script == loop
+    assert runs == (1, 1 if where == "cycle-boundary" else 2)
+    assert no_runs == (0, 0)
+
+
+def test_stretch_ends_before_younger_timers_of_its_last_window_end():
+    """The marker that ends a stretch takes its sequence number when the
+    stretch begins: a second owner whose timer, younger than that, fires
+    on the very instant the first stretch's last window closes finds the
+    resource idle again and runs a stretch of its own."""
+    sim = Simulator()
+    res = Resource(sim)
+    legs = [_hold(res, 1.0, 0.5)] * 2
+
+    def second():
+        yield sim.timeout(0.5)
+        yield sim.timeout(2.0)  # 2.5: the first stretch's last window end
+        yield LegScript(sim, legs)
+
+    sim.process(_scripted_or_loop(True, sim, legs))
+    sim.process(second())
+    sim.run()
+    assert (res.coalesced_runs, res.coalesced_cycles) == (2, 4)
+    assert res.total_wait_time == 0.0
 
 
 # -- leg scripts ----------------------------------------------------------------
@@ -286,7 +409,8 @@ def _leg_loop(sim, legs):
 def test_leg_script_is_the_loop():
     """Three owners with different priorities and retry factors on one
     resource, as scripts and as loops: same end times, same marks, same
-    resource statistics."""
+    resource statistics.  The first owner's stretch is virtual for the
+    instant before the others' requests end it."""
     def world(scripted):
         sim = Simulator()
         res = Resource(sim)
@@ -304,9 +428,13 @@ def test_leg_script_is_the_loop():
         for tag, (priority, retry) in enumerate([(2.0, 0.5), (0.0, 0.0), (1.0, 0.25)]):
             sim.process(owner(tag, priority, retry))
         sim.run()
-        return ends, res.stats(), res.queue_time
+        stats = res.stats()
+        runs = stats.pop("coalesced_runs"), stats.pop("coalesced_cycles")
+        return (ends, stats, res.queue_time), runs
 
-    assert world(True) == world(False)
+    (script, runs), (loop, no_runs) = world(True), world(False)
+    assert script == loop
+    assert (runs, no_runs) == ((1, 1), (0, 0))
 
 
 @pytest.mark.parametrize("legs", [
