@@ -71,7 +71,10 @@ perf:
 ## wake-up), L1 runs per core after a streamed broadcast,
 ## fragmented-L1 ops/access, analytic replay steps per chunk, asyncio
 ## service calls (function calls of one 48-rank service run on the
-## asyncio backend), analytic fast path serves every fault-free trial.
+## asyncio backend), scc byz service calls (function calls of one
+## 48-rank Byzantine service run on the SCC backend: every vote fan-out
+## one leg script, no per-write wake-up), analytic fast path serves
+## every fault-free trial.
 ## Exact on any host -- no tolerance, no committed baseline.
 perf-check:
 	$(PYTHON) benchmarks/perf_check.py

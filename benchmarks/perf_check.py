@@ -37,10 +37,11 @@ children fetch each chunk from one MPB and no coalesced run survives a
 cycle, so every line is a real port hold made by a leg script
 (``repro.sim.LegScript``) while its rank sleeps.  Python-level function
 calls (``sys.setprofile`` ``call`` events; C calls and
-``Simulator.events_scheduled`` are printed beside them): 124,954 calls
-(90,397 C calls, 24,302 events) on CPython 3.11, against 365,605
-(188,194; 45,276) when every line was a one-cycle run plus a process
-wake-up.  The ceiling is the achieved value plus 5 %; a per-line
+``Simulator.events_scheduled`` are printed beside them): 124,645 calls
+(94,128 C calls, 24,192 events) on CPython 3.11 since a multi-flag wait
+registers one watch event (124,855; 94,254; 24,213 before), against
+365,605 (188,194; 45,276) when every line was a one-cycle run plus a
+process wake-up.  The ceiling is the achieved value plus 5 %; a per-line
 generator step sneaking back in costs ~9k calls per sibling and trips
 it.  Exact for one interpreter version, like the asyncio guard below.
 
@@ -62,15 +63,27 @@ The *asyncio service calls* count guards the asyncio backend's own
 scheduler (``repro.transport.asyncio_backend``): the Python-level
 function calls (``sys.setprofile`` ``call`` events; the C calls are
 printed beside them) of one warmed 48-rank, three-chunk service run.
-A rank that blocks costs one generator step there -- 54,382 calls
-(20,227 C calls) on CPython 3.11 (55,998 / 21,843 before ``Tracer.emit``
-stopped building a generator over its empty filter list per record),
-against 79,027 (39,304) when every block was a Future on the standard
-library's event loop -- and the ceiling is that achieved value plus
+A rank that blocks costs one generator step there -- 54,006 calls
+(20,515 C calls) on CPython 3.11 since an endpoint formats its record
+sources once; 54,382 (20,227) before that, 55,998 / 21,843 before
+``Tracer.emit`` stopped building a generator over its empty filter list
+per record, against 79,027 (39,304) when every block was a Future on the
+standard library's event loop -- and the ceiling is the 54,382 plus
 5 %, so a per-step hop sneaking back in (each costs ~11k calls) trips it
 while protocol edits of a few hundred calls do not.  Like the L1 opcode count it is exact for one
 interpreter version, whatever the host is doing (the ceiling was set on
 3.11; 3.12 inlines comprehensions and can only read lower).
+
+The *scc byz service calls* count does the same for the Byzantine
+service on the SCC backend: one warmed 48-rank, one-chunk ``byz`` run
+(``Scenario("guard_byz", 48, (6, 4), chunks=1, byz=True)``, seed 1),
+whose cost is the RBC's n-squared vote writes.  Each rank's all-member
+vote fan-out is one leg script with landings (``Endpoint.vote_cast``):
+205,416 calls (144,174 C calls) on CPython 3.11, against 483,571
+(221,110) when every vote write woke its rank four times through a
+dozen ``yield from`` frames.  The ceiling is the achieved value plus
+5 %; a per-write wake-up coming back costs ~60 calls per vote, ~278k
+per run, and trips it.
 
 Last, the *analytic fast path*: a 1,024-trial all-fault-free
 ``fidelity="adaptive"`` campaign must serve every trial from the
@@ -307,6 +320,23 @@ def asyncio_service_calls() -> tuple[int, int]:
     return calls, c_calls
 
 
+#: Ceiling on Python-level calls of the SCC byz service run below:
+#: 205,416 achieved (CPython 3.11) plus 5 %.
+MAX_SCC_BYZ_SERVICE_CALLS = 215_700
+
+
+def scc_byz_service_calls() -> tuple[int, int]:
+    """``(Python calls, C calls)`` of one warmed fault-free Byzantine
+    service broadcast (48 ranks, one chunk, seed 1) on the SCC backend.
+    Deterministic for one interpreter version."""
+    from repro.transport.scenarios import Scenario, run_scc
+
+    scenario = Scenario("guard_byz", 48, (6, 4), chunks=1, byz=True)
+    run_scc(scenario, 1)  # warm: imports, lru caches
+    calls, c_calls, _ = _count_calls(run_scc, scenario, 1)
+    return calls, c_calls
+
+
 #: Trials of the all-fault-free adaptive campaign below.
 ANALYTIC_TRIALS = 1024
 
@@ -346,6 +376,7 @@ def main(argv=None) -> int:
     frag_runs, frag_ops = fragmented_l1_ops_per_access()
     steps_48, steps_1024 = analytic_replay_steps()
     aio_calls, aio_c_calls = asyncio_service_calls()
+    byz_calls, byz_c_calls = scc_byz_service_calls()
     oc_calls, oc_c_calls, oc_events, oc_stretches = exact_oc_calls()
     binomial_events, binomial_stretches = exact_binomial_events()
     sag_events, sag_stretches = exact_sag_events()
@@ -369,6 +400,8 @@ def main(argv=None) -> int:
          MAX_REPLAY_STEPS_1024, ""),
         (f"asyncio service calls ({aio_c_calls} C calls)", aio_calls,
          MAX_ASYNCIO_SERVICE_CALLS, ""),
+        (f"scc byz service calls ({byz_c_calls} C calls)", byz_calls,
+         MAX_SCC_BYZ_SERVICE_CALLS, ""),
     ]
     width = max(len(name) for name, *_ in ceilings)
     failed = []

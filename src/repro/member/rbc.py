@@ -207,14 +207,16 @@ class RbcService:
         all-to-all rounds on the critical path.  When a quorum stalls,
         the waiter re-casts with ``acked=True`` -- readback-verified,
         bounded re-send -- before giving up, so dropped-write faults
-        still cannot wedge a round silently.
+        still cannot wedge a round silently.  The optimistic cast is one
+        :meth:`~repro.rcce.endpoint.Endpoint.vote_cast`: on the SCC one
+        wake-up for all n writes where the per-access hooks are inert.
         """
-        for member in range(cc.size):
-            vote = self._vote_digest(spec, member, v, digest)
-            if acked:
-                yield from cc.vote_write_acked(array, member, cc.rank, v, vote)
-            else:
-                yield from cc.vote_write(array, member, cc.rank, v, vote)
+        votes = [self._vote_digest(spec, m, v, digest) for m in range(cc.size)]
+        if not acked:
+            yield from cc.vote_cast(array, cc.rank, v, votes)
+            return
+        for member, vote in enumerate(votes):
+            yield from cc.vote_write_acked(array, member, cc.rank, v, vote)
 
     # -- the post-delivery rounds -------------------------------------------
 

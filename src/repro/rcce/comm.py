@@ -17,7 +17,7 @@ from ..scc.chip import SccChip
 from ..scc.core import lines_of
 from ..scc.memory import MemRef
 from ..sim import any_of
-from .endpoint import Endpoint
+from .endpoint import Endpoint, store_loop
 from .flags import Flag
 from .layout import MpbLayout
 from . import onesided
@@ -187,6 +187,29 @@ class CoreComm(Endpoint):
             off, payload, source=core.id, op=op
         )
 
+    def _store_each(
+        self,
+        stores: Sequence[tuple[int, int, bytes, str, str]],
+        landed: Callable[[int, str], object],
+    ) -> Generator:
+        """The stores back to back.  Where the per-access hooks are inert
+        (:attr:`Core.scripts_stores`) a run of two or more is one leg
+        script (:meth:`Core.store_script`): the rank wakes once, and each
+        line lands -- bytes, watcher wake-ups, ``landed`` -- in the hop
+        where the per-store loop's resumption would land it."""
+        core = self.core
+        if len(stores) < 2 or not core.scripts_stores:
+            yield from store_loop(self, stores, landed)
+            return
+        mpbs, source = self.chip.mpbs, core.id
+        pending = enumerate(stores)
+
+        def land() -> None:
+            i, (owner, off, payload, op, _site) = next(pending)
+            landed(i, mpbs[owner].write_bytes(off, payload, source=source, op=op))
+
+        yield from core.store_script(tuple(store[0] for store in stores), land)
+
     def _load(
         self, owner: int, off: int, nbytes: int, site: str
     ) -> Generator[object, object, bytes]:
@@ -238,9 +261,10 @@ class CoreComm(Endpoint):
         timeout: float | None,
         site: str,
     ) -> Generator:
-        """The one event-driven wait: sleep on MPB write-watchers of
+        """The one event-driven wait: sleep on one MPB write-watch of
         ``offsets``' lines; see the polling cost model in
-        :mod:`repro.rcce.endpoint`."""
+        :mod:`repro.rcce.endpoint`.  A multi-line watch still wakes the
+        rank through an ``any_of`` hop, as one watch per line did."""
         core = self.core
         mpb = core.mpb
         sim = core.sim
@@ -253,21 +277,21 @@ class CoreComm(Endpoint):
             got = check()
             if got is not None:
                 return got
-            watchers = [mpb.watch(off) for off in offsets]
+            watch = mpb.watch(*offsets)
             got = check()
             if got is not None:  # value changed while registering: no sleep
                 return got
             if deadline is None:
                 yield (
-                    watchers[0] if len(watchers) == 1
-                    else any_of(sim, watchers, name=f"core{core.id}.wait")
+                    watch if len(offsets) == 1
+                    else any_of(sim, (watch,), name=f"core{core.id}.wait")
                 )
             else:
                 remaining = deadline - sim.now
                 if remaining <= 0:
                     raise self._poll_budget_exhausted(site, timeout)
                 timer = sim.timeout(remaining, name=f"core{core.id}.poll_budget")
-                yield any_of(sim, [*watchers, timer], name=f"core{core.id}.wait")
+                yield any_of(sim, (watch, timer), name=f"core{core.id}.wait")
                 if check() is None and sim.now >= deadline:
                     raise self._poll_budget_exhausted(site, timeout)
             got = check()

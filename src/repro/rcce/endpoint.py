@@ -49,6 +49,7 @@ a whole-program deadlock.  Two escape hatches, both opt-in:
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any, Callable, Generator, Sequence
 
 from ..resilience.policy import IMMEDIATE, RetryPolicy
@@ -69,6 +70,17 @@ def timeline_suffix(faults: Any) -> str:
     """The injector's fault timeline (if any), for error messages."""
     text = faults.timeline_text() if faults is not None else ""
     return f"\n{text}" if text else ""
+
+
+def store_loop(
+    cc: "Endpoint",
+    stores: Sequence[tuple[int, int, bytes, str, str]],
+    landed: Callable[[int, str], object],
+) -> Generator:
+    """The ``_store_each`` primitive as the loop over ``cc._store``: a
+    correct implementation on any backend."""
+    for i, store in enumerate(stores):
+        landed(i, (yield from cc._store(*store)))
 
 
 class Endpoint:
@@ -97,6 +109,10 @@ class Endpoint:
       n)`` -- bulk one-sided RMA, tracing ``put``/``get`` records;
     - ``_store(owner, off, payload, op, site) -> landed`` -- one timed
       register-sourced protocol write (``op`` ``"flag"``/``"data"``);
+    - ``_store_each(stores, landed)`` -- ``_store(*store)`` of each
+      one-line ``store`` in turn, back to back, calling ``landed(i,
+      status)`` at the instant store ``i`` lands (the fan-out of
+      :meth:`vote_cast`; :func:`store_loop` is a correct one);
     - ``_load(owner, off, n, site) -> bytes`` -- one timed
       register-destined read, call overhead included; ``_readback`` --
       the same read as the ack leg of a write just issued;
@@ -115,7 +131,8 @@ class Endpoint:
         "core_id", "now", "t_poll", "faults",
         "alloc", "compute", "mem_read", "mem_write", "mpb_charge_local",
         "read_local", "put", "get",
-        "_store", "_load", "_readback", "_verify_get", "_poll", "_wait",
+        "_store", "_store_each", "_load", "_readback", "_verify_get",
+        "_poll", "_wait",
     )
 
     rank: int
@@ -140,10 +157,21 @@ class Endpoint:
 
     # -- observability and fault/adversary hooks -------------------------------
 
+    # Record sources, formatted once per endpoint (both are fixed for its
+    # life): a traced run emits thousands of records per rank.
+
+    @cached_property
+    def _core_source(self) -> str:
+        return f"core{self.core_id}"
+
+    @cached_property
+    def _rank_source(self) -> str:
+        return f"rank{self.rank}"
+
     def _emit(self, kind: str, **detail: object) -> None:
         """One wire-level trace record, as ``core{core_id}``."""
         if self.tracer.enabled:
-            self.tracer.emit(self.now, f"core{self.core_id}", kind, **detail)
+            self.tracer.emit(self.now, self._core_source, kind, **detail)
 
     def trace(self, kind: str, **detail: object) -> None:
         """Emit one protocol trace record as ``rank{rank}``.  The
@@ -154,7 +182,7 @@ class Endpoint:
             tf.on_trace(self.rank, kind, detail)
         tracer = self.tracer
         if tracer.enabled:
-            tracer.emit(self.now, f"rank{self.rank}", kind, **detail)
+            tracer.emit(self.now, self._rank_source, kind, **detail)
 
     def metric_inc(self, name: str, n: int = 1) -> None:
         if self.metrics is not None:
@@ -629,6 +657,38 @@ class Endpoint:
             "vote re-sent", retry,
             array=array.name, owner=owner, slot=slot,
         )
+
+    def vote_cast(
+        self, array: DigestSlotArray, slot: int, seq: int, digests: Sequence[int]
+    ) -> Generator:
+        """:meth:`vote_write` of ``(seq, digests[m])`` into ``slot`` of
+        every member ``m``'s copy, in member order -- as one backend store
+        run (``_store_each``), each vote still emitting its
+        ``vote_write`` record and ``flags.vote_writes`` metric at the
+        instant it lands."""
+        if len(digests) != self.size:
+            raise ValueError(f"vote_cast needs one digest per member, got {len(digests)}")
+        off = array.slot_offset(slot)
+        name = array.name
+        owners = [self.comm.core_of(member) for member in range(len(digests))]
+        stores = [
+            (owner, off, array.encode(seq, digest), "flag", f"{name}[{slot}]@core{owner}")
+            for owner, digest in zip(owners, digests)
+        ]
+
+        tracer, metrics = self.tracer, self.metrics
+
+        def landed(i: int, status: str) -> None:
+            if tracer.enabled:
+                tracer.emit(
+                    self.now, self._core_source, "vote_write", array=name,
+                    owner=owners[i], slot=slot, seq=seq, digest=digests[i],
+                    landed=status,
+                )
+            if metrics is not None:
+                metrics.inc("flags.vote_writes")
+
+        yield from self._store_each(stores, landed)
 
     def vote_wait_quorum(
         self,

@@ -156,7 +156,8 @@ class SccConfig:
     #: instead of per-line generator churn and no event per line while
     #: the port stays idle.  Bit-identical to the per-line loop, which
     #: off selects for A/B determinism checks.  Has no effect in
-    #: BATCH/IDEAL modes or with ``model_links``, jitter or an injector.
+    #: BATCH/IDEAL modes or with ``model_links``, jitter or an injector,
+    #: nor on runs of one-line stores (``Core.scripts_stores``).
     exact_coalescing: bool = True
 
     def __post_init__(self) -> None:

@@ -26,15 +26,24 @@ and the script's opening stretch runs virtually while the port is idle.
 Everywhere else the per-line generator loop of :meth:`Core.mpb_access`
 runs; it is also the ``exact_coalescing=False`` reference the script is
 tested against.
+
+A run of one-line register-sourced writes -- an RBC vote fan-out, one
+write into every member's MPB -- is one leg script in every contention
+mode where the per-access hooks are inert (:attr:`Core.scripts_stores`):
+:meth:`Core.store_script`, whose landings deposit each line where the
+per-write loop's resumption would.  Without an injector nothing else
+about a store is mode-specific, so only the store leg differs by mode
+(:meth:`Core.store_leg`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Sequence
+from typing import TYPE_CHECKING, Callable, Generator, Sequence
 
 import numpy as np
 
 from ..sim import Event, LegScript
+from ..sim.resources import Leg
 from . import costs
 from .config import CACHE_LINE, ContentionMode, SccConfig
 from .memory import L1Cache, MemRef, PrivateMemory
@@ -101,17 +110,15 @@ class Core:
         self._line_cost_to: dict[int, tuple[int, float]] = {}
         #: Virtual-time accounting (always on; see CoreStats).
         self.stats = CoreStats()
-        # The configuration half of the fast-path predicate (the other
-        # half, "no fault injector", can change after construction).  A
-        # script skips the per-line hooks, so those must be inert: no link
+        # The configuration half of the script predicate (the other half,
+        # "no fault injector", can change after construction).  A script
+        # skips the per-access hooks, so those must be inert: no link
         # walk, no jitter draw.  It has no way to *not* yield for a zero
-        # duration, so every per-line duration must be positive (at
-        # distance 0 the rest of a line transaction is shortest).
-        self._scriptable = (
-            cfg.exact_coalescing
-            and not cfg.model_links
+        # duration, so every leg duration must be positive (at distance 0
+        # the rest of a line transaction is shortest).
+        self._inert = (
+            not cfg.model_links
             and cfg.jitter == 0.0
-            and cfg.contention_mode is ContentionMode.EXACT
             and cfg.o_mpb > max(cfg.t_mpb_port, cfg.t_mpb_port_write)
             and min(
                 cfg.t_mpb_port, cfg.t_mpb_port_write,
@@ -119,8 +126,15 @@ class Core:
                 self._mem_read_cost, self._mem_write_cost, cfg.t_l1_hit,
             ) > 0.0
         )
+        self._scriptable = (
+            self._inert
+            and cfg.exact_coalescing
+            and cfg.contention_mode is ContentionMode.EXACT
+        )
         #: Lazy per-(target, write) cache of hold legs (see hold_leg).
         self._hold_legs: dict[tuple[int, bool], tuple] = {}
+        #: Lazy per-targets cache of store-run legs (see store_script).
+        self._store_runs: dict[tuple[int, ...], tuple[Leg, ...]] = {}
 
     # -- cost helpers --------------------------------------------------------
 
@@ -338,6 +352,62 @@ class Core:
         else:
             yield self.compute(overhead)
             yield from self.mpb_access(target_core, n_lines, write=write)
+
+    @property
+    def scripts_stores(self) -> bool:
+        """Whether a run of one-line register-sourced writes is one leg
+        script (:meth:`store_script`): the per-access hooks are inert --
+        no fault injector, no jitter, no link model -- and every leg
+        duration is positive.  In every contention mode alike."""
+        return self._inert and self.chip.faults is None
+
+    def store_leg(self, target_core: int) -> Leg:
+        """What :meth:`mpb_access` does for one written line of
+        ``target_core``'s MPB, as one :class:`~repro.sim.LegScript` leg:
+        the EXACT :meth:`hold_leg`, the BATCH port hold of one line and
+        its rest, the IDEAL line cost (requires :attr:`scripts_stores`)."""
+        cfg = self.config
+        mode = cfg.contention_mode
+        if mode is ContentionMode.EXACT:
+            return self.hold_leg(target_core, True)
+        line_cost = self._distance_and_line_cost(target_core)[1]
+        if mode is ContentionMode.BATCH:
+            service = cfg.t_mpb_port_write
+            return (
+                self.chip.mpbs[target_core].port,
+                service, line_cost - service, 0.0, 0.0,
+            )
+        return line_cost
+
+    def store_script(
+        self, targets: tuple[int, ...], land: Callable[[], object]
+    ) -> Generator[Event, object, None]:
+        """One-line register-sourced writes into each of ``targets``'
+        MPBs, back to back -- the put call overhead, then
+        :meth:`store_leg` -- as one leg script with landings (requires
+        :attr:`scripts_stores`).  ``land()`` deposits the next line: the
+        script runs it in the hop that opens the following write, where
+        the per-write loop's resumption deposits it, and the owner runs
+        the last one on wake.  :class:`CoreStats` is replayed after the
+        legs, from their marks, with the loop's float additions in the
+        loop's order."""
+        o_put = self.config.o_put_mpb
+        legs = self._store_runs.get(targets)
+        if legs is None:
+            legs = self._store_runs[targets] = tuple(
+                leg for target in targets for leg in (o_put, self.store_leg(target))
+            )
+        marks = yield LegScript(self.sim, legs, "stores", (None, land) * len(targets))
+        stats = self.stats
+        compute_time, mpb_time = stats.compute_time, stats.mpb_time
+        ends = iter(marks)
+        for called, stored in zip(ends, ends):
+            compute_time += o_put
+            mpb_time += stored - called
+        stats.compute_time = compute_time
+        stats.mpb_time = mpb_time
+        stats.mpb_lines += len(targets)
+        land()
 
     def scripts_transfer(self, ref: MemRef) -> bool:
         """Whether an EXACT transfer between an MPB and ``ref`` runs as

@@ -122,15 +122,19 @@ class Mpb(ByteStore):
 
     # -- watchers ----------------------------------------------------------------
 
-    def watch(self, offset: int) -> Event:
-        """An event that fires at the next write touching the cache line
-        containing ``offset``."""
-        line = (offset // CACHE_LINE) * CACHE_LINE
-        name = self._watch_names.get(line)
+    def watch(self, *offsets: int) -> Event:
+        """One event that fires at the next write touching a cache line
+        containing one of ``offsets`` (named after the first).  It stays
+        listed under the other lines, already triggered, until their next
+        write clears the lists -- no pending event is left behind."""
+        lines = [(offset // CACHE_LINE) * CACHE_LINE for offset in offsets]
+        name = self._watch_names.get(lines[0])
         if name is None:
-            name = self._watch_names[line] = f"mpb{self.owner}.watch@{line}"
+            name = self._watch_names[lines[0]] = f"mpb{self.owner}.watch@{lines[0]}"
         ev = Event(self.sim, name)
-        self._watchers.setdefault(line, []).append(ev)
+        watchers = self._watchers
+        for line in lines:
+            watchers.setdefault(line, []).append(ev)
         return ev
 
     def _wake_watchers(self, offset: int, nbytes: int) -> None:

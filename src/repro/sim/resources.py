@@ -37,7 +37,7 @@ occupancy directly.
 from __future__ import annotations
 
 import heapq
-from typing import Generator, Sequence, Union
+from typing import Callable, Generator, Sequence, Union
 
 from .errors import SimError
 from .kernel import Event, Simulator
@@ -108,14 +108,36 @@ class LegScript(Event):
     instant into the script's own continuations; the rest of the script
     is real holds (there is no second stretch).
 
+    Landings.  A loop whose items have an effect -- a store deposits its
+    bytes, wakes the line's watchers, emits its trace record -- performs
+    it in the process resumption after the item's last timer, before its
+    next item's first scheduling call.  ``landings``, parallel to
+    ``legs``, puts it there: ``landings[i]`` (a zero-argument callable,
+    or ``None``) runs in the hop that opens leg ``i + 1``, first thing.
+    The last leg's landing is the owner's to run when it wakes, which is
+    the same position (rule 5).  A script with landings never runs a
+    virtual stretch: a stretch skips the hops its landings need.  A
+    landing runs in a bare kernel callback, not in the owner's frames, so
+    it must not raise.
+
     Throwing into the sleeping owner (:meth:`Process.interrupt`, the
     watchdog) cancels the script at that instant: a held resource is
-    released, a queued request withdrawn, and no later callback acts.
+    released, a queued request withdrawn, and no later callback acts --
+    no later landing runs either.
     """
 
-    __slots__ = ("legs", "marks", "_next", "_leg", "_grant", "_cancelled", "_t0")
+    __slots__ = (
+        "legs", "marks", "_next", "_leg", "_grant", "_cancelled", "_t0",
+        "_landings",
+    )
 
-    def __init__(self, sim: Simulator, legs: Sequence[Leg], name: str = "legs") -> None:
+    def __init__(
+        self,
+        sim: Simulator,
+        legs: Sequence[Leg],
+        name: str = "legs",
+        landings: Sequence[Callable[[], object] | None] | None = None,
+    ) -> None:
         if not legs:
             raise SimError("a leg script needs at least one leg")
         for leg in legs:
@@ -134,6 +156,7 @@ class LegScript(Event):
         self._grant: Event | None = None  # ...from its acquire to its release
         self._cancelled = False
         self._t0: float | None = None     # start of the virtual stretch in flight
+        self._landings = landings
         self._start_leg(None)
 
     # Heap callbacks (`_hop`) stand where the loop's timer events fire;
@@ -154,13 +177,19 @@ class LegScript(Event):
     def _start_leg(self, _arg: object) -> None:
         if self._cancelled:
             return
-        leg = self.legs[self._next]
+        i = self._next
+        landings = self._landings
+        if landings is not None and i:
+            landing = landings[i - 1]
+            if landing is not None:
+                landing()
+        leg = self.legs[i]
         if type(leg) is not tuple:
             self._end_leg(self.sim.now + leg)
             return
         first = self._leg is None
         self._leg = leg
-        if first and self._begin_stretch():
+        if first and landings is None and self._begin_stretch():
             return
         self._grant = grant = leg[0].acquire(leg[3])
         if grant.triggered:

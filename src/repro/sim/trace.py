@@ -24,9 +24,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceRecord:
-    """One traced occurrence."""
+    """One traced occurrence.  Treat it as read-only: it is not frozen
+    only because a frozen dataclass costs three times as much to build,
+    and a traced service run builds tens of thousands."""
 
     time: float
     source: str

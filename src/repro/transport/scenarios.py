@@ -60,6 +60,24 @@ class Scenario:
     #: differs freely (``resilience.*`` kinds are not decision records).
     adaptive: bool = False
 
+    def __post_init__(self) -> None:
+        # Unchecked, each of these would run and mis-simulate: a crash on
+        # a rank that does not exist never fires, zero chunks broadcast
+        # zero bytes, and either reports every rank "ok".
+        if self.nranks < 1:
+            raise ValueError(
+                f"scenario {self.name!r}: nranks must be >= 1, got {self.nranks}"
+            )
+        if self.chunks < 1:
+            raise ValueError(
+                f"scenario {self.name!r}: chunks must be >= 1, got {self.chunks}"
+            )
+        if self.crash is not None and not 0 <= self.crash[0] < self.nranks:
+            raise ValueError(
+                f"scenario {self.name!r}: crash rank {self.crash[0]} outside "
+                f"0..{self.nranks - 1}"
+            )
+
     @property
     def nbytes(self) -> int:
         return self.chunks * CHUNK_BYTES
@@ -188,11 +206,23 @@ def _run(world, backend: str, sc: Scenario, seed: int) -> RunResult:
     return RunResult(backend, run.records, outcomes, run.faults)
 
 
+def _scenario(scenario: Scenario | str) -> Scenario:
+    """A scenario, or the named one of :data:`SCENARIOS`."""
+    if isinstance(scenario, Scenario):
+        return scenario
+    try:
+        return SCENARIOS[scenario]
+    except KeyError:
+        raise ValueError(
+            f"unknown scenario {scenario!r}: expected one of {', '.join(SCENARIOS)}"
+        ) from None
+
+
 def run_scc(
     scenario: Scenario | str, seed: int, *, with_plan: bool = True
 ) -> RunResult:
     """Run the scenario on the SCC chip-model backend."""
-    sc = SCENARIOS[scenario] if isinstance(scenario, str) else scenario
+    sc = _scenario(scenario)
     cols, rows = sc.mesh
     config = SccConfig(mesh_cols=cols, mesh_rows=rows)
     if config.num_cores != sc.nranks:
@@ -215,7 +245,7 @@ def run_asyncio(
     """Run the scenario on the asyncio event-loop backend.  The default
     model draws per-operation latencies uniformly from [0.05, 5] us --
     nothing like the SCC's calibrated timings, which is the point."""
-    sc = SCENARIOS[scenario] if isinstance(scenario, str) else scenario
+    sc = _scenario(scenario)
     world = asyncio_world(
         sc.nranks, plan=sc.plan() if with_plan else None,
         model=model if model is not None else UniformDelay(0.05, 5.0),

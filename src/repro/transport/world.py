@@ -9,8 +9,8 @@ the three decisions that shape shares and nothing else:
 1. **How a fresh world is armed** -- :func:`scc_world` (-> ``Comm``) and
    :func:`asyncio_world` (-> ``AsyncioNetwork``).  ``plan=None`` means
    no injector at all (an attached one, even with an empty plan,
-   switches ``Core.scripts_lines`` off); ``FaultPlan()`` attaches
-   one that only counts candidate sites.
+   switches ``Core.scripts_lines`` and ``Core.scripts_stores`` off);
+   ``FaultPlan()`` attaches one that only counts candidate sites.
 2. **How a run ends** -- :func:`run_world` -> :class:`WorldRun`.
 3. **The per-rank broadcast body** -- :func:`bcast_body`, with the one
    ``mode -> OcBcastConfig`` mapping (:func:`mode_config`) and the one

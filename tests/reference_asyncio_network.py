@@ -6,7 +6,9 @@ network started stepping the rank generators itself: every rank an
 virtual clock advanced from ``_maybe_advance`` when the ``_active`` /
 ``_pending`` counters say the world is quiescent.  ``AsyncioNetwork``
 and ``AsyncioTransport`` are that commit's classes verbatim (only the
-imports are absolute), so nothing the oracle schedules goes through the
+imports are absolute, and the transport has the one primitive declared
+since, ``_store_each``, as the shared loop over its own ``_store``), so
+nothing the oracle schedules goes through the
 code under test -- the stores, models, injector and ``Endpoint`` are
 shared.  ``tests/differential/test_scheduler_equivalence.py`` drives
 both side by side.
@@ -22,7 +24,7 @@ from typing import Any, Callable, Generator, Sequence
 
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.rcce.endpoint import Endpoint, timeline_suffix
+from repro.rcce.endpoint import Endpoint, store_loop, timeline_suffix
 from repro.rcce.flags import Flag
 from repro.rcce.layout import MpbLayout
 from repro.scc.config import MPB_BYTES, MPB_LINES
@@ -482,6 +484,8 @@ class AsyncioTransport(Endpoint):
             self.rank, owner, off, payload, op=op, site=site
         )
         return landed
+
+    _store_each = store_loop
 
     def _load(
         self, owner: int, off: int, nbytes: int, site: str

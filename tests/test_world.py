@@ -180,6 +180,35 @@ def test_asyncio_world_runs_inside_a_running_event_loop():
     assert asyncio.run(main()) == run_asyncio("ft_broadcast", 1).digest
 
 
+@pytest.mark.parametrize(
+    "fields, named",
+    [
+        (dict(nranks=0, mesh=(2, 2), chunks=1), "nranks"),
+        (dict(nranks=8, mesh=(2, 2), chunks=0), "chunks"),
+        (dict(nranks=8, mesh=(2, 2), chunks=1,
+              crash=(9, "oc.chunk.begin", 1)), "crash rank 9"),
+        (dict(nranks=8, mesh=(2, 2), chunks=1,
+              crash=(-1, "oc.chunk.begin", 1)), "crash rank -1"),
+    ],
+    ids=["no-ranks", "no-chunks", "crash-rank-past-end", "negative-crash-rank"],
+)
+def test_scenario_rejects_what_it_would_mis_simulate(fields, named):
+    """Each would otherwise run: the crash never fires (rank 9 of 8),
+    zero chunks broadcast zero bytes, and every rank reports ``ok``."""
+    from repro.transport.scenarios import Scenario
+
+    with pytest.raises(ValueError, match=named):
+        Scenario("z", **fields)
+
+
+@pytest.mark.parametrize("runner", ["run_scc", "run_asyncio"])
+def test_unknown_scenario_name_lists_the_known_ones(runner):
+    from repro.transport import scenarios
+
+    with pytest.raises(ValueError, match="unknown scenario 'nope'.*ft_broadcast"):
+        getattr(scenarios, runner)("nope", 1)
+
+
 def test_asyncio_body_yielding_outside_a_primitive_is_an_error():
     """Not a silently lost rank: nothing would ever resume it."""
 
