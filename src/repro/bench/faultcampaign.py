@@ -6,8 +6,9 @@ buys.  It first *profiles* a fault-free run (an attached
 class even with an empty plan), then draws per-trial fault coordinates
 from a seeded :class:`random.Random` -- every trial is an exact,
 replayable :class:`~repro.faults.FaultPlan`, so a campaign is reproduced
-bit-for-bit by its seed.  Each trial runs on a fresh chip with the
-kernel watchdog armed and is classified as:
+bit-for-bit by its seed.  Each trial leg *is* a chaos schedule
+(:meth:`FaultCampaign.trial_schedule`) run on a fresh chip with the
+kernel watchdog armed, and its verdict is worded as:
 
 - ``delivered`` -- every core got the payload, no fault fired;
 - ``recovered`` -- a fault fired and every *live* core still got the
@@ -33,10 +34,12 @@ from __future__ import annotations
 import random
 import zlib
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
+from ..chaos.runner import execute
+from ..chaos.schedule import ChaosSchedule
 from ..core import OcBcastConfig, PropagationTree
 from ..faults import (
     ADVERSARY_KINDS, CRASH_SITES, FaultKind, FaultPlan, FaultSpec,
@@ -45,11 +48,12 @@ from ..faults.plan import CATEGORY_OF
 from ..obs import MetricsRegistry
 from ..scc import SccConfig
 from ..scc.analytic import AnalyticEngine, AnalyticUnsupported
-from ..scc.config import CACHE_LINE
+from ..scc.config import CACHE_LINE, DEFAULT_CONFIG
 from ..sim import WatchdogError
 from ..sim.trace import TraceRecord
 from ..transport.world import (
-    WorldRun, bcast_body, mode_config, run_world, scc_world, seeded_payload,
+    Verdict, WorldRun, bcast_body, mode_config, run_world, scc_world,
+    seeded_payload,
 )
 
 #: Trial classifications, in reporting order.  ``aborted`` is a
@@ -111,6 +115,8 @@ FAULT_ENVELOPES: dict[FaultKind, dict] = {
     FaultKind.CONGESTION_STORM: {"duration": 2_000.0, "period": 40.0},
 }
 
+_ROOT = 0  # the source of every campaign broadcast, as of every schedule
+
 #: Trace kinds that make up a fault timeline.
 TIMELINE_KINDS = (
     "fault.injected",
@@ -144,6 +150,8 @@ class TrialRun:
     #: acked -- both previously invisible outside the trace.
     n_self_evict: int = 0
     n_report_failed: int = 0
+    #: What :meth:`CampaignResult.lost` reads; runs compare without it.
+    verdict: Verdict | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -190,6 +198,16 @@ class CampaignResult:
     @property
     def n_trials(self) -> int:
         return len(self.trials)
+
+    def lost(self) -> list[tuple[int, str, TrialRun]]:
+        """``(trial index, leg, run)`` of every hardened leg (not the
+        baseline, which is the measurement) whose verdict is a violation."""
+        return [
+            (t.index, leg, run)
+            for t in self.trials
+            for leg in ("ft", "service", "byz")
+            if (run := getattr(t, leg)) is not None and run.verdict.violation
+        ]
 
     @property
     def rbc_tax_pct(self) -> float:
@@ -396,56 +414,43 @@ def _count(metrics: MetricsRegistry, name: str) -> int:
     return int(c.value) if c is not None else 0
 
 
-def _classify(values: tuple, src_crc: int, n_injected: int) -> tuple[str, str]:
-    """(outcome, detail) of a finished FT / baseline / service run from
-    its per-rank values (:func:`repro.transport.world.bcast_body`)."""
-    n_ok = values.count(("ok", src_crc))
-    n_bad = sum(1 for v in values if isinstance(v, tuple)) - n_ok
-    n_aborted = values.count("aborted")
-    if n_bad:
-        return "corrupt", f"{n_bad} core(s) hold wrong bytes"
-    if n_aborted:
-        if n_ok:
-            # Uniform agreement broken: deliverers and aborters
-            # coexist -- as bad as wrong bytes.
+def campaign_outcome(v: Verdict) -> tuple[str, str]:
+    """``(outcome, detail)`` of an FT / baseline / service run: unlike
+    chaos, deliverers beside aborters are ``corrupt``."""
+    if v.ending:
+        return v.ending, ""
+    if v.n_wrong:
+        return "corrupt", f"{v.n_wrong} core(s) hold wrong bytes"
+    if v.n_aborted:
+        if v.n_ok:  # broken uniform agreement: as bad as wrong bytes
             return "corrupt", (
-                f"non-uniform outcome: {n_ok} delivered, {n_aborted} aborted"
+                f"non-uniform outcome: {v.n_ok} delivered, "
+                f"{v.n_aborted} aborted"
             )
-        return "aborted", f"uniform abort by {n_aborted} live member(s)"
-    if not n_injected:
+        return "aborted", f"uniform abort by {v.n_aborted} live member(s)"
+    if not v.n_injected:
         return "delivered", ""
-    parts = [
-        f"{n} {what}"
-        for what in ("crashed", "evicted") if (n := values.count(what))
-    ]
-    return "recovered", (
-        ", ".join(parts) + ", survivors delivered" if parts else ""
-    )
+    return "recovered", v.survivors(v.n_evicted)
 
 
-def _classify_byz(
-    plan: FaultPlan, values: tuple, src_crc: int
-) -> tuple[str, str]:
-    """(outcome, detail) of a finished Byzantine run, over *honest*
-    members only."""
-    adversary = {s.core for s in plan.specs if s.kind in ADVERSARY_KINDS}
-    honest = [v for r, v in enumerate(values) if r not in adversary]
-    ok_crcs = {v[1] for v in honest if isinstance(v, tuple)}
-    n_ok = sum(1 for v in honest if isinstance(v, tuple))
-    n_det = honest.count("detected")
-    if len(ok_crcs) > 1:
+def byz_outcome(v: Verdict) -> tuple[str, str]:
+    """``(outcome, detail)`` of a Byzantine run: a uniform crc is
+    ``agreed`` whoever the source is (the detail says whose it was)."""
+    if v.ending:
+        return v.ending, ""
+    if len(v.crcs) > 1:
         return "disagreement", (
-            f"honest members delivered {len(ok_crcs)} distinct payloads"
+            f"honest members delivered {len(v.crcs)} distinct payloads"
         )
-    if n_ok == len(honest):
+    if v.n_delivered == v.n_honest:
         return "agreed", (
-            "source value" if ok_crcs == {src_crc} else "attacker variant"
+            "source value" if v.n_ok and not v.n_wrong else "attacker variant"
         )
-    if n_ok == 0 and n_det == len(honest):
-        return "detected", f"uniform refusal by {n_det} honest member(s)"
+    if not v.n_delivered and v.n_detected == v.n_honest:
+        return "detected", f"uniform refusal by {v.n_detected} honest member(s)"
     return "partial", (
-        f"{n_ok} delivered, {n_det} refused, "
-        f"{len(honest) - n_ok - n_det} other"
+        f"{v.n_delivered} delivered, {v.n_detected} refused, "
+        f"{v.n_honest - v.n_delivered - v.n_detected} other"
     )
 
 
@@ -464,7 +469,6 @@ class FaultCampaign:
     kinds: tuple[FaultKind, ...] = (FaultKind.DROP_FLAG_WRITE,)
     nbytes: int = 96 * CACHE_LINE
     config: SccConfig | None = None
-    root: int = 0
     compare_baseline: bool = True
     #: Kernel watchdog period (us); must exceed every legitimate idle wait.
     watchdog_interval: float = 50_000.0
@@ -526,8 +530,8 @@ class FaultCampaign:
             raise ValueError(
                 f"fidelity must be 'exact' or 'adaptive', got {self.fidelity!r}"
             )
-        if self.nbytes <= 0:
-            raise ValueError("nbytes must be > 0")
+        if self.nbytes <= 0 or self.nbytes % CACHE_LINE:  # schedules count CL
+            raise ValueError(f"nbytes must be a positive multiple of {CACHE_LINE}")
         if self.faults_per_trial < 1:
             raise ValueError("faults_per_trial must be >= 1")
         if self.crash_site not in CRASH_SITES:
@@ -573,27 +577,37 @@ class FaultCampaign:
     @cached_property
     def _source(self) -> tuple[bytes, int]:
         """The payload and its CRC-32: pure in ``(seed, nbytes)``, so
-        drawn once per campaign rather than once per trial."""
+        drawn once per campaign rather than once per run."""
         payload = seeded_payload(self.seed, self.nbytes)
         return payload, zlib.crc32(payload)
 
-    def _payload(self) -> bytes:
-        return self._source[0]
-
-    def _run_mode(self, mode: str, plan: FaultPlan | None, **arming) -> WorldRun:
-        """One broadcast in ``mode`` on a fresh chip under ``plan``
-        (``arming``: ``trace`` / ``metrics`` / ``watchdog_us``)."""
-        comm = scc_world(self.config, plan=plan, **arming)
-        body = bcast_body(
-            comm, self._oc_config(mode), self._payload(), root=self.root
+    def trial_schedule(self, plan: FaultPlan, leg: str) -> ChaosSchedule:
+        """One trial leg as the chaos schedule it runs as -- the run
+        :meth:`run_one` executes and the bundle of a lost trial pins."""
+        cfg = self.config or DEFAULT_CONFIG
+        chip = vars(cfg).items() - vars(DEFAULT_CONFIG).items()
+        return ChaosSchedule(
+            backend="scc",
+            mesh=(cfg.mesh_cols, cfg.mesh_rows),
+            cache_lines=self.nbytes // CACHE_LINE,
+            mode=leg,
+            seed=self.seed,
+            specs=plan.specs,
+            label=plan.label,
+            watchdog_us=self.watchdog_interval,
+            ft_ack_data=self._oc_config("ft").ft_ack_data,
+            config={
+                k: v for k, v in chip if k not in ("mesh_cols", "mesh_rows")
+            },
         )
-        return run_world(comm, body)
 
     def _fault_free(self, mode: str, plan: FaultPlan | None = None) -> WorldRun:
         """A reference run that must deliver: no watchdog and, unless a
         (site-counting, empty) ``plan`` is given, no injector either --
         an attached injector switches transfer coalescing off."""
-        run = self._run_mode(mode, plan).check()
+        comm = scc_world(self.config, plan=plan)
+        body = bcast_body(comm, self._oc_config(mode), self._source[0])
+        run = run_world(comm, body).check()
         if set(run.values) != {("ok", self._source[1])}:
             raise AssertionError(f"fault-free {mode} run did not deliver")
         return run
@@ -607,16 +621,13 @@ class FaultCampaign:
         byz: bool = False,
         trace: bool = False,
     ) -> tuple[TrialRun, tuple[TraceRecord, ...]]:
-        """Run one broadcast under ``plan`` on a fresh chip and classify it.
+        """Run the trial's schedule under ``plan`` and word its verdict.
 
-        ``service=True`` runs the crash-surviving service
-        (:class:`repro.member.OcBcastService`) instead of a bare OC-Bcast
-        (``ft`` is then ignored -- the service is always fault-tolerant)
-        and harvests its TTD/TTR histograms into the returned run.
-        ``byz=True`` runs the RBC-hardened service and classifies over
-        *honest* members only (:data:`BYZ_OUTCOMES`): adversary ranks'
-        results are worthless by definition.  Returns the classified run
-        plus (when ``trace``) the fault-relevant trace records.
+        ``service=True`` runs the crash-surviving service instead of a
+        bare OC-Bcast (``ft`` is then ignored) and harvests its
+        TTD/TTR/TTE histograms; ``byz=True`` the RBC-hardened service,
+        judged over honest members (:data:`BYZ_OUTCOMES`).  Returns the
+        run plus (when ``trace``) the fault-relevant trace records.
         """
         mode = "byz" if byz else "service" if service else \
             "ft" if ft else "baseline"
@@ -628,23 +639,14 @@ class FaultCampaign:
         """:meth:`run_one` by leg name (one of :attr:`_legs`' modes)."""
         byz = mode == "byz"
         metrics = MetricsRegistry() if mode in ("service", "byz") else None
-        run = self._run_mode(
-            mode, plan, trace=trace, metrics=metrics,
-            watchdog_us=self.watchdog_interval,
+        run, verdict = execute(
+            self.trial_schedule(plan, mode), trace=trace, metrics=metrics
         )
-        injector = run.faults
-        outcome, detail, n_evicted = run.status, run.detail, 0
-        if isinstance(run.error, WatchdogError):
-            detail = f"watchdog: {detail}"
-        if not run.status:
-            src_crc = self._source[1]
-            if byz:
-                outcome, detail = _classify_byz(plan, run.values, src_crc)
-            else:
-                n_evicted = run.values.count("evicted")
-                outcome, detail = _classify(
-                    run.values, src_crc, injector.n_injected
-                )
+        outcome, detail = (byz_outcome if byz else campaign_outcome)(verdict)
+        if run.status:
+            detail = run.detail
+            if isinstance(run.error, WatchdogError):
+                detail = f"watchdog: {detail}"
         harvest = {}
         if byz and not run.status:
             harvest["ttd"] = _mean(metrics, "rbc.ttd_us")
@@ -660,10 +662,11 @@ class FaultCampaign:
             TrialRun(
                 outcome=outcome,
                 latency=run.latency,
-                n_injected=injector.n_injected,
-                n_recovered=injector.n_recovered,
+                n_injected=verdict.n_injected,
+                n_recovered=run.faults.n_recovered,
                 detail=detail,
-                n_evicted=n_evicted,
+                n_evicted=0 if byz else verdict.n_evicted,
+                verdict=verdict,
                 **harvest,
             ),
             tuple(r for r in run.records if r.kind in TIMELINE_KINDS),
@@ -692,22 +695,22 @@ class FaultCampaign:
             return self._byz_trial_plans(profile)
         rng = random.Random(self.seed)
         size = (self.config or SccConfig()).num_cores
-        tree = PropagationTree(size, self._oc_config("baseline").k, self.root)
+        tree = PropagationTree(size, self._oc_config("baseline").k, _ROOT)
         leaves = [
             r for r in range(size)
-            if r != self.root and not tree.children_of(r)
+            if r != _ROOT and not tree.children_of(r)
         ]
         interior = [
             r for r in range(size)
-            if r != self.root and tree.children_of(r)
+            if r != _ROOT and tree.children_of(r)
         ]
         crash_pool = {
             "leaf": leaves,
             "interior": interior or leaves,
             "any": leaves + interior,
-            "root": [self.root],
+            "root": [_ROOT],
         }[self.crash_site]
-        non_root = [r for r in range(size) if r != self.root]
+        non_root = [r for r in range(size) if r != _ROOT]
 
         # kind -> victim pool.  No pool: nth counts the category's
         # occurrences chip-wide; with one, a victim core is drawn first
@@ -780,8 +783,8 @@ class FaultCampaign:
             FaultKind.LIE_IN_QUORUM,
             FaultKind.FORGE_FLAG_VALUE,
         )
-        non_root = [r for r in range(size) if r != self.root]
-        n_stage = max(1, profile.get(f"adv_stage@core{self.root}", 1))
+        non_root = [r for r in range(size) if r != _ROOT]
+        n_stage = max(1, profile.get(f"adv_stage@core{_ROOT}", 1))
         plans: list[FaultPlan] = []
         for i in range(self.trials):
             if self.fault_rate < 1.0 and rng.random() >= self.fault_rate:
@@ -794,14 +797,14 @@ class FaultCampaign:
             for j in range(self.adversaries):
                 kind = kinds[(i * self.adversaries + j) % len(kinds)]
                 if kind is FaultKind.EQUIVOCATE:
-                    if self.root in used:
+                    if _ROOT in used:
                         kind = FaultKind.LIE_IN_QUORUM  # one source only
                     else:
                         specs.append(FaultSpec(
-                            kind, core=self.root,
+                            kind, core=_ROOT,
                             nth=rng.randint(1, n_stage), duration=1,
                         ))
-                        used.add(self.root)
+                        used.add(_ROOT)
                         continue
                 pool = [r for r in non_root if r not in used]
                 if not pool:  # pragma: no cover - adversaries < size
@@ -964,11 +967,11 @@ class FaultCampaign:
             info["n_replayed"] = len(plans)
             return info
         try:
-            pred_base = AnalyticEngine(cfg, root=self.root).evaluate(
+            pred_base = AnalyticEngine(cfg).evaluate(
                 self.nbytes
             ).latencies[0]
             pred_ft = AnalyticEngine(
-                cfg, root=self.root, ft=True,
+                cfg, ft=True,
                 ft_ack_data=self._oc_config("ft").ft_ack_data,
             ).evaluate(self.nbytes).latencies[0]
             info["predicted_base"] = pred_base

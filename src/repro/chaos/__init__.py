@@ -12,13 +12,12 @@ bundles replayed by the tier-1 ``chaos`` marker tests.
 """
 
 from .bundle import (
-    BUNDLE_VERSION, ReproBundle, campaign_counterexamples, make_bundle,
-    repro_command, schedule_for_trial, write_bundle,
+    BUNDLE_VERSION, ReproBundle, make_bundle, repro_command, write_bundle,
     write_campaign_bundles,
 )
 from .generate import ScheduleGenerator
 from .runner import (
-    CLASSIFICATIONS, ChaosOutcome, chaos_payload, profile_counts,
+    CLASSIFICATIONS, ChaosOutcome, profile_counts,
     run_schedule,
 )
 from .schedule import (
@@ -41,14 +40,11 @@ __all__ = [
     "ScheduleGenerator",
     "ShrinkResult",
     "SoakResult",
-    "campaign_counterexamples",
-    "chaos_payload",
     "make_bundle",
     "profile_counts",
     "repro_command",
     "run_schedule",
     "run_soak",
-    "schedule_for_trial",
     "shrink",
     "write_bundle",
     "write_campaign_bundles",

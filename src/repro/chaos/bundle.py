@@ -9,29 +9,22 @@ digest and injection count.  ``python -m repro chaos
 against the expectation; the pinned bundles under
 ``tests/chaos_bundles/`` do the same as tier-1 pytest parameters.
 
-Campaign bridge (the self-reproducing-failure path): a lost
-:class:`~repro.bench.faultcampaign.FaultCampaign` trial converts 1:1
-into a chaos schedule -- same seed (hence the same
-``np.random.default_rng`` payload), same fault plan -- so ``repro
-faults`` failures emit a one-line replay command
-instead of just bumping a counter.  Written bundles are
-*self-validating*: the expectation recorded is the chaos runner's own
-result for the converted schedule (re-run at write time), with the
-original campaign classification kept in ``meta`` for cross-reference.
+A fault-campaign trial *is* a chaos schedule
+(:meth:`~repro.bench.faultcampaign.FaultCampaign.trial_schedule`), so a
+lost trial's bundle is that schedule as is, pinning the status and
+injection count of the trial's own verdict (campaign outcome in
+``meta``) -- but no digest or classification: campaign trials run
+without the invariant checker and mostly untraced.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
-from ..core.ocbcast import DEFAULT_CHUNK_LINES
-from ..faults.plan import FaultKind
-from ..scc.config import CACHE_LINE, SccConfig
-from .runner import ChaosOutcome, run_schedule
+from .runner import ChaosOutcome, chaos_status, run_schedule
 from .schedule import ChaosSchedule, reject_unknown_keys
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,15 +34,6 @@ BUNDLE_VERSION = 1
 
 #: What a bundle can pin about its outcome (:class:`ChaosOutcome` fields).
 EXPECTED_KEYS = ("classification", "status", "digest", "n_injected")
-
-#: Per-leg outcomes that count as *lost* (not recovered, not an expected
-#: refusal) and deserve a repro bundle.  The baseline leg is absent on
-#: purpose: its losses are the measurement, not a regression.
-LOST_OUTCOMES = {
-    "ft": ("deadlock", "timeout", "corrupt", "crashed"),
-    "service": ("deadlock", "timeout", "corrupt", "crashed"),
-    "byz": ("disagreement", "partial", "deadlock", "timeout", "crashed"),
-}
 
 
 def repro_command(path: str) -> str:
@@ -153,65 +137,19 @@ def write_bundle(
         f"chaos-{s.backend}-{s.mode}-{s.mesh[0]}x{s.mesh[1]}"
         f"-seed{s.seed}-{outcome.status}"
     )
-    path = os.path.join(out_dir, f"{stem}.json")
-    # Never clobber a distinct counterexample: suffix on collision.
-    n = 1
-    while os.path.exists(path):
-        candidate = os.path.join(out_dir, f"{stem}-{n}.json")
-        n += 1
-        path = candidate
-    make_bundle(outcome, note=note, meta=meta).save(path)
-    return path
-
-
-# -- campaign bridge ----------------------------------------------------------
-
-
-def schedule_for_trial(
-    campaign: "FaultCampaign", plan, leg: str
-) -> ChaosSchedule:
-    """Convert one campaign trial (its fault plan + the campaign's
-    config) into a replayable chaos schedule.
-
-    The conversion is exact for the default campaign geometry: same
-    seed (hence the same payload bytes), same specs.  A campaign
-    message length that is not a whole number of chunks rounds *up*
-    (the schedule replays the enclosing-chunk neighborhood; the
-    original ``nbytes`` is kept in the caller's ``meta``).  Only root-0
-    campaigns convert -- the chaos runner pins the root.
-    """
-    if leg not in ("ft", "baseline", "service", "byz"):
-        raise ValueError(f"unknown campaign leg {leg!r}")
-    if campaign.root != 0:
-        raise ValueError(
-            f"only root-0 campaigns convert to chaos schedules "
-            f"(campaign root is {campaign.root})"
-        )
-    cfg = campaign.config or SccConfig()
-    chunk_bytes = DEFAULT_CHUNK_LINES * CACHE_LINE
-    return ChaosSchedule(
-        backend="scc",
-        mesh=(cfg.mesh_cols, cfg.mesh_rows),
-        chunks=max(1, math.ceil(campaign.nbytes / chunk_bytes)),
-        mode=leg,
-        seed=campaign.seed,
-        specs=tuple(plan.specs),
-        label=plan.label or f"campaign-seed{campaign.seed}",
-        watchdog_us=campaign.watchdog_interval,
-        ft_ack_data=FaultKind.DROP_DATA_WRITE in campaign.kinds,
+    return make_bundle(outcome, note=note, meta=meta).save(
+        _fresh_path(out_dir, stem)
     )
 
 
-def campaign_counterexamples(
-    result: "CampaignResult",
-) -> Iterator[tuple[int, str, object]]:
-    """Yield ``(trial index, leg, TrialRun)`` for every lost trial of a
-    campaign result -- the runs worth a repro bundle."""
-    for trial in result.trials:
-        for leg in ("ft", "service", "byz"):
-            run = getattr(trial, leg)
-            if run is not None and run.outcome in LOST_OUTCOMES[leg]:
-                yield trial.index, leg, run
+def _fresh_path(out_dir: str, stem: str) -> str:
+    """``out_dir/stem.json``, suffixed rather than clobbering a file."""
+    path = os.path.join(out_dir, f"{stem}.json")
+    n = 1
+    while os.path.exists(path):
+        path = os.path.join(out_dir, f"{stem}-{n}.json")
+        n += 1
+    return path
 
 
 def write_campaign_bundles(
@@ -221,36 +159,27 @@ def write_campaign_bundles(
     *,
     limit: int = 5,
 ) -> list[tuple[str, str, int]]:
-    """Write repro bundles for a campaign's lost trials (satellite:
-    self-reproducing failures).  At most ``limit`` bundles; returns
-    ``(path, leg, trial index)`` triples.  Each bundle's expectation is
-    the chaos runner's own result for the converted schedule (re-run
-    here), so replays always match; the campaign's classification rides
-    in ``meta`` for cross-reference."""
+    """Bundle at most ``limit`` lost trials (:meth:`CampaignResult.lost`);
+    returns ``(path, leg, trial index)`` triples."""
     written: list[tuple[str, str, int]] = []
-    for index, leg, run in campaign_counterexamples(result):
-        if len(written) >= limit:
-            break
-        plan = result.trials[index].plan
-        try:
-            schedule = schedule_for_trial(campaign, plan, leg)
-        except ValueError:
-            continue
-        outcome = run_schedule(schedule)
-        path = write_bundle(
-            outcome, out_dir,
-            name=f"campaign-seed{campaign.seed}-trial{index}-{leg}",
+    for index, leg, run in result.lost()[:limit]:
+        bundle = ReproBundle(
+            schedule=campaign.trial_schedule(result.trials[index].plan, leg),
+            expected={
+                "status": chaos_status(run.verdict)[0],
+                "n_injected": run.n_injected,
+            },
             note=(
                 f"campaign seed={campaign.seed} trial={index} leg={leg} "
                 f"lost as {run.outcome!r}"
             ),
-            meta={
-                "campaign_outcome": run.outcome,
-                "campaign_detail": run.detail,
-                "campaign_nbytes": campaign.nbytes,
-                "trial_index": index,
-                "leg": leg,
-            },
+            meta=dict(campaign_outcome=run.outcome, campaign_detail=run.detail,
+                      trial_index=index, leg=leg),
         )
+        path = bundle.save(_fresh_path(
+            out_dir, f"campaign-seed{campaign.seed}-trial{index}-{leg}"
+        ))
         written.append((path, leg, index))
     return written
+
+

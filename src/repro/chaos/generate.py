@@ -43,6 +43,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from ..core.ocbcast import DEFAULT_CHUNK_LINES
 from ..faults.plan import CATEGORY_OF, FaultKind, FaultSpec
 from .runner import profile_counts
 from .schedule import BACKENDS, MODES, ChaosSchedule, ModelSpec
@@ -248,7 +249,7 @@ class ScheduleGenerator:
         return ChaosSchedule(
             backend=backend,
             mesh=mesh,
-            chunks=chunks,
+            cache_lines=chunks * DEFAULT_CHUNK_LINES,
             mode=mode,
             seed=seed,
             specs=tuple(specs),

@@ -1,15 +1,20 @@
 """Execute one chaos schedule and classify the outcome.
 
-:func:`run_schedule` builds a fresh world for the schedule's backend
-(:mod:`repro.transport.world`: SCC chip model or asyncio event loop,
-armed with the injector plan, crash hook and network model), attaches
-the online invariant checker (:class:`repro.obs.InvariantChecker`,
-``lossless=False`` -- faults are armed on purpose) and runs the
-schedule's protocol mode to its end.
-The result is a :class:`ChaosOutcome` carrying a fine-grained status
-(the campaign vocabulary: delivered / recovered / aborted / detected /
-deadlock / timeout / corrupt / disagreement / partial / crashed) and the
-three-way chaos classification the soak loop aggregates:
+:func:`execute` is the one way a schedule runs: a fresh world for its
+backend (:mod:`repro.transport.world`, armed with the injector plan,
+crash hook, network model and chip config), the protocol mode run to
+its end and judged once as a :class:`~repro.transport.world.Verdict`.
+A fault-campaign trial runs through it as its schedule
+(:meth:`repro.bench.FaultCampaign.trial_schedule`), just without the
+invariant checker, which is why its repro bundle replays that trial.
+
+:func:`run_schedule` is the chaos harness on top: it attaches the online
+invariant checker (:class:`repro.obs.InvariantChecker`,
+``lossless=False`` -- faults are armed on purpose), traces, and words
+the verdict as a :class:`ChaosOutcome` carrying a fine-grained status
+(:func:`chaos_status`: delivered / recovered / aborted / detected /
+deadlock / timeout / corrupt / disagreement / partial / crashed) and
+the three-way chaos classification the soak loop aggregates:
 
 ``tolerated``
     Every live, honest member delivered the source payload -- faults
@@ -22,8 +27,9 @@ three-way chaos classification the soak loop aggregates:
     delivered; liveness was traded away explicitly.
 ``violation``
     A safety or termination promise broke: an I1--I7 invariant
-    violation, wrong bytes, honest disagreement, a deliverer/refuser
-    split, a deadlock (the termination oracle), or the whole run dying.
+    violation, or :attr:`Verdict.violation` -- wrong bytes, honest
+    disagreement, a deliverer/refuser split, a deadlock (the termination
+    oracle), or the whole run dying.
 
 Classification and the decision digest are deterministic functions of
 the schedule, which is what the repro bundles pin and replay.
@@ -35,23 +41,18 @@ import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ..faults.plan import ADVERSARY_KINDS, FaultPlan
+from ..core.ocbcast import DEFAULT_CHUNK_LINES
+from ..faults.plan import ADVERSARY_KINDS
 from ..obs.invariants import InvariantChecker
-from ..scc.config import SccConfig
 from ..transport.decisions import decision_digest
 from ..transport.world import (
-    WorldRun, asyncio_world, bcast_body, mode_config, run_world, scc_world,
-    seeded_payload, world_tracer,
+    Verdict, WorldRun, asyncio_world, bcast_body, mode_config, run_world,
+    scc_world, seeded_payload, world_tracer,
 )
 from .schedule import ChaosSchedule
 
 #: The three-way chaos classifications, in reporting order.
 CLASSIFICATIONS = ("tolerated", "refused", "violation")
-
-#: Statuses mapped to each classification (exception and invariant paths
-#: add "deadlock"/"crashed"/"invariant" on top of the value-based ones).
-TOLERATED_STATUSES = frozenset({"delivered", "recovered"})
-REFUSED_STATUSES = frozenset({"aborted", "detected", "timeout"})
 
 
 @dataclass(frozen=True)
@@ -83,133 +84,88 @@ class ChaosOutcome:
         )
 
 
-def chaos_payload(schedule: ChaosSchedule) -> bytes:
-    """The schedule's seeded broadcast payload (identical on both
-    backends, and to :meth:`FaultCampaign._payload` for equal seeds)."""
-    return seeded_payload(schedule.seed, schedule.nbytes)
-
-
-def _world(schedule: ChaosSchedule, plan: FaultPlan, *, trace: bool):
-    """The schedule's fresh world under ``plan``.  ``trace`` only
-    matters on the SCC backend; an asyncio world always traces."""
+def execute(
+    schedule: ChaosSchedule, *, trace: bool, metrics=None,
+    checker: InvariantChecker | None = None,
+) -> tuple[WorldRun, Verdict]:
+    """Run a schedule's protocol mode (root 0) on a fresh world and judge
+    it; ``trace`` and ``metrics`` only act on the SCC backend."""
+    plan = schedule.validate()
     if schedule.backend == "scc":
-        cols, rows = schedule.mesh
-        return scc_world(
-            SccConfig(mesh_cols=cols, mesh_rows=rows),
-            plan=plan, trace=trace, crash_hook=schedule.crash_hook(),
+        world = scc_world(
+            schedule.scc_config(), plan=plan, trace=trace, metrics=metrics,
+            crash_hook=schedule.crash_hook(),
             watchdog_us=schedule.watchdog_us,
         )
-    model = schedule.model.build() if schedule.model is not None else None
-    return asyncio_world(
-        schedule.nranks, plan=plan, model=model, seed=schedule.seed,
-        crash_hook=schedule.crash_hook(),
-    )
-
-
-def _run(schedule: ChaosSchedule, world, payload: bytes) -> WorldRun:
-    """Run the schedule's protocol mode (root 0) on ``world``."""
+    else:
+        model = schedule.model.build() if schedule.model is not None else None
+        world = asyncio_world(
+            schedule.nranks, plan=plan, model=model, seed=schedule.seed,
+            crash_hook=schedule.crash_hook(),
+        )
+    if checker is not None:
+        world_tracer(world).add_listener(checker.feed)
+    payload = seeded_payload(schedule.seed, schedule.nbytes)
     oc_config = mode_config(schedule.mode, ft_ack_data=schedule.ft_ack_data)
-    return run_world(world, bcast_body(world, oc_config, payload))
-
-
-def _classify_values(
-    schedule: ChaosSchedule, values: tuple, payload: bytes, injected: int
-) -> tuple[str, str]:
-    """Map per-rank return values to (status, detail).  Byzantine
-    adversary ranks are excluded -- their claims are worthless by
-    definition; crashed and evicted ranks are non-decisive (dead, or
-    removed from the agreement set)."""
-    adversary = (
-        {s.core for s in schedule.specs if s.kind in ADVERSARY_KINDS}
-        if schedule.mode == "byz" else set()
+    run = run_world(world, bcast_body(world, oc_config, payload))
+    adversary = frozenset(
+        s.core for s in schedule.specs if s.kind in ADVERSARY_KINDS
+    ) if schedule.mode == "byz" else None
+    return run, Verdict.of(
+        run.status, run.values, src_crc=zlib.crc32(payload),
+        n_injected=run.faults.n_injected, adversary=adversary,
     )
-    vals = [v for r, v in enumerate(values) if r not in adversary]
-    src_crc = zlib.crc32(payload)
-    ok_crcs = {v[1] for v in vals if isinstance(v, tuple)}
-    n_ok = sum(1 for v in vals if isinstance(v, tuple))
-    n_abort = sum(1 for v in vals if v == "aborted")
-    n_det = sum(1 for v in vals if v == "detected")
-    n_crash = sum(1 for v in vals if v == "crashed")
-    n_evict = sum(1 for v in vals if v in ("evicted", "self_evicted"))
-    n_other = len(vals) - n_ok - n_abort - n_det - n_crash - n_evict
 
-    if n_other:
-        return "crashed", f"{n_other} rank(s) returned unexpectedly"
-    if len(ok_crcs) > 1:
-        if schedule.mode == "byz":
-            return (
-                "disagreement",
-                f"honest members delivered {len(ok_crcs)} distinct payloads",
-            )
-        n_bad = sum(
-            1 for v in vals if isinstance(v, tuple) and v[1] != src_crc
+
+def chaos_status(v: Verdict) -> tuple[str, str]:
+    """The chaos ``(status, detail)`` of a verdict (a run ending's detail
+    is its error, which the caller holds)."""
+    if v.ending:
+        return v.ending, ""
+    if v.n_other:
+        return "crashed", f"{v.n_other} rank(s) returned unexpectedly"
+    if len(v.crcs) > 1 and v.adversary is not None:
+        return "disagreement", (
+            f"honest members delivered {len(v.crcs)} distinct payloads"
         )
-        return "corrupt", f"{n_bad} member(s) hold wrong bytes"
-    if n_ok and ok_crcs != {src_crc} and not (
-        # Bracha validity only binds for an honest source: with the
-        # source compromised, uniform agreement on the attacker's
-        # variant is exactly what the RBC layer promises.
-        schedule.mode == "byz" and 0 in adversary
-    ):
-        return "corrupt", f"{n_ok} member(s) hold wrong bytes"
-    if n_ok and (n_abort or n_det):
-        return (
-            "partial",
-            f"non-uniform outcome: {n_ok} delivered, "
-            f"{n_abort + n_det} refused",
+    if len(v.crcs) > 1 or not v.validity:
+        return "corrupt", f"{v.n_wrong} member(s) hold wrong bytes"
+    if not v.agreement:
+        return "partial", (
+            f"non-uniform outcome: {v.n_delivered} delivered, "
+            f"{v.n_refused} refused"
         )
-    if n_ok:
-        survivors = []
-        if n_crash:
-            survivors.append(f"{n_crash} crashed")
-        if n_evict:
-            survivors.append(f"{n_evict} evicted")
-        if injected or survivors:
-            detail = ", ".join(survivors)
-            return "recovered", (detail + ", survivors delivered") if detail \
-                else "faults masked, all delivered"
+    if v.n_delivered:
+        survivors = v.survivors(v.n_evicted + v.n_self_evicted)
+        if survivors or v.n_injected:
+            return "recovered", survivors or "faults masked, all delivered"
         return "delivered", ""
-    if n_abort or n_det:
-        kind = "aborted" if n_abort >= n_det else "detected"
-        return kind, (
-            f"uniform refusal by {n_abort + n_det} live member(s)"
-        )
+    if v.n_refused:
+        kind = "aborted" if v.n_aborted >= v.n_detected else "detected"
+        return kind, f"uniform refusal by {v.n_refused} live member(s)"
     return "crashed", "no live member decided"
 
 
-def _classify(status: str, invariants: tuple[str, ...]) -> str:
-    if invariants:
+def chaos_classification(v: Verdict, invariants: tuple[str, ...]) -> str:
+    """``violation``, else ``tolerated`` (delivered) or ``refused``."""
+    if invariants or v.violation:
         return "violation"
-    if status in TOLERATED_STATUSES:
-        return "tolerated"
-    if status in REFUSED_STATUSES:
-        return "refused"
-    return "violation"
+    return "tolerated" if v.n_delivered else "refused"
 
 
 def run_schedule(schedule: ChaosSchedule) -> ChaosOutcome:
     """Run one (validated) chaos schedule to completion and classify."""
-    world = _world(schedule, schedule.validate(), trace=True)
     checker = InvariantChecker(lossless=False)
-    world_tracer(world).add_listener(checker.feed)
-    payload = chaos_payload(schedule)
-    run = _run(schedule, world, payload)
-    injected = run.faults.n_injected
-    status, detail = run.status, run.detail
-    if not status:
-        status, detail = _classify_values(
-            schedule, run.values, payload, injected
-        )
-    invariants = tuple(
-        sorted({v.invariant for v in checker.violations})
-    )
+    run, verdict = execute(schedule, trace=True, checker=checker)
+    status, detail = chaos_status(verdict)
+    invariants = tuple(sorted({v.invariant for v in checker.violations}))
     return ChaosOutcome(
         schedule=schedule,
-        classification=_classify(status, invariants),
+        classification=chaos_classification(verdict, invariants),
         status=status,
-        detail=detail,
+        detail=detail or run.detail,
         digest=decision_digest(run.records),
-        n_injected=injected,
+        n_injected=verdict.n_injected,
         n_recovered=run.faults.n_recovered,
         latency=run.latency,
         invariants=invariants,
@@ -229,8 +185,8 @@ def profile_counts(
     Memoised: the generator calls this once per coordinate, then draws
     thousands of schedules against it."""
     base = ChaosSchedule(
-        backend=backend, mesh=mesh, chunks=chunks, mode=mode, seed=0
+        backend=backend, mesh=mesh, cache_lines=chunks * DEFAULT_CHUNK_LINES,
+        mode=mode, seed=0,
     )
-    world = _world(base, FaultPlan(), trace=False)
-    run = _run(base, world, chaos_payload(base)).check()
-    return dict(run.faults.profile())
+    run, _ = execute(base, trace=False)
+    return dict(run.check().faults.profile())

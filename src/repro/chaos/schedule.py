@@ -7,21 +7,22 @@ an optional backend-agnostic crash coordinate
 (:class:`repro.transport.api.CrashOnEvent`), and -- on the asyncio
 backend -- an optional network model (delay / probabilistic drop /
 partition, :mod:`repro.transport.models`).  Everything that influences
-the run is in the schedule: backend, mesh geometry, message size,
-protocol mode and the payload/model seed (the OC-Bcast underneath runs
-at the paper's fan-out, chunk and buffer count).  A schedule is
+the run is in the schedule: backend, mesh geometry and chip config,
+message length, protocol mode and the payload/model seed (the OC-Bcast
+underneath runs at the paper's fan-out, chunk and buffer count).  A
+schedule is
 therefore a *deterministic coordinate*: running it twice produces
 byte-identical classifications and decision digests, which is what makes
 chaos failures replayable from a JSON bundle
 (:mod:`repro.chaos.bundle`) and shrinkable
 (:mod:`repro.chaos.shrink`).
 
-Validity is delegated to the fault subsystem: :meth:`ChaosSchedule.plan`
-routes the specs through :class:`repro.faults.FaultPlan` (overlap
-rejection, adversary-core range checks, equivocation-window rules) and
-:meth:`ChaosSchedule.validate` layers the transport-level rules on top
-(core-primitive kinds only exist on the SCC backend, network models only
-on the asyncio backend, adversary kinds only under the Byzantine mode).
+Validity is delegated to the fault subsystem:
+:meth:`ChaosSchedule.validate` routes the specs through
+:class:`repro.faults.FaultPlan` (overlap rejection, adversary-core range
+checks, equivocation-window rules) on top of the transport-level rules
+(core-primitive kinds and chip config only exist on the SCC backend,
+network models only on asyncio, adversary kinds only under byz).
 The generator (:mod:`repro.chaos.generate`) rejection-samples against
 exactly these rules, so *every* schedule it emits validates -- the
 property test suite pins that across seeds and backends.
@@ -31,10 +32,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields, replace
+from typing import Any
 
 from ..core.ocbcast import DEFAULT_CHUNK_LINES, RENOTIFY_BUDGETS, OcBcastConfig
 from ..faults.plan import ADVERSARY_KINDS, FaultKind, FaultPlan, FaultSpec
-from ..scc.config import CACHE_LINE
+from ..scc.config import CACHE_LINE, ContentionMode, SccConfig
 from ..transport.api import CrashOnEvent
 from ..transport.models import (
     DelayModel, LinkDrop, NoDelay, Partition, UniformDelay,
@@ -80,6 +82,13 @@ _RETIRED_KEYS = {
     "num_buffers": _PAPER_OC.num_buffers,
     "ft_max_retries": RENOTIFY_BUDGETS,
 }
+
+#: The :class:`SccConfig` fields a schedule's ``config`` may override:
+#: all but the geometry ``mesh`` pins at two cores per tile.
+_CONFIG_FIELDS = [
+    f.name for f in fields(SccConfig)
+    if f.name not in ("mesh_cols", "mesh_rows", "cores_per_tile")
+]
 
 
 def reject_unknown_keys(what: str, d: dict, known) -> None:
@@ -162,8 +171,8 @@ class ChaosSchedule:
     #: Mesh geometry ``(cols, rows)``; the communicator has
     #: ``2 * cols * rows`` ranks on both backends.
     mesh: tuple[int, int] = (2, 2)
-    #: Message length in chunks of 96 cache lines.
-    chunks: int = 1
+    #: Message length in cache lines (one chunk is 96).
+    cache_lines: int = DEFAULT_CHUNK_LINES
     mode: str = "service"
     #: Seeds the payload bytes and the asyncio model streams.
     seed: int = 1
@@ -176,13 +185,21 @@ class ChaosSchedule:
     label: str = ""
     #: Kernel watchdog period / asyncio wedge horizon knobs.
     watchdog_us: float = 50_000.0
-    #: Ack the data path too (campaigns that fault data writes do, so
-    #: their trials convert 1:1 into replayable schedules).
+    #: Ack the data path too (campaigns that fault data writes do).
     ft_ack_data: bool = False
+    #: :class:`SccConfig` fields beyond the mesh that differ from the
+    #: chip default, e.g. a campaign's contention mode; given as a dict,
+    #: held as sorted ``(name, JSON value)`` pairs.
+    config: tuple[tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mesh", tuple(self.mesh))
         object.__setattr__(self, "specs", tuple(self.specs))
+        config = dict(self.config)
+        reject_unknown_keys("schedule config", config, _CONFIG_FIELDS)
+        object.__setattr__(self, "config", tuple(sorted(
+            (k, getattr(v, "value", v)) for k, v in config.items()
+        )))
         if self.crash is not None:
             object.__setattr__(self, "crash", tuple(self.crash))
 
@@ -194,8 +211,24 @@ class ChaosSchedule:
         return 2 * cols * rows
 
     @property
+    def chunks(self) -> int:
+        return -(-self.cache_lines // DEFAULT_CHUNK_LINES)
+
+    @property
     def nbytes(self) -> int:
-        return self.chunks * DEFAULT_CHUNK_LINES * CACHE_LINE
+        return self.cache_lines * CACHE_LINE
+
+    @property
+    def length(self) -> str:  # "2ch" for whole chunks, "100CL" otherwise
+        n, rest = divmod(self.cache_lines, DEFAULT_CHUNK_LINES)
+        return f"{self.cache_lines}CL" if rest else f"{n}ch"
+
+    def scc_config(self) -> SccConfig:
+        config = dict(self.config)
+        if "contention_mode" in config:  # held by its JSON name
+            config["contention_mode"] = ContentionMode(config["contention_mode"])
+        cols, rows = self.mesh
+        return SccConfig(mesh_cols=cols, mesh_rows=rows, **config)
 
     @property
     def n_events(self) -> int:
@@ -208,15 +241,6 @@ class ChaosSchedule:
         return n
 
     # -- validity -----------------------------------------------------------
-
-    def plan(self) -> FaultPlan:
-        """The schedule's injector plan, validated by the fault
-        subsystem's own rules (raises :class:`ValueError` on overlap /
-        adversary violations)."""
-        return FaultPlan(
-            self.specs, label=self.label or self.describe(),
-            num_cores=self.nranks,
-        )
 
     def validate(self) -> FaultPlan:
         """Full validity check; returns the (validated) fault plan.
@@ -234,10 +258,15 @@ class ChaosSchedule:
         cols, rows = self.mesh
         if cols < 1 or rows < 1 or self.nranks < 2:
             raise ValueError(f"degenerate mesh {self.mesh}")
-        if self.chunks < 1:
-            raise ValueError("chunks must be >= 1")
+        if self.cache_lines < 1:
+            raise ValueError("cache_lines must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.config and self.backend != "scc":
+            raise ValueError(
+                "chip-config overrides only exist on the scc backend"
+            )
+        self.scc_config()  # the chip's own value checks
         for spec in self.specs:
             if self.backend != "scc" and spec.kind in SCC_ONLY_KINDS:
                 raise ValueError(
@@ -276,7 +305,10 @@ class ChaosSchedule:
                             f"partition group names rank {rank} outside "
                             f"the {self.nranks}-rank communicator"
                         )
-        return self.plan()
+        return FaultPlan(
+            self.specs, label=self.label or self.describe(),
+            num_cores=self.nranks,
+        )
 
     # -- helpers ------------------------------------------------------------
 
@@ -294,9 +326,10 @@ class ChaosSchedule:
         if self.model is not None and self.model.name != "none":
             parts.append(self.model.describe())
         body = " + ".join(parts) if parts else "fault-free"
+        chip = "".join(f" {k}={v}" for k, v in self.config)
         return (
             f"{self.backend}/{self.mode} {self.mesh[0]}x{self.mesh[1]} "
-            f"({self.nranks}r) {self.chunks}ch seed={self.seed}: {body}"
+            f"({self.nranks}r) {self.length}{chip} seed={self.seed}: {body}"
         )
 
     # -- serialisation ------------------------------------------------------
@@ -306,7 +339,8 @@ class ChaosSchedule:
             "version": SCHEDULE_VERSION,
             "backend": self.backend,
             "mesh": list(self.mesh),
-            "chunks": self.chunks,
+            "cache_lines": self.cache_lines,
+            "config": dict(self.config),
             "mode": self.mode,
             "seed": self.seed,
             "label": self.label,
@@ -333,7 +367,9 @@ class ChaosSchedule:
                 f"(this build reads version {SCHEDULE_VERSION})"
             )
         known = [f.name for f in fields(cls)]
-        reject_unknown_keys("schedule", d, ("version", *known, *_RETIRED_KEYS))
+        reject_unknown_keys(
+            "schedule", d, ("version", "chunks", *known, *_RETIRED_KEYS)
+        )
         for key, value in _RETIRED_KEYS.items():
             if d.get(key, value) != value:
                 raise ValueError(
@@ -342,6 +378,10 @@ class ChaosSchedule:
                 )
         # Absent keys take the constructor's defaults.
         given = {key: d[key] for key in known if key in d}
+        if "chunks" in d:  # the length as schedules wrote it until now
+            if "cache_lines" in d:
+                raise ValueError("schedule: give 'chunks' or 'cache_lines'")
+            given["cache_lines"] = d["chunks"] * DEFAULT_CHUNK_LINES
         spec_keys = [f.name for f in fields(FaultSpec)]
         specs = []
         for spec in given.get("specs", ()):

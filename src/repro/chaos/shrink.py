@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterator
 
+from ..core.ocbcast import DEFAULT_CHUNK_LINES
 from ..faults.plan import ADVERSARY_KINDS, FaultSpec
 from .runner import ChaosOutcome, run_schedule
 from .schedule import ChaosSchedule
@@ -58,9 +59,9 @@ class ShrinkResult:
         return (
             f"shrunk {self.original.n_events} event(s) on "
             f"{self.original.mesh[0]}x{self.original.mesh[1]}/"
-            f"{self.original.chunks}ch to {self.schedule.n_events} on "
+            f"{self.original.length} to {self.schedule.n_events} on "
             f"{self.schedule.mesh[0]}x{self.schedule.mesh[1]}/"
-            f"{self.schedule.chunks}ch in {self.n_steps} step(s) "
+            f"{self.schedule.length} in {self.n_steps} step(s) "
             f"({self.n_runs} runs); still "
             f"{self.outcome.classification}/{self.outcome.status}"
         )
@@ -87,9 +88,9 @@ def _candidates(s: ChaosSchedule) -> Iterator[ChaosSchedule]:
             pass
     # Fewer chunks.
     if s.chunks > 1:
-        yield replace(s, chunks=1)
+        yield replace(s, cache_lines=DEFAULT_CHUNK_LINES)
         if s.chunks > 2:
-            yield replace(s, chunks=s.chunks // 2)
+            yield replace(s, cache_lines=s.chunks // 2 * DEFAULT_CHUNK_LINES)
     # Smaller meshes (invalid core references are filtered by
     # schedule.validate() at the call site).
     for mesh in MESH_LADDER:

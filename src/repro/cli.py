@@ -303,35 +303,22 @@ def cmd_faults(args: argparse.Namespace) -> int:
     if args.timeline:
         print()
         print(format_fault_timeline(result.timeline))
-    # A campaign "fails" only if a hardened mode lost a trial it should
-    # win: the FT layer against its single-fault adversary, the service
-    # against anything (it must never wedge or deliver wrong bytes), the
-    # Byzantine mode against honest-member divergence (agreed and
-    # uniformly-refused trials are both wins).
-    lost = result.ft_counts["deadlock"] + result.ft_counts["corrupt"]
-    if result.service_counts is not None:
-        lost += (result.service_counts["deadlock"]
-                 + result.service_counts["corrupt"])
-    if result.byz_counts is not None:
-        lost += (result.byz_counts["disagreement"]
-                 + result.byz_counts["partial"]
-                 + result.byz_counts["deadlock"])
-    # Self-reproducing failures: every non-recovered hardened-leg trial
-    # becomes a replayable chaos bundle with a one-line repro command
-    # (docs/FAULTS.md §9), instead of just a counter bump.
+    # A campaign "fails" only if a hardened leg broke a safety or
+    # termination promise (CampaignResult.lost); each such trial's own
+    # schedule becomes a replayable chaos bundle with a one-line repro
+    # command (docs/FAULTS.md §9), instead of just a counter bump.
     if args.bundle_dir:
         from .chaos import repro_command, write_campaign_bundles
 
-        written = write_campaign_bundles(
-            campaign, result, args.bundle_dir, limit=5
-        )
-        for path, leg, index in written:
+        for path, leg, index in write_campaign_bundles(
+            campaign, result, args.bundle_dir
+        ):
             run = getattr(result.trials[index], leg)
             print(
                 f"lost trial {index} ({leg}: {run.outcome}) -- repro: "
                 f"{repro_command(path)}"
             )
-    return 1 if lost else 0
+    return 1 if result.lost() else 0
 
 
 def cmd_churn(args: argparse.Namespace) -> int:
@@ -634,9 +621,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "event kernel (identical classifications, "
                         "orders of magnitude faster at low --fault-rate)")
     p.add_argument("--bundle-dir", metavar="DIR", default="chaos_bundles",
-                   help="write replayable repro bundles for lost "
-                        "hardened-leg trials here (empty string disables; "
-                        "default chaos_bundles/)")
+                   help="write each lost trial (a hardened leg that broke "
+                        "safety or termination; a timeout is a refusal, "
+                        "not a loss) here as the chaos schedule it ran "
+                        "as, replayable bit-for-bit (empty string "
+                        "disables; default chaos_bundles/)")
     _add_mesh_args(p)
     _add_mode_arg(p)
     _add_jobs_arg(p)

@@ -11,13 +11,14 @@ the three decisions that shape shares and nothing else:
    no injector at all (an attached one, even with an empty plan,
    switches ``Core.scripts_lines`` and ``Core.scripts_stores`` off);
    ``FaultPlan()`` attaches one that only counts candidate sites.
-2. **How a run ends** -- :func:`run_world` -> :class:`WorldRun`.
+2. **How a run ends** -- :func:`run_world` -> :class:`WorldRun`, and
+   what the ranks decided -- :meth:`Verdict.of`, judged once.
 3. **The per-rank broadcast body** -- :func:`bcast_body`, with the one
    ``mode -> OcBcastConfig`` mapping (:func:`mode_config`) and the one
    seeded payload (:func:`seeded_payload`).
 
-Callers keep what is their own: plan drawing, classification of the
-returned values, metric harvest.
+Callers keep what is their own: plan drawing, the *words* each harness
+prints for a :class:`Verdict`, metric harvest.
 """
 
 from __future__ import annotations
@@ -212,6 +213,83 @@ def run_world(world, body: Callable[[Any], Generator]) -> WorldRun:
         "crashed" if isinstance(r, FaultInjected) else r for r in results
     )
     return WorldRun(values, "", latency, world)
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """What one broadcast run decided, judged once for every harness:
+    counts over *honest* ranks (a Byzantine run's adversaries are
+    excluded), which each harness words in its own vocabulary."""
+
+    ending: str  # WorldRun.status: "" when every rank returned
+    crcs: frozenset  # distinct payload crcs honest ranks delivered
+    n_ok: int  # delivered the source crc
+    n_wrong: int  # delivered another crc
+    n_aborted: int
+    n_detected: int
+    n_crashed: int
+    n_evicted: int
+    n_self_evicted: int
+    n_other: int  # returned none of the above
+    n_injected: int
+    #: A Byzantine run's compromised ranks (``None``: not a byz run).
+    adversary: frozenset | None = None
+
+    @classmethod
+    def of(
+        cls, ending: str, values: tuple, *, src_crc: int, n_injected: int,
+        adversary: frozenset | None = None,
+    ) -> "Verdict":
+        """Judge per-rank :func:`bcast_body` values; ``adversary`` is a
+        Byzantine run's compromised ranks, ``None`` in every other mode."""
+        honest = [v for r, v in enumerate(values) if r not in (adversary or ())]
+        crcs = [v[1] for v in honest if isinstance(v, tuple)]
+        n_ok = crcs.count(src_crc)
+        counts = [honest.count(s) for s in (
+            "aborted", "detected", "crashed", "evicted", "self_evicted",
+        )]
+        return cls(ending, frozenset(crcs), n_ok, len(crcs) - n_ok, *counts,
+                   len(honest) - len(crcs) - sum(counts), n_injected, adversary)
+
+    @property
+    def n_delivered(self) -> int:
+        return self.n_ok + self.n_wrong
+
+    @property
+    def n_refused(self) -> int:
+        return self.n_aborted + self.n_detected
+
+    @property
+    def n_honest(self) -> int:
+        return self.n_delivered + self.n_refused + self.n_crashed \
+            + self.n_evicted + self.n_self_evicted + self.n_other
+
+    def survivors(self, n_evicted: int) -> str:
+        """``"1 crashed, 2 evicted, survivors delivered"`` -- or ``""``
+        (each harness counts its own evicted members)."""
+        parts = [f"{n} {what}" for what, n in (
+            ("crashed", self.n_crashed), ("evicted", n_evicted)) if n]
+        return ", ".join(parts) + ", survivors delivered" if parts else ""
+
+    @property
+    def agreement(self) -> bool:
+        """At most one crc delivered, and no refuser beside a deliverer."""
+        return len(self.crcs) <= 1 and not (self.n_delivered and self.n_refused)
+
+    @property
+    def validity(self) -> bool:
+        """Every delivered crc is the source's -- exempt, as in I7, when
+        the source (rank 0) is compromised."""
+        return not self.n_wrong or 0 in (self.adversary or ())
+
+    @property
+    def violation(self) -> bool:
+        """A safety or termination promise broke.  An exhausted retry
+        budget (``timeout``) or a uniform refusal declined instead."""
+        if self.ending:
+            return self.ending != "timeout"
+        return bool(self.n_other) or not (self.agreement and self.validity) \
+            or not (self.n_delivered or self.n_refused)
 
 
 # -- (3) the per-rank broadcast body ------------------------------------------

@@ -14,9 +14,9 @@ What is pinned here (docs/FAULTS.md §9):
   (``ft=False``) under dropped flag writes is a violation, the ddmin
   shrinker reduces it to <= 3 fault events, and the written bundle
   replays to the identical classification and digest.
-- **Campaign bridge**: a lost :class:`FaultCampaign` trial converts into
-  a chaos schedule whose bundle replays clean (self-reproducing
-  failures).
+- **Campaign trials are schedules**: a lost :class:`FaultCampaign`
+  trial's bundle is the schedule the trial ran as, and replays that
+  trial's status and simulated latency (self-reproducing failures).
 
 ``TrialRun``-style ``detail`` strings are *not* compared anywhere: the
 watchdog names one of several stalled processes nondeterministically
@@ -26,6 +26,7 @@ status, counts and digests are the deterministic surface.
 
 import json
 import os
+import re
 from dataclasses import replace
 
 import pytest
@@ -33,13 +34,15 @@ import pytest
 from repro.bench import FaultCampaign
 from repro.chaos import (
     BACKENDS, ChaosSchedule, ModelSpec, ReproBundle, ScheduleGenerator,
-    campaign_counterexamples, chaos_payload, make_bundle, run_schedule,
-    run_soak, schedule_for_trial, shrink, write_bundle,
-    write_campaign_bundles,
+    make_bundle, run_schedule, run_soak, shrink,
+    write_bundle, write_campaign_bundles,
 )
+from repro.chaos.runner import chaos_status
 from repro.cli import main as cli_main
 from repro.faults import FaultKind, FaultSpec
 from repro.obs import MetricsRegistry
+from repro.scc import ContentionMode, SccConfig
+from repro.scc.config import CACHE_LINE
 
 # -- schedules ---------------------------------------------------------------
 
@@ -98,7 +101,8 @@ class TestScheduleValidity:
 
     def test_json_round_trip(self):
         s = ChaosSchedule(
-            backend="asyncio", mesh=(3, 2), chunks=2, mode="byz", seed=99,
+            backend="asyncio", mesh=(3, 2), cache_lines=192, mode="byz",
+            seed=99,
             specs=(FaultSpec(FaultKind.EQUIVOCATE, core=0, duration=1),),
             crash=None,
             model=ModelSpec(name="linkdrop", p=0.05, lo=0.05, hi=2.0),
@@ -119,7 +123,13 @@ class TestScheduleValidity:
          "network model: unknown key.*'high'"),
         ({"specs": [{"kind": "drop_flag_write", "nht": 2}]},
          "fault spec: unknown key.*'nht'"),
-    ], ids=["typo", "k", "chunk_lines", "num_buffers", "model-key", "spec-key"])
+        ({"config": {"contention_mod": "exact"}},
+         "schedule config: unknown key.*'contention_mod'"),
+        ({"config": {"mesh_cols": 3}},
+         "schedule config: unknown key.*'mesh_cols'"),
+        ({"chunks": 2}, "give 'chunks' or 'cache_lines'"),
+    ], ids=["typo", "k", "chunk_lines", "num_buffers", "model-key",
+            "spec-key", "config-key", "config-mesh", "two-lengths"])
     def test_codec_rejects_what_it_does_not_understand(self, extra, match):
         """A typo'd or out-of-range key used to be ignored or to
         mis-simulate (nbytes == -160, a raw MemoryError)."""
@@ -133,6 +143,42 @@ class TestScheduleValidity:
                    "ft_max_retries": 3}
         assert not retired.keys() & d.keys()
         assert ChaosSchedule.from_dict({**d, **retired}) == s
+
+    def test_length_and_chip_config(self):
+        """A length in cache lines and the chip fields beyond the mesh
+        survive the codec; a version-1 ``"chunks"`` length still loads,
+        and ``describe`` keeps ``Nch`` for whole chunks."""
+        s = ChaosSchedule(
+            mode="ft", cache_lines=100,
+            config={"contention_mode": ContentionMode.EXACT,
+                    "exact_coalescing": False},
+        )
+        d = s.to_dict()
+        assert d["config"] == {"contention_mode": "exact",
+                               "exact_coalescing": False}
+        assert ChaosSchedule.from_json(s.to_json()) == s
+        assert (s.chunks, s.nbytes) == (2, 100 * CACHE_LINE)
+        assert s.scc_config() == SccConfig(
+            mesh_cols=2, mesh_rows=2, contention_mode=ContentionMode.EXACT,
+            exact_coalescing=False,
+        )
+        assert "100CL contention_mode=exact exact_coalescing=False" \
+            in s.describe()
+        del d["cache_lines"]
+        legacy = ChaosSchedule.from_dict({**d, "chunks": 3})
+        assert legacy.cache_lines == 288 and " 3ch " in legacy.describe()
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(cache_lines=0), "cache_lines"),
+        (dict(backend="asyncio", config={"jitter": 0.1}), "scc backend"),
+        (dict(config={"o_mpb": -1.0}), "o_mpb"),
+        (dict(config={"contention_mode": "exactly"}), "ContentionMode"),
+        (dict(config={"cores_per_tile": 1}), "unknown key.*cores_per_tile"),
+    ], ids=["no-length", "config-off-scc", "bad-value", "bad-mode",
+            "geometry"])
+    def test_bad_length_or_config_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            ChaosSchedule(**kwargs).validate()
 
     def test_without_event_order(self):
         s = ChaosSchedule(
@@ -229,7 +275,8 @@ def _broken_schedule() -> ChaosSchedule:
     Only the core-1 drop is load-bearing; the other two events exist
     for the shrinker to strip."""
     return ChaosSchedule(
-        backend="scc", mesh=(4, 3), chunks=2, mode="baseline", seed=17,
+        backend="scc", mesh=(4, 3), cache_lines=192, mode="baseline",
+        seed=17,
         specs=(
             FaultSpec(FaultKind.DROP_FLAG_WRITE, core=1, nth=2),
             FaultSpec(FaultKind.DROP_FLAG_WRITE, core=3, nth=1),
@@ -321,20 +368,23 @@ class TestBundles:
             ReproBundle.from_dict(d)
 
 
-# -- campaign bridge (self-reproducing failures) -----------------------------
+# -- campaign trials are schedules (self-reproducing failures) -------------
+
+
+def _corrupt_data_campaign(**kw) -> FaultCampaign:
+    # Bare FT has no integrity layer: corrupted data lines are lost
+    # trials by design, exactly the kind that must self-reproduce.
+    return FaultCampaign(
+        trials=1, seed=6, compare_baseline=False,
+        kinds=(FaultKind.CORRUPT_DATA_WRITE,), **kw,
+    )
 
 
 class TestCampaignBridge:
     def test_lost_campaign_trials_become_replayable_bundles(self, tmp_path):
-        # Bare FT has no integrity layer: corrupted data lines are lost
-        # trials by design, exactly the kind that must self-reproduce.
-        campaign = FaultCampaign(
-            trials=4, seed=6, compare_baseline=False,
-            kinds=(FaultKind.CORRUPT_DATA_WRITE,),
-        )
+        campaign = _corrupt_data_campaign()
         result = campaign.run()
-        lost = list(campaign_counterexamples(result))
-        assert lost, "corrupt-data campaign should lose FT trials"
+        assert result.lost(), "corrupt-data campaign should lose FT trials"
         written = write_campaign_bundles(
             campaign, result, str(tmp_path), limit=2
         )
@@ -343,22 +393,37 @@ class TestCampaignBridge:
             bundle = ReproBundle.load(path)
             assert bundle.meta["leg"] == leg
             assert bundle.meta["trial_index"] == index
+            assert set(bundle.expected) == {"status", "n_injected"}
             _, mismatches = bundle.replay()
             assert mismatches == []
 
-    def test_trial_conversion_preserves_payload_and_knobs(self):
-        campaign = FaultCampaign(trials=1, seed=6, compare_baseline=False)
-        plan = campaign.trial_plans()[0]
-        s = schedule_for_trial(campaign, plan, "ft")
-        assert s.specs == tuple(plan.specs)
-        assert chaos_payload(s) == campaign._payload()
-
-    def test_non_root_campaign_rejected(self):
-        campaign = FaultCampaign(trials=1, seed=1, root=3,
-                                 compare_baseline=False)
-        plan = campaign.trial_plans()[0]
-        with pytest.raises(ValueError, match="root"):
-            schedule_for_trial(campaign, plan, "ft")
+    @pytest.mark.parametrize("campaign", [
+        _corrupt_data_campaign(
+            config=SccConfig(contention_mode=ContentionMode.EXACT)
+        ),
+        _corrupt_data_campaign(nbytes=100 * CACHE_LINE),
+    ], ids=["exact", "100cl"])
+    def test_campaign_bundle_replays_its_own_trial(self, campaign, tmp_path):
+        """The bundle of a lost trial is the trial's own schedule: the
+        same payload and specs, the campaign's contention mode and exact
+        length -- so its replay reports the trial's status *and*
+        simulated latency.  (A converted schedule used to replay in
+        BATCH, or rounded up to whole chunks, and still print ``[OK]``.)"""
+        result = campaign.run()
+        [(path, leg, index)] = write_campaign_bundles(
+            campaign, result, str(tmp_path)
+        )
+        trial = result.trials[index]
+        run = getattr(trial, leg)
+        bundle = ReproBundle.load(path)
+        assert bundle.schedule == campaign.trial_schedule(trial.plan, leg)
+        assert bundle.schedule.specs == trial.plan.specs
+        assert bundle.schedule.nbytes == campaign.nbytes
+        outcome, mismatches = bundle.replay()
+        assert mismatches == []
+        assert (outcome.status, outcome.latency) == (
+            chaos_status(run.verdict)[0], run.latency
+        )
 
 
 # -- generator + soak --------------------------------------------------------
@@ -552,3 +617,21 @@ class TestChaosCli:
         out = capsys.readouterr().out
         assert "repro: PYTHONPATH=src python -m repro chaos --replay" in out
         assert list(tmp_path.glob("campaign-seed6-trial*.json"))
+
+    def test_faults_timeouts_are_not_lost_trials(self, tmp_path, capsys):
+        """A root crash exhausts bare FT's retry budget (``timeout``)
+        while the service uniformly aborts: both are refusals, so the
+        campaign passes and writes no bundle -- the chaos runner
+        classifies such a trial ``refused``, not a violation."""
+        rc = cli_main([
+            "faults", "--trials", "2", "--service", "--no-baseline",
+            "--kinds", "crash", "--crash-site", "root", "--mid-stream",
+            "--cache-lines", "288", "--mesh-cols", "1", "--mesh-rows", "1",
+            "--jobs", "1", "--bundle-dir", str(tmp_path),
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert re.search(r"timeout\s+2\s+0\n", out)  # FT, service
+        assert re.search(r"aborted\s+0\s+2\n", out)
+        assert "lost trial" not in out
+        assert not list(tmp_path.iterdir())

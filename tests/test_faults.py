@@ -723,6 +723,8 @@ class TestCampaignKnobs:
             FaultCampaign(trials=1, crash_site="edge")
         with pytest.raises(ValueError):
             FaultCampaign(trials=1, link_down_duration=0.0)
+        with pytest.raises(ValueError, match="multiple of 32"):
+            FaultCampaign(trials=1, nbytes=100)  # a trial's schedule is in CL
 
     @pytest.mark.parametrize("kind", [
         FaultKind.LIE_IN_QUORUM, FaultKind.FORGE_FLAG_VALUE,
@@ -754,7 +756,7 @@ class TestCampaignKnobs:
         assert plans == campaign.trial_plans()  # pure function of seed
         flap, churn, storm = (p.specs[0] for p in plans)
         assert flap.kind is FaultKind.FLAPPING_LINK
-        assert flap.core is not None and flap.core != campaign.root
+        assert flap.core is not None and flap.core != 0  # never the source
         envelope = FAULT_ENVELOPES[FaultKind.FLAPPING_LINK]
         assert flap.duration == envelope["duration"]
         assert flap.period == envelope["period"]
@@ -794,7 +796,7 @@ class TestCampaignKnobs:
         for plan in plans:
             (spec,) = plan.specs
             assert spec.kind is FaultKind.CORE_CRASH
-            assert spec.core == campaign.root
+            assert spec.core == 0  # campaigns broadcast from rank 0
             assert spec.nth >= 1
 
     def test_multi_fault_trial_plans_are_reproducible_and_disjoint(self):

@@ -51,9 +51,6 @@ ALLOWED = {
         "adaptive timeout from above",
     ("RetryPolicy", "budget"):
         "tests/test_resilience.py::test_budget_truncates_cumulative_pause",
-    ("FaultCampaign", "root"):
-        "tests/test_chaos.py::test_non_root_campaign_rejected profiles and "
-        "plans a root-3 campaign",
     ("FaultCampaign", "watchdog_interval"):
         "the 100-trial acceptance campaigns of tests/test_member.py and "
         "tests/test_rbc.py (-m faults) run 288-line trials under a longer "
