@@ -8,7 +8,10 @@ FT mode costs under 5% latency over the baseline -- so robustness is
 opt-in and nearly free when nothing fails.
 """
 
-from repro.bench import FaultCampaign, format_fault_timeline, format_table, write_csv
+from repro.bench import (
+    FaultCampaign, campaign_summary, format_fault_timeline, format_series,
+    write_csv,
+)
 from repro.bench.faultcampaign import OUTCOMES, parse_kinds
 
 TRIALS = 100
@@ -22,37 +25,32 @@ def run_campaign():
 def test_fault_campaign(benchmark, report, results_dir):
     result = benchmark.pedantic(run_campaign, rounds=1, iterations=1)
 
-    rows = [
-        [
-            outcome,
-            result.ft_counts.get(outcome, 0),
-            result.baseline_counts.get(outcome, 0),
-        ]
-        for outcome in OUTCOMES
-    ]
+    series = {
+        leg: [result.counts[leg][o] for o in OUTCOMES]
+        for leg in ("ft", "baseline")
+    }
     text = "\n\n".join(
         [
-            format_table(
-                ["outcome", "FT", "baseline"],
-                rows,
+            format_series(
+                "outcome", OUTCOMES, series,
                 title=f"Fault campaign: {TRIALS} trials over {', '.join(KINDS)}",
             ),
-            result.summary(),
+            campaign_summary(result),
             format_fault_timeline(result.timeline),
         ]
     )
     report("faults_campaign", text)
     write_csv(
         f"{results_dir}/faults_campaign.csv",
-        ["outcome", "ft", "baseline"],
-        rows,
+        ["outcome", *series],
+        zip(OUTCOMES, *series.values()),
     )
 
     # FT never wedges or corrupts; every faulted trial is recovered.
-    assert result.ft_counts["deadlock"] == 0
-    assert result.ft_counts["corrupt"] == 0
-    assert result.ft_survival_rate == 1.0
+    assert result.counts["ft"]["deadlock"] == 0
+    assert result.counts["ft"]["corrupt"] == 0
+    assert result.rate("ft", ("delivered", "recovered")) == 1.0
     # Flag-write faults (2/3 of trials) are always fatal to the baseline.
-    assert result.baseline_counts["deadlock"] >= (2 * TRIALS) // 3
+    assert result.counts["baseline"]["deadlock"] >= (2 * TRIALS) // 3
     # The robustness tax with injection disabled stays under 5%.
-    assert 0.0 <= result.ft_overhead_pct < 5.0
+    assert 0.0 <= result.tax_pct("ft", "baseline") < 5.0

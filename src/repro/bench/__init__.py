@@ -17,7 +17,8 @@ and figures on the simulated chip.
   adaptive (phi-accrual + backoff) vs fixed-deadline configurations.
 - :mod:`repro.bench.parallel` -- fan independent grid points / campaign
   trials across worker processes with bit-identical merged results.
-- :mod:`repro.bench.reporting` -- ASCII tables/series and CSV output.
+- :mod:`repro.bench.reporting` -- ASCII tables/series, CSV output and
+  the fault / churn campaign summaries.
 - :mod:`repro.bench.ascii_plot` -- terminal line charts for figure data.
 """
 
@@ -33,7 +34,10 @@ from .harness import BcastResult, BcastSpec, run_broadcast, sweep_broadcast
 from .microbench import PutGetSample, sweep_putget
 from .parallel import default_jobs, parallel_map
 from .contention import ContentionResult, concurrent_access, mesh_link_probe
-from .reporting import format_fault_timeline, format_series, format_table, write_csv
+from .reporting import (
+    campaign_summary, churn_summary, format_fault_timeline, format_series,
+    format_table, write_csv,
+)
 
 __all__ = [
     "BcastResult",
@@ -48,6 +52,8 @@ __all__ = [
     "TrialRun",
     "PutGetSample",
     "ascii_chart",
+    "campaign_summary",
+    "churn_summary",
     "concurrent_access",
     "default_jobs",
     "parallel_map",

@@ -89,8 +89,9 @@ class ChurnTrial:
 class ChurnResult:
     """Aggregate outcome of a churn campaign."""
 
-    adaptive_counts: Counter
-    fixed_counts: Counter | None
+    #: Outcome counts per configuration: ``adaptive``, and ``fixed``
+    #: when the campaign compared the fixed-deadline one.
+    counts: dict[str, Counter]
     trials: tuple[tuple[ChurnTrial, "ChurnTrial | None"], ...]
     seed: int
     broadcasts: int
@@ -125,38 +126,6 @@ class ChurnResult:
             1 for _, f in self.trials
             if f is not None and f.outcome in ("false_evict", "stalled")
         )
-
-    def summary(self) -> str:
-        from .reporting import format_table
-
-        headers = ["outcome", "adaptive"]
-        if self.fixed_counts is not None:
-            headers.append("fixed-deadline")
-        rows = []
-        for outcome in CHURN_OUTCOMES:
-            row = [outcome, self.adaptive_counts.get(outcome, 0)]
-            if self.fixed_counts is not None:
-                row.append(self.fixed_counts.get(outcome, 0))
-            rows.append(row)
-        lines = [
-            format_table(
-                headers, rows,
-                title=f"Churn campaign: {self.n_trials} trials, "
-                      f"seed={self.seed}, "
-                      f"{self.broadcasts} broadcasts/trial",
-            ),
-            "",
-            f"adaptive termination rate: "
-            f"{100.0 * self.termination_rate:.1f}% "
-            f"({self.n_false_evictions} false evictions, "
-            f"{self.n_i8_violations} online I8 violations)",
-        ]
-        if self.fixed_counts is not None:
-            lines.append(
-                f"fixed-deadline false-evict/stall trials: "
-                f"{self.fixed_failure_trials}/{self.n_trials}"
-            )
-        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -437,24 +406,20 @@ class ChurnCampaign:
     def run(self) -> ChurnResult:
         """Run every trial: the adaptive leg always, the fixed-deadline
         leg when ``compare_fixed``."""
-        plans = self.trial_plans()
-        adaptive_counts: Counter = Counter()
-        fixed_counts: Counter | None = (
-            Counter() if self.compare_fixed else None
+        trials = tuple(
+            (
+                self.run_one(plan, adaptive=True),
+                self.run_one(plan, adaptive=False) if self.compare_fixed
+                else None,
+            )
+            for plan in self.trial_plans()
         )
-        trials: list[tuple[ChurnTrial, ChurnTrial | None]] = []
-        for plan in plans:
-            a = self.run_one(plan, adaptive=True)
-            adaptive_counts[a.outcome] += 1
-            f = None
-            if self.compare_fixed:
-                f = self.run_one(plan, adaptive=False)
-                fixed_counts[f.outcome] += 1
-            trials.append((a, f))
+        counts = {"adaptive": Counter(a.outcome for a, _ in trials)}
+        if self.compare_fixed:
+            counts["fixed"] = Counter(f.outcome for _, f in trials)
         return ChurnResult(
-            adaptive_counts=adaptive_counts,
-            fixed_counts=fixed_counts,
-            trials=tuple(trials),
+            counts=counts,
+            trials=trials,
             seed=self.seed,
             broadcasts=self.broadcasts,
         )

@@ -36,7 +36,7 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ..chaos.runner import execute
 from ..chaos.schedule import ChaosSchedule
@@ -172,22 +172,18 @@ class CampaignResult:
     """Aggregate outcome of a fault campaign."""
 
     trials: tuple[TrialResult, ...]
-    ft_counts: Counter
-    baseline_counts: Counter | None
-    #: Fault-free latencies (us) of both modes -- the robustness tax.
-    base_latency: float
-    ft_latency: float
+    #: Outcome counts of every leg the trials ran, in leg order (``ft``,
+    #: ``baseline``, ``service`` -- or ``byz`` alone).
+    counts: dict[str, Counter]
+    #: Fault-free makespan (us) of every mode measured: ``baseline``,
+    #: each leg and, for a Byzantine campaign, the crash-only
+    #: ``service`` -- the numerators and denominators of the taxes.
+    latency: dict[str, float]
     profile: dict[str, int]
     nbytes: int
     seed: int
-    #: Fault timeline of the first FT trial that saw an injection.
+    #: Fault timeline of the first trial whose first leg saw an injection.
     timeline: tuple[TraceRecord, ...] = ()
-    #: Service-mode outcome counts / fault-free latency (``service=True``).
-    service_counts: Counter | None = None
-    service_latency: float = 0.0
-    #: Byzantine-mode outcome counts / fault-free latency (``byz=True``).
-    byz_counts: Counter | None = None
-    byz_latency: float = 0.0
     #: Adaptive-fidelity bookkeeping (``fidelity="adaptive"`` campaigns):
     #: how many trials were served from the memoised fault-free reference
     #: runs vs replayed through the event kernel, the analytic engine's
@@ -209,199 +205,43 @@ class CampaignResult:
             if (run := getattr(t, leg)) is not None and run.verdict.violation
         ]
 
-    @property
-    def rbc_tax_pct(self) -> float:
-        """Fault-free Byzantine-mode latency overhead over the crash-only
-        service -- what the echo/ready digest rounds cost when nobody is
-        lying."""
-        if self.service_latency <= 0.0 or self.byz_latency <= 0.0:
+    def rate(self, leg: str, outcomes: Sequence[str]) -> float:
+        """Fraction of trials whose ``leg`` run ended in one of
+        ``outcomes`` (0.0 for a leg the campaign did not run) -- e.g. the
+        FT survival rate is ``rate("ft", ("delivered", "recovered"))``,
+        the service's uniform agreement adds ``"aborted"``, the Byzantine
+        agreement rate is ``rate("byz", ("agreed", "detected"))``."""
+        counts = self.counts.get(leg)
+        if counts is None or not self.n_trials:
             return 0.0
-        return (self.byz_latency / self.service_latency - 1.0) * 100.0
+        return sum(counts[o] for o in outcomes) / self.n_trials
 
-    @property
-    def byz_agreement_rate(self) -> float:
-        """Fraction of Byzantine trials where honest members agreed --
-        all delivered identical bytes or all refused.  ``disagreement``
-        and ``partial`` break it."""
-        if self.byz_counts is None or not self.n_trials:
+    def tax_pct(self, mode: str, over: str) -> float:
+        """Fault-free latency overhead of ``mode`` over ``over``, in
+        percent (0.0 when either was not measured): ``("ft",
+        "baseline")`` is the robustness tax, ``("service", "baseline")``
+        the service tax, ``("byz", "service")`` the rbc tax."""
+        num, den = self.latency.get(mode, 0.0), self.latency.get(over, 0.0)
+        if num <= 0.0 or den <= 0.0:
             return 0.0
-        good = self.byz_counts["agreed"] + self.byz_counts["detected"]
-        return good / self.n_trials
+        return (num / den - 1.0) * 100.0
 
-    @property
-    def ft_overhead_pct(self) -> float:
-        """Fault-free FT latency overhead over the baseline, in percent."""
-        if self.base_latency <= 0.0:
-            return 0.0
-        return (self.ft_latency / self.base_latency - 1.0) * 100.0
-
-    @property
-    def ft_survival_rate(self) -> float:
-        """Fraction of trials the FT mode finished with correct payloads."""
-        good = self.ft_counts["delivered"] + self.ft_counts["recovered"]
-        return good / self.n_trials if self.n_trials else 0.0
-
-    @property
-    def service_overhead_pct(self) -> float:
-        """Fault-free service-mode latency overhead over the baseline."""
-        if self.base_latency <= 0.0 or self.service_latency <= 0.0:
-            return 0.0
-        return (self.service_latency / self.base_latency - 1.0) * 100.0
-
-    @property
-    def service_survival_rate(self) -> float:
-        """Fraction of trials the service committed with correct payloads
-        on every live member."""
-        if self.service_counts is None or not self.n_trials:
-            return 0.0
-        good = (self.service_counts["delivered"]
-                + self.service_counts["recovered"])
-        return good / self.n_trials
-
-    @property
-    def service_agreement_rate(self) -> float:
-        """Fraction of trials where every live member decided alike --
-        all delivered identical bytes or all aborted (uniform
-        agreement, the completion-protocol guarantee)."""
-        if self.service_counts is None or not self.n_trials:
-            return 0.0
-        good = (self.service_counts["delivered"]
-                + self.service_counts["recovered"]
-                + self.service_counts["aborted"])
-        return good / self.n_trials
-
-    def _service_times(self, attr: str) -> list[float]:
-        return [
-            getattr(t.service, attr)
-            for t in self.trials
-            if t.service is not None and getattr(t.service, attr) is not None
+    def times(self, leg: str, metric: str) -> dict[str, float]:
+        """count/mean/min/max (us) of the ``leg`` runs' ``metric``:
+        ``ttd`` / ``ttr`` / ``tte`` (time to detect / repair / elect)."""
+        xs = [
+            x for t in self.trials
+            if (run := getattr(t, leg)) is not None
+            and (x := getattr(run, metric)) is not None
         ]
-
-    def ttd_summary(self) -> dict[str, float]:
-        """count/mean/min/max of the service runs' time-to-detect (us)."""
-        return _describe(self._service_times("ttd"))
-
-    def ttr_summary(self) -> dict[str, float]:
-        """count/mean/min/max of the service runs' time-to-repair (us)."""
-        return _describe(self._service_times("ttr"))
-
-    def tte_summary(self) -> dict[str, float]:
-        """count/mean/min/max of the service runs' time-to-elect (us)."""
-        return _describe(self._service_times("tte"))
-
-    def byz_ttd_summary(self) -> dict[str, float]:
-        """count/mean/min/max of the Byzantine runs' time-to-detect (us)."""
-        return _describe([
-            t.byz.ttd for t in self.trials
-            if t.byz is not None and t.byz.ttd is not None
-        ])
-
-    def summary(self) -> str:
-        from .reporting import format_table
-
-        if self.byz_counts is not None:
-            rows = [[o, self.byz_counts.get(o, 0)] for o in BYZ_OUTCOMES]
-            lines = [
-                format_table(
-                    ["outcome", "byz service"], rows,
-                    title=f"Byzantine campaign: {self.n_trials} trials, "
-                          f"seed={self.seed}, "
-                          f"{self.nbytes // CACHE_LINE} CL",
-                ),
-                "",
-                f"fault-free latency: crash-only service "
-                f"{self.service_latency:.2f} us, byz service "
-                f"{self.byz_latency:.2f} us "
-                f"({self.rbc_tax_pct:+.2f}% rbc tax)",
-                f"byz agreement rate: "
-                f"{100.0 * self.byz_agreement_rate:.1f}% "
-                f"(disagreements: {self.byz_counts.get('disagreement', 0)})",
-            ]
-            lines += _time_line("time-to-detect: ", self.byz_ttd_summary())
-            return "\n".join(lines)
-
-        headers = ["outcome", "FT"]
-        if self.baseline_counts is not None:
-            headers.append("baseline")
-        if self.service_counts is not None:
-            headers.append("service")
-        rows = []
-        for outcome in OUTCOMES:
-            row = [outcome, self.ft_counts.get(outcome, 0)]
-            if self.baseline_counts is not None:
-                row.append(self.baseline_counts.get(outcome, 0))
-            if self.service_counts is not None:
-                row.append(self.service_counts.get(outcome, 0))
-            rows.append(row)
-        lines = [
-            format_table(
-                headers, rows,
-                title=f"Fault campaign: {self.n_trials} trials, seed={self.seed}, "
-                      f"{self.nbytes // CACHE_LINE} CL",
-            ),
-            "",
-            f"fault-free latency: baseline {self.base_latency:.2f} us, "
-            f"FT {self.ft_latency:.2f} us "
-            f"({self.ft_overhead_pct:+.2f}% robustness tax)",
-            f"FT survival rate: {100.0 * self.ft_survival_rate:.1f}%",
-        ]
-        if self.fidelity is not None:
-            fast = self.fidelity.get("n_analytic", 0)
-            replayed = self.fidelity.get("n_replayed", 0)
-            line = (
-                f"adaptive fidelity: {fast} fault-free trial(s) served "
-                f"analytically, {replayed} replayed through the kernel"
-            )
-            if self.fidelity.get("degraded"):
-                line += f" (degraded: {self.fidelity.get('reason', '?')})"
-            lines.append(line)
-        if self.service_counts is not None:
-            lines.append(
-                f"service fault-free latency: {self.service_latency:.2f} us "
-                f"({self.service_overhead_pct:+.2f}% service tax)"
-            )
-            lines.append(
-                "service survival rate: "
-                f"{100.0 * self.service_survival_rate:.1f}%"
-            )
-            lines += _time_line("time-to-detect: ", self.ttd_summary())
-            lines += _time_line("time-to-repair: ", self.ttr_summary())
-            lines += _time_line("time-to-elect:  ", self.tte_summary())
-            n_self_evict = sum(
-                t.service.n_self_evict for t in self.trials
-                if t.service is not None
-            )
-            n_report_failed = sum(
-                t.service.n_report_failed for t in self.trials
-                if t.service is not None
-            )
-            if n_self_evict or n_report_failed:
-                lines.append(
-                    f"silent partitions: {n_self_evict} self-evictions, "
-                    f"{n_report_failed} unacked heartbeat reports"
-                )
-        return "\n".join(lines)
-
-
-def _describe(xs: list[float]) -> dict[str, float]:
-    if not xs:
-        return {"count": 0.0, "mean": 0.0, "min": 0.0, "max": 0.0}
-    return {
-        "count": float(len(xs)),
-        "mean": sum(xs) / len(xs),
-        "min": min(xs),
-        "max": max(xs),
-    }
-
-
-def _time_line(label: str, stats: dict[str, float]) -> list[str]:
-    """The summary line of one time-to-X statistic (none without samples)."""
-    if not stats["count"]:
-        return []
-    return [
-        f"{label} n={stats['count']:.0f} mean={stats['mean']:.0f} us "
-        f"[{stats['min']:.0f}, {stats['max']:.0f}]"
-    ]
+        if not xs:
+            return {"count": 0.0, "mean": 0.0, "min": 0.0, "max": 0.0}
+        return {
+            "count": float(len(xs)),
+            "mean": sum(xs) / len(xs),
+            "min": min(xs),
+            "max": max(xs),
+        }
 
 
 def _mean(metrics: MetricsRegistry, name: str) -> float | None:
@@ -684,17 +524,38 @@ class FaultCampaign:
         """The campaign's per-trial fault plans -- a pure function of the
         seed and the profiled fault-free run, so two calls agree exactly.
 
-        With ``faults_per_trial > 1`` the kinds cycle *within* each trial,
-        so one plan combines e.g. a mid-stream interior crash with a
-        corrupted data line.  Specs are drawn rejection-style so no two
-        claim the same ``(category, core, nth)`` site (which
-        :class:`~repro.faults.FaultPlan` rejects).
+        Crash/omission and Byzantine campaigns share this loop and one
+        seeded RNG; they differ only in the per-trial spec draw
+        (:meth:`_fault_draw` / :meth:`_adversary_draw`).
         """
         profile = self.profile_sites()
-        if self.byz:
-            return self._byz_trial_plans(profile)
         rng = random.Random(self.seed)
         size = (self.config or SccConfig()).num_cores
+        draw = (self._adversary_draw if self.byz else self._fault_draw)(
+            rng, size, profile
+        )
+        plans: list[FaultPlan] = []
+        for i in range(self.trials):
+            # One Bernoulli draw per trial -- but only when the rate is
+            # below 1.0, so default campaigns consume the seed stream
+            # exactly as they always have.
+            if self.fault_rate < 1.0 and rng.random() >= self.fault_rate:
+                specs, label = (), "fault-free"
+            else:
+                specs = draw(i)
+                label = "+".join(s.kind.value for s in specs)
+            plans.append(FaultPlan(specs, num_cores=size, label=f"trial{i}:{label}"))
+        return plans
+
+    def _fault_draw(
+        self, rng: random.Random, size: int, profile: dict[str, int]
+    ) -> Callable[[int], tuple[FaultSpec, ...]]:
+        """Trial ``i``'s crash/omission specs.  With ``faults_per_trial >
+        1`` the kinds cycle *within* each trial, so one plan combines e.g.
+        a mid-stream interior crash with a corrupted data line.  Specs
+        are drawn rejection-style so no two claim the same ``(category,
+        core, nth)`` site (which :class:`~repro.faults.FaultPlan`
+        rejects)."""
         tree = PropagationTree(size, self._oc_config("baseline").k, _ROOT)
         leaves = [
             r for r in range(size)
@@ -744,15 +605,8 @@ class FaultCampaign:
             nth = self._draw_nth(rng, profile.get(site, 0))
             return FaultSpec(kind, nth=nth, core=core, **envelopes.get(kind, {}))
 
-        plans: list[FaultPlan] = []
-        for i in range(self.trials):
-            # One Bernoulli draw per trial -- but only when the rate is
-            # below 1.0, so default campaigns consume the seed stream
-            # exactly as they always have.
-            if self.fault_rate < 1.0 and rng.random() >= self.fault_rate:
-                plans.append(FaultPlan((), label=f"trial{i}:fault-free"))
-                continue
-            specs: list[FaultSpec] = []
+        def specs(i: int) -> tuple[FaultSpec, ...]:
+            out: list[FaultSpec] = []
             claimed: set[tuple[str, int | None, int]] = set()
             for j in range(self.faults_per_trial):
                 kind = self.kinds[(i * self.faults_per_trial + j) % len(self.kinds)]
@@ -764,20 +618,19 @@ class FaultCampaign:
                 else:  # pragma: no cover - 32 collisions needs a tiny profile
                     continue
                 claimed.add(site)
-                specs.append(spec)
-            label = "+".join(s.kind.value for s in specs)
-            plans.append(FaultPlan(tuple(specs), label=f"trial{i}:{label}"))
-        return plans
+                out.append(spec)
+            return tuple(out)
 
-    def _byz_trial_plans(self, profile: dict[str, int]) -> list[FaultPlan]:
-        """Per-trial adversary sets: ``adversaries`` compromised cores
-        drawn from the seeded RNG.  The kind cycle uses whatever
-        adversary kinds ``kinds`` carries (all three when it carries
-        none); EQUIVOCATE is forced onto the root -- only the source can
-        serve two variants -- and at most one spec targets each core, so
-        the adversary count is exact."""
-        rng = random.Random(self.seed)
-        size = (self.config or SccConfig()).num_cores
+        return specs
+
+    def _adversary_draw(
+        self, rng: random.Random, size: int, profile: dict[str, int]
+    ) -> Callable[[int], tuple[FaultSpec, ...]]:
+        """Trial ``i``'s adversary set: ``adversaries`` compromised cores.
+        The kind cycle uses whatever adversary kinds ``kinds`` carries
+        (all three when it carries none); EQUIVOCATE is forced onto the
+        root -- only the source can serve two variants -- and at most one
+        spec targets each core, so the adversary count is exact."""
         kinds = tuple(k for k in self.kinds if k in ADVERSARY_KINDS) or (
             FaultKind.EQUIVOCATE,
             FaultKind.LIE_IN_QUORUM,
@@ -785,14 +638,9 @@ class FaultCampaign:
         )
         non_root = [r for r in range(size) if r != _ROOT]
         n_stage = max(1, profile.get(f"adv_stage@core{_ROOT}", 1))
-        plans: list[FaultPlan] = []
-        for i in range(self.trials):
-            if self.fault_rate < 1.0 and rng.random() >= self.fault_rate:
-                plans.append(FaultPlan(
-                    (), num_cores=size, label=f"trial{i}:fault-free"
-                ))
-                continue
-            specs: list[FaultSpec] = []
+
+        def specs(i: int) -> tuple[FaultSpec, ...]:
+            out: list[FaultSpec] = []
             used: set[int] = set()
             for j in range(self.adversaries):
                 kind = kinds[(i * self.adversaries + j) % len(kinds)]
@@ -800,7 +648,7 @@ class FaultCampaign:
                     if _ROOT in used:
                         kind = FaultKind.LIE_IN_QUORUM  # one source only
                     else:
-                        specs.append(FaultSpec(
+                        out.append(FaultSpec(
                             kind, core=_ROOT,
                             nth=rng.randint(1, n_stage), duration=1,
                         ))
@@ -812,14 +660,12 @@ class FaultCampaign:
                 core = rng.choice(pool)
                 used.add(core)
                 n_vote = max(1, profile.get(f"quorum_vote@core{core}", 1))
-                specs.append(
+                out.append(
                     FaultSpec(kind, core=core, nth=rng.randint(1, n_vote))
                 )
-            label = "+".join(s.kind.value for s in specs)
-            plans.append(FaultPlan(
-                tuple(specs), num_cores=size, label=f"trial{i}:{label}"
-            ))
-        return plans
+            return tuple(out)
+
+        return specs
 
     def profile_sites(self) -> dict[str, int]:
         """Count candidate fault sites with a fault-free run: the
@@ -871,9 +717,7 @@ class FaultCampaign:
             )
         }
         plans = self.trial_plans()
-        fidelity_info = self._check_fidelity(
-            plans, latency["baseline"], latency.get("ft", 0.0)
-        )
+        fidelity_info = self._check_fidelity(plans, latency)
         reference = None
         if fidelity_info is not None and not fidelity_info["degraded"] \
                 and fidelity_info["n_analytic"]:
@@ -893,32 +737,23 @@ class FaultCampaign:
             trials.append(trial)
         return CampaignResult(
             trials=tuple(trials),
-            ft_counts=counts.get("ft", Counter()),
-            baseline_counts=counts.get("baseline"),
-            base_latency=latency["baseline"],
-            ft_latency=latency.get("ft", 0.0),
+            counts=counts,
+            latency=latency,
             profile=profile,
             nbytes=self.nbytes,
             seed=self.seed,
             timeline=timeline,
-            service_counts=counts.get("service"),
-            service_latency=latency.get("service", 0.0),
-            byz_counts=counts.get("byz"),
-            byz_latency=latency.get("byz", 0.0),
             fidelity=fidelity_info,
         )
 
     def _check_fidelity(
-        self,
-        plans: Sequence[FaultPlan],
-        base_latency: float,
-        ft_latency: float,
+        self, plans: Sequence[FaultPlan], latency: dict[str, float]
     ) -> dict | None:
         """Arm the adaptive fast path -- or explain why it degraded.
 
         The guard: :class:`~repro.scc.analytic.AnalyticEngine` predicts
         the fault-free baseline and FT latencies; both must agree with
-        the kernel-measured references within 2% against
+        the kernel-measured references (``latency``) within 2% against
         EXACT/IDEAL/ANALYTIC kernels (the engine's validated envelope)
         or 10% against BATCH -- itself an approximation, whose
         whole-transfer port holds sit up to ~7% above the uncontended
@@ -976,8 +811,9 @@ class FaultCampaign:
             ).evaluate(self.nbytes).latencies[0]
             info["predicted_base"] = pred_base
             info["predicted_ft"] = pred_ft
-            info["rel_err_base"] = abs(pred_base - base_latency) / base_latency
-            info["rel_err_ft"] = abs(pred_ft - ft_latency) / ft_latency
+            base, ft = latency["baseline"], latency["ft"]
+            info["rel_err_base"] = abs(pred_base - base) / base
+            info["rel_err_ft"] = abs(pred_ft - ft) / ft
             worst = max(info["rel_err_base"], info["rel_err_ft"])
             if worst > tolerance:
                 info["degraded"] = True

@@ -50,14 +50,12 @@ class SoakResult:
         return self.counts.get("violation", 0) == 0
 
     def summary(self) -> str:
-        from ..bench.reporting import format_table
+        from ..bench.reporting import format_series
 
-        rows = [
-            [c, self.counts.get(c, 0)] for c in CLASSIFICATIONS
-        ]
         lines = [
-            format_table(
-                ["classification", "schedules"], rows,
+            format_series(
+                "classification", CLASSIFICATIONS,
+                {"schedules": [self.counts[c] for c in CLASSIFICATIONS]},
                 title=f"Chaos soak: {self.n_trials} schedules, "
                       f"seed={self.seed}, {self.elapsed:.1f}s",
             ),

@@ -33,6 +33,8 @@ from typing import Sequence
 from .bench import (
     BcastSpec,
     FaultCampaign,
+    campaign_summary,
+    churn_summary,
     format_fault_timeline,
     format_series,
     format_table,
@@ -299,7 +301,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
         fidelity=args.fidelity,
     )
     result = campaign.run_trials(jobs=args.jobs or default_jobs())
-    print(result.summary())
+    print(campaign_summary(result))
     if args.timeline:
         print()
         print(format_fault_timeline(result.timeline))
@@ -335,7 +337,7 @@ def cmd_churn(args: argparse.Namespace) -> int:
         check_i8=not args.no_i8,
     )
     result = campaign.run()
-    print(result.summary())
+    print(churn_summary(result))
     # The campaign's promise is the ISSUE-10 acceptance bar: every
     # adaptive trial terminates cleanly with zero false evictions and
     # zero online I8 violations.
@@ -470,25 +472,27 @@ def cmd_model(args: argparse.Namespace) -> int:
         print(format_table(["algorithm", "peak throughput (MB/s)"], rows, title=title))
         return 0
     sizes = list(range(1, 193, 8))
+    binomial = [
+        model_bcast.binomial_latency_complete(args.cores, m, TABLE_1)
+        for m in sizes
+    ]
     if analytic:
         series = {}
         for k in (2, 7):
             eng = AnalyticEngine(cfg, k=k)
             batch = eng.evaluate_batch([m * CACHE_LINE for m in sizes], iters=1)
             series[f"k={k}"] = [r.mean_latency for r in batch]
-        series["binomial (formula)"] = model_bcast.binomial_latency_complete_batch(
-            args.cores, sizes, TABLE_1
-        ).tolist()
+        series["binomial (formula)"] = binomial
         title = f"Figure 6a (engine replay), P={args.cores}"
     else:
         series = {
-            "k=2": model_bcast.ocbcast_latency_complete_batch(
-                args.cores, sizes, 2, TABLE_1).tolist(),
-            "k=7": model_bcast.ocbcast_latency_complete_batch(
-                args.cores, sizes, 7, TABLE_1).tolist(),
-            "binomial": model_bcast.binomial_latency_complete_batch(
-                args.cores, sizes, TABLE_1).tolist(),
+            f"k={k}": [
+                model_bcast.ocbcast_latency_complete(args.cores, m, k, TABLE_1)
+                for m in sizes
+            ]
+            for k in (2, 7)
         }
+        series["binomial"] = binomial
         title = f"Figure 6a (analytic), P={args.cores}"
     print(ascii_chart(sizes, series, title=title, x_label="CL", y_label="us"))
     return 0

@@ -20,17 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..core.trees import NotificationTree, kary_depth
+from ..scc import costs
 from ..scc.config import CACHE_LINE
 from .params import ModelParams
 from .primitives import (
     c_get_mem,
     c_get_mpb,
     c_mem_read,
-    c_mem_write,
-    c_mpb_read,
     c_mpb_write,
     c_put_mem,
 )
@@ -57,7 +54,7 @@ def flag_write_cost(p: ModelParams, d: int = 1) -> float:
 def detect_cost(p: ModelParams, nflags: int = 1) -> float:
     """Noticing a newly set flag while sweeping ``nflags`` flags: half a
     sweep on average plus the final read (the simulator's model)."""
-    return (0.5 * nflags + 1.0) * p.t_poll
+    return costs.poll_detect(p.t_poll, nflags)
 
 
 def notify_hop(p: ModelParams, nflags: int = 1, d: int = 1) -> float:
@@ -154,59 +151,6 @@ def ocbcast_latency_complete(
     return max(lat, root_finish)
 
 
-def ocbcast_latency_complete_batch(
-    P: int, sizes, k: int, p: ModelParams, *, chunk: int = M_OC,
-    notify_degree: int = 2, d_mpb: int = 1, d_mem: int = 1,
-) -> np.ndarray:
-    """Vectorised :func:`ocbcast_latency_complete` over an array of
-    message sizes (cache lines) -- one numpy expression instead of a
-    Python loop per size.
-
-    Every per-chunk cost is affine in the chunk size ``c``, so the
-    chunk-loop sums collapse to closed forms in ``(m, nchunks)``; agrees
-    with the scalar function to floating-point rounding.
-    """
-    if P < 1:
-        raise ValueError("P must be >= 1")
-    m = np.asarray(sizes, dtype=np.int64)
-    if P == 1:
-        return np.zeros(m.shape, dtype=np.float64)
-    depth = kary_depth(P, k)
-    nchild_root = min(k, P - 1)
-    notif_depth = NotificationTree(nchild_root, notify_degree).depth()
-    nchunks = -(-m // chunk)
-    rest = m % chunk
-    first = np.minimum(m, chunk)          # chunks[0]
-    last = np.where(rest > 0, rest, first)  # chunks[-1]
-
-    # Affine pieces: cost(c) = intercept + c * slope.
-    put_mem_slope = c_mem_read(p, d_mem) + c_mpb_write(p, d_mpb)
-    get_mpb_slope = c_mpb_read(p, d_mpb) + c_mpb_write(p, 1)
-    get_mem_slope = c_mpb_read(p, d_mpb) + c_mem_write(p, d_mem)
-    flagw = flag_write_cost(p, d_mpb)
-    hop = notify_hop(p, 1, d_mpb)
-    cycle_const = (
-        detect_cost(p, 1) + notify_degree * flagw + p.o_get_mpb
-        + flagw + notify_degree * flagw + p.o_get_mem
-    )
-    cycle_slope = get_mpb_slope + get_mem_slope
-
-    lat = (
-        p.o_put_mem + first * put_mem_slope
-        + depth * (notif_depth * hop + p.o_get_mpb) + depth * first * get_mpb_slope
-        + p.o_get_mem + first * get_mem_slope
-        + (nchunks - 1) * cycle_const + (m - first) * cycle_slope
-    )
-    root_finish = (
-        nchunks * (p.o_put_mem + notify_degree * flagw) + m * put_mem_slope
-        + notif_depth * hop
-        + p.o_get_mpb + last * get_mpb_slope
-        + flagw
-        + detect_cost(p, nchild_root)
-    )
-    return np.where(m > 0, np.maximum(lat, root_finish), 0.0)
-
-
 # ---------------------------------------------------------------------------
 # Binomial-tree latency
 # ---------------------------------------------------------------------------
@@ -255,31 +199,6 @@ def binomial_latency_complete(
         )
         lat += levels * per_level
     return lat
-
-
-def binomial_latency_complete_batch(
-    P: int, sizes, p: ModelParams, *, d_mpb: int = 1, d_mem: int = 1,
-    payload: int = M_RCCE,
-) -> np.ndarray:
-    """Vectorised :func:`binomial_latency_complete` over an array of
-    message sizes (cache lines); same closed-form collapse as
-    :func:`ocbcast_latency_complete_batch`."""
-    if P < 1:
-        raise ValueError("P must be >= 1")
-    m = np.asarray(sizes, dtype=np.int64)
-    if P == 1:
-        return np.zeros(m.shape, dtype=np.float64)
-    levels = binomial_levels(P)
-    sync = 2 * (flag_write_cost(p, d_mpb) + detect_cost(p, 1))
-    nchunks = -(-m // payload)
-    per_const = p.o_put_mem + p.o_get_mem + sync
-    per_slope = (
-        c_mpb_write(p, d_mpb) + c_mpb_read(p, d_mpb) + c_mem_write(p, d_mem)
-    )
-    lat = m * c_mem_read(p, d_mem) + levels * (
-        nchunks * per_const + m * per_slope
-    )
-    return np.where(m > 0, lat, 0.0)
 
 
 # ---------------------------------------------------------------------------

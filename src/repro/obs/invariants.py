@@ -5,11 +5,13 @@ An :class:`InvariantChecker` subscribes to a :class:`repro.sim.Tracer`
 runs, that the OC-Bcast protocol keeps its promises:
 
 I1 ``lost-write`` (lossless runs only)
-    No protocol MPB write may be dropped or corrupted: every
-    ``flag_write`` / ``slot_write`` / ``put`` / ``get`` record must carry
-    ``landed="ok"``.  Disabled (``lossless=False``) when a fault injector
-    is armed on purpose -- then the *negative* test uses exactly this
-    invariant to prove a seeded dropped flag is caught.
+    No protocol MPB write may be dropped or corrupted: every record that
+    reports where a write landed (``flag_write``, ``slot_write``,
+    ``vote_write``, ``put``, ``put_bytes``, ``get`` -- any record with a
+    ``landed`` field) must carry ``landed="ok"``.  Disabled
+    (``lossless=False``) when a fault injector is armed on purpose --
+    then the *negative* test uses exactly this invariant to prove a
+    seeded dropped flag is caught.
 
 I2 ``flag-fifo``
     Per (writer, owner, flag line): sequence numbers are non-decreasing.
@@ -98,8 +100,6 @@ from ..sim.trace import TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..scc.chip import SccChip
-
-_WRITE_KINDS = frozenset({"flag_write", "slot_write", "put", "get"})
 
 #: Fault kinds that mark the firing core as Byzantine for I7.
 _ADVERSARY_FAULTS = frozenset(
@@ -242,14 +242,13 @@ class InvariantChecker:
             self._on_suspect(rec)
         elif kind == "rbc.outcome":
             self._on_rbc_outcome(rec)
-        elif self.lossless and kind in _WRITE_KINDS:
-            if rec.detail.get("landed", "ok") != "ok":
-                self._fail(
-                    "lost-write",
-                    f"{kind} from {rec.source} was {rec.detail['landed']} "
-                    f"in a run declared lossless",
-                    rec,
-                )
+        elif self.lossless and rec.detail.get("landed", "ok") != "ok":
+            self._fail(
+                "lost-write",
+                f"{kind} from {rec.source} was {rec.detail['landed']} "
+                f"in a run declared lossless",
+                rec,
+            )
         self._window.append(rec)
 
     # -- per-kind handlers -------------------------------------------------

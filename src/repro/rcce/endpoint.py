@@ -489,14 +489,9 @@ class Endpoint:
         return [decode(read(off, CACHE_LINE)) for off in offsets]
 
     def wait_flag_equals(self, flag: Flag, value: FlagValue) -> Generator:
-        """Block until own copy of ``flag`` equals ``value`` exactly."""
+        """Block until own copy of ``flag`` equals ``value`` exactly (the
+        ledger's ``rcce.flag_ops_per_s`` probe round-trips through it)."""
         yield from self.wait_flags([flag], lambda v: v[0] == value)
-
-    def wait_flag_at_least(self, flag: Flag, tag: int, seq: int) -> Generator:
-        """Block until own ``flag`` has ``tag`` and ``seq >= seq``."""
-        yield from self.wait_flags(
-            [flag], lambda v: v[0].tag == tag and v[0].seq >= seq
-        )
 
     # -- sequence-number slot arrays (heartbeats, claims, ring) -----------------------
 

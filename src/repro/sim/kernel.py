@@ -130,10 +130,6 @@ class Process(Event):
         """Name of the event this process is currently blocked on."""
         return self._waiting_on.name if self._waiting_on is not None else ""
 
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
     def interrupt(self, cause: object = None) -> None:
         """Throw :class:`Interrupted` into the generator at the current time.
 

@@ -9,6 +9,7 @@ import pytest
 
 from repro.bench import ChurnCampaign, ChurnResult, ChurnTrial
 from repro.bench.churn import CHURN_OUTCOMES
+from repro.bench.reporting import churn_summary
 from repro.faults import FaultKind, FaultPlan
 from repro.resilience import IMMEDIATE
 
@@ -99,7 +100,8 @@ class TestChurnSmoke:
             assert isinstance(adaptive, ChurnTrial)
             assert adaptive.outcome in CHURN_OUTCOMES
             assert fixed is None
-        assert "adaptive termination rate: 100.0%" in result.summary()
+        assert list(result.counts) == ["adaptive"]  # no fixed leg
+        assert "adaptive termination rate: 100.0%" in churn_summary(result)
 
 
 @pytest.mark.faults

@@ -10,7 +10,7 @@ import pytest
 
 from repro.bench import FaultCampaign
 from repro.bench.faultcampaign import parse_kinds
-from repro.bench.reporting import format_fault_timeline
+from repro.bench.reporting import campaign_summary, format_fault_timeline
 from repro.core import OcBcast, OcBcastConfig, PropagationTree
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.obs import InvariantChecker
@@ -106,12 +106,12 @@ class TestCampaignHarness:
     def test_small_campaign_ft_survives_where_baseline_deadlocks(self):
         result = FaultCampaign(trials=5, seed=7).run()
         assert result.n_trials == 5
-        assert result.ft_counts["recovered"] == 5
-        assert result.baseline_counts["deadlock"] == 5
-        assert result.ft_survival_rate == 1.0
+        assert result.counts["ft"]["recovered"] == 5
+        assert result.counts["baseline"]["deadlock"] == 5
+        assert result.rate("ft", ("delivered", "recovered")) == 1.0
         assert result.timeline  # fault events captured for reporting
         assert "fault.injected" in format_fault_timeline(result.timeline)
-        assert "robustness tax" in result.summary()
+        assert "robustness tax" in campaign_summary(result)
 
     def test_trial_plans_are_reproducible(self):
         campaign = FaultCampaign(trials=8, seed=3, compare_baseline=False)
@@ -121,7 +121,7 @@ class TestCampaignHarness:
 
     def test_ft_robustness_tax_is_small(self):
         result = FaultCampaign(trials=1, compare_baseline=False).run()
-        assert result.ft_overhead_pct < 5.0
+        assert result.tax_pct("ft", "baseline") < 5.0
 
     def test_parse_kinds(self):
         assert parse_kinds(["drop_flag", "crash"]) == (
@@ -142,9 +142,9 @@ class TestCampaignSmoke:
             seed=1,
             kinds=parse_kinds(["drop_flag", "corrupt_flag", "crash"]),
         ).run()
-        assert result.ft_counts["deadlock"] == 0
-        assert result.ft_counts["corrupt"] == 0
-        assert result.ft_survival_rate == 1.0
+        assert result.counts["ft"]["deadlock"] == 0
+        assert result.counts["ft"]["corrupt"] == 0
+        assert result.rate("ft", ("delivered", "recovered")) == 1.0
         # Flag faults (two thirds of trials) wedge the baseline every time.
-        assert result.baseline_counts["deadlock"] >= 33
-        assert result.ft_overhead_pct < 5.0
+        assert result.counts["baseline"]["deadlock"] >= 33
+        assert result.tax_pct("ft", "baseline") < 5.0

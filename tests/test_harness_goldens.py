@@ -4,7 +4,8 @@
 fixed set of fault campaigns (serial, and ``jobs=2`` for two of them),
 chaos schedules, ``profile_counts`` coordinates, differential scenarios
 and a churn campaign -- outcome labels, counts, latencies, plans,
-decision digests, fault timelines and ``sha256(summary())``; everything
+decision digests, fault timelines and the sha256 of the printed
+``campaign_summary`` / ``churn_summary``; everything
 deterministic a harness reports except the free-text ``detail``.  It was
 produced by ``tools/dump_harness_outcomes.py`` at the commit *before*
 the harnesses moved onto ``repro.transport.world``, so it holds that

@@ -625,23 +625,17 @@ class TestAcceptanceCampaign:
         result = campaign.run()
         # The service commits every trial with correct payloads on every
         # live member.
-        assert result.service_counts["recovered"] == 100
-        assert result.service_survival_rate == 1.0
+        assert result.counts["service"]["recovered"] == 100
+        assert result.rate("service", ("delivered", "recovered")) == 1.0
         # The FT layer and the baseline each lose the majority.
-        ft_failed = sum(
-            result.ft_counts[o] for o in ("deadlock", "timeout", "corrupt")
-        )
-        base_failed = sum(
-            result.baseline_counts[o]
-            for o in ("deadlock", "timeout", "corrupt")
-        )
-        assert ft_failed > 50
-        assert base_failed > 50
+        failed = ("deadlock", "timeout", "corrupt")
+        assert result.rate("ft", failed) > 0.5
+        assert result.rate("baseline", failed) > 0.5
         # Fault-free service tax under 5%.
-        assert result.service_overhead_pct < 5.0
+        assert result.tax_pct("service", "baseline") < 5.0
         # Detection/repair telemetry came back from the trials.
-        assert result.ttd_summary()["count"] >= 90
-        assert result.ttr_summary()["count"] >= 90
+        assert result.times("service", "ttd")["count"] >= 90
+        assert result.times("service", "ttr")["count"] >= 90
 
 
 @pytest.mark.faults
@@ -667,14 +661,14 @@ class TestFailoverAcceptanceCampaign:
             watchdog_interval=100_000.0,
         )
         result = campaign.run()
-        counts = result.service_counts
+        counts = result.counts["service"]
         # 100/100 termination with uniform agreement; zero retry-budget
         # timeouts, deadlocks or split outcomes.
-        assert result.service_agreement_rate == 1.0
+        assert result.rate("service", ("delivered", "recovered", "aborted")) == 1.0
         assert counts["recovered"] + counts["aborted"] == 100
         assert counts["deadlock"] == 0 and counts["timeout"] == 0
         assert counts["corrupt"] == 0 and counts["crashed"] == 0
         # Every trial elected a successor coordinator.
-        assert result.tte_summary()["count"] == 100
+        assert result.times("service", "tte")["count"] == 100
         # Fault-free election-enabled service tax stays under 5%.
-        assert result.service_overhead_pct < 5.0
+        assert result.tax_pct("service", "baseline") < 5.0

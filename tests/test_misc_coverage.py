@@ -3,7 +3,6 @@
 import pytest
 
 from repro import Comm, SccChip, SccConfig, run_spmd
-from repro.rcce.flags import FlagValue
 from repro.scc import ContentionMode
 from repro.scc.core import lines_of
 
@@ -31,28 +30,6 @@ class TestCommUtilities:
         chip = SccChip(SccConfig())
         comm = Comm(chip)
         assert comm.twosided is comm.twosided
-
-    def test_wait_flag_at_least(self):
-        chip = SccChip(SccConfig())
-        comm = Comm(chip)
-        f = comm.flag("t")
-        woke = {}
-
-        def waiter(core):
-            cc = comm.attach(core)
-            yield from cc.wait_flag_at_least(f, tag=9, seq=5)
-            woke["t"] = chip.now
-
-        def setter(core):
-            cc = comm.attach(core)
-            yield core.compute(3.0)
-            yield from cc.flag_set(0, f, FlagValue(9, 4))  # tag ok, seq low
-            yield core.compute(3.0)
-            yield from cc.flag_set(0, f, FlagValue(9, 7))  # satisfies
-
-        run_spmd(chip, lambda c: waiter(c) if c.id == 0 else setter(c),
-                 core_ids=[0, 1])
-        assert woke["t"] > 6.0
 
     def test_local_copy_moves_bytes_and_time(self):
         chip = SccChip(SccConfig())

@@ -128,3 +128,15 @@ class TestPerLineCostsAgreeByConstruction:
                 == primitives.c_mem_write(TABLE_1, core.mem_dist)
             )
         assert seen_mpb == set(range(1, 10)) and seen_mem == {1, 2, 3, 4}
+
+    @pytest.mark.parametrize("t_poll", [TABLE_1.t_poll, 0.1])
+    def test_formulas_and_kernel_charge_a_poll_detection_identically(self, t_poll):
+        """Detection delay has one definition too: the formulas' detect
+        term is the kernel's poll charge for every sweep width -- the same
+        float, including at a ``t_poll`` where a reordered expression
+        would round differently."""
+        from repro.scc import costs
+
+        p = ModelParams(t_poll=t_poll)
+        for n in range(1, 48):
+            assert broadcast.detect_cost(p, n) == costs.poll_detect(t_poll, n)

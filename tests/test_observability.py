@@ -364,6 +364,19 @@ class TestInvariantCheckerUnits:
         assert not strictly.ok
         assert strictly.violations[0].invariant == "lost-write"
 
+    @pytest.mark.parametrize("rec", [
+        _rec("vote_write", "core2", array="rbc.echo", owner=5, slot=2, seq=1,
+             digest=7, landed="dropped"),
+        _rec("put_bytes", "core0", dst=3, off=0, n=32, landed="corrupted"),
+    ], ids=["vote_write", "put_bytes"])
+    def test_lost_write_covers_every_landed_record(self, rec):
+        lossy = InvariantChecker(lossless=False)
+        lossy.feed(rec)
+        assert lossy.ok
+        strictly = InvariantChecker(lossless=True)
+        strictly.feed(rec)
+        assert [v.invariant for v in strictly.violations] == ["lost-write"]
+
     def test_flag_fifo_regression_detected(self):
         c = InvariantChecker()
         c.feed(_rec("flag_write", "core0", flag="oc.done0", owner=1, off=64,

@@ -274,19 +274,19 @@ class TestByzantineAcceptanceCampaign:
             watchdog_interval=100_000.0,
         )
         result = campaign.run_trials(jobs=default_jobs())
-        counts = result.byz_counts
+        counts = result.counts["byz"]
         assert counts["agreed"] + counts["detected"] == 100
         assert counts["disagreement"] == 0
         assert counts["partial"] == 0
         assert counts["deadlock"] == 0 and counts["timeout"] == 0
-        assert result.byz_agreement_rate == 1.0
+        assert result.rate("byz", ("agreed", "detected")) == 1.0
         # Detection latency telemetry came back.  Only trials where some
         # member repaired or refused observe a TTD -- when the honest
         # quorum wins outright there is nothing to detect -- so the count
         # is well below the trial count but must still be substantial.
-        assert result.byz_ttd_summary()["count"] >= 50
+        assert result.times("byz", "ttd")["count"] >= 50
         # Fault-free Byzantine tax under the perf guard.
-        assert result.rbc_tax_pct < 15.0
+        assert result.tax_pct("byz", "service") < 15.0
 
     def test_beyond_f_adversaries_refuse_not_diverge(self):
         # f+1 = 16 adversaries exceed what the quorums tolerate: the
@@ -303,7 +303,7 @@ class TestByzantineAcceptanceCampaign:
             watchdog_interval=100_000.0,
         )
         result = campaign.run_trials(jobs=default_jobs())
-        counts = result.byz_counts
+        counts = result.counts["byz"]
         assert counts["disagreement"] == 0
         assert counts["partial"] == 0
         assert counts["agreed"] + counts["detected"] == 10

@@ -6,7 +6,7 @@ churn campaign each build a fresh world, run a per-rank broadcast body
 and classify how the run ended.  This tool runs a small, fixed set of
 each through the *public* API only and records every deterministic
 field of the result -- outcome labels, counts, latencies, plans,
-decision digests, fault timelines, ``sha256(summary())`` -- so a
+decision digests, fault timelines, the sha256 of the printed summary -- so a
 refactor of the harness layer can be held to "the same bytes".
 
 ``TrialRun.detail`` / ``ChaosOutcome.detail`` are excluded on purpose:
@@ -27,7 +27,9 @@ import json
 import sys
 from pathlib import Path
 
-from repro.bench import ChurnCampaign, FaultCampaign
+from repro.bench import (
+    ChurnCampaign, FaultCampaign, campaign_summary, churn_summary,
+)
 from repro.chaos import ScheduleGenerator, profile_counts, run_schedule
 from repro.faults import FaultKind
 from repro.scc import SccConfig
@@ -126,21 +128,21 @@ def _counts(counter) -> dict | None:
 
 
 def _campaign_result(result) -> dict:
+    # The golden's format: one key per leg, an absent leg as null except
+    # ``ft_counts`` (empty for a Byzantine campaign), an unmeasured
+    # latency as 0.0.
+    counts = {"ft": {}, **result.counts}
     return {
         "trials": [_trial(t) for t in result.trials],
-        "ft_counts": _counts(result.ft_counts),
-        "baseline_counts": _counts(result.baseline_counts),
-        "service_counts": _counts(result.service_counts),
-        "byz_counts": _counts(result.byz_counts),
-        "base_latency": result.base_latency,
-        "ft_latency": result.ft_latency,
-        "service_latency": result.service_latency,
-        "byz_latency": result.byz_latency,
+        **{f"{leg}_counts": _counts(counts.get(leg)) for leg in _LEGS},
+        "base_latency": result.latency["baseline"],
+        **{f"{leg}_latency": result.latency.get(leg, 0.0)
+           for leg in ("ft", "service", "byz")},
         "profile": dict(sorted(result.profile.items())),
         "fidelity": result.fidelity,
         "timeline": [[r.time, r.kind, r.source] for r in result.timeline],
         "summary_sha256": hashlib.sha256(
-            result.summary().encode()
+            campaign_summary(result).encode()
         ).hexdigest(),
     }
 
@@ -224,10 +226,10 @@ def dump_churn() -> dict:
         "adaptive_latency": campaign.latency_once(adaptive=True),
         "fixed_latency": campaign.latency_once(adaptive=False),
         "trials": [[trial(a), trial(f)] for a, f in result.trials],
-        "adaptive_counts": _counts(result.adaptive_counts),
-        "fixed_counts": _counts(result.fixed_counts),
+        "adaptive_counts": _counts(result.counts["adaptive"]),
+        "fixed_counts": _counts(result.counts.get("fixed")),
         "summary_sha256": hashlib.sha256(
-            result.summary().encode()
+            churn_summary(result).encode()
         ).hexdigest(),
     }
 
