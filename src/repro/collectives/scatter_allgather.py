@@ -24,10 +24,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
+from ..rcce import twosided
 from ..scc.memory import MemRef
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..rcce.comm import CoreComm
+    from ..rcce.twosided import TwoSidedState
 
 
 def slice_range(nbytes: int, size: int, index: int) -> tuple[int, int]:
@@ -37,11 +39,16 @@ def slice_range(nbytes: int, size: int, index: int) -> tuple[int, int]:
     return off, min(s, nbytes - off)
 
 
-def _scatter_phase(
-    cc: "CoreComm", root: int, buf: MemRef, nbytes: int
+def scatter_phase(
+    cc: "CoreComm",
+    root: int,
+    buf: MemRef,
+    nbytes: int,
+    st: "TwoSidedState | None" = None,
 ) -> Generator:
     """Binary-recursive-tree scatter leaving slice ``rel`` at relative
-    rank ``rel``."""
+    rank ``rel``, over the send/recv state ``st`` (default: the
+    communicator's)."""
     size = cc.size
     rel = (cc.rank - root) % size
 
@@ -54,7 +61,7 @@ def _scatter_phase(
         lo, _ = slice_range(nbytes, size, rel)
         hi_idx = min(rel + mask, size)
         hi = slice_range(nbytes, size, hi_idx)[0]
-        yield from cc.recv(parent, buf.sub(lo, max(0, hi - lo)), max(0, hi - lo))
+        yield from twosided.recv(cc, parent, buf.sub(lo, hi - lo), hi - lo, st)
 
     # Forward the upper half of my block, halving each time.
     mask >>= 1
@@ -64,7 +71,7 @@ def _scatter_phase(
             lo = slice_range(nbytes, size, rel + mask)[0]
             hi_idx = min(rel + 2 * mask, size)
             hi = slice_range(nbytes, size, hi_idx)[0]
-            yield from cc.send(child, buf.sub(lo, max(0, hi - lo)), max(0, hi - lo))
+            yield from twosided.send(cc, child, buf.sub(lo, hi - lo), hi - lo, st)
         mask >>= 1
 
 
@@ -107,5 +114,5 @@ def scatter_allgather_bcast(
         else:
             yield from cc.recv(root, buf, nbytes)
         return
-    yield from _scatter_phase(cc, root, buf, nbytes)
+    yield from scatter_phase(cc, root, buf, nbytes)
     yield from _allgather_phase(cc, root, buf, nbytes)

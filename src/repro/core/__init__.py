@@ -15,17 +15,13 @@ from .ocbcast import NotifyMode, OcBcast, OcBcastConfig
 from .occollectives import OcBarrier, OcReduce
 from .osag import OsagBcast
 from .trees import (
-    MemberTree,
     NotificationTree,
     PropagationTree,
-    kary_children,
     kary_depth,
-    kary_parent,
     topology_aware_order,
 )
 
 __all__ = [
-    "MemberTree",
     "NotificationTree",
     "NotifyMode",
     "OcBarrier",
@@ -34,8 +30,6 @@ __all__ = [
     "OcReduce",
     "OsagBcast",
     "PropagationTree",
-    "kary_children",
     "kary_depth",
-    "kary_parent",
     "topology_aware_order",
 ]

@@ -116,14 +116,14 @@ import enum
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, Sequence
+from typing import TYPE_CHECKING, Generator, Optional, Sequence
 
 from ..rcce.flags import Flag, FlagValue
 from ..resilience.policy import IMMEDIATE, RetryPolicy
 from ..scc.config import CACHE_LINE
 from ..scc.memory import MemRef
 from ..sim.errors import TimeoutError as SimTimeoutError
-from .trees import MemberTree, NotificationTree, PropagationTree
+from .trees import NotificationTree, PropagationTree
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..rcce.comm import Comm, CoreComm
@@ -186,6 +186,8 @@ class OcBcastConfig:
     chunk_lines: int = DEFAULT_CHUNK_LINES
     num_buffers: int = 2
     notify_degree: int = 2
+    #: Section 5.4: leaves fetch straight into private memory (excludes
+    #: ``integrity``: a leaf keeps no MPB copy of the chunk header).
     leaf_direct_to_memory: bool = False
     notify_mode: NotifyMode = NotifyMode.FLAGS
     #: Fault-tolerant mode: acked flag writes, poll budgets, re-notify
@@ -228,6 +230,11 @@ class OcBcastConfig:
             raise ValueError("FT timeouts must be > 0")
         if self.service and not self.ft:
             raise ValueError("service mode requires ft=True")
+        if self.leaf_direct_to_memory and self.integrity:
+            raise ValueError(
+                "leaf_direct_to_memory cannot verify integrity (a leaf keeps "
+                "no MPB copy of the chunk header)"
+            )
         if self.byz and not (self.service and self.integrity):
             raise ValueError(
                 "byz mode requires service=True and integrity=True (the RBC "
@@ -311,7 +318,7 @@ class OcBcast:
         buf: MemRef,
         nbytes: int,
         order: Sequence[int] | None = None,
-        tree: "PropagationTree | MemberTree | None" = None,
+        tree: Optional[PropagationTree] = None,
     ) -> Generator:
         """Broadcast ``nbytes`` from ``root``'s ``buf`` (private memory)
         into every other rank's ``buf``.
@@ -321,9 +328,8 @@ class OcBcast:
         must pass the same value.
 
         ``tree`` optionally supplies a prebuilt propagation tree -- in
-        particular a :class:`MemberTree` over the survivors of a
-        membership view, which is how the service layer routes later
-        broadcasts around dead cores.  A rank outside the tree returns
+        particular one over the survivors of a membership view, which is
+        how the service layer routes later broadcasts around dead cores.  A rank outside the tree returns
         ``"evicted"`` immediately; in service mode the other ranks return
         ``"ok"`` or ``"retry"`` (the commit outcome) -- or ``"undecided"``
         / ``"moved_on"`` when the commit notification was lost (see the
@@ -353,10 +359,7 @@ class OcBcast:
         self._base[cc.rank] += nchunks + (1 if cfg.service else 0)
 
         if tree is None:
-            tree = PropagationTree(
-                size, cfg.k, root,
-                tuple(order) if order is not None and len(order) else (),
-            )
+            tree = PropagationTree(size, cfg.k, root, order)
         children = tree.children_of(cc.rank)
         if tree.parent_of(cc.rank) is None:
             cc.metric_inc("oc.bcasts")
@@ -376,7 +379,7 @@ class OcBcast:
     def _run_root(
         self,
         cc: "CoreComm",
-        tree: "PropagationTree | MemberTree",
+        tree: PropagationTree,
         children: list[int],
         buf: MemRef,
         nbytes: int,
@@ -416,24 +419,12 @@ class OcBcast:
                     cc, children, done, dead, b, buf.sub(off, span), span, seq
                 )
             cc.trace("oc.chunk.end", idx=idx, seq=seq)
-        # Byzantine mode: the source's payload is fully staged, so cast
-        # its ECHO votes now -- they overlap the whole done-chain ascent
-        # and the commit round below, hiding most of the fan-out cost.
-        if cfg.byz and self.byz_echo_hook is not None:
-            yield from self.byz_echo_hook(cc)
-        final_vals: list[FlagValue] = []
-        if children:
-            final = base + nchunks
-            final_vals = yield from self._wait_done(
-                cc, children, done, final, dead, last_seq=final
-            )
+        failed = yield from self._drain(cc, children, done, dead, base + nchunks)
         if not cfg.service:
             return None
-        # The NACK done-chain made the final wait cover the whole tree:
-        # a failure anywhere below shows up here as a declared-dead child
-        # or a negative (NACK) tag.  Commit the outcome down the
-        # notification trees using the reserved sequence number.
-        failed = bool(dead) or any(v.tag < 0 for v in final_vals)
+        # The NACK done-chain made the final wait cover the whole tree.
+        # Commit the outcome down the notification trees using the
+        # reserved sequence number.
         commit_seq = base + nchunks + 1
         tag = COMMIT_RETRY if failed else COMMIT_OK
         cc.trace("oc.svc.commit", seq=commit_seq, ok=not failed)
@@ -449,7 +440,7 @@ class OcBcast:
     def _run_node(
         self,
         cc: "CoreComm",
-        tree: "PropagationTree | MemberTree",
+        tree: PropagationTree,
         children: list[int],
         buf: MemRef,
         nbytes: int,
@@ -496,8 +487,8 @@ class OcBcast:
                     idx=idx, seq=seq, parent=parent, buf=b,
                     floor=seq - cfg.num_buffers, direct=True,
                 )
-                yield from self._fetch_direct(
-                    cc, parent, b, buf.sub(off, span), span, seq
+                yield from cc.get(
+                    parent, self.buffers[b].offset, buf.sub(off, span), span
                 )
                 yield from self._set_flag(
                     cc, parent, my_done_flag, FlagValue(cc.rank, seq)
@@ -527,24 +518,10 @@ class OcBcast:
                 )
             cc.trace("oc.chunk_done", idx=idx, seq=seq)
             cc.trace("oc.chunk.end", idx=idx, seq=seq)
-        # Byzantine mode: every chunk is fetched and verified, so cast
-        # this rank's ECHO votes now.  A leaf overlaps them with the
-        # done-chain climbing the tree above it; an interior node with
-        # its own wait on the subtree below -- either way the fan-out
-        # rides on time the node would spend idle.
-        if cfg.byz and self.byz_echo_hook is not None:
-            yield from self.byz_echo_hook(cc)
-        final_vals: list[FlagValue] = []
-        if children:
-            final = base + nchunks
-            final_vals = yield from self._wait_done(
-                cc, children, done, final, dead, last_seq=final
-            )
+        failed = yield from self._drain(cc, children, done, dead, base + nchunks)
         if not cfg.service:
             return None
-        # Deferred final doneFlag: aggregate the subtree's outcome into
-        # the tag (NACK on any declared-dead child or NACKed grandchild).
-        failed = bool(dead) or any(v.tag < 0 for v in final_vals)
+        # Deferred final doneFlag: the subtree's outcome rides in the tag.
         if defer_final:
             tag = _nack_tag(cc.rank) if failed else cc.rank
             yield from self._set_flag(
@@ -586,6 +563,33 @@ class OcBcast:
         ok = commit.tag == COMMIT_OK
         cc.trace("oc.svc.commit", seq=commit_seq, ok=ok)
         return "ok" if ok else "retry"
+
+    def _drain(
+        self,
+        cc: "CoreComm",
+        children: list[int],
+        done: list[Flag],
+        dead: set[int],
+        final: int,
+    ) -> Generator[object, object, bool]:
+        """The end of a broadcast on every rank: cast the ECHO votes
+        (byzantine mode), then wait for the children's ``final``
+        doneFlags; returns whether anything below failed (a child
+        declared dead, or a NACK tag).
+
+        The votes go out once this rank's payload is staged or fetched,
+        so the fan-out overlaps the done-chain climbing the tree (and,
+        on an interior node, its own wait on the subtree below) -- time
+        the rank would otherwise spend idle.
+        """
+        if self.config.byz and self.byz_echo_hook is not None:
+            yield from self.byz_echo_hook(cc)
+        final_vals: list[FlagValue] = []
+        if children:
+            final_vals = yield from self._wait_done(
+                cc, children, done, final, dead, last_seq=final
+            )
+        return bool(dead) or any(v.tag < 0 for v in final_vals)
 
     # -- FT primitives -------------------------------------------------------
 
@@ -746,44 +750,6 @@ class OcBcast:
             site="oc.integrity",
         )
 
-    def _fetch_direct(
-        self, cc: "CoreComm", parent: int, b: int, dst: MemRef, span: int, seq: int
-    ) -> Generator:
-        """The Section 5.4 leaf fetch straight to off-chip memory, with
-        the integrity check reading the header remotely (one extra line)
-        since the leaf holds no MPB copy of it."""
-        cfg = self.config
-        if not cfg.integrity:
-            yield from cc.get(parent, self.buffers[b].offset, dst, span)
-            return
-        src_off = self._payload_off(b)
-        for attempt in range(INTEGRITY_RETRIES + 1):
-            yield from cc.get(parent, src_off, dst, span)
-            header = yield from cc.get_bytes(
-                parent, self.buffers[b].offset, CACHE_LINE
-            )
-            yield from self._crc_charge(cc, span)
-            if self._chunk_ok(header + dst.sub(0, span).read(), seq, span):
-                if attempt:
-                    cc.note_recovery(
-                        f"oc.chunk{seq}@core{cc.core_id}",
-                        note=f"re-fetched x{attempt} (direct)",
-                    )
-                return
-            cc.trace(
-                "oc.integrity.mismatch",
-                seq=seq, parent=parent, attempt=attempt + 1, direct=True,
-            )
-            cc.metric_inc("oc.integrity.mismatches")
-        raise SimTimeoutError(
-            f"core {cc.core_id}: direct chunk seq={seq} failed checksum after "
-            f"{INTEGRITY_RETRIES + 1} fetches from rank {parent} at "
-            f"t={cc.now:.4f}",
-            process=f"core{cc.core_id}",
-            sim_time=cc.now,
-            site="oc.integrity",
-        )
-
     @staticmethod
     def _chunk_ok(raw: bytes, seq: int, span: int) -> bool:
         """Verify one header-prefixed chunk image."""
@@ -865,7 +831,7 @@ class OcBcast:
     def _notify(
         self,
         cc: "CoreComm",
-        tree: "PropagationTree | MemberTree",
+        tree: PropagationTree,
         family: NotificationTree,
         family_children: list[int],
         slot: int,

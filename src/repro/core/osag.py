@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
+from ..collectives.scatter_allgather import scatter_phase, slice_range
 from ..rcce.flags import FlagSlotArray
 from ..rcce.twosided import TwoSidedState, recv as ts_recv, send as ts_send
 from ..scc.config import CACHE_LINE
@@ -118,40 +119,13 @@ class OsagBcast:
 
     # -- one segment (slices fit the MPB buffers) -------------------------
 
-    def _slice(self, nbytes: int, index: int) -> tuple[int, int]:
-        size = self.comm.size
-        s = -(-nbytes // size)
-        off = min(index * s, nbytes)
-        return off, min(s, nbytes - off)
-
     def _bcast_segment(
         self, cc: "CoreComm", root: int, buf: MemRef, nbytes: int
     ) -> Generator:
-        size = cc.size
-        rel = (cc.rank - root) % size
-
-        # ---- scatter: binary recursive tree over private send/recv ----
-        mask = 1
-        while mask < size and not rel & mask:
-            mask <<= 1
-        if rel != 0:
-            parent = (cc.rank - mask) % size
-            lo = self._slice(nbytes, rel)[0]
-            hi = self._slice(nbytes, min(rel + mask, size))[0]
-            yield from ts_recv(cc, parent, buf.sub(lo, hi - lo), hi - lo,
-                               st=self.scatter_state)
-        child_mask = mask >> 1
-        while child_mask > 0:
-            if rel + child_mask < size:
-                child = (cc.rank + child_mask) % size
-                lo = self._slice(nbytes, rel + child_mask)[0]
-                hi = self._slice(nbytes, min(rel + 2 * child_mask, size))[0]
-                yield from ts_send(cc, child, buf.sub(lo, hi - lo), hi - lo,
-                                   st=self.scatter_state)
-            child_mask >>= 1
-
-        # ---- allgather: one-sided MPB-to-MPB ring ----
-        yield from self._ring(cc, root, lambda i: self._slice(nbytes, i), buf)
+        # The two-sided scatter runs on the private state, which fits the
+        # MPB beside the ring's buffers.
+        yield from scatter_phase(cc, root, buf, nbytes, st=self.scatter_state)
+        yield from self._ring(cc, root, lambda i: slice_range(nbytes, cc.size, i), buf)
 
     # -- the one-sided ring ---------------------------------------------
 

@@ -5,7 +5,9 @@ Propagation tree (paper Section 4.1): a k-ary tree over *positions*
 with a position-to-rank assignment.  The paper's id-based assignment maps
 position ``p`` to rank ``(root + p) mod P``, giving exactly "the children
 of core i are the cores with ids (s + ik + 1) mod P to (s + (i+1)k) mod
-P".  A topology-aware assignment (:func:`topology_aware_order`) keeps the
+P".  The same arithmetic over the survivors of a membership view (the
+dead filtered out of that order) is the crash-surviving service's tree.
+A topology-aware assignment (:func:`topology_aware_order`) keeps the
 same shape but places ranks to shorten parent-child mesh distances -- the
 orthogonal optimisation the paper cites as [4] and leaves out; we include
 it as an ablation.
@@ -20,23 +22,8 @@ children in order).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
-
-
-def kary_parent(rank: int, root: int, size: int, k: int) -> int | None:
-    """Propagation parent of ``rank`` under the id-based assignment."""
-    pos = (rank - root) % size
-    if pos == 0:
-        return None
-    return (root + (pos - 1) // k) % size
-
-
-def kary_children(rank: int, root: int, size: int, k: int) -> list[int]:
-    """Propagation children of ``rank`` under the id-based assignment."""
-    pos = (rank - root) % size
-    first = pos * k + 1
-    return [(root + p) % size for p in range(first, min(first + k, size))]
+from dataclasses import dataclass
+from typing import Callable, Collection, Sequence
 
 
 def kary_depth(size: int, k: int) -> int:
@@ -94,39 +81,71 @@ class NotificationTree:
         return d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PropagationTree:
-    """A k-ary propagation tree over ranks ``0..size-1``.
+    """A k-ary propagation tree over the ranks ``0..size-1`` not in ``dead``.
 
-    ``order[p]`` is the rank at position ``p``; ``order[0]`` is the root.
-    The default order is the paper's id-based assignment.
+    ``ranks[p]`` is the rank at position ``p``; ``ranks[0]`` is the root.
+    ``order`` (default: the paper's id-based assignment rotated to the
+    root) fixes the position order *before* the dead are filtered out, so
+    survivors keep their relative placement, stay in their original id
+    space, and two cores computing the tree from the same membership view
+    agree exactly -- which is how FT OC-Bcast rebuilds a smaller tree
+    after a crash without renumbering anyone.  An empty ``order`` means
+    the default.
+
+    The root itself may be dead: the tree *re-roots* at the first
+    surviving rank of the base order (the same rank every survivor
+    computes), and the remaining survivors keep their placement --
+    orphaned subtrees are re-parented by the position arithmetic exactly
+    as for a dead interior node.  This is what lets the coordinator-
+    failover path rebuild a broadcast tree after the original root
+    crashes.
     """
 
-    size: int
+    ranks: tuple[int, ...]
     k: int
-    root: int = 0
-    order: tuple[int, ...] = field(default=())
 
-    def __post_init__(self) -> None:
-        if self.size < 1:
+    def __init__(
+        self,
+        size: int,
+        k: int,
+        root: int = 0,
+        order: Sequence[int] | None = None,
+        dead: Collection[int] = (),
+    ) -> None:
+        if size < 1:
             raise ValueError("size must be >= 1")
-        if self.k < 1:
+        if k < 1:
             raise ValueError("k must be >= 1")
-        if not 0 <= self.root < self.size:
-            raise ValueError(f"root {self.root} outside 0..{self.size - 1}")
-        order = self.order or tuple(
-            (self.root + p) % self.size for p in range(self.size)
-        )
-        if sorted(order) != list(range(self.size)):
-            raise ValueError("order must be a permutation of ranks")
-        if order[0] != self.root:
-            raise ValueError("order[0] must be the root")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(
-            self, "_pos", {rank: p for p, rank in enumerate(order)}
-        )
+        if not 0 <= root < size:
+            raise ValueError(f"root {root} outside 0..{size - 1}")
+        if order is None or not len(order):
+            ranks = tuple(range(root, size)) + tuple(range(root))
+        else:
+            ranks = tuple(order)
+            if sorted(ranks) != list(range(size)):
+                raise ValueError("order must be a permutation of ranks")
+            if ranks[0] != root:
+                raise ValueError("order[0] must be the root")
+        if dead:
+            gone = set(dead)
+            ranks = tuple(r for r in ranks if r not in gone)
+            if not ranks:
+                raise ValueError("a tree needs at least one live rank")
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "_pos", {rank: p for p, rank in enumerate(ranks)})
 
     # -- navigation -----------------------------------------------------------
+
+    @property
+    def root(self) -> int:
+        return self.ranks[0]
+
+    @property
+    def size(self) -> int:
+        return len(self.ranks)
 
     def __contains__(self, rank: int) -> bool:
         return rank in self._pos  # type: ignore[attr-defined]
@@ -134,19 +153,15 @@ class PropagationTree:
     def position_of(self, rank: int) -> int:
         return self._pos[rank]  # type: ignore[attr-defined]
 
-    def rank_at(self, pos: int) -> int:
-        return self.order[pos]
-
     def parent_of(self, rank: int) -> int | None:
         pos = self.position_of(rank)
         if pos == 0:
             return None
-        return self.order[(pos - 1) // self.k]
+        return self.ranks[(pos - 1) // self.k]
 
     def children_of(self, rank: int) -> list[int]:
-        pos = self.position_of(rank)
-        first = pos * self.k + 1
-        return [self.order[p] for p in range(first, min(first + self.k, self.size))]
+        first = self.position_of(rank) * self.k + 1
+        return list(self.ranks[first:first + self.k])
 
     def child_index(self, rank: int) -> int:
         """Index of ``rank`` among its parent's children (doneFlag slot)."""
@@ -167,131 +182,7 @@ class PropagationTree:
         pos = 0
         width = 1
         while pos < self.size:
-            out.append([self.order[p] for p in range(pos, min(pos + width, self.size))])
-            pos += width
-            width *= self.k
-        return out
-
-
-@dataclass(frozen=True)
-class MemberTree:
-    """A k-ary propagation tree over an explicit *member subset*.
-
-    Where :class:`PropagationTree` spans every rank ``0..size-1``, a
-    MemberTree spans only ``members`` -- the survivors of the current
-    membership view -- while keeping ranks in their original id space,
-    so FT OC-Bcast can rebuild a smaller tree after a crash without
-    renumbering anyone.  ``members[0]`` is the root; positions are
-    assigned in member order using the same array-tree arithmetic
-    (position ``p``'s children are ``pk+1..pk+k``), and the navigation
-    API matches :class:`PropagationTree` so the broadcast engine can use
-    either interchangeably.
-    """
-
-    members: tuple[int, ...]
-    k: int
-
-    def __post_init__(self) -> None:
-        members = tuple(self.members)
-        if not members:
-            raise ValueError("a member tree needs at least the root")
-        if len(set(members)) != len(members):
-            raise ValueError("duplicate ranks in member tree")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        object.__setattr__(self, "members", members)
-        object.__setattr__(
-            self, "_pos", {rank: p for p, rank in enumerate(members)}
-        )
-
-    @classmethod
-    def survivors(
-        cls,
-        size: int,
-        k: int,
-        root: int,
-        dead: Sequence[int] | set[int] = (),
-        order: Sequence[int] | None = None,
-    ) -> "MemberTree":
-        """The tree over every rank of ``0..size-1`` not in ``dead``.
-
-        ``order`` (default: the paper's id-based assignment rotated to
-        the root) fixes the position order *before* the dead are
-        filtered out, so survivors keep their relative placement and two
-        cores computing the tree from the same view agree exactly.
-
-        The root itself may be dead: the tree *re-roots* at the first
-        surviving rank of the base order (the same rank every survivor
-        computes), and the remaining survivors keep their id-rotation
-        placement -- orphaned subtrees are re-parented by the position
-        arithmetic exactly as for a dead interior node.  This is what
-        lets the coordinator-failover path rebuild a broadcast tree
-        after the original root crashes.
-        """
-        base = tuple(order) if order is not None else tuple(
-            (root + p) % size for p in range(size)
-        )
-        if sorted(base) != list(range(size)):
-            raise ValueError("order must be a permutation of ranks")
-        if base[0] != root:
-            raise ValueError("order[0] must be the root")
-        gone = set(dead)
-        return cls(tuple(r for r in base if r not in gone), k)
-
-    # -- navigation (PropagationTree-compatible) ---------------------------
-
-    @property
-    def root(self) -> int:
-        return self.members[0]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, rank: int) -> bool:
-        return rank in self._pos  # type: ignore[attr-defined]
-
-    def position_of(self, rank: int) -> int:
-        return self._pos[rank]  # type: ignore[attr-defined]
-
-    def rank_at(self, pos: int) -> int:
-        return self.members[pos]
-
-    def parent_of(self, rank: int) -> int | None:
-        pos = self.position_of(rank)
-        if pos == 0:
-            return None
-        return self.members[(pos - 1) // self.k]
-
-    def children_of(self, rank: int) -> list[int]:
-        pos = self.position_of(rank)
-        first = pos * self.k + 1
-        return [
-            self.members[p] for p in range(first, min(first + self.k, self.size))
-        ]
-
-    def child_index(self, rank: int) -> int:
-        """Index of ``rank`` among its parent's children (doneFlag slot)."""
-        pos = self.position_of(rank)
-        if pos == 0:
-            raise ValueError("the root has no child index")
-        return (pos - 1) % self.k
-
-    def is_leaf(self, rank: int) -> bool:
-        return not self.children_of(rank)
-
-    def depth(self) -> int:
-        return kary_depth(self.size, self.k)
-
-    def levels(self) -> list[list[int]]:
-        """Members grouped by tree level, root first."""
-        out: list[list[int]] = []
-        pos = 0
-        width = 1
-        while pos < self.size:
-            out.append(
-                [self.members[p] for p in range(pos, min(pos + width, self.size))]
-            )
+            out.append(list(self.ranks[pos:pos + width]))
             pos += width
             width *= self.k
         return out

@@ -4,9 +4,9 @@ Wraps an FT OC-Bcast engine (service mode: NACK done-chain + commit
 notification, payload integrity on) in a retry loop driven by the
 membership service:
 
-1.  Broadcast over the current view's survivor tree
-    (:meth:`repro.core.trees.MemberTree.survivors`).  A rank outside the
-    view returns ``"evicted"`` without touching the MPB.
+1.  Broadcast over the current view's survivor tree (a
+    :class:`repro.core.trees.PropagationTree` without the dead).  A rank
+    outside the view returns ``"evicted"`` without touching the MPB.
 2.  On commit ``"ok"`` every live member has verified the payload --
     done (no heartbeat round on the fault-free path).
 3.  On failure (commit ``"retry"``, an ``"undecided"`` commit, or a
@@ -66,7 +66,7 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Generator
 
 from ..core.ocbcast import OcBcast, OcBcastConfig
-from ..core.trees import MemberTree
+from ..core.trees import PropagationTree
 from ..resilience.policy import OverloadError
 from ..scc.memory import MemRef
 from ..sim.errors import TimeoutError as SimTimeoutError
@@ -140,11 +140,11 @@ class OcBcastService:
         #: Per-rank message counter, keying ``svc.outcome`` records.
         self._msg = [0] * comm.size
         #: Survivor trees are pure functions of (view, source); cache.
-        self._trees: dict[tuple[int, int], MemberTree] = {}
+        self._trees: dict[tuple[int, int], PropagationTree] = {}
 
     # ------------------------------------------------------------------
 
-    def survivor_tree(self, view, source: int | None = None) -> MemberTree:
+    def survivor_tree(self, view, source: int | None = None) -> PropagationTree:
         """The propagation tree over ``view``'s members, rooted at
         ``source`` (default: the service's static root -- re-rooted at
         the first surviving rank if it is dead), cached."""
@@ -154,9 +154,7 @@ class OcBcastService:
         if tree is None:
             dead = [r for r in range(self.comm.size) if r not in view]
             root = src if src in view else self.root
-            tree = MemberTree.survivors(
-                self.comm.size, self.config.k, root, dead=dead
-            )
+            tree = PropagationTree(self.comm.size, self.config.k, root, dead=dead)
             self._trees[key] = tree
         return tree
 

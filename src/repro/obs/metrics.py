@@ -294,14 +294,13 @@ def collect_chip_metrics(
             max(0.0, now * len(chip.cores) - busy_total))
 
     # Formula 14's "L1 ~ 0" term as a number: off-chip lines that hit.
-    if chip.config.model_l1:
-        hits = misses = 0
-        for core in chip.cores:
-            hits += core.l1.hits
-            misses += core.l1.misses
-            if per_entity:
-                reg.set(f"l1.{core.id}.hits", core.l1.hits)
-                reg.set(f"l1.{core.id}.misses", core.l1.misses)
-        reg.set("l1.hits.total", hits)
-        reg.set("l1.misses.total", misses)
+    hits = misses = 0
+    for core in chip.cores:
+        hits += core.l1.hits
+        misses += core.l1.misses
+        if per_entity:
+            reg.set(f"l1.{core.id}.hits", core.l1.hits)
+            reg.set(f"l1.{core.id}.misses", core.l1.misses)
+    reg.set("l1.hits.total", hits)
+    reg.set("l1.misses.total", misses)
     return reg

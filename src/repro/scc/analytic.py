@@ -199,10 +199,7 @@ class AnalyticEngine:
 
         P = cfg.num_cores
         self.size = P
-        self.tree = PropagationTree(
-            P, k, root,
-            tuple(order) if order is not None and len(order) else (),
-        )
+        self.tree = PropagationTree(P, k, root, order)
 
         # -- cached geometry (Formulas 2/3/5/6 as arrays) -------------------
         # The Mesh is the single source of geometric truth (MC placement,
@@ -227,15 +224,11 @@ class AnalyticEngine:
         # cumsum is add.accumulate -- strictly sequential, acc[m] =
         # acc[m - 1] + per starting from per == 0.0 + per -- so it *is*
         # that loop.
-        if cfg.model_l1:
-            loop = np.zeros((P, chunk_lines + 1))
-            np.cumsum(
-                np.broadcast_to(self.mem_read_line[:, None], (P, chunk_lines)),
-                axis=1, out=loop[:, 1:],
-            )
-            self._mem_read_loop: np.ndarray | None = loop
-        else:
-            self._mem_read_loop = None
+        self._mem_read_loop = np.zeros((P, chunk_lines + 1))
+        np.cumsum(
+            np.broadcast_to(self.mem_read_line[:, None], (P, chunk_lines)),
+            axis=1, out=self._mem_read_loop[:, 1:],
+        )
 
         # -- cached schedule ------------------------------------------------
         # Per tree position: who I notify, who relays to me, my waits.
@@ -249,9 +242,9 @@ class AnalyticEngine:
 
         # One notify flag per waiter; an interrupt wait sweeps none.
         notify_detect = costs.poll_detect(t_poll, 0 if interrupt_notify else 1)
-        kids = {r: self.tree.children_of(r) for r in self.tree.order}
+        kids = {r: self.tree.children_of(r) for r in self.tree.ranks}
         self._sched: list[dict] = []
-        for r in self.tree.order:  # position order, root first
+        for r in self.tree.ranks:  # position order, root first
             parent = self.tree.parent_of(r)
             children = kids[r]
             fam = family(len(children))
@@ -364,9 +357,7 @@ class AnalyticEngine:
     def _mem_read_total(self, rank: int, m: np.ndarray) -> np.ndarray:
         """Cold read of ``m`` lines from private memory (Formula 6 with
         the L1 model's loop accumulation)."""
-        if self._mem_read_loop is not None:
-            return self._mem_read_loop[rank][m]
-        return m * float(self.mem_read_line[rank])
+        return self._mem_read_loop[rank][m]
 
     def _wait(
         self,

@@ -149,8 +149,6 @@ class SccConfig:
     contention_mode: ContentionMode = ContentionMode.BATCH
     #: Model per-link occupancy (needed only for the mesh stress test).
     model_links: bool = False
-    #: Model the per-core L1 over private memory (Formula 14's cache term).
-    model_l1: bool = True
     #: EXACT mode only: run cache-line accesses -- up to a whole put/get
     #: between an MPB and private memory -- as leg scripts, one wake-up
     #: instead of per-line generator churn and no event per line while

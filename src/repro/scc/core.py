@@ -94,9 +94,7 @@ class Core:
         self.tile = chip.mesh.tile_of_core(core_id)
         self.mpb = chip.mpbs[core_id]
         self.mem = PrivateMemory(chip.config, core_id)
-        self.l1: L1Cache | None = (
-            L1Cache(chip.config.l1_lines) if chip.config.model_l1 else None
-        )
+        self.l1 = L1Cache(chip.config.l1_lines)
         self.mem_dist = chip.mesh.mem_distance(core_id)
         # Independent, reproducible jitter stream per core.
         self.rng = np.random.default_rng(np.random.SeedSequence([chip.config.seed, core_id]))
@@ -428,22 +426,17 @@ class Core:
         same order)."""
         hold = self.hold_leg(target_core, write)
         line0 = ref.offset // CACHE_LINE
-        l1 = self.l1
         if not write:
             yield from self.scripted((hold, self._mem_write_cost) * m)
-            if l1 is not None:  # write-allocate, as mem_write does
-                l1.touch(range(line0, line0 + m))
+            self.l1.touch(range(line0, line0 + m))  # write-allocate, as mem_write does
             return
         # A read's length is its L1 outcome, and only this core touches
         # its L1: the reads are performed on it up front.
         miss = self._mem_read_cost
+        hit = self.config.t_l1_hit
         legs: list = [hold]
-        if l1 is None:
-            legs += (miss, hold) * (m - 1)
-        else:
-            hit = self.config.t_l1_hit
-            for was_hit, count in l1.touch(range(line0 + 1, line0 + m)):
-                legs += (hit if was_hit else miss, hold) * count
+        for was_hit, count in self.l1.touch(range(line0 + 1, line0 + m)):
+            legs += (hit if was_hit else miss, hold) * count
         yield from self.scripted(legs)
 
     def mem_read(self, ref: MemRef) -> Generator[Event, object, None]:
@@ -454,17 +447,14 @@ class Core:
             )
         total = self._fault_overhead()
         lines = ref.line_addrs()  # computed once, reused below
-        if self.l1 is not None:
-            hit_cost = self.config.t_l1_hit
-            miss_cost = self._mem_read_cost
-            # One float addition per line, in line order: the sum is not
-            # ``count * cost`` to the last bit.
-            for was_hit, count in self.l1.touch(lines):
-                cost = hit_cost if was_hit else miss_cost
-                for _ in range(count):
-                    total += cost
-        else:
-            total += len(lines) * self._mem_read_cost
+        hit_cost = self.config.t_l1_hit
+        miss_cost = self._mem_read_cost
+        # One float addition per line, in line order: the sum is not
+        # ``count * cost`` to the last bit.
+        for was_hit, count in self.l1.touch(lines):
+            cost = hit_cost if was_hit else miss_cost
+            for _ in range(count):
+                total += cost
         total = self.jittered(total)
         self.stats.mem_lines += len(lines)
         self.stats.mem_time += total
@@ -478,8 +468,7 @@ class Core:
                 f"core {self.id} cannot access private memory of core {ref.owner}"
             )
         lines = ref.line_addrs()  # computed once, reused below
-        if self.l1 is not None:
-            self.l1.touch(lines)
+        self.l1.touch(lines)
         total = self.jittered(len(lines) * self._mem_write_cost + self._fault_overhead())
         self.stats.mem_lines += len(lines)
         self.stats.mem_time += total

@@ -25,28 +25,23 @@ class ReferenceReplayEngine(AnalyticEngine):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        cfg, P, chunk_lines = self.config, self.size, self.chunk_lines
+        P, chunk_lines = self.size, self.chunk_lines
         # Cold-miss read totals, accumulated line by line exactly as
         # Core.mem_read's loop does (repeated float addition is not the
         # same float as multiplication; bit-exactness needs the loop).
-        if cfg.model_l1:
-            loop = np.empty((P, chunk_lines + 1))
-            for r in range(P):
-                acc, per = 0.0, float(self.mem_read_line[r])
-                loop[r, 0] = 0.0
-                for m in range(1, chunk_lines + 1):
-                    acc += per
-                    loop[r, m] = acc
-            self._mem_read_loop: np.ndarray | None = loop
-        else:
-            self._mem_read_loop = None
+        loop = np.empty((P, chunk_lines + 1))
+        for r in range(P):
+            acc, per = 0.0, float(self.mem_read_line[r])
+            loop[r, 0] = 0.0
+            for m in range(1, chunk_lines + 1):
+                acc += per
+                loop[r, m] = acc
+        self._mem_read_loop = loop
 
     def _mem_read_total(self, rank: int, m: np.ndarray) -> np.ndarray:
         """Cold read of ``m`` lines from private memory (Formula 6 with
         the L1 model's loop accumulation)."""
-        if self._mem_read_loop is not None:
-            return self._mem_read_loop[rank][m]
-        return m * float(self.mem_read_line[rank])
+        return self._mem_read_loop[rank][m]
 
     def _wait(
         self,

@@ -127,14 +127,6 @@ def test_manycore_meshes_equal_per_rank_replay(cols, rows):
     assert_same_replay(cfg, sizes, k=7)
 
 
-def test_without_l1_model_equals_per_rank_replay():
-    """``model_l1=False``: the root's cold read is a product, not the
-    accumulated table."""
-    cfg = SccConfig(mesh_cols=3, mesh_rows=2, model_l1=False)
-    sizes = [CACHE_LINE * n for n in (97, 1, 300, 96)]
-    assert_same_replay(cfg, sizes, iters_list=(1, 2), k=3)
-
-
 def test_single_lane_budget_overrun_refused_by_both():
     """One lane -- the only one still streaming when its recycle wait
     comes up, so the check runs on compressed lanes -- overruns the FT

@@ -7,28 +7,31 @@ from hypothesis import strategies as st
 from repro.core import (
     NotificationTree,
     PropagationTree,
-    kary_children,
     kary_depth,
-    kary_parent,
     topology_aware_order,
 )
 from repro.scc import SccChip, SccConfig
 
 
 class TestKaryFunctions:
+    """The id-based assignment's arithmetic: ``(s + ik + 1) mod P`` to
+    ``(s + (i+1)k) mod P`` are core i's children."""
+
     def test_paper_example_figure5(self):
         """s=0, P=12, k=7: children of 0 are 1..7, children of 1 are 8..11."""
-        assert kary_children(0, 0, 12, 7) == [1, 2, 3, 4, 5, 6, 7]
-        assert kary_children(1, 0, 12, 7) == [8, 9, 10, 11]
-        assert kary_children(2, 0, 12, 7) == []
-        assert kary_parent(8, 0, 12, 7) == 1
-        assert kary_parent(7, 0, 12, 7) == 0
-        assert kary_parent(0, 0, 12, 7) is None
+        tree = PropagationTree(12, 7, 0)
+        assert tree.children_of(0) == [1, 2, 3, 4, 5, 6, 7]
+        assert tree.children_of(1) == [8, 9, 10, 11]
+        assert tree.children_of(2) == []
+        assert tree.parent_of(8) == 1
+        assert tree.parent_of(7) == 0
+        assert tree.parent_of(0) is None
 
     def test_nonzero_root_wraps(self):
-        assert kary_children(5, 5, 8, 3) == [6, 7, 0]
-        assert kary_parent(0, 5, 8, 3) == 5
-        assert kary_children(6, 5, 8, 3) == [1, 2, 3]
+        tree = PropagationTree(8, 3, 5)
+        assert tree.children_of(5) == [6, 7, 0]
+        assert tree.parent_of(0) == 5
+        assert tree.children_of(6) == [1, 2, 3]
 
     def test_depth(self):
         assert kary_depth(1, 7) == 0
@@ -49,21 +52,23 @@ class TestKaryFunctions:
     def test_property_parent_child_inverse(self, size, k, root, rank):
         root %= size
         rank %= size
-        for child in kary_children(rank, root, size, k):
-            assert kary_parent(child, root, size, k) == rank
-        parent = kary_parent(rank, root, size, k)
+        tree = PropagationTree(size, k, root)
+        for child in tree.children_of(rank):
+            assert tree.parent_of(child) == rank
+        parent = tree.parent_of(rank)
         if parent is not None:
-            assert rank in kary_children(parent, root, size, k)
+            assert rank in tree.children_of(parent)
 
     @settings(max_examples=40, deadline=None)
     @given(size=st.integers(1, 80), k=st.integers(1, 10), root=st.integers(0, 79))
     def test_property_tree_spans_without_duplicates(self, size, k, root):
         root %= size
+        tree = PropagationTree(size, k, root)
         seen = {root}
         frontier = [root]
         while frontier:
             node = frontier.pop()
-            for child in kary_children(node, root, size, k):
+            for child in tree.children_of(node):
                 assert child not in seen
                 seen.add(child)
                 frontier.append(child)

@@ -6,9 +6,11 @@ crashes interesting (the crashed node has already relayed some chunks,
 so its subtree is mid-pipeline when it goes silent).
 """
 
+import itertools
+
 import pytest
 
-from repro.core import MemberTree, OcBcast, OcBcastConfig, PropagationTree
+from repro.core import OcBcast, OcBcastConfig, PropagationTree
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.member import (
     CompletionDirective,
@@ -38,30 +40,37 @@ INTERIOR = next(r for r in range(1, 48) if TREE48.children_of(r))
 
 
 class TestMemberTree:
+    """The survivor tree: :class:`PropagationTree` with ranks dead."""
+
     def test_full_tree_matches_propagation_tree(self):
-        mt = MemberTree.survivors(48, 7, root=5)
-        pt = PropagationTree(48, 7, root=5)
-        for r in range(48):
-            assert mt.position_of(r) == pt.position_of(r)
-            assert mt.parent_of(r) == pt.parent_of(r)
-            assert mt.children_of(r) == pt.children_of(r)
-            if r != 5:
-                assert mt.child_index(r) == pt.child_index(r)
-        assert mt.levels() == pt.levels()
-        assert mt.depth() == pt.depth()
+        # Nobody dead: the survivor tree is the id-rotation tree.
+        for root, k in itertools.product((0, 5, 47), (1, 2, 7, 47)):
+            mt = PropagationTree(48, k, root=root, dead=())
+            pt = PropagationTree(
+                48, k, root=root, order=[(root + p) % 48 for p in range(48)]
+            )
+            assert mt.ranks == pt.ranks
+            for r in range(48):
+                assert mt.position_of(r) == pt.position_of(r)
+                assert mt.parent_of(r) == pt.parent_of(r)
+                assert mt.children_of(r) == pt.children_of(r)
+                if r != root:
+                    assert mt.child_index(r) == pt.child_index(r)
+            assert mt.levels() == pt.levels()
+            assert mt.depth() == pt.depth()
 
     def test_survivors_filter_preserves_relative_order(self):
         dead = {3, 17, 40}
-        mt = MemberTree.survivors(48, 7, root=0, dead=dead)
+        mt = PropagationTree(48, 7, root=0, dead=dead)
         assert mt.size == 45
         assert all(d not in mt for d in dead)
         # Remaining ranks keep the id-based rotation order.
         expected = tuple(r for r in range(48) if r not in dead)
-        assert mt.members == expected
+        assert mt.ranks == expected
 
     def test_parent_child_round_trip(self):
-        mt = MemberTree.survivors(48, 7, root=2, dead={5, 9, 30, 31})
-        for r in mt.members:
+        mt = PropagationTree(48, 7, root=2, dead={5, 9, 30, 31})
+        for r in mt.ranks:
             for c in mt.children_of(r):
                 assert mt.parent_of(c) == r
                 assert mt.children_of(r)[mt.child_index(c)] == c
@@ -71,8 +80,8 @@ class TestMemberTree:
     def test_dead_interior_nodes_subtree_is_reattached(self):
         # Killing an interior node must leave no orphans: every survivor
         # still has a path to the root.
-        mt = MemberTree.survivors(48, 7, root=0, dead={INTERIOR})
-        for r in mt.members:
+        mt = PropagationTree(48, 7, root=0, dead={INTERIOR})
+        for r in mt.ranks:
             hops, cur = 0, r
             while cur != 0:
                 cur = mt.parent_of(cur)
@@ -82,31 +91,31 @@ class TestMemberTree:
 
     def test_explicit_order_is_respected(self):
         order = (1, 0, 3, 2)
-        mt = MemberTree.survivors(4, 2, root=1, dead={3}, order=order)
-        assert mt.members == (1, 0, 2)
+        mt = PropagationTree(4, 2, root=1, dead={3}, order=order)
+        assert mt.ranks == (1, 0, 2)
 
     def test_dead_root_reroots_at_first_surviving_rank(self):
         # The root may die: the tree re-roots at the first survivor of
         # the id-rotation order, for every fan-out.
         for k in range(1, 5):
-            mt = MemberTree.survivors(8, k, root=0, dead={0})
+            mt = PropagationTree(8, k, root=0, dead={0})
             assert mt.root == 1
-            assert mt.members == (1, 2, 3, 4, 5, 6, 7)
+            assert mt.ranks == (1, 2, 3, 4, 5, 6, 7)
             assert mt.parent_of(1) is None
             assert mt.children_of(1) == list(range(2, 2 + k))
 
     def test_dead_root_rotation_order_wraps(self):
         # root=5's rotation order is 5,6,7,0,..,4; killing 5 and 6 makes
         # 7 the new root and keeps the survivors' relative placement.
-        mt = MemberTree.survivors(8, 2, root=5, dead={5, 6})
+        mt = PropagationTree(8, 2, root=5, dead={5, 6})
         assert mt.root == 7
-        assert mt.members == (7, 0, 1, 2, 3, 4)
+        assert mt.ranks == (7, 0, 1, 2, 3, 4)
 
     def test_dead_root_and_interior_leave_no_orphans(self):
         dead = {0, INTERIOR}
-        mt = MemberTree.survivors(48, 7, root=0, dead=dead)
+        mt = PropagationTree(48, 7, root=0, dead=dead)
         assert mt.root == min(set(range(48)) - dead) and mt.size == 46
-        for r in mt.members:
+        for r in mt.ranks:
             hops, cur = 0, r
             while cur != mt.root:
                 cur = mt.parent_of(cur)
@@ -116,25 +125,25 @@ class TestMemberTree:
                 assert mt.parent_of(c) == r
 
     def test_single_survivor_is_a_leaf_root(self):
-        mt = MemberTree.survivors(4, 2, root=0, dead={0, 1, 3})
-        assert mt.members == (2,)
+        mt = PropagationTree(4, 2, root=0, dead={0, 1, 3})
+        assert mt.ranks == (2,)
         assert mt.root == 2 and mt.is_leaf(2) and mt.depth() == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            MemberTree((), 2)
+            PropagationTree(0, 2)  # no root
         with pytest.raises(ValueError):
-            MemberTree((1, 1, 2), 2)
+            PropagationTree(3, 2, root=1, order=(1, 1, 2))  # duplicate ranks
         with pytest.raises(ValueError):
-            MemberTree((0, 1), 0)
+            PropagationTree(2, 0)
         with pytest.raises(ValueError):
-            MemberTree.survivors(2, 2, root=0, dead={0, 1})  # nobody left
+            PropagationTree(2, 2, root=0, dead={0, 1})  # nobody left
         with pytest.raises(ValueError):
-            MemberTree.survivors(4, 2, root=1, order=(0, 1, 2, 3))
+            PropagationTree(4, 2, root=1, order=(0, 1, 2, 3))
         with pytest.raises(ValueError):
-            MemberTree.survivors(4, 2, root=0, order=(0, 1, 1, 3))
+            PropagationTree(4, 2, root=0, order=(0, 1, 1, 3))
         with pytest.raises(ValueError):
-            MemberTree((0, 1, 2), 2).child_index(0)
+            PropagationTree(3, 2).child_index(0)
 
 
 class TestMembershipView:

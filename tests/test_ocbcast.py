@@ -205,6 +205,12 @@ class TestConfigurations:
         with pytest.raises(ValueError):
             OcBcastConfig(notify_degree=0)
 
+    def test_leaf_direct_rejects_integrity(self):
+        # A leaf-direct fetch lands in private memory: no MPB copy of the
+        # chunk header to verify against.
+        with pytest.raises(ValueError, match="leaf_direct_to_memory"):
+            OcBcastConfig(leaf_direct_to_memory=True, integrity=True)
+
     def test_bcast_argument_validation(self):
         chip, comm = make_world(8)
         oc = OcBcast(comm)

@@ -15,9 +15,10 @@ surface carrying a field of that name -- the static type is unknown).
 
 ``ALLOWED`` is the escape hatch, and it is deliberately short: a value
 only tests set may stay when a test exercises its *behaviour*; never
-because a test checks its validation.  ``SccConfig`` is not a surface:
-its fields are the paper's Table 1 and the documented calibration
-constants -- the model, not harness options.
+because a test checks its validation.  Of ``SccConfig`` only the
+behaviour switches (:data:`SCC_SWITCHES`) are censused: its other fields
+are the paper's Table 1 and the documented calibration constants -- the
+model, not harness options.
 """
 
 import ast
@@ -29,7 +30,7 @@ from repro.chaos import ChaosSchedule, ScheduleGenerator, profile_counts
 from repro.core import OcBcastConfig
 from repro.member import MembershipConfig
 from repro.resilience import DetectorConfig, RetryPolicy
-from repro.scc import AnalyticEngine
+from repro.scc import AnalyticEngine, SccConfig
 from repro.transport.world import mode_config
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -40,9 +41,13 @@ SURFACES = {
     for obj in (
         OcBcastConfig, MembershipConfig, DetectorConfig, RetryPolicy,
         FaultCampaign, ChurnCampaign, ChaosSchedule, ScheduleGenerator,
-        BcastSpec, AnalyticEngine, mode_config, profile_counts,
+        BcastSpec, AnalyticEngine, mode_config, profile_counts, SccConfig,
     )
 }
+
+#: The ``SccConfig`` fields that switch behaviour rather than set a
+#: Table 1 or calibration constant.
+SCC_SWITCHES = {"contention_mode", "model_links", "jitter", "exact_coalescing"}
 
 #: (surface, option) -> the test that exercises its behaviour.
 ALLOWED = {
@@ -63,6 +68,10 @@ ALLOWED = {
     ("AnalyticEngine", "ft_flag_timeout"):
         "tests/test_analytic_levels.py::"
         "test_single_lane_budget_overrun_refused_by_both",
+    ("SccConfig", "exact_coalescing"):
+        "off selects the per-line reference that tests/differential/"
+        "test_leg_script_equivalence.py and test_vote_cast_equivalence.py "
+        "hold the leg scripts to",
 }
 
 
@@ -71,6 +80,10 @@ def _params(obj) -> list[inspect.Parameter]:
         p for p in inspect.signature(obj).parameters.values()
         if p.name != "self"
     ]
+
+
+def _censused(surface: str, name: str) -> bool:
+    return surface != "SccConfig" or name in SCC_SWITCHES
 
 
 def _setters() -> dict[str, set[str]]:
@@ -109,6 +122,7 @@ def test_every_defaulted_option_has_a_setter():
         for surface, obj in SURFACES.items()
         for p in _params(obj)
         if p.default is not inspect.Parameter.empty
+        and _censused(surface, p.name)
         and p.name not in setters[surface]
     }
     nobody = sorted(unset - ALLOWED.keys())

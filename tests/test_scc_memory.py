@@ -169,22 +169,6 @@ class TestCoreMemoryOps:
         chip.sim.run()
         assert p.value == pytest.approx(10 * chip.config.t_l1_hit)
 
-    def test_l1_disabled_by_config(self):
-        chip = SccChip(SccConfig(model_l1=False))
-        core = chip.cores[0]
-        assert core.l1 is None
-        ref = core.mem.alloc(64)
-
-        def prog():
-            yield from core.mem_read(ref)
-            t0 = chip.sim.now
-            yield from core.mem_read(ref)
-            return chip.sim.now - t0
-
-        p = chip.sim.process(prog())
-        chip.sim.run()
-        assert p.value == pytest.approx(2 * core.mem_read_line_cost())
-
     def test_cross_core_memory_access_rejected(self):
         chip = SccChip(SccConfig())
         ref = chip.cores[1].mem.alloc(32)
