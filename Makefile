@@ -69,7 +69,9 @@ perf:
 ## virtual leg-script stretch), exact oc-bcast calls (function calls of one
 ## contended EXACT OC-Bcast: every line a leg-script hold, no per-line
 ## wake-up), L1 runs per core after a streamed broadcast,
-## fragmented-L1 ops/access, analytic replay steps per chunk, asyncio
+## fragmented-L1 ops/access, analytic replay steps per chunk, analytic
+## op calls (function calls of one warm AnalyticEngine(k=7) batch of
+## the ledger's 128 sizes: a cached plan, no per-lane Python), asyncio
 ## service calls (function calls of one 48-rank service run on the
 ## asyncio backend), scc byz service calls (function calls of one
 ## 48-rank Byzantine service run on the SCC backend: every vote fan-out

@@ -19,17 +19,20 @@ a fault-free run must stay under ``--max-resilience-tax`` percent.
 The *EXACT event budgets* are work counts, not timings.  One binomial
 96-cache-line EXACT broadcast on 48 cores finds every MPB port idle, so
 each put/get's leg script must run as one virtual stretch of a few
-events (1,521 today -- 1,658 while a stretch was a separate coalesced
-run handing over to the script, 1,834 before the flag writes became
-leg scripts, whose inline hops draw no sequence number; 55,414 with one
-run per cache line) -- exact, noise-free, and it trips the moment the
+events (1,392 today, since an MPB<->memory transfer's call overhead and
+a put's first memory read open its script; 1,521 while they were two
+timers of their own, 1,658 while a stretch was a separate coalesced run
+handing over to the script, 1,834 before the flag writes became leg
+scripts, whose inline hops draw no sequence number; 55,414 with one run
+per cache line) -- exact, noise-free, and it trips the moment the
 stretch stops engaging.  The count may only fall: the ceiling is the
-1,834.  One scatter-allgather broadcast of the same size is the same
+1,521.  One scatter-allgather broadcast of the same size is the same
 traffic cut into two-cycle stretches (4,606 of them over 9,521 cycles),
-most of the virtual stretches of a ``paper_exact`` pass: 65,237 events
-today, 72,086 while they were coalesced runs, and that is its ceiling.
-Each guard prints the per-port ``coalesced_runs / coalesced_cycles``
-totals beside it.
+most of the virtual stretches of a ``paper_exact`` pass: 58,403 events
+today, 65,237 before the call overhead joined the script, 72,086 while
+the stretches were coalesced runs; its ceiling is the 65,237.  Each
+guard prints the per-port ``coalesced_runs / coalesced_cycles`` totals
+beside it.
 
 The *EXACT OC-Bcast calls* count guards the other EXACT regime, the
 contended one: in one warmed OC-Bcast (k = 7) of 96 cache lines seven
@@ -37,9 +40,9 @@ children fetch each chunk from one MPB and no coalesced run survives a
 cycle, so every line is a real port hold made by a leg script
 (``repro.sim.LegScript``) while its rank sleeps.  Python-level function
 calls (``sys.setprofile`` ``call`` events; C calls and
-``Simulator.events_scheduled`` are printed beside them): 124,645 calls
-(94,128 C calls, 24,192 events) on CPython 3.11 since a multi-flag wait
-registers one watch event (124,855; 94,254; 24,213 before), against
+``Simulator.events_scheduled`` are printed beside them): 121,759 calls
+(93,928 C calls, 24,143 events) on CPython 3.11 since a put/get's call
+overhead opens its leg script (122,308; 94,033; 24,192 before), against
 365,605 (188,194; 45,276) when every line was a one-cycle run plus a
 process wake-up.  The ceiling is the achieved value plus 5 %; a per-line
 generator step sneaking back in costs ~9k calls per sibling and trips
@@ -58,6 +61,18 @@ so a chunk costs a number of data-parallel steps that follows the
 tree's critical path (8 / 12 / 8 for k = 2 / 7 / 47 on the 48-core
 chip, 34 for k = 7 on a 1,024-core 32x16 mesh), never the core count --
 the count returns to P the moment the replay walks ranks again.
+
+The *analytic op calls* count guards the engine's cost when its
+arguments repeat, as in the ledger's ``analytic_fastpath``: the
+Python-level function calls of one warm ``AnalyticEngine(k=7)
+.evaluate_batch`` over the ledger's 128 sizes, construction included
+(the C calls are printed beside them).  An engine is a copy of a
+memoised plan and its results are built without a Python call per lane:
+170 calls (498 C calls) on CPython 3.11, against 1,925 (1,323) when
+every engine re-derived its geometry and tree schedule and every result
+ran the frozen dataclass's ``__init__``.  The ceiling is the achieved
+value plus 5 %; a plan rebuilt per engine (~1,600 calls) or a Python
+call per lane (128) trips it.
 
 The *asyncio service calls* count guards the asyncio backend's own
 scheduler (``repro.transport.asyncio_backend``): the Python-level
@@ -176,8 +191,9 @@ def _stretches(chip) -> str:
 
 
 #: Ceiling on kernel events for the uncontended EXACT broadcast below:
-#: the count before leg scripts (1,521 now); it may only fall.
-MAX_EXACT_BINOMIAL_EVENTS = 1_834
+#: the count while a put/get's call overhead was a timer of its own
+#: (1,392 now); it may only fall.
+MAX_EXACT_BINOMIAL_EVENTS = 1_521
 
 
 def exact_binomial_events() -> tuple[int, str]:
@@ -188,9 +204,9 @@ def exact_binomial_events() -> tuple[int, str]:
 
 
 #: Ceiling on kernel events for the EXACT scatter-allgather below: the
-#: count while its stretches were coalesced runs (65,237 now); it may
-#: only fall.
-MAX_EXACT_SAG_EVENTS = 72_086
+#: count while a put/get's call overhead was a timer of its own (58,403
+#: now); it may only fall.
+MAX_EXACT_SAG_EVENTS = 65_237
 
 
 def exact_sag_events() -> tuple[int, str]:
@@ -303,6 +319,29 @@ def analytic_replay_steps() -> tuple[int, int]:
     )
 
 
+#: Ceiling on Python-level calls of the warm analytic op below: 170
+#: achieved (CPython 3.11) plus 5 %.
+MAX_ANALYTIC_OP_CALLS = 178
+
+
+def analytic_op_calls() -> tuple[int, int]:
+    """``(Python calls, C calls)`` of one warm ``AnalyticEngine(k=7)
+    .evaluate_batch`` over the ledger's 128 sizes (1..192 cache lines)
+    on the 48-core chip, the engine's construction included.
+    Deterministic for one interpreter version."""
+    from repro.scc import AnalyticEngine
+    from repro.scc.config import CACHE_LINE
+
+    sizes = [(1 + (i * 191) // 127) * CACHE_LINE for i in range(128)]
+
+    def op():
+        return AnalyticEngine(k=7).evaluate_batch(sizes, iters=1)
+
+    op()  # warm: imports, the plan cache
+    calls, c_calls, _ = _count_calls(op)
+    return calls, c_calls
+
+
 #: Ceiling on Python-level calls of the asyncio service run below:
 #: 54,382 achieved (CPython 3.11) plus 5 %.
 MAX_ASYNCIO_SERVICE_CALLS = 57_100
@@ -375,6 +414,7 @@ def main(argv=None) -> int:
 
     frag_runs, frag_ops = fragmented_l1_ops_per_access()
     steps_48, steps_1024 = analytic_replay_steps()
+    ana_calls, ana_c_calls = analytic_op_calls()
     aio_calls, aio_c_calls = asyncio_service_calls()
     byz_calls, byz_c_calls = scc_byz_service_calls()
     oc_calls, oc_c_calls, oc_events, oc_stretches = exact_oc_calls()
@@ -398,6 +438,8 @@ def main(argv=None) -> int:
          MAX_REPLAY_STEPS_48, ""),
         ("analytic replay steps (1024 cores)", steps_1024,
          MAX_REPLAY_STEPS_1024, ""),
+        (f"analytic op calls ({ana_c_calls} C calls)", ana_calls,
+         MAX_ANALYTIC_OP_CALLS, ""),
         (f"asyncio service calls ({aio_c_calls} C calls)", aio_calls,
          MAX_ASYNCIO_SERVICE_CALLS, ""),
         (f"scc byz service calls ({byz_c_calls} C calls)", byz_calls,

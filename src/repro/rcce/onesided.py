@@ -66,22 +66,24 @@ def put(
             raise ValueError("put source MemRef must be in the calling core's memory")
         if src.nbytes < nbytes:
             raise ValueError(f"put of {nbytes} bytes from a {src.nbytes}-byte buffer")
-        yield core.compute(cfg.o_put_mem)
-        if exact:
-            # read line 0, then per line: write it, read the next one --
-            # the read/write interleaving of the hardware.
-            yield from core.mem_read(src.sub(0, min(CACHE_LINE, nbytes)))
-            if core.scripts_transfer(src):
-                yield from core.transfer_script(dst_core, src, m, write=True)
-            else:
+        if exact and core.scripts_transfer(src):
+            yield from core.transfer_script(
+                dst_core, src, m, write=True, overhead=cfg.o_put_mem
+            )
+        else:
+            yield core.compute(cfg.o_put_mem)
+            if exact:
+                # read line 0, then per line: write it, read the next one
+                # -- the read/write interleaving of the hardware.
+                yield from core.mem_read(src.sub(0, min(CACHE_LINE, nbytes)))
                 for i in range(1, m + 1):
                     yield from core.mpb_access(dst_core, 1, write=True)
                     if i < m:
                         span = min(CACHE_LINE, nbytes - i * CACHE_LINE)
                         yield from core.mem_read(src.sub(i * CACHE_LINE, span))
-        else:
-            yield from core.mem_read(src.sub(0, nbytes))
-            yield from core.mpb_access(dst_core, m, write=True)
+            else:
+                yield from core.mem_read(src.sub(0, nbytes))
+                yield from core.mpb_access(dst_core, m, write=True)
         payload = src.sub(0, nbytes).read()
     else:
         src_off = int(src)
@@ -136,18 +138,20 @@ def get(
             raise ValueError("get destination MemRef must be in the calling core's memory")
         if dst.nbytes < nbytes:
             raise ValueError(f"get of {nbytes} bytes into a {dst.nbytes}-byte buffer")
-        yield core.compute(cfg.o_get_mem)
-        if exact:
-            if core.scripts_transfer(dst):
-                yield from core.transfer_script(src_core, dst, m, write=False)
-            else:
+        if exact and core.scripts_transfer(dst):
+            yield from core.transfer_script(
+                src_core, dst, m, write=False, overhead=cfg.o_get_mem
+            )
+        else:
+            yield core.compute(cfg.o_get_mem)
+            if exact:
                 for i in range(m):
                     span = min(CACHE_LINE, nbytes - i * CACHE_LINE)
                     yield from core.mpb_access(src_core, 1)
                     yield from core.mem_write(dst.sub(i * CACHE_LINE, span))
-        else:
-            yield from core.mpb_access(src_core, m)
-            yield from core.mem_write(dst.sub(0, nbytes))
+            else:
+                yield from core.mpb_access(src_core, m)
+                yield from core.mem_write(dst.sub(0, nbytes))
         payload = core.chip.mpbs[src_core].read_bytes(src_offset, nbytes)
         dst.sub(0, nbytes).write(payload)
         landed = "ok"

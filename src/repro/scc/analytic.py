@@ -4,9 +4,11 @@ The discrete-event simulator exists to model *contention*; with
 contention off (``ContentionMode.IDEAL``) every primitive's duration is a
 closed-form expression in the Table-1 constants (Formulas 1-12) and the
 protocol's schedule is a deterministic dependency graph over them.  This
-module evaluates that graph directly: an :class:`AnalyticEngine` caches
+module evaluates that graph directly: an :class:`AnalyticEngine` derives
 the chip geometry (hop-distance matrix, per-line MPB/memory costs) and
-the OC-Bcast tree schedule once, then *replays* the protocol as a
+the OC-Bcast tree schedule once per distinct set of arguments -- a
+memoised, read-only plan that every engine built with equal arguments
+shares -- then *replays* the protocol as a
 per-rank clock recurrence entirely in numpy -- chunk by chunk, and
 within a chunk one data-parallel step per *dependency level*: a rank
 waits only for the one rank that notifies it, so all ranks equally far
@@ -47,7 +49,10 @@ contract.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
+from numbers import Integral
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -134,8 +139,7 @@ class AnalyticResult:
 
 class _Group(NamedTuple):
     """The tree positions of one dependency level that run the same
-    straight-line code, as index and cost arrays (see
-    ``AnalyticEngine.__init__``)."""
+    straight-line code, as index and cost arrays (see :class:`_Plan`)."""
 
     ranks: np.ndarray  # (n,)
     children: np.ndarray | None  # (n, n_children); None for leaves
@@ -148,48 +152,47 @@ class _Group(NamedTuple):
     done_detect: float
 
 
-class AnalyticEngine:
-    """Closed-form OC-Bcast evaluator over cached geometry.
+def _freeze(value: object) -> None:
+    """Mark every array in ``value`` -- an array, or tuples of them --
+    read-only."""
+    if type(value) is np.ndarray:
+        value.setflags(write=False)
+    elif isinstance(value, tuple):
+        for item in value:
+            _freeze(item)
 
-    Construction precomputes everything that depends only on the chip
-    and the tree -- the (P, P) per-line MPB cost matrix, per-core memory
-    costs, the cold-miss read-accumulation table, and the per-position
-    notification/relay schedule -- so each :meth:`evaluate` call is pure
-    array arithmetic.  One engine is reusable across any number of
-    evaluations, like one :class:`repro.core.OcBcast` instance is
-    reusable across broadcasts.
+
+class _Plan:
+    """Every attribute of an :class:`AnalyticEngine` built with these
+    (validated) arguments: the arguments themselves, the cached geometry
+    and the tree schedule with its level groups and drains.
+
+    A pure function of the arguments, so :data:`_plan` memoises it and
+    each engine starts as a copy of its plan's attributes.  Plans are
+    shared, so every array is ``writeable=False``.
     """
 
     def __init__(
         self,
-        config: SccConfig | None = None,
-        *,
-        k: int = 7,
-        chunk_lines: int = 96,
-        num_buffers: int = 2,
-        notify_degree: int = 2,
-        root: int = 0,
-        order: Sequence[int] | None = None,
-        leaf_direct_to_memory: bool = False,
-        interrupt_notify: bool = False,
-        ft: bool = False,
-        ft_ack_data: bool = False,
-        ft_flag_timeout: float = 300.0,
+        config: SccConfig,
+        tree: PropagationTree,
+        chunk_lines: int,
+        num_buffers: int,
+        notify_degree: int,
+        leaf_direct: bool,
+        interrupt_notify: bool,
+        ft: bool,
+        ft_ack_data: bool,
+        ft_flag_timeout: float,
     ) -> None:
-        cfg = config or SccConfig()
-        reason = analytic_supported(cfg)
-        if reason is not None:
-            raise AnalyticUnsupported(reason)
-        if k < 1 or chunk_lines < 1 or num_buffers < 1 or notify_degree < 1:
-            raise ValueError("k, chunk_lines, num_buffers, notify_degree must be >= 1")
-        self.config = cfg
-        self.k = k
+        self.config = cfg = config
+        self.k = tree.k
         self.chunk_lines = chunk_lines
         self.chunk_bytes = chunk_lines * CACHE_LINE
         self.num_buffers = num_buffers
         self.notify_degree = notify_degree
-        self.root = root
-        self.leaf_direct = leaf_direct_to_memory
+        self.root = tree.root
+        self.leaf_direct = leaf_direct
         self.interrupt_notify = interrupt_notify
         self.irq_handler = IRQ_HANDLER
         self.ft = ft
@@ -199,7 +202,7 @@ class AnalyticEngine:
 
         P = cfg.num_cores
         self.size = P
-        self.tree = PropagationTree(P, k, root, order)
+        self.tree = tree
 
         # -- cached geometry (Formulas 2/3/5/6 as arrays) -------------------
         # The Mesh is the single source of geometric truth (MC placement,
@@ -274,6 +277,11 @@ class AnalyticEngine:
         # FT poll budgets a fault-free wait must respect (see _wait).
         self._flag_budget = ft_flag_timeout if ft else None
         self._notify_budget = self.ft_notify_timeout if ft else None
+        # Per-chunk counter factors (see AnalyticEngine._metrics): two
+        # gets per node -- except leaves that fetch straight to memory,
+        # one get and the payload bytes only once.
+        self._flag_writes = 2 * (P - 1)
+        self._gets = 2 * (P - 1) - (self._n_leaves if leaf_direct else 0)
 
         # -- dependency levels ----------------------------------------------
         # Within one chunk a position depends on exactly one other: the
@@ -314,8 +322,12 @@ class AnalyticEngine:
             )
             for ents in by_family.values()
         ]
+        _freeze((
+            self.line_cost, self.mem_read_line, self.mem_write_line,
+            self._mem_read_loop, *self._groups, *self._drains,
+        ))
 
-    def _group(self, ents: list[dict]) -> "_Group":
+    def _group(self, ents: list[dict]) -> _Group:
         """Index and cost arrays of one level group (see ``__init__``).
         Per-rank costs are ``(n, 1)`` columns, so they broadcast against
         the group's ``(n, lanes)`` clock block."""
@@ -340,6 +352,78 @@ class AnalyticEngine:
             mem_write=self.mem_write_line[R][:, None],
             done_detect=ents[0]["done_detect"],
         )
+
+
+#: The plans of the last few argument sets.  Bounded: a 1,024-core plan
+#: holds an 8 MB line-cost matrix.
+_plan = lru_cache(maxsize=16)(_Plan)
+
+
+class AnalyticEngine:
+    """Closed-form OC-Bcast evaluator over a cached plan.
+
+    Everything that depends only on the arguments -- the (P, P) per-line
+    MPB cost matrix, per-core memory costs, the cold-miss
+    read-accumulation table, and the per-position notification/relay
+    schedule grouped into dependency levels -- is a :class:`_Plan`,
+    derived once per distinct set of arguments and shared by every
+    engine built with equal ones: construction is validation plus a
+    cache lookup, and each :meth:`evaluate` call is pure array
+    arithmetic.  One engine is reusable across any number of
+    evaluations, like one :class:`repro.core.OcBcast` instance is
+    reusable across broadcasts.
+    """
+
+    def __init__(
+        self,
+        config: SccConfig | None = None,
+        *,
+        k: int = 7,
+        chunk_lines: int = 96,
+        num_buffers: int = 2,
+        notify_degree: int = 2,
+        root: int = 0,
+        order: Sequence[int] | None = None,
+        leaf_direct_to_memory: bool = False,
+        interrupt_notify: bool = False,
+        ft: bool = False,
+        ft_ack_data: bool = False,
+        ft_flag_timeout: float = 300.0,
+    ) -> None:
+        cfg = config or SccConfig()
+        reason = analytic_supported(cfg)
+        if reason is not None:
+            raise AnalyticUnsupported(reason)
+        counts = (k, chunk_lines, num_buffers, notify_degree)
+        if not all(isinstance(n, Integral) and n >= 1 for n in counts):
+            raise ValueError(
+                "k, chunk_lines, num_buffers, notify_degree must be whole "
+                "numbers >= 1"
+            )
+        if not ft_flag_timeout > 0:  # NaN included
+            raise ValueError("FT timeouts must be > 0")
+        # Every check runs before the lookup, so no bad key reaches the
+        # cache, and every key is a builtin int, float or bool, so equal
+        # arguments (300 and 300.0, numpy scalars) meet in one plan.  The
+        # tree checks root and order and is the key's normal form of
+        # both: an empty order, an array and a tuple of the same ranks,
+        # or the default placement spelt out, are one tree.
+        tree = PropagationTree(
+            cfg.num_cores, int(k), operator.index(root),
+            None if order is None else list(map(operator.index, order)),
+        )
+        plan = _plan(
+            cfg, tree, int(chunk_lines), int(num_buffers), int(notify_degree),
+            bool(leaf_direct_to_memory), bool(interrupt_notify), bool(ft),
+            bool(ft_ack_data), float(ft_flag_timeout),
+        )
+        # A copy of the plan's attributes: rebinding one (as a subclass
+        # may) never reaches the shared plan.  One setattr each, always
+        # in the same order, keeps CPython's shared-key instance layout;
+        # a vars(self).update would give the engine a dict of its own
+        # and slow every attribute read of the replay.
+        for name, value in vars(plan).items():
+            setattr(self, name, value)
 
     @property
     def replay_steps(self) -> int:
@@ -560,8 +644,9 @@ class AnalyticEngine:
         evaluation loop, so the per-call overhead is paid once for the
         batch -- the reason dense sweeps are where the speedup lives.
         """
-        if iters < 1 or warmup < 0:
-            raise ValueError("need iters >= 1 and warmup >= 0")
+        whole = isinstance(iters, Integral) and isinstance(warmup, Integral)
+        if not whole or iters < 1 or warmup < 0:
+            raise ValueError("need whole numbers iters >= 1 and warmup >= 0")
         raw = np.asarray(list(sizes))
         if raw.ndim != 1 or len(raw) == 0:
             raise ValueError("sizes must be a non-empty 1-D sequence")
@@ -579,48 +664,57 @@ class AnalyticEngine:
         enters, exits = self._replay(sizes_arr, total)
         last = exits.max(axis=2)
         first_enter = enters[warmup]
+        # A frozen dataclass's __init__ is a Python call making one
+        # object.__setattr__ per field; these are the same calls, in
+        # field order, without the call.  (Assigning a whole __dict__
+        # instead would give every result a dict of its own.)
+        new, assign = object.__new__, object.__setattr__
         sizes_list = sizes_arr.tolist()
-        return [
-            AnalyticResult(
-                nbytes=nbytes, latencies=tuple(lat),
-                completion_times=tuple(done), enter_time=entered,
-                measured_span=span, metrics=metrics,
-            )
-            for nbytes, lat, done, entered, span, metrics in zip(
-                sizes_list,
-                (last[warmup:] - enters[warmup:]).T.tolist(),
-                exits[total - 1].tolist(),
-                first_enter.tolist(),
-                (last[total - 1] - first_enter).tolist(),
-                self._metrics(sizes_list, total),
-            )
-        ]
+        results = []
+        for nbytes, lat, done, entered, span, metrics in zip(
+            sizes_list,
+            (last[warmup:] - enters[warmup:]).T.tolist(),
+            exits[total - 1].tolist(),
+            first_enter.tolist(),
+            (last[total - 1] - first_enter).tolist(),
+            self._metrics(sizes_list, total),
+        ):
+            result = new(AnalyticResult)
+            assign(result, "nbytes", nbytes)
+            assign(result, "latencies", tuple(lat))
+            assign(result, "completion_times", tuple(done))
+            assign(result, "enter_time", entered)
+            assign(result, "measured_span", span)
+            assign(result, "metrics", metrics)
+            results.append(result)
+        return results
 
     def _metrics(self, sizes: list[int], iters: int) -> list[dict[str, float]]:
         """Per message size, the counters an IDEAL simulation of ``iters``
         broadcasts would accumulate -- warm-ups included, as the kernel
         counts every protocol operation (validated against the simulator's
         :class:`~repro.obs.MetricsRegistry` in the test suite)."""
-        P = self.size
-        if P == 1:
+        if self.size == 1:
             return [{} for _ in sizes]
-        non_root = P - 1
-        # Per chunk (count) and per payload byte (volume): two gets per
-        # node -- except leaves that fetch straight to memory, one get
-        # and the payload bytes only once.
-        gets = 2 * non_root - (self._n_leaves if self.leaf_direct else 0)
-        chunk_bytes = self.chunk_bytes
+        # Every counter is a plan constant times the chunks or the bytes
+        # of ``iters`` broadcasts: exact integers, then floats.
+        bcasts = float(iters)
+        flag_writes, gets, chunk_bytes = (
+            self._flag_writes, self._gets, self.chunk_bytes
+        )
         out = []
         for nbytes in sizes:
-            nchunks = -(-nbytes // chunk_bytes)
+            n = iters * -(-nbytes // chunk_bytes)
+            v = iters * nbytes
+            chunks, volume = float(n), float(v)
             out.append({
-                "oc.bcasts": float(iters),
-                "oc.chunks": float(iters * nchunks),
-                "oc.bytes": float(iters * nbytes),
-                "flags.writes": float(iters * 2 * non_root * nchunks),
-                "rcce.puts": float(iters * nchunks),
-                "rcce.put_bytes": float(iters * nbytes),
-                "rcce.gets": float(iters * gets * nchunks),
-                "rcce.get_bytes": float(iters * gets * nbytes),
+                "oc.bcasts": bcasts,
+                "oc.chunks": chunks,
+                "oc.bytes": volume,
+                "flags.writes": float(flag_writes * n),
+                "rcce.puts": chunks,
+                "rcce.put_bytes": volume,
+                "rcce.gets": float(gets * n),
+                "rcce.get_bytes": float(gets * v),
             })
         return out

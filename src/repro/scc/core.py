@@ -414,30 +414,30 @@ class Core:
         return self.scripts_lines and ref.offset % CACHE_LINE == 0
 
     def transfer_script(
-        self, target_core: int, ref: MemRef, m: int, *, write: bool
+        self, target_core: int, ref: MemRef, m: int, *, write: bool,
+        overhead: float,
     ) -> Generator[Event, object, None]:
-        """The ``m`` lines of an EXACT transfer between ``target_core``'s
-        MPB and ``ref`` as one leg script (requires
-        :meth:`scripts_transfer`): [port | mem_write] per line for a get,
-        [port | mem_read of the next line] for a put, whose first line
-        the caller has read.  While the port stays idle the script runs
-        as one virtual stretch -- a few events for the whole transfer.
-        The L1 ends up as the per-line loop leaves it (same accesses,
-        same order)."""
+        """A whole EXACT put/get between ``target_core``'s MPB and ``ref``
+        -- its call ``overhead``, then ``m`` lines -- as one leg script
+        (requires :meth:`scripts_transfer`): [port | mem_write] per line
+        for a get, [mem_read | port] per line for a put.  While the port
+        stays idle the lines run as one virtual stretch -- a few events
+        for the whole transfer.  The L1 ends up as the per-line loop
+        leaves it (same accesses, same order)."""
         hold = self.hold_leg(target_core, write)
         line0 = ref.offset // CACHE_LINE
         if not write:
-            yield from self.scripted((hold, self._mem_write_cost) * m)
+            yield from self.scripted((hold, self._mem_write_cost) * m, overhead)
             self.l1.touch(range(line0, line0 + m))  # write-allocate, as mem_write does
             return
         # A read's length is its L1 outcome, and only this core touches
         # its L1: the reads are performed on it up front.
         miss = self._mem_read_cost
         hit = self.config.t_l1_hit
-        legs: list = [hold]
-        for was_hit, count in self.l1.touch(range(line0 + 1, line0 + m)):
+        legs: list = []
+        for was_hit, count in self.l1.touch(range(line0, line0 + m)):
             legs += (hit if was_hit else miss, hold) * count
-        yield from self.scripted(legs)
+        yield from self.scripted(legs, overhead)
 
     def mem_read(self, ref: MemRef) -> Generator[Event, object, None]:
         """Read ``ref`` from private off-chip memory (through the L1)."""
