@@ -75,8 +75,12 @@ perf:
 ## service calls (function calls of one 48-rank service run on the
 ## asyncio backend), scc byz service calls (function calls of one
 ## 48-rank Byzantine service run on the SCC backend: every vote fan-out
-## one leg script, no per-write wake-up), analytic fast path serves
-## every fault-free trial.
+## one leg script, no per-write wake-up), faulted byz calls (function
+## calls of one 4x3 SCC byz chaos schedule: no per-primitive injector
+## call, the vote casts scripted under a quiet injector), empty-plan
+## event tax (a FaultPlan() injector adds no kernel event to a 48-core
+## ft broadcast, BATCH or EXACT), analytic fast path serves every
+## fault-free trial.
 ## Exact on any host -- no tolerance, no committed baseline.
 perf-check:
 	$(PYTHON) benchmarks/perf_check.py

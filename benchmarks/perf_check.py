@@ -100,6 +100,22 @@ dozen ``yield from`` frames.  The ceiling is the achieved value plus
 5 %; a per-write wake-up coming back costs ~60 calls per vote, ~278k
 per run, and trips it.
 
+Two guards price an attached fault injector (``repro.faults.injector``,
+"Countdowns": a hook site is an increment and a compare, the injector is
+entered only at an armed occurrence, and a quiet injector leaves the leg
+scripts on).  The *empty-plan event tax*: the kernel events of one
+fault-free 48-core ``ft`` OC-Bcast (k = 7, 96 cache lines) with a
+``FaultPlan()`` injector must equal those without an injector, in BATCH
+and in EXACT -- an equality, no ceiling.  In EXACT that is 24,418 both
+ways; while any attached injector switched the scripts off it was 82,296
+with one.  The *faulted byz calls*: the Python-level function calls of
+one warmed SCC ``byz`` chaos schedule (4x3 mesh, two chunks, two lying
+voters, a chip-wide dropped flag write, invariant checker on), 88,039
+calls (60,046 C calls) on CPython 3.11 against 185,375 (101,767) when
+every primitive called into the injector and every vote cast ran the
+per-store loop.  The ceiling is the achieved value plus 5 %; a per-op
+hook call or a switched-off cast comes back at ~40k calls and trips it.
+
 Last, the *analytic fast path*: a 1,024-trial all-fault-free
 ``fidelity="adaptive"`` campaign must serve every trial from the
 memoised reference (``n_analytic == 1024``, nothing replayed through
@@ -376,6 +392,54 @@ def scc_byz_service_calls() -> tuple[int, int]:
     return calls, c_calls
 
 
+def empty_plan_events(mode_name: str) -> tuple[int, int]:
+    """``Simulator.events_scheduled`` of one fault-free ``ft`` OC-Bcast
+    (k=7, 96 cache lines) on the 48-core chip: without an injector, and
+    with an empty-plan one.  Deterministic."""
+    from repro.faults import FaultPlan
+    from repro.scc import ContentionMode, SccConfig
+    from repro.scc.config import CACHE_LINE
+    from repro.transport.world import (
+        bcast_body, mode_config, run_world, scc_world, seeded_payload,
+    )
+
+    payload = seeded_payload(1, 96 * CACHE_LINE)
+    events = []
+    for plan in (None, FaultPlan()):
+        world = scc_world(
+            SccConfig(contention_mode=ContentionMode[mode_name]), plan=plan
+        )
+        run_world(world, bcast_body(world, mode_config("ft"), payload)).check()
+        events.append(world.chip.sim.events_scheduled)
+    return events[0], events[1]
+
+
+#: Ceiling on Python-level calls of the faulted byz chaos schedule below:
+#: 88,039 achieved (CPython 3.11) plus 5 %.
+MAX_FAULTED_BYZ_CALLS = 92_400
+
+
+def faulted_byz_calls() -> tuple[int, int]:
+    """``(Python calls, C calls)`` of one warmed SCC ``byz`` chaos
+    schedule -- 4x3 mesh, two chunks, two lying voters and a chip-wide
+    dropped flag write, invariant checker attached.  Deterministic for
+    one interpreter version."""
+    from repro.chaos import ChaosSchedule, run_schedule
+    from repro.faults import FaultKind, FaultSpec
+
+    schedule = ChaosSchedule(
+        backend="scc", mesh=(4, 3), cache_lines=2 * 96, mode="byz", seed=1,
+        specs=(
+            FaultSpec(FaultKind.LIE_IN_QUORUM, core=8, nth=1),
+            FaultSpec(FaultKind.DROP_FLAG_WRITE, nth=273),
+            FaultSpec(FaultKind.LIE_IN_QUORUM, core=7, nth=1),
+        ),
+    )
+    run_schedule(schedule)  # warm: imports, lru caches
+    calls, c_calls, _ = _count_calls(run_schedule, schedule)
+    return calls, c_calls
+
+
 #: Trials of the all-fault-free adaptive campaign below.
 ANALYTIC_TRIALS = 1024
 
@@ -417,6 +481,7 @@ def main(argv=None) -> int:
     ana_calls, ana_c_calls = analytic_op_calls()
     aio_calls, aio_c_calls = asyncio_service_calls()
     byz_calls, byz_c_calls = scc_byz_service_calls()
+    fbyz_calls, fbyz_c_calls = faulted_byz_calls()
     oc_calls, oc_c_calls, oc_events, oc_stretches = exact_oc_calls()
     binomial_events, binomial_stretches = exact_binomial_events()
     sag_events, sag_stretches = exact_sag_events()
@@ -444,6 +509,8 @@ def main(argv=None) -> int:
          MAX_ASYNCIO_SERVICE_CALLS, ""),
         (f"scc byz service calls ({byz_c_calls} C calls)", byz_calls,
          MAX_SCC_BYZ_SERVICE_CALLS, ""),
+        (f"faulted byz calls ({fbyz_c_calls} C calls)", fbyz_calls,
+         MAX_FAULTED_BYZ_CALLS, ""),
     ]
     width = max(len(name) for name, *_ in ceilings)
     failed = []
@@ -457,6 +524,13 @@ def main(argv=None) -> int:
         report(
             name, f"{value:>12.2f}{unit}  vs {ceiling:>12.2f}{unit}",
             value <= ceiling,
+        )
+    for mode_name in ("BATCH", "EXACT"):
+        bare, empty = empty_plan_events(mode_name)
+        report(
+            f"empty-plan event tax ({mode_name.lower()})",
+            f"{empty:>12.2f}   == {bare:>12.2f}  ",
+            empty == bare,
         )
     fid = analytic_fastpath()
     report(

@@ -443,8 +443,9 @@ class FaultCampaign:
 
     def _fault_free(self, mode: str, plan: FaultPlan | None = None) -> WorldRun:
         """A reference run that must deliver: no watchdog and, unless a
-        (site-counting, empty) ``plan`` is given, no injector either --
-        an attached injector switches transfer coalescing off."""
+        (site-counting, empty) ``plan`` is given, no injector either.
+        An empty plan's injector is quiet: it counts every site and the
+        run is the injector-free one, leg scripts included."""
         comm = scc_world(self.config, plan=plan)
         body = bcast_body(comm, self._oc_config(mode), self._source[0])
         run = run_world(comm, body).check()

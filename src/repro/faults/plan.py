@@ -18,7 +18,12 @@ instruction counts.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
+
+#: An occurrence number no counter reaches: the arm of a hook that can
+#: fire nothing (see :class:`repro.faults.FaultInjector`).
+NEVER = sys.maxsize
 
 
 class FaultKind(enum.Enum):
@@ -165,6 +170,8 @@ class FaultSpec:
     def __post_init__(self) -> None:
         if self.nth < 1:
             raise ValueError(f"nth must be >= 1, got {self.nth}")
+        if self.core is not None and self.core < 0:
+            raise ValueError(f"core must be >= 0, got {self.core}")
         if self.duration < 0:
             raise ValueError(f"duration must be >= 0, got {self.duration}")
         if self.period < 0:
@@ -270,16 +277,17 @@ class FaultPlan:
 
     The same reasoning rejects two EQUIVOCATE specs on the same core
     with overlapping staging windows ``[nth, nth+window)``, and -- when
-    the communicator size is known (``num_cores``) -- adversary specs
-    naming cores outside the communicator, which could never fire.
+    the communicator size is known (``num_cores``) -- specs naming cores
+    outside the communicator, which could never fire.
     """
 
     specs: tuple[FaultSpec, ...] = ()
     label: str = ""
-    #: Communicator size, when known at plan-build time.  Adversary
-    #: specs (EQUIVOCATE / FORGE_FLAG_VALUE / LIE_IN_QUORUM) naming a
-    #: core outside ``range(num_cores)`` are rejected: a "Byzantine
-    #: member" that is not a member cannot vote or stage anything.
+    #: Communicator size, when known at plan-build time.  Specs of any
+    #: kind naming a core outside ``range(num_cores)`` are rejected: a
+    #: crash victim, a stalled link or a "Byzantine member" that is not
+    #: a member would never fire, and the run would silently report a
+    #: fault-free trial as survived.
     num_cores: int | None = None
 
     def __post_init__(self) -> None:
@@ -297,12 +305,13 @@ class FaultPlan:
                     f"category {spec.category!r}"
                 )
             seen[key] = spec
-            if spec.kind in ADVERSARY_KINDS and self.num_cores is not None:
-                if not 0 <= spec.core < self.num_cores:
-                    raise ValueError(
-                        f"adversary spec {spec.site} targets core {spec.core} "
-                        f"outside the {self.num_cores}-core communicator"
-                    )
+            if self.num_cores is not None and spec.core is not None \
+                    and spec.core >= self.num_cores:
+                what = "adversary spec" if spec.kind in ADVERSARY_KINDS else "spec"
+                raise ValueError(
+                    f"{what} {spec.site} targets core {spec.core} "
+                    f"outside the {self.num_cores}-core communicator"
+                )
             if spec.kind is FaultKind.EQUIVOCATE:
                 for other in windows.get(spec.core, ()):
                     lo, hi = spec.nth, spec.nth + spec.window

@@ -94,6 +94,7 @@ and prefix communicators this repo uses); attach one checker per chip.
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from ..sim.trace import TraceRecord
@@ -192,66 +193,55 @@ class InvariantChecker:
 
     def feed(self, rec: TraceRecord) -> None:
         self.records_seen += 1
-        kind = rec.kind
-        if kind == "flag_write":
-            self._on_flag_write(rec)
-        elif kind == "oc.fetch":
-            self._on_fetch(rec)
-        elif kind == "oc.chunk_staged":
-            self._on_staged(rec)
-        elif kind == "oc.svc.commit":
-            # The deciding root earns notify credit for the commit seq.
-            owner = _core_of(rec.source)
-            seq = rec.detail.get("seq")
-            if (
-                owner is not None
-                and seq is not None
-                and seq > self._staged.get(owner, 0)
-            ):
-                self._staged[owner] = seq
-        elif kind == "oc.ft.child_dead":
-            owner = _core_of(rec.source)
-            if owner is not None:
-                self._dead.setdefault(owner, set()).add(rec.detail["child"])
-        elif kind == "svc.attempt":
-            owner = _core_of(rec.source)
-            if owner is not None:
-                # New attempt => membership fence => this rank's MPB
-                # done slots are logically fresh (tree may be re-rooted).
-                for key in [k for k in self._done if k[0] == owner]:
-                    del self._done[key]
-        elif kind == "svc.outcome":
-            self._on_outcome(rec)
-        elif kind == "fault.injected":
-            fault = rec.detail.get("fault")
-            site = rec.detail.get("site", "")
-            core = _core_of(site.split(" ", 1)[0])
-            if core is not None:
-                if fault in _ADVERSARY_FAULTS:
-                    self._compromised.add(core)
-                elif fault in _CRASH_FAULTS:
-                    self._crashed.add(core)
-        elif kind == "member.hb":
-            self._on_heartbeat(rec)
-        elif kind == "svc.report_failed":
-            rank = _core_of(rec.source)
-            rnd = rec.detail.get("round")
-            if rank is not None and rnd is not None:
-                self._hb_failed.setdefault(rank, set()).add(rnd)
-        elif kind == "member.suspect":
-            self._on_suspect(rec)
-        elif kind == "rbc.outcome":
-            self._on_rbc_outcome(rec)
+        handler = _HANDLERS.get(rec.kind)
+        if handler is not None:
+            handler(self, rec)
         elif self.lossless and rec.detail.get("landed", "ok") != "ok":
             self._fail(
                 "lost-write",
-                f"{kind} from {rec.source} was {rec.detail['landed']} "
+                f"{rec.kind} from {rec.source} was {rec.detail['landed']} "
                 f"in a run declared lossless",
                 rec,
             )
         self._window.append(rec)
 
     # -- per-kind handlers -------------------------------------------------
+
+    def _on_commit(self, rec: TraceRecord) -> None:
+        """The deciding root earns notify credit for the commit seq."""
+        owner = _core_of(rec.source)
+        seq = rec.detail.get("seq")
+        if owner is not None and seq is not None and seq > self._staged.get(owner, 0):
+            self._staged[owner] = seq
+
+    def _on_child_dead(self, rec: TraceRecord) -> None:
+        owner = _core_of(rec.source)
+        if owner is not None:
+            self._dead.setdefault(owner, set()).add(rec.detail["child"])
+
+    def _on_attempt(self, rec: TraceRecord) -> None:
+        owner = _core_of(rec.source)
+        if owner is not None:
+            # New attempt => membership fence => this rank's MPB done
+            # slots are logically fresh (tree may be re-rooted).
+            for key in [k for k in self._done if k[0] == owner]:
+                del self._done[key]
+
+    def _on_fault(self, rec: TraceRecord) -> None:
+        fault = rec.detail.get("fault")
+        site = rec.detail.get("site", "")
+        core = _core_of(site.split(" ", 1)[0])
+        if core is not None:
+            if fault in _ADVERSARY_FAULTS:
+                self._compromised.add(core)
+            elif fault in _CRASH_FAULTS:
+                self._crashed.add(core)
+
+    def _on_report_failed(self, rec: TraceRecord) -> None:
+        rank = _core_of(rec.source)
+        rnd = rec.detail.get("round")
+        if rank is not None and rnd is not None:
+            self._hb_failed.setdefault(rank, set()).add(rnd)
 
     def _on_flag_write(self, rec: TraceRecord) -> None:
         d = rec.detail
@@ -486,9 +476,29 @@ class InvariantChecker:
             raise violation
 
 
+#: Record kind -> the checker's handler; every other kind only answers
+#: to I1 (``lost-write``, on a lossless run).
+_HANDLERS = {
+    "flag_write": InvariantChecker._on_flag_write,
+    "oc.fetch": InvariantChecker._on_fetch,
+    "oc.chunk_staged": InvariantChecker._on_staged,
+    "oc.svc.commit": InvariantChecker._on_commit,
+    "oc.ft.child_dead": InvariantChecker._on_child_dead,
+    "svc.attempt": InvariantChecker._on_attempt,
+    "svc.outcome": InvariantChecker._on_outcome,
+    "fault.injected": InvariantChecker._on_fault,
+    "member.hb": InvariantChecker._on_heartbeat,
+    "svc.report_failed": InvariantChecker._on_report_failed,
+    "member.suspect": InvariantChecker._on_suspect,
+    "rbc.outcome": InvariantChecker._on_rbc_outcome,
+}
+
+
+@lru_cache(maxsize=4096)
 def _core_of(source: str) -> int | None:
     """Core id of a ``coreN`` / ``rankN`` trace source (rank == core id
-    for the communicators used here)."""
+    for the communicators used here); memoised per source string -- a
+    run names a few dozen sources over thousands of records."""
     if source.startswith("core"):
         tail = source[4:]
     elif source.startswith("rank"):

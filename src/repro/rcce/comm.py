@@ -193,12 +193,12 @@ class CoreComm(Endpoint):
         landed: Callable[[int, str], object],
     ) -> Generator:
         """The stores back to back.  Where the per-access hooks are inert
-        (:attr:`Core.scripts_stores`) a run of two or more is one leg
+        (:meth:`Core.claim_stores`) a run of two or more is one leg
         script (:meth:`Core.store_script`): the rank wakes once, and each
         line lands -- bytes, watcher wake-ups, ``landed`` -- in the hop
         where the per-store loop's resumption would land it."""
         core = self.core
-        if len(stores) < 2 or not core.scripts_stores:
+        if len(stores) < 2 or not core.claim_stores(len(stores)):
             yield from store_loop(self, stores, landed)
             return
         mpbs, source = self.chip.mpbs, core.id

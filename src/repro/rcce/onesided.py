@@ -17,14 +17,16 @@ In ``EXACT`` contention mode the read and write of each cache line are
 interleaved (as the hardware does), so a contended MPB port sees the true
 inter-arrival gaps; in ``BATCH``/``IDEAL`` modes the read and write phases
 are aggregated -- same total duration, far fewer events.  Where the
-per-line hooks are inert (:attr:`repro.scc.core.Core.scripts_lines`) an
-EXACT transfer is one leg script -- the loop's own port holds and timers
-made by kernel callbacks, one wake-up per transfer, virtual while the
-port it opens on stays idle: :meth:`repro.scc.core.Core.transfer_script`
-between an MPB and line-aligned private memory, and the MPB-to-MPB
-transfer whose two ports alternate per line.  The generator loops below
-remain for the regimes whose hooks must run in the process, and as the
-reference the scripts are tested against.
+per-line hooks are inert (:meth:`repro.scc.core.Core.claim_lines`: the
+configuration allows it and no fault-injector occurrence among the
+loop's is armed) an EXACT transfer is one leg script -- the loop's own
+port holds and timers made by kernel callbacks, one wake-up per
+transfer, virtual while the port it opens on stays idle:
+:meth:`repro.scc.core.Core.transfer_script` between an MPB and
+line-aligned private memory, and the MPB-to-MPB transfer whose two ports
+alternate per line.  The generator loops below remain for the regimes
+whose hooks must run in the process, and as the reference the scripts
+are tested against.
 
 These two bulk transfers are the SCC backend's ``put``/``get``
 primitives; the acked/verified variants and the small register-sourced
@@ -66,7 +68,7 @@ def put(
             raise ValueError("put source MemRef must be in the calling core's memory")
         if src.nbytes < nbytes:
             raise ValueError(f"put of {nbytes} bytes from a {src.nbytes}-byte buffer")
-        if exact and core.scripts_transfer(src):
+        if exact and core.claim_transfer(src, m):
             yield from core.transfer_script(
                 dst_core, src, m, write=True, overhead=cfg.o_put_mem
             )
@@ -87,7 +89,7 @@ def put(
         payload = src.sub(0, nbytes).read()
     else:
         src_off = int(src)
-        if core.scripts_lines:
+        if core.claim_lines(1 + 2 * m, 2 * m):
             yield from core.scripted(
                 (core.hold_leg(core.id), core.hold_leg(dst_core, True)) * m,
                 cfg.o_put_mpb,
@@ -138,7 +140,7 @@ def get(
             raise ValueError("get destination MemRef must be in the calling core's memory")
         if dst.nbytes < nbytes:
             raise ValueError(f"get of {nbytes} bytes into a {dst.nbytes}-byte buffer")
-        if exact and core.scripts_transfer(dst):
+        if exact and core.claim_transfer(dst, m):
             yield from core.transfer_script(
                 src_core, dst, m, write=False, overhead=cfg.o_get_mem
             )
@@ -157,7 +159,7 @@ def get(
         landed = "ok"
     else:
         dst_off = int(dst)
-        if core.scripts_lines:
+        if core.claim_lines(1 + 2 * m, 2 * m):
             yield from core.scripted(
                 (core.hold_leg(src_core), core.hold_leg(core.id, True)) * m,
                 cfg.o_get_mpb,

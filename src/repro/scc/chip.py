@@ -23,8 +23,9 @@ class SccChip:
 
     ``faults`` optionally attaches a :class:`repro.faults.FaultInjector`
     whose plan the chip models consult (dropped/corrupted MPB writes,
-    link stalls, core pauses/crashes); ``None`` means no injection and
-    zero overhead beyond one attribute check per protocol operation.
+    link stalls, core pauses/crashes); ``None`` means no injection.
+    Either way a timed primitive only counts down to its next armed
+    occurrence (:mod:`repro.faults.injector`, "Countdowns").
 
     ``metrics`` optionally attaches a :class:`repro.obs.MetricsRegistry`.
     Attaching one wires shared wait histograms onto the MPB ports (one

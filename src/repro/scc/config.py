@@ -154,8 +154,10 @@ class SccConfig:
     #: instead of per-line generator churn and no event per line while
     #: the port stays idle.  Bit-identical to the per-line loop, which
     #: off selects for A/B determinism checks.  Has no effect in
-    #: BATCH/IDEAL modes or with ``model_links``, jitter or an injector,
-    #: nor on runs of one-line stores (``Core.scripts_stores``).
+    #: BATCH/IDEAL modes or with ``model_links`` or jitter, nor on runs
+    #: of one-line stores (``Core.scripts_stores``); a fault injector
+    #: switches a script off only where one of its occurrences is armed
+    #: (``Core.claim_lines``).
     exact_coalescing: bool = True
 
     def __post_init__(self) -> None:

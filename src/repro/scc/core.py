@@ -16,24 +16,44 @@ Primitives:
 Byte movement is done by the RCCE layer after/els alongside the timing;
 the core layer deals in durations and arbitration only.
 
+Every timed primitive is a fault-injector occurrence: one ``core_op``,
+plus one ``mpb_access`` per :meth:`Core.mpb_access`.  The core counts
+them itself (``ops`` / ``accesses``) and enters the injector only at an
+armed occurrence (``ops_arm`` / ``accesses_arm``; see
+:mod:`repro.faults.injector`, "Countdowns").
+
 EXACT mode runs its per-line arbitration one of two ways.  Where the
 per-line hooks are inert (:attr:`Core.scripts_lines`: no link walk, no
-jitter draw, no fault injector, every per-line duration positive) an
-access -- or a whole MPB<->private-memory transfer
-(:meth:`Core.transfer_script`) -- is one :class:`repro.sim.LegScript`:
-kernel callbacks make the port holds and timers while the rank sleeps,
-and the script's opening stretch runs virtually while the port is idle.
-Everywhere else the per-line generator loop of :meth:`Core.mpb_access`
-runs; it is also the ``exact_coalescing=False`` reference the script is
-tested against.
+jitter draw, every per-line duration positive, and no armed occurrence
+among the ones the script replaces) an access -- or a whole
+MPB<->private-memory transfer (:meth:`Core.transfer_script`) -- is one
+:class:`repro.sim.LegScript`: kernel callbacks make the port holds and
+timers while the rank sleeps, and the script's opening stretch runs
+virtually while the port is idle.  Everywhere else the per-line
+generator loop of :meth:`Core.mpb_access` runs; it is also the
+``exact_coalescing=False`` reference the script is tested against.
 
 A run of one-line register-sourced writes -- an RBC vote fan-out, one
 write into every member's MPB -- is one leg script in every contention
 mode where the per-access hooks are inert (:attr:`Core.scripts_stores`):
 :meth:`Core.store_script`, whose landings deposit each line where the
-per-write loop's resumption would.  Without an injector nothing else
-about a store is mode-specific, so only the store leg differs by mode
+per-write loop's resumption would.  Nothing else about a store is
+mode-specific, so only the store leg differs by mode
 (:meth:`Core.store_leg`).
+
+A script consumes the injector occurrences of the per-op path it
+replaces in bulk, when none of them is armed (:meth:`Core.claim_lines`,
+:meth:`Core.claim_stores`):
+
+=========================================  ===========  ==============
+scripted op                                ``core_op``  ``mpb_access``
+=========================================  ===========  ==============
+:meth:`Core.mpb_access` (any ``n``)        1            1
+1-line :meth:`Core.mpb_call`               2            1
+MPB<->MPB put or get of ``m`` lines        1 + 2m       2m
+:meth:`Core.transfer_script` of ``m``      2m + 1       m
+store run of ``n`` (:meth:`store_script`)  2n           n
+=========================================  ===========  ==============
 """
 
 from __future__ import annotations
@@ -42,6 +62,7 @@ from typing import TYPE_CHECKING, Callable, Generator, Sequence
 
 import numpy as np
 
+from ..faults.plan import NEVER
 from ..sim import Event, LegScript
 from ..sim.resources import Leg
 from . import costs
@@ -108,12 +129,18 @@ class Core:
         self._line_cost_to: dict[int, tuple[int, float]] = {}
         #: Virtual-time accounting (always on; see CoreStats).
         self.stats = CoreStats()
+        #: Fault-injector occurrences of this core -- timed primitives and
+        #: MPB transactions -- and the occurrence numbers at which the
+        #: injector must be entered (set by FaultInjector.attach; NEVER
+        #: without one).
+        self.ops = self.accesses = 0
+        self.ops_arm = self.accesses_arm = NEVER
         # The configuration half of the script predicate (the other half,
-        # "no fault injector", can change after construction).  A script
-        # skips the per-access hooks, so those must be inert: no link
-        # walk, no jitter draw.  It has no way to *not* yield for a zero
-        # duration, so every leg duration must be positive (at distance 0
-        # the rest of a line transaction is shortest).
+        # "no armed occurrence among the script's", is claim_lines').  A
+        # script skips the per-access hooks, so those must be inert: no
+        # link walk, no jitter draw.  It has no way to *not* yield for a
+        # zero duration, so every leg duration must be positive (at
+        # distance 0 the rest of a line transaction is shortest).
         self._inert = (
             not cfg.model_links
             and cfg.jitter == 0.0
@@ -165,23 +192,21 @@ class Core:
             return t
         return t * (1.0 + self.rng.uniform(-j, j))
 
-    def _fault_overhead(self) -> float:
-        """Consult the fault injector at the start of a timed primitive.
-
-        Returns extra pause delay (CORE_PAUSE); raises
-        :class:`repro.sim.FaultInjected` once this core has been crashed
-        (CORE_CRASH) so the running program dies at its next operation.
-        """
-        inj = self.chip.faults
-        if inj is None:
-            return 0.0
-        return inj.core_op(self.id)
-
     # -- timed primitives ------------------------------------------------------
+    #
+    # Each opens with its injector countdown(s): count the occurrence, or
+    # -- at an armed one -- let the injector count it, which returns the
+    # extra pause (CORE_PAUSE) or mesh stall (LINK_STALL, storms) and
+    # raises :class:`repro.sim.FaultInjected` once this core is crashed.
 
     def compute(self, duration: float) -> Event:
         """Local work for ``duration`` microseconds (no arbitration)."""
-        d = self.jittered(duration) + self._fault_overhead()
+        d = self.jittered(duration)
+        n = self.ops + 1
+        if n < self.ops_arm:
+            self.ops = n
+        else:
+            d += self.chip.faults.core_op(self.id)
         self.stats.compute_time += d
         return self.sim.timeout(d)
 
@@ -206,15 +231,23 @@ class Core:
         stats = self.stats
         stats.mpb_lines += n_lines
         t0 = sim.now
-        if self.scripts_lines:
+        if self.claim_lines(1, 1):
             # EXACT with inert per-line hooks: one script of one-line
             # holds, virtual while the port stays idle.
             yield LegScript(sim, (self.hold_leg(target_core, write),) * n_lines)
             stats.mpb_time += sim.now - t0
             return
-        stall = self._fault_overhead() + self.chip.mesh.fault_stall(
-            self.id, target_core
-        )
+        stall = 0.0
+        n = self.ops + 1
+        if n < self.ops_arm:
+            self.ops = n
+        else:
+            stall = self.chip.faults.core_op(self.id)
+        n = self.accesses + 1
+        if n < self.accesses_arm:
+            self.accesses = n
+        else:
+            stall += self.chip.faults.link_stall(self.id, target_core)
         if stall > 0.0:
             yield sim.timeout(stall)
         d, line_cost = self._distance_and_line_cost(target_core)
@@ -278,16 +311,37 @@ class Core:
     def scripts_lines(self) -> bool:
         """Whether EXACT cache-line accesses run as leg scripts
         (:meth:`scripted`) instead of one generator step per timer:
-        ``exact_coalescing``, no link model, no jitter, no fault injector
-        counting or stalling operations, and strictly positive per-line
-        durations."""
-        return self._scriptable and self.chip.faults is None
+        ``exact_coalescing``, no link model, no jitter, strictly positive
+        per-line durations, and the next timed primitive and MPB
+        transaction of this core unarmed (:meth:`claim_lines` without
+        the counting)."""
+        return (
+            self._scriptable
+            and self.ops + 1 < self.ops_arm
+            and self.accesses + 1 < self.accesses_arm
+        )
+
+    def claim_lines(self, ops: int, accesses: int) -> bool:
+        """:attr:`scripts_lines` for a line script replacing ``ops`` timed
+        primitives and ``accesses`` MPB transactions of the per-op path
+        (the table in the module docstring): True -- and they are
+        counted now, in bulk -- if the configuration allows scripts and
+        none of them is armed, i.e. the per-op path would enter the
+        injector at none of them.  False: nothing is counted."""
+        if not self._scriptable:
+            return False
+        ops += self.ops
+        accesses += self.accesses
+        if ops < self.ops_arm and accesses < self.accesses_arm:
+            self.ops, self.accesses = ops, accesses
+            return True
+        return False
 
     def hold_leg(self, target_core: int, write: bool = False) -> tuple:
         """The :class:`~repro.sim.LegScript` hold leg of one cache-line
         access to ``target_core``'s MPB: what the EXACT per-line loop of
         :meth:`mpb_access` does for one line (requires
-        :attr:`scripts_lines`)."""
+        :meth:`claim_lines`)."""
         key = (target_core, write)
         leg = self._hold_legs.get(key)
         if leg is None:
@@ -310,7 +364,7 @@ class Core:
         overhead; 0.0 for none) and then ``legs`` -- hold legs from
         :meth:`hold_leg` for MPB lines, bare numbers for one-line private
         memory accesses of that cost -- as one leg script: one wake-up
-        instead of two or three per line (requires :attr:`scripts_lines`).
+        instead of two or three per line (requires :meth:`claim_lines`).
 
         :class:`CoreStats` is replayed on wake from the script's marks
         (virtual or real, they are the loop's instants) with the float
@@ -345,7 +399,7 @@ class Core:
     ) -> Generator[Event, object, None]:
         """A register-sourced/-destined MPB access: the put/get call
         ``overhead``, then :meth:`mpb_access`."""
-        if n_lines == 1 and self.scripts_lines:
+        if n_lines == 1 and self.claim_lines(2, 1):
             yield from self.scripted((self.hold_leg(target_core, write),), overhead)
         else:
             yield self.compute(overhead)
@@ -355,15 +409,34 @@ class Core:
     def scripts_stores(self) -> bool:
         """Whether a run of one-line register-sourced writes is one leg
         script (:meth:`store_script`): the per-access hooks are inert --
-        no fault injector, no jitter, no link model -- and every leg
-        duration is positive.  In every contention mode alike."""
-        return self._inert and self.chip.faults is None
+        no jitter, no link model, every leg duration positive, and the
+        next write's timed primitives and MPB transaction unarmed
+        (:meth:`claim_stores` without the counting).  In every
+        contention mode alike."""
+        return (
+            self._inert
+            and self.ops + 2 < self.ops_arm
+            and self.accesses + 1 < self.accesses_arm
+        )
+
+    def claim_stores(self, n: int) -> bool:
+        """:attr:`scripts_stores` for a run of ``n`` writes (``2n`` timed
+        primitives, ``n`` MPB transactions), counting them as
+        :meth:`claim_lines` does."""
+        if not self._inert:
+            return False
+        ops = self.ops + 2 * n
+        accesses = self.accesses + n
+        if ops < self.ops_arm and accesses < self.accesses_arm:
+            self.ops, self.accesses = ops, accesses
+            return True
+        return False
 
     def store_leg(self, target_core: int) -> Leg:
         """What :meth:`mpb_access` does for one written line of
         ``target_core``'s MPB, as one :class:`~repro.sim.LegScript` leg:
         the EXACT :meth:`hold_leg`, the BATCH port hold of one line and
-        its rest, the IDEAL line cost (requires :attr:`scripts_stores`)."""
+        its rest, the IDEAL line cost (requires :meth:`claim_stores`)."""
         cfg = self.config
         mode = cfg.contention_mode
         if mode is ContentionMode.EXACT:
@@ -383,7 +456,7 @@ class Core:
         """One-line register-sourced writes into each of ``targets``'
         MPBs, back to back -- the put call overhead, then
         :meth:`store_leg` -- as one leg script with landings (requires
-        :attr:`scripts_stores`).  ``land()`` deposits the next line: the
+        :meth:`claim_stores`).  ``land()`` deposits the next line: the
         script runs it in the hop that opens the following write, where
         the per-write loop's resumption deposits it, and the owner runs
         the last one on wake.  :class:`CoreStats` is replayed after the
@@ -407,11 +480,12 @@ class Core:
         stats.mpb_lines += len(targets)
         land()
 
-    def scripts_transfer(self, ref: MemRef) -> bool:
-        """Whether an EXACT transfer between an MPB and ``ref`` runs as
-        one :meth:`transfer_script`: :attr:`scripts_lines`, and one L1
-        line per 32-byte step of ``ref``."""
-        return self.scripts_lines and ref.offset % CACHE_LINE == 0
+    def claim_transfer(self, ref: MemRef, m: int) -> bool:
+        """Whether an EXACT transfer of ``m`` lines between an MPB and
+        ``ref`` runs as one :meth:`transfer_script`: one L1 line per
+        32-byte step of ``ref``, and :meth:`claim_lines` of its ``2m+1``
+        timed primitives and ``m`` MPB transactions."""
+        return ref.offset % CACHE_LINE == 0 and self.claim_lines(2 * m + 1, m)
 
     def transfer_script(
         self, target_core: int, ref: MemRef, m: int, *, write: bool,
@@ -419,7 +493,7 @@ class Core:
     ) -> Generator[Event, object, None]:
         """A whole EXACT put/get between ``target_core``'s MPB and ``ref``
         -- its call ``overhead``, then ``m`` lines -- as one leg script
-        (requires :meth:`scripts_transfer`): [port | mem_write] per line
+        (requires :meth:`claim_transfer`): [port | mem_write] per line
         for a get, [mem_read | port] per line for a put.  While the port
         stays idle the lines run as one virtual stretch -- a few events
         for the whole transfer.  The L1 ends up as the per-line loop
@@ -445,7 +519,12 @@ class Core:
             raise ValueError(
                 f"core {self.id} cannot access private memory of core {ref.owner}"
             )
-        total = self._fault_overhead()
+        n = self.ops + 1
+        if n < self.ops_arm:
+            self.ops = n
+            total = 0.0
+        else:
+            total = self.chip.faults.core_op(self.id)
         lines = ref.line_addrs()  # computed once, reused below
         hit_cost = self.config.t_l1_hit
         miss_cost = self._mem_read_cost
@@ -469,7 +548,13 @@ class Core:
             )
         lines = ref.line_addrs()  # computed once, reused below
         self.l1.touch(lines)
-        total = self.jittered(len(lines) * self._mem_write_cost + self._fault_overhead())
+        total = len(lines) * self._mem_write_cost
+        n = self.ops + 1
+        if n < self.ops_arm:
+            self.ops = n
+        else:
+            total += self.chip.faults.core_op(self.id)
+        total = self.jittered(total)
         self.stats.mem_lines += len(lines)
         self.stats.mem_time += total
         if total > 0:

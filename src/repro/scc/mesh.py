@@ -14,13 +14,10 @@ SCC -- again matching Figure 3.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from ..sim import Resource, Simulator
 from .config import SccConfig
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..faults.injector import FaultInjector
 
 Coord = tuple[int, int]
 
@@ -33,8 +30,6 @@ class Mesh:
         self.config = config
         self.cols = config.mesh_cols
         self.rows = config.mesh_rows
-        #: Set by FaultInjector.attach; source of transient link stalls.
-        self.injector: "FaultInjector | None" = None
         self._links: dict[tuple[Coord, Coord], Resource] = {}
         if config.model_links:
             for src in self.tiles():
@@ -173,14 +168,6 @@ class Mesh:
                 f"no link {src}->{dst} (adjacent tiles only; "
                 f"model_links={self.config.model_links})"
             ) from None
-
-    def fault_stall(self, src_core: int, dst_core: int) -> float:
-        """Extra delay injected on the mesh path of one MPB transaction
-        (0.0 unless a fault injector has a matching LINK_STALL armed).
-        Called by :meth:`repro.scc.core.Core.mpb_access` per transfer."""
-        if self.injector is None:
-            return 0.0
-        return self.injector.link_stall(src_core, dst_core)
 
     def transfer_packet(self, src: Coord, dst: Coord):
         """Sub-generator: move one cache-line packet, occupying each link on

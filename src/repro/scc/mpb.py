@@ -12,10 +12,11 @@ The polling sweep cost itself is charged by the wait primitive
 count low (no busy-poll events while nothing changes).
 
 Fault injection: *protocol* writes (those carrying ``source``/``op``
-metadata -- flag and payload deposits from :mod:`repro.rcce`) pass
-through the chip's :class:`repro.faults.FaultInjector` when one is
-attached, and may be silently dropped (no byte change, no watcher
-wake-up -- a lost notification) or corrupted.  Raw writes (test pokes,
+metadata -- flag and payload deposits from :mod:`repro.rcce`) are
+counted by the store they land in, and at an armed occurrence pass
+through the chip's :class:`repro.faults.FaultInjector`, which may
+silently drop them (no byte change, no watcher wake-up -- a lost
+notification) or corrupt them.  Raw writes (test pokes,
 initialisation) are never faulted.
 """
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from ..faults.plan import NEVER
 from ..sim import Event, Resource, Simulator
 from .config import CACHE_LINE, SccConfig
 
@@ -36,7 +38,8 @@ class ByteStore:
     of this; :class:`Mpb` adds the access port and the write watchers).
 
     *Protocol* writes carry ``source`` (writing core id) and ``op``
-    (``"flag"`` / ``"data"``) and pass through the attached
+    (``"flag"`` / ``"data"``), are counted here and, at an armed
+    occurrence, pass through the attached
     :class:`repro.faults.FaultInjector`; the default ``op="raw"`` marks
     untimed initialisation writes, which are never faulted.
     """
@@ -46,8 +49,12 @@ class ByteStore:
     def __init__(self, owner: int, size: int) -> None:
         self.owner = owner
         self.data = bytearray(size)
-        #: Set by FaultInjector.attach; consulted on protocol writes.
+        #: Set by FaultInjector.attach; entered at armed protocol writes.
         self.injector: "FaultInjector | None" = None
+        #: Protocol flag / data writes landed here, and the occurrence
+        #: numbers at which the injector must be entered.
+        self.flag_writes = self.data_writes = 0
+        self.flag_writes_arm = self.data_writes_arm = NEVER
 
     @property
     def size(self) -> int:
@@ -75,15 +82,27 @@ class ByteStore:
         nbytes = len(payload)
         self._check_range(offset, nbytes)
         landed = "ok"
-        if self.injector is not None and source is not None and op != "raw":
-            action = self.injector.filter_mpb_write(
-                owner=self.owner, offset=offset, nbytes=nbytes, source=source, op=op
-            )
-            if action == "drop":
-                return "dropped"
-            if action == "corrupt":
-                payload = bytes(b ^ 0xFF for b in bytes(payload))
-                landed = "corrupted"
+        if source is not None and op != "raw":
+            if op == "flag":
+                n = self.flag_writes + 1
+                quiet = n < self.flag_writes_arm
+                if quiet:
+                    self.flag_writes = n
+            else:
+                n = self.data_writes + 1
+                quiet = n < self.data_writes_arm
+                if quiet:
+                    self.data_writes = n
+            if not quiet:
+                action = self.injector.filter_mpb_write(
+                    owner=self.owner, offset=offset, nbytes=nbytes,
+                    source=source, op=op,
+                )
+                if action == "drop":
+                    return "dropped"
+                if action == "corrupt":
+                    payload = bytes(b ^ 0xFF for b in bytes(payload))
+                    landed = "corrupted"
         self.data[offset : offset + nbytes] = payload
         self._wake_watchers(offset, nbytes)
         return landed

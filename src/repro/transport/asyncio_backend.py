@@ -58,7 +58,7 @@ from types import SimpleNamespace
 from typing import Any, Callable, Generator, Sequence
 
 from ..faults.injector import FaultInjector
-from ..faults.plan import FaultPlan
+from ..faults.plan import NEVER, FaultPlan
 from ..rcce.endpoint import Endpoint, store_loop, timeline_suffix
 from ..rcce.flags import Flag
 from ..rcce.layout import MpbLayout
@@ -75,10 +75,15 @@ _PRIVATE_MEM_BYTES = 16 * 1024 * 1024
 class RankStore(ByteStore):
     """One rank's shared message store (the asyncio stand-in for an MPB):
     the :class:`~repro.scc.mpb.ByteStore` write-classification contract
-    with no access port, so a :class:`FaultInjector` attaches unchanged."""
+    with no access port, so a :class:`FaultInjector` attaches unchanged.
+    With no core model here, it also holds its rank's fault-injector
+    occurrence counters -- timed operations and remote transactions --
+    and their arms (an SCC :class:`~repro.scc.core.Core` holds its own)."""
 
     def __init__(self, owner: int, size: int = MPB_BYTES) -> None:
         super().__init__(owner, size)
+        self.ops = self.accesses = 0
+        self.ops_arm = self.accesses_arm = NEVER
 
 
 class _SimShim:
@@ -102,7 +107,6 @@ class _ChipShim:
         self._net = net
         self.mpbs = net.stores
         self.faults: FaultInjector | None = None
-        self.mesh = SimpleNamespace(injector=None)
         self.sim = _SimShim(net)
 
     def trace(self, source: str, kind: str, **detail: Any) -> None:
@@ -280,21 +284,26 @@ class AsyncioNetwork:
         """Block ``src`` for the model delay of one operation against
         ``dst``'s store (``op`` ``"flag"``/``"data"``/``"read"``)."""
         delay = self.model.delay(src, dst, op=op, nbytes=nbytes)
-        if self.faults is not None:
-            # The mesh hook: may arm LINK_DOWN windows / add stalls.  The
-            # asyncio backend counts one "mpb_access" per remote operation
-            # (the SCC mesh counts per line batch), so occurrence-based
-            # mpb_access specs are not portable across backends -- the
-            # write-fault categories the differential plans use are.
+        # The mesh hook's countdown, kept on the sender's store: at an
+        # armed occurrence the injector may arm LINK_DOWN windows / add
+        # stalls.  The asyncio backend counts one "mpb_access" per remote
+        # operation (the SCC counts per line batch), so occurrence-based
+        # mpb_access specs are not portable across backends -- the
+        # write-fault categories the differential plans use are.
+        store = self.stores[src]
+        n = store.accesses + 1
+        if n < store.accesses_arm:
+            store.accesses = n
+        else:
             delay += self.faults.link_stall(src, dst)
         self._sleep(src, delay, site)
 
     def _land(self, src: int, dst: int, offset: int, payload: bytes, op: str) -> str:
         """The far end of a remote store, run by the resumed sender: the
         omission filter (local writes always reach the own store), then
-        the fault injector inside the store -- the same boundary order
-        as the SCC, where the mesh carries the packet and the MPB
-        applies the plan."""
+        the store's write countdown (and, at an armed write, the fault
+        injector) -- the same boundary order as the SCC, where the mesh
+        carries the packet and the MPB applies the plan."""
         if src != dst and not self.model.deliver(src, dst, now=self.now):
             return "dropped"
         landed = self.stores[dst].write_bytes(offset, payload, source=src, op=op)

@@ -8,9 +8,9 @@ the three decisions that shape shares and nothing else:
 
 1. **How a fresh world is armed** -- :func:`scc_world` (-> ``Comm``) and
    :func:`asyncio_world` (-> ``AsyncioNetwork``).  ``plan=None`` means
-   no injector at all (an attached one, even with an empty plan,
-   switches ``Core.scripts_lines`` and ``Core.scripts_stores`` off);
-   ``FaultPlan()`` attaches one that only counts candidate sites.
+   no injector at all; ``FaultPlan()`` attaches one that only counts
+   candidate sites -- a quiet injector, under which the run, leg
+   scripts included, is the injector-free one.
 2. **How a run ends** -- :func:`run_world` -> :class:`WorldRun`, and
    what the ranks decided -- :meth:`Verdict.of`, judged once.
 3. **The per-rank broadcast body** -- :func:`bcast_body`, with the one

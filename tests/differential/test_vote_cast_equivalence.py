@@ -2,17 +2,19 @@
 
 ``Endpoint.vote_cast`` -- the RBC's optimistic all-member vote fan-out --
 runs on the SCC as one ``LegScript`` with landings wherever
-``Core.scripts_stores`` holds (no injector, no jitter, no link model,
-positive leg durations; BATCH, EXACT and IDEAL alike): ``[o_put_mpb,
-store leg] x n``, each line landing -- bytes, watcher wake-ups,
-``vote_write`` record, ``flags.vote_writes`` metric -- in the hop that
-opens the next write, the last one in the owner on wake.  The reference
-is the same world built with ``plan=FaultPlan()``: an attached injector,
-even an empty one, switches every script off, so the same program runs
-the per-store generator loop, four wake-ups per vote.  Everything the
-simulation records must be ``==`` between them: the full timed record
-list, each rank's value, every ``CoreStats`` field, every counter of the
-metrics registry, and per MPB port ``stats()`` and the wait histogram.
+``Core.scripts_stores`` holds (no jitter, no link model, positive leg
+durations, no armed injector occurrence; BATCH, EXACT and IDEAL alike):
+``[o_put_mpb, store leg] x n``, each line landing -- bytes, watcher
+wake-ups, ``vote_write`` record, ``flags.vote_writes`` metric -- in the
+hop that opens the next write, the last one in the owner on wake.  The
+reference is the same world under a *loud* injector: an unfired
+chip-wide ``LINK_STALL`` at ``nth=2**62`` makes every MPB transaction
+enter the injector, which switches every script off, so the same
+program runs the per-store generator loop, four wake-ups per vote.
+Everything the simulation records must be ``==`` between them: the full
+timed record list, each rank's value, every ``CoreStats`` field, every
+counter of the metrics registry, and per MPB port ``stats()`` and the
+wait histogram.
 
 One more thing must be equal, and it pins *where* a landing runs: at
 every trace record, the lengths of the kernel's heap and now-queue.  The
@@ -48,7 +50,7 @@ from typing import Generator
 
 import pytest
 
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.obs import MetricsRegistry
 from repro.obs.metrics import Histogram
 from repro.rcce import Comm
@@ -74,6 +76,9 @@ MODES = {
 }
 #: Port fields only a virtual stretch moves (compared apart, or not at all).
 STRETCH_FIELDS = ("busy_time", "utilisation", "coalesced_runs", "coalesced_cycles")
+#: The reference's plan: a chip-wide spec that never fires, so every MPB
+#: transaction enters the injector and no script can run.
+LOUD = FaultPlan((FaultSpec(FaultKind.LINK_STALL, nth=2**62, duration=1.0),))
 
 
 def _byz_world(mode: str, mesh, chunks: int, root: int, *, reference: bool,
@@ -84,7 +89,7 @@ def _byz_world(mode: str, mesh, chunks: int, root: int, *, reference: bool,
     world = scc_world(
         SccConfig(mesh_cols=cols, mesh_rows=rows, contention_mode=contention,
                   exact_coalescing=coalescing),
-        plan=FaultPlan() if reference else None, trace=True,
+        plan=LOUD if reference else None, trace=True,
         metrics=MetricsRegistry(), watchdog_us=100_000.0,
         crash_hook=CrashOnEvent(*crash[:2], nth=crash[2]) if crash else None,
     )
@@ -179,7 +184,7 @@ def _cast_world(contention: ContentionMode, *, hog: bool, reference: bool):
     chip = SccChip(
         SccConfig(mesh_cols=2, mesh_rows=2, contention_mode=contention),
         tracer=Tracer(enabled=True),
-        faults=FaultInjector(FaultPlan()) if reference else None,
+        faults=FaultInjector(LOUD) if reference else None,
     )
     chip.mpbs[3].port = _RecordingPort(chip.sim, name="mpb3.port")
     comm = Comm(chip)

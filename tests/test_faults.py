@@ -636,13 +636,54 @@ class TestAdversaryPlanValidation:
         ))
         assert len(plan) == 3
 
-    def test_non_adversary_cores_are_not_range_checked(self):
-        # num_cores only constrains adversary identity; a crash victim
-        # outside the communicator is legal (and simply never fires).
-        plan = FaultPlan(
-            (FaultSpec(FaultKind.CORE_CRASH, core=40),), num_cores=12
-        )
-        assert len(plan) == 1
+    @pytest.mark.parametrize("spec", [
+        FaultSpec(FaultKind.CORE_CRASH, core=40),
+        FaultSpec(FaultKind.CORE_PAUSE, core=12, duration=1.0),
+        FaultSpec(FaultKind.DROP_FLAG_WRITE, core=12),
+        FaultSpec(FaultKind.LINK_DOWN, core=99, duration=5.0),
+    ], ids=lambda s: s.site)
+    def test_non_adversary_cores_are_range_checked_too(self, spec):
+        # A crash victim, a paused core or a write owner outside the
+        # communicator would never fire: the trial would run fault-free
+        # and report itself survived.
+        with pytest.raises(ValueError, match="outside the 12-core"):
+            FaultPlan((spec,), num_cores=12)
+        assert len(FaultPlan((spec,), num_cores=100)) == 1
+
+
+class TestSpecCoreRange:
+    """A spec naming a core the world lacks is rejected before the run,
+    not run to completion with nothing injected."""
+
+    @pytest.mark.parametrize("kind, extra", [
+        (FaultKind.CORE_PAUSE, {"duration": 1.0}),
+        (FaultKind.CORE_CRASH, {}),
+        (FaultKind.DROP_FLAG_WRITE, {}),
+    ])
+    def test_negative_core_rejected(self, kind, extra):
+        with pytest.raises(ValueError, match="core must be >= 0"):
+            FaultSpec(kind, core=-3, **extra)
+
+    @pytest.mark.parametrize("spec", [
+        FaultSpec(FaultKind.CORE_CRASH, core=99),
+        FaultSpec(FaultKind.CORE_PAUSE, core=48, duration=1.0),
+        FaultSpec(FaultKind.DROP_FLAG_WRITE, core=8),
+        FaultSpec(FaultKind.LINK_STALL, core=8, duration=1.0),
+    ], ids=lambda s: s.site)
+    def test_attach_rejects_a_core_outside_the_chip(self, spec):
+        with pytest.raises(ValueError, match="names core"):
+            SccChip(
+                SccConfig(mesh_cols=2, mesh_rows=2),
+                faults=FaultInjector(FaultPlan((spec,))),
+            )
+
+    def test_attach_rejects_a_rank_outside_the_network(self):
+        from repro.transport import AsyncioNetwork
+
+        plan = FaultPlan((FaultSpec(FaultKind.DROP_FLAG_WRITE, core=8),))
+        with pytest.raises(ValueError, match="names core 8, but the world has 8"):
+            AsyncioNetwork(8, plan=plan)
+        assert AsyncioNetwork(9, plan=plan).faults is not None
 
 
 class TestTimelineInErrors:
