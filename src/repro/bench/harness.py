@@ -17,7 +17,7 @@ simulated chip:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Generator, Sequence
 
 import numpy as np
@@ -107,10 +107,6 @@ class BcastResult:
     @property
     def mean_latency(self) -> float:
         return float(np.mean(self.latencies))
-
-    @property
-    def min_latency(self) -> float:
-        return float(np.min(self.latencies))
 
     @property
     def throughput_mb_s(self) -> float:

@@ -51,10 +51,6 @@ class ShrinkResult:
     n_runs: int
     n_steps: int
 
-    @property
-    def shrunk(self) -> bool:
-        return self.n_steps > 0
-
     def describe(self) -> str:
         return (
             f"shrunk {self.original.n_events} event(s) on "

@@ -183,12 +183,7 @@ def cmd_bcast(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    from .obs import (
-        InvariantChecker,
-        MetricsRegistry,
-        to_chrome_trace,
-        validate_chrome_trace,
-    )
+    from .obs import InvariantChecker, MetricsRegistry, write_chrome_trace
     from .sim import Tracer
 
     spec = _parse_spec(args.algo if args.algo != "oc" else f"oc:{args.k}")
@@ -206,19 +201,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
         metrics=metrics,
         tracer=tracer,
     )
-    doc = to_chrome_trace(tracer.records)
-    validate_chrome_trace(doc)
-    import json as _json
-
-    with open(args.output, "w") as fh:
-        _json.dump(doc, fh, indent=None, separators=(",", ":"))
-        fh.write("\n")
+    n_events = write_chrome_trace(tracer.records, args.output)
     rows = [
         ["algorithm", spec.label],
         ["message", f"{args.cache_lines} cache lines ({res.nbytes} B)"],
         ["mean latency", f"{res.mean_latency:.2f} us"],
         ["trace records", len(tracer.records)],
-        ["trace events", len(doc["traceEvents"])],
+        ["trace events", n_events],
         ["invariants", "OK" if checker.ok else f"{len(checker.violations)} VIOLATED"],
         ["output", args.output],
     ]

@@ -490,9 +490,6 @@ class FaultInjector:
             self._record(spec, f"core{core_id} vote round #{n_core}")
         return spec
 
-    def is_dead(self, core_id: int) -> bool:
-        return core_id in self._dead
-
     def _prune_links(self) -> bool:
         """Drop the link-down and flap windows that have ended; whether
         there were any."""

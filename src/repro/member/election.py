@@ -43,10 +43,12 @@ before installing (a lower-ranked late entrant may still be ahead).
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import TYPE_CHECKING, Generator, Iterable
 
 from ..rcce.flags import FlagSlotArray
 from ..sim.errors import TimeoutError as SimTimeoutError
+from . import rules
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..rcce.comm import Comm, CoreComm
@@ -95,21 +97,6 @@ class ElectionService:
         rng = random.Random(round_no * 1009 + cc.rank)
         return rng.uniform(0.0, JITTER_MAX)
 
-    def _read_claim(self, cc: "CoreComm", rank: int) -> int:
-        """Untimed read of this core's own copy of ``rank``'s claim
-        (the timed poll cost is charged by the callers)."""
-        return cc.slot_peek(self.claims, rank)
-
-    def _lowest_claimant(
-        self, cc: "CoreComm", candidates: Iterable[int], floor: int
-    ) -> int | None:
-        """Lowest-ranked candidate whose claim (in this core's own MPB
-        copy) has reached ``floor``."""
-        for r in sorted(candidates):
-            if self._read_claim(cc, r) >= floor:
-                return r
-        return None
-
     def _stamp(self, cc: "CoreComm", round_no: int, members: Iterable[int]) -> Generator:
         """Write this rank's claim into every view member's MPB (acked;
         unreachable members are skipped -- they cannot follow anyway)."""
@@ -136,15 +123,12 @@ class ElectionService:
         winner calls it before installing, looking only *below* itself
         (a lower-ranked late entrant outranks it by succession order).
         """
-        view = self.member.views[cc.rank]
-        nscan = len(view.members)
-        yield from cc.compute(nscan * cc.t_poll)
-        for r in sorted(view.members):
-            if r == cc.rank or (below is not None and r >= below):
-                continue
-            if self._read_claim(cc, r) >= round_no:
-                return r
-        return None
+        members = self.member.views[cc.rank].members
+        yield from cc.compute(len(members) * cc.t_poll)
+        return rules.lowest_claimant(partial(cc.slot_peek, self.claims), [
+            r for r in members
+            if r != cc.rank and (below is None or r < below)
+        ], round_no)
 
     # ------------------------------------------------------------------
 
@@ -160,20 +144,13 @@ class ElectionService:
         forever on re-election within the same round.
         """
         view = self.member.views[cc.rank]
-        gone = set(suspects)
-        candidates = [m for m in view.members if m not in gone]
-        if cc.rank not in candidates:
-            raise ValueError(
-                f"rank {cc.rank} cannot run an election it is not a "
-                f"candidate of (view epoch {view.epoch})"
-            )
-        index = candidates.index(cc.rank)
+        candidates, index, lower = rules.succession(view, suspects, cc.rank)
+        claim_of = partial(cc.slot_peek, self.claims)
         cc.trace(
             "member.elect.begin",
             round=round_no, epoch=view.epoch, index=index,
             candidates=len(candidates),
         )
-        lower = candidates[:index]
         if lower:
             budget = CLAIM_STEP * index + self._jitter(cc, round_no)
             try:
@@ -184,29 +161,20 @@ class ElectionService:
                 # A lower candidate claimed: absorb racing claims, then
                 # follow the lowest claimant standing.
                 yield from cc.compute(SETTLE)
-                winner = self._lowest_claimant(cc, lower, round_no)
+                winner = rules.lowest_claimant(claim_of, lower, round_no)
                 assert winner is not None  # claims are monotonic
-                cc.trace(
-                    "member.elect.follow",
-                    round=round_no, winner=winner,
-                )
+                cc.trace("member.elect.follow", round=round_no, winner=winner)
                 return winner
             except SimTimeoutError:
                 pass  # budget spent: the lower candidates are gone too
         yield from self._stamp(cc, round_no, view.members)
         yield from cc.compute(SETTLE)
-        rival = self._lowest_claimant(cc, lower, round_no)
+        rival = rules.lowest_claimant(claim_of, lower, round_no)
         if rival is not None:
             # A lower-ranked candidate raced us inside the settle
             # window: succession order wins, we yield.
-            cc.trace(
-                "member.elect.yield",
-                round=round_no, winner=rival,
-            )
+            cc.trace("member.elect.yield", round=round_no, winner=rival)
             return rival
-        cc.trace(
-            "member.elect.won",
-            round=round_no, epoch=view.epoch,
-        )
+        cc.trace("member.elect.won", round=round_no, epoch=view.epoch)
         cc.metric_inc("member.elections")
         return cc.rank

@@ -10,9 +10,9 @@ the broadcast itself uses:
   :class:`repro.rcce.flags.FlagSlotArray` replicated in the *root's*
   MPB.  A heartbeat is an acked slot write (readback-verified, bounded
   re-send), so a silently dropped heartbeat cannot masquerade as a
-  crash.  Slot values are ``2 * round + ok_bit``: monotonic in the
-  recovery round, with one payload bit reporting whether the member
-  delivered the broadcast that triggered the round.
+  crash.  Slot values (the codec of :mod:`repro.member.rules`) are
+  monotonic in the recovery round, with one payload bit reporting
+  whether the member delivered the broadcast that triggered the round.
 - **Suspicion** -- the root collects heartbeats under one shared poll
   budget (``hb_timeout``); members whose slot never reaches the round's
   floor are *suspected* and dropped from the next view.  A poll budget,
@@ -50,6 +50,8 @@ from ..resilience.detector import DetectorConfig, PhiAccrualDetector
 from ..resilience.policy import IMMEDIATE, RetryPolicy
 from ..scc.config import CACHE_LINE
 from ..sim.errors import TimeoutError as SimTimeoutError
+from . import rules
+from .rules import DIRECTIVE_SIZE, NO_DIRECTIVE, CompletionDirective
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..rcce.comm import Comm, CoreComm
@@ -62,53 +64,12 @@ TTD_BOUNDS = (100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0, 25000.0)
 #: one acked flag write carries both the epoch bump and the handoff.
 _TAG_BASE = 256
 
-#: Completion-directive codes (what the coordinator decided about the
-#: message that was in flight when the view changed).
-DIRECTIVE_NONE = 0
-DIRECTIVE_REBROADCAST = 1
-DIRECTIVE_ABORT = 2
-
-_DIRECTIVE = struct.Struct("<BBH")  # code, source, round
-
 #: Staged beside the directive: the installer's OC sequence-window base
 #: after the failed attempt.  Only *lagging* adopters (view-flag seq
 #: beyond the round they are recovering) pull it -- it is how a member
 #: that missed whole broadcast windows rejoins with its sequence
 #: numbering in lockstep (see ``OcBcastService._fast_forward``).
 _WINDOW = struct.Struct("<I")
-
-
-@dataclass(frozen=True)
-class CompletionDirective:
-    """The coordinator's verdict on the in-flight message, piggybacked
-    on the view install: re-broadcast from a fully-delivered survivor
-    (``DIRECTIVE_REBROADCAST``, ``source`` holds the payload) or
-    uniformly abort (``DIRECTIVE_ABORT``).  ``round_no`` stamps the
-    recovery round the verdict belongs to -- a member only applies a
-    directive for the round it is currently recovering."""
-
-    code: int
-    source: int
-    round_no: int
-
-    def __post_init__(self) -> None:
-        if self.code not in (DIRECTIVE_NONE, DIRECTIVE_REBROADCAST, DIRECTIVE_ABORT):
-            raise ValueError(f"unknown directive code {self.code}")
-        if not 0 <= self.source < _TAG_BASE:
-            raise ValueError(f"directive source {self.source} out of range")
-        if self.round_no < 0:
-            raise ValueError("directive round must be >= 0")
-
-    def encode(self) -> bytes:
-        return _DIRECTIVE.pack(self.code, self.source, self.round_no)
-
-    @classmethod
-    def decode(cls, raw: bytes) -> "CompletionDirective":
-        code, source, round_no = _DIRECTIVE.unpack_from(raw)
-        return cls(code, source, round_no)
-
-
-NO_DIRECTIVE = CompletionDirective(DIRECTIVE_NONE, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -237,7 +198,7 @@ class MembershipService:
         self.view_flag = comm.flag("member.view")
         bitmap_bytes = -(-size // 8)
         self.bitmap_region = comm.layout.alloc_lines(
-            -(-(bitmap_bytes + _DIRECTIVE.size + _WINDOW.size) // CACHE_LINE)
+            -(-(bitmap_bytes + DIRECTIVE_SIZE + _WINDOW.size) // CACHE_LINE)
         )
         self.views: list[MembershipView] = [
             MembershipView.full(size) for _ in range(size)
@@ -275,23 +236,17 @@ class MembershipService:
     # -- member side -------------------------------------------------------
 
     def report(
-        self, cc: "CoreComm", round_no: int, ok: bool, to: int | None = None
+        self, cc: "CoreComm", round_no: int, ok: bool, to: int
     ) -> Generator:
-        """Send this round's heartbeat to the coordinator (acked slot
-        write).  ``to`` overrides the target -- a member that just
-        followed an election re-reports to the winner, whose own MPB
-        copy of the slot array is where the new coordinator collects
-        (the heartbeat array is symmetric, so re-homing it is just a
-        change of write target).
-
-        ``ok`` reports whether the member delivered the payload of the
-        broadcast attempt that triggered the round.
-        """
-        target = to if to is not None else self.coord[cc.rank]
-        value = 2 * round_no + (1 if ok else 0)
-        cc.trace("member.hb", round=round_no, ok=ok, to=target)
+        """Send this round's heartbeat to coordinator ``to`` (acked slot
+        write) -- the collector reads its own MPB copy of the symmetric
+        slot array, so re-homing to an election winner is just a change
+        of target.  ``ok`` reports whether the member delivered the
+        payload of the attempt that triggered the round."""
+        cc.trace("member.hb", round=round_no, ok=ok, to=to)
         yield from cc.slot_write_acked(
-            self.hb, target, cc.rank, value, retry=self.config.hb_retry
+            self.hb, to, cc.rank, rules.hb_value(round_no, ok),
+            retry=self.config.hb_retry,
         )
 
     def await_view(self, cc: "CoreComm", round_no: int) -> Generator[
@@ -322,7 +277,7 @@ class MembershipService:
         current = self.views[cc.rank]
         if epoch != current.epoch or lagging:
             bitmap_bytes = -(-cc.size // 8)
-            span = bitmap_bytes + _DIRECTIVE.size
+            span = bitmap_bytes + DIRECTIVE_SIZE
             if lagging:
                 span += _WINDOW.size
             raw = yield from cc.get_bytes(
@@ -344,7 +299,7 @@ class MembershipService:
                 )
             if lagging:
                 self.window_hints[cc.rank] = _WINDOW.unpack_from(
-                    raw, bitmap_bytes + _DIRECTIVE.size
+                    raw, bitmap_bytes + DIRECTIVE_SIZE
                 )[0]
         return self.views[cc.rank]
 
@@ -377,11 +332,12 @@ class MembershipService:
         """
         cfg = self.config
         view = self.views[cc.rank]
-        floor = 2 * round_no
+        floor = rules.hb_floor(round_no)
+        lag_floor = rules.hb_lag_floor(round_no)
         start = cc.now
         det = self.detector_for(cc.rank)
         deadline = start + cfg.hb_timeout
-        statuses: dict[int, bool] = {}
+        slots: dict[int, int] = {}
         suspects: list[int] = []
         for m in view.members:
             if m == cc.rank:
@@ -395,10 +351,9 @@ class MembershipService:
             else:
                 remaining = max(0.0, deadline - cc.now)
             try:
-                got = yield from cc.slot_wait_at_least(
+                slots[m] = yield from cc.slot_wait_at_least(
                     self.hb, m, floor, timeout=remaining
                 )
-                statuses[m] = bool(got & 1)
                 if det is not None:
                     delay = cc.now - start
                     det.observe(m, delay)
@@ -407,19 +362,14 @@ class MembershipService:
                     )
             except SimTimeoutError:
                 if det is not None and round_no >= 2:
-                    # Adaptive lag grace: a slot sitting exactly one
-                    # round behind is not silence -- the member reported
-                    # the *previous* round and is blocked in its own
-                    # recovery (e.g. an orphan whose commit notification
-                    # died with its parent), waiting for a view install
-                    # that this very round will deliver.  Leave it in
-                    # the view; the install fast-forwards it back into
-                    # step (see OcBcastService._recover).  A genuinely
-                    # dead member's slot never advances, so it is still
-                    # suspected one round later.
+                    # Adaptive lag grace: a slot one round behind is a
+                    # member blocked in its own recovery of the previous
+                    # round, awaiting the install this round delivers
+                    # (which fast-forwards it).  A dead member's slot
+                    # never advances: it is suspected one round later.
                     try:
                         lag = yield from cc.slot_wait_at_least(
-                            self.hb, m, floor - 2, timeout=0.0
+                            self.hb, m, lag_floor, timeout=0.0
                         )
                     except SimTimeoutError:
                         lag = None
@@ -444,7 +394,7 @@ class MembershipService:
                     det.forget(m)
                 cc.trace("member.suspect", member=m, round=round_no)
                 cc.metric_inc("member.suspected")
-        return statuses, suspects
+        return rules.hb_statuses(slots), suspects
 
     def install(
         self,

@@ -15,7 +15,8 @@ membership service:
     coordinator suspects the silent ones, installs the next epoch's
     view, and the loop re-broadcasts the message over the shrunken
     tree.  Suspected-but-alive cores learn of their eviction from the
-    view flag and return ``"evicted"``.
+    view flag and return ``"evicted"``.  The round's decisions are the
+    pure functions of :mod:`repro.member.rules`.
 
 Coordinator vs. source
 ----------------------
@@ -35,7 +36,7 @@ deliverers and discarders.  Members that hold the complete verified
 payload (commit ``"ok"``/``"retry"``/``"undecided"`` -- the integrity
 layer guarantees a holder's bytes match the source's) report their
 delivered bit; the coordinator counts those votes and piggybacks a
-:class:`~repro.member.heartbeat.CompletionDirective` on the view
+:class:`~repro.member.rules.CompletionDirective` on the view
 install: *re-broadcast* from the lowest-ranked fully-delivered survivor
 (who becomes the new source, peer-to-peer over the survivor tree), or
 -- when nobody holds the payload -- a *uniform abort*, every live
@@ -70,16 +71,11 @@ from ..core.trees import PropagationTree
 from ..resilience.policy import OverloadError
 from ..scc.memory import MemRef
 from ..sim.errors import TimeoutError as SimTimeoutError
+from . import rules
 from .election import ElectionService
+from .heartbeat import TTD_BOUNDS, MembershipConfig, MembershipService
 from .rbc import RbcService
-from .heartbeat import (
-    DIRECTIVE_ABORT,
-    DIRECTIVE_REBROADCAST,
-    TTD_BOUNDS,
-    CompletionDirective,
-    MembershipConfig,
-    MembershipService,
-)
+from .rules import DIRECTIVE_ABORT, DIRECTIVE_REBROADCAST
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..rcce.comm import Comm, CoreComm
@@ -189,22 +185,15 @@ class OcBcastService:
         mcfg = self.member.config
         self._msg[cc.rank] += 1
         msg = self._msg[cc.rank]
-        tries = 0
         spent = 0  # failed attempts charged against retry_budget
         override: int | None = None  # directive-designated re-broadcast source
-        for _ in range(MAX_ATTEMPTS):
-            tries += 1
+        for tries in range(1, MAX_ATTEMPTS + 1):
             view = self.member.views[cc.rank]
             if cc.rank not in view:
                 return self._outcome(cc, msg, "evicted")
-            if override is not None:
-                src = override
-            elif source is not None:
-                src = source
-            else:
-                src = self.root
-            if src not in view:
-                src = self.member.coord[cc.rank]
+            src = rules.pick_source(
+                view, override, source, self.root, self.member.coord[cc.rank]
+            )
             self._attempt[cc.rank] += 1
             rnd = self._attempt[cc.rank]
             tree = self.survivor_tree(view, src)
@@ -245,7 +234,7 @@ class OcBcastService:
                     if verdict != "ok":
                         return self._outcome(cc, msg, "detected")
                 if cc.rank == self.member.coord[cc.rank] and tries > 1:
-                    self._observe_repair(cc)
+                    self._observe(cc, "member.ttr_us")
                 return self._outcome(cc, msg, "ok", buf=buf, nbytes=nbytes)
             # -- recovery round -----------------------------------------
             cc.metric_inc("svc.retries")
@@ -262,10 +251,7 @@ class OcBcastService:
                 # this holder was out of touch.  Deliver the verified
                 # payload and resume in lockstep at the installed round.
                 return self._outcome(cc, msg, "ok", buf=buf, nbytes=nbytes)
-            if (
-                isinstance(verdict, CompletionDirective)
-                and verdict.round_no == rnd
-            ):
+            if verdict.round_no == rnd:
                 if verdict.code == DIRECTIVE_ABORT:
                     return self._outcome(cc, msg, "aborted")
                 if verdict.code == DIRECTIVE_REBROADCAST:
@@ -314,42 +300,47 @@ class OcBcastService:
     # -- recovery ----------------------------------------------------------
 
     def _recover(self, cc: "CoreComm", rnd: int, src: int, delivered: bool):
-        """One recovery round; returns the adopted/installed
-        :class:`CompletionDirective` (or ``None``), or the
-        ``_SELF_EVICT`` sentinel for a delivered-but-partitioned member
+        """One recovery round: one loop over the current leader.  While
+        that is this rank it coordinates; otherwise it re-reports to the
+        leader and adopts its view.  A leader that installs nothing in
+        time is suspected, and an election names the next -- so a
+        winner that dies before installing cannot wedge the round.
+        Returns the adopted :class:`~repro.member.rules.CompletionDirective`,
+        or ``_SELF_EVICT`` for a delivered-but-partitioned member
         leaving on its own account."""
-        coord = self.member.coord[cc.rank]
-        if cc.rank == coord:
-            kind, val = yield from self._coordinate(
-                cc, rnd, src, delivered, won=False
-            )
-            if kind == "installed":
-                return val
-            # Deposed: the members elected `val` while we were away.
-            try:
-                return (yield from self._follow(cc, rnd, val, delivered))
-            except SimTimeoutError:
-                return (
-                    yield from self._elect_and_follow(
-                        cc, rnd, src, delivered, {val}
-                    )
+        leader = self.member.coord[cc.rank]
+        standing = leader != cc.rank  # following the standing coordinator
+        won = False
+        suspects: set[int] = set()
+        elections = len(self.member.views[cc.rank].members)
+        while True:
+            if leader == cc.rank:
+                rival = yield from self._coordinate(
+                    cc, rnd, src, delivered, won
                 )
-        reported = True
-        try:
-            yield from self.member.report(cc, rnd, ok=delivered)
-        except SimTimeoutError:
-            # Our writes do not land (a partition on our side): the
-            # round will suspect us.  Still await the view -- if the
-            # partition clears, the flag tells us our fate.
-            reported = False
-            self._report_failed(cc, rnd)
-        try:
-            yield from self.member.await_view(cc, rnd)
-            self._fast_forward(cc, rnd)
-            return self.member.directives[cc.rank]
-        except SimTimeoutError:
-            if not reported:
-                if delivered:
+                if rival is None:
+                    if won:
+                        self._observe(cc, "member.tte_us")
+                    return self.member.directives[cc.rank]
+                leader = rival  # deposed or outranked: follow the rival
+            reported = True
+            try:
+                yield from self.member.report(cc, rnd, delivered, leader)
+            except SimTimeoutError:
+                # Our writes do not land (a partition on our side): the
+                # round will suspect us.  Still await the view -- if the
+                # partition clears, the flag tells us our fate.
+                reported = False
+                cc.trace("svc.report_failed", round=rnd)
+                cc.metric_inc("svc.report_failed")
+            try:
+                yield from self.member.await_view(cc, rnd)
+                self._fast_forward(cc, rnd)
+                return self.member.directives[cc.rank]
+            except SimTimeoutError:
+                if standing and not reported:
+                    if not delivered:
+                        raise
                     # Unreachable in both directions but the payload is
                     # verified and complete: deliver, and leave the
                     # group rather than deadlock.  Non-decisive for
@@ -359,119 +350,70 @@ class OcBcastService:
                     cc.trace("svc.self_evict", round=rnd)
                     cc.metric_inc("svc.self_evict")
                     return _SELF_EVICT
-                raise
-            # Our report landed (the slot array in the coordinator's MPB
-            # acks even when its core is dead -- on-chip SRAM) yet no
-            # view came: the coordinator is gone.  Elect a successor.
-            return (
-                yield from self._elect_and_follow(
-                    cc, rnd, src, delivered, {coord}
+            # Our report landed (a slot array in a dead core's MPB still
+            # acks -- on-chip SRAM) yet no view came: the leader is gone.
+            suspects.add(leader)
+            standing = False
+            if not elections:
+                raise SimTimeoutError(
+                    f"core {cc.core_id}: no coordinator emerged for round "
+                    f"{rnd} after exhausting the candidate set at "
+                    f"t={cc.now:.4f}",
+                    process=f"core{cc.core_id}",
+                    sim_time=cc.now,
+                    site="member.elect",
                 )
-            )
+            elections -= 1
+            leader = yield from self.election.elect(cc, rnd, suspects)
+            won = leader == cc.rank
 
     def _coordinate(
-        self, cc: "CoreComm", rnd: int, src: int, delivered: bool, *, won: bool
+        self, cc: "CoreComm", rnd: int, src: int, delivered: bool, won: bool
     ):
         """The coordinator's half of a recovery round: claim fences,
         heartbeat collect, completion decision, view install.  Returns
-        ``("installed", directive_or_None)`` or ``("stepped_down",
-        rival_rank)``."""
-        # Fence 1: a standing coordinator checks for *any* rival claim
-        # (members only elect when they have given up on it); a freshly
-        # elected winner checks only below itself -- higher-ranked
-        # claims are from candidates that will yield to it.
-        below = cc.rank if won else None
-        rival = yield from self.election.check_claims(cc, rnd, below=below)
+        the rival rank it stepped down to, or ``None`` once installed.
+
+        Fence 1: a standing coordinator steps down to *any* rival claim
+        (members only elect when they have given up on it); a freshly
+        elected winner only to one below itself -- higher-ranked claims
+        are from candidates that will yield to it.  Fence 2: succession
+        order beats arrival order -- a lower-ranked candidate that
+        claimed while we were collecting takes over before we install."""
+        rival = yield from self._fence(cc, rnd, cc.rank if won else None)
         if rival is not None:
-            cc.trace("svc.step_down", round=rnd, to=rival)
-            return "stepped_down", rival
+            return rival
         statuses, suspects = yield from self.member.collect(cc, rnd)
-        self._observe_detection(cc, suspects)
-        view = self.member.views[cc.rank]
-        new_view = view.without(suspects) if suspects else view
-        decision: CompletionDirective | None = None
-        if src not in new_view:
-            # The source died mid-message: count the holders' votes.
-            holders = {m for m, ok in statuses.items() if ok and m in new_view}
-            if delivered:
-                holders.add(cc.rank)
-            ordered = sorted(holders)
-            if ordered:
-                decision = CompletionDirective(
-                    DIRECTIVE_REBROADCAST, ordered[0], rnd
-                )
-            else:
-                decision = CompletionDirective(DIRECTIVE_ABORT, 0, rnd)
+        if suspects:
+            self._observe(cc, "member.ttd_us")
+        new_view, decision, holders = rules.complete(
+            self.member.views[cc.rank], statuses, suspects, src, cc.rank,
+            delivered, rnd,
+        )
+        if decision is not None:
+            abort = decision.code == DIRECTIVE_ABORT
             cc.trace(
                 "svc.completion",
                 round=rnd, src=src,
-                decision="rebroadcast" if ordered else "abort",
-                holders=len(ordered),
-                new_source=ordered[0] if ordered else -1,
+                decision="abort" if abort else "rebroadcast",
+                holders=holders, new_source=-1 if abort else decision.source,
             )
-        # Fence 2: succession order beats arrival order -- a lower-ranked
-        # candidate that entered the election late (and claimed while we
-        # were collecting) takes over before we install.
-        rival = yield from self.election.check_claims(cc, rnd, below=cc.rank)
+        rival = yield from self._fence(cc, rnd, cc.rank)
         if rival is not None:
-            cc.trace("svc.step_down", round=rnd, to=rival)
-            return "stepped_down", rival
+            return rival
         yield from self.member.install(
             cc, new_view, rnd, decision=decision,
             window=self.oc.window_base(cc.rank),
         )
-        return "installed", decision
+        return None
 
-    def _follow(
-        self, cc: "CoreComm", rnd: int, leader: int, delivered: bool
-    ) -> Generator[object, object, CompletionDirective]:
-        """Re-report this round's heartbeat to ``leader`` (re-homing the
-        heartbeat array to its MPB) and adopt its view install; returns
-        the adopted completion directive.  Raises
-        :class:`repro.sim.TimeoutError` if the leader never installs."""
-        try:
-            yield from self.member.report(cc, rnd, ok=delivered, to=leader)
-        except SimTimeoutError:
-            self._report_failed(cc, rnd)
-        yield from self.member.await_view(cc, rnd)
-        self._fast_forward(cc, rnd)
-        return self.member.directives[cc.rank]
-
-    def _elect_and_follow(
-        self,
-        cc: "CoreComm",
-        rnd: int,
-        src: int,
-        delivered: bool,
-        suspects: set[int],
-    ):
-        """Run elections until a coordinator installs this round's view
-        (possibly this rank itself); each failed winner is added to the
-        suspect set and the election re-runs, so a winner that dies
-        before installing cannot wedge the round."""
-        suspects = set(suspects)
-        view = self.member.views[cc.rank]
-        for _ in range(len(view.members)):
-            winner = yield from self.election.elect(cc, rnd, suspects)
-            if winner == cc.rank:
-                kind, val = yield from self._coordinate(
-                    cc, rnd, src, delivered, won=True
-                )
-                if kind == "installed":
-                    self._observe_elect(cc)
-                    return val
-                winner = val  # a lower-ranked claimant outranks us
-            try:
-                return (yield from self._follow(cc, rnd, winner, delivered))
-            except SimTimeoutError:
-                suspects.add(winner)
-        raise SimTimeoutError(
-            f"core {cc.core_id}: no coordinator emerged for round {rnd} "
-            f"after exhausting the candidate set at t={cc.now:.4f}",
-            process=f"core{cc.core_id}",
-            sim_time=cc.now,
-            site="member.elect",
-        )
+    def _fence(self, cc: "CoreComm", rnd: int, below: int | None):
+        """A claim fence: the rival this coordinator steps down to, or
+        ``None`` (see :meth:`ElectionService.check_claims`)."""
+        rival = yield from self.election.check_claims(cc, rnd, below=below)
+        if rival is not None:
+            cc.trace("svc.step_down", round=rnd, to=rival)
+        return rival
 
     def _fast_forward(self, cc: "CoreComm", rnd: int) -> None:
         """A view installed for a *later* round than the one this member
@@ -487,10 +429,6 @@ class OcBcastService:
             cc.metric_inc("svc.fast_forward")
             self._attempt[cc.rank] = sync
             self.oc.resync_window(cc.rank, self.member.window_hints[cc.rank])
-
-    def _report_failed(self, cc: "CoreComm", rnd: int) -> None:
-        cc.trace("svc.report_failed", round=rnd)
-        cc.metric_inc("svc.report_failed")
 
     def _outcome(
         self,
@@ -519,23 +457,8 @@ class OcBcastService:
     # -- repair telemetry --------------------------------------------------
 
     def _observe(self, cc: "CoreComm", name: str) -> None:
+        """First injected fault -> now, into histogram ``name``."""
         t0 = cc.first_fault_time()
         if t0 is None or cc.now < t0:
             return
         cc.observe_histogram(name, TTD_BOUNDS, cc.now - t0)
-
-    def _observe_detection(self, cc: "CoreComm", suspects: list[int]) -> None:
-        """Time-to-detect: first injected fault -> suspicion, at the
-        coordinator."""
-        if suspects:
-            self._observe(cc, "member.ttd_us")
-
-    def _observe_repair(self, cc: "CoreComm") -> None:
-        """Time-to-repair: first injected fault -> committed broadcast
-        (called only when this message needed at least one retry)."""
-        self._observe(cc, "member.ttr_us")
-
-    def _observe_elect(self, cc: "CoreComm") -> None:
-        """Time-to-elect: first injected fault -> this rank won the
-        election *and* installed the handoff view."""
-        self._observe(cc, "member.tte_us")

@@ -66,30 +66,6 @@ def notify_hop(p: ModelParams, nflags: int = 1, d: int = 1) -> float:
 # OC-Bcast latency
 # ---------------------------------------------------------------------------
 
-def ocbcast_latency_simple(
-    P: int, m: int, k: int, p: ModelParams, *, chunk: int = M_OC,
-    d_mpb: int = 1, d_mem: int = 1,
-) -> float:
-    """Formula 13, extended to multi-chunk messages by pipelining: the
-    first chunk pays the full tree path; each further chunk adds one
-    bottleneck-node cycle (MPB get + memory get, cf. Formula 15)."""
-    if P < 1:
-        raise ValueError("P must be >= 1")
-    if m <= 0 or P == 1:
-        return 0.0
-    chunks = _chunk_sizes(m, chunk)
-    depth = kary_depth(P, k)
-    first = chunks[0]
-    lat = (
-        c_put_mem(p, first, d_mem, d_mpb)
-        + depth * c_get_mpb(p, first, d_mpb)
-        + c_get_mem(p, first, d_mpb, d_mem)
-    )
-    for c in chunks[1:]:
-        lat += c_get_mpb(p, c, d_mpb) + c_get_mem(p, c, d_mpb, d_mem)
-    return lat
-
-
 def ocbcast_node_cycle(
     p: ModelParams, c: int, k: int, *, notify_degree: int = 2,
     d_mpb: int = 1, d_mem: int = 1,
@@ -157,24 +133,6 @@ def ocbcast_latency_complete(
 
 def binomial_levels(P: int) -> int:
     return max(0, math.ceil(math.log2(P))) if P > 1 else 0
-
-
-def binomial_latency_simple(
-    P: int, m: int, p: ModelParams, *, d_mpb: int = 1, d_mem: int = 1,
-) -> float:
-    """Formula 14: ``log2 P`` send/recv levels; only the first level pays
-    the off-chip source read (later senders hit their L1)."""
-    if P < 1:
-        raise ValueError("P must be >= 1")
-    if m <= 0 or P == 1:
-        return 0.0
-    levels = binomial_levels(P)
-    per_level = (
-        p.o_put_mem
-        + m * c_mpb_write(p, d_mpb)        # put with L1-cached source
-        + c_get_mem(p, m, d_mpb, d_mem)    # receiver's get to memory
-    )
-    return levels * per_level + m * c_mem_read(p, d_mem)  # root's cold read
 
 
 def binomial_latency_complete(

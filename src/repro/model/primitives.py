@@ -21,12 +21,6 @@ def _check(m: int | None = None, d: int | None = None) -> None:
 
 # -- MPB read/write (Formulas 1-3) -----------------------------------------
 
-def l_mpb_write(p: ModelParams, d: int) -> float:
-    """(1) Latency of writing one cache line to an MPB at distance d."""
-    _check(d=d)
-    return p.o_mpb + d * p.l_hop
-
-
 def c_mpb_write(p: ModelParams, d: int) -> float:
     """(2) Completion of the same write (waits for the acknowledgment)."""
     _check(d=d)
@@ -44,12 +38,6 @@ l_mpb_read = c_mpb_read
 
 
 # -- off-chip read/write (Formulas 4-6) ---------------------------------------
-
-def l_mem_write(p: ModelParams, d: int) -> float:
-    """(4) Latency of writing one cache line to off-chip memory."""
-    _check(d=d)
-    return p.o_mem_w + d * p.l_hop
-
 
 def c_mem_write(p: ModelParams, d: int) -> float:
     """(5) Completion of the same write."""
@@ -79,33 +67,6 @@ def c_put_mem(p: ModelParams, m: int, d_src: int = 1, d_dst: int = 1) -> float:
     _check(m, d_src)
     _check(d=d_dst)
     return p.o_put_mem + m * c_mem_read(p, d_src) + m * c_mpb_write(p, d_dst)
-
-
-def l_put_mpb(p: ModelParams, m: int, d_dst: int) -> float:
-    """(9) Latency of put from local MPB (last write unacknowledged)."""
-    _check(m, d_dst)
-    if m == 0:
-        return p.o_put_mpb
-    return (
-        p.o_put_mpb
-        + m * c_mpb_read(p, 1)
-        + (m - 1) * c_mpb_write(p, d_dst)
-        + l_mpb_write(p, d_dst)
-    )
-
-
-def l_put_mem(p: ModelParams, m: int, d_src: int = 1, d_dst: int = 1) -> float:
-    """(10) Latency of put from private memory."""
-    _check(m, d_src)
-    _check(d=d_dst)
-    if m == 0:
-        return p.o_put_mem
-    return (
-        p.o_put_mem
-        + m * c_mem_read(p, d_src)
-        + (m - 1) * c_mpb_write(p, d_dst)
-        + l_mpb_write(p, d_dst)
-    )
 
 
 # -- get (Formulas 11-12) --------------------------------------------------------

@@ -108,8 +108,10 @@ def _jsonable(v: object) -> object:
 def write_chrome_trace(
     records: Iterable[TraceRecord], path: str, *, pid: int = 1
 ) -> int:
-    """Write the trace-event JSON to ``path``; returns the event count."""
+    """Write the trace-event JSON to ``path`` (checked by
+    :func:`validate_chrome_trace` first); returns the event count."""
     doc = to_chrome_trace(records, pid=pid)
+    validate_chrome_trace(doc)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=None, separators=(",", ":"))
         fh.write("\n")

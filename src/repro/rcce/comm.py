@@ -84,14 +84,6 @@ class Comm:
             self._twosided = TwoSidedState(self)
         return self._twosided
 
-    def reset_mpb(self) -> None:
-        """Zero all participating MPBs (when switching algorithms whose
-        regions alias; sequence-numbered flags normally make this
-        unnecessary)."""
-        for cid in self.core_ids:
-            mpb = self.chip.mpbs[cid]
-            mpb.write_bytes(0, bytes(mpb.size))
-
 
 class CoreComm(Endpoint):
     """The view of a :class:`Comm` from one core's program: the SCC

@@ -72,10 +72,6 @@ class Flag:
         raw = chip.mpbs[owner_core].read_bytes(self.offset, CACHE_LINE)
         return FlagValue.decode(raw)
 
-    def poke(self, chip: "SccChip", owner_core: int, value: FlagValue) -> None:
-        """Untimed write (for initialisation in tests)."""
-        chip.mpbs[owner_core].write_bytes(self.offset, value.encode())
-
 
 class _SlotArray:
     """Layout shared by the per-partner slot arrays: ``nslots`` fixed-width
@@ -187,13 +183,3 @@ class DigestSlotArray(_SlotArray):
             if got_seq == seq:
                 counts[got_digest] = counts.get(got_digest, 0) + 1
         return counts
-
-    def tally(self, chip: "SccChip", owner_core: int, seq: int) -> dict[int, int]:
-        """Untimed :meth:`count` over ``owner_core``'s copy.  Timed
-        callers charge the sweep themselves (``vote_wait_quorum`` does)."""
-        return self.count(
-            chip.mpbs[owner_core].read_bytes(
-                self.region.offset, self.nslots * self.SLOT_BYTES
-            ),
-            seq,
-        )

@@ -50,10 +50,6 @@ class MpbLayout:
         self._next_line = 0
 
     @property
-    def used_lines(self) -> int:
-        return self._next_line
-
-    @property
     def free_lines(self) -> int:
         return self.mpb_lines - self._next_line
 
@@ -69,8 +65,3 @@ class MpbLayout:
         region = MpbRegion(self._next_line * CACHE_LINE, lines * CACHE_LINE)
         self._next_line += lines
         return region
-
-    def alloc_bytes(self, nbytes: int) -> MpbRegion:
-        """Reserve enough whole cache lines to hold ``nbytes``."""
-        lines = -(-nbytes // CACHE_LINE)
-        return self.alloc_lines(lines)

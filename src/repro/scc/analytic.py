@@ -119,10 +119,6 @@ class AnalyticResult:
         return float(np.mean(self.latencies))
 
     @property
-    def min_latency(self) -> float:
-        return float(np.min(self.latencies))
-
-    @property
     def throughput_mb_s(self) -> float:
         return self.nbytes / self.mean_latency if self.mean_latency else 0.0
 

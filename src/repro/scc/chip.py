@@ -105,12 +105,6 @@ class SpmdResult:
         """Time from collective start to the last core finishing."""
         return self.end_time - self.start_time
 
-    def value_of(self, core_id: int) -> Any:
-        return self.values[self.core_ids.index(core_id)]
-
-    def finish_of(self, core_id: int) -> float:
-        return self.finish_times[self.core_ids.index(core_id)]
-
 
 def run_spmd(
     chip: SccChip,

@@ -90,9 +90,6 @@ class Mesh:
         base = (y * self.cols + x) * self.config.cores_per_tile
         return tuple(range(base, base + self.config.cores_per_tile))
 
-    def manhattan(self, a: Coord, b: Coord) -> int:
-        return abs(a[0] - b[0]) + abs(a[1] - b[1])
-
     def core_distance(self, src_core: int, dst_core: int) -> int:
         """Routers traversed by a packet from ``src_core`` to the MPB of
         ``dst_core`` (>= 1 even on the same tile: the local router is used
@@ -105,12 +102,6 @@ class Mesh:
         a = tiles[src_core]
         b = tiles[dst_core]
         return abs(a[0] - b[0]) + abs(a[1] - b[1]) + 1
-
-    def mc_tile_of_core(self, core_id: int) -> Coord:
-        """The memory controller serving this core: nearest corner, ties
-        broken toward the lower-left (deterministic quadrant split)."""
-        self._check_core(core_id)
-        return self._mc_tile_of_core[core_id]
 
     def mem_distance(self, core_id: int) -> int:
         """Routers traversed to reach the core's memory controller."""

@@ -67,12 +67,6 @@ class Tracer:
     def clear(self) -> None:
         self.records.clear()
 
-    def of_kind(self, kind: str) -> list[TraceRecord]:
-        return [r for r in self.records if r.kind == kind]
-
-    def from_source(self, source: str) -> list[TraceRecord]:
-        return [r for r in self.records if r.source == source]
-
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self.records)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from ..core.ocbcast import DEFAULT_CHUNK_LINES, OcBcastConfig
 from ..faults.injector import FaultInjector
@@ -32,7 +32,7 @@ from ..resilience import DetectorConfig, RetryPolicy
 from ..scc.config import CACHE_LINE, SccConfig
 from ..sim.trace import TraceRecord
 from .api import CrashOnEvent
-from .decisions import canonical_decisions, decision_digest
+from .decisions import decision_digest
 from .models import DelayModel, UniformDelay
 from .world import asyncio_world, bcast_body, mode_config, run_world, scc_world
 
@@ -182,13 +182,8 @@ class RunResult:
     outcomes: tuple
     faults: FaultInjector | None
 
-    # Both walk and canonicalise the whole record list, and a service op
-    # reads them more than once; the records are final once the run is.
-
-    @cached_property
-    def decisions(self) -> str:
-        return canonical_decisions(self.records)
-
+    # Walks and canonicalises the whole record list, and a service op
+    # reads it more than once; the records are final once the run is.
     @cached_property
     def digest(self) -> str:
         return decision_digest(self.records)
@@ -254,23 +249,3 @@ def run_asyncio(
     return _run(world, "asyncio", sc, seed)
 
 
-def run_backend(
-    backend: str, scenario: Scenario | str, seed: int, *, with_plan: bool = True
-) -> RunResult:
-    if backend == "scc":
-        return run_scc(scenario, seed, with_plan=with_plan)
-    if backend == "asyncio":
-        return run_asyncio(scenario, seed, with_plan=with_plan)
-    raise ValueError(f"unknown backend {backend!r}")
-
-
-@lru_cache(maxsize=None)
-def cached_decisions(
-    backend: str, name: str, seed: int, with_plan: bool = True
-) -> tuple[str, str, tuple, int, int]:
-    """Memoised (decision text, digest, outcomes, n_injected,
-    n_recoveries) -- several test modules replay the same runs."""
-    res = run_backend(backend, name, seed, with_plan=with_plan)
-    injected = 0 if res.faults is None else res.faults.n_injected
-    recovered = 0 if res.faults is None else len(res.faults.recoveries)
-    return res.decisions, res.digest, res.outcomes, injected, recovered

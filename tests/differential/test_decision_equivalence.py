@@ -10,12 +10,9 @@ latencies are free to -- and do -- diverge.
 
 import pytest
 
-from repro.transport.scenarios import (
-    DIFFERENTIAL_NAMES,
-    cached_decisions,
-    run_asyncio,
-    run_scc,
-)
+from repro.transport.scenarios import DIFFERENTIAL_NAMES, run_asyncio, run_scc
+
+from . import cached_decisions
 
 pytestmark = pytest.mark.differential
 

@@ -24,10 +24,12 @@ import pytest
 from repro.faults import FaultKind, FaultPlan, FaultSpec
 from repro.rcce.flags import DigestSlotArray, FlagSlotArray, FlagValue
 from repro.transport import AsyncioNetwork, make_scc_world
-from repro.transport.scenarios import SCENARIOS, cached_decisions, run_scc
+from repro.transport.scenarios import SCENARIOS, run_scc
 from repro.scc import SccChip, SccConfig, run_spmd
 from repro.faults.injector import FaultInjector
 from repro.sim import TimeoutError as SimTimeoutError, Tracer
+
+from . import cached_decisions
 
 pytestmark = pytest.mark.differential
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.transport.scenarios import DIFFERENTIAL_NAMES, cached_decisions
+from repro.transport.scenarios import DIFFERENTIAL_NAMES, run_scc
 
 pytestmark = pytest.mark.differential
 
@@ -27,8 +27,7 @@ SEED = 0
 
 
 def _digest(name: str) -> str:
-    _, digest, _, _, _ = cached_decisions("scc", name, SEED)
-    return digest
+    return run_scc(name, SEED).digest
 
 
 def _load_goldens() -> dict:

@@ -80,7 +80,7 @@ class TestFtDelivery:
         values, injector = bcast_once(plan, ft=True)
         assert values.count("crashed") == 1
         assert sum(1 for v in values if v is True) == 47
-        assert injector.is_dead(leaf)
+        assert values[leaf] == "crashed"
 
     def test_ft_with_data_acks_recovers_dropped_data_writes(self):
         campaign = FaultCampaign(

@@ -6,7 +6,9 @@ crashes interesting (the crashed node has already relayed some chunks,
 so its subtree is mid-pipeline when it goes silent).
 """
 
+import hashlib
 import itertools
+from dataclasses import dataclass
 
 import pytest
 
@@ -20,7 +22,7 @@ from repro.member import (
     MembershipView,
     OcBcastService,
 )
-from repro.member.heartbeat import (
+from repro.member.rules import (
     DIRECTIVE_ABORT,
     DIRECTIVE_NONE,
     DIRECTIVE_REBROADCAST,
@@ -31,6 +33,11 @@ from repro.scc import SccChip, SccConfig, run_spmd
 from repro.scc.config import CACHE_LINE
 from repro.sim import FaultInjected, SimError, Tracer
 from repro.sim.errors import TimeoutError as SimTimeoutError
+from repro.transport.api import CrashOnEvent
+from repro.transport.world import (
+    asyncio_world, bcast_body, mode_config, run_world, scc_world,
+    seeded_payload,
+)
 
 THREE_CHUNKS = 3 * 96 * CACHE_LINE
 
@@ -444,7 +451,7 @@ class TestMembershipPrimitives:
                 return member.views[0]
             if cc.rank == silent:
                 return None  # plays dead: no heartbeat
-            yield from member.report(cc, 1, ok=cc.rank == 1)
+            yield from member.report(cc, 1, ok=cc.rank == 1, to=0)
             return (yield from member.await_view(cc, 1))
 
         chip.sim.start_watchdog(100_000.0)
@@ -681,3 +688,361 @@ class TestFailoverAcceptanceCampaign:
         assert result.times("service", "tte")["count"] == 100
         # Fault-free election-enabled service tax stays under 5%.
         assert result.tax_pct("service", "baseline") < 5.0
+
+
+# -- every exit of the recovery loop, pinned -------------------------------
+
+
+class _Crashes:
+    """Several backend-agnostic crash coordinates in one world."""
+
+    def __init__(self, coords) -> None:
+        self.hooks = [CrashOnEvent(r, kind, nth=nth) for r, kind, nth in coords]
+
+    def on_trace(self, rank, kind, detail) -> None:
+        for hook in self.hooks:
+            hook.on_trace(rank, kind, detail)
+
+
+def _pause(core, nth, us):
+    return FaultSpec(FaultKind.CORE_PAUSE, core=core, nth=nth, duration=us)
+
+
+def _stall(core, nth, us):
+    return FaultSpec(FaultKind.LINK_STALL, core=core, nth=nth, duration=us)
+
+
+def _down(core, nth, us):
+    return FaultSpec(FaultKind.LINK_DOWN, core=core, nth=nth, duration=us)
+
+
+#: The root dies before staging (nobody holds the payload) / a leaf dies
+#: (the root coordinates the recovery round).
+C0 = (0, "oc.chunk.begin", 1)
+C3 = (3, "oc.chunk.begin", 1)
+
+
+@dataclass(frozen=True)
+class ExitScript:
+    """A scripted 2x1-mesh (four ranks, two chunks) service run that takes
+    one or more recovery exits.  ``faults`` holds one injector fault per
+    backend: a core pause exists only on the chip, so asyncio stalls one
+    link for it instead; the fault counters count differently, so the
+    ``nth`` differs where needed.  ``ending`` is ``(status, per-rank
+    outcomes)`` or ``("timeout", site)``.  ``streams`` pins the exiting
+    ranks' ordered ``svc.*``/``member.*`` records -- equal on both
+    backends -- and ``digests`` every rank's."""
+
+    crashes: tuple
+    faults: dict
+    ending: tuple
+    digests: dict
+    streams: dict
+
+
+EXIT_SCRIPTS = {
+    "standing_step_down": ExitScript(
+        # A standing coordinator paused past ``view_timeout`` finds its
+        # members' election claim at its first fence, steps down and follows
+        # the winner.
+        crashes=(C3,),
+        faults={"scc": _pause(0, 1, 12000.0), "asyncio": _stall(0, 1, 12000.0)},
+        ending=("", ("ok", "ok", "ok", "crashed")),
+        digests={"scc": "37f374b4a6ae29fd", "asyncio": "37f374b4a6ae29fd"},
+        streams={
+            0: [
+                "svc.attempt round=1 epoch=0 src=0 members=4",
+                "svc.step_down round=1 to=1",
+                "member.hb round=1 ok=True to=1",
+                "member.view_adopt epoch=1 coord=1 members=3 evicted=False",
+                "svc.attempt round=2 epoch=1 src=0 members=3",
+                "svc.outcome msg=1 status=ok epoch=1 crc=1748388774",
+            ],
+        },
+    ),
+    "deposed_follow_fails": ExitScript(
+        # The same, but the rival dies after winning: the deposed
+        # coordinator's follow times out, it runs an election and installs;
+        # rank 2's follow fails too, and it re-elects, wins and steps down
+        # to rank 0 at its first fence.
+        crashes=(C3, (1, "member.elect.won", 1)),
+        faults={"scc": _pause(0, 1, 12000.0), "asyncio": _stall(0, 1, 12000.0)},
+        ending=("", ("ok", "crashed", "ok", "crashed")),
+        digests={"scc": "4ca71df9daaa4ed5", "asyncio": "4ca71df9daaa4ed5"},
+        streams={
+            0: [
+                "svc.attempt round=1 epoch=0 src=0 members=4",
+                "svc.step_down round=1 to=1",
+                "member.hb round=1 ok=True to=1",
+                "member.elect.begin round=1 epoch=0 index=0 candidates=3",
+                "member.claim round=1",
+                "member.elect.won round=1 epoch=0",
+                "member.suspect member=3 round=1",
+                "member.view_install epoch=1 round=1 members=3 directive=0",
+                "svc.attempt round=2 epoch=1 src=0 members=3",
+                "member.suspect member=1 round=2",
+                "member.view_install epoch=2 round=2 members=2 directive=0",
+                "svc.attempt round=3 epoch=2 src=0 members=2",
+                "svc.outcome msg=1 status=ok epoch=2 crc=1748388774",
+            ],
+            2: [
+                "svc.attempt round=1 epoch=0 src=0 members=4",
+                "svc.attempt_failed round=1 site=oc.notify",
+                "member.hb round=1 ok=False to=0",
+                "member.elect.begin round=1 epoch=0 index=1 candidates=3",
+                "member.elect.follow round=1 winner=1",
+                "member.hb round=1 ok=False to=1",
+                "member.elect.begin round=1 epoch=0 index=0 candidates=2",
+                "member.claim round=1",
+                "member.elect.won round=1 epoch=0",
+                "svc.step_down round=1 to=0",
+                "member.hb round=1 ok=False to=0",
+                "member.view_adopt epoch=1 coord=0 members=3 evicted=False",
+                "svc.attempt round=2 epoch=1 src=0 members=3",
+                "member.hb round=2 ok=True to=0",
+                "member.view_adopt epoch=2 coord=0 members=2 evicted=False",
+                "svc.attempt round=3 epoch=2 src=0 members=2",
+                "svc.outcome msg=1 status=ok epoch=2 crc=1748388774",
+            ],
+        },
+    ),
+    "winner_outranked": ExitScript(
+        # Rank 1 stalls through its election budget, so rank 2 wins; rank 1
+        # claims late, and rank 2 sees it at the fence before installing.
+        crashes=(C0,),
+        faults={"scc": _pause(1, 3, 5000.0), "asyncio": _stall(1, 1, 3750.0)},
+        ending=("", ("crashed", "aborted", "aborted", "aborted")),
+        digests={"scc": "f672a03f76d3a6b0", "asyncio": "f672a03f76d3a6b0"},
+        streams={
+            2: [
+                "svc.attempt round=1 epoch=0 src=0 members=4",
+                "svc.attempt_failed round=1 site=oc.notify",
+                "member.hb round=1 ok=False to=0",
+                "member.elect.begin round=1 epoch=0 index=1 candidates=3",
+                "member.claim round=1",
+                "member.elect.won round=1 epoch=0",
+                "member.suspect member=0 round=1",
+                "member.suspect member=1 round=1",
+                "svc.completion round=1 src=0 decision=abort holders=0 new_source=-1",
+                "svc.step_down round=1 to=1",
+                "member.hb round=1 ok=False to=1",
+                "member.view_adopt epoch=1 coord=1 members=2 evicted=False",
+                "svc.outcome msg=1 status=aborted epoch=1",
+            ],
+        },
+    ),
+    "elect_yield": ExitScript(
+        # Rank 1's late claim lands inside rank 2's settle window: rank 2
+        # yields.
+        crashes=(C0,),
+        faults={"scc": _pause(1, 5, 12000.0), "asyncio": _stall(1, 1, 2750.0)},
+        ending=("", ("crashed", "aborted", "aborted", "aborted")),
+        digests={"scc": "8ae6688d6a34fca7", "asyncio": "8ae6688d6a34fca7"},
+        streams={
+            2: [
+                "svc.attempt round=1 epoch=0 src=0 members=4",
+                "svc.attempt_failed round=1 site=oc.notify",
+                "member.hb round=1 ok=False to=0",
+                "member.elect.begin round=1 epoch=0 index=1 candidates=3",
+                "member.claim round=1",
+                "member.elect.yield round=1 winner=1",
+                "member.hb round=1 ok=False to=1",
+                "member.view_adopt epoch=1 coord=1 members=3 evicted=False",
+                "svc.outcome msg=1 status=aborted epoch=1",
+            ],
+        },
+    ),
+    "exhausted": ExitScript(
+        # The first winner dies after claiming.  Every later winner of the
+        # round steps down to its stale claim, re-elects, and the candidate
+        # set runs out.
+        crashes=(C0, (1, "member.elect.won", 1)),
+        faults={"scc": None, "asyncio": None},
+        ending=("timeout", "member.elect"),
+        digests={"scc": "f49304ec39a27782", "asyncio": "f49304ec39a27782"},
+        streams={
+            2: [
+                "svc.attempt round=1 epoch=0 src=0 members=4",
+                "svc.attempt_failed round=1 site=oc.notify",
+                "member.hb round=1 ok=False to=0",
+                "member.elect.begin round=1 epoch=0 index=1 candidates=3",
+                "member.elect.follow round=1 winner=1",
+                "member.hb round=1 ok=False to=1",
+                "member.elect.begin round=1 epoch=0 index=0 candidates=2",
+                "member.claim round=1",
+                "member.elect.won round=1 epoch=0",
+                "svc.step_down round=1 to=1",
+                "member.hb round=1 ok=False to=1",
+                "member.elect.begin round=1 epoch=0 index=0 candidates=2",
+                "member.claim round=1",
+                "member.elect.won round=1 epoch=0",
+                "svc.step_down round=1 to=1",
+                "member.hb round=1 ok=False to=1",
+                "member.elect.begin round=1 epoch=0 index=0 candidates=2",
+                "member.claim round=1",
+                "member.elect.won round=1 epoch=0",
+                "svc.step_down round=1 to=1",
+                "member.hb round=1 ok=False to=1",
+            ],
+        },
+    ),
+    "follow_report_failed": ExitScript(
+        # Rank 2 follows the election winner, but its link is down, so its
+        # re-report fails; the winner's view still reaches it.
+        crashes=(C0,),
+        faults={"scc": _down(1, 9, 3000.0), "asyncio": _down(1, 9, 3000.0)},
+        ending=("", ("crashed", "aborted", "aborted", "aborted")),
+        digests={"scc": "182e87ff96f530fc", "asyncio": "182e87ff96f530fc"},
+        streams={
+            2: [
+                "svc.attempt round=1 epoch=0 src=0 members=4",
+                "svc.attempt_failed round=1 site=oc.notify",
+                "member.hb round=1 ok=False to=0",
+                "member.elect.begin round=1 epoch=0 index=1 candidates=3",
+                "member.elect.follow round=1 winner=1",
+                "member.hb round=1 ok=False to=1",
+                "svc.report_failed round=1",
+                "member.view_adopt epoch=1 coord=1 members=1 evicted=True",
+                "svc.outcome msg=1 status=aborted epoch=1",
+            ],
+        },
+    ),
+    "self_evict": ExitScript(
+        # A holder whose link is down can neither report nor hear the view:
+        # it delivers and leaves the group.
+        crashes=(C3,),
+        faults={"scc": _down(1, 13, 10000.0), "asyncio": _down(1, 11, 10000.0)},
+        ending=("", ("ok", "ok", "ok", "crashed")),
+        digests={"scc": "da44c1b87031fc55", "asyncio": "da44c1b87031fc55"},
+        streams={
+            1: [
+                "svc.attempt round=1 epoch=0 src=0 members=4",
+                "member.hb round=1 ok=True to=0",
+                "svc.report_failed round=1",
+                "svc.self_evict round=1",
+                "svc.outcome msg=1 status=self_evicted epoch=1",
+            ],
+        },
+    ),
+    "fast_forward": ExitScript(
+        # A coordinator pause splits the round: rank 2 adopts a view
+        # installed for a later round and fast-forwards.
+        crashes=(C3,),
+        faults={"scc": _pause(0, 55, 5000.0), "asyncio": _stall(0, 25, 5000.0)},
+        ending=("", ("ok", "aborted", "ok", "crashed")),
+        digests={"scc": "22be9665f9d28eb3", "asyncio": "22be9665f9d28eb3"},
+        streams={
+            2: [
+                "svc.attempt round=1 epoch=0 src=0 members=4",
+                "member.hb round=1 ok=True to=0",
+                "member.elect.begin round=1 epoch=0 index=1 candidates=3",
+                "member.claim round=1",
+                "member.elect.won round=1 epoch=0",
+                "member.suspect member=0 round=1",
+                "member.suspect member=1 round=1",
+                "member.suspect member=3 round=1",
+                "svc.completion round=1 src=0 decision=rebroadcast holders=1 new_source=2",
+                "svc.step_down round=1 to=1",
+                "member.hb round=1 ok=True to=1",
+                "member.view_adopt epoch=2 coord=0 members=2 evicted=True",
+                "svc.fast_forward round=1 to=2",
+                "svc.outcome msg=1 status=ok epoch=2 crc=1748388774",
+            ],
+        },
+    ),
+    "claim_unreachable": ExitScript(
+        # Rank 1's link is down while it stamps its claim: no claim write is
+        # acked.
+        crashes=(C0,),
+        faults={"scc": _down(1, 3, 3000.0), "asyncio": _down(1, 3, 3000.0)},
+        ending=("", ("crashed", "aborted", "aborted", "aborted")),
+        digests={"scc": "71045136f5bedf80", "asyncio": "71045136f5bedf80"},
+        streams={
+            1: [
+                "svc.attempt round=1 epoch=0 src=0 members=4",
+                "svc.attempt_failed round=1 site=oc.notify",
+                "member.hb round=1 ok=False to=0",
+                "member.elect.begin round=1 epoch=0 index=0 candidates=3",
+                "member.claim round=1",
+                "member.claim_unreachable member=0",
+                "member.claim_unreachable member=1",
+                "member.claim_unreachable member=2",
+                "member.claim_unreachable member=3",
+                "member.elect.won round=1 epoch=0",
+                "member.suspect member=0 round=1",
+                "member.suspect member=2 round=1",
+                "member.suspect member=3 round=1",
+                "svc.completion round=1 src=0 decision=abort holders=0 new_source=-1",
+                "member.view_install epoch=1 round=1 members=1 directive=2",
+                "svc.outcome msg=1 status=aborted epoch=1",
+            ],
+        },
+    ),
+    "reraise": ExitScript(
+        # A member that holds nothing, cannot report and hears no view re-
+        # raises the view timeout.
+        crashes=(C0,),
+        faults={"scc": _down(1, 1, 10000.0), "asyncio": _down(1, 1, 10000.0)},
+        ending=("timeout", "member.view"),
+        digests={"scc": "50c6b1007f3a781e", "asyncio": "e469df9a23eb0b8c"},
+        streams={
+            1: [
+                "svc.attempt round=1 epoch=0 src=0 members=4",
+                "svc.attempt_failed round=1 site=oc.notify",
+                "member.hb round=1 ok=False to=0",
+                "svc.report_failed round=1",
+            ],
+        },
+    ),
+}
+
+
+def _recovery_text(run, rank) -> list[str]:
+    return [
+        " ".join([rec.kind] + [f"{k}={v}" for k, v in rec.detail.items()])
+        for rec in run.records
+        if rec.source == f"rank{rank}" and rec.kind.startswith(("svc.", "member."))
+    ]
+
+
+def run_exit_script(script: ExitScript, backend: str):
+    fault = script.faults[backend]
+    plan = FaultPlan(() if fault is None else (fault,), num_cores=4)
+    if backend == "scc":
+        world = scc_world(
+            SccConfig(mesh_cols=2, mesh_rows=1), plan=plan, trace=True,
+            crash_hook=_Crashes(script.crashes), watchdog_us=50_000.0,
+        )
+    else:
+        world = asyncio_world(
+            4, plan=plan, seed=1, crash_hook=_Crashes(script.crashes)
+        )
+    payload = seeded_payload(1, 2 * 96 * CACHE_LINE)
+    return run_world(world, bcast_body(world, mode_config("service"), payload))
+
+
+class TestRecoveryExits:
+    """Each exit of the service's recovery loop, reached by a scripted
+    fault and pinned as an ordered ``(kind, fields)`` record stream on
+    both backends."""
+
+    @pytest.mark.parametrize("backend", ["scc", "asyncio"])
+    @pytest.mark.parametrize("name", sorted(EXIT_SCRIPTS))
+    def test_exit_record_stream(self, name, backend):
+        script = EXIT_SCRIPTS[name]
+        run = run_exit_script(script, backend)
+        status, detail = script.ending
+        assert run.status == status
+        if status:
+            assert run.error.site == detail
+        else:
+            assert tuple(
+                v[0] if isinstance(v, tuple) else v for v in run.values
+            ) == detail
+        for rank, expected in script.streams.items():
+            assert _recovery_text(run, rank) == expected
+        text = "\n".join(
+            f"{r}\t{line}" for r in range(4) for line in _recovery_text(run, r)
+        )
+        digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert digest == script.digests[backend]

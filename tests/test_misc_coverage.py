@@ -17,15 +17,6 @@ class TestLinesOf:
 
 
 class TestCommUtilities:
-    def test_reset_mpb_zeroes_participants_only(self):
-        chip = SccChip(SccConfig())
-        comm = Comm(chip, ranks=[0, 1, 2])
-        chip.mpbs[0].write_bytes(100, b"\xff" * 8)
-        chip.mpbs[5].write_bytes(100, b"\xee" * 8)  # outside the comm
-        comm.reset_mpb()
-        assert chip.mpbs[0].read_bytes(100, 8) == bytes(8)
-        assert chip.mpbs[5].read_bytes(100, 8) == b"\xee" * 8
-
     def test_twosided_state_is_singleton_per_comm(self):
         chip = SccChip(SccConfig())
         comm = Comm(chip)

@@ -22,6 +22,13 @@ OcBcast`` to ``core/ocbcast.py`` and reaches nothing else the package
 re-exports, so listing a module in an ``__init__`` does not keep it
 alive.  A reached module's own imports are followed in full.
 
+The same rule holds one level down, for every function, method and
+class: some root, or a module a root reaches, must *name* it -- a call,
+an attribute, an import or a dispatch string -- or it is a def only its
+tests run.  Such a def is deleted, or moved into a ``tests/`` helper
+(as ``reference_l1.py`` was), or states its reason in ``ALLOWED_DEFS``.
+A module in ``ALLOWED`` exempts its defs, and its names count.
+
 The other half of the rule -- a protocol module speaks only
 ``Endpoint`` -- is ``tests/differential/test_endpoint_conformance.py``.
 """
@@ -61,6 +68,45 @@ ALLOWED = {
         "row A6's two-sided comparator for OC-Barrier",
 }
 MAX_ALLOWED = 6
+
+#: ``module.name`` -> why a def of that name stays although nothing but
+#: tests names it.
+ALLOWED_DEFS = {
+    "repro.bench.contention.mesh_link_probe":
+        "benchmarks/bench_mesh_contention.py (the paper-claims CI job) and "
+        "examples/contention_study.py run the link probe",
+    "repro.bench.contention.slowdown":
+        "the loaded/unloaded ratio bench_mesh_contention.py asserts",
+    "repro.scc.chip.makespan":
+        "the run timing examples/quickstart.py and collective_pipeline.py "
+        "print",
+    "repro.scc.core.scripts_lines":
+        "the regime claim_lines counts against, as one predicate; the "
+        "leg-script and quiet-injector suites pin which regime a run takes",
+    "repro.scc.core.scripts_stores":
+        "the same predicate for claim_stores (vote casts)",
+    "repro.scc.core.mem_read_line_cost":
+        "Formula 6 as the chip charges it; test_model_vs_sim holds it equal "
+        "to the model's and the analytic engine's",
+    "repro.scc.core.mem_write_line_cost":
+        "Formula 5, likewise",
+    "repro.rcce.flags.peek":
+        "the untimed host-side read of a flag or slot the asyncio "
+        "scheduler oracle and the slot-array suites check state with",
+    "repro.sim.resources.in_use":
+        "a port's occupancy, compared against the per-line loop's by the "
+        "leg-script and vote-cast equivalence suites",
+    "repro.sim.resources.queue_length":
+        "a port's queue, likewise",
+    "repro.scc.memory.contains":
+        "the run-length L1's query API, checked operation for operation "
+        "against tests/reference_l1.py",
+    "repro.scc.memory.resident_lines":
+        "likewise (the LRU order)",
+    "repro.scc.memory.invalidate":
+        "likewise (the flush)",
+}
+MAX_ALLOWED_DEFS = 13
 
 
 def _roots() -> list[pathlib.Path]:
@@ -167,3 +213,50 @@ def test_every_protocol_module_is_run_by_something_besides_its_tests():
     stale = sorted(ALLOWED.keys() - unreached)
     assert not stale, f"allow-listed but reached (or gone): {stale}"
     assert len(ALLOWED) <= MAX_ALLOWED and all(ALLOWED.values())
+
+
+def _named() -> set[str]:
+    """Every identifier the roots and the modules they reach (the
+    allow-listed ones included) name: a variable, an attribute, an
+    imported name, or a string that could be one (a dispatch key)."""
+    paths = _roots() + [_source(m) for m in _reached() | ALLOWED.keys()]
+    names: set[str] = set()
+    for path in paths:
+        if path.name == "__init__.py":
+            continue  # re-exports name nothing into use
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def _defs() -> set[str]:
+    """``module.name`` of every function, method and class of every
+    censused module outside ``ALLOWED`` (dunders are called implicitly)."""
+    found = set()
+    for module in _census() - ALLOWED.keys():
+        for node in ast.walk(ast.parse(_source(module).read_text())):
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) and not (node.name.startswith("__") and node.name.endswith("__")):
+                found.add(f"{module}.{node.name}")
+    return found
+
+
+def test_every_def_is_named_by_something_besides_its_tests():
+    named = _named()
+    unnamed = {d for d in _defs() if d.rpartition(".")[2] not in named}
+    orphans = sorted(unnamed - ALLOWED_DEFS.keys())
+    assert not orphans, (
+        "defs nothing but tests names (delete them, move them into a "
+        f"tests/ helper, or state a reason in ALLOWED_DEFS): {orphans}"
+    )
+    stale = sorted(ALLOWED_DEFS.keys() - unnamed)
+    assert not stale, f"allow-listed but named (or gone): {stale}"
+    assert len(ALLOWED_DEFS) <= MAX_ALLOWED_DEFS and all(ALLOWED_DEFS.values())

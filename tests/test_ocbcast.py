@@ -10,6 +10,11 @@ from repro.scc import ContentionMode, SccChip, SccConfig, run_spmd
 from repro.sim import Tracer
 
 
+def of_kind(tracer, kind):
+    """The tracer's records of one kind, in emission order."""
+    return [r for r in tracer.records if r.kind == kind]
+
+
 def make_world(P=48, tracer=None, **cfg):
     chip = SccChip(SccConfig(**cfg), tracer=tracer)
     comm = Comm(chip, ranks=list(range(P)))
@@ -251,19 +256,19 @@ class TestProtocolOrdering:
 
     def test_chunks_staged_in_order(self):
         tracer = self._traced_run()
-        staged = [r.detail["idx"] for r in tracer.of_kind("oc.chunk_staged")]
+        staged = [r.detail["idx"] for r in of_kind(tracer, "oc.chunk_staged")]
         assert staged == sorted(staged)
 
     def test_no_node_finishes_chunk_before_root_stages_it(self):
         tracer = self._traced_run()
-        staged = {r.detail["idx"]: r.time for r in tracer.of_kind("oc.chunk_staged")}
-        for rec in tracer.of_kind("oc.chunk_done"):
+        staged = {r.detail["idx"]: r.time for r in of_kind(tracer, "oc.chunk_staged")}
+        for rec in of_kind(tracer, "oc.chunk_done"):
             assert rec.time > staged[rec.detail["idx"]]
 
     def test_every_rank_completes_every_chunk(self):
         P, nchunks = 12, 2
         tracer = self._traced_run(P=P)
-        done = tracer.of_kind("oc.chunk_done")
+        done = of_kind(tracer, "oc.chunk_done")
         per_rank = {}
         for rec in done:
             per_rank.setdefault(rec.source, []).append(rec.detail["idx"])
@@ -275,9 +280,9 @@ class TestProtocolOrdering:
         """With double buffering the root stages chunk 1 before the last
         node finishes chunk 0."""
         tracer = self._traced_run(P=48, nbytes=96 * 32 * 4, k=7)
-        staged = {r.detail["idx"]: r.time for r in tracer.of_kind("oc.chunk_staged")}
+        staged = {r.detail["idx"]: r.time for r in of_kind(tracer, "oc.chunk_staged")}
         done0 = max(
-            r.time for r in tracer.of_kind("oc.chunk_done") if r.detail["idx"] == 0
+            r.time for r in of_kind(tracer, "oc.chunk_done") if r.detail["idx"] == 0
         )
         assert staged[1] < done0
 

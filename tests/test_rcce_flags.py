@@ -14,6 +14,11 @@ def world():
     return chip, Comm(chip)
 
 
+def poke(flag, chip, core, value):
+    """Untimed write of ``value`` into ``core``'s copy of ``flag``."""
+    chip.mpbs[core].write_bytes(flag.offset, value.encode())
+
+
 class TestFlagValue:
     def test_encode_decode_roundtrip(self):
         v = FlagValue(tag=12345, seq=-7)
@@ -38,7 +43,7 @@ class TestFlag:
     def test_peek_poke(self, world):
         chip, comm = world
         f = comm.flag("t")
-        f.poke(chip, 3, FlagValue(9, 9))
+        poke(f, chip, 3, FlagValue(9, 9))
         assert f.peek(chip, 3) == FlagValue(9, 9)
         assert f.peek(chip, 4) == FlagValue(0, 0)  # other core untouched
 
@@ -72,7 +77,7 @@ class TestFlagOps:
     def test_wait_returns_immediately_if_already_set(self, world):
         chip, comm = world
         f = comm.flag("t")
-        f.poke(chip, 0, FlagValue(1, 5))
+        poke(f, chip, 0, FlagValue(1, 5))
 
         def waiter(core):
             cc = comm.attach(core)
@@ -179,7 +184,7 @@ class TestFlagOps:
     def test_flag_poll_reads_current_value(self, world):
         chip, comm = world
         f = comm.flag("t")
-        f.poke(chip, 0, FlagValue(3, 4))
+        poke(f, chip, 0, FlagValue(3, 4))
 
         def prog(core):
             cc = comm.attach(core)

@@ -12,15 +12,7 @@ def test_alloc_is_sequential_and_line_granular():
     assert a.offset == 0
     assert a.nbytes == 320
     assert b.offset == 320
-    assert layout.used_lines == 15
     assert layout.free_lines == 241
-
-
-def test_alloc_bytes_rounds_up_to_lines():
-    layout = MpbLayout(256)
-    r = layout.alloc_bytes(33)
-    assert r.lines == 2
-    assert r.nbytes == 64
 
 
 def test_exhaustion_raises():

@@ -38,8 +38,7 @@ def test_spmd_subset_of_cores():
 
     res = run_spmd(chip, program, core_ids=[3, 7, 11])
     assert res.values == (3, 7, 11)
-    assert res.value_of(7) == 7
-    assert res.finish_of(11) == 1.0
+    assert res.finish_times[res.core_ids.index(11)] == 1.0
 
 
 def test_spmd_duplicate_cores_rejected():

@@ -64,10 +64,9 @@ def test_mc_tiles_are_the_corners(chip):
 def test_mc_assignment_is_nearest_corner(chip):
     mesh = chip.mesh
     for c in range(chip.num_cores):
-        tile = mesh.tile_of_core(c)
-        mc = mesh.mc_tile_of_core(c)
-        best = min(mesh.manhattan(tile, m) for m in mesh.mc_tiles)
-        assert mesh.manhattan(tile, mc) == best
+        x, y = mesh.tile_of_core(c)
+        best = min(abs(x - mx) + abs(y - my) for mx, my in mesh.mc_tiles)
+        assert mesh.mem_distance(c) == best + 1  # + the local router
 
 
 def test_route_is_x_then_y(chip):

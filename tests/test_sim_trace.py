@@ -17,15 +17,6 @@ class TestTracer:
         assert t.records[0].time == 1.0
         assert t.records[1].detail == {"n": 64}
 
-    def test_of_kind_and_from_source(self):
-        t = Tracer(enabled=True)
-        t.emit(1.0, "a", "put")
-        t.emit(2.0, "b", "get")
-        t.emit(3.0, "a", "get")
-        assert len(t.of_kind("get")) == 2
-        assert len(t.from_source("a")) == 2
-        assert t.of_kind("put")[0].source == "a"
-
     def test_clear(self):
         t = Tracer(enabled=True)
         t.emit(1.0, "s", "k")
