@@ -98,9 +98,11 @@ trace:
 ## Seconds, before the tier-1 matrix: everything compiles, no option
 ## has regrown without a caller (tests/test_option_census.py), no
 ## protocol module without something that runs it
-## (tests/test_module_census.py), and no bad CLI input ends in a
-## traceback (tests/test_cli.py).
+## (tests/test_module_census.py), no bad CLI input ends in a
+## traceback (tests/test_cli.py), and the trace-kind table and the
+## FaultKind facts agree with the code (tests/test_vocabulary.py).
 lint:
 	$(PYTHON) -m compileall -q src tests benchmarks
 	$(PYTHON) -m pytest -q tests/test_option_census.py \
-		tests/test_module_census.py tests/test_cli.py
+		tests/test_module_census.py tests/test_cli.py \
+		tests/test_vocabulary.py

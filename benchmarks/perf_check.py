@@ -4,123 +4,88 @@ Every check here is exact -- simulated time and event/run/bytecode
 counts do not depend on the host -- so there is no tolerance and no
 committed baseline.  Host time (events/s, broadcasts/s, trials/s) is
 measured by the ledger, ``python benchmarks/ledger/run.py`` (``make
-perf``), against per-metric noise bounds.
+perf``), against per-metric noise bounds.  The call counts
+(``sys.setprofile`` ``call`` events, C calls printed beside them) are
+exact for one interpreter version; the values below are CPython 3.11's
+(3.12 inlines comprehensions and can only read lower).  Each guard, in
+the order it prints -- what it counts, its value now, its ceiling, and
+what trips it:
 
-The *service tax* is the fault-free simulated-latency overhead of the
-election-enabled broadcast service over the bare baseline broadcast: it
-fails the moment membership/election bookkeeping leaks onto the
-fault-free path.  The *rbc tax* check does the same for Byzantine mode:
-the echo/ready quorum rounds must stay cheap relative to the crash-only
-service they harden, and the *resilience tax* check prices the adaptive
-configuration (phi-accrual detection + paced retry policies) against
-the fixed-deadline service -- pauses only fire on actual re-sends, so
-a fault-free run must stay under ``--max-resilience-tax`` percent.
-
-The *EXACT event budgets* are work counts, not timings.  One binomial
-96-cache-line EXACT broadcast on 48 cores finds every MPB port idle, so
-each put/get's leg script must run as one virtual stretch of a few
-events (1,392 today, since an MPB<->memory transfer's call overhead and
-a put's first memory read open its script; 1,521 while they were two
-timers of their own, 1,658 while a stretch was a separate coalesced run
-handing over to the script, 1,834 before the flag writes became leg
-scripts, whose inline hops draw no sequence number; 55,414 with one run
-per cache line) -- exact, noise-free, and it trips the moment the
-stretch stops engaging.  The count may only fall: the ceiling is the
-1,521.  One scatter-allgather broadcast of the same size is the same
-traffic cut into two-cycle stretches (4,606 of them over 9,521 cycles),
-most of the virtual stretches of a ``paper_exact`` pass: 58,403 events
-today, 65,237 before the call overhead joined the script, 72,086 while
-the stretches were coalesced runs; its ceiling is the 65,237.  Each
-guard prints the per-port ``coalesced_runs / coalesced_cycles`` totals
-beside it.
-
-The *EXACT OC-Bcast calls* count guards the other EXACT regime, the
-contended one: in one warmed OC-Bcast (k = 7) of 96 cache lines seven
-children fetch each chunk from one MPB and no coalesced run survives a
-cycle, so every line is a real port hold made by a leg script
-(``repro.sim.LegScript``) while its rank sleeps.  Python-level function
-calls (``sys.setprofile`` ``call`` events; C calls and
-``Simulator.events_scheduled`` are printed beside them): 121,759 calls
-(93,928 C calls, 24,143 events) on CPython 3.11 since a put/get's call
-overhead opens its leg script (122,308; 94,033; 24,192 before), against
-365,605 (188,194; 45,276) when every line was a one-cycle run plus a
-process wake-up.  The ceiling is the achieved value plus 5 %; a per-line
-generator step sneaking back in costs ~9k calls per sibling and trips
-it.  Exact for one interpreter version, like the asyncio guard below.
-
-Two more counts guard the run-length L1 (``repro.scc.memory``): a
-streamed 1,024-cache-line BATCH OC-Bcast must leave every core's L1 as
-at most two address runs (one per buffer it streamed), and on an L1
-fragmented into ``l1_lines`` single-line runs a point access must cost a
-bounded number of interpreter steps -- the run lookup is a bisection,
-never a scan of the runs.
-
-The *analytic replay steps* count guards ``repro.scc.analytic``: the
-engine steps the OC-Bcast recurrence once per dependency-level group,
-so a chunk costs a number of data-parallel steps that follows the
-tree's critical path (8 / 12 / 8 for k = 2 / 7 / 47 on the 48-core
-chip, 34 for k = 7 on a 1,024-core 32x16 mesh), never the core count --
-the count returns to P the moment the replay walks ranks again.
-
-The *analytic op calls* count guards the engine's cost when its
-arguments repeat, as in the ledger's ``analytic_fastpath``: the
-Python-level function calls of one warm ``AnalyticEngine(k=7)
-.evaluate_batch`` over the ledger's 128 sizes, construction included
-(the C calls are printed beside them).  An engine is a copy of a
-memoised plan and its results are built without a Python call per lane:
-170 calls (498 C calls) on CPython 3.11, against 1,925 (1,323) when
-every engine re-derived its geometry and tree schedule and every result
-ran the frozen dataclass's ``__init__``.  The ceiling is the achieved
-value plus 5 %; a plan rebuilt per engine (~1,600 calls) or a Python
-call per lane (128) trips it.
-
-The *asyncio service calls* count guards the asyncio backend's own
-scheduler (``repro.transport.asyncio_backend``): the Python-level
-function calls (``sys.setprofile`` ``call`` events; the C calls are
-printed beside them) of one warmed 48-rank, three-chunk service run.
-A rank that blocks costs one generator step there -- 54,006 calls
-(20,515 C calls) on CPython 3.11 since an endpoint formats its record
-sources once; 54,382 (20,227) before that, 55,998 / 21,843 before
-``Tracer.emit`` stopped building a generator over its empty filter list
-per record, against 79,027 (39,304) when every block was a Future on the
-standard library's event loop -- and the ceiling is the 54,382 plus
-5 %, so a per-step hop sneaking back in (each costs ~11k calls) trips it
-while protocol edits of a few hundred calls do not.  Like the L1 opcode count it is exact for one
-interpreter version, whatever the host is doing (the ceiling was set on
-3.11; 3.12 inlines comprehensions and can only read lower).
-
-The *scc byz service calls* count does the same for the Byzantine
-service on the SCC backend: one warmed 48-rank, one-chunk ``byz`` run
-(``Scenario("guard_byz", 48, (6, 4), chunks=1, byz=True)``, seed 1),
-whose cost is the RBC's n-squared vote writes.  Each rank's all-member
-vote fan-out is one leg script with landings (``Endpoint.vote_cast``):
-205,416 calls (144,174 C calls) on CPython 3.11, against 483,571
-(221,110) when every vote write woke its rank four times through a
-dozen ``yield from`` frames.  The ceiling is the achieved value plus
-5 %; a per-write wake-up coming back costs ~60 calls per vote, ~278k
-per run, and trips it.
-
-Two guards price an attached fault injector (``repro.faults.injector``,
-"Countdowns": a hook site is an increment and a compare, the injector is
-entered only at an armed occurrence, and a quiet injector leaves the leg
-scripts on).  The *empty-plan event tax*: the kernel events of one
-fault-free 48-core ``ft`` OC-Bcast (k = 7, 96 cache lines) with a
-``FaultPlan()`` injector must equal those without an injector, in BATCH
-and in EXACT -- an equality, no ceiling.  In EXACT that is 24,418 both
-ways; while any attached injector switched the scripts off it was 82,296
-with one.  The *faulted byz calls*: the Python-level function calls of
-one warmed SCC ``byz`` chaos schedule (4x3 mesh, two chunks, two lying
-voters, a chip-wide dropped flag write, invariant checker on), 88,039
-calls (60,046 C calls) on CPython 3.11 against 185,375 (101,767) when
-every primitive called into the injector and every vote cast ran the
-per-store loop.  The ceiling is the achieved value plus 5 %; a per-op
-hook call or a switched-off cast comes back at ~40k calls and trips it.
-
-Last, the *analytic fast path*: a 1,024-trial all-fault-free
-``fidelity="adaptive"`` campaign must serve every trial from the
-memoised reference (``n_analytic == 1024``, nothing replayed through
-the kernel, not degraded) -- the exact statement behind the old
-wall-clock "analytic campaign >= 20x the kernel campaign" ratio.
+- *service tax*: fault-free simulated latency of the election-enabled
+  service over the bare baseline broadcast, 48 cores, three chunks.
+  2.71 %, ceiling 5 % (``--max-service-tax``).  Trips when membership
+  or election bookkeeping leaks onto the fault-free path.
+- *rbc tax*: fault-free Byzantine mode over the crash-only service,
+  one chunk (one echo/ready round per message, nothing amortises).
+  13.90 %, ceiling 15 % (``--max-rbc-tax``).  Trips when the quorum
+  rounds get costlier.
+- *resilience tax*: the adaptive configuration (phi-accrual detection
+  plus paced retry policies) over the fixed-deadline service on one
+  seeded three-broadcast stream.  0.00 %, ceiling 5 %
+  (``--max-resilience-tax``).  Pauses fire only on re-sends, so any
+  cost on a fault-free run trips it.
+- *exact binomial events*: ``Simulator.events_scheduled`` of one
+  binomial 96-cache-line EXACT broadcast on 48 cores, where every MPB
+  port is idle and each put/get's leg script runs as one virtual
+  stretch (per-port stretches / cycles printed beside it).  1,392
+  (94 / 9,024), ceiling 1,521; the count may only fall.  Trips when
+  the stretch stops engaging (one run per cache line is ~55k events).
+- *exact scatter-allgather events*: the same for one
+  scatter-allgather broadcast, the same traffic cut into two-cycle
+  stretches.  58,403 (4,606 / 9,521), ceiling 65,237.
+- *exact oc-bcast calls*: Python calls of one warmed, contended EXACT
+  OC-Bcast (k = 7, 96 cache lines): seven children fetch each chunk
+  from one MPB, so every line is a real port hold made by a leg script
+  (``repro.sim.LegScript``) while its rank sleeps.  121,657 (93,928 C
+  calls, 24,143 events), ceiling 131,200.  A per-line generator step
+  costs ~9k calls per sibling and trips it.
+- *stream l1 runs per core*: the most address runs any core's
+  run-length L1 (``repro.scc.memory``) holds after a streamed
+  1,024-cache-line BATCH OC-Bcast.  1, ceiling 2 (one per buffer it
+  streamed).  Trips when the L1 fragments.
+- *fragmented l1 ops/access*: bytecode instructions per point access on
+  an L1 fragmented into ``l1_lines`` single-line runs (512).  261,
+  ceiling 64 per doubling of the run count (576).  The run lookup is a
+  bisection; a scan of the runs trips it.
+- *analytic replay steps*: ``AnalyticEngine.replay_steps`` per chunk,
+  which follows the tree's critical path, never the core count: 12 at
+  most over k = 2 / 7 / 47 on 48 cores (ceiling 16), 34 for k = 7 on
+  the 1,024-core 32x16 mesh (ceiling 48).  Trips when the replay walks
+  ranks again.
+- *analytic op calls*: Python calls of one warm ``AnalyticEngine(k=7)
+  .evaluate_batch`` over the ledger's 128 sizes, construction included
+  (an engine is a copy of a memoised plan; results are built without a
+  Python call per lane).  170 (498 C calls), ceiling 178.  A plan
+  rebuilt per engine (~1,600 calls) or a call per lane (128) trips it.
+- *asyncio service calls*: Python calls of one warmed 48-rank,
+  three-chunk service run on the asyncio backend's own scheduler
+  (``repro.transport.asyncio_backend``), where a blocking rank costs
+  one generator step.  53,860 (20,322 C calls), ceiling 57,100.  A
+  per-step hop costs ~11k calls and trips it; protocol edits of a few
+  hundred calls do not.
+- *scc byz service calls*: Python calls of one warmed 48-rank,
+  one-chunk Byzantine service run on the SCC backend
+  (``Scenario("guard_byz", 48, (6, 4), chunks=1, byz=True)``, seed 1),
+  whose cost is the RBC's n-squared vote writes; each rank's vote
+  fan-out is one leg script with landings (``Endpoint.vote_cast``).
+  203,826 (144,077 C calls), ceiling 215,700.  A per-write wake-up
+  costs ~60 calls per vote, ~278k per run, and trips it.
+- *faulted byz calls*: Python calls of one warmed SCC ``byz`` chaos
+  schedule (4x3 mesh, two chunks, two lying voters, a chip-wide
+  dropped flag write, invariant checker on).  An attached injector is
+  entered only at an armed occurrence and a quiet one leaves the leg
+  scripts on (``repro.faults.injector``, "Countdowns").  88,051
+  (60,034 C calls), ceiling 92,400.  A per-operation hook call or a
+  switched-off vote cast costs ~40k calls and trips it.
+- *empty-plan event tax* (BATCH and EXACT): the kernel events of one
+  fault-free 48-core ``ft`` OC-Bcast (k = 7, 96 cache lines) with a
+  ``FaultPlan()`` injector must equal those without one: 2,592 and
+  24,418 both ways, an equality with no ceiling.  An empty injector
+  that adds an event, or switches the leg scripts off, trips it.
+- *analytic fast path*: a 1,024-trial all-fault-free
+  ``fidelity="adaptive"`` campaign must serve every trial from the
+  memoised reference: 1,024 served, 0 replayed through the kernel, not
+  degraded.  Any replay or degradation trips it.
 
 Usage::
 
@@ -206,8 +171,7 @@ def _stretches(chip) -> str:
     return f"{runs} / {cycles} stretches / cycles"
 
 
-#: Ceiling on kernel events for the uncontended EXACT broadcast below:
-#: the count while a put/get's call overhead was a timer of its own
+#: Ceiling on kernel events for the uncontended EXACT broadcast below
 #: (1,392 now); it may only fall.
 MAX_EXACT_BINOMIAL_EVENTS = 1_521
 
@@ -219,9 +183,8 @@ def exact_binomial_events() -> tuple[int, str]:
     return chip.sim.events_scheduled, _stretches(chip)
 
 
-#: Ceiling on kernel events for the EXACT scatter-allgather below: the
-#: count while a put/get's call overhead was a timer of its own (58,403
-#: now); it may only fall.
+#: Ceiling on kernel events for the EXACT scatter-allgather below
+#: (58,403 now); it may only fall.
 MAX_EXACT_SAG_EVENTS = 65_237
 
 
@@ -233,8 +196,8 @@ def exact_sag_events() -> tuple[int, str]:
     return chip.sim.events_scheduled, _stretches(chip)
 
 
-#: Ceiling on Python-level calls of the contended EXACT broadcast below:
-#: 124,954 achieved (CPython 3.11) plus 5 %.
+#: Ceiling on Python-level calls of the contended EXACT broadcast below
+#: (121,657 now on CPython 3.11).
 MAX_EXACT_OC_CALLS = 131_200
 
 
@@ -335,8 +298,8 @@ def analytic_replay_steps() -> tuple[int, int]:
     )
 
 
-#: Ceiling on Python-level calls of the warm analytic op below: 170
-#: achieved (CPython 3.11) plus 5 %.
+#: Ceiling on Python-level calls of the warm analytic op below (170 now
+#: on CPython 3.11).
 MAX_ANALYTIC_OP_CALLS = 178
 
 
@@ -358,8 +321,8 @@ def analytic_op_calls() -> tuple[int, int]:
     return calls, c_calls
 
 
-#: Ceiling on Python-level calls of the asyncio service run below:
-#: 54,382 achieved (CPython 3.11) plus 5 %.
+#: Ceiling on Python-level calls of the asyncio service run below
+#: (53,860 now on CPython 3.11).
 MAX_ASYNCIO_SERVICE_CALLS = 57_100
 
 
@@ -375,8 +338,8 @@ def asyncio_service_calls() -> tuple[int, int]:
     return calls, c_calls
 
 
-#: Ceiling on Python-level calls of the SCC byz service run below:
-#: 205,416 achieved (CPython 3.11) plus 5 %.
+#: Ceiling on Python-level calls of the SCC byz service run below
+#: (203,826 now on CPython 3.11).
 MAX_SCC_BYZ_SERVICE_CALLS = 215_700
 
 
@@ -414,8 +377,8 @@ def empty_plan_events(mode_name: str) -> tuple[int, int]:
     return events[0], events[1]
 
 
-#: Ceiling on Python-level calls of the faulted byz chaos schedule below:
-#: 88,039 achieved (CPython 3.11) plus 5 %.
+#: Ceiling on Python-level calls of the faulted byz chaos schedule below
+#: (88,051 now on CPython 3.11).
 MAX_FAULTED_BYZ_CALLS = 92_400
 
 

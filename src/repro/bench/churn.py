@@ -59,10 +59,6 @@ from ..transport.world import WorldRun, mode_config, run_world, scc_world
 #: deadlock, watchdog and exhausted-attempt timeouts alike.
 CHURN_OUTCOMES = ("survived", "refused", "false_evict", "stalled", "corrupt")
 
-#: Kinds whose plan spec names a core the plan itself kills -- evicting
-#: those ranks is *correct*, never a false eviction.
-_CRASH_KINDS = (FaultKind.CORE_CRASH, FaultKind.REPEATED_CRASH)
-
 
 @dataclass(frozen=True)
 class ChurnTrial:
@@ -350,9 +346,7 @@ class ChurnCampaign:
             # Faults are armed on purpose: only the membership promise
             # (I8) and the protocol invariants are on trial, not I1.
             checker = InvariantChecker(lossless=False).attach(comm.chip)
-        crashed_by_plan = {
-            s.core for s in plan.specs if s.kind in _CRASH_KINDS
-        }
+        crashed_by_plan = {s.core for s in plan.specs if s.kind.crash}
 
         def i8_count() -> int:
             if checker is None:

@@ -41,16 +41,14 @@ from typing import Callable, Sequence
 from ..chaos.runner import execute
 from ..chaos.schedule import ChaosSchedule
 from ..core import OcBcastConfig, PropagationTree
-from ..faults import (
-    ADVERSARY_KINDS, CRASH_SITES, FaultKind, FaultPlan, FaultSpec,
-)
-from ..faults.plan import CATEGORY_OF
+from ..faults import CRASH_SITES, FaultKind, FaultPlan, FaultSpec
 from ..obs import MetricsRegistry
 from ..scc import SccConfig
 from ..scc.analytic import AnalyticEngine, AnalyticUnsupported
 from ..scc.config import CACHE_LINE, DEFAULT_CONFIG
 from ..sim import WatchdogError
 from ..sim.trace import TraceRecord
+from ..transport.decisions import kinds_with
 from ..transport.world import (
     Verdict, WorldRun, bcast_body, mode_config, run_world, scc_world,
     seeded_payload,
@@ -118,14 +116,7 @@ FAULT_ENVELOPES: dict[FaultKind, dict] = {
 _ROOT = 0  # the source of every campaign broadcast, as of every schedule
 
 #: Trace kinds that make up a fault timeline.
-TIMELINE_KINDS = (
-    "fault.injected",
-    "fault.recovered",
-    "flag_write_retry_ok",
-    "put_retry_ok",
-    "oc.ft.renotify",
-    "oc.ft.child_dead",
-)
+TIMELINE_KINDS = kinds_with("timeline")
 
 
 @dataclass(frozen=True)
@@ -388,7 +379,7 @@ class FaultCampaign:
                     f"a Byzantine campaign needs 1 <= adversaries < "
                     f"{size} cores, got {self.adversaries}"
                 )
-        elif stray := [k.value for k in self.kinds if k in ADVERSARY_KINDS]:
+        elif stray := [k.value for k in self.kinds if k.adversarial]:
             raise ValueError(
                 f"{stray[0]} needs byz=True: only the Byzantine-tolerant "
                 f"service consults adversary hooks, so it would never fire"
@@ -574,35 +565,25 @@ class FaultCampaign:
         }[self.crash_site]
         non_root = [r for r in range(size) if r != _ROOT]
 
-        # kind -> victim pool.  No pool: nth counts the category's
-        # occurrences chip-wide; with one, a victim core is drawn first
-        # and nth counts its own.  The crash pool follows ``crash_site``:
-        # a crashed leaf is routable by the FT layer alone, a crashed
-        # interior node orphans its subtree and takes the service to
-        # survive.  Adversary kinds have no row: a non-byz campaign
-        # rejects them (``__post_init__``).
-        pools: dict[FaultKind, list[int] | None] = {
-            FaultKind.DROP_FLAG_WRITE: None,
-            FaultKind.CORRUPT_FLAG_WRITE: None,
-            FaultKind.DROP_DATA_WRITE: None,
-            FaultKind.CORRUPT_DATA_WRITE: None,
-            FaultKind.LINK_STALL: None,
-            FaultKind.CONGESTION_STORM: None,
-            FaultKind.LINK_DOWN: non_root,
-            FaultKind.FLAPPING_LINK: non_root,
-            FaultKind.CORE_PAUSE: non_root,
-            FaultKind.CORE_CRASH: crash_pool,
-            FaultKind.REPEATED_CRASH: crash_pool,
-        }
         envelopes = {
             **FAULT_ENVELOPES,
             FaultKind.LINK_DOWN: {"duration": self.link_down_duration},
         }
 
         def draw(kind: FaultKind) -> FaultSpec:
-            pool = pools[kind]
+            # The victim pool.  None: nth counts the category's
+            # occurrences chip-wide; with one, a victim core is drawn
+            # first and nth counts its own.  The crash pool follows
+            # ``crash_site``: a crashed leaf is routable by the FT layer
+            # alone, a crashed interior node orphans its subtree and takes
+            # the service to survive.  (Adversary kinds never get here: a
+            # non-byz campaign rejects them in ``__post_init__``.)
+            pool = (
+                crash_pool if kind.crash
+                else non_root if kind.needs_core else None
+            )
             core = None if pool is None else rng.choice(pool)
-            site = CATEGORY_OF[kind] + ("" if core is None else f"@core{core}")
+            site = kind.category + ("" if core is None else f"@core{core}")
             nth = self._draw_nth(rng, profile.get(site, 0))
             return FaultSpec(kind, nth=nth, core=core, **envelopes.get(kind, {}))
 
@@ -632,7 +613,7 @@ class FaultCampaign:
         (all three when it carries none); EQUIVOCATE is forced onto the
         root -- only the source can serve two variants -- and at most one
         spec targets each core, so the adversary count is exact."""
-        kinds = tuple(k for k in self.kinds if k in ADVERSARY_KINDS) or (
+        kinds = tuple(k for k in self.kinds if k.adversarial) or (
             FaultKind.EQUIVOCATE,
             FaultKind.LIE_IN_QUORUM,
             FaultKind.FORGE_FLAG_VALUE,

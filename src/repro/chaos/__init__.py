@@ -21,7 +21,7 @@ from .runner import (
     run_schedule,
 )
 from .schedule import (
-    BACKENDS, MODES, SCC_ONLY_KINDS, ChaosSchedule, ModelSpec,
+    BACKENDS, MODES, ChaosSchedule, ModelSpec,
 )
 from .shrink import MESH_LADDER, ShrinkResult, shrink
 from .soak import SoakResult, run_soak
@@ -32,7 +32,6 @@ __all__ = [
     "CLASSIFICATIONS",
     "MESH_LADDER",
     "MODES",
-    "SCC_ONLY_KINDS",
     "ChaosOutcome",
     "ChaosSchedule",
     "ModelSpec",

@@ -44,7 +44,7 @@ import random
 from dataclasses import dataclass, field
 
 from ..core.ocbcast import DEFAULT_CHUNK_LINES
-from ..faults.plan import CATEGORY_OF, FaultKind, FaultSpec
+from ..faults.plan import FaultKind, FaultSpec
 from .runner import profile_counts
 from .schedule import BACKENDS, MODES, ChaosSchedule, ModelSpec
 
@@ -90,6 +90,11 @@ _ADVERSARIES = (
 _STALL_RANGE = (100.0, 800.0)
 _BURST_RANGE = (200.0, 800.0)
 _PAUSE_RANGE = (200.0, 2_000.0)
+_DURATION_RANGE = {
+    FaultKind.LINK_STALL: _STALL_RANGE,
+    FaultKind.LINK_DOWN: _BURST_RANGE,
+    FaultKind.CORE_PAUSE: _PAUSE_RANGE,
+}
 _DROP_P_RANGE = (0.01, 0.10)
 _HEAL_RANGE = (200.0, 1_500.0)
 
@@ -266,7 +271,7 @@ class ScheduleGenerator:
         spec: FaultSpec,
         claimed: set[tuple[str, int | None, int]],
     ) -> FaultSpec | None:
-        site = (CATEGORY_OF[spec.kind], spec.core, spec.nth)
+        site = (spec.category, spec.core, spec.nth)
         if site in claimed:
             return None
         claimed.add(site)
@@ -285,7 +290,7 @@ class ScheduleGenerator:
         if backend == "scc" and mode == "service":
             # The occurrence-counted mpb_access / core_op anchors of the
             # pause and sustained-regime kinds are SCC-mesh semantics
-            # (see SCC_ONLY_KINDS), and only the service's membership
+            # (``FaultKind.scc_only``), and only the service's membership
             # layer rides out a multi-deadline outage.
             pool.extend((
                 FaultKind.CORE_PAUSE,
@@ -293,55 +298,25 @@ class ScheduleGenerator:
                 FaultKind.CONGESTION_STORM,
             ))
         kind = rng.choice(pool)
-        if kind in (FaultKind.DROP_FLAG_WRITE, FaultKind.CORRUPT_FLAG_WRITE):
-            spec = FaultSpec(
-                kind, nth=self._nth(rng, profile.get("flag_write", 0))
+        # A victim core where the kind needs one; nth counts its category's
+        # occurrences (the victim's own, with one).
+        core = rng.randrange(1, nranks) if kind.needs_core else None
+        site = kind.category + ("" if core is None else f"@core{core}")
+        knobs: dict[str, float] = {}
+        if kind is FaultKind.FLAPPING_LINK:  # the cycle is drawn before nth
+            knobs["period"] = rng.uniform(*_FLAP_PERIOD_RANGE)
+            knobs["duration"] = max(
+                knobs["period"], rng.uniform(*_FLAP_DURATION_RANGE)
             )
-        elif kind in (FaultKind.DROP_DATA_WRITE, FaultKind.CORRUPT_DATA_WRITE):
-            spec = FaultSpec(
-                kind, nth=self._nth(rng, profile.get("data_write", 0))
-            )
-        elif kind is FaultKind.LINK_STALL:
-            spec = FaultSpec(
-                kind,
-                nth=self._nth(rng, profile.get("mpb_access", 0)),
-                duration=rng.uniform(*_STALL_RANGE),
-            )
-        elif kind is FaultKind.LINK_DOWN:
-            core = rng.randrange(1, nranks)
-            spec = FaultSpec(
-                kind,
-                core=core,
-                nth=self._nth(rng, profile.get(f"mpb_access@core{core}", 0)),
-                duration=rng.uniform(*_BURST_RANGE),
-            )
-        elif kind is FaultKind.FLAPPING_LINK:
-            core = rng.randrange(1, nranks)
-            period = rng.uniform(*_FLAP_PERIOD_RANGE)
-            duration = max(period, rng.uniform(*_FLAP_DURATION_RANGE))
-            spec = FaultSpec(
-                kind,
-                core=core,
-                nth=self._nth(rng, profile.get(f"mpb_access@core{core}", 0)),
-                duration=duration,
-                period=period,
-                duty=rng.uniform(*_FLAP_DUTY_RANGE),
-            )
+        nth = self._nth(rng, profile.get(site, 0))
+        if kind is FaultKind.FLAPPING_LINK:
+            knobs["duty"] = rng.uniform(*_FLAP_DUTY_RANGE)
         elif kind is FaultKind.CONGESTION_STORM:
-            spec = FaultSpec(
-                kind,
-                nth=self._nth(rng, profile.get("mpb_access", 0)),
-                duration=rng.uniform(*_STORM_DURATION_RANGE),
-                period=rng.uniform(*_STORM_STALL_RANGE),
-            )
-        else:  # CORE_PAUSE (scc only)
-            core = rng.randrange(1, nranks)
-            spec = FaultSpec(
-                kind,
-                core=core,
-                nth=self._nth(rng, profile.get(f"core_op@core{core}", 0)),
-                duration=rng.uniform(*_PAUSE_RANGE),
-            )
+            knobs["duration"] = rng.uniform(*_STORM_DURATION_RANGE)
+            knobs["period"] = rng.uniform(*_STORM_STALL_RANGE)
+        elif kind.needs_duration:
+            knobs["duration"] = rng.uniform(*_DURATION_RANGE[kind])
+        spec = FaultSpec(kind, nth=nth, core=core, **knobs)
         return self._claim(spec, claimed)
 
     def _draw_core_crash(self, rng, nranks, profile, claimed):

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ..core.ocbcast import DEFAULT_CHUNK_LINES
-from ..faults.plan import ADVERSARY_KINDS
 from ..obs.invariants import InvariantChecker
 from ..transport.decisions import decision_digest
 from ..transport.world import (
@@ -109,7 +108,7 @@ def execute(
     oc_config = mode_config(schedule.mode, ft_ack_data=schedule.ft_ack_data)
     run = run_world(world, bcast_body(world, oc_config, payload))
     adversary = frozenset(
-        s.core for s in schedule.specs if s.kind in ADVERSARY_KINDS
+        s.core for s in schedule.specs if s.kind.adversarial
     ) if schedule.mode == "byz" else None
     return run, Verdict.of(
         run.status, run.values, src_crc=zlib.crc32(payload),

@@ -35,7 +35,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Any
 
 from ..core.ocbcast import DEFAULT_CHUNK_LINES, RENOTIFY_BUDGETS, OcBcastConfig
-from ..faults.plan import ADVERSARY_KINDS, FaultKind, FaultPlan, FaultSpec
+from ..faults.plan import FaultKind, FaultPlan, FaultSpec
 from ..scc.config import CACHE_LINE, ContentionMode, SccConfig
 from ..transport.api import CrashOnEvent
 from ..transport.models import (
@@ -51,23 +51,6 @@ BACKENDS = ("scc", "asyncio")
 #: chaos engine exists to break, kept for counterexample demos and
 #: campaign-failure replay).
 MODES = ("service", "byz", "ft", "baseline")
-
-#: Injector kinds that hook core primitives -- they only fire on the SCC
-#: backend (the asyncio backend has no ``core_op`` stream; its crashes
-#: use the backend-agnostic :class:`CrashOnEvent` coordinate instead).
-#: REPEATED_CRASH is core-primitive churn; the sustained link regimes
-#: (FLAPPING_LINK, CONGESTION_STORM) anchor on ``mpb_access`` occurrence
-#: counts, which the two backends count differently (line batches vs
-#: operations), so schedules pin them to the SCC backend too -- except
-#: at ``nth=1``, the one portable anchor, which the differential
-#: ``flapping_link`` scenario uses deliberately.
-SCC_ONLY_KINDS = frozenset({
-    FaultKind.CORE_PAUSE,
-    FaultKind.CORE_CRASH,
-    FaultKind.REPEATED_CRASH,
-    FaultKind.FLAPPING_LINK,
-    FaultKind.CONGESTION_STORM,
-})
 
 #: Bundle / schedule serialisation format version.
 SCHEDULE_VERSION = 1
@@ -268,13 +251,13 @@ class ChaosSchedule:
             )
         self.scc_config()  # the chip's own value checks
         for spec in self.specs:
-            if self.backend != "scc" and spec.kind in SCC_ONLY_KINDS:
+            if self.backend != "scc" and spec.kind.scc_only:
                 raise ValueError(
                     f"{spec.kind.value} hooks core primitives, which only "
                     f"exist on the scc backend (use a crash coordinate on "
                     f"{self.backend})"
                 )
-            if spec.kind in ADVERSARY_KINDS and self.mode != "byz":
+            if spec.kind.adversarial and self.mode != "byz":
                 raise ValueError(
                     f"{spec.kind.value} needs mode='byz': only the "
                     f"Byzantine-tolerant service consults adversary hooks"
@@ -285,14 +268,13 @@ class ChaosSchedule:
                     f"the {self.nranks}-rank communicator"
                 )
         if self.crash is not None:
-            rank, kind, nth = self.crash
+            rank = self.crash[0]
             if not 0 <= rank < self.nranks:
                 raise ValueError(
                     f"crash rank {rank} outside the {self.nranks}-rank "
                     f"communicator"
                 )
-            if not kind or nth < 1:
-                raise ValueError(f"bad crash coordinate {self.crash!r}")
+            self.crash_hook()  # the coordinate's own checks
         if self.model is not None:
             if self.backend != "asyncio":
                 raise ValueError(

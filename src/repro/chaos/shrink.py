@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator
 
 from ..core.ocbcast import DEFAULT_CHUNK_LINES
-from ..faults.plan import ADVERSARY_KINDS, FaultSpec
+from ..faults.plan import FaultSpec
 from .runner import ChaosOutcome, run_schedule
 from .schedule import ChaosSchedule
 
@@ -66,7 +66,7 @@ class ShrinkResult:
 def _spec_variants(spec: FaultSpec) -> Iterator[FaultSpec]:
     """Strictly narrower versions of one injector spec."""
     if spec.duration and spec.duration > MIN_DURATION \
-            and spec.kind not in ADVERSARY_KINDS:
+            and not spec.kind.adversarial:
         yield replace(spec, duration=max(MIN_DURATION, spec.duration / 2))
     if spec.nth > 1:
         yield replace(spec, nth=1)

@@ -30,7 +30,6 @@ from .injector import (
     RecoveryRecord,
 )
 from .plan import (
-    ADVERSARY_KINDS,
     CRASH_SITES,
     NO_FAULTS,
     FaultKind,
@@ -39,7 +38,6 @@ from .plan import (
 )
 
 __all__ = [
-    "ADVERSARY_KINDS",
     "CORRUPT",
     "CRASH_SITES",
     "DELIVER",

@@ -354,8 +354,7 @@ class FaultInjector:
                 action = DELIVER
         else:
             self._record(spec, f"mpb{owner}@{offset} (from core{source})")
-            corrupting = (FaultKind.CORRUPT_FLAG_WRITE, FaultKind.CORRUPT_DATA_WRITE)
-            action = CORRUPT if spec.kind in corrupting else DROP
+            action = CORRUPT if spec.kind.corrupts else DROP
         if spec is not None or pruned:
             for other in _WRITES:
                 self._settle(other, owner if other == category else None)

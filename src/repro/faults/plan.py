@@ -33,47 +33,89 @@ class FaultKind(enum.Enum):
     write is fire-and-forget; nothing tells the sender it was lost); the
     stall/pause/crash faults model mesh congestion transients, cores held
     in an SMM handler, and cores dying outright.
+
+    Each row is ``value, category, facts``: the string value is what
+    bundles, goldens and :meth:`FaultPlan.describe` persist, and each
+    boolean fact below is true iff the row's facts name it.
     """
+
+    #: The injector counter the kind matches against (see
+    #: :class:`FaultInjector`).
+    category: str
+    #: A spec must name its victim core (a member, not an operation stream).
+    needs_core: bool
+    #: A spec must give a positive ``duration``.
+    needs_duration: bool
+    #: A trigger arms a long-running fault process (flap cycles, crash
+    #: churn, a storm window); only these kinds take period/duty/cycles.
+    sustained: bool
+    #: Byzantine: only the Byzantine-tolerant mode's hooks bump its
+    #: counter, so crash-tolerant runs are bit-identical with or without it.
+    adversarial: bool
+    #: The victim is dead once it fires: evicting it is justified.
+    crash: bool
+    #: It hooks core primitives or anchors on ``mpb_access`` counts, which
+    #: the asyncio backend lacks or counts differently, so chaos schedules
+    #: pin it to the SCC backend (the differential ``flapping_link``
+    #: scenario uses ``nth=1``, the one portable anchor).
+    scc_only: bool
+    #: The faulted write lands with its bytes inverted instead of dropped.
+    corrupts: bool
+
+    def __new__(cls, value: str, category: str, facts: str = "") -> "FaultKind":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.category = category
+        named = set(facts.split())
+        # The facts are the bool annotations above.
+        known = {n for n, t in cls.__annotations__.items() if t == "bool"}
+        if named - known:
+            raise TypeError(f"{value}: unknown fault facts {named - known}")
+        for fact in known:
+            setattr(member, fact, fact in named)
+        return member
 
     #: Silently discard one protocol flag write (the receiving MPB line is
     #: never updated and no poll watcher wakes -- a lost notification).
-    DROP_FLAG_WRITE = "drop_flag_write"
+    DROP_FLAG_WRITE = "drop_flag_write", "flag_write"
     #: Deliver one protocol flag write with its bytes inverted.
-    CORRUPT_FLAG_WRITE = "corrupt_flag_write"
+    CORRUPT_FLAG_WRITE = "corrupt_flag_write", "flag_write", "corrupts"
     #: Silently discard one payload (data) MPB write.
-    DROP_DATA_WRITE = "drop_data_write"
+    DROP_DATA_WRITE = "drop_data_write", "data_write"
     #: Deliver one payload (data) MPB write with its bytes inverted -- a
     #: single-event upset on the mesh that flag acks alone cannot see.
-    CORRUPT_DATA_WRITE = "corrupt_data_write"
+    CORRUPT_DATA_WRITE = "corrupt_data_write", "data_write", "corrupts"
     #: Delay one MPB transaction by ``duration`` (a transient mesh-link
     #: stall on the access path).
-    LINK_STALL = "link_stall"
+    LINK_STALL = "link_stall", "mpb_access", "needs_duration"
     #: Take core ``core``'s mesh interface down for ``duration`` starting
     #: at its nth MPB transaction: every protocol MPB write *to or from*
     #: that core inside the window is silently dropped (a correlated
     #: burst, unlike the single-write DROP_* kinds).
-    LINK_DOWN = "link_down"
+    LINK_DOWN = "link_down", "mpb_access", "needs_core needs_duration"
     #: Freeze a core for ``duration`` at its nth timed operation.
-    CORE_PAUSE = "core_pause"
+    CORE_PAUSE = "core_pause", "core_op", "needs_core needs_duration scc_only"
     #: Kill a core at its nth timed operation; every later operation of
     #: that core raises :class:`repro.sim.FaultInjected`.
-    CORE_CRASH = "core_crash"
+    CORE_CRASH = "core_crash", "core_op", "needs_core crash scc_only"
     #: Byzantine source/coordinator: starting at the victim's nth chunk
     #: staging, write payload A to one part of the tree and a
     #: self-consistent variant B (valid integrity header) to the rest,
     #: for a window of ``duration`` consecutive stagings.  Only the
     #: Byzantine-tolerant mode (``OcBcastConfig(byz=True)``) consults
     #: this; crash-tolerant runs never reach the staging hook.
-    EQUIVOCATE = "equivocate"
+    EQUIVOCATE = (
+        "equivocate", "adv_stage", "needs_core needs_duration adversarial"
+    )
     #: Byzantine core: at its nth quorum-vote round, write
     #: attacker-chosen values into its own ECHO/READY vote slots within
     #: its MPB reach -- a *different* forged value per member (vote
     #: equivocation), the strongest behaviour the single-writer slot
     #: discipline leaves open.
-    FORGE_FLAG_VALUE = "forge_flag_value"
+    FORGE_FLAG_VALUE = "forge_flag_value", "quorum_vote", "needs_core adversarial"
     #: Byzantine core: at its nth quorum-vote round, vote a well-formed
     #: but false digest, consistently to every member.
-    LIE_IN_QUORUM = "lie_in_quorum"
+    LIE_IN_QUORUM = "lie_in_quorum", "quorum_vote", "needs_core adversarial"
     #: Sustained regime: core ``core``'s mesh interface *flaps* with a
     #: duty cycle.  From the victim's nth MPB transaction, time is cut
     #: into ``period``-us cycles for ``duration`` us total; in the first
@@ -82,14 +124,19 @@ class FaultKind(enum.Enum):
     #: then up for the rest.  An un-paced retry schedule that fits
     #: inside one down-phase loses every re-send; a backoff schedule
     #: spanning a full cycle is guaranteed an up-phase attempt.
-    FLAPPING_LINK = "flapping_link"
+    FLAPPING_LINK = (
+        "flapping_link", "mpb_access",
+        "needs_core needs_duration sustained scc_only",
+    )
     #: Sustained regime: crash churn across epochs.  Crashes core
     #: ``core`` at its nth timed operation, then keeps crashing: after
     #: each crash, the next surviving core to execute a timed operation
     #: at least ``period`` us later is crashed too, ``cycles`` crashes
     #: in total.  Exercises repeated suspicion/election/eviction rounds
     #: rather than the single-failover path.
-    REPEATED_CRASH = "repeated_crash"
+    REPEATED_CRASH = (
+        "repeated_crash", "core_op", "needs_core sustained crash scc_only"
+    )
     #: Sustained regime: a congestion storm.  From the nth MPB
     #: transaction (of ``core``, or of anyone when ``core`` is None),
     #: *every* MPB transaction chip-wide for the next ``duration`` us is
@@ -97,7 +144,9 @@ class FaultKind(enum.Enum):
     #: Fixed suspicion deadlines tuned for a quiet mesh false-evict
     #: under it; the phi-accrual detector widens with the observed
     #: delays instead.
-    CONGESTION_STORM = "congestion_storm"
+    CONGESTION_STORM = (
+        "congestion_storm", "mpb_access", "needs_duration sustained scc_only"
+    )
 
 
 #: Valid ``crash_site`` choices for campaigns and the CLI: where a
@@ -105,40 +154,6 @@ class FaultKind(enum.Enum):
 #: broadcast source/coordinator itself -- the scenario only the
 #: election-capable service survives.
 CRASH_SITES = ("leaf", "interior", "any", "root")
-
-#: Counter category each kind matches against (see :class:`FaultInjector`).
-CATEGORY_OF = {
-    FaultKind.DROP_FLAG_WRITE: "flag_write",
-    FaultKind.CORRUPT_FLAG_WRITE: "flag_write",
-    FaultKind.DROP_DATA_WRITE: "data_write",
-    FaultKind.CORRUPT_DATA_WRITE: "data_write",
-    FaultKind.LINK_STALL: "mpb_access",
-    FaultKind.LINK_DOWN: "mpb_access",
-    FaultKind.CORE_PAUSE: "core_op",
-    FaultKind.CORE_CRASH: "core_op",
-    FaultKind.EQUIVOCATE: "adv_stage",
-    FaultKind.FORGE_FLAG_VALUE: "quorum_vote",
-    FaultKind.LIE_IN_QUORUM: "quorum_vote",
-    FaultKind.FLAPPING_LINK: "mpb_access",
-    FaultKind.REPEATED_CRASH: "core_op",
-    FaultKind.CONGESTION_STORM: "mpb_access",
-}
-
-#: The sustained-regime kinds: a trigger occurrence arms a long-running
-#: fault *process* (flap cycles, crash churn, a storm window) instead of
-#: one discrete event.
-SUSTAINED_KINDS = frozenset(
-    (FaultKind.FLAPPING_LINK, FaultKind.REPEATED_CRASH, FaultKind.CONGESTION_STORM)
-)
-
-#: The Byzantine adversary kinds (category ``adv_stage`` or
-#: ``quorum_vote``).  Their counters are only bumped by the
-#: Byzantine-tolerant mode's hooks, so crash-tolerant runs are
-#: bit-identical whether or not a plan carries them.
-ADVERSARY_KINDS = frozenset(
-    (FaultKind.EQUIVOCATE, FaultKind.FORGE_FLAG_VALUE, FaultKind.LIE_IN_QUORUM)
-)
-
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -180,32 +195,27 @@ class FaultSpec:
             raise ValueError(f"duty must be in [0, 1], got {self.duty}")
         if self.cycles < 0:
             raise ValueError(f"cycles must be >= 0, got {self.cycles}")
-        if self.kind not in SUSTAINED_KINDS and (
-            self.period or self.duty or self.cycles
-        ):
+        kind = self.kind
+        if not kind.sustained and (self.period or self.duty or self.cycles):
             raise ValueError(
-                f"{self.kind.value} takes no period/duty/cycles (sustained-"
+                f"{kind.value} takes no period/duty/cycles (sustained-"
                 "regime fields)"
             )
-        needs_duration = self.kind in (
-            FaultKind.LINK_STALL,
-            FaultKind.CORE_PAUSE,
-            FaultKind.LINK_DOWN,
-            FaultKind.FLAPPING_LINK,
-            FaultKind.CONGESTION_STORM,
-        )
-        if needs_duration and self.duration == 0.0:
-            raise ValueError(f"{self.kind.value} needs a positive duration")
-        needs_core = (
-            FaultKind.CORE_PAUSE,
-            FaultKind.CORE_CRASH,
-            FaultKind.LINK_DOWN,
-            FaultKind.FLAPPING_LINK,
-            FaultKind.REPEATED_CRASH,
-        )
-        if self.kind in needs_core and self.core is None:
-            raise ValueError(f"{self.kind.value} needs an explicit victim core")
-        if self.kind is FaultKind.FLAPPING_LINK:
+        if kind is FaultKind.EQUIVOCATE and self.window < 1:
+            raise ValueError(
+                "equivocate needs a window of >= 1 staging occurrences "
+                "(duration counts stagings, not microseconds)"
+            )
+        if kind.needs_duration and self.duration == 0.0:
+            raise ValueError(f"{kind.value} needs a positive duration")
+        if kind.needs_core and self.core is None:
+            what = (
+                "adversary core: a Byzantine identity is a property of a "
+                "member, not of an anonymous operation stream"
+                if kind.adversarial else "victim core"
+            )
+            raise ValueError(f"{kind.value} needs an explicit {what}")
+        if kind is FaultKind.FLAPPING_LINK:
             if self.period <= 0.0:
                 raise ValueError("flapping_link needs a positive cycle period")
             if not 0.0 < self.duty < 1.0:
@@ -219,32 +229,21 @@ class FaultSpec:
                     "link would never complete one down/up cycle -- use "
                     "LINK_DOWN for a single outage"
                 )
-        if self.kind is FaultKind.REPEATED_CRASH:
+        if kind is FaultKind.REPEATED_CRASH:
             if self.period <= 0.0:
                 raise ValueError(
                     "repeated_crash needs a positive inter-crash period"
                 )
             if self.cycles < 1:
                 raise ValueError("repeated_crash needs cycles >= 1")
-        if self.kind is FaultKind.CONGESTION_STORM and self.period <= 0.0:
+        if kind is FaultKind.CONGESTION_STORM and self.period <= 0.0:
             raise ValueError(
                 "congestion_storm needs a positive per-access stall (period)"
-            )
-        if self.kind in ADVERSARY_KINDS and self.core is None:
-            raise ValueError(
-                f"{self.kind.value} needs an explicit adversary core: a "
-                "Byzantine identity is a property of a member, not of an "
-                "anonymous operation stream"
-            )
-        if self.kind is FaultKind.EQUIVOCATE and self.window < 1:
-            raise ValueError(
-                "equivocate needs a window of >= 1 staging occurrences "
-                "(duration counts stagings, not microseconds)"
             )
 
     @property
     def category(self) -> str:
-        return CATEGORY_OF[self.kind]
+        return self.kind.category
 
     @property
     def window(self) -> int:
@@ -307,7 +306,7 @@ class FaultPlan:
             seen[key] = spec
             if self.num_cores is not None and spec.core is not None \
                     and spec.core >= self.num_cores:
-                what = "adversary spec" if spec.kind in ADVERSARY_KINDS else "spec"
+                what = "adversary spec" if spec.kind.adversarial else "spec"
                 raise ValueError(
                     f"{what} {spec.site} targets core {spec.core} "
                     f"outside the {self.num_cores}-core communicator"

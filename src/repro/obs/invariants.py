@@ -97,20 +97,19 @@ from collections import deque
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
+from ..faults.plan import FaultKind
 from ..sim.trace import TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..scc.chip import SccChip
 
 #: Fault kinds that mark the firing core as Byzantine for I7.
-_ADVERSARY_FAULTS = frozenset(
-    {"equivocate", "forge_flag_value", "lie_in_quorum"}
-)
+_ADVERSARY_FAULTS = frozenset(k.value for k in FaultKind if k.adversarial)
 
 #: Fault kinds whose injection record means the victim core is dead --
 #: suspecting it afterwards is justified however regular its heartbeats
 #: were (I8).
-_CRASH_FAULTS = frozenset({"core_crash", "repeated_crash"})
+_CRASH_FAULTS = frozenset(k.value for k in FaultKind if k.crash)
 
 
 class InvariantViolation(AssertionError):

@@ -11,8 +11,13 @@ subclass it and supply only those.  A third backend does the same --
 
 from __future__ import annotations
 
+from ..faults.plan import FaultKind
 from ..rcce.endpoint import Endpoint as Transport
 from ..sim.errors import FaultInjected
+from .decisions import kinds_with
+
+#: The kinds ``Endpoint.trace`` emits: the only ones a crash can name.
+_RANK_KINDS = kinds_with("rank")
 
 __all__ = ["CrashOnEvent", "Transport"]
 
@@ -31,12 +36,20 @@ class CrashOnEvent:
 
     Naming an event instead of an operation count makes the coordinate
     portable: operation interleavings differ across backends, a rank's
-    own trace stream (program order) does not.
+    own trace stream (program order) does not.  ``kind`` must be a
+    rank-emitted kind of :data:`repro.transport.decisions.TRACE_KINDS`:
+    only ``trace()`` calls the hook, so any other kind -- a typo, a wire
+    record -- would never fire and the run would pass as fault-free.
     """
 
     def __init__(self, rank: int, kind: str, *, nth: int = 1) -> None:
         if nth < 1:
-            raise ValueError("nth must be >= 1")
+            raise ValueError(f"crash coordinate nth must be >= 1, got {nth}")
+        if kind not in _RANK_KINDS:
+            raise ValueError(
+                f"crash coordinate kind {kind!r} is not a trace kind a "
+                f"rank emits, so it would never fire"
+            )
         self.rank = rank
         self.kind = kind
         self.nth = nth
@@ -53,6 +66,6 @@ class CrashOnEvent:
             raise FaultInjected(
                 f"rank {self.rank} crashed at its {self.nth}th "
                 f"{self.kind!r} event",
-                kind="core_crash",
+                kind=FaultKind.CORE_CRASH.value,
                 site=site,
             )

@@ -62,8 +62,9 @@ class Scenario:
 
     def __post_init__(self) -> None:
         # Unchecked, each of these would run and mis-simulate: a crash on
-        # a rank that does not exist never fires, zero chunks broadcast
-        # zero bytes, and either reports every rank "ok".
+        # a rank that does not exist, or at a kind no rank emits, never
+        # fires, zero chunks broadcast zero bytes, and either reports
+        # every rank "ok".
         if self.nranks < 1:
             raise ValueError(
                 f"scenario {self.name!r}: nranks must be >= 1, got {self.nranks}"
@@ -77,6 +78,7 @@ class Scenario:
                 f"scenario {self.name!r}: crash rank {self.crash[0]} outside "
                 f"0..{self.nranks - 1}"
             )
+        self.crash_hook()  # the coordinate's own checks
 
     @property
     def nbytes(self) -> int:

@@ -94,6 +94,13 @@ class TestScheduleValidity:
                                 heal_at=100.0),
             ).validate()
 
+    @pytest.mark.parametrize("kind", ["oc.chunk.begn", "flag_write", ""])
+    def test_crash_names_a_kind_a_rank_emits(self, kind):
+        """A typo or a wire kind would never reach the hook, and the
+        schedule would run fault-free and classify ``tolerated``."""
+        with pytest.raises(ValueError, match="not a trace kind a rank emits"):
+            ChaosSchedule(crash=(0, kind, 1)).validate()
+
     def test_plan_overlap_delegated_to_fault_rules(self):
         s = ChaosSchedule(specs=(_drop_flag(3), _drop_flag(3)))
         with pytest.raises(ValueError):
@@ -497,7 +504,7 @@ class TestPinnedBundles:
     determinism regression, not a flake."""
 
     def test_pinned_coordinates_are_all_present(self):
-        assert len(_PINNED) == 6
+        assert len(_PINNED) == 8
 
     @pytest.mark.parametrize(
         "path", _PINNED, ids=[os.path.basename(p) for p in _PINNED]
@@ -559,6 +566,53 @@ class TestForgedHolderVote:
         "path", _FORGED_VOTE, ids=[os.path.basename(p) for p in _FORGED_VOTE]
     )
     def test_forged_holder_vote_is_not_committed(self, path):
+        outcome = run_schedule(ReproBundle.load(path).schedule)
+        assert outcome.classification in ("refused", "tolerated"), (
+            outcome.describe()
+        )
+
+
+_SPLIT = [p for p in _PINNED if "claim-unreachable-split" in p]
+
+
+@pytest.mark.chaos
+class TestClaimUnreachableSplit:
+    """ROADMAP item 11's split-brain as a file: the root dies before
+    staging while rank 1's link is down, so rank 1 wins an election none
+    of its claim writes reached and rank 2 wins the same round.  The
+    bundles record today's ``violation/aborted`` (I8); the strict xfail
+    states what the fix must do."""
+
+    def test_recorded_on_both_backends_with_one_digest(self):
+        bundles = [ReproBundle.load(p) for p in _SPLIT]
+        assert sorted(b.schedule.backend for b in bundles) == ["asyncio", "scc"]
+        assert len({b.expected["digest"] for b in bundles}) == 1
+
+    @pytest.mark.parametrize(
+        "path", _SPLIT, ids=[os.path.basename(p) for p in _SPLIT]
+    )
+    def test_schedule_is_one_minimal(self, path):
+        """Without the link-down the run is refused, without the crash
+        it is tolerated, and the shrinker takes no step."""
+        schedule = ReproBundle.load(path).schedule
+        assert schedule.n_events == 2
+        result = shrink(schedule)
+        assert result.n_steps == 0 and result.schedule == schedule
+        no_link = run_schedule(replace(schedule, specs=()))
+        no_crash = run_schedule(replace(schedule, crash=None))
+        assert (no_link.classification, no_crash.classification) == (
+            "refused", "tolerated"
+        )
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 11: a claim that reached no member still wins "
+               "the election, and two coordinators install epoch 1",
+    )
+    @pytest.mark.parametrize(
+        "path", _SPLIT, ids=[os.path.basename(p) for p in _SPLIT]
+    )
+    def test_split_is_not_a_violation(self, path):
         outcome = run_schedule(ReproBundle.load(path).schedule)
         assert outcome.classification in ("refused", "tolerated"), (
             outcome.describe()

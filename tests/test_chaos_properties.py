@@ -24,7 +24,7 @@ from repro.chaos.generate import (
     _FLAP_PERIOD_RANGE, _PAUSE_RANGE, _STALL_RANGE, _STORM_DURATION_RANGE,
     _STORM_STALL_RANGE, _SUSPICION_BOUND,
 )
-from repro.faults import ADVERSARY_KINDS, FaultKind
+from repro.faults import FaultKind
 
 N_SEEDS = 200
 #: Small meshes keep the profiling runs (memoised per coordinate) cheap.
@@ -75,12 +75,11 @@ def test_structural_bounds_hold():
             # At most one crash event of any flavour (a REPEATED_CRASH
             # is one churn *event*, though it kills two cores).
             n_crash = (schedule.crash is not None) + sum(
-                s.kind in (FaultKind.CORE_CRASH, FaultKind.REPEATED_CRASH)
-                for s in schedule.specs
+                s.kind.crash for s in schedule.specs
             )
             assert n_crash <= 1
             for spec in schedule.specs:
-                if spec.kind in ADVERSARY_KINDS:
+                if spec.kind.adversarial:
                     assert schedule.mode == "byz"
                 elif schedule.mode == "byz":
                     # Benign companions of adversaries stay under the

@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import json
+import pathlib
+
 import pytest
 
 from repro.cli import _parse_spec, build_parser, main
@@ -117,6 +120,22 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err.startswith("ERROR: ")
         assert len(captured.err.splitlines()) == 1
+
+    def test_chaos_replay_of_a_crash_no_rank_emits(self, tmp_path, capsys):
+        """The bundle would otherwise replay fault-free and report the
+        mismatch as a protocol change, not as the bad coordinate it is."""
+        pinned = pathlib.Path(__file__).parent / "chaos_bundles"
+        bundle = json.loads(
+            (pinned / "service-forged-holder-vote-scc.json").read_text()
+        )
+        bundle["schedule"]["crash"] = [0, "oc.chunk.begn", 1]
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(bundle))
+        assert main(["chaos", "--replay", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ERROR: crash coordinate kind "
+                                       "'oc.chunk.begn'")
 
     def test_chaos_max_chunks_zero(self, capsys):
         assert main(["chaos", "--trials", "1", "--max-chunks", "0"]) == 2

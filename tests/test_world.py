@@ -189,12 +189,18 @@ def test_asyncio_world_runs_inside_a_running_event_loop():
               crash=(9, "oc.chunk.begin", 1)), "crash rank 9"),
         (dict(nranks=8, mesh=(2, 2), chunks=1,
               crash=(-1, "oc.chunk.begin", 1)), "crash rank -1"),
+        (dict(nranks=8, mesh=(2, 2), chunks=1,
+              crash=(0, "oc.chunk.begn", 1)), "'oc.chunk.begn' is not"),
+        (dict(nranks=8, mesh=(2, 2), chunks=1,
+              crash=(0, "put", 1)), "'put' is not"),
     ],
-    ids=["no-ranks", "no-chunks", "crash-rank-past-end", "negative-crash-rank"],
+    ids=["no-ranks", "no-chunks", "crash-rank-past-end", "negative-crash-rank",
+         "crash-kind-typo", "crash-kind-wire-record"],
 )
 def test_scenario_rejects_what_it_would_mis_simulate(fields, named):
-    """Each would otherwise run: the crash never fires (rank 9 of 8),
-    zero chunks broadcast zero bytes, and every rank reports ``ok``."""
+    """Each would otherwise run: the crash never fires (rank 9 of 8, or
+    a kind no rank traces), zero chunks broadcast zero bytes, and every
+    rank reports ``ok``."""
     from repro.transport.scenarios import Scenario
 
     with pytest.raises(ValueError, match=named):
