@@ -35,6 +35,7 @@ the plan never crashed was evicted from the group.
 from __future__ import annotations
 
 import random
+import zlib
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import ClassVar, Generator
@@ -45,19 +46,37 @@ from ..core import OcBcastConfig
 from ..faults import FaultKind, FaultPlan, FaultSpec
 from ..member.heartbeat import MembershipConfig
 from ..member.service import OcBcastService
-from ..obs import InvariantChecker, MetricsRegistry
+from ..obs import InvariantChecker
 from ..rcce import Comm
 from ..resilience import DetectorConfig, OverloadError, RetryPolicy
 from ..scc import SccConfig
 from ..scc.config import CACHE_LINE
 from ..sim import FaultInjected
-from ..transport.world import WorldRun, mode_config, run_world, scc_world
+from ..transport.world import (
+    Verdict, WorldRun, mode_config, run_world, scc_world,
+)
 
 #: Trial classifications, in reporting order.  ``survived`` and
 #: ``refused`` are the clean terminations; ``false_evict`` terminated
 #: but evicted a live member (the I8 violation); ``stalled`` covers
 #: deadlock, watchdog and exhausted-attempt timeouts alike.
 CHURN_OUTCOMES = ("survived", "refused", "false_evict", "stalled", "corrupt")
+
+
+def churn_outcome(v: Verdict) -> tuple[str, str]:
+    """``(outcome, detail)`` of a churn trial, whose ranks are worded in
+    :func:`~repro.transport.world.bcast_body`'s vocabulary: a budget
+    refusal is ``detected``, and an evicted rank the plan crashes is
+    ``crashed``, so every ``evicted`` rank is a live one."""
+    if v.ending:
+        return "stalled", ""
+    if v.n_wrong:
+        return "corrupt", "a live member holds wrong bytes"
+    if v.n_evicted:
+        return "false_evict", f"{v.n_evicted} live rank(s) evicted"
+    if v.n_detected:
+        return "refused", f"{v.n_detected} rank(s) refused on budget"
+    return "survived", ""
 
 
 @dataclass(frozen=True)
@@ -298,8 +317,12 @@ class ChurnCampaign:
         )
 
     def _drive(self, comm: Comm, *, adaptive: bool) -> WorldRun:
-        """Run ``broadcasts`` consecutive service broadcasts; the
-        per-rank values are ``(status, completed)`` pairs."""
+        """Run ``broadcasts`` consecutive service broadcasts; each rank
+        returns ``(ending, completed)``, its ending worded as
+        :func:`~repro.transport.world.bcast_body` words one broadcast:
+        ``"crashed"``, ``"detected"`` (refused on budget), ``"evicted"``,
+        or ``("ok", crc)`` -- the last payload's crc once every broadcast
+        was delivered or aborted, else the crc of the wrong bytes held."""
         svc = OcBcastService(
             comm,
             root=self.root,
@@ -310,6 +333,7 @@ class ChurnCampaign:
             ),
         )
         payloads = self._payloads()
+        delivered = ("ok", zlib.crc32(payloads[-1]))
         nbytes, root, broadcasts = self.nbytes, self.root, self.broadcasts
 
         def body(cc) -> Generator:
@@ -323,77 +347,56 @@ class ChurnCampaign:
                 except FaultInjected:
                     return ("crashed", done)
                 except OverloadError:
-                    return ("refused", done)
+                    return ("detected", done)
                 if status == "evicted":
                     return ("evicted", done)
                 if status == "aborted":
                     continue
-                if buf.read() != payloads[b]:
-                    return ("corrupt", done)
+                held = buf.read()
+                if held != payloads[b]:
+                    return (("ok", zlib.crc32(held)), done)
                 done += 1
-            return ("ok", done)
+            return (delivered, done)
 
         return run_world(comm, body)
 
     def run_one(self, plan: FaultPlan, *, adaptive: bool) -> ChurnTrial:
         """Run one trial plan against one configuration and classify."""
         check_i8 = adaptive and self.check_i8
-        comm = self._world(
-            plan=plan, metrics=MetricsRegistry(), trace=check_i8
-        )
+        comm = self._world(plan=plan, trace=check_i8)
         checker = None
         if check_i8:
             # Faults are armed on purpose: only the membership promise
             # (I8) and the protocol invariants are on trial, not I1.
             checker = InvariantChecker(lossless=False).attach(comm.chip)
-        crashed_by_plan = {s.core for s in plan.specs if s.kind.crash}
-
-        def i8_count() -> int:
-            if checker is None:
-                return 0
-            return sum(
-                1 for v in checker.violations
-                if v.invariant == "no-false-eviction"
-            )
-
         run = self._drive(comm, adaptive=adaptive)
-        if run.status in ("deadlock", "timeout"):
-            return ChurnTrial(
-                outcome="stalled", completed=0,
-                n_injected=run.faults.n_injected,
-                n_false_evicted=0, n_refused=0,
-                n_i8_violations=i8_count(),
-                detail=f"{type(run.error).__name__}: {run.error}",
-            )
-        vals = run.check().values
-        statuses = [v[0] for v in vals]
-        refused = [r for r, s in enumerate(statuses) if s == "refused"]
-        false_evicted = [
-            r for r, s in enumerate(statuses)
-            if s == "evicted" and r not in crashed_by_plan
+        # A crash victim evicted before it died is not a false eviction.
+        crashed = {s.core for s in plan.specs if s.kind.crash}
+        endings = [
+            "crashed" if ending == "evicted" and r in crashed else ending
+            for r, (ending, _) in enumerate(run.values)
         ]
-        live_ok = [
-            v[1] for r, v in enumerate(vals)
-            if v[0] == "ok" and r not in crashed_by_plan
-        ]
-        completed = min(live_ok) if live_ok else 0
-        if any(s == "corrupt" for s in statuses):
-            outcome, detail = "corrupt", "a live member holds wrong bytes"
-        elif false_evicted:
-            outcome = "false_evict"
-            detail = f"live rank(s) {false_evicted} evicted"
-        elif refused:
-            outcome = "refused"
-            detail = f"rank(s) {refused} refused on budget"
-        else:
-            outcome, detail = "survived", ""
+        delivered = ("ok", zlib.crc32(self._payloads()[-1]))
+        v = Verdict.of(
+            run.status, tuple(endings), src_crc=delivered[1],
+            n_injected=run.faults.n_injected,
+        )
+        outcome, detail = churn_outcome(v)
+        if run.status:
+            detail = f"{type(run.error).__name__}: {run.error}"
         return ChurnTrial(
             outcome=outcome,
-            completed=completed,
-            n_injected=run.faults.n_injected,
-            n_false_evicted=len(false_evicted),
-            n_refused=len(refused),
-            n_i8_violations=i8_count(),
+            completed=min((
+                done for r, (ending, done) in enumerate(run.values)
+                if ending == delivered and r not in crashed
+            ), default=0),
+            n_injected=v.n_injected,
+            n_false_evicted=v.n_evicted,
+            n_refused=v.n_detected,
+            n_i8_violations=0 if checker is None else sum(
+                1 for x in checker.violations
+                if x.invariant == "no-false-eviction"
+            ),
             detail=detail,
         )
 

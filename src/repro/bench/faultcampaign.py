@@ -8,7 +8,8 @@ from a seeded :class:`random.Random` -- every trial is an exact,
 replayable :class:`~repro.faults.FaultPlan`, so a campaign is reproduced
 bit-for-bit by its seed.  Each trial leg *is* a chaos schedule
 (:meth:`FaultCampaign.trial_schedule`) run on a fresh chip with the
-kernel watchdog armed, and its verdict is worded as:
+kernel watchdog armed, and so is each mode's fault-free reference: the
+trial under an empty plan.  A leg's verdict is worded as:
 
 - ``delivered`` -- every core got the payload, no fault fired;
 - ``recovered`` -- a fault fired and every *live* core still got the
@@ -32,10 +33,8 @@ baseline latency on the same chip configuration.
 from __future__ import annotations
 
 import random
-import zlib
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Sequence
 
 from ..chaos.runner import execute
@@ -49,10 +48,8 @@ from ..scc.config import CACHE_LINE, DEFAULT_CONFIG
 from ..sim import WatchdogError
 from ..sim.trace import TraceRecord
 from ..transport.decisions import kinds_with
-from ..transport.world import (
-    Verdict, WorldRun, bcast_body, mode_config, run_world, scc_world,
-    seeded_payload,
-)
+from ..transport.world import Verdict, mode_config
+from .parallel import parallel_map
 
 #: Trial classifications, in reporting order.  ``aborted`` is a
 #: service-only outcome: the source died with no surviving payload
@@ -405,13 +402,6 @@ class FaultCampaign:
             mode, ft_ack_data=FaultKind.DROP_DATA_WRITE in self.kinds
         )
 
-    @cached_property
-    def _source(self) -> tuple[bytes, int]:
-        """The payload and its CRC-32: pure in ``(seed, nbytes)``, so
-        drawn once per campaign rather than once per run."""
-        payload = seeded_payload(self.seed, self.nbytes)
-        return payload, zlib.crc32(payload)
-
     def trial_schedule(self, plan: FaultPlan, leg: str) -> ChaosSchedule:
         """One trial leg as the chaos schedule it runs as -- the run
         :meth:`run_one` executes and the bundle of a lost trial pins."""
@@ -432,15 +422,14 @@ class FaultCampaign:
             },
         )
 
-    def _fault_free(self, mode: str, plan: FaultPlan | None = None) -> WorldRun:
-        """A reference run that must deliver: no watchdog and, unless a
-        (site-counting, empty) ``plan`` is given, no injector either.
-        An empty plan's injector is quiet: it counts every site and the
-        run is the injector-free one, leg scripts included."""
-        comm = scc_world(self.config, plan=plan)
-        body = bcast_body(comm, self._oc_config(mode), self._source[0])
-        run = run_world(comm, body).check()
-        if set(run.values) != {("ok", self._source[1])}:
+    def _fault_free(self, mode: str) -> TrialRun:
+        """The campaign's fault-free reference in ``mode``: its trial
+        under an empty plan, which must deliver the source bytes to every
+        honest rank.  An empty plan's injector is quiet: it counts every
+        site and the run is the injector-free one, leg scripts included."""
+        run, _ = self._run_leg(mode, FaultPlan())
+        v = run.verdict
+        if v.ending or v.n_ok != v.n_honest:
             raise AssertionError(f"fault-free {mode} run did not deliver")
         return run
 
@@ -655,7 +644,8 @@ class FaultCampaign:
         Byzantine service, whose ``adv_stage`` / ``quorum_vote`` sites
         only exist when the RBC layer is active."""
         mode = "byz" if self.byz else "baseline"
-        return self._fault_free(mode, FaultPlan()).faults.profile()
+        run, _ = execute(self.trial_schedule(FaultPlan(), mode), trace=False)
+        return run.check().faults.profile()
 
     # -- the campaign --------------------------------------------------------
 
@@ -675,50 +665,58 @@ class FaultCampaign:
 
     def run_trials(self, *, jobs: int = 1) -> CampaignResult:
         """The one campaign scheduler: serial, parallel and adaptive
-        fidelity share it (``jobs`` fans fault-bearing trials across
-        worker processes; results are equal for any ``jobs``).
+        fidelity share it (``jobs`` fans the trials across worker
+        processes; results are equal for any ``jobs``).
 
-        With ``fidelity="adaptive"``, fault-free trials never reach the
-        event kernel: a fault-free trial is a deterministic replica of
-        the campaign's fault-free reference run, so its
-        :class:`TrialRun` is served from the memoised reference --
-        byte-identical to what the kernel would have produced -- after
-        the analytic engine has cross-checked the reference latencies
-        (an out-of-tolerance prediction degrades the whole campaign
-        back to all-kernel execution).
+        Each mode's fault-free reference is its trial under an empty
+        plan, run once: its makespan feeds the robustness / service /
+        rbc taxes, and with ``fidelity="adaptive"`` it also serves every
+        fault-free trial, which never reaches the event kernel -- a
+        fault-free trial is a deterministic replica of the reference, so
+        serving it is byte-identical to running it -- after the analytic
+        engine has cross-checked the reference latencies (an
+        out-of-tolerance prediction degrades the whole campaign back to
+        all-kernel execution).  The fault timeline comes from one traced
+        re-run of the first injected trial's first leg: runs are
+        deterministic and tracing is passive.
         """
         profile = self.profile_sites()
         legs = self._legs
-        # The fault-free makespans behind the robustness / service / rbc
-        # taxes; a Byzantine campaign compares against the crash-only
+        # A Byzantine campaign's rbc tax compares against the crash-only
         # service, so it measures that one too.
-        latency = {
-            mode: self._fault_free(mode).latency
+        reference = {
+            mode: self._fault_free(mode)
             for mode in dict.fromkeys(
                 ("baseline", *legs, *(("service",) if self.byz else ()))
             )
         }
+        latency = {mode: run.latency for mode, run in reference.items()}
         plans = self.trial_plans()
         fidelity_info = self._check_fidelity(plans, latency)
-        reference = None
-        if fidelity_info is not None and not fidelity_info["degraded"] \
-                and fidelity_info["n_analytic"]:
-            ref = {leg: self._run_leg(leg, FaultPlan())[0] for leg in legs}
-
-            def reference(i: int, plan: FaultPlan) -> TrialResult:
-                return TrialResult(index=i, plan=plan, **ref)
-
-        counts: dict[str, Counter] = {leg: Counter() for leg in legs}
-        timeline: tuple[TraceRecord, ...] = ()
-        trials: list[TrialResult] = []
-        for trial, records in self._dispatch(plans, reference, jobs):
-            for leg in legs:
-                counts[leg][getattr(trial, leg).outcome] += 1
-            if not timeline and getattr(trial, legs[0]).n_injected:
-                timeline = records
-            trials.append(trial)
+        serve = fidelity_info is not None and not fidelity_info["degraded"]
+        pending = [
+            i for i, plan in enumerate(plans) if plan.specs or not serve
+        ]
+        ran = dict(zip(pending, parallel_map(
+            _trial_worker, [(self, i, plans[i]) for i in pending], jobs=jobs,
+        )))
+        trials = tuple(
+            ran[i] if i in ran else TrialResult(
+                index=i, plan=plan, **{leg: reference[leg] for leg in legs}
+            )
+            for i, plan in enumerate(plans)
+        )
+        counts: dict[str, Counter] = {
+            leg: Counter(getattr(t, leg).outcome for t in trials)
+            for leg in legs
+        }
+        first = next(
+            (t for t in trials if getattr(t, legs[0]).n_injected), None
+        )
+        timeline = () if first is None else \
+            self._run_leg(legs[0], first.plan, trace=True)[1]
         return CampaignResult(
-            trials=tuple(trials),
+            trials=trials,
             counts=counts,
             latency=latency,
             profile=profile,
@@ -812,58 +810,17 @@ class FaultCampaign:
             info["n_replayed"] = len(plans)
         return info
 
-    def _dispatch(
-        self,
-        plans: Sequence[FaultPlan],
-        reference,
-        jobs: int,
-    ) -> list[tuple[TrialResult, tuple[TraceRecord, ...]]]:
-        """Execute the trial list: fault-free trials come from
-        ``reference`` when the adaptive fast path armed it, everything
-        else goes through :func:`_trial_worker` -- in-process for ``jobs <= 1``
-        (tracing lazily, exactly as the classic serial loop did) or
-        fanned across a process pool, merged back in trial order."""
-        pending = [
-            i for i, plan in enumerate(plans)
-            if reference is None or plan.specs
-        ]
-        ran: dict[int, tuple[TrialResult, tuple[TraceRecord, ...]]] = {}
-        if jobs <= 1:
-            # Trace until the first injection is found -- the timeline
-            # only ever comes from the first injected trial.
-            found = False
-            for i in pending:
-                out = _trial_worker((self, i, plans[i], not found))
-                if getattr(out[0], self._legs[0]).n_injected:
-                    found = True
-                ran[i] = out
-        else:
-            from .parallel import parallel_map
-
-            outs = parallel_map(
-                _trial_worker, [(self, i, plans[i], True) for i in pending],
-                jobs=jobs,
-            )
-            ran = dict(zip(pending, outs))
-        return [
-            ran[i] if i in ran else (reference(i, plan), ())
-            for i, plan in enumerate(plans)
-        ]
-
 
 def _trial_worker(
-    arg: "tuple[FaultCampaign, int, FaultPlan, bool]",
-) -> tuple[TrialResult, tuple[TraceRecord, ...]]:
-    """One seeded trial: every leg of the campaign under one plan, the
-    first leg traced.  Module-level (picklable) so the same function
-    serves the in-process loop and the process pool."""
-    campaign, index, plan, trace = arg
-    first, *rest = campaign._legs
-    run, records = campaign._run_leg(first, plan, trace=trace)
-    runs = {first: run}
-    for leg in rest:
-        runs[leg], _ = campaign._run_leg(leg, plan)
-    return TrialResult(index=index, plan=plan, **runs), records
+    arg: "tuple[FaultCampaign, int, FaultPlan]",
+) -> TrialResult:
+    """One seeded trial: every leg of the campaign under one plan.
+    Module-level (picklable) so the same function serves the in-process
+    loop and the process pool."""
+    campaign, index, plan = arg
+    return TrialResult(index=index, plan=plan, **{
+        leg: campaign._run_leg(leg, plan)[0] for leg in campaign._legs
+    })
 
 
 def parse_kinds(names: Sequence[str]) -> tuple[FaultKind, ...]:

@@ -519,10 +519,12 @@ class Endpoint:
         *,
         retry: RetryPolicy = IMMEDIATE,
     ) -> Generator:
-        """Acknowledged slot write (slot values are monotonic per writer,
-        so a readback >= value also acks).  The membership heartbeats
-        ride on this -- a silently dropped heartbeat would otherwise read
-        as a crash and evict a live core."""
+        """Acknowledged slot write: only a readback of exactly ``value``
+        acks.  Every slot has one writer, so a readback above what it
+        just wrote means the write landed corrupted (an inverted small
+        value reads larger), and it is re-sent.  The membership
+        heartbeats ride on this -- a silently dropped heartbeat would
+        otherwise read as a crash and evict a live core."""
         owner = self.comm.core_of(owner_rank)
         site = f"{array.name}[{slot}]@core{owner}"
         yield from self._acked(
@@ -531,7 +533,7 @@ class Endpoint:
             lambda: self._readback(
                 owner, array.slot_offset(slot), array.SLOT_BYTES, site
             ),
-            lambda raw: array.decode(raw) >= value,
+            lambda raw: array.decode(raw) == value,
             "slot_write_retry_ok",
             lambda: f"slot write {array.name}[{slot}] to core {owner} un-acked",
             "slot re-sent", retry,

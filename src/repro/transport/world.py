@@ -10,7 +10,8 @@ the three decisions that shape shares and nothing else:
    :func:`asyncio_world` (-> ``AsyncioNetwork``).  ``plan=None`` means
    no injector at all; ``FaultPlan()`` attaches one that only counts
    candidate sites -- a quiet injector, under which the run, leg
-   scripts included, is the injector-free one.
+   scripts included, is the injector-free one, so a fault campaign's
+   fault-free reference is just its trial under an empty plan.
 2. **How a run ends** -- :func:`run_world` -> :class:`WorldRun`, and
    what the ranks decided -- :meth:`Verdict.of`, judged once.
 3. **The per-rank broadcast body** -- :func:`bcast_body`, with the one
@@ -18,7 +19,9 @@ the three decisions that shape shares and nothing else:
    seeded payload (:func:`seeded_payload`).
 
 Callers keep what is their own: plan drawing, the *words* each harness
-prints for a :class:`Verdict`, metric harvest.
+prints for a :class:`Verdict` (the churn campaign first words each
+rank's multi-broadcast ending as one :func:`bcast_body` value), metric
+harvest.
 """
 
 from __future__ import annotations

@@ -526,13 +526,12 @@ _FORGED_VOTE = [p for p in _PINNED if "forged-holder-vote" in p]
 
 @pytest.mark.chaos
 class TestForgedHolderVote:
-    """ROADMAP item 1's open safety violation as a file: root crash
-    before staging + one corrupted heartbeat flag write, on both
-    backends.  The bundles record what the protocol does today
-    (``violation/corrupt``, replayed bit-for-bit by
-    :class:`TestPinnedBundles`); the strict xfail states what it must
-    do, so the protocol fix flips one marker and re-records two files
-    instead of re-deriving the schedule."""
+    """ROADMAP item 2's forged holder vote as a regression fixture: root
+    crash before staging + one corrupted heartbeat flag write, on both
+    backends.  The inverted write used to read as a *delivered* vote, so
+    seven survivors committed bytes the source never sent; a single-writer
+    slot now acks only exactly what it wrote, so the write is re-sent and
+    the run is the corruption-free one, a uniform abort."""
 
     def test_recorded_on_both_backends_with_one_digest(self):
         bundles = [ReproBundle.load(p) for p in _FORGED_VOTE]
@@ -543,33 +542,17 @@ class TestForgedHolderVote:
     @pytest.mark.parametrize(
         "path", _FORGED_VOTE, ids=[os.path.basename(p) for p in _FORGED_VOTE]
     )
-    def test_schedule_is_one_minimal(self, path):
-        """Neither event, chunk, mesh step nor halving can go: without
-        the corrupt write the run is refused, without the crash it is
-        tolerated."""
-        schedule = ReproBundle.load(path).schedule
-        assert schedule.n_events == 2
-        result = shrink(schedule)
-        assert result.n_steps == 0 and result.schedule == schedule
-        no_corrupt = run_schedule(replace(schedule, specs=()))
-        no_crash = run_schedule(replace(schedule, crash=None))
-        assert (no_corrupt.classification, no_crash.classification) == (
-            "refused", "tolerated"
-        )
-
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 1(b): a single forged heartbeat value still "
-               "names a data source; seven survivors commit all-zero bytes",
-    )
-    @pytest.mark.parametrize(
-        "path", _FORGED_VOTE, ids=[os.path.basename(p) for p in _FORGED_VOTE]
-    )
     def test_forged_holder_vote_is_not_committed(self, path):
-        outcome = run_schedule(ReproBundle.load(path).schedule)
-        assert outcome.classification in ("refused", "tolerated"), (
-            outcome.describe()
-        )
+        bundle = ReproBundle.load(path)
+        outcome = run_schedule(bundle.schedule)
+        assert (outcome.classification, outcome.status) == (
+            "refused", "aborted"
+        ), outcome.describe()
+        assert (outcome.n_injected, outcome.n_recovered) == (1, 1)
+        # The re-send masks the corruption: the decisions are those of
+        # the same schedule without the corrupt write.
+        twin = run_schedule(replace(bundle.schedule, specs=()))
+        assert outcome.digest == twin.digest == bundle.expected["digest"]
 
 
 _SPLIT = [p for p in _PINNED if "claim-unreachable-split" in p]

@@ -10,8 +10,9 @@ import pytest
 from repro.bench import ChurnCampaign, ChurnResult, ChurnTrial
 from repro.bench.churn import CHURN_OUTCOMES
 from repro.bench.reporting import churn_summary
-from repro.faults import FaultKind, FaultPlan
+from repro.faults import FaultKind, FaultPlan, FaultSpec
 from repro.resilience import IMMEDIATE
+from repro.scc import SccConfig
 
 
 class TestChurnPlans:
@@ -102,6 +103,27 @@ class TestChurnSmoke:
             assert fixed is None
         assert list(result.counts) == ["adaptive"]  # no fixed leg
         assert "adaptive termination rate: 100.0%" in churn_summary(result)
+
+    def test_an_evicted_crash_victim_is_not_a_false_eviction(self):
+        """The fixed config evicts the flap victim (core 7 of a 2x2
+        mesh).  A plan that also crashes core 7 too late to fire -- the
+        eviction ends its run first -- loses a member the plan meant to
+        kill: that eviction is the crash's, not a false one."""
+        campaign = ChurnCampaign(
+            trials=1, seed=6, broadcasts=2, crash=False,
+            config=SccConfig(mesh_cols=2, mesh_rows=2),
+        )
+        flap = campaign.trial_plans()[0]
+        victim = flap.specs[0].core
+        alone = campaign.run_one(flap, adaptive=False)
+        assert (alone.outcome, alone.n_false_evicted) == ("false_evict", 1)
+        crash = FaultSpec(FaultKind.CORE_CRASH, core=victim, nth=10**6)
+        both = campaign.run_one(
+            FaultPlan(flap.specs + (crash,), label="flap+crash"),
+            adaptive=False,
+        )
+        assert (both.outcome, both.n_false_evicted) == ("survived", 0)
+        assert both.completed == alone.completed == 2
 
 
 @pytest.mark.faults

@@ -20,12 +20,14 @@ Three properties, when the source is gone:
 Corruption splits into two named classes.  The *forged holder vote*:
 a non-holder's ``2r`` corrupts to an odd value at or above the floor
 and reads as *delivered*, so a coordinator may name a rank that holds
-nothing as the new source (the chain pinned by
-``tests/chaos_bundles/service-forged-holder-vote-*.json``).  The *lost
+nothing as the new source (the chain
+``tests/chaos_bundles/service-forged-holder-vote-*.json`` replayed
+until slot writes acked only exactly what they wrote).  The *lost
 holder vote*: a holder's ``2r + 1`` corrupts to an even value at or
 above the floor and reads as *not delivered*, so a coordinator may
-abort while that holder lives.  Both are open (ROADMAP item 2) and
-strict-xfail here.
+abort while that holder lives.  The model takes the corrupted value as
+what the collector reads, before any re-send: that reader-side window
+is open (ROADMAP item 2(b)), so both classes stay strict-xfail here.
 """
 
 import functools

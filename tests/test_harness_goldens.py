@@ -11,10 +11,9 @@ produced by ``tools/dump_harness_outcomes.py`` at the commit *before*
 the harnesses moved onto ``repro.transport.world``, so it holds that
 refactor -- and any later one -- to the same bytes.
 
-``chaos[58]`` pins a KNOWN-OPEN defect (ROADMAP item 1: a schedule
-inside the generator's envelope that classifies ``violation/corrupt``);
-the entry carries a ``known_open`` note.  The fix for item 1 must change
-that entry deliberately -- refresh the golden then, not before.
+``chaos[58]`` is the forged holder vote the seed-10 soak drew (ROADMAP
+item 2): ``violation/corrupt`` until a single-writer slot acked only
+exactly what it wrote, ``refused/aborted`` since.
 
 Refresh (only for an intended behaviour change) with:
 
@@ -60,9 +59,3 @@ def test_parallel_campaigns_equal_serial(golden):
     for name in checked:
         assert golden["campaigns"][name]["jobs2_equal"] is True
 
-
-def test_known_open_violation_is_pinned(golden):
-    # ROADMAP item 1, still open: see the module docstring.
-    row = golden["chaos"][58]
-    assert "known_open" in row
-    assert (row["classification"], row["status"]) == ("violation", "corrupt")

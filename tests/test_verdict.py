@@ -1,11 +1,12 @@
-"""One verdict, three vocabularies.
+"""One verdict, four vocabularies.
 
 :class:`repro.transport.world.Verdict` judges a run once -- who
 delivered which crc, who refused, who is an adversary -- and every
 harness words it in its own strings: the campaign's
 (:func:`campaign_outcome`), the Byzantine campaign's
-(:func:`byz_outcome`) and the chaos runner's (:func:`chaos_status` +
-:func:`chaos_classification`).  The expected strings below are the ones
+(:func:`byz_outcome`), the chaos runner's (:func:`chaos_status` +
+:func:`chaos_classification`) and the churn campaign's
+(:func:`churn_outcome`).  The expected strings below are the ones
 the three separate classifiers printed for these synthetic value
 tuples; ``golden_harness_outcomes.json`` pins them on real runs.  The
 deliberate differences between the vocabularies are cases here too:
@@ -19,6 +20,7 @@ import os
 
 import pytest
 
+from repro.bench.churn import CHURN_OUTCOMES, churn_outcome
 from repro.bench.faultcampaign import byz_outcome, campaign_outcome
 from repro.chaos import ReproBundle
 from repro.chaos.runner import chaos_classification, chaos_status, execute
@@ -158,15 +160,61 @@ def test_an_invariant_report_is_a_violation_whatever_the_values():
     assert chaos_classification(v, ("I6",)) == "violation"
 
 
+#: name -> (ending, values, churn outcome): a churn rank's ending worded
+#: as one broadcast (a budget refusal is ``detected``, an evicted crash
+#: victim ``crashed``), each outcome once, then their precedence.
+CHURN_CASES = {
+    "survived": ("", [ok(SRC), ok(SRC), "crashed"], ("survived", "")),
+    "refused": (
+        "", [ok(SRC), "detected", "detected"],
+        ("refused", "2 rank(s) refused on budget"),
+    ),
+    "false_evict": (
+        "", [ok(SRC), ok(SRC), "evicted"],
+        ("false_evict", "1 live rank(s) evicted"),
+    ),
+    "corrupt": (
+        "", [ok(SRC), ok(WRONG), ok(SRC)],
+        ("corrupt", "a live member holds wrong bytes"),
+    ),
+    "stalled": ("deadlock", [], ("stalled", "")),
+    "eviction_beats_refusal": (
+        "", [ok(SRC), "evicted", "detected"],
+        ("false_evict", "1 live rank(s) evicted"),
+    ),
+    "wrong_bytes_beat_eviction": (
+        "", [ok(WRONG), "evicted", "detected"],
+        ("corrupt", "a live member holds wrong bytes"),
+    ),
+    "an_ending_beats_every_value": (
+        "timeout", [ok(WRONG), "evicted"], ("stalled", ""),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CHURN_CASES)
+def test_churn_vocabulary_of_one_verdict(name):
+    ending, values, want = CHURN_CASES[name]
+    v = Verdict.of(ending, tuple(values), src_crc=SRC, n_injected=1)
+    assert churn_outcome(v) == want
+
+
+def test_churn_cases_word_every_outcome():
+    assert {want for _, _, (want, _) in CHURN_CASES.values()} \
+        == set(CHURN_OUTCOMES)
+
+
 _BUNDLES = os.path.join(os.path.dirname(__file__), "chaos_bundles")
 
 
 @pytest.mark.parametrize("backend", ["scc", "asyncio"])
 def test_forged_holder_vote_agrees_on_an_invalid_payload(backend):
-    """ROADMAP item 1's open violation, in verdict terms: the seven
-    survivors agree -- on bytes the source never sent."""
+    """ROADMAP item 2's forged holder vote, in verdict terms: the seven
+    survivors used to agree on bytes the source never sent.  With exact
+    slot acks the corrupted vote is re-sent, and they uniformly abort."""
     bundle = ReproBundle.load(
         os.path.join(_BUNDLES, f"service-forged-holder-vote-{backend}.json")
     )
     _, v = execute(bundle.schedule, trace=False)
-    assert (v.agreement, v.validity, v.violation) == (True, False, True)
+    assert (v.agreement, v.validity, v.violation) == (True, True, False)
+    assert (v.n_delivered, v.n_aborted, v.n_crashed) == (0, 7, 1)

@@ -92,19 +92,11 @@ CAMPAIGNS: dict[str, tuple[FaultCampaign, bool]] = {
     ), False),
 }
 
-#: The soak's generator at the seed that drew the open ROADMAP item-1
-#: violation; 60 schedules so entry #58 is in the golden.
+#: The soak's generator at the seed that drew the forged holder vote
+#: (ROADMAP item 2); 60 schedules so entry #58, now refused, is in the
+#: golden.
 CHAOS_SEED = 10
 CHAOS_SCHEDULES = 60
-
-#: Chaos entries whose pinned result is a *known-open* defect, not the
-#: intended behaviour.  The fix for the named ROADMAP item must update
-#: the golden deliberately (and delete the entry here).
-KNOWN_OPEN = {
-    58: "ROADMAP item 1: asyncio/service 2x2, corrupt_flag_write + "
-        "link_stall + root crash at oc.chunk.begin classifies "
-        "violation/corrupt (7 members hold wrong bytes)",
-}
 
 _RUN_FIELDS = (
     "outcome", "latency", "n_injected", "n_recovered", "n_evicted",
@@ -158,12 +150,11 @@ def dump_campaign(campaign: FaultCampaign, parallel: bool) -> dict:
     return out
 
 
-def dump_chaos(generator: ScheduleGenerator, n: int,
-               known_open: dict[int, str]) -> list[dict]:
+def dump_chaos(generator: ScheduleGenerator, n: int) -> list[dict]:
     rows = []
-    for i, schedule in enumerate(generator.generate(n)):
+    for schedule in generator.generate(n):
         out = run_schedule(schedule)
-        row = {
+        rows.append({
             "schedule": schedule.describe(),
             "classification": out.classification,
             "status": out.status,
@@ -172,10 +163,7 @@ def dump_chaos(generator: ScheduleGenerator, n: int,
             "n_recovered": out.n_recovered,
             "latency": out.latency,
             "invariants": list(out.invariants),
-        }
-        if i in known_open:
-            row["known_open"] = known_open[i]
-        rows.append(row)
+        })
     return rows
 
 
@@ -241,7 +229,7 @@ SECTIONS = {
         for name, (c, parallel) in CAMPAIGNS.items()
     },
     "chaos": lambda: dump_chaos(
-        ScheduleGenerator(seed=CHAOS_SEED), CHAOS_SCHEDULES, KNOWN_OPEN
+        ScheduleGenerator(seed=CHAOS_SEED), CHAOS_SCHEDULES
     ),
     # The fragile baseline loses on purpose: deadlocks and wrong bytes
     # on both backends, i.e. the run-ending ladder the hardened soak
@@ -250,7 +238,7 @@ SECTIONS = {
         ScheduleGenerator(
             seed=8, modes=("baseline", "baseline", "ft"), fragile=True,
             meshes=((2, 2), (3, 2)),
-        ), 16, {},
+        ), 16,
     ),
     "profile_counts": dump_profile_counts,
     "scenarios": dump_scenarios,

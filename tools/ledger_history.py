@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Append ledger runs to ``benchmarks/history.jsonl``: the per-PR trajectory.
 
-docs/PERFORMANCE.md keeps before/after tables as prose; this keeps the
-same runs machine-readable, one JSON object per line and per
+docs/PERFORMANCE.md cites the latest of these runs per layer; this keeps
+every run machine-readable, one JSON object per line and per
 ``(commit, seed, workload)`` run, so "unresolved within the bound" can
 be re-read against every earlier measurement.  The file lives *beside*
 the frozen ``benchmarks/ledger/`` directory, not in it, and is only
